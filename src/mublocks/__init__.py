@@ -28,7 +28,8 @@ from .mu import (MuResult, Structure, SubspaceVerdict, classify_subspace,
                  e_theta, f_mu_membership, mu_equals_norm_suite,
                  mu_sandwich_check, mu_value, rigidity_check,
                  rigidity_grid_pass, structure_from_name)
-from .pentablock import bp_test, penta_classify, penta_radius, penta_sup
+from .pentablock import (bp_test, penta_classify, penta_dual_check,
+                         penta_radius, penta_sup)
 from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
                          tetra_margins)
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region,

@@ -121,6 +121,8 @@ def singular_values(b: Matrix2) -> tuple[float, float]:
     # (t - root)/2 cancels catastrophically when d << t^2; the eigenvalue
     # product is d exactly, so divide instead.
     lo = d / hi if hi > 0.0 else 0.0
+    if lo > hi:   # at a double eigenvalue the quotient can round one ulp up
+        lo = hi
     return (math.sqrt(max(hi, 0.0)), math.sqrt(max(lo, 0.0)))
 
 

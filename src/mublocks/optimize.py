@@ -8,8 +8,6 @@ run at.  Standard coefficients; deterministic.
 
 from __future__ import annotations
 
-import math
-
 
 def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
                 maxiter: int = 600):
@@ -68,21 +66,3 @@ def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
     order = sorted(range(n + 1), key=lambda k: vals[k])
     return pts[order[0]], vals[order[0]], it, False
 
-
-def golden_section_min(f, lo: float, hi: float, xtol: float = 1e-10):
-    """1-D golden-section minimize on [lo, hi]; returns (x, f(x))."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc > fd:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = f(c)
-    x = 0.5 * (lo + hi)
-    return x, f(x)

@@ -5,13 +5,17 @@ For (s, p) in the open symmetrized bidisc with roots (l1, l2), membership is
 
     |a|  <  |1 - conj(l2) l1| / 2 + sqrt((1 - |l1|^2)(1 - |l2|^2)) / 2,
 
-equivalently  sup_{|z|<1} |a (1 - |z|^2) / (1 - s z + p z^2)| < 1.  The root
-form is the primary test; the supremum is evaluated numerically on interior
-points as the independent route and the two must agree.  The closure test
-used here is the non-strict root form together with (s, p) in the closed
-bidisc domain -- the source material characterizes only the open domain, so
-the closure rule is a convention validated by sampling images of closed-ball
-matrices.
+the critical radius of Agler-Lykova-Young.  This root form is the only rule
+penta_classify evaluates.  The equivalent supremum form
+
+    sup_{|z|<1} |a (1 - |z|^2) / (1 - s z + p z^2)| < 1
+
+is evaluated numerically by penta_sup; penta_dual_check compares the two and
+is called from the verification suites and the tests, never from a
+classifier.  The closure test used here is the non-strict root form together
+with (s, p) in the closed bidisc domain -- the source material characterizes
+only the open domain, so the closure rule is a convention validated by
+sampling images of closed-ball matrices.
 
 Distinguished boundary: (s, p) on the bidisc distinguished boundary and
 |a|^2 + |s|^2/4 = 1.
@@ -24,7 +28,8 @@ import math
 import numpy as np
 
 from .bidisc import bgamma_test, g2_classify, g2_roots
-from .errors import OptimizerNoConverge, PreconditionViolation
+from .errors import (CriteriaDisagree, OptimizerNoConverge,
+                     PreconditionViolation)
 from .optimize import nelder_mead
 from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
                       classify_margin, verdict_from_margin)
@@ -52,12 +57,12 @@ def penta_radius(s: complex, p: complex) -> float:
 def penta_sup(pt, tol: float = 1e-8) -> float:
     """sup over the open unit disc of |a (1 - |z|^2) / (1 - s z + p z^2)|.
 
-    Numeric by design -- this is the independent route for the dual
-    membership check.  Strategy: vectorized 64 x 128 polar grid, plus radial
-    scans along the directions conj(root)/|root| where the denominator
-    degenerates (near the bidisc boundary the maximizer hides in an angular
-    spike narrower than any fixed grid), then alternating golden-section
-    refinement from the best starts.
+    Numeric by design -- this is the independent route that
+    penta_dual_check holds against the critical radius.  Strategy: vectorized
+    64 x 128 polar grid, plus radial scans along the directions
+    conj(root)/|root| where the denominator degenerates (near the bidisc
+    boundary the maximizer hides in an angular spike narrower than any fixed
+    grid), then Nelder-Mead refinement from the best starts.
     """
     a, s, p = _check_triple(pt)
     if g2_classify((s, p)).region is Region.OUTSIDE:
@@ -138,15 +143,36 @@ def penta_sup(pt, tol: float = 1e-8) -> float:
     return best
 
 
-def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Three-state verdict for the pentablock.
+def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
+    """Hold the critical-radius rule against the numeric supremum at pt.
 
-    Margin = min(bidisc margin of (s, p), critical-radius slack).  On
-    interior points with slack outside the guard band the numeric supremum is
-    evaluated as the second route; a conflict raises CriteriaDisagree.
+    Runs only where both routes carry information: (s, p) interior to the
+    bidisc and the critical-radius slack outside the guard band
+    BAND_FACTOR * max(tol, 1e-7).  Returns the supremum when the check ran,
+    None when the guard skipped it, and raises CriteriaDisagree when the
+    routes put pt on opposite sides of the boundary.
     """
-    from .errors import CriteriaDisagree
+    a, s, p = _check_triple(pt)
+    if g2_classify((s, p), tol).region is not Region.INTERIOR:
+        return None
+    slack = penta_radius(s, p) - abs(a)
+    if abs(slack) <= BAND_FACTOR * max(tol, 1e-7):
+        return None
+    sup = penta_sup(pt, tol=1e-8)
+    if (sup < 1.0) != (slack > 0.0):
+        raise CriteriaDisagree(
+            f"pentablock dual routes disagree at {pt!r}: "
+            f"critical-radius slack {slack!r} vs numeric sup {sup!r}")
+    return sup
 
+
+def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
+    """Three-state verdict for the pentablock by the critical-radius rule.
+
+    Margin = min(bidisc margin of (s, p), critical-radius slack); outside the
+    closed bidisc domain the bidisc margin alone.  The numeric supremum is
+    not consulted here: penta_dual_check is the cross-check.
+    """
     a, s, p = _check_triple(pt)
     gv = g2_classify((s, p), tol)
     if gv.region is Region.OUTSIDE:
@@ -154,13 +180,6 @@ def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     slack = penta_radius(s, p) - abs(a)
     margin = min(gv.margin, slack)
     region = classify_margin(margin, tol)
-
-    if gv.region is Region.INTERIOR and abs(slack) > BAND_FACTOR * max(tol, 1e-7):
-        sup = penta_sup(pt, tol=1e-8)
-        if (sup < 1.0) != (slack > 0.0):
-            raise CriteriaDisagree(
-                f"pentablock dual routes disagree at {pt!r}: "
-                f"critical-radius slack {slack!r} vs numeric sup {sup!r}")
 
     shilov = None
     if region is Region.CLOSURE_BOUNDARY:

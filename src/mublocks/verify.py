@@ -40,7 +40,7 @@ from .matrix2 import (Matrix2, contraction_from_rng, gram_det_from_coords,
 from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
                  mu_equals_norm_suite, mu_sandwich_check, mu_value,
                  rigidity_grid_pass, structure_from_name, Structure)
-from .pentablock import penta_classify
+from .pentablock import penta_classify, penta_dual_check
 from .tetrablock import be_point, be_test, pi_tetra, tetra_classify
 from .verdict import BAND_FACTOR, Region
 
@@ -298,7 +298,8 @@ def _suite_lemma25_scaling(n: int, seed: int, tol: float) -> SuiteReport:
 
 
 def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
-    """Interior points project into the three classical domains."""
+    """Interior points project into the three classical domains; the
+    pentablock projection is also held to its numeric supremum."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -318,6 +319,7 @@ def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
         legs = (("g2", g2_classify(rel.g2, tol)),
                 ("tetra", tetra_classify(rel.tetra, tol)),
                 ("penta", penta_classify(rel.penta, tol)))
+        penta_dual_check(rel.penta, tol)
         for name, v in legs:
             if v.region is Region.INTERIOR:
                 continue
@@ -383,7 +385,8 @@ def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
 
 def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteReport:
     """Closure points project into the three closed domains (plus the negated
-    product pair, the fourth conclusion)."""
+    product pair, the fourth conclusion); the pentablock projection is also
+    held to its numeric supremum."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -399,6 +402,7 @@ def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteRep
                 ("tetra", tetra_classify(rel.tetra, tol)),
                 ("penta", penta_classify(rel.penta, tol)),
                 ("g2_neg_p", g2_classify((s, -p), tol)))
+        penta_dual_check(rel.penta, tol)
         for name, v in legs:
             if v.in_closure:
                 continue
@@ -772,6 +776,7 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
             failures.append(f"kind=eg309_f r={r:.17g} pt={_pt17(pt)}")
         if penta_classify((a, 0.0, -r * r)).region is not Region.INTERIOR:
             failures.append(f"kind=eg309_penta r={r:.17g}")
+        penta_dual_check((a, 0.0, -r * r))
         if g2_classify((0.0, -r * r)).region is not Region.INTERIOR:
             failures.append(f"kind=eg309_g2 r={r:.17g}")
 
@@ -795,6 +800,7 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         if not v.in_closure:
             failures.append(f"kind=eg310_projection leg={name} "
                             f"observed={v.region.value}")
+    penta_dual_check(rel.penta)
 
     pt34 = (1j, 1.0, 1j, 1.0 - 1j)
     if not be_test((pt34[0], pt34[1], pt34[2])):

@@ -15,28 +15,43 @@ import numpy as np
 from mublocks.matrix2 import Matrix2
 
 
-def power_norm(m: Matrix2, iters: int = 120) -> float:
-    """Operator norm via power iteration on M* M (pure python)."""
-    # M*M entries
+def power_norm(m: Matrix2) -> float:
+    """Operator norm via power iteration on M* M (pure python).
+
+    Each step applies the current power H of M* M to the iterate and then
+    squares H, so after k steps the iterate has seen (M* M)^(2^k - 1).  Each
+    start stops once its Rayleigh quotient stops moving: plain iteration
+    gains only a factor (s2/s1)^2 per step, so no fixed step count suffices
+    when the singular values cluster.  Three starts, one of which always
+    carries at least half of the top eigenvector.
+    """
     a, b, c, d = m.a11, m.a12, m.a21, m.a22
     g11 = abs(a) ** 2 + abs(c) ** 2
     g12 = a.conjugate() * b + c.conjugate() * d
-    g21 = g12.conjugate()
     g22 = abs(b) ** 2 + abs(d) ** 2
     best = 0.0
     for v1, v2 in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
-        for _ in range(iters):
+        h11, h12, h22 = g11, g12, g22
+        lam = -1.0
+        for _ in range(200):
             w1 = g11 * v1 + g12 * v2
-            w2 = g21 * v1 + g22 * v2
+            w2 = g12.conjugate() * v1 + g22 * v2
+            q = (v1.conjugate() * w1 + v2.conjugate() * w2).real
+            if abs(q - lam) <= 1e-14 * q:
+                break
+            lam = q
+            w1 = h11 * v1 + h12 * v2
+            w2 = h12.conjugate() * v1 + h22 * v2
             n = math.sqrt(abs(w1) ** 2 + abs(w2) ** 2)
             if n == 0.0:
                 break
             v1, v2 = w1 / n, w2 / n
-        # Rayleigh quotient of the last iterate
-        w1 = g11 * v1 + g12 * v2
-        w2 = g21 * v1 + g22 * v2
-        lam = (v1.conjugate() * w1 + v2.conjugate() * w2).real
-        best = max(best, lam)
+            # square H and rescale it; |h12| <= max(h11, h22) since H >= 0
+            h11, h12, h22 = (h11 * h11 + abs(h12) ** 2, h12 * (h11 + h22),
+                             abs(h12) ** 2 + h22 * h22)
+            top = max(h11, h22)
+            h11, h12, h22 = h11 / top, h12 / top, h22 / top
+        best = max(best, q)
     return math.sqrt(max(best, 0.0))
 
 
@@ -63,6 +78,14 @@ def quad_roots(s: complex, p: complex) -> tuple[complex, complex]:
 def roots_max_modulus(s: complex, p: complex) -> float:
     z1, z2 = quad_roots(s, p)
     return max(abs(z1), abs(z2))
+
+
+def symmetrized_slack_a(z: complex, w: complex) -> float:
+    """Criterion (A) slack (1 - |p|^2) - |s - conj(s) p| at (s, p) = (z + w,
+    z w), expanded in the roots: s - conj(s) p = z (1 - |w|^2) + w (1 - |z|^2).
+    """
+    return (1.0 - abs(z * w) ** 2
+            - abs(z * (1.0 - abs(w) ** 2) + w * (1.0 - abs(z) ** 2)))
 
 
 def gamma_region(s: complex, p: complex, tol: float = 1e-9) -> str:

@@ -26,7 +26,7 @@ from mublocks.matrix2 import (Matrix2, contraction_from_rng, gram_report,
 from mublocks.mu import (E12, E21, Structure, classify_subspace, e_theta,
                          mu_value, rigidity_check, rigidity_grid_pass,
                          structure_from_name)
-from mublocks.pentablock import penta_classify
+from mublocks.pentablock import penta_classify, penta_dual_check
 from mublocks.tetrablock import be_test, pi_tetra, tetra_classify
 from mublocks.verdict import Region
 from mublocks.verify import run_all
@@ -93,6 +93,7 @@ def test_criterion_04_outside_family_with_interior_projections():
         pt = (0.0, 1.0 - r * r / 2.0, r * r, 0.0)
         rel = f_relations(pt)
         assert penta_classify(rel.penta).region is Region.INTERIOR
+        penta_dual_check(rel.penta)
         assert g2_classify(rel.g2).region is Region.INTERIOR
         assert f_classify(pt).region is Region.OUTSIDE
         want_q = (1.0 - r * r) ** 2 - (1.0 - r * r / 2.0) ** 2
@@ -107,6 +108,7 @@ def test_criterion_05_limit_point_outside_with_closure_projections():
     assert g2_classify(rel.g2).in_closure
     assert tetra_classify(rel.tetra).in_closure
     assert penta_classify(rel.penta).in_closure
+    penta_dual_check(rel.penta)
 
 
 def test_criterion_06_distinguished_boundary_equivalences():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mublocks.bidisc import (bgamma_point, bgamma_test, g2_classify,
                              g2_point, g2_roots)
 from mublocks.errors import PreconditionViolation
-from mublocks.verdict import Region
-from oracles import gamma_region, roots_max_modulus
+from mublocks.verdict import BAND_FACTOR, Region
+from oracles import gamma_region, roots_max_modulus, symmetrized_slack_a
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)
@@ -33,8 +33,8 @@ def test_symmetrization_lands_interior(z, w):
     pt = g2_point(z, w)
     r = max(abs(z), abs(w))
     v = g2_classify(pt)
-    if abs(r - 1.0) < 1e-9:
-        return
+    if abs(symmetrized_slack_a(z, w)) <= BAND_FACTOR * v.tol:
+        return  # the guard band every verify suite excludes
     assert v.is_interior == (r < 1.0)
 
 

@@ -17,7 +17,7 @@ from mublocks.domain_f import (BallParamF, ShilovParamF, f_classify,
                                shilov_f_param, shilov_f_test)
 from mublocks.errors import PreconditionViolation
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm
-from mublocks.pentablock import penta_classify
+from mublocks.pentablock import penta_classify, penta_dual_check
 from mublocks.tetrablock import tetra_classify
 from mublocks.verdict import Region
 
@@ -151,6 +151,7 @@ def test_relations_of_interior_points():
         assert g2_classify(rel.g2).in_closure
         assert tetra_classify(rel.tetra).in_closure
         assert penta_classify(rel.penta).in_closure
+        penta_dual_check(rel.penta)
 
 
 def test_worked_family_outside_with_interior_projections():
@@ -164,6 +165,7 @@ def test_worked_family_outside_with_interior_projections():
         assert f_classify(pt).region is Region.OUTSIDE
         rel = f_relations(pt)
         assert penta_classify(rel.penta).region is Region.INTERIOR
+        penta_dual_check(rel.penta)
         assert g2_classify(rel.g2).region is Region.INTERIOR
 
 
@@ -175,6 +177,7 @@ def test_worked_limit_point():
     assert g2_classify(rel.g2).in_closure
     assert tetra_classify(rel.tetra).in_closure
     assert penta_classify(rel.penta).in_closure
+    penta_dual_check(rel.penta)
 
 
 def test_shilov_parametrization_and_test():

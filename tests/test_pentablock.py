@@ -3,10 +3,14 @@ import math
 import random
 
 import pytest
+from mublocks import pentablock
 from mublocks.bidisc import bgamma_point
-from mublocks.errors import PreconditionViolation
-from mublocks.pentablock import bp_test, penta_classify, penta_radius, penta_sup
+from mublocks.cli import main
+from mublocks.errors import CriteriaDisagree, PreconditionViolation
+from mublocks.pentablock import (bp_test, penta_classify, penta_dual_check,
+                                 penta_radius, penta_sup)
 from mublocks.verdict import Region
+from mublocks.verify import run_suite
 from oracles import penta_grid_sup, quad_roots
 
 rng = random.Random(17)
@@ -46,19 +50,24 @@ def test_sup_frozen_value():
     assert penta_sup((7 / 8, 0, -0.25)) == pytest.approx(7 / 8, rel=1e-7)
 
 
+_BASIC = (((0, 0, 0), Region.INTERIOR),
+          ((0.99, 0, 0), Region.INTERIOR),
+          ((1.0, 0, 0), Region.CLOSURE_BOUNDARY),
+          ((1.01, 0, 0), Region.OUTSIDE),
+          ((0, 3, 1), Region.OUTSIDE))      # bad bidisc part dominates
+
+
 def test_classify_basic():
-    assert penta_classify((0, 0, 0)).region is Region.INTERIOR
-    assert penta_classify((0.99, 0, 0)).region is Region.INTERIOR
-    assert penta_classify((1.0, 0, 0)).region is Region.CLOSURE_BOUNDARY
-    assert penta_classify((1.01, 0, 0)).region is Region.OUTSIDE
-    # bad bidisc part dominates
-    assert penta_classify((0, 3, 1)).region is Region.OUTSIDE
+    for pt, region in _BASIC:
+        assert penta_classify(pt).region is region
+        penta_dual_check(pt)
 
 
 def test_classify_scaling_families():
     for r in (0.1, 0.25, 0.5, 0.75, 0.9):
         a = 1 - r * r / 2
         assert penta_classify((a, 0.0, -r * r)).region is Region.INTERIOR
+        penta_dual_check((a, 0.0, -r * r))
 
 
 def test_interior_iff_sup_below_one():
@@ -66,10 +75,56 @@ def test_interior_iff_sup_below_one():
         s, p = _tame_bidisc_point()
         a = rng.uniform(0.05, 2.0)
         v = penta_classify((a, s, p))
+        penta_dual_check((a, s, p))
         if abs(v.margin) < 1e-6:
             continue
         sup = penta_sup((a, s, p))
         assert v.is_interior == (sup < 1.0)
+
+
+def test_dual_check_guard():
+    """The check runs exactly where the old in-classifier route ran: (s, p)
+    interior to the bidisc and the radius slack outside the guard band."""
+    assert penta_dual_check((0, 0, 0)) == 0.0
+    assert penta_dual_check((0.5, 0, 0)) == pytest.approx(0.5, rel=1e-7)
+    assert penta_dual_check((1.01, 0, 0)) == pytest.approx(1.01, rel=1e-7)
+    assert penta_dual_check((1.0, 0, 0)) is None            # in the band
+    assert penta_dual_check((1.0 + 5e-7, 0, 0)) is None     # in the band
+    assert penta_dual_check((0.5, 2, 1)) is None            # (s, p) boundary
+    assert penta_dual_check((0, 3, 1)) is None              # (s, p) outside
+
+
+def _slice_penta(capsys):
+    assert main(["slice", "penta", "--grid", "9"]) == 0
+    return capsys.readouterr().out
+
+
+def test_classify_takes_no_numeric_route(monkeypatch, capsys):
+    """The critical radius is the only runtime rule: with the numeric
+    supremum unavailable, verdicts and slice output are unchanged."""
+    pts = [pt for pt, _ in _BASIC] + [(0.7, 0.5 - 0.2j, 0.1j), (2.0, 1, 0.3)]
+    verdicts = [penta_classify(pt) for pt in pts]
+    cells = _slice_penta(capsys)
+
+    def unavailable(pt, tol=1e-8):
+        raise AssertionError(f"penta_sup called at {pt!r}")
+
+    monkeypatch.setattr(pentablock, "penta_sup", unavailable)
+    assert [penta_classify(pt) for pt in pts] == verdicts
+    assert _slice_penta(capsys) == cells
+
+
+def test_dual_check_raises_on_a_wrong_sided_sup(monkeypatch):
+    """A supremum on the wrong side of 1 is caught by the helper and by the
+    suite that calls it."""
+    true_sup = pentablock.penta_sup
+    monkeypatch.setattr(pentablock, "penta_sup",
+                        lambda pt, tol=1e-8: 2.0 - true_sup(pt, tol))
+    for pt in ((0.5, 0, 0), (1.01, 0, 0)):
+        with pytest.raises(CriteriaDisagree):
+            penta_dual_check(pt)
+    with pytest.raises(CriteriaDisagree):
+        run_suite("thm29_projections", n_samples=5)
 
 
 def test_bp_test():
