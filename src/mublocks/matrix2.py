@@ -111,10 +111,17 @@ class Matrix2:
                 + abs(self.a21) ** 2 + abs(self.a22) ** 2)
 
 
-def singular_values(b: Matrix2) -> tuple[float, float]:
-    """(sigma_max, sigma_min), from the eigenvalues of B*B in closed form."""
-    t = b.frobenius_sq()                      # trace of B*B
-    d = abs(b.det) ** 2                       # det of B*B
+def _singular_values(a11: complex, a12: complex, a21: complex,
+                     a22: complex) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of [[a11, a12], [a21, a22]], from the
+    eigenvalues of B*B in closed form.
+
+    The kernel behind `singular_values` and `operator_norm`, on raw entries
+    so that inner loops need not build a Matrix2 per evaluation; the caller
+    vouches that the entries are finite complex numbers.
+    """
+    t = abs(a11) ** 2 + abs(a12) ** 2 + abs(a21) ** 2 + abs(a22) ** 2
+    d = abs(a11 * a22 - a12 * a21) ** 2      # det of B*B
     disc = max(t * t - 4.0 * d, 0.0)
     root = math.sqrt(disc)
     hi = 0.5 * (t + root)
@@ -126,8 +133,13 @@ def singular_values(b: Matrix2) -> tuple[float, float]:
     return (math.sqrt(max(hi, 0.0)), math.sqrt(max(lo, 0.0)))
 
 
+def singular_values(b: Matrix2) -> tuple[float, float]:
+    """(sigma_max, sigma_min), from the eigenvalues of B*B in closed form."""
+    return _singular_values(b.a11, b.a12, b.a21, b.a22)
+
+
 def operator_norm(b: Matrix2) -> float:
-    return singular_values(b)[0]
+    return _singular_values(b.a11, b.a12, b.a21, b.a22)[0]
 
 
 def spectral_radius(b: Matrix2) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (InfeasibleConstraint, OptimizerNoConverge,
                      PreconditionViolation)
-from .matrix2 import Matrix2, operator_norm, spectral_radius
+from .matrix2 import Matrix2, _singular_values, operator_norm, spectral_radius
 from .optimize import nelder_mead
 
 _SEED_STARTS = 0x5EED
@@ -90,10 +90,20 @@ class Structure:
         return self.coeffs_of(IDENTITY, tol) is not None
 
     def element(self, c) -> Matrix2:
-        x = Matrix2(0, 0, 0, 0)
+        return Matrix2(*self.entries_at(c))
+
+    def entries_at(self, c) -> tuple[complex, complex, complex, complex]:
+        """Entries of X(c) = sum_i c_i B_i as a plain tuple, summed in basis
+        order starting from 0j; objectives evaluate on these without
+        building a Matrix2."""
+        x11 = x12 = x21 = x22 = 0j
         for ci, b in zip(c, self.basis):
-            x = x + b.scale(complex(ci))
-        return x
+            ci = complex(ci)
+            x11 += ci * b.a11
+            x12 += ci * b.a12
+            x21 += ci * b.a21
+            x22 += ci * b.a22
+        return x11, x12, x21, x22
 
 
 def e_theta(theta: float) -> Structure:
@@ -211,18 +221,23 @@ def _min_norm_on_affine(structure: Structure, m: np.ndarray, rhs: np.ndarray,
     rank = int(np.sum(s > 1e-12 * max(float(s[0]), 1e-300)))
     null = vh[rank:].conj().T  # k x (k - rank)
     nd = null.shape[1]
-    x0 = structure.element(c0)
+    x0 = structure.entries_at(c0)
+    norm0 = _singular_values(*x0)[0]
     if nd == 0:
-        return operator_norm(x0), c0
-    null_mats = [structure.element(null[:, j]) for j in range(nd)]
+        return norm0, c0
+    null_entries = [structure.entries_at(null[:, j]) for j in range(nd)]
 
     def norm_at(t) -> float:
-        x = x0
-        for j in range(nd):
-            x = x + null_mats[j].scale(complex(t[2 * j], t[2 * j + 1]))
-        return operator_norm(x)
+        x11, x12, x21, x22 = x0
+        for j, (n11, n12, n21, n22) in enumerate(null_entries):
+            cj = complex(t[2 * j], t[2 * j + 1])
+            x11 += cj * n11
+            x12 += cj * n12
+            x21 += cj * n21
+            x22 += cj * n22
+        return _singular_values(x11, x12, x21, x22)[0]
 
-    step = 0.5 * max(1.0, operator_norm(x0))
+    step = 0.5 * max(1.0, norm0)
     best_t, best_f = [0.0] * (2 * nd), norm_at([0.0] * (2 * nd))
     trials = [[0.0] * (2 * nd)]
     if rng is not None:
@@ -322,10 +337,13 @@ class _VarietyChart:
             out.append(c)
         return out
 
+    def norm_of(self, c) -> float:
+        return _singular_values(*self.structure.entries_at(c))[0]
+
     def norm(self, t) -> float:
         best = math.inf
         for c in self.complete(t):
-            best = min(best, operator_norm(self.structure.element(c)))
+            best = min(best, self.norm_of(c))
         return best
 
 
@@ -367,8 +385,7 @@ def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
             continue
         if f < best_f * (1.0 - 1e-8):
             best_f, repeats = f, 0
-            best_c = min(chart.complete(t),
-                         key=lambda c: operator_norm(structure.element(c)))
+            best_c = min(chart.complete(t), key=chart.norm_of)
         elif f <= best_f * (1.0 + 1e-8):
             repeats += 1
             if repeats >= 3:
@@ -385,8 +402,7 @@ def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
                                  xatol=1e-13 * scale0, fatol=0.0, maxiter=300)
         if math.isfinite(f) and f < best_f:
             best_f = f
-            best_c = min(chart.complete(t),
-                         key=lambda c: operator_norm(structure.element(c)))
+            best_c = min(chart.complete(t), key=chart.norm_of)
     x = structure.element(best_c)
     gscale = 1.0 + sum(abs(lv) * abs(cv) for lv, cv in zip(lin, best_c))
     gscale += sum(abs(qv) * abs(best_c[i2]) * abs(best_c[j2])
