@@ -120,17 +120,21 @@ def _singular_values(a11: complex, a12: complex, a21: complex,
     so that inner loops need not build a Matrix2 per evaluation; the caller
     vouches that the entries are finite complex numbers.
     """
-    t = abs(a11) ** 2 + abs(a12) ** 2 + abs(a21) ** 2 + abs(a22) ** 2
+    # B*B = [[h11, h12], [conj(h12), h22]]; its eigenvalues are
+    # mid +- gap.  The gap is taken as a hypot of the half-difference and the
+    # off-diagonal modulus, never as sqrt(t^2 - 4|det|^2), which cancels
+    # to half precision where the singular values coincide.
+    h11 = abs(a11) ** 2 + abs(a21) ** 2
+    h22 = abs(a12) ** 2 + abs(a22) ** 2
+    h12 = a11.conjugate() * a12 + a21.conjugate() * a22
     d = abs(a11 * a22 - a12 * a21) ** 2      # det of B*B
-    disc = max(t * t - 4.0 * d, 0.0)
-    root = math.sqrt(disc)
-    hi = 0.5 * (t + root)
-    # (t - root)/2 cancels catastrophically when d << t^2; the eigenvalue
+    hi = 0.5 * (h11 + h22) + math.hypot(0.5 * (h11 - h22), abs(h12))
+    # mid - gap cancels catastrophically when d << hi^2; the eigenvalue
     # product is d exactly, so divide instead.
     lo = d / hi if hi > 0.0 else 0.0
     if lo > hi:   # at a double eigenvalue the quotient can round one ulp up
         lo = hi
-    return (math.sqrt(max(hi, 0.0)), math.sqrt(max(lo, 0.0)))
+    return math.sqrt(hi), math.sqrt(lo)
 
 
 def singular_values(b: Matrix2) -> tuple[float, float]:

@@ -22,16 +22,17 @@ matrices = st.builds(Matrix2, cplx, cplx, cplx, cplx)
 @given(matrices)
 @settings(max_examples=300, deadline=None)
 def test_singular_values_match_svd(m):
-    """Quadratic-formula values agree with LAPACK.  At a degenerate pair the
-    discriminant cancels and the formula keeps only half precision, so the
-    per-value tolerance is sqrt(eps)-sized; the symmetric functions (trace of
-    B*B, |det|) stay at full precision and are asserted tightly."""
+    """Closed-form values agree with LAPACK to full precision.  The gap
+    between the eigenvalues of B*B is a hypot, which does not cancel where
+    the singular values coincide, and the smaller one is the quotient
+    |det|^2 / sigma_1^2, so both values hold to a few ulps of the scale; the
+    symmetric functions (trace of B*B, |det|) are asserted as well."""
     s1, s2 = singular_values(m)
     o1, o2 = svd_values(m)
     scale = max(1.0, o1)
     assert s1 >= s2 >= 0.0
-    assert abs(s1 - o1) <= 1e-7 * scale
-    assert abs(s2 - o2) <= 1e-7 * scale
+    assert abs(s1 - o1) <= 1e-12 * scale
+    assert abs(s2 - o2) <= 1e-12 * scale
     assert abs(s1 * s1 + s2 * s2 - m.frobenius_sq()) <= 1e-10 * max(1.0, s1 * s1)
     assert abs(s1 * s2 - abs(m.det)) <= 1e-10 * max(1.0, s1 * s1)
 
@@ -143,3 +144,35 @@ def test_gram_report_rejects_mismatch():
 def test_singular_values_reject_nonfinite():
     with pytest.raises(PreconditionViolation):
         singular_values(Matrix2(float("nan"), 0, 0, 0))
+
+
+def test_operator_norm_full_precision_at_coincident_values():
+    """Where both singular values coincide the old discriminant form
+    sqrt(t^2 - 4|det|^2) lost half its digits (up to 1.3e-8 on seeded
+    unitaries).  [[ai, b], [b, ai]] with real a, b has B*B = (a^2 + b^2) I;
+    b = 3.0128134364244112 is one of the values for which the old quotient
+    |det|^2 / sigma_1^2 also rounded one ulp above sigma_1^2."""
+    for seed in range(2000):
+        assert abs(operator_norm(random_unitary(seed)) - 1.0) <= 1e-13
+    b = 3.0128134364244112
+    m = Matrix2(3.9375j, b, b, 3.9375j).scale(1.0 / math.hypot(3.9375, b))
+    s1, s2 = singular_values(m)
+    assert abs(operator_norm(m) - 1.0) <= 1e-13
+    assert s1 >= s2 and abs(s2 - 1.0) <= 1e-13
+
+
+def test_matrix2_contract_holds():
+    """Construction and the validating operations reject non-finite
+    entries; the private kernel used by inner loops does not weaken this."""
+    with pytest.raises(PreconditionViolation):
+        Matrix2(float("nan"), 0, 0, 0)
+    with pytest.raises(PreconditionViolation):
+        Matrix2(0, complex(0, float("inf")), 0, 0)
+    with pytest.raises(PreconditionViolation):
+        Matrix2("soup", 0, 0, 0)
+    with pytest.raises(PreconditionViolation):
+        Matrix2(1, 0, 0, 1).scale(float("inf"))
+    with pytest.raises(PreconditionViolation):
+        Matrix2(1e308, 0, 0, 1) + Matrix2(1e308, 0, 0, 1)
+    with pytest.raises(PreconditionViolation):
+        Matrix2(1e200, 0, 0, 1) @ Matrix2(1e200, 0, 0, 1)
