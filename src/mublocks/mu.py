@@ -11,13 +11,19 @@ polynomial equation in the basis coefficients c:
 
 with det(X(c)) quadratic in c via polarized determinants.  Exact paths: the
 symbolic infeasibility test (all non-constant coefficients vanish), k = 1
-(quadratic roots), and k = 4 (the structure is all of M2, so the infimum is
-1/||A|| at a rank-one X).  For k = 2, 3 the variety is swept by unit vectors
-w: det(I - A X) = 0 iff X(Aw) = w for some unit w, an affine constraint on c
-whose minimum-norm solution F(w) is refined over w by seeded multistart
-descent.  Since ||X|| >= 1/||A w|| >= 1/||A|| for any feasible pair, hitting
-F = 1/||A|| at the top singular vector certifies global optimality and the
-sweep stops early.
+(quadratic roots), the diagonal span (any k = 2 basis with zero off-diagonal
+entries, whatever the structure's name: mu is the D-scaling bound in closed
+form, see _mu_diagonal), and k = 4 (the structure is all of M2, so the
+infimum is 1/||A|| at a rank-one X).  For the other k = 2, 3 structures the
+variety is swept by unit vectors w: det(I - A X) = 0 iff X(Aw) = w for some
+unit w, an affine constraint on c whose minimum-norm solution F(w) is
+refined over w by seeded multistart descent.  Since ||X|| >= 1/||A w|| >=
+1/||A|| for any feasible pair, hitting F = 1/||A|| at the top singular
+vector certifies global optimality and the sweep stops early.
+
+The descent objectives evaluate ||X(c)|| on the entries of X(c) as a plain
+tuple (Structure.entries_at and matrix2's private singular-value kernel);
+a Matrix2 is built only for the minimizer a result returns.
 """
 
 from __future__ import annotations
@@ -413,6 +419,67 @@ def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
     return MuResult(value=1.0 / best_f, minimizer=x, status="Numeric")
 
 
+def _mu_diagonal(a: Matrix2) -> MuResult:
+    """mu over the diagonal matrices, in closed form.
+
+    Two 1x1 complex blocks: mu equals the D-scaling bound inf_d ||D A D^-1||
+    (Doyle, IEE Proc. D 129 (1982); exact for at most three blocks).  On 2x2
+    the infimum balances both off-diagonal moduli to r = sqrt|P|, P =
+    a12 a21, so mu is the top singular value of the balanced matrix M, A
+    with those moduli set to r.  With the indices ordered so that
+    |a11| <= |a22| (swapping both indices of A and of X leaves
+    det(I - A X) unchanged) that is
+
+        mu^2 = (|a11|^2 + |a22|^2)/2 + |P| + hypot(dlt, h),
+        dlt = (|a11|^2 - |a22|^2)/2 <= 0,  h = r |conj(a11) e + a22|,
+
+    with e = P/|P|; the hypot keeps full precision where the two singular
+    values of M meet.  r = 0 gives mu = |a22|.
+
+    For X = diag(x1, x2), det(I - A X) = u (1 - a22 x2) - P x1 x2 with
+    u = 1 - a11 x1, so x2 = u / (a22 u + P x1).  Both |x_i| equal 1/mu at
+    the minimizer.  On |x1| = 1/mu, |x2| = 1/mu reduces to
+
+        Re(w x1) = |a11|^2 + |P| - sigma_2(M)^2,
+        w = a11 (mu^2 - |a22|^2) + conj(a22) P,
+
+    whose right-hand side is ||M e1||^2 - sigma_2^2 >= 0; at the optimum the
+    circle touches, so x1 = conj(w) / (|w| mu).  The phase is read off
+    directly rather than through an acos whose argument is 1 there.  x2 is
+    solved through u, never as (1 - a11 x1)/(a22 - det(A) x1), whose
+    denominator cancels where |a11|, |a22| and mu nearly coincide.
+    mu_value screens out the A the structure cannot see (a11 = a22 = P = 0)
+    before calling this.
+    """
+    a11, a22 = a.a11, a.a22
+    swap = abs(a11) > abs(a22)
+    if swap:
+        a11, a22 = a22, a11
+    r = math.sqrt(abs(a.a12)) * math.sqrt(abs(a.a21))
+    e = (a.a12 / abs(a.a12)) * (a.a21 / abs(a.a21)) if r > 0.0 else 1.0
+    # work on A / s, whose entries are at most 1 in modulus
+    s = max(abs(a22), r)
+    b11, b22, q = a11 / s, a22 / s, r / s
+    p = q * q * e
+    dlt = 0.5 * (abs(b11) ** 2 - abs(b22) ** 2)
+    h = q * abs(b11.conjugate() * e + b22)
+    gap = math.hypot(dlt, h)
+    m = math.sqrt(0.5 * (abs(b11) ** 2 + abs(b22) ** 2) + q * q + gap)
+    rho = 1.0 / m
+    # m^2 - |b22|^2 = q^2 + dlt + gap
+    w = b11 * (q * q + dlt + gap) + b22.conjugate() * p
+    nw = abs(w)
+    x1 = rho * w.conjugate() / nw if nw > 0.0 else complex(rho)
+    u = 1.0 - b11 * x1
+    den = b22 * u + p * x1
+    # den = 0 needs u = 0 and P = 0: det(I - A X) then vanishes for every x2
+    x2 = u / den if den != 0.0 else 0j
+    if swap:
+        x1, x2 = x2, x1
+    return MuResult(value=m * s, minimizer=Matrix2(x1 / s, 0, 0, x2 / s),
+                    status="Exact")
+
+
 def mu_value(a: Matrix2, structure: Structure,
              tol: float = _RESIDUAL_TOL) -> MuResult:
     """Structured singular value of `a` relative to `structure`."""
@@ -422,6 +489,9 @@ def mu_value(a: Matrix2, structure: Structure,
         return MuResult(value=0.0, minimizer=None, status="Infeasible")
 
     k = structure.k
+    if k == 2 and all(b.a12 == 0.0 and b.a21 == 0.0 for b in basis):
+        return _mu_diagonal(a)
+
     if k == 1:
         b = basis[0]
         lc, qc = lin[0], quad[(0, 0)]

@@ -209,6 +209,36 @@ def mu_diag_gauge_oracle(m: Matrix2, bits: int = 200) -> float:
     return hi
 
 
+def mu_diag_dscale_oracle(m: Matrix2) -> float:
+    """mu for the diagonal structure as the D-scaling bound
+    inf_{d > 0} ||diag(d, 1) A diag(1/d, 1)||, minimized numerically.
+
+    numpy's SVD on a 1601-point grid in log d over [-40, 40], then a golden
+    section on the bracketing cells.  It never forms the balanced matrix, so
+    it shares no formula with the closed form under test; when a12 a21 = 0
+    the infimum is approached at the grid's end, within e^-40 of the limit.
+    """
+    a = np.array(m.rows(), dtype=complex)
+
+    def bound(log_d: float) -> float:
+        d = math.exp(log_d)
+        scaled = np.array([[a[0, 0], a[0, 1] * d], [a[1, 0] / d, a[1, 1]]])
+        return float(np.linalg.norm(scaled, 2))
+
+    grid = np.linspace(-40.0, 40.0, 1601)
+    vals = [bound(g) for g in grid]
+    i = int(np.argmin(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(120):
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        if bound(c) < bound(d):
+            hi = d
+        else:
+            lo = c
+    return min(bound(0.5 * (lo + hi)), vals[i])
+
+
 # ---------------------------------------------------------------------------
 # misc
 

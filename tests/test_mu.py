@@ -6,14 +6,15 @@ import pytest
 
 from mublocks.domain_f import f_classify, pi_f
 from mublocks.errors import PreconditionViolation
+import mublocks.mu as mu_module
 from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
-                              spectral_radius)
+                              random_unitary, spectral_radius)
 from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          SubspaceVerdict, classify_subspace, e_theta,
                          f_mu_membership, mu_equals_norm_suite,
                          mu_sandwich_check, mu_value, rigidity_check,
                          rigidity_grid_pass, structure_from_name)
-from oracles import eig_radius, svd_norm
+from oracles import eig_radius, mu_diag_dscale_oracle, svd_norm
 
 rng = random.Random(101)
 
@@ -114,6 +115,105 @@ def test_mu_homogeneity():
         for c in (0.5, 2.0, 1j, 0.3 - 0.4j):
             got = mu_value(a.scale(c), et).value
             assert got == pytest.approx(abs(c) * base, rel=1e-6)
+
+
+def _check_diag_result(a, r):
+    """Exact status, a diagonal minimizer on the variety with norm 1/mu."""
+    assert r.status == "Exact"
+    x = r.minimizer
+    assert x.a12 == 0 and x.a21 == 0
+    nx = operator_norm(x)
+    assert abs(nx * r.value - 1.0) <= 1e-12
+    residual = abs((Matrix2.identity() - a @ x).det)
+    assert residual <= 1e-12 * max(1.0, (operator_norm(a) * nx) ** 2)
+
+
+DIAG_SPANS = (structure_from_name("diag"),
+              Structure((E11 + E22, E11 - E22), name="sum_difference"),
+              Structure((E11.scale(2j), E11 + E22.scale(-0.5))))
+
+
+def test_mu_diag_degenerate_inputs():
+    u, v = (0.3 + 0.2j, -0.7 + 0.1j), (0.4 - 0.6j, 0.5j)
+    cases = [
+        # (A, exact mu)
+        (Matrix2(1 + 1j, 2, 0, 0.5), math.sqrt(2.0)),       # upper triangular
+        (Matrix2(0.2, 0, 3j, -0.9), 0.9),                   # lower triangular
+        (Matrix2(0.5, 0, 0, -0.5j), 0.5),                   # diagonal, |a11| = |a22|
+        (Matrix2(0, 2, 0.5j, 0), 1.0),                      # off-diagonal: sqrt|a12 a21|
+        (Matrix2(1, 1e-9, 1e-9, -1), math.sqrt(1.0 + 1e-18)),  # diagonal moduli cross
+        # |a11|, |a22| and mu agree to 1e-7: the minimizer's entries are
+        # solved without cancellation (mu from a 50-digit SVD of the
+        # balanced matrix)
+        (Matrix2(1, 1e-7, 1e-7, -0.99999999), 1.000000000000005),
+        (Matrix2(-0.99999999j, 1e-7, -1e-7j, 1), 1.000000095124922),
+        # nilpotent u (u1, -u0)^T: trace and det vanish, mu = 2|a11|
+        (Matrix2(u[0] * u[1], -u[0] * u[0], u[1] * u[1], -u[1] * u[0]),
+         2.0 * abs(u[0] * u[1])),
+        # rank one u v^T: det A = 0, mu = |u0 v0| + |u1 v1|
+        (Matrix2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]),
+         abs(u[0] * v[0]) + abs(u[1] * v[1])),
+        # a scaled unitary is already balanced: mu = ||A||
+        (random_unitary(11).scale(2.5), 2.5),
+    ]
+    for a, want in cases:
+        results = [mu_value(a, s) for s in DIAG_SPANS]
+        assert all(r == results[0] for r in results[1:])
+        r = results[0]
+        assert r.value == pytest.approx(want, rel=1e-14)
+        assert r.value == pytest.approx(mu_diag_dscale_oracle(a), rel=1e-12)
+        _check_diag_result(a, r)
+    for s in DIAG_SPANS:
+        assert mu_value(E12, s).status == "Infeasible"
+
+
+def test_mu_diag_closed_form_vs_numeric_and_dscale_oracle():
+    """On seeded matrices: the variety descent, which returns 1/||X|| for an
+    X on the variety, never beats the closed form and lands within 1e-5;
+    the numpy D-scaling oracle agrees to 1e-12."""
+    r_seeded = random.Random(4242)
+    diag = structure_from_name("diag")
+    for _ in range(20):
+        sc = 10.0 ** r_seeded.uniform(-1.0, 1.0)
+        a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1)) * sc
+                      for _ in range(4)))
+        r = mu_value(a, diag)
+        _check_diag_result(a, r)
+        numeric = mu_module._mu_numeric(a, diag, 1e-7).value
+        assert numeric <= r.value * (1.0 + 1e-12)
+        assert abs(numeric - r.value) <= 1e-5 * r.value
+        assert r.value == pytest.approx(mu_diag_dscale_oracle(a), rel=1e-12)
+
+
+def test_mu_diag_minimizer_near_crossing():
+    """|a11|, |a22| and mu agree to 1e-8 or closer, with sqrt|a12 a21| at
+    1e-6 to 1e-8.  Solving for x2 as (1 - a11 x1)/(a22 - det(A) x1) leaves
+    ||X|| mu off by up to 1e-8 on these."""
+    r_seeded = random.Random(77)
+    diag = structure_from_name("diag")
+    for _ in range(60):
+        k, j = r_seeded.choice((6, 7, 8)), r_seeded.choice((8, 12, 16))
+        d = (cmath.exp(1j * r_seeded.uniform(0.0, 2.0 * math.pi)),
+             cmath.exp(1j * r_seeded.uniform(0.0, 2.0 * math.pi))
+             * (1.0 - 10.0 ** -j * r_seeded.random()))
+        off = [10.0 ** -k * r_seeded.uniform(0.5, 2.0)
+               * cmath.exp(1j * r_seeded.uniform(0.0, 2.0 * math.pi))
+               for _ in range(2)]
+        if r_seeded.random() < 0.5:
+            d = d[::-1]
+        a = Matrix2(d[0], off[0], off[1], d[1])
+        _check_diag_result(a, mu_value(a, diag))
+
+
+def test_mu_diag_takes_no_numeric_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric route used on the diagonal span")
+
+    monkeypatch.setattr(mu_module, "nelder_mead", forbidden)
+    monkeypatch.setattr(mu_module, "_mu_numeric", forbidden)
+    for s in DIAG_SPANS:
+        for _ in range(10):
+            assert mu_value(_rand_matrix(), s).status == "Exact"
 
 
 def test_mu_sandwich():
