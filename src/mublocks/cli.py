@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import os
@@ -457,7 +458,11 @@ def _cmd_slice(args) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.  parse_args leaves
+    it unchanged and returns a fresh namespace each call, so repeated --r
+    values do not carry over from one main() call to the next."""
     parser = _Parser(
         prog="mublocks",
         description="Membership tests, mu values, verification suites, and "

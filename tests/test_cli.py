@@ -221,3 +221,25 @@ def test_usage_errors():
     assert run([])[0] == 64
     assert run(["frobnicate"])[0] == 64
     assert run(["check"])[0] == 64
+
+
+def test_repeated_main_calls_are_independent():
+    """main() reuses one parser: back-to-back calls give the same bytes and
+    exit codes, and values appended by one call never reach the next."""
+    from mublocks.cli import _build_parser
+
+    for argv in (["slice", "g2", "--grid", "5"],
+                 ["mu", "diag", "[[1,2],[3,4]]"],
+                 ["check", "f", "(0,0.5,0,1)"],
+                 ["verify", "nosuch"]):
+        assert run(argv) == run(argv)
+    parser = _build_parser()
+    assert parser is _build_parser()
+    args = parser.parse_args(["verify", "counterexamples", "--r", "0.5", "--r", "0.7"])
+    assert args.r == [0.5, 0.7]
+    assert parser.parse_args(["verify", "counterexamples"]).r is None
+    # --r is refused on a sampled suite; had it carried over, the second call
+    # would be refused as well
+    code, _, err = run(["verify", "lemma21_gram", "--n", "3", "--r", "0.5"])
+    assert code == 64 and "--r" in err
+    assert run(["verify", "lemma21_gram", "--n", "3"])[0] == 0
