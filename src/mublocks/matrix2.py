@@ -17,6 +17,12 @@ because s^2 - 4(ax - p) = (b12 - b21)^2, and |s|^2/2 + |b12 - b21|^2/2 =
 |b12|^2 + |b21|^2 by the parallelogram law; the whole expression collapses to
 1 - ||B||_F^2 + |det B|^2.  gram_report evaluates both routes and insists they
 agree.
+
+Singular values come from B*B = [[h11, h12], [conj(h12), h22]]: the larger
+eigenvalue is (h11 + h22)/2 + hypot((h11 - h22)/2, |h12|) and the smaller is
+|det B|^2 divided by it.  Neither step cancels, so both values hold to a few
+ulps of ||B|| even where they coincide, where the discriminant form
+sqrt(t^2 - 4|det B|^2) keeps only half the digits.
 """
 
 from __future__ import annotations

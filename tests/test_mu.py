@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+import mublocks.mu as mu_module
 from mublocks.domain_f import f_classify, pi_f
 from mublocks.errors import PreconditionViolation
-import mublocks.mu as mu_module
 from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
                               random_unitary, spectral_radius)
 from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
@@ -14,7 +14,8 @@ from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          f_mu_membership, mu_equals_norm_suite,
                          mu_sandwich_check, mu_value, rigidity_check,
                          rigidity_grid_pass, structure_from_name)
-from oracles import eig_radius, mu_diag_dscale_oracle, svd_norm
+from oracles import (eig_radius, mu_diag_dscale_oracle, mu_diag_gauge_oracle,
+                     svd_norm)
 
 rng = random.Random(101)
 
@@ -170,7 +171,8 @@ def test_mu_diag_degenerate_inputs():
 def test_mu_diag_closed_form_vs_numeric_and_dscale_oracle():
     """On seeded matrices: the variety descent, which returns 1/||X|| for an
     X on the variety, never beats the closed form and lands within 1e-5;
-    the numpy D-scaling oracle agrees to 1e-12."""
+    the numpy D-scaling oracle and the tetrablock gauge oracle agree to
+    1e-12."""
     r_seeded = random.Random(4242)
     diag = structure_from_name("diag")
     for _ in range(20):
@@ -183,6 +185,7 @@ def test_mu_diag_closed_form_vs_numeric_and_dscale_oracle():
         assert numeric <= r.value * (1.0 + 1e-12)
         assert abs(numeric - r.value) <= 1e-5 * r.value
         assert r.value == pytest.approx(mu_diag_dscale_oracle(a), rel=1e-12)
+        assert r.value == pytest.approx(mu_diag_gauge_oracle(a), rel=1e-12)
 
 
 def test_mu_diag_minimizer_near_crossing():
@@ -211,9 +214,12 @@ def test_mu_diag_takes_no_numeric_route(monkeypatch):
 
     monkeypatch.setattr(mu_module, "nelder_mead", forbidden)
     monkeypatch.setattr(mu_module, "_mu_numeric", forbidden)
+    r_seeded = random.Random(5)
     for s in DIAG_SPANS:
         for _ in range(10):
-            assert mu_value(_rand_matrix(), s).status == "Exact"
+            a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1))
+                          for _ in range(4)))
+            assert mu_value(a, s).status == "Exact"
 
 
 def test_mu_sandwich():
