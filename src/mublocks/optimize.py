@@ -1,9 +1,9 @@
-"""Tiny derivative-free minimizer used by the numeric routes.
+"""Tiny derivative-free minimizer for the numeric routes that remain: mu's
+variety descent and affine min-norm, `penta_sup` and `psi_sup`.
 
-Hand-rolled Nelder-Mead: the problems in this package are 1-6 real variables
-with smooth (sometimes kinked-convex) objectives, and the per-call overhead of
-a heavyweight optimizer dominates at the call volumes the verification suites
-run at.  Standard coefficients; deterministic.
+Hand-rolled Nelder-Mead: those problems are 1-6 real variables with smooth
+(sometimes kinked-convex) objectives, where a heavyweight optimizer's per-call
+overhead dominates.  Standard coefficients; deterministic.
 """
 
 from __future__ import annotations

@@ -8,11 +8,14 @@ point is that none of this shares code with the implementation under test.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
+from mublocks.lie_ball import transported_lattice
 from mublocks.matrix2 import Matrix2
+from mublocks.optimize import nelder_mead
 
 
 def power_norm(m: Matrix2) -> float:
@@ -264,3 +267,57 @@ def lie_ball_region_oracle(z, tol: float = 1e-9) -> str:
     if n > 1.0 + tol:
         return "Outside"
     return "ClosureBoundary"
+
+
+def _image_from_params(theta: float, u1: float, u2: float, u3: float,
+                       u4: float):
+    """Transported boundary point for free parameters: (u1..u4) is an
+    unnormalized direction projected onto the unit 3-sphere.  Unlike a radial
+    clamp of (x2, x3, x4) into the ball, this chart is smooth everywhere away
+    from u = 0, so local refinement does not stall when the optimum has a
+    vanishing first sphere coordinate."""
+    n = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4)
+    if n < 1e-12:
+        return (complex("inf"), 0.0, 0.0, 0.0)
+    y2, y3, y4 = u2 / n, u3 / n, u4 / n
+    w = cmath.exp(1j * theta)
+    return (w * complex(y3, y4),
+            -w * complex(y3, -y4),
+            -(w * w),
+            2.0 * w * y2)
+
+
+def transport_distance_nm_oracle(target, lattice=None) -> float:
+    """Distance from `target` to the transported distinguished boundary by
+    brute force: nearest point of a 10k forward lattice, then two
+    Nelder-Mead passes over (theta, u1..u4) with a scale-pin penalty.
+    Pass `lattice = transported_lattice(10_000)` to reuse one across calls."""
+    tgt = np.asarray([complex(v) for v in target])
+    if lattice is None:
+        lattice = transported_lattice(10_000)
+    (theta, x1, x2, x3, x4), pts = lattice
+    d2 = np.abs(pts - tgt[None, :]) ** 2
+    dist2 = d2.sum(axis=1)
+    k = int(np.argmin(dist2))
+    best = math.sqrt(float(dist2[k]))
+
+    def obj(q) -> float:
+        img = _image_from_params(q[0], q[1], q[2], q[3], q[4])
+        if img[0] == complex("inf"):
+            return 1e6
+        d = sum((img[i].real - tgt[i].real) ** 2
+                + (img[i].imag - tgt[i].imag) ** 2 for i in range(4))
+        n = math.sqrt(q[1] ** 2 + q[2] ** 2 + q[3] ** 2 + q[4] ** 2)
+        # the image is scale-invariant in (u1..u4); pin the scale without
+        # biasing the minimal distance (the extra term vanishes at n = 1)
+        return d + 1e-3 * (n - 1.0) ** 2
+
+    x0 = [float(theta[k]), float(x1[k]), float(x2[k]), float(x3[k]),
+          float(x4[k])]
+    q, fq, _, _ = nelder_mead(obj, x0, step=0.15, xatol=1e-12, fatol=1e-24,
+                              maxiter=2000)
+    q, fq, _, _ = nelder_mead(obj, list(q), step=0.01, xatol=1e-13,
+                              fatol=1e-26, maxiter=2000)
+    img = _image_from_params(q[0], q[1], q[2], q[3], q[4])
+    refined = math.sqrt(sum(abs(img[i] - tgt[i]) ** 2 for i in range(4)))
+    return min(best, refined)

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mublocks.domain_f import f_classify, shilov_f_param, shilov_f_test, ShilovParamF
+from mublocks import lie_ball, optimize
+from mublocks.domain_f import (f_classify, sample_shilov_param_f,
+                               shilov_f_param, shilov_f_test, ShilovParamF)
 from mublocks.errors import PreconditionViolation
 from mublocks.lie_ball import (ShilovParamL4, biholo_f, lambda_map,
                                lie_ball_classify, nearest_transport_distance,
                                shilov_l4_lattice, shilov_l4_param,
                                transported_lattice)
 from mublocks.verdict import Region
-from oracles import lie_ball_region_oracle, lie_norm
+from oracles import (lie_ball_region_oracle, lie_norm,
+                     transport_distance_nm_oracle)
 
 finite = st.floats(min_value=-1.2, max_value=1.2,
                    allow_nan=False, allow_infinity=False)
@@ -114,12 +117,69 @@ def test_lattice_covers_the_boundary():
 
 def test_nearest_transport_distance_small_on_images():
     rng = random.Random(47)
-    params, images = transported_lattice(4000)
-    lattice = (params, images)
+    _, images = transported_lattice(4000)
     for k in rng.sample(range(4000), 10):
-        d = nearest_transport_distance(tuple(images[k]), lattice=lattice)
+        d = nearest_transport_distance(tuple(images[k]))
         assert d <= 1e-8
     # a fresh boundary point not on the lattice still matches closely
     q = ShilovParamF(1.234, *(np.array([0.3, 0.5, math.sqrt(1 - 0.34)])))
-    d = nearest_transport_distance(shilov_f_param(q), lattice=lattice)
+    d = nearest_transport_distance(shilov_f_param(q))
     assert d < 1e-3
+
+
+def _assert_matches_nm_oracle(target, lattice):
+    closed = nearest_transport_distance(target)
+    brute = transport_distance_nm_oracle(target, lattice)
+    assert closed <= brute + 1e-12, (target, closed, brute)
+    assert abs(closed - brute) <= 1e-9, (target, closed, brute)
+    return closed
+
+
+def test_transport_distance_matches_nm_oracle():
+    """30 boundary targets and 30 pushed off the boundary by sigma = 0.2."""
+    rng = random.Random(4001)
+    lattice = transported_lattice(10_000)
+    for _ in range(30):
+        target = shilov_f_param(sample_shilov_param_f(rng))
+        assert _assert_matches_nm_oracle(target, lattice) <= 1e-12
+    for _ in range(30):
+        target = tuple(v + complex(rng.gauss(0, 0.2), rng.gauss(0, 0.2))
+                       for v in shilov_f_param(sample_shilov_param_f(rng)))
+        _assert_matches_nm_oracle(target, lattice)
+
+
+def test_transport_distance_degenerate_targets():
+    lattice = transported_lattice(10_000)
+    # t3 = 0: the |w^2 + t3|^2 term is flat in the angle
+    _assert_matches_nm_oracle((0.3 + 0.1j, -0.2j, 0.0, 0.5), lattice)
+    # half a boundary point: at its own angle |g| <= 1/2, so lam = 0
+    half = tuple(0.5 * v for v in shilov_f_param(ShilovParamF(0.7, 0.3, -0.4, 0.5)))
+    _assert_matches_nm_oracle(half, lattice)
+    # optimum at angle 0 with y = (0, 1, 0): on the sphere with y2 = 0
+    d = _assert_matches_nm_oracle((1.5, -1.5, -1.0, 0.0), lattice)
+    assert d == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    # the origin: every angle is optimal
+    d = _assert_matches_nm_oracle((0.0, 0.0, 0.0, 0.0), lattice)
+    assert d == pytest.approx(1.0, abs=1e-15)
+    # modulus about 1e3
+    _assert_matches_nm_oracle((600 + 300j, -400j, -500.0, 300 + 100j), lattice)
+
+
+def test_transport_distance_takes_no_nelder_mead(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Nelder-Mead used by nearest_transport_distance")
+
+    monkeypatch.setattr(optimize, "nelder_mead", forbidden)
+    monkeypatch.setattr(lie_ball, "nelder_mead", forbidden)
+    rng = random.Random(4002)
+    for _ in range(5):
+        assert nearest_transport_distance(
+            shilov_f_param(sample_shilov_param_f(rng))) <= 1e-12
+
+
+@pytest.mark.parametrize("target", [
+    (float("nan"), 0, 0, 0), (0, complex(0, float("inf")), 0, 0),
+    (0, 0, float("-inf"), 0), (0, 0, 0), (0, 0, 0, 0, 0)])
+def test_transport_distance_rejects_bad_targets(target):
+    with pytest.raises(PreconditionViolation):
+        nearest_transport_distance(target)

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from mublocks import verify
 from mublocks.errors import PreconditionViolation, UnknownSuite
 from mublocks.verify import (SuiteReport, run_counterexamples, run_suite,
                              suite_names)
@@ -28,6 +29,13 @@ def test_every_suite_passes_at_reduced_size(name):
     assert rep.passed, "\n".join(rep.to_lines())
     assert rep.suite == name
     assert rep.elapsed >= 0.0
+
+
+def test_thm32_counts_a_nan_distance_as_a_failure(monkeypatch):
+    monkeypatch.setattr(verify, "nearest_transport_distance",
+                        lambda target: float("nan"))
+    rep = run_suite("thm32_boundary_transport", n_samples=20, seed=7)
+    assert sum("kind=match" in f for f in rep.failures) == 10
 
 
 def test_unknown_suite_raises_with_known_names():
