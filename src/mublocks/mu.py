@@ -309,39 +309,37 @@ class _VarietyChart:
 
     def __init__(self, structure: Structure, lin, quad, dep: int):
         self.structure = structure
-        self.lin = lin
-        self.quad = quad
         self.dep = dep
-        self.free = [i for i in range(structure.k) if i != dep]
+        self.free = free = [i for i in range(structure.k) if i != dep]
+        # the coefficients _dep_poly reads, in the order it sums them
+        self._lin_free = [lin[i] for i in free]
+        self._quad_free = [(quad[(free[ii], free[jj])], ii, jj)
+                           for ii in range(len(free))
+                           for jj in range(ii, len(free))]
+        self._lin_dep = lin[dep]
+        self._quad_dep = [quad[(i, dep) if i < dep else (dep, i)]
+                          for i in free]
+        self._quad_dd = quad[(dep, dep)]
 
     def _dep_poly(self, cf):
-        lin, quad, dep = self.lin, self.quad, self.dep
         const = 1.0 + 0j
-        for idx, i in enumerate(self.free):
-            const += lin[i] * cf[idx]
-        for ii, i in enumerate(self.free):
-            for jj in range(ii, len(self.free)):
-                j = self.free[jj]
-                key = (i, j) if i <= j else (j, i)
-                const += quad[key] * cf[ii] * cf[jj]
-        l = lin[dep]
-        for idx, i in enumerate(self.free):
-            key = (i, dep) if i < dep else (dep, i)
-            l += quad[key] * cf[idx]
-        return quad[(dep, dep)], l, const
+        for lv, c in zip(self._lin_free, cf):
+            const += lv * c
+        for qv, ii, jj in self._quad_free:
+            const += qv * cf[ii] * cf[jj]
+        l = self._lin_dep
+        for qv, c in zip(self._quad_dep, cf):
+            l += qv * c
+        return self._quad_dd, l, const
 
     def complete(self, t):
         """Full coefficient vectors on the variety above free coords t
         (real pairs), one per quadratic branch."""
-        cf = [complex(t[2 * i], t[2 * i + 1]) for i in range(len(self.free))]
-        out = []
-        for root in _quadratic_roots(*self._dep_poly(cf)):
-            c = [0j] * self.structure.k
-            for idx, i in enumerate(self.free):
-                c[i] = cf[idx]
-            c[self.dep] = root
-            out.append(c)
-        return out
+        cf = [complex(re, im) for re, im in zip(t[::2], t[1::2])]
+        dep = self.dep
+        # `free` is every index but dep, in order
+        return [cf[:dep] + [root] + cf[dep:]
+                for root in _quadratic_roots(*self._dep_poly(cf))]
 
     def norm_of(self, c) -> float:
         return _singular_values(*self.structure.entries_at(c))[0]

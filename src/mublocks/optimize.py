@@ -1,12 +1,29 @@
 """Tiny derivative-free minimizer for the numeric routes that remain: mu's
-variety descent and affine min-norm, `penta_sup` and `psi_sup`.
+variety descent and affine min-norm, `penta_sup` and `psi_sup_grid`.
 
 Hand-rolled Nelder-Mead: those problems are 1-6 real variables with smooth
 (sometimes kinked-convex) objectives, where a heavyweight optimizer's per-call
 overhead dominates.  Standard coefficients; deterministic.
+
+The iterates are part of the contract, not only the minimum: for a given
+objective the sequence of points at which f is called, their order and their
+number, and the four returned values are fixed bit for bit (tests hold them
+against the earlier version in tests/oracles.py).  Callers' results, and the
+per-call iteration and evaluation counts of the benchmark's trace, therefore
+do not move when the bookkeeping here is changed.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+
+
+def _stable_sort(pts, vals):
+    """Vertices in stable-sort order of their values, and whether that order
+    is total (no NaN), so that a single new value can be bisected into it."""
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    vals = [vals[k] for k in order]
+    return [pts[k] for k in order], vals, all(v == v for v in vals)
 
 
 def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
@@ -14,7 +31,16 @@ def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
     """Minimize f over R^n from x0 with per-coordinate initial steps.
 
     Returns (x_best, f_best, iterations, converged).  `step` may be a scalar
-    or a per-dimension sequence.
+    or a per-dimension sequence; a zero step becomes 1e-4.  f is called on
+    x0, then on the n start vertices in coordinate order, then once or twice
+    per iteration (n more times on a shrink).
+
+    The vertices are kept in stable-sort order of their values: a new vertex
+    goes after every vertex with an equal value.  An iteration stops the
+    search, converged, only when both the value spread is below `fatol` and
+    the largest coordinate distance from the best vertex is below `xatol`;
+    `fatol=0` therefore never converges and always runs `maxiter`
+    iterations.
     """
     n = len(x0)
     if isinstance(step, (int, float)):
@@ -24,45 +50,41 @@ def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
         q = list(x0)
         q[i] += step[i] if step[i] != 0.0 else 1e-4
         pts.append(q)
-    vals = [f(q) for q in pts]
+    pts, vals, total = _stable_sort(pts, [f(q) for q in pts])
 
     it = 0
     while it < maxiter:
         it += 1
-        order = sorted(range(n + 1), key=lambda k: vals[k])
-        pts = [pts[k] for k in order]
-        vals = [vals[k] for k in order]
-        spread = vals[-1] - vals[0]
-        size = max(
-            max(abs(pts[k][i] - pts[0][i]) for i in range(n))
-            for k in range(1, n + 1))
-        if size < xatol and spread < fatol:
-            return pts[0], vals[0], it, True
+        best, worst = pts[0], pts[-1]
+        if vals[-1] - vals[0] < fatol and max(
+                max(abs(x - b) for x, b in zip(p, best))
+                for p in pts[1:]) < xatol:
+            return best, vals[0], it, True
 
-        centroid = [sum(pts[k][i] for k in range(n)) / n for i in range(n)]
-        worst = pts[-1]
-        refl = [centroid[i] + (centroid[i] - worst[i]) for i in range(n)]
-        fr = f(refl)
-        if vals[0] <= fr < vals[-2]:
-            pts[-1], vals[-1] = refl, fr
-            continue
-        if fr < vals[0]:
-            expa = [centroid[i] + 2.0 * (centroid[i] - worst[i]) for i in range(n)]
+        centroid = [sum(col) / n for col in zip(*pts[:n])]
+        x = [c + (c - w) for c, w in zip(centroid, worst)]
+        fx = f(x)
+        if fx < vals[0]:
+            expa = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             fe = f(expa)
-            if fe < fr:
-                pts[-1], vals[-1] = expa, fe
-            else:
-                pts[-1], vals[-1] = refl, fr
-            continue
-        contr = [centroid[i] + 0.5 * (worst[i] - centroid[i]) for i in range(n)]
-        fc = f(contr)
-        if fc < vals[-1]:
-            pts[-1], vals[-1] = contr, fc
-            continue
-        for k in range(1, n + 1):
-            pts[k] = [pts[0][i] + 0.5 * (pts[k][i] - pts[0][i]) for i in range(n)]
-            vals[k] = f(pts[k])
-
-    order = sorted(range(n + 1), key=lambda k: vals[k])
-    return pts[order[0]], vals[order[0]], it, False
-
+            if fe < fx:
+                x, fx = expa, fe
+        elif not vals[0] <= fx < vals[-2]:
+            x = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            fx = f(x)
+            if not fx < vals[-1]:
+                pts[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, p)]
+                           for p in pts[1:]]
+                vals[1:] = [f(p) for p in pts[1:]]
+                pts, vals, total = _stable_sort(pts, vals)
+                continue
+        if total and fx == fx:
+            # where a stable sort of the old order would put it
+            del pts[-1], vals[-1]
+            k = bisect_right(vals, fx)
+            pts.insert(k, x)
+            vals.insert(k, fx)
+        else:
+            pts[-1], vals[-1] = x, fx
+            pts, vals, total = _stable_sort(pts, vals)
+    return pts[0], vals[0], it, False
