@@ -403,7 +403,8 @@ def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
         for i2 in chart.free:
             t0 += [best_c[i2].real, best_c[i2].imag]
         t, f, _, _ = nelder_mead(chart.norm, t0, step=1e-3 * scale0,
-                                 xatol=1e-13 * scale0, fatol=0.0, maxiter=300)
+                                 xatol=1e-13 * scale0, fatol=1e-15 * best_f,
+                                 maxiter=300)
         if math.isfinite(f) and f < best_f:
             best_f = f
             best_c = min(chart.complete(t), key=chart.norm_of)

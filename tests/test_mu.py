@@ -222,6 +222,39 @@ def test_mu_diag_takes_no_numeric_route(monkeypatch):
             assert mu_value(a, s).status == "Exact"
 
 
+def test_mu_numeric_polish_converges(monkeypatch):
+    """The polish runs of the variety descent (the maxiter=300 calls, one
+    per chart) stop on their tolerances instead of spending every
+    iteration, and mu stays within 1e-13 of polishing with fatol = 0."""
+    r_seeded = random.Random(9)
+    a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1))
+                  for _ in range(4)))
+    upper = structure_from_name("upper")
+    core = mu_module.nelder_mead
+    polish = []
+
+    def recording(f, x0, step, **kwargs):
+        out = core(f, x0, step, **kwargs)
+        if kwargs["maxiter"] == 300:
+            polish.append(out[3])
+        return out
+
+    monkeypatch.setattr(mu_module, "nelder_mead", recording)
+    r = mu_value(a, upper)
+    assert r.status == "Numeric"
+    assert len(polish) == upper.k and all(polish)
+
+    def zero_fatol(f, x0, step, **kwargs):
+        if kwargs["maxiter"] == 300:
+            kwargs["fatol"] = 0.0
+        return core(f, x0, step, **kwargs)
+
+    monkeypatch.setattr(mu_module, "nelder_mead", zero_fatol)
+    full = mu_value(a, upper)
+    assert full.status == r.status
+    assert abs(r.value - full.value) <= 1e-13 * full.value
+
+
 def test_mu_sandwich():
     for name in ("scalar", "diag", "upper", "lower", "full"):
         s = structure_from_name(name)
