@@ -19,7 +19,7 @@ import mublocks.mu as mu_module
 import mublocks.pentablock as pentablock
 from mublocks.errors import OptimizerNoConverge
 from mublocks.matrix2 import Matrix2, contraction_from_rng, unitary_from_rng
-from mublocks.mu import rigidity_check, mu_value, structure_from_name
+from mublocks.mu import mu_value, rigidity_check, structure_from_name
 from mublocks.optimize import nelder_mead
 from mublocks.tetrablock import pi_tetra
 from oracles import nelder_mead_reference
