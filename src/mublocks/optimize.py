@@ -5,12 +5,14 @@ Hand-rolled Nelder-Mead: those problems are 1-6 real variables with smooth
 (sometimes kinked-convex) objectives, where a heavyweight optimizer's per-call
 overhead dominates.  Standard coefficients; deterministic.
 
-The iterates are part of the contract, not only the minimum: for a given
-objective the sequence of points at which f is called, their order and their
-number, and the four returned values are fixed bit for bit (tests hold them
-against the earlier version in tests/oracles.py).  Callers' results, and the
-per-call iteration and evaluation counts of the benchmark's trace, therefore
-do not move when the bookkeeping here is changed.
+The iterates are part of the contract, not only the minimum.  f is called
+on x0, then on the n start vertices in coordinate order, then once or twice
+per iteration (n more times on a shrink); those points, their order and
+their number, and the four returned values are fixed bit for bit, and
+tests/test_optimize.py holds them against the earlier version of the routine
+kept in tests/oracles.py.  Callers' results and the per-call iteration and
+evaluation counts of the benchmark's trace therefore do not move when the
+bookkeeping here changes.
 """
 
 from __future__ import annotations
@@ -31,15 +33,10 @@ def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
     """Minimize f over R^n from x0 with per-coordinate initial steps.
 
     Returns (x_best, f_best, iterations, converged).  `step` may be a scalar
-    or a per-dimension sequence; a zero step becomes 1e-4.  f is called on
-    x0, then on the n start vertices in coordinate order, then once or twice
-    per iteration (n more times on a shrink).
-
-    The vertices are kept in stable-sort order of their values: a new vertex
-    goes after every vertex with an equal value.  An iteration stops the
-    search, converged, only when both the value spread is below `fatol` and
-    the largest coordinate distance from the best vertex is below `xatol`;
-    `fatol=0` therefore never converges and always runs `maxiter`
+    or a per-dimension sequence; a zero step becomes 1e-4.  The vertices
+    stay in stable-sort order of their values.  Convergence needs both a
+    value spread below `fatol` and every vertex within `xatol` of the best
+    in each coordinate, so `fatol=0` never converges: it runs `maxiter`
     iterations.
     """
     n = len(x0)
