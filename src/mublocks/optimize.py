@@ -76,7 +76,7 @@ def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
                 pts, vals, total = _stable_sort(pts, vals)
                 continue
         if total and fx == fx:
-            # where a stable sort of the old order would put it
+            # after every equal value, where a stable sort puts it
             del pts[-1], vals[-1]
             k = bisect_right(vals, fx)
             pts.insert(k, x)
