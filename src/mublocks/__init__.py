@@ -14,9 +14,8 @@ from .domain_f import (BallParamF, FRelations, ShilovParamF, f_classify,
 from .errors import (CriteriaDisagree, DenominatorNearZero, FormulaMismatch,
                      InfeasibleConstraint, OptimizerNoConverge,
                      PreconditionViolation, UnknownSuite)
-from .hexablock import (HnVerdict, PsiProbe, hexa_classify, hexa_slice_a0,
-                        hn_classify, pi_hexa, psi_eval, psi_sup,
-                        psi_sup_grid, shilov_h_test)
+from .hexablock import (HnVerdict, hexa_classify, hexa_slice_a0, hn_classify,
+                        pi_hexa, psi_sup, shilov_h_test)
 from .lie_ball import (ShilovParamL4, biholo_f, lambda_map, lie_ball_classify,
                        nearest_transport_distance, shilov_l4_lattice,
                        shilov_l4_param, transported_lattice)

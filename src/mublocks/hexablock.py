@@ -16,8 +16,10 @@ radius r2 = |beta|/|alpha|).  The outer problem over z1 reduces on rays to
 whose critical equation m r^2 - (c+d) r + m = 0 has exactly one root in
 [0, 1), namely r* = 2m / ((c+d) + sqrt((c+d)^2 - 4 m^2)); membership of x in
 the tetrablock guarantees c > 0 and c + d - 2m > 0, so the formula is total.
-The spec'd product-grid optimizer is retained as psi_sup_grid -- the
-independent numeric route the tests compare against.
+hexa_classify evaluates it after its own tetrablock verdict, so each call
+classifies the tetrablock part once.  The product-grid optimizer psi_sup_grid,
+the independent numeric route the tests compare against, lives with the test
+oracles.
 
 The normed variant reduces to the four-coordinate domain: for a != 0,
 (a, x1, x2, x3) is in it iff (x1, x2, x3, a + (x1 x2 - x3)/a) is interior
@@ -32,13 +34,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain_f import f_classify
-from .errors import (DenominatorNearZero, OptimizerNoConverge,
-                     PreconditionViolation)
+from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_report, operator_norm
-from .optimize import nelder_mead
+from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import tetra_classify
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
                       verdict_from_margin)
@@ -55,33 +54,6 @@ def _check_quad(pt) -> tuple[complex, complex, complex, complex]:
 def pi_hexa(b: Matrix2) -> tuple[complex, complex, complex, complex]:
     """Coordinate projection (b21, b11, b22, det B)."""
     return (b.a21, b.a11, b.a22, b.det)
-
-
-@dataclass(frozen=True)
-class PsiProbe:
-    z1: complex
-    z2: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z1", complex(self.z1))
-        object.__setattr__(self, "z2", complex(self.z2))
-        if abs(self.z1) >= 1.0 or abs(self.z2) >= 1.0:
-            raise PreconditionViolation(
-                f"probe must lie in the open bidisc, got {self!r}")
-
-
-def psi_eval(q: PsiProbe, pt) -> complex:
-    """Evaluate the fractional map at the probe.  Requires the tetrablock
-    part strictly interior (then the denominator is bounded away from 0)."""
-    a, x1, x2, x3 = _check_quad(pt)
-    if not tetra_classify((x1, x2, x3)).is_interior:
-        raise PreconditionViolation(
-            f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
-    den = 1.0 - x1 * q.z1 - x2 * q.z2 + x3 * q.z1 * q.z2
-    if abs(den) < 1e-14:
-        raise DenominatorNearZero(f"denominator {den!r} at probe {q!r}, point {pt!r}")
-    num = a * math.sqrt((1.0 - abs(q.z1) ** 2) * (1.0 - abs(q.z2) ** 2))
-    return num / den
 
 
 def _sup_coeffs(x1: complex, x2: complex, x3: complex) -> tuple[float, float, float]:
@@ -102,6 +74,12 @@ def psi_sup(pt, tol: float = 1e-8) -> float:
             f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
     if a == 0:
         return 0.0
+    return _psi_sup_closed(a, x1, x2, x3)
+
+
+def _psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
+    """The closed form of psi_sup for a != 0 and x interior to the
+    tetrablock, which the caller has checked."""
     c, d, m = _sup_coeffs(x1, x2, x3)
     if m == 0.0:
         return abs(a) / math.sqrt(c)
@@ -111,66 +89,6 @@ def psi_sup(pt, tol: float = 1e-8) -> float:
     if dmin <= 1e-300:
         return float("inf")
     return abs(a) * math.sqrt(max(1.0 - rstar * rstar, 0.0) / dmin)
-
-
-def psi_sup_grid(pt, tol: float = 1e-7) -> float:
-    """Independent numeric supremum: product polar grid (32 radii x 64 angles
-    per disc, radii biased toward 0 -- the numerator dies at the torus), then
-    Nelder-Mead refinement from the best 5 cells."""
-    a, x1, x2, x3 = _check_quad(pt)
-    if not tetra_classify((x1, x2, x3)).is_interior:
-        raise PreconditionViolation(
-            f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
-    if a == 0:
-        return 0.0
-    am = abs(a)
-
-    n_r, n_phi = 32, 64
-    rr = ((np.arange(n_r) + 0.5) / n_r) ** 1.5
-    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    disc_pts = (rr[:, None] * np.exp(1j * ph)[None, :]).ravel()   # 2048 points
-    w = (1.0 - np.abs(disc_pts) ** 2)
-
-    best_vals: list[tuple[float, complex, complex]] = []
-    chunk = 256
-    for i0 in range(0, disc_pts.size, chunk):
-        z1 = disc_pts[i0:i0 + chunk][:, None]
-        den = np.abs(1.0 - x1 * z1 - x2 * disc_pts[None, :]
-                     + x3 * z1 * disc_pts[None, :])
-        num = am * np.sqrt(w[i0:i0 + chunk][:, None] * w[None, :])
-        v = num / np.maximum(den, 1e-300)
-        flat = int(np.argmax(v))
-        r, cidx = divmod(flat, disc_pts.size)
-        best_vals.append((float(v[r, cidx]), complex(z1[r, 0]), complex(disc_pts[cidx])))
-    best_vals.sort(key=lambda t: -t[0])
-    starts = best_vals[:5]
-
-    def neg(qv) -> float:
-        u1, v1, u2, v2 = qv
-        r1sq = u1 * u1 + v1 * v1
-        r2sq = u2 * u2 + v2 * v2
-        if r1sq >= 1.0 or r2sq >= 1.0:
-            return 0.0
-        den = abs(1.0 - x1 * complex(u1, v1) - x2 * complex(u2, v2)
-                  + x3 * complex(u1, v1) * complex(u2, v2))
-        if den < 1e-300:
-            return 0.0
-        return -am * math.sqrt((1.0 - r1sq) * (1.0 - r2sq)) / den
-
-    best = starts[0][0]
-    fatol = max(tol * 1e-3, 1e-10 * max(1.0, best))
-    for (_, z1s, z2s) in starts:
-        x0 = [z1s.real, z1s.imag, z2s.real, z2s.imag]
-        q, fq, _, ok = nelder_mead(neg, x0, step=0.03,
-                                   xatol=tol * 1e-2, fatol=fatol, maxiter=2500)
-        if not ok:
-            q, fq, _, ok = nelder_mead(neg, q, step=tol * 100,
-                                       xatol=tol * 1e-2, fatol=fatol, maxiter=2500)
-            if not ok:
-                raise OptimizerNoConverge(
-                    f"grid supremum refinement stalled at {pt!r}, value {-fq!r}")
-        best = max(best, -fq)
-    return best
 
 
 def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -198,7 +116,7 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
         return MembershipVerdict(region=Region.CLOSURE_BOUNDARY, margin=margin,
                                  tol=tol, shilov=shilov_h_test(pt, tol),
                                  indeterminate=True)
-    sup = psi_sup(pt)
+    sup = _psi_sup_closed(a, x1, x2, x3)
     margin = tv.margin if sup == float("inf") else min(tv.margin, 1.0 - sup)
     if sup == float("inf"):
         margin = -1.0
@@ -250,14 +168,13 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
 
 
 def _norm_at_most_one(b: Matrix2, tol: float) -> bool:
-    """||B|| <= 1 up to tol, safe at coincident singular values.
+    """||B|| <= 1 up to tol.
 
-    The closed-form norm loses half its digits when the two singular values
-    collide (a unitary is the worst case), so comparing it against 1 + tol
-    rejects exact isometries.  Away from the unit sphere it is still the
-    cheapest decisive test; on the sphere itself switch to positivity of
-    I - B*B through its trace and determinant, which are polynomial in the
-    entries and carry no cancellation beyond ordinary rounding.
+    Outside the band 1 +- 1e-6 the closed-form norm decides.  Inside it the
+    verdict is positivity of I - B*B up to tol, read from its trace and
+    determinant, which are polynomial in the entries.  The band verdict is
+    not that of comparing the norm with 1 + tol: it can differ when the top
+    singular value lies within about tol of 1 + tol.
     """
     nrm = operator_norm(b)
     if nrm > 1.0 + 1e-6:

@@ -1,5 +1,6 @@
 """Tiny derivative-free minimizer for the numeric routes that remain: mu's
-variety descent and affine min-norm, `penta_sup` and `psi_sup_grid`.
+variety descent and affine min-norm, plus the numeric suprema that the test
+oracles keep as reference implementations.
 
 Hand-rolled Nelder-Mead: those problems are 1-6 real variables with smooth
 (sometimes kinked-convex) objectives, where a heavyweight optimizer's per-call

@@ -10,9 +10,13 @@ penta_classify evaluates.  The equivalent supremum form
 
     sup_{|z|<1} |a (1 - |z|^2) / (1 - s z + p z^2)| < 1
 
-is evaluated numerically by penta_sup; penta_dual_check compares the two and
-is called from the verification suites and the tests, never from a
-classifier.  The closure test used here is the non-strict root form together
+is linear in |a|, and its value is |a| divided by the critical radius, which
+is how penta_sup evaluates it.  The same source also states the radius
+without roots, through beta = (s - conj(s) p) / (1 - |p|^2);
+penta_dual_check holds the root form against that second closed form and is
+called from the verification suites and the tests, never from a classifier.
+The numeric supremum (grid, radial scans, Nelder-Mead) is kept as a test
+oracle.  The closure test used here is the non-strict root form together
 with (s, p) in the closed bidisc domain -- the source material characterizes
 only the open domain, so the closure rule is a convention validated by
 sampling images of closed-ball matrices.
@@ -25,12 +29,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .bidisc import bgamma_test, g2_classify, g2_roots
-from .errors import (CriteriaDisagree, OptimizerNoConverge,
-                     PreconditionViolation)
-from .optimize import nelder_mead
+from .errors import CriteriaDisagree, PreconditionViolation
+from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
                       classify_margin, verdict_from_margin)
 
@@ -57,12 +58,9 @@ def penta_radius(s: complex, p: complex) -> float:
 def penta_sup(pt, tol: float = 1e-8) -> float:
     """sup over the open unit disc of |a (1 - |z|^2) / (1 - s z + p z^2)|.
 
-    Numeric by design -- this is the independent route that
-    penta_dual_check holds against the critical radius.  Strategy: vectorized
-    64 x 128 polar grid, plus radial scans along the directions
-    conj(root)/|root| where the denominator degenerates (near the bidisc
-    boundary the maximizer hides in an angular spike narrower than any fixed
-    grid), then Nelder-Mead refinement from the best starts.
+    Closed form, tol unused: the supremum is linear in |a| and equals
+    |a| / penta_radius(s, p) -- exactly 0 when a = 0, and inf where the
+    critical radius vanishes (both roots at one point of the circle).
     """
     a, s, p = _check_triple(pt)
     if g2_classify((s, p)).region is Region.OUTSIDE:
@@ -70,87 +68,32 @@ def penta_sup(pt, tol: float = 1e-8) -> float:
             f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")
     if a == 0:
         return 0.0
+    radius = penta_radius(s, p)
+    return abs(a) / radius if radius > 0.0 else math.inf
 
-    am = abs(a)
 
-    def val(r: float, phi: float) -> float:
-        z = complex(r * math.cos(phi), r * math.sin(phi))
-        den = abs(1.0 - s * z + p * z * z)
-        if den < 1e-300:
-            return 0.0
-        return am * (1.0 - r * r) / den
+def _beta_sup(a: complex, s: complex, p: complex) -> float:
+    """|a| / K(s, p) with the critical radius in its root-free form
 
-    def neg_cartesian(q) -> float:
-        zr, zi = q
-        r2 = zr * zr + zi * zi
-        if r2 >= 1.0:
-            return 0.0  # objective vanishes on the circle; flat outside
-        z = complex(zr, zi)
-        den = abs(1.0 - s * z + p * z * z)
-        if den < 1e-300:
-            return 0.0
-        return -am * (1.0 - r2) / den
+        K = |1 - s conj(beta) / (2 (1 + sqrt(1 - |beta|^2)))|,
+        beta = (s - conj(s) p) / (1 - |p|^2).
 
-    # stage 1: product grid (radii at cell midpoints reach 0.992)
-    n_r, n_phi = 64, 128
-    rr = (np.arange(n_r) + 0.5) / n_r
-    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    zz = rr[:, None] * np.exp(1j * ph)[None, :]
-    den = np.abs(1.0 - s * zz + p * zz * zz)
-    num = am * (1.0 - rr * rr)[:, None]
-    vals = np.where(den > 1e-300, num / np.maximum(den, 1e-300), 0.0)
-    flat = int(np.argmax(vals))
-    i0, j0 = divmod(flat, n_phi)
-    starts = [(float(rr[i0]), float(ph[j0]))]
-
-    # stage 2: radial scans toward each denominator root direction -- near
-    # the bidisc boundary the maximizer sits in an angular spike narrower
-    # than the grid step
-    for lam in g2_roots((s, p)):
-        if abs(lam) > 1e-8:
-            phi_r = -math.atan2(lam.imag, lam.real)
-            best_t, best_v = 0.0, -1.0
-            for t in 1.0 - np.geomspace(1e-9, 1.0, 200):
-                v = val(float(t), phi_r)
-                if v > best_v:
-                    best_t, best_v = float(t), v
-            starts.append((best_t, phi_r))
-
-    # stage 3: Nelder-Mead in Cartesian coordinates from each start.  The
-    # value tolerance is scaled by the magnitude seen so far: the objective
-    # carries relative round-off of a few 1e-12, which an absolute fatol
-    # could never beat on large suprema.
-    best = float(vals[i0, j0])
-    scale = max(1.0, best)
-    for (r, phi) in starts:
-        scale = max(scale, val(r, phi))
-    fatol = max(tol * 1e-3, 1e-10 * scale)
-    for (r, phi) in starts:
-        x0 = [r * math.cos(phi), r * math.sin(phi)]
-        h = min(0.5 * (1.0 - r) + 1e-6, 1.0 / n_r)
-        q, fq, _, ok = nelder_mead(neg_cartesian, x0, step=h,
-                                   xatol=tol * 1e-2, fatol=fatol,
-                                   maxiter=2000)
-        if not ok:
-            q, fq, _, ok = nelder_mead(neg_cartesian, q, step=tol * 100,
-                                       xatol=tol * 1e-2, fatol=fatol,
-                                       maxiter=2000)
-            if not ok:
-                raise OptimizerNoConverge(
-                    f"pentablock supremum refinement stalled at {pt!r} "
-                    f"(start r={r!r}, phi={phi!r}, value {-fq!r})")
-        best = max(best, -fq)
-    return best
+    It needs |p| < 1, which the open bidisc guarantees.  The value under the
+    root is clamped at 0 against round-off, as in penta_radius."""
+    beta = (s - s.conjugate() * p) / (1.0 - abs(p) ** 2)
+    root = math.sqrt(max(1.0 - abs(beta) ** 2, 0.0))
+    return abs(a) / abs(1.0 - 0.5 * s * beta.conjugate() / (1.0 + root))
 
 
 def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
-    """Hold the critical-radius rule against the numeric supremum at pt.
+    """Hold the critical-radius rule against the beta closed form at pt.
 
     Runs only where both routes carry information: (s, p) interior to the
     bidisc and the critical-radius slack outside the guard band
-    BAND_FACTOR * max(tol, 1e-7).  Returns the supremum when the check ran,
-    None when the guard skipped it, and raises CriteriaDisagree when the
-    routes put pt on opposite sides of the boundary.
+    BAND_FACTOR * max(tol, 1e-7).  Returns the supremum |a| / K of the
+    beta form when the check ran, None when the guard skipped it, and
+    raises CriteriaDisagree when the routes put pt on opposite sides of the
+    boundary.
     """
     a, s, p = _check_triple(pt)
     if g2_classify((s, p), tol).region is not Region.INTERIOR:
@@ -158,11 +101,11 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
     slack = penta_radius(s, p) - abs(a)
     if abs(slack) <= BAND_FACTOR * max(tol, 1e-7):
         return None
-    sup = penta_sup(pt, tol=1e-8)
+    sup = _beta_sup(a, s, p)
     if (sup < 1.0) != (slack > 0.0):
         raise CriteriaDisagree(
             f"pentablock dual routes disagree at {pt!r}: "
-            f"critical-radius slack {slack!r} vs numeric sup {sup!r}")
+            f"critical-radius slack {slack!r} vs beta-form sup {sup!r}")
     return sup
 
 
@@ -170,7 +113,7 @@ def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the pentablock by the critical-radius rule.
 
     Margin = min(bidisc margin of (s, p), critical-radius slack); outside the
-    closed bidisc domain the bidisc margin alone.  The numeric supremum is
+    closed bidisc domain the bidisc margin alone.  The supremum form is
     not consulted here: penta_dual_check is the cross-check.
     """
     a, s, p = _check_triple(pt)

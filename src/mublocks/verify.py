@@ -299,7 +299,7 @@ def _suite_lemma25_scaling(n: int, seed: int, tol: float) -> SuiteReport:
 
 def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
     """Interior points project into the three classical domains; the
-    pentablock projection is also held to its numeric supremum."""
+    pentablock projection is also held to the beta closed form."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -386,7 +386,7 @@ def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
 def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteReport:
     """Closure points project into the three closed domains (plus the negated
     product pair, the fourth conclusion); the pentablock projection is also
-    held to its numeric supremum."""
+    held to the beta closed form."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []

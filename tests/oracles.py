@@ -1,21 +1,31 @@
 """Independent oracles the tests compare the package against.
 
 Everything here is deliberately dumb: power iteration instead of the closed
-form, root finding through numpy's companion matrix, dense grids instead of
-optimizers, completion search instead of Gram margins.  Slow is fine; the
-point is that none of this shares code with the implementation under test.
+form, root finding through numpy's companion matrix, dense grids and
+Nelder-Mead suprema instead of closed forms, completion search instead of
+Gram margins.  Slow is fine; the point is that none of this shares code with
+the implementation under test.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
+from dataclasses import dataclass
 
 import numpy as np
 
+from mublocks.bidisc import g2_classify, g2_roots
+from mublocks.errors import (DenominatorNearZero, OptimizerNoConverge,
+                             PreconditionViolation)
+from mublocks.hexablock import _check_quad
 from mublocks.lie_ball import transported_lattice
 from mublocks.matrix2 import Matrix2
 from mublocks.optimize import nelder_mead
+from mublocks.pentablock import _check_triple
+from mublocks.tetrablock import tetra_classify
+from mublocks.verdict import Region
 
 
 def power_norm(m: Matrix2) -> float:
@@ -120,6 +130,203 @@ def penta_grid_sup(a: complex, s: complex, p: complex,
     num = abs(a) * (1.0 - rr * rr)[:, None]
     vals = np.where(den > 1e-300, num / np.maximum(den, 1e-300), 0.0)
     return float(vals.max())
+
+
+def penta_sup_points() -> list[tuple[complex, complex, complex]]:
+    """50 seeded points (a, z1 + z2, z1 z2); in 15 of them |z1| lies within
+    1e-6 of the unit circle, where the maximizer of the supremum hides in a
+    radial spike."""
+    rng = random.Random(57)
+    points = []
+    for i in range(50):
+        r1 = 1.0 - 10.0 ** rng.uniform(-9.0, -6.0) if i % 10 < 3 \
+            else rng.uniform(0.0, 0.95)
+        z1 = cmath.rect(r1, rng.uniform(0.0, 2.0 * math.pi))
+        z2 = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(0.0, 2.0 * math.pi))
+        a = cmath.rect(rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+        points.append((a, z1 + z2, z1 * z2))
+    return points
+
+
+def penta_sup_numeric(pt, tol: float = 1e-8) -> float:
+    """sup over the open unit disc of |a (1 - |z|^2) / (1 - s z + p z^2)|.
+
+    The numeric route that penta_sup's closed form |a| / penta_radius(s, p)
+    replaced, kept as its reference.  Strategy: vectorized 64 x 128 polar
+    grid, plus radial scans along the directions conj(root)/|root| where the
+    denominator degenerates (near the bidisc boundary the maximizer hides in
+    an angular spike narrower than any fixed grid), then Nelder-Mead
+    refinement from the best starts.
+    """
+    a, s, p = _check_triple(pt)
+    if g2_classify((s, p)).region is Region.OUTSIDE:
+        raise PreconditionViolation(
+            f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")
+    if a == 0:
+        return 0.0
+
+    am = abs(a)
+
+    def val(r: float, phi: float) -> float:
+        z = complex(r * math.cos(phi), r * math.sin(phi))
+        den = abs(1.0 - s * z + p * z * z)
+        if den < 1e-300:
+            return 0.0
+        return am * (1.0 - r * r) / den
+
+    def neg_cartesian(q) -> float:
+        zr, zi = q
+        r2 = zr * zr + zi * zi
+        if r2 >= 1.0:
+            return 0.0  # objective vanishes on the circle; flat outside
+        z = complex(zr, zi)
+        den = abs(1.0 - s * z + p * z * z)
+        if den < 1e-300:
+            return 0.0
+        return -am * (1.0 - r2) / den
+
+    # stage 1: product grid (radii at cell midpoints reach 0.992)
+    n_r, n_phi = 64, 128
+    rr = (np.arange(n_r) + 0.5) / n_r
+    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    zz = rr[:, None] * np.exp(1j * ph)[None, :]
+    den = np.abs(1.0 - s * zz + p * zz * zz)
+    num = am * (1.0 - rr * rr)[:, None]
+    vals = np.where(den > 1e-300, num / np.maximum(den, 1e-300), 0.0)
+    flat = int(np.argmax(vals))
+    i0, j0 = divmod(flat, n_phi)
+    starts = [(float(rr[i0]), float(ph[j0]))]
+
+    # stage 2: radial scans toward each denominator root direction -- near
+    # the bidisc boundary the maximizer sits in an angular spike narrower
+    # than the grid step
+    for lam in g2_roots((s, p)):
+        if abs(lam) > 1e-8:
+            phi_r = -math.atan2(lam.imag, lam.real)
+            best_t, best_v = 0.0, -1.0
+            for t in 1.0 - np.geomspace(1e-9, 1.0, 200):
+                v = val(float(t), phi_r)
+                if v > best_v:
+                    best_t, best_v = float(t), v
+            starts.append((best_t, phi_r))
+
+    # stage 3: Nelder-Mead in Cartesian coordinates from each start.  The
+    # value tolerance is scaled by the magnitude seen so far: the objective
+    # carries relative round-off of a few 1e-12, which an absolute fatol
+    # could never beat on large suprema.
+    best = float(vals[i0, j0])
+    scale = max(1.0, best)
+    for (r, phi) in starts:
+        scale = max(scale, val(r, phi))
+    fatol = max(tol * 1e-3, 1e-10 * scale)
+    for (r, phi) in starts:
+        x0 = [r * math.cos(phi), r * math.sin(phi)]
+        h = min(0.5 * (1.0 - r) + 1e-6, 1.0 / n_r)
+        q, fq, _, ok = nelder_mead(neg_cartesian, x0, step=h,
+                                   xatol=tol * 1e-2, fatol=fatol,
+                                   maxiter=2000)
+        if not ok:
+            q, fq, _, ok = nelder_mead(neg_cartesian, q, step=tol * 100,
+                                       xatol=tol * 1e-2, fatol=fatol,
+                                       maxiter=2000)
+            if not ok:
+                raise OptimizerNoConverge(
+                    f"pentablock supremum refinement stalled at {pt!r} "
+                    f"(start r={r!r}, phi={phi!r}, value {-fq!r})")
+        best = max(best, -fq)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# hexablock: the fractional map at a probe, and the product-grid supremum
+# that hexablock.psi_sup's closed form is held against.
+
+
+@dataclass(frozen=True)
+class PsiProbe:
+    z1: complex
+    z2: complex
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "z1", complex(self.z1))
+        object.__setattr__(self, "z2", complex(self.z2))
+        if abs(self.z1) >= 1.0 or abs(self.z2) >= 1.0:
+            raise PreconditionViolation(
+                f"probe must lie in the open bidisc, got {self!r}")
+
+
+def psi_eval(q: PsiProbe, pt) -> complex:
+    """Evaluate the fractional map at the probe.  Requires the tetrablock
+    part strictly interior (then the denominator is bounded away from 0)."""
+    a, x1, x2, x3 = _check_quad(pt)
+    if not tetra_classify((x1, x2, x3)).is_interior:
+        raise PreconditionViolation(
+            f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
+    den = 1.0 - x1 * q.z1 - x2 * q.z2 + x3 * q.z1 * q.z2
+    if abs(den) < 1e-14:
+        raise DenominatorNearZero(f"denominator {den!r} at probe {q!r}, point {pt!r}")
+    num = a * math.sqrt((1.0 - abs(q.z1) ** 2) * (1.0 - abs(q.z2) ** 2))
+    return num / den
+
+
+def psi_sup_grid(pt, tol: float = 1e-7) -> float:
+    """Independent numeric supremum: product polar grid (32 radii x 64 angles
+    per disc, radii biased toward 0 -- the numerator dies at the torus), then
+    Nelder-Mead refinement from the best 5 cells."""
+    a, x1, x2, x3 = _check_quad(pt)
+    if not tetra_classify((x1, x2, x3)).is_interior:
+        raise PreconditionViolation(
+            f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
+    if a == 0:
+        return 0.0
+    am = abs(a)
+
+    n_r, n_phi = 32, 64
+    rr = ((np.arange(n_r) + 0.5) / n_r) ** 1.5
+    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    disc_pts = (rr[:, None] * np.exp(1j * ph)[None, :]).ravel()   # 2048 points
+    w = (1.0 - np.abs(disc_pts) ** 2)
+
+    best_vals: list[tuple[float, complex, complex]] = []
+    chunk = 256
+    for i0 in range(0, disc_pts.size, chunk):
+        z1 = disc_pts[i0:i0 + chunk][:, None]
+        den = np.abs(1.0 - x1 * z1 - x2 * disc_pts[None, :]
+                     + x3 * z1 * disc_pts[None, :])
+        num = am * np.sqrt(w[i0:i0 + chunk][:, None] * w[None, :])
+        v = num / np.maximum(den, 1e-300)
+        flat = int(np.argmax(v))
+        r, cidx = divmod(flat, disc_pts.size)
+        best_vals.append((float(v[r, cidx]), complex(z1[r, 0]), complex(disc_pts[cidx])))
+    best_vals.sort(key=lambda t: -t[0])
+    starts = best_vals[:5]
+
+    def neg(qv) -> float:
+        u1, v1, u2, v2 = qv
+        r1sq = u1 * u1 + v1 * v1
+        r2sq = u2 * u2 + v2 * v2
+        if r1sq >= 1.0 or r2sq >= 1.0:
+            return 0.0
+        den = abs(1.0 - x1 * complex(u1, v1) - x2 * complex(u2, v2)
+                  + x3 * complex(u1, v1) * complex(u2, v2))
+        if den < 1e-300:
+            return 0.0
+        return -am * math.sqrt((1.0 - r1sq) * (1.0 - r2sq)) / den
+
+    best = starts[0][0]
+    fatol = max(tol * 1e-3, 1e-10 * max(1.0, best))
+    for (_, z1s, z2s) in starts:
+        x0 = [z1s.real, z1s.imag, z2s.real, z2s.imag]
+        q, fq, _, ok = nelder_mead(neg, x0, step=0.03,
+                                   xatol=tol * 1e-2, fatol=fatol, maxiter=2500)
+        if not ok:
+            q, fq, _, ok = nelder_mead(neg, q, step=tol * 100,
+                                       xatol=tol * 1e-2, fatol=fatol, maxiter=2500)
+            if not ok:
+                raise OptimizerNoConverge(
+                    f"grid supremum refinement stalled at {pt!r}, value {-fq!r}")
+        best = max(best, -fq)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mublocks import hexablock
 from mublocks.domain_f import f_slice_s_zero
 from mublocks.errors import PreconditionViolation
-from mublocks.hexablock import (PsiProbe, hexa_classify, hexa_slice_a0,
-                                hn_classify, pi_hexa, psi_eval, psi_sup,
-                                psi_sup_grid, shilov_h_test)
+from mublocks.hexablock import (hexa_classify, hexa_slice_a0, hn_classify,
+                                pi_hexa, psi_sup, shilov_h_test)
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
 from mublocks.tetrablock import pi_tetra, tetra_classify
 from mublocks.verdict import Region
+from oracles import PsiProbe, psi_eval, psi_sup_grid
 
 rng = random.Random(53)
 
@@ -137,6 +138,25 @@ def test_hexa_indeterminate_band_on_tetra_boundary():
     v = hexa_classify((2, 1, 0, 0))
     assert v.region is Region.OUTSIDE
     assert not v.indeterminate
+
+
+def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return tetra_classify(x, *args, **kwargs)
+
+    monkeypatch.setattr(hexablock, "tetra_classify", counted)
+    for pt, region in (((0.5, 0.3, 0.2, 0.05), Region.INTERIOR),
+                       ((1.5, 0.3, 0.2, 0.05), Region.OUTSIDE),   # sup > 1
+                       ((0.5, 1, 0, 0), Region.CLOSURE_BOUNDARY),  # band
+                       ((0.5, 2, 0, 0), Region.OUTSIDE),
+                       ((0, 0.3, 0.2, 0.05), Region.INTERIOR),
+                       ((0, 2, 0, 0), Region.OUTSIDE)):
+        calls.clear()
+        assert hexa_classify(pt).region is region
+        assert len(calls) == 1, pt
 
 
 def test_slice_three_way_agreement():

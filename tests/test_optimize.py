@@ -14,9 +14,8 @@ import random
 import numpy as np
 import pytest
 
-import mublocks.hexablock as hexablock
 import mublocks.mu as mu_module
-import mublocks.pentablock as pentablock
+import oracles
 from mublocks.errors import OptimizerNoConverge
 from mublocks.matrix2 import Matrix2, contraction_from_rng, unitary_from_rng
 from mublocks.mu import mu_value, rigidity_check, structure_from_name
@@ -203,22 +202,15 @@ def _sup_or_failure(sup, pt):
 
 
 def test_penta_sup_matches_reference(monkeypatch):
-    """50 seeded points (a, z1 + z2, z1 z2); in 15 of them |z1| lies within
-    1e-6 of the unit circle."""
-    rng = random.Random(57)
-    points = []
-    for i in range(50):
-        r1 = 1.0 - 10.0 ** rng.uniform(-9.0, -6.0) if i % 10 < 3 \
-            else rng.uniform(0.0, 0.95)
-        z1 = cmath.rect(r1, rng.uniform(0.0, 2.0 * math.pi))
-        z2 = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(0.0, 2.0 * math.pi))
-        a = cmath.rect(rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0 * math.pi))
-        points.append((a, z1 + z2, z1 * z2))
+    """The numeric pentablock supremum on the 50 seeded points of
+    oracles.penta_sup_points."""
+    points = oracles.penta_sup_points()
 
     def run():
-        return [_sup_or_failure(pentablock.penta_sup, pt) for pt in points]
+        return [_sup_or_failure(oracles.penta_sup_numeric, pt)
+                for pt in points]
 
-    got, want, calls = _on_both_cores(monkeypatch, pentablock, run)
+    got, want, calls = _on_both_cores(monkeypatch, oracles, run)
     assert calls >= 50
     assert got == want
 
@@ -232,8 +224,8 @@ def test_psi_sup_grid_matches_reference(monkeypatch):
                        *pi_tetra(b)))
 
     def run():
-        return [_sup_or_failure(hexablock.psi_sup_grid, pt) for pt in points]
+        return [_sup_or_failure(oracles.psi_sup_grid, pt) for pt in points]
 
-    got, want, calls = _on_both_cores(monkeypatch, hexablock, run)
+    got, want, calls = _on_both_cores(monkeypatch, oracles, run)
     assert calls >= 15
     assert got == want

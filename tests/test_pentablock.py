@@ -3,15 +3,17 @@ import math
 import random
 
 import pytest
-from mublocks import pentablock
+from mublocks import hexablock, optimize, pentablock
 from mublocks.bidisc import bgamma_point
 from mublocks.cli import main
 from mublocks.errors import CriteriaDisagree, PreconditionViolation
+from mublocks.hexablock import hexa_classify, psi_sup
 from mublocks.pentablock import (bp_test, penta_classify, penta_dual_check,
                                  penta_radius, penta_sup)
 from mublocks.verdict import Region
-from mublocks.verify import run_suite
-from oracles import penta_grid_sup, quad_roots
+from mublocks.verify import run_counterexamples, run_suite
+from oracles import (penta_grid_sup, penta_sup_numeric, penta_sup_points,
+                     quad_roots)
 
 rng = random.Random(17)
 
@@ -38,8 +40,21 @@ def test_sup_matches_radius_numerically():
     for _ in range(10):
         s, p = _tame_bidisc_point()
         a = rng.uniform(0.1, 2.0)
-        sup = penta_sup((a, s, p))
+        sup = penta_sup_numeric((a, s, p))
         assert sup == pytest.approx(a / penta_radius(s, p), rel=1e-6)
+
+
+def test_closed_form_sup_matches_numeric_oracle():
+    """The closed form |a| / K against the grid, radial-scan and Nelder-Mead
+    supremum, including the 15 points pinched against the circle."""
+    for pt in penta_sup_points():
+        assert penta_sup(pt) == pytest.approx(penta_sup_numeric(pt), rel=1e-9)
+
+
+def test_sup_pinned_values():
+    assert penta_sup((1, 2, 1)) == math.inf        # K = 0: double root at 1
+    assert penta_sup((1, 0, -1)) == pytest.approx(1.0, abs=1e-15)   # |p| = 1
+    assert penta_sup((0.5, 1, 0.25)) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_sup_frozen_value():
@@ -115,16 +130,37 @@ def test_classify_takes_no_numeric_route(monkeypatch, capsys):
 
 
 def test_dual_check_raises_on_a_wrong_sided_sup(monkeypatch):
-    """A supremum on the wrong side of 1 is caught by the helper and by the
-    suite that calls it."""
-    true_sup = pentablock.penta_sup
-    monkeypatch.setattr(pentablock, "penta_sup",
-                        lambda pt, tol=1e-8: 2.0 - true_sup(pt, tol))
+    """A beta-form supremum on the wrong side of 1 is caught by the helper
+    and by both suites that call it."""
+    true_sup = pentablock._beta_sup
+    monkeypatch.setattr(pentablock, "_beta_sup",
+                        lambda a, s, p: 2.0 - true_sup(a, s, p))
     for pt in ((0.5, 0, 0), (1.01, 0, 0)):
         with pytest.raises(CriteriaDisagree):
             penta_dual_check(pt)
-    with pytest.raises(CriteriaDisagree):
-        run_suite("thm29_projections", n_samples=5)
+    for suite in ("thm29_projections", "cor213_closure_projections"):
+        with pytest.raises(CriteriaDisagree):
+            run_suite(suite, n_samples=5)
+
+
+def test_closed_forms_make_no_nelder_mead_call(monkeypatch):
+    """The suprema, the dual check, the hexablock verdict and the suites that
+    call them run without the optimizer."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("nelder_mead called")
+
+    for module in (optimize, pentablock, hexablock):
+        monkeypatch.setattr(module, "nelder_mead", unavailable)
+    for pt in penta_sup_points():
+        penta_sup(pt)
+        penta_dual_check(pt)
+    for pt in ((0.5, 0.3, 0.2, 0.05), (1.5, 0.3, 0.2, 0.05),
+               (0.5, 1, 0, 0), (0, 0.3, 0.2, 0.05)):
+        hexa_classify(pt)
+    assert psi_sup((0.5, 0.3, 0.2, 0.05)) > 0.5
+    assert run_counterexamples().failures == ()
+    for suite in ("thm29_projections", "cor213_closure_projections"):
+        assert run_suite(suite, n_samples=50).passed
 
 
 def test_bp_test():
@@ -144,6 +180,8 @@ def test_bp_test():
 def test_sup_precondition():
     with pytest.raises(PreconditionViolation):
         penta_sup((1.0, 3.0, 1.0))    # (s, p) outside the closed bidisc set
+    with pytest.raises(PreconditionViolation):
+        penta_sup_numeric((1.0, 3.0, 1.0))
 
 
 def test_roots_convention_agrees_with_oracle():
