@@ -150,21 +150,28 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
     The interior of the closure-free set is its a != 0 part.
     """
     a, x1, x2, x3 = _check_quad(pt)
+    in_closure = _hn_in_closure(a, x1, x2, x3, tol)
     if a == 0:
-        fiber_ok = abs(x3 - x1 * x2) <= _EQ_TOL
-        in_open = fiber_ok and tetra_classify((x1, x2, x3), tol).is_interior
-        in_closure = fiber_ok and max(abs(x1), abs(x2)) <= 1.0 + tol
+        in_open = (abs(x3 - x1 * x2) <= _EQ_TOL
+                   and tetra_classify((x1, x2, x3), tol).is_interior)
         return HnVerdict(in_open=in_open, in_closure=in_closure,
                          in_interior_of_hn=False)
     t = (x1 * x2 - x3) / a
     if not cmath.isfinite(t):
         return HnVerdict(in_open=False, in_closure=False, in_interior_of_hn=False)
-    fv = f_classify((x1, x2, x3, a + t), tol)
-    b = Matrix2(x1, t, a, x2)
-    in_open = fv.is_interior
-    in_closure = _norm_at_most_one(b, tol)
+    in_open = f_classify((x1, x2, x3, a + t), tol).is_interior
     return HnVerdict(in_open=in_open, in_closure=in_closure,
                      in_interior_of_hn=in_open)
+
+
+def _hn_in_closure(a: complex, x1: complex, x2: complex, x3: complex,
+                   tol: float) -> bool:
+    """hn_classify's in_closure alone, without its in_open verdict."""
+    if a == 0:
+        return (abs(x3 - x1 * x2) <= _EQ_TOL
+                and max(abs(x1), abs(x2)) <= 1.0 + tol)
+    t = (x1 * x2 - x3) / a
+    return cmath.isfinite(t) and _norm_at_most_one(Matrix2(x1, t, a, x2), tol)
 
 
 def _norm_at_most_one(b: Matrix2, tol: float) -> bool:
@@ -188,5 +195,5 @@ def _norm_at_most_one(b: Matrix2, tol: float) -> bool:
 def shilov_h_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: in the closed normed variant with |x3| = 1."""
     a, x1, x2, x3 = _check_quad(pt)
-    return (hn_classify(pt, tol).in_closure
+    return (_hn_in_closure(a, x1, x2, x3, tol)
             and abs(abs(x3) - 1.0) <= tol)

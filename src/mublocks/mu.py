@@ -13,8 +13,13 @@ with det(X(c)) quadratic in c via polarized determinants.  Exact paths: the
 symbolic infeasibility test (all non-constant coefficients vanish), k = 1
 (quadratic roots), the diagonal span (any k = 2 basis with zero off-diagonal
 entries, whatever the structure's name: mu is the D-scaling bound in closed
-form, see _mu_diagonal), and k = 4 (the structure is all of M2, so the
-infimum is 1/||A|| at a rank-one X).  For the other k = 2, 3 structures the
+form, see _mu_diagonal), the upper- and lower-triangular spans (any k = 3
+basis with a zero (2,1), resp. (1,2), entry throughout: mu_upper(A) < 1 iff
+(a21, a11, a22, det A) lies in the paper's hexablock, whose supremum in
+closed form gives mu = ||A|| if |a21| > |a12| and mu_diag(A) otherwise, see
+_mu_upper; lower is upper on the transpose), and k = 4 (the structure is
+all of M2, so the infimum is 1/||A|| at a rank-one X).  For the other
+k = 2, 3 structures (skewdiag, e_theta and a caller's own spans) the
 variety is swept by unit vectors w: det(I - A X) = 0 iff X(Aw) = w for some
 unit w, an affine constraint on c whose minimum-norm solution F(w) is
 refined over w by seeded multistart descent.  Since ||X|| >= 1/||A w|| >=
@@ -479,6 +484,66 @@ def _mu_diagonal(a: Matrix2) -> MuResult:
                     status="Exact")
 
 
+def _mu_upper(a: Matrix2) -> MuResult:
+    """mu over the upper-triangular matrices, in closed form through the
+    hexablock:
+
+        mu(A) = ||A||  if |a21| > |a12|,   mu_diag(A)  otherwise.
+
+    For X = [[z1, y], [0, z2]], det(I - A X) = 1 - a11 z1 - a22 z2 +
+    det(A) z1 z2 - a21 y, and X is a contraction exactly when |z1|, |z2| <= 1
+    and |y|^2 <= (1 - |z1|^2)(1 - |z2|^2).  So mu(A) < r iff (a21/r, a11/r,
+    a22/r, det A/r^2) lies in the hexablock H, the domain the paper studies
+    and which Biswas-Pal-Tomar introduced for this mu-synthesis problem.
+    H's tetrablock leg x = (a11, a22, det A)/r is interior iff r > mu_diag(A).
+    The supremum that hexablock evaluates is |a| sqrt(g(t*)), g(t) =
+    (1 - t^2) / (c - 2 m t + d t^2), at the root t* of m t^2 - (c+d) t + m
+    = 0.  There g = t / (m - d t) = 2 / (c - d + sqrt((c+d)^2 - 4 m^2)), and
+    with m^2 = c d + |x1 x2 - x3|^2 the supremum is
+
+        |a| sqrt(2 / (K + sqrt(K^2 - 4 |x1 x2 - x3|^2))),
+        K = c - d = 1 - |x1|^2 - |x2|^2 + |x3|^2.
+
+    Here x1 x2 - x3 = a12 a21 / r^2, and with q = |a12 a21|, r^4 K - 2 q r^2
+    = (r^2 - s1^2)(r^2 - s2^2), where s1 = mu_diag and s2 = |det A| / s1
+    are the singular values of _mu_diagonal's balanced matrix.  Write e(r)
+    for that product over r^2; it increases from 0 on r > s1.  The
+    supremum is below 1 iff 2 |a21|^2 < e + 2 q + sqrt(e (e + 4 q)), which
+    holds for every r > s1 when |a21| <= |a12| and otherwise squares out to
+    e(r) > (|a21| - |a12|)^2.  In R = r^2 the equality is R^2 - ||A||_F^2 R
+    + |det A|^2 = 0, whose larger root is ||A||^2.
+
+    On the ||A|| branch the minimizer is W / sigma_1 for the upper-triangular
+    W with W u1 = v1 and W* v1 = u1, where A v1 = sigma_1 u1: then
+    (I - A X) u1 = 0, 1 is a singular value of W and the other is
+    |w11 w22|, at most 1 for the exact singular vectors.  Where sigma_1 and
+    sigma_2 nearly meet, the computed vectors can break that bound (or put
+    a zero where W divides), but mu_diag then nearly meets ||A|| too, so the
+    diagonal minimizer, which lies in the span, is kept as the other
+    candidate and whichever has ||X|| mu closer to 1 is returned.  The value
+    is kept at least mu_diag, which a rounded sigma_1 could miss by an ulp.
+    """
+    # mu_value has screened out the A the structure cannot see, so mu_diag
+    # = 0 (a11 = a22 = a12 a21 = 0) leaves A = [[0, 0], [a21, 0]], a21 != 0,
+    # which _mu_diagonal does not take: there X = E12 / a21 is the minimizer.
+    diag = None
+    if a.a11 != 0.0 or a.a22 != 0.0 or a.a12 * a.a21 != 0.0:
+        diag = _mu_diagonal(a)
+    if abs(a.a21) <= abs(a.a12):
+        return diag
+    s1, u1, v1 = _top_singular_pair(a)
+    value = s1 if diag is None else max(s1, diag.value)
+    candidates = [] if diag is None else [diag.minimizer]
+    if v1[0] != 0.0 and u1[1] != 0.0:
+        w11 = (u1[0] / v1[0]).conjugate()
+        w22 = v1[1] / u1[1]
+        y = (abs(v1[0]) ** 2 - abs(u1[0]) ** 2) / (v1[0].conjugate() * u1[1])
+        candidates.append(Matrix2(w11, y, 0, w22).scale(1.0 / s1))
+    # ||X mu||, not ||X|| mu: X has entries of order 1/mu
+    x = min(candidates, key=lambda m: abs(operator_norm(m.scale(value)) - 1.0))
+    return MuResult(value=value, minimizer=x, status="Exact")
+
+
 def mu_value(a: Matrix2, structure: Structure,
              tol: float = _RESIDUAL_TOL) -> MuResult:
     """Structured singular value of `a` relative to `structure`."""
@@ -490,6 +555,13 @@ def mu_value(a: Matrix2, structure: Structure,
     k = structure.k
     if k == 2 and all(b.a12 == 0.0 and b.a21 == 0.0 for b in basis):
         return _mu_diagonal(a)
+    if k == 3 and all(b.a21 == 0.0 for b in basis):
+        return _mu_upper(a)
+    if k == 3 and all(b.a12 == 0.0 for b in basis):
+        # X lower triangular: det(I - A X) = det(I - A^T X^T)
+        r = _mu_upper(a.transpose())
+        return MuResult(value=r.value, minimizer=r.minimizer.transpose(),
+                        status="Exact")
 
     if k == 1:
         b = basis[0]

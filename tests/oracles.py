@@ -387,19 +387,10 @@ def mu_scalar_oracle(m: Matrix2) -> float:
     return eig_radius(m)
 
 
-def mu_diag_gauge_oracle(m: Matrix2, bits: int = 200) -> float:
-    """mu for the diagonal structure by bisection on the scaling t such that
-    pi_tetra(A / t) leaves the open tetrablock.
-
-    Uses the package's tetrablock test, but none of the mu machinery: it is a
-    dual route, not a fully external oracle.
-    """
-    from mublocks.tetrablock import pi_tetra, tetra_classify
-
-    def inside(t: float) -> bool:
-        pt = pi_tetra(m.scale(1.0 / t))
-        return tetra_classify(pt, 1e-15).is_interior
-
+def _least_inside_scale(inside, bits: int) -> float:
+    """The least t with inside(t), for a predicate true exactly above it:
+    doubled or halved from 1 to a bracket, then bisected to adjacent
+    floats; 0.0 when inside fails up to 1e12."""
     hi = 1.0
     while not inside(hi):
         hi *= 2.0
@@ -417,6 +408,44 @@ def mu_diag_gauge_oracle(m: Matrix2, bits: int = 200) -> float:
         else:
             lo = mid
     return hi
+
+
+def mu_diag_gauge_oracle(m: Matrix2, bits: int = 200) -> float:
+    """mu for the diagonal structure by bisection on the scaling t such that
+    pi_tetra(A / t) leaves the open tetrablock.
+
+    Uses the package's tetrablock test, but none of the mu machinery: it is a
+    dual route, not a fully external oracle.
+    """
+    from mublocks.tetrablock import pi_tetra, tetra_classify
+
+    def inside(t: float) -> bool:
+        pt = pi_tetra(m.scale(1.0 / t))
+        return tetra_classify(pt, 1e-15).is_interior
+
+    return _least_inside_scale(inside, bits)
+
+
+def mu_upper_hexablock_oracle(m: Matrix2) -> float:
+    """mu for the upper-triangular structure by bisection on the scaling t
+    such that (a21, a11, a22, det A) / (t, t, t, t^2) leaves the open
+    hexablock.
+
+    Uses the package's tetrablock test and the closed form of psi_sup
+    (called directly, as psi_sup's own tetrablock check has a wider band),
+    but none of the mu machinery: it is a dual route, not a fully external
+    oracle.
+    """
+    from mublocks.hexablock import _psi_sup_closed
+    from mublocks.tetrablock import pi_tetra, tetra_classify
+
+    def inside(t: float) -> bool:
+        b = m.scale(1.0 / t)
+        x = pi_tetra(b)
+        return (tetra_classify(x, 1e-15).is_interior
+                and (b.a21 == 0 or _psi_sup_closed(b.a21, *x) < 1.0))
+
+    return _least_inside_scale(inside, 200)
 
 
 def mu_diag_dscale_oracle(m: Matrix2) -> float:

@@ -153,7 +153,10 @@ def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
                        ((0.5, 1, 0, 0), Region.CLOSURE_BOUNDARY),  # band
                        ((0.5, 2, 0, 0), Region.OUTSIDE),
                        ((0, 0.3, 0.2, 0.05), Region.INTERIOR),
-                       ((0, 2, 0, 0), Region.OUTSIDE)):
+                       ((0, 2, 0, 0), Region.OUTSIDE),
+                       # a = 0 closure points, where the Shilov test runs
+                       ((0, 1, 0, 0), Region.CLOSURE_BOUNDARY),
+                       ((0, 1, 1, 1), Region.CLOSURE_BOUNDARY)):
         calls.clear()
         assert hexa_classify(pt).region is region
         assert len(calls) == 1, pt

@@ -15,7 +15,7 @@ from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          mu_sandwich_check, mu_value, rigidity_check,
                          rigidity_grid_pass, structure_from_name)
 from oracles import (eig_radius, mu_diag_dscale_oracle, mu_diag_gauge_oracle,
-                     svd_norm)
+                     mu_upper_hexablock_oracle, svd_norm)
 
 rng = random.Random(101)
 
@@ -226,10 +226,10 @@ def test_mu_numeric_polish_converges(monkeypatch):
     """The polish runs of the variety descent (the maxiter=300 calls, one
     per chart) stop on their tolerances instead of spending every
     iteration, and mu stays within 1e-13 of polishing with fatol = 0."""
-    r_seeded = random.Random(9)
+    r_seeded = random.Random(10)
     a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1))
                   for _ in range(4)))
-    upper = structure_from_name("upper")
+    odd = ODD
     core = mu_module.nelder_mead
     polish = []
 
@@ -240,9 +240,9 @@ def test_mu_numeric_polish_converges(monkeypatch):
         return out
 
     monkeypatch.setattr(mu_module, "nelder_mead", recording)
-    r = mu_value(a, upper)
+    r = mu_value(a, odd)
     assert r.status == "Numeric"
-    assert len(polish) == upper.k and all(polish)
+    assert len(polish) == odd.k and all(polish)
 
     def zero_fatol(f, x0, step, **kwargs):
         if kwargs["maxiter"] == 300:
@@ -250,9 +250,167 @@ def test_mu_numeric_polish_converges(monkeypatch):
         return core(f, x0, step, **kwargs)
 
     monkeypatch.setattr(mu_module, "nelder_mead", zero_fatol)
-    full = mu_value(a, upper)
+    full = mu_value(a, odd)
     assert full.status == r.status
     assert abs(r.value - full.value) <= 1e-13 * full.value
+
+
+TRI_SPANS = (structure_from_name("upper"),
+             Structure((E12, E22, E11), name="renamed"),
+             Structure((E11 + E12, E12.scale(-2j), E22 - E11.scale(0.5))))
+
+
+def _tri_transpose(s):
+    return Structure(tuple(b.transpose() for b in s.basis), name=s.name)
+
+
+def _check_tri_result(a, r, s):
+    """Exact status; a minimizer in the span s, on the variety, with norm
+    1/mu."""
+    assert r.status == "Exact"
+    x = r.minimizer
+    assert s.coeffs_of(x, tol=1e-12) is not None
+    nx = operator_norm(x)
+    assert abs(nx * r.value - 1.0) <= 1e-12
+    residual = abs((Matrix2.identity() - a @ x).det)
+    assert residual <= 1e-12 * max(1.0, (operator_norm(a) * nx) ** 2)
+
+
+def test_mu_triangular_monotonicity_regressions():
+    """The variety descent returned mu_upper < mu_diag on these; the
+    hexablock path returns mu_diag itself, as diag is inside both spans."""
+    diag = structure_from_name("diag")
+    rep = random.Random(2026)  # the fourth sample of scripts/mu_report.py
+    for _ in range(4):
+        a = contraction_from_rng(rep)
+    assert a == Matrix2(0.7916330767378383 + 0.08272508744114761j,
+                        -0.2529384308724165 - 0.5096461232690235j,
+                        -0.172220407955863 - 0.48257550463397614j,
+                        0.4938504708661642 - 0.6122486220498506j)
+    b = Matrix2(1.1562359873771229 - 2.0532645607081026j,
+                2.1352242744341594 + 2.5866220287621284j,
+                7.5579886028516325 + 4.2074099942972305j,
+                1.3801134073917147 - 1.825232056317472j)
+    for m, name, want in ((a, "upper", 0.96374795925959433),
+                          (b, "lower", None)):
+        s = structure_from_name(name)
+        r = mu_value(m, s)
+        d = mu_value(m, diag).value
+        assert r.value >= d
+        want = d if want is None else want
+        assert abs(r.value - want) <= 2.0 * math.ulp(want)
+        _check_tri_result(m, r, s)
+
+
+def test_mu_triangular_chain_and_transpose():
+    """On seeded matrices over scales 10^U(-1, 1): r(A) <= mu_diag <=
+    mu_upper, mu_lower <= ||A||, with mu_diag below bitwise; one of the two
+    is mu_diag and the other ||A||; mu_upper matches the bisection on the
+    hexablock supremum and mu_lower(A) is mu_upper(A^T) bitwise; the
+    variety descent, which returns 1/||X|| for an X on the variety, never
+    beats the closed form."""
+    r_seeded = random.Random(2024)
+    diag = structure_from_name("diag")
+    upper, lower = structure_from_name("upper"), structure_from_name("lower")
+    for i in range(40):
+        sc = 10.0 ** r_seeded.uniform(-1.0, 1.0)
+        a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1)) * sc
+                      for _ in range(4)))
+        d = mu_value(a, diag).value
+        norm = svd_norm(a)
+        assert eig_radius(a) <= d * (1.0 + 1e-14)
+        results = [mu_value(a, s) for s in (upper, lower)]
+        for s, r in zip((upper, lower), results):
+            _check_tri_result(a, r, s)
+            assert d <= r.value <= norm * (1.0 + 1e-14)
+        lo, hi = sorted(r.value for r in results)
+        assert lo == d and hi == pytest.approx(norm, rel=1e-14)
+        assert results[0].value == pytest.approx(
+            mu_upper_hexablock_oracle(a), rel=1e-12)
+        r_up_t = mu_value(a.transpose(), upper)
+        assert results[1].value == r_up_t.value
+        assert results[1].minimizer == r_up_t.minimizer.transpose()
+        if i < 10:
+            for s, r in zip((upper, lower), results):
+                numeric = mu_module._mu_numeric(a, s, 1e-7).value
+                assert numeric <= r.value * (1.0 + 1e-12)
+
+
+def test_mu_triangular_minimizer_near_crossing():
+    """|a11|, |a22| and mu agree to 1e-8 or closer, with off-diagonal
+    entries of 1e-6 to 1e-8: sigma_1 and sigma_2 nearly meet, and the
+    tetrablock leg of the hexablock point lies within rounding of the torus,
+    where the maximizer of the hexablock supremum built in floating point
+    misses ||X|| mu = 1 by up to 5e-7."""
+    r_seeded = random.Random(77)
+    upper, lower = structure_from_name("upper"), structure_from_name("lower")
+    for _ in range(60):
+        k, j = r_seeded.choice((6, 7, 8)), r_seeded.choice((8, 12, 16))
+        d = (cmath.exp(1j * r_seeded.uniform(0.0, 2.0 * math.pi)),
+             cmath.exp(1j * r_seeded.uniform(0.0, 2.0 * math.pi))
+             * (1.0 - 10.0 ** -j * r_seeded.random()))
+        off = [10.0 ** -k * r_seeded.uniform(0.5, 2.0)
+               * cmath.exp(1j * r_seeded.uniform(0.0, 2.0 * math.pi))
+               for _ in range(2)]
+        a = Matrix2(d[0], off[0], off[1], d[1])
+        for s in (upper, lower):
+            _check_tri_result(a, mu_value(a, s), s)
+
+
+def test_mu_triangular_spans_share_one_path():
+    r_seeded = random.Random(12)
+    lowers = (structure_from_name("lower"),
+              *(_tri_transpose(s) for s in TRI_SPANS))
+    for _ in range(10):
+        a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1))
+                      for _ in range(4)))
+        for spans in (TRI_SPANS, lowers):
+            results = [mu_value(a, s) for s in spans]
+            assert all(r == results[0] for r in results[1:])
+
+
+def test_mu_triangular_degenerate_inputs():
+    u, v = (0.3 + 0.2j, -0.7 + 0.1j), (0.4 - 0.6j, 0.5j)
+    diag = structure_from_name("diag")
+    upper, lower = structure_from_name("upper"), structure_from_name("lower")
+    a21_zero = Matrix2(0.6 - 0.2j, 2.0j, 0, -0.9)
+    cases = [
+        # (A, exact mu_upper or None)
+        (a21_zero, mu_value(a21_zero, diag).value),         # mu_diag
+        (Matrix2(0, 0, 1.5 - 2j, 0), 2.5),                   # only y acts
+        # nilpotent u (u1, -u0)^T
+        (Matrix2(u[0] * u[1], -u[0] * u[0], u[1] * u[1], -u[1] * u[0]), None),
+        # rank one u v^T
+        (Matrix2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]), None),
+        # a scaled unitary: mu_diag is already ||A||
+        (random_unitary(11).scale(2.5), 2.5),
+    ]
+    for a, want in cases:
+        for s, m in ((upper, a), (lower, a.transpose())):
+            r = mu_value(m, s)
+            if want is not None:
+                assert r.value == pytest.approx(want, rel=1e-14)
+            assert mu_value(m, diag).value <= r.value
+            assert r.value <= svd_norm(m) * (1.0 + 1e-14)
+            _check_tri_result(m, r, s)
+            numeric = mu_module._mu_numeric(m, s, 1e-7).value
+            assert numeric <= r.value * (1.0 + 1e-12)
+    assert mu_value(Matrix2(0, 0, 1.5 - 2j, 0), lower).status == "Infeasible"
+
+
+def test_mu_triangular_takes_no_numeric_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric route used on a triangular span")
+
+    monkeypatch.setattr(mu_module, "nelder_mead", forbidden)
+    monkeypatch.setattr(mu_module, "_mu_numeric", forbidden)
+    r_seeded = random.Random(6)
+    spans = TRI_SPANS + tuple(_tri_transpose(s) for s in TRI_SPANS)
+    for s in spans:
+        for _ in range(10):
+            a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1))
+                          for _ in range(4)))
+            assert mu_value(a, s).status == "Exact"
 
 
 def test_mu_sandwich():
