@@ -8,8 +8,11 @@ stay interior for every r while the 4-coordinate point is outside.  Family B
 is a single rational point whose three projections all land in their
 closures.  For each point we print the verdict of the 4-coordinate domain
 next to the verdicts of its three projections, plus the defect value q whose
-sign is doing the separating.
+sign is doing the separating.  The run ends with a replay of the
+counterexample harness on a finer grid, and exits 1 if that replay fails.
 """
+
+import sys
 
 import numpy as np
 
@@ -55,3 +58,4 @@ print("Harness replay over a finer grid:")
 report = run_counterexamples(r_grid=tuple(np.linspace(0.05, 0.95, 19)))
 for line in report.to_lines():
     print(line)
+sys.exit(0 if report.passed else 1)

@@ -2,7 +2,7 @@
 symmetrized bidisc, tetrablock, pentablock, and their four-coordinate
 relatives."""
 
-from .bidisc import (bgamma_point, bgamma_test, g2_classify, g2_margins,
+from .bidisc import (bgamma_point, bgamma_test, g2_classify, g2_dual_check,
                      g2_point, g2_roots)
 from .domain_f import (BallParamF, FRelations, ShilovParamF, f_classify,
                        f_classify_matrix_oracle, f_matrix_witness, f_relations,
@@ -17,8 +17,8 @@ from .errors import (CriteriaDisagree, DenominatorNearZero, FormulaMismatch,
 from .hexablock import (HnVerdict, hexa_classify, hexa_slice_a0, hn_classify,
                         pi_hexa, psi_sup, shilov_h_test)
 from .lie_ball import (ShilovParamL4, biholo_f, lambda_map, lie_ball_classify,
-                       nearest_transport_distance, shilov_l4_lattice,
-                       shilov_l4_param, transported_lattice)
+                       lie_ball_dual_check, nearest_transport_distance,
+                       shilov_l4_lattice, shilov_l4_param, transported_lattice)
 from .matrix2 import (GramReport, Matrix2, contraction_from_rng,
                       contraction_test, gram_det_from_coords, gram_report,
                       operator_norm, random_contraction, random_unitary,
@@ -30,7 +30,7 @@ from .mu import (MuResult, Structure, SubspaceVerdict, classify_subspace,
 from .pentablock import (bp_test, penta_classify, penta_dual_check,
                          penta_radius, penta_sup)
 from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
-                         tetra_margins)
+                         tetra_dual_check, tetra_margins)
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region,
                       verdict_from_margin)
 from .verify import (SuiteReport, run_all, run_counterexamples, run_suite,

@@ -1,12 +1,14 @@
 """The symmetrized bidisc: image of the open bidisc under (z, w) -> (z+w, zw).
 
 Points are pairs (s, p) = (sum, product).  Two independent interior criteria
-are evaluated on every call:
+are known:
 
     (A)  |s - conj(s) p| < 1 - |p|^2
     (B)  2 |s - conj(s) p| + |s^2 - 4 p| < 4 - |s|^2
 
-and the closure is the non-strict version.  Criterion (A) alone does not close
+and the closure is the non-strict version.  g2_classify evaluates (A) only;
+g2_dual_check holds it against (B), and the verification suites and the
+tests call it, never a classifier.  Criterion (A) alone does not close
 up correctly on |p| = 1 (it degenerates to the line s = conj(s) p, which
 admits arbitrarily large |s|), so the reported margin carries the extra leg
 2 - |s|:
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 import cmath
 
-from .errors import CriteriaDisagree, PreconditionViolation
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
-                      classify_margin, verdict_from_margin)
+from .errors import PreconditionViolation
+from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
+                      raise_if_split, verdict_from_margin)
 
 
 def _check_pair(pt) -> tuple[complex, complex]:
@@ -35,33 +37,25 @@ def _check_pair(pt) -> tuple[complex, complex]:
     return complex(pt[0]), complex(pt[1])
 
 
-def g2_margins(s: complex, p: complex) -> tuple[float, float]:
-    """Signed slacks of criteria (A) and (B); positive iff strictly inside."""
-    ca = (1.0 - abs(p) ** 2) - abs(s - s.conjugate() * p)
-    cb = (4.0 - abs(s) ** 2) - (2.0 * abs(s - s.conjugate() * p) + abs(s * s - 4.0 * p))
-    return ca, cb
+def _slack_b(s: complex, p: complex) -> float:
+    return (4.0 - abs(s) ** 2) - (2.0 * abs(s - s.conjugate() * p) + abs(s * s - 4.0 * p))
 
 
 def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Classify (s, p) against the open domain / its closure / outside.
-
-    Margin units: criterion (A) slack capped by 2 - |s|.  Raises
-    CriteriaDisagree if (A) and (B) classify differently with both slacks
-    outside the 10*tol guard band.
-    """
+    """Three-state verdict; margin = criterion (A) slack capped by 2 - |s|."""
     s, p = _check_pair(pt)
-    ca, cb = g2_margins(s, p)
-    margin = min(ca, 2.0 - abs(s))
-    ra = classify_margin(margin, tol)
-    rb = classify_margin(cb, tol)
-    if ra is not rb and abs(margin) > BAND_FACTOR * tol and abs(cb) > BAND_FACTOR * tol:
-        raise CriteriaDisagree(
-            f"bidisc criteria disagree at (s, p) = ({s!r}, {p!r}): "
-            f"marginA {margin!r} -> {ra}, marginB {cb!r} -> {rb}")
+    margin = min((1.0 - abs(p) ** 2) - abs(s - s.conjugate() * p), 2.0 - abs(s))
     shilov = None
-    if ra is Region.CLOSURE_BOUNDARY:
+    if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
         shilov = bgamma_test((s, p), tol)
     return verdict_from_margin(margin, tol, shilov=shilov)
+
+
+def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
+    """Hold the g2_classify margin against criterion (B) at pt; raises
+    CriteriaDisagree when they differ in sign outside the guard band."""
+    raise_if_split("bidisc criteria", pt, g2_classify(pt, tol).margin,
+                   _slack_b(*_check_pair(pt)), tol)
 
 
 def g2_roots(pt) -> tuple[complex, complex]:

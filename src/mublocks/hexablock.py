@@ -84,7 +84,10 @@ def _psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
     if m == 0.0:
         return abs(a) / math.sqrt(c)
     disc = max((c + d) ** 2 - 4.0 * m * m, 0.0)
-    rstar = 2.0 * m / ((c + d) + math.sqrt(disc))
+    den = (c + d) + math.sqrt(disc)
+    if den == 0.0:  # c + d = 0 < m: x reads interior only through rounding
+        return float("inf")
+    rstar = 2.0 * m / den
     dmin = c - 2.0 * m * rstar + d * rstar * rstar
     if dmin <= 1e-300:
         return float("inf")
@@ -117,9 +120,7 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
                                  tol=tol, shilov=shilov_h_test(pt, tol),
                                  indeterminate=True)
     sup = _psi_sup_closed(a, x1, x2, x3)
-    margin = tv.margin if sup == float("inf") else min(tv.margin, 1.0 - sup)
-    if sup == float("inf"):
-        margin = -1.0
+    margin = -1.0 if sup == float("inf") else min(tv.margin, 1.0 - sup)
     region = classify_margin(margin, tol)
     shilov = shilov_h_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
     return verdict_from_margin(margin, tol, shilov=shilov)

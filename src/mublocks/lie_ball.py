@@ -2,12 +2,13 @@
 first coordinate, and the explicit linear-fractional-free biholomorphism onto
 the four-coordinate matrix-image domain.
 
-Two equivalent defining inequalities are evaluated on every call:
+Two equivalent defining inequalities are known:
 
     (A)  sum |z_j|^2 < 1   and   2 sum |z_j|^2 - |sum z_j^2|^2 < 1
     (B)  sqrt((sum |z_j|^2)^2 - |sum z_j^2|^2)  <  1 - sum |z_j|^2
 
-(B) squares to (A) given sum |z_j|^2 < 1; both are carried as a bug sentinel.
+(B) squares to (A) given sum |z_j|^2 < 1.  lie_ball_classify evaluates (A);
+lie_ball_dual_check holds it against (B) for the suites and the tests.
 
 The distinguished boundary of the squared image (n = 4) is parametrized by
 
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriteriaDisagree, PreconditionViolation
+from .errors import PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict,
-                      classify_margin, verdict_from_margin)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, raise_if_split,
+                      verdict_from_margin)
 
 
 def _coords(z) -> list[complex]:
@@ -44,21 +45,28 @@ def _coords(z) -> list[complex]:
     return zs
 
 
-def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Three-state verdict for the Lie ball in C^n (n >= 2).
-
-    Margin: min(1 - sum|z|^2, 1 - (2 sum|z|^2 - |z bullet z|^2)).
-    """
+def _moduli(z) -> tuple[float, float]:  # sum |z_j|^2, |sum z_j^2|
     zs = _coords(z)
-    norm2 = sum(abs(v) ** 2 for v in zs)
-    bullet = abs(sum(v * v for v in zs))
-    ma = min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
-    mb = (1.0 - norm2) - math.sqrt(max(norm2 * norm2 - bullet * bullet, 0.0))
-    ra, rb = classify_margin(ma, tol), classify_margin(mb, tol)
-    if ra is not rb and abs(ma) > BAND_FACTOR * tol and abs(mb) > BAND_FACTOR * tol:
-        raise CriteriaDisagree(
-            f"Lie-ball criteria disagree at {z!r}: {ma!r} vs {mb!r}")
-    return verdict_from_margin(ma, tol)
+    return sum(abs(v) ** 2 for v in zs), abs(sum(v * v for v in zs))
+
+
+def _slack_b(norm2: float, bullet: float) -> float:
+    return (1.0 - norm2) - math.sqrt(max(norm2 * norm2 - bullet * bullet, 0.0))
+
+
+def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
+    """Three-state verdict for the Lie ball in C^n (n >= 2); margin =
+    min(1 - sum|z|^2, 1 - (2 sum|z|^2 - |z bullet z|^2))."""
+    norm2, bullet = _moduli(z)
+    return verdict_from_margin(
+        min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet)), tol)
+
+
+def lie_ball_dual_check(z, tol: float = DEFAULT_TOL) -> None:
+    """Hold the lie_ball_classify margin against criterion (B) at z; raises
+    CriteriaDisagree when they differ in sign outside the guard band."""
+    raise_if_split("Lie-ball criteria", z, lie_ball_classify(z, tol).margin,
+                   _slack_b(*_moduli(z)), tol)
 
 
 def lambda_map(z):

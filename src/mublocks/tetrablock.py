@@ -1,6 +1,6 @@
 """The tetrablock: image of the 2x2 operator ball under A -> (a11, a22, det A).
 
-Interior criteria, evaluated on every call:
+Two interior criteria are known:
 
     (A)  |x1|^2 + |x2 - conj(x1) x3| + |x1 x2 - x3|  <  1
     (B)  1 - |x1|^2 - |x2|^2 + |x3|^2  >  2 |x1 x2 - x3|  and  |x3| < 1,
@@ -12,11 +12,12 @@ grows like |x3|^2).  With it, the x1 x2 = x3 proviso is actually redundant
 (the spurious branch |x1|, |x2| > 1 forces |x3| > 1) but is kept as stated.
 
 (A) strict characterizes the open domain exactly; its non-strict form does NOT
-characterize the closure (e.g. (1, 5, 5) satisfies it with |x3| = 5), so
-closure questions are delegated to the four-coordinate domain: x is in the
-closed tetrablock iff (x1, x2, x3, 0) is in the closed image domain of
-(a11, a22, det, a12 + a21).  The reported margin is min( (A)-slack, delegated
-margin ), which is sign-faithful in all three regions.
+characterize the closure (e.g. (1, 5, 5) satisfies it with |x3| = 5).  But x is
+in the closed tetrablock iff (x1, x2, x3, 0) is in the closed image domain of
+(a11, a22, det, a12 + a21), whose three legs at s = 0 are 1 - |x1 x2 - x3|^2,
+1 - |x3| and the Gram determinant Q(x1, x2, x3, 0).  tetra_classify reports
+min((A)-slack, legs), which is sign-faithful in all three regions.  For the
+suites and the tests, tetra_dual_check holds (A) against (B) and the legs.
 
 Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 (u11, u22, det U) of 2x2 unitaries.
@@ -24,10 +25,10 @@ Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 
 from __future__ import annotations
 
-from .errors import CriteriaDisagree, PreconditionViolation
-from .matrix2 import Matrix2
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
-                      classify_margin, verdict_from_margin)
+from .errors import PreconditionViolation
+from .matrix2 import Matrix2, gram_det_from_coords
+from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
+                      raise_if_split, verdict_from_margin)
 
 _EQ_TOL = 1e-12
 
@@ -42,50 +43,44 @@ def pi_tetra(a: Matrix2) -> tuple[complex, complex, complex]:
     return (a.a11, a.a22, a.det)
 
 
+def _slack_a(x1: complex, x2: complex, x3: complex) -> float:
+    return 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + abs(x1 * x2 - x3))
+
+
+def _closure_margin(x1: complex, x2: complex, x3: complex) -> float:
+    """min of the three four-coordinate legs at (x1, x2, x3, 0)."""
+    return min(1.0 - abs(x1 * x2 - x3) ** 2, 1.0 - abs(x3),
+               gram_det_from_coords(x1, x2, x3, 0j))
+
+
 def tetra_margins(x1: complex, x2: complex, x3: complex) -> tuple[float, float]:
     """Signed slacks of criteria (A) and (B)."""
-    ca = 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + abs(x1 * x2 - x3))
     gap = abs(x1 * x2 - x3)
     cb = (1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2) - 2.0 * gap
     cb = min(cb, 1.0 - abs(x3))
     if gap <= _EQ_TOL:
         cb = min(cb, 2.0 - abs(x1) - abs(x2))
-    return ca, cb
+    return _slack_a(x1, x2, x3), cb
 
 
 def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Three-state verdict for the tetrablock.
-
-    Margin: min of the (A)-slack and the delegated closure margin.  Raises
-    CriteriaDisagree if (A) and (B) disagree about interiority outside the
-    guard band.
-    """
+    """Three-state verdict; margin = min of the (A)-slack and the closure legs."""
     x1, x2, x3 = _check_triple(pt)
-    ca, cb = tetra_margins(x1, x2, x3)
-
-    # Closure authority: reduce to the four-coordinate domain.  Deferred
-    # import: that module needs this one for its own Shilov test.
-    from .domain_f import f_classify
-    fv = f_classify((x1, x2, x3, 0.0), tol)
-
-    margin = min(ca, fv.margin)
-    region = classify_margin(margin, tol)
-
-    ra, rb = classify_margin(ca, tol), classify_margin(cb, tol)
-    if ((ra is Region.INTERIOR) != (rb is Region.INTERIOR)
-            and abs(ca) > BAND_FACTOR * tol and abs(cb) > BAND_FACTOR * tol):
-        raise CriteriaDisagree(
-            f"tetrablock criteria disagree at {pt!r}: slackA {ca!r}, slackB {cb!r}")
-    if ((ra is Region.INTERIOR) != (fv.region is Region.INTERIOR)
-            and abs(ca) > BAND_FACTOR * tol and abs(fv.margin) > BAND_FACTOR * tol):
-        raise CriteriaDisagree(
-            f"tetrablock interior test disagrees with closure delegation at {pt!r}: "
-            f"slackA {ca!r} vs delegated margin {fv.margin!r}")
-
+    margin = min(_slack_a(x1, x2, x3), _closure_margin(x1, x2, x3))
     shilov = None
-    if region is Region.CLOSURE_BOUNDARY:
+    if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
         shilov = be_test(pt, tol)
     return verdict_from_margin(margin, tol, shilov=shilov)
+
+
+def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
+    """Hold the (A)-slack against (B) and against the closure legs at pt;
+    raises CriteriaDisagree when either pair splits outside the guard band."""
+    x1, x2, x3 = _check_triple(pt)
+    ca, cb = tetra_margins(x1, x2, x3)
+    raise_if_split("tetrablock criteria", pt, ca, cb, tol)
+    raise_if_split("tetrablock interior test and closure legs", pt, ca,
+                   _closure_margin(x1, x2, x3), tol)
 
 
 def be_test(pt, tol: float = DEFAULT_TOL) -> bool:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import CriteriaDisagree
+
 DEFAULT_TOL = 1e-9
 
 # Guard-band multiplier used whenever two independent criteria are compared:
@@ -82,3 +84,13 @@ def verdict_from_margin(margin: float, tol: float = DEFAULT_TOL, *,
     region = classify_margin(margin, tol)
     return MembershipVerdict(region=region, margin=margin, tol=tol,
                              shilov=shilov, indeterminate=indeterminate)
+
+
+def raise_if_split(what: str, pt, margin_a: float, margin_b: float, tol: float) -> None:
+    """The dual checks' guard: raise CriteriaDisagree when two margins of one
+    point differ in sign while both exceed BAND_FACTOR * tol."""
+    band = BAND_FACTOR * tol
+    if ((margin_a > 0.0) != (margin_b > 0.0)
+            and abs(margin_a) > band and abs(margin_b) > band):
+        raise CriteriaDisagree(
+            f"{what} disagree at {pt!r}: {margin_a!r} vs {margin_b!r}")

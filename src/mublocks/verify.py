@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bidisc import bgamma_test, g2_classify
+from .bidisc import bgamma_test, g2_classify, g2_dual_check
 from .domain_f import (f_classify, f_classify_matrix_oracle, f_relations,
                        f_rescale_by, f_scale, f_swap, pi_f, q_value,
                        sample_point_f, sample_shilov_param_f, shilov_f_from_ball,
@@ -33,15 +33,16 @@ from .domain_f import (f_classify, f_classify_matrix_oracle, f_relations,
 from .errors import PreconditionViolation, UnknownSuite
 from .hexablock import hexa_classify, hn_classify, pi_hexa
 from .lie_ball import (biholo_f, lambda_map, lie_ball_classify,
-                       nearest_transport_distance, shilov_l4_param,
-                       ShilovParamL4)
+                       lie_ball_dual_check, nearest_transport_distance,
+                       shilov_l4_param, ShilovParamL4)
 from .matrix2 import (Matrix2, contraction_from_rng, gram_det_from_coords,
                       operator_norm, spectral_radius, unitary_from_rng)
 from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
                  mu_equals_norm_suite, mu_sandwich_check, mu_value,
                  rigidity_grid_pass, structure_from_name, Structure)
 from .pentablock import penta_classify, penta_dual_check
-from .tetrablock import be_point, be_test, pi_tetra, tetra_classify
+from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
+                         tetra_dual_check)
 from .verdict import BAND_FACTOR, Region
 
 DEFAULT_SEED = 7
@@ -159,8 +160,7 @@ def _lie_ball_interior(rng: random.Random):
     """Rejection sample of the open Cartan-ball interior in C^4."""
     while True:
         z = tuple(0.55 * _complex_gauss(rng) for _ in range(4))
-        v = lie_ball_classify(z, 0.0)
-        if v.region is Region.INTERIOR and v.margin > 1e-6:
+        if lie_ball_classify(z, 0.0).margin > 1e-6:
             return z
 
 
@@ -298,8 +298,8 @@ def _suite_lemma25_scaling(n: int, seed: int, tol: float) -> SuiteReport:
 
 
 def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
-    """Interior points project into the three classical domains; the
-    pentablock projection is also held to the beta closed form."""
+    """Interior points project into the three classical domains; each
+    projection is also held to its domain's dual check."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -319,6 +319,8 @@ def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
         legs = (("g2", g2_classify(rel.g2, tol)),
                 ("tetra", tetra_classify(rel.tetra, tol)),
                 ("penta", penta_classify(rel.penta, tol)))
+        g2_dual_check(rel.g2, tol)
+        tetra_dual_check(rel.tetra, tol)
         penta_dual_check(rel.penta, tol)
         for name, v in legs:
             if v.region is Region.INTERIOR:
@@ -344,6 +346,7 @@ def _suite_prop210_slice(n: int, seed: int, tol: float) -> SuiteReport:
         x = _mixed_point_tetra(rng)
         fv = f_classify((x[0], x[1], x[2], 0.0), tol)
         tv = tetra_classify(x, tol)
+        tetra_dual_check(x, tol)
         hv = hexa_classify((0.0, x[0], x[1], x[2]), tol)
         if min(abs(fv.margin), abs(tv.margin), abs(hv.margin)) <= BAND_FACTOR * tol:
             band += 1
@@ -372,6 +375,7 @@ def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
             s = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
         fv = f_classify((0.0, 0.0, p, s), tol)
         gv = g2_classify((s, -p), tol)
+        g2_dual_check((s, -p), tol)
         if min(abs(fv.margin), abs(gv.margin)) <= BAND_FACTOR * tol:
             band += 1
             continue
@@ -385,8 +389,8 @@ def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
 
 def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteReport:
     """Closure points project into the three closed domains (plus the negated
-    product pair, the fourth conclusion); the pentablock projection is also
-    held to the beta closed form."""
+    product pair, the fourth conclusion); each projection is also held to its
+    domain's dual check."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -402,7 +406,10 @@ def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteRep
                 ("tetra", tetra_classify(rel.tetra, tol)),
                 ("penta", penta_classify(rel.penta, tol)),
                 ("g2_neg_p", g2_classify((s, -p), tol)))
+        g2_dual_check(rel.g2, tol)
+        tetra_dual_check(rel.tetra, tol)
         penta_dual_check(rel.penta, tol)
+        g2_dual_check((s, -p), tol)
         for name, v in legs:
             if v.in_closure:
                 continue
@@ -485,6 +492,7 @@ def _suite_thm32_boundary_transport(n: int, seed: int, tol: float) -> SuiteRepor
     n_int = max(10, n // 10)
     for i in range(n_int):
         z = _lie_ball_interior(rng)
+        lie_ball_dual_check(z, tol)
         fv = f_classify(biholo_f(lambda_map(z)), tol)
         if fv.region is not Region.INTERIOR and abs(fv.margin) > BAND_FACTOR * tol:
             failures.append(
@@ -778,9 +786,11 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         penta_dual_check((a, 0.0, -r * r))
         if g2_classify((0.0, -r * r)).region is not Region.INTERIOR:
             failures.append(f"kind=eg309_g2 r={r:.17g}")
+        g2_dual_check((0.0, -r * r))
 
         if tetra_classify((0.0, a, 0.0)).region is not Region.INTERIOR:
             failures.append(f"kind=eg310_tetra r={r:.17g}")
+        tetra_dual_check((0.0, a, 0.0))
 
         if f_classify((0.0, 0.0, r * r, 0.0)).region is not Region.INTERIOR:
             failures.append(f"kind=slice_inside r={r:.17g}")
@@ -799,6 +809,8 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         if not v.in_closure:
             failures.append(f"kind=eg310_projection leg={name} "
                             f"observed={v.region.value}")
+    g2_dual_check(rel.g2)
+    tetra_dual_check(rel.tetra)
     penta_dual_check(rel.penta)
 
     pt34 = (1j, 1.0, 1j, 1.0 - 1j)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mublocks.bidisc import g2_classify, g2_roots
+from mublocks.domain_f import f_classify
 from mublocks.errors import (DenominatorNearZero, OptimizerNoConverge,
                              PreconditionViolation)
 from mublocks.hexablock import _check_quad
@@ -24,8 +25,9 @@ from mublocks.lie_ball import transported_lattice
 from mublocks.matrix2 import Matrix2
 from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _check_triple
-from mublocks.tetrablock import tetra_classify
-from mublocks.verdict import Region
+from mublocks.tetrablock import be_test, tetra_classify
+from mublocks.verdict import (MembershipVerdict, Region, classify_margin,
+                              verdict_from_margin)
 
 
 def power_norm(m: Matrix2) -> float:
@@ -373,6 +375,20 @@ def tetra_closure_oracle(x1: complex, x2: complex, x3: complex,
     if m > 1.0 + tol:
         return "Outside"
     return "ClosureBoundary"
+
+
+def tetra_classify_delegated(pt, tol: float = 1e-9) -> MembershipVerdict:
+    """The earlier tetrablock route: min of the (A)-slack and the verdict
+    margin of the four-coordinate domain at (x1, x2, x3, 0), whose closure
+    is the closed tetrablock.  tetra_classify writes those legs out in place
+    and must match this route bitwise."""
+    x1, x2, x3 = (complex(v) for v in pt)
+    ca = 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + abs(x1 * x2 - x3))
+    margin = min(ca, f_classify((x1, x2, x3, 0.0), tol).margin)
+    shilov = None
+    if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
+        shilov = be_test(pt, tol)
+    return verdict_from_margin(margin, tol, shilov=shilov)
 
 
 # ---------------------------------------------------------------------------

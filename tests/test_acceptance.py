@@ -63,7 +63,7 @@ def test_criterion_02_membership_vs_matrix_oracle():
         else:
             pt = sample_point_f(rng)
         alg = f_classify(pt, tol)
-        orc = f_classify_matrix_oracle(pt, tol)  # raises on a genuine split
+        orc = f_classify_matrix_oracle(pt, tol)  # the matrix-reconstruction route
         if abs(alg.margin) <= band or abs(orc.margin) <= band:
             excluded += 1
             continue

@@ -101,3 +101,15 @@ def test_bgamma_point_precondition():
 def test_classify_dimension_check():
     with pytest.raises(PreconditionViolation):
         g2_classify((1, 2, 3))
+
+
+def test_tiny_tol_answers_with_the_same_margin():
+    """A point that (A) and (B) put on opposite sides by rounding alone: the
+    classifier answers at any tol, with the same margin."""
+    pt = (-0.7230006338815552 + 1.3822896582153992j,
+          -0.3254915288130835 - 0.6620305808396418j)
+    margin = g2_classify(pt, 1e-9).margin
+    for tol in (0.0, 1e-300):
+        v = g2_classify(pt, tol)
+        assert v.margin.hex() == margin.hex()
+        assert v.region is Region.OUTSIDE

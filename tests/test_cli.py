@@ -65,6 +65,23 @@ def test_check_indeterminate_maps_to_boundary_exit():
     assert doc["indeterminate"] is True
 
 
+def test_check_tiny_tol_answers_where_rounding_splits_the_criteria():
+    """Points that a second criterion or a zero denominator used to turn into
+    an internal fault at a tol below their rounding get a verdict."""
+    for domain, point in (
+            ("g2", "(-0.7230006338815552+1.3822896582153992i,"
+                   "-0.3254915288130835-0.6620305808396418i)"),
+            ("tetra", "(0.6784285421498469+0i,"
+                      "-0.22990716729008848+0.638285188009415i,"
+                      "-0.33888192050638644+0.9408289132216883i)"),
+            ("h", "(-1.060124251104098-0.6200832766267721i,"
+                  "0.9885575782368063+5.551115123125783e-17i,"
+                  "0.37095287710250313-0.9163187482851123i,"
+                  "0.37524660704552537-0.9269250152524857i)")):
+        code, doc = run_json(["check", domain, point, "--tol", "1e-300"])
+        assert (code, doc["region"]) == (2, "Outside"), domain
+
+
 def test_check_complex_input_forms():
     base = run_json(["check", "g2", "(0.5+0.25i,0.1)"])
     for text in ("(0.5+0.25j, 0.1)",

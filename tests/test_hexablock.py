@@ -162,6 +162,20 @@ def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
         assert len(calls) == 1, pt
 
 
+def test_zero_denominator_of_the_supremum_reads_outside():
+    """At this tetrablock point c + d rounds to 0 while m > 0, so the critical
+    radius would divide by zero; the point reads interior only at a tol below
+    its rounding, and the supremum is then inf, as for a vanishing dmin."""
+    a = -1.060124251104098 - 0.6200832766267721j
+    x = (0.9885575782368063 + 5.551115123125783e-17j,
+         0.37095287710250313 - 0.9163187482851123j,
+         0.37524660704552537 - 0.9269250152524857j)
+    assert tetra_classify(x, 1e-300).is_interior
+    assert hexablock._psi_sup_closed(a, *x) == math.inf
+    v = hexa_classify((a, *x), 1e-300)
+    assert (v.region, v.margin) == (Region.OUTSIDE, -1.0)
+
+
 def test_slice_three_way_agreement():
     for _ in range(200):
         if rng.random() < 0.5:

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mublocks.errors import PreconditionViolation
-from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm
+from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
+                              unitary_from_rng)
 from mublocks.tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
                                  tetra_margins)
 from mublocks.verdict import Region
-from oracles import tetra_closure_oracle
+from oracles import tetra_classify_delegated, tetra_closure_oracle
 
 finite = st.floats(min_value=-2.0, max_value=2.0,
                    allow_nan=False, allow_infinity=False)
@@ -110,3 +111,54 @@ def test_be_point_precondition():
 def test_dimension_check():
     with pytest.raises(PreconditionViolation):
         tetra_classify((1, 2))
+
+
+def _delegation_points(rng, n):
+    """Distinguished-boundary, x3 = x1 x2, unitary-image, contraction-image
+    and box points, in turn."""
+    def disc(r):
+        return math.sqrt(rng.random()) * r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    def circle():
+        return cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    pts = []
+    for i in range(n):
+        k = i % 5
+        if k == 0:
+            pts.append(be_point(disc(1.0), circle()))
+        elif k == 1:
+            x1 = circle() if rng.random() < 0.3 else disc(1.2)
+            x2 = disc(1.2)
+            pts.append((x1, x2, x1 * x2))
+        elif k == 2:
+            pts.append(pi_tetra(unitary_from_rng(rng)))
+        elif k == 3:
+            pts.append(pi_tetra(contraction_from_rng(rng)))
+        else:
+            pts.append(tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                             for _ in range(3)))
+    return pts
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_closure_legs_match_the_delegated_route_bitwise(tol):
+    """The legs written out in tetra_classify are the four-coordinate
+    margins at s = 0, so region, margin bits and Shilov flag equal the
+    delegated route's."""
+    for pt in _delegation_points(random.Random(2026), 20_000):
+        got, want = tetra_classify(pt, tol), tetra_classify_delegated(pt, tol)
+        assert (got.region, got.margin.hex(), got.shilov) == \
+            (want.region, want.margin.hex(), want.shilov), pt
+
+
+def test_tiny_tol_answers_with_the_same_margin():
+    """A point that (A) and (B) put on opposite sides by rounding alone: the
+    classifier answers at any tol, with the same margin."""
+    pt = (0.6784285421498469 + 0j, -0.22990716729008848 + 0.638285188009415j,
+          -0.33888192050638644 + 0.9408289132216883j)
+    margin = tetra_classify(pt, 1e-9).margin
+    for tol in (0.0, 1e-300):
+        v = tetra_classify(pt, tol)
+        assert v.margin.hex() == margin.hex()
+        assert v.region is Region.OUTSIDE

@@ -2,8 +2,10 @@ import re
 
 import pytest
 
-from mublocks import verify
-from mublocks.errors import PreconditionViolation, UnknownSuite
+from mublocks import bidisc, domain_f, hexablock, lie_ball, tetrablock, verify
+from mublocks.errors import (CriteriaDisagree, PreconditionViolation,
+                             UnknownSuite)
+from mublocks.verdict import raise_if_split
 from mublocks.verify import (SuiteReport, run_counterexamples, run_suite,
                              suite_names)
 
@@ -36,6 +38,70 @@ def test_thm32_counts_a_nan_distance_as_a_failure(monkeypatch):
                         lambda target: float("nan"))
     rep = run_suite("thm32_boundary_transport", n_samples=20, seed=7)
     assert sum("kind=match" in f for f in rep.failures) == 10
+
+
+def test_split_guard_raises_only_outside_the_band():
+    raise_if_split("demo", (0,), 1e-7, 2e-8, 1e-9)           # same sign
+    raise_if_split("demo", (0,), 1e-7, -1e-8, 1e-9)          # one in the band
+    raise_if_split("demo", (0,), float("nan"), -1.0, 1e-9)   # no information
+    with pytest.raises(CriteriaDisagree, match="demo disagree"):
+        raise_if_split("demo", (0,), 1e-7, -2e-8, 1e-9)
+
+
+def _negated(fn):
+    return lambda *args: -fn(*args)
+
+
+# Each moved criterion, broken by a sign flip, and a suite that checks it.
+_MUTATIONS = {
+    "g2_B": (bidisc, "_slack_b", _negated, "prop211_slice", 50),
+    "tetra_B": (tetrablock, "tetra_margins",
+                lambda fn: lambda *args: (fn(*args)[0], -fn(*args)[1]),
+                "prop210_slice", 50),
+    "tetra_closure_legs": (tetrablock, "_closure_margin", _negated,
+                           "prop210_slice", 50),
+    "lie_B": (lie_ball, "_slack_b", _negated, "thm32_boundary_transport", 20),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_suites_catch_a_broken_second_criterion(monkeypatch, mutation):
+    module, name, mutate, suite, n = _MUTATIONS[mutation]
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    with pytest.raises(CriteriaDisagree):
+        run_suite(suite, n_samples=n, seed=7)
+
+
+def test_classifiers_evaluate_one_rule(monkeypatch):
+    """With the four-coordinate classifier, the second criteria and the dual
+    checks unavailable, the four classifiers still give their verdicts."""
+    calls = (
+        (tetrablock.tetra_classify, (0.5, 0.5, 0.25)),
+        (tetrablock.tetra_classify, (1, 1, 1)),
+        (tetrablock.tetra_classify, (1.2, 0, 0)),
+        (hexablock.hexa_classify, (0.5, 0.3, 0.2, 0.05)),
+        (hexablock.hexa_classify, (0, 1, 1, 1)),
+        (hexablock.hexa_classify, (0.5, 1, 0, 0)),
+        (bidisc.g2_classify, (0.3, 0.2)),
+        (bidisc.g2_classify, (2, 1)),
+        (bidisc.g2_classify, (3, 1)),
+        (lie_ball.lie_ball_classify, (0.5, 0.1j, 0, 0)),
+        (lie_ball.lie_ball_classify, (0.6, 0.8, 0, 0)),
+        (lie_ball.lie_ball_classify, (2, 0, 0, 0)),
+    )
+    verdicts = [fn(pt) for fn, pt in calls]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("second route called")
+
+    for module, name in ((domain_f, "f_classify"),
+                         (bidisc, "_slack_b"), (bidisc, "g2_dual_check"),
+                         (tetrablock, "tetra_margins"),
+                         (tetrablock, "tetra_dual_check"),
+                         (lie_ball, "_slack_b"),
+                         (lie_ball, "lie_ball_dual_check")):
+        monkeypatch.setattr(module, name, unavailable)
+    assert [fn(pt) for fn, pt in calls] == verdicts
 
 
 def test_unknown_suite_raises_with_known_names():
