@@ -59,11 +59,6 @@ class Matrix2:
             object.__setattr__(self, name, _as_finite_complex(getattr(self, name), name))
 
     @classmethod
-    def from_rows(cls, rows) -> "Matrix2":
-        (r1, r2) = rows
-        return cls(r1[0], r1[1], r2[0], r2[1])
-
-    @classmethod
     def identity(cls) -> "Matrix2":
         return cls(1, 0, 0, 1)
 
@@ -124,20 +119,34 @@ def _singular_values(a11: complex, a12: complex, a21: complex,
 
     The kernel behind `singular_values` and `operator_norm`, on raw entries
     so that inner loops need not build a Matrix2 per evaluation; the caller
-    vouches that the entries are finite complex numbers.
+    vouches that the entries are finite complex numbers.  Where the squares
+    overflow (entries past about 1e77) or underflow (below about 1e-145),
+    and only there, the entries are first scaled exactly by a power of two.
     """
     # B*B = [[h11, h12], [conj(h12), h22]]; its eigenvalues are
     # mid +- gap.  The gap is taken as a hypot of the half-difference and the
     # off-diagonal modulus, never as sqrt(t^2 - 4|det|^2), which cancels
     # to half precision where the singular values coincide.
-    h11 = abs(a11) ** 2 + abs(a21) ** 2
-    h22 = abs(a12) ** 2 + abs(a22) ** 2
-    h12 = a11.conjugate() * a12 + a21.conjugate() * a22
-    d = abs(a11 * a22 - a12 * a21) ** 2      # det of B*B
-    hi = 0.5 * (h11 + h22) + math.hypot(0.5 * (h11 - h22), abs(h12))
+    try:
+        h11 = abs(a11) ** 2 + abs(a21) ** 2
+        h22 = abs(a12) ** 2 + abs(a22) ** 2
+        h12 = a11.conjugate() * a12 + a21.conjugate() * a22
+        d = abs(a11 * a22 - a12 * a21) ** 2      # det of B*B
+        hi = 0.5 * (h11 + h22) + math.hypot(0.5 * (h11 - h22), abs(h12))
+    except OverflowError:
+        hi = math.inf
+    if not 1e-290 <= hi < 1e300:
+        top = max(max(abs(z.real), abs(z.imag)) for z in (a11, a12, a21, a22))
+        if top == 0.0:
+            return 0.0, 0.0
+        e = math.frexp(top)[1]
+        s1, s2 = _singular_values(*(complex(math.ldexp(z.real, -e),
+                                            math.ldexp(z.imag, -e))
+                                    for z in (a11, a12, a21, a22)))
+        return math.ldexp(s1, e), math.ldexp(s2, e)
     # mid - gap cancels catastrophically when d << hi^2; the eigenvalue
     # product is d exactly, so divide instead.
-    lo = d / hi if hi > 0.0 else 0.0
+    lo = d / hi
     if lo > hi:   # at a double eigenvalue the quotient can round one ulp up
         lo = hi
     return math.sqrt(hi), math.sqrt(lo)

@@ -19,16 +19,15 @@ basis with a zero (2,1), resp. (1,2), entry throughout: mu_upper(A) < 1 iff
 closed form gives mu = ||A|| if |a21| > |a12| and mu_diag(A) otherwise, see
 _mu_upper; lower is upper on the transpose), and k = 4 (the structure is
 all of M2, so the infimum is 1/||A|| at a rank-one X).  For the other
-k = 2, 3 structures (skewdiag, e_theta and a caller's own spans) the
-variety is swept by unit vectors w: det(I - A X) = 0 iff X(Aw) = w for some
-unit w, an affine constraint on c whose minimum-norm solution F(w) is
-refined over w by seeded multistart descent.  Since ||X|| >= 1/||A w|| >=
-1/||A|| for any feasible pair, hitting F = 1/||A|| at the top singular
-vector certifies global optimality and the sweep stops early.
-
-The descent objectives evaluate ||X(c)|| on the entries of X(c) as a plain
-tuple (Structure.entries_at and matrix2's private singular-value kernel);
-a Matrix2 is built only for the minimizer a result returns.
+k = 2, 3 structures (skewdiag, e_theta and a caller's own spans), det(I -
+A X) = 0 iff X(Aw) = w for some unit w, and F(w) = min{||X|| : X in E,
+X(Aw) = w} has a closed form (_least_norm_mapper).  Since ||X|| >=
+1/||A w|| >= 1/||A||, F = 1/||A|| at the top singular vector certifies mu
+= ||A||; that probe settles every A on skewdiag and e_theta, which are
+rigid.  Otherwise seeded multistart descent runs over charts of the
+variety; its objectives evaluate ||X(c)|| on the entries of X(c) as a plain
+tuple (Structure.entries_at and matrix2's private singular-value kernel),
+and a Matrix2 is built only for the minimizer a result returns.
 """
 
 from __future__ import annotations
@@ -42,13 +41,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InfeasibleConstraint, OptimizerNoConverge,
-                     PreconditionViolation)
+from .errors import OptimizerNoConverge, PreconditionViolation
 from .matrix2 import Matrix2, _singular_values, operator_norm, spectral_radius
 from .optimize import nelder_mead
 
 _SEED_STARTS = 0x5EED
 _RESIDUAL_TOL = 1e-7
+_RANK_TOL = 1e-12       # on columns of modulus <= 1, see _least_norm_mapper
+_FEASIBLE_TOL = 1e-9    # relative to |v|/|u|, see _least_norm_mapper
 
 E11 = Matrix2(1, 0, 0, 0)
 E12 = Matrix2(0, 1, 0, 0)
@@ -75,10 +75,14 @@ class Structure:
         if not 1 <= k <= 4:
             raise PreconditionViolation(f"basis length must be 1..4, got {k}")
         m = np.stack([_vec(b) for b in basis], axis=1)
-        sv = np.linalg.svd(m, compute_uv=False)
+        left, sv, _ = np.linalg.svd(m)
         if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
             raise PreconditionViolation(
                 f"basis is linearly dependent (singular values {sv!r})")
+        # X is in the span iff sum_ij n_ij x_ij = 0 for these 4 - k functionals,
+        # the conjugated left singular vectors past the k-th (orthonormal)
+        object.__setattr__(self, "normals", tuple(
+            tuple(complex(t) for t in left[:, j].conj()) for j in range(k, 4)))
 
     @property
     def k(self) -> int:
@@ -212,83 +216,76 @@ def _top_singular_pair(a: Matrix2):
     return s1, u1, v1
 
 
-def _min_norm_on_affine(structure: Structure, m: np.ndarray, rhs: np.ndarray,
-                        starts: int = 1, rng: Optional[random.Random] = None,
-                        polish: bool = True):
-    """Minimize the operator norm of X(c) over {c : m c = rhs}.
+def _least_norm_mapper(structure: Structure, u, v):
+    """min{||X|| : X in E, X u = v} in closed form, as (norm, X), for nonzero
+    2-vectors u and v; None when no element of E maps u to v.
 
-    Returns (norm, c) or raises InfeasibleConstraint when the affine set is
-    empty.  The least-squares particular solution is polished by descent over
-    the complex nullspace coordinates.  The norm is convex in c, but its
-    minimum typically sits where the two singular values coincide — a kink —
-    so with `polish` the simplex search is restarted at the incumbent with
-    shrinking steps to recover the digits lost to stagnation.
+    With u^ = u/|u|, v^ = v/|v|, u^p = (-conj u^_2, conj u^_1), v^p likewise
+    and alpha = |v|/|u|, every X with X u = v is alpha v^ u^* + beta v^ u^p*
+    + delta v^p u^p*, and ||X|| = ||[[alpha, beta], [0, delta]]||, which is
+    at most rho iff rho >= alpha and |beta|^2/(rho^2 - alpha^2) +
+    |delta|^2/rho^2 <= 1.  Structure.normals turn X in E into linear
+    equations in (beta, delta), which Gram-Schmidt reduces to rank 0 (beta =
+    delta = 0, norm alpha), rank 2 (one point) or one equation n1 beta + n2
+    delta = c, where the least rho puts the ellipse tangent to the line:
+
+        a = max(0, |c|^2 - alpha^2 |n2|^2) / (|n1|^2 + |n2|^2) = rho^2 - alpha^2,
+        (beta, delta) = c (a conj n1, rho^2 conj n2) / (a |n1|^2 + rho^2 |n2|^2).
+
+    a is never formed as a difference rho^2 - alpha^2, which cancels where
+    the minimum is alpha (a nilpotent A on skewdiag); the denominator
+    vanishes only at c = n2 = 0, where beta = delta = 0.
     """
-    c0, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    scale = max(1.0, float(np.abs(rhs).max()))
-    if np.abs(m @ c0 - rhs).max() > 1e-9 * scale:
-        raise InfeasibleConstraint("affine constraint set is empty")
-    u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > 1e-12 * max(float(s[0]), 1e-300)))
-    null = vh[rank:].conj().T  # k x (k - rank)
-    nd = null.shape[1]
-    x0 = structure.entries_at(c0)
-    norm0 = _singular_values(*x0)[0]
-    if nd == 0:
-        return norm0, c0
-    null_entries = [structure.entries_at(null[:, j]) for j in range(nd)]
-
-    def norm_at(t) -> float:
-        x11, x12, x21, x22 = x0
-        for j, (n11, n12, n21, n22) in enumerate(null_entries):
-            cj = complex(t[2 * j], t[2 * j + 1])
-            x11 += cj * n11
-            x12 += cj * n12
-            x21 += cj * n21
-            x22 += cj * n22
-        return _singular_values(x11, x12, x21, x22)[0]
-
-    step = 0.5 * max(1.0, norm0)
-    best_t, best_f = [0.0] * (2 * nd), norm_at([0.0] * (2 * nd))
-    trials = [[0.0] * (2 * nd)]
-    if rng is not None:
-        for _ in range(max(0, starts - 1)):
-            trials.append([rng.gauss(0.0, step) for _ in range(2 * nd)])
-    budget = 400 if polish else 150
-    for t0 in trials:
-        t, f, _, _ = nelder_mead(norm_at, t0, step=step, xatol=1e-11,
-                                 fatol=1e-13 * max(1.0, best_f),
-                                 maxiter=budget)
-        if f < best_f:
-            best_t, best_f = list(t), f
-    if polish:
-        for shrink in (1e-2, 1e-4):
-            t, f, _, _ = nelder_mead(norm_at, best_t, step=step * shrink,
-                                     xatol=1e-13, fatol=1e-15 * max(1.0, best_f),
-                                     maxiter=400)
-            if f < best_f:
-                best_t, best_f = list(t), f
-    c = np.array(c0, dtype=complex)
-    for j in range(nd):
-        c = c + null[:, j] * complex(best_t[2 * j], best_t[2 * j + 1])
-    return best_f, c
-
-
-def _inner_min_norm(a: Matrix2, structure: Structure, w, polish: bool = True):
-    """F(w) = min{||X|| : X in E, X(Aw) = w} for a unit 2-vector w.
-
-    Returns (F, c) or None when no element of E maps Aw to w.
-    """
-    aw = a.apply(w)
-    if abs(aw[0]) + abs(aw[1]) < 1e-150:
+    nu, nv = math.hypot(abs(u[0]), abs(u[1])), math.hypot(abs(v[0]), abs(v[1]))
+    alpha = nv / nu
+    u1, u2, v1, v2 = u[0] / nu, u[1] / nu, v[0] / nv, v[1] / nv
+    cu1, cu2, cv1, cv2 = (t.conjugate() for t in (u1, u2, v1, v2))
+    # per functional N, the columns N(v^ u^p*), N(v^p u^p*), -alpha N(v^ u^*)
+    cols = ([], [], [])
+    for m11, m12, m21, m22 in structure.normals:
+        p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
+        cols[0].append(v1 * p1 + v2 * p2)
+        cols[1].append(cv1 * p2 - cv2 * p1)
+        cols[2].append(-alpha * (v1 * (m11 * cu1 + m12 * cu2)
+                                 + v2 * (m21 * cu1 + m22 * cu2)))
+    # an orthonormal basis q of the column space, larger column first
+    q = []
+    for col in sorted(cols[:2], key=lambda c: _dot(c, c).real, reverse=True):
+        for qi in q:
+            t = _dot(qi, col)
+            col = [w - t * z for w, z in zip(col, qi)]
+        n = math.sqrt(_dot(col, col).real)
+        if n > _RANK_TOL:
+            q.append([w / n for w in col])
+    rows = [[_dot(qi, col) for col in cols] for qi in q]
+    resid = cols[2]
+    for qi, row in zip(q, rows):
+        resid = [w - row[2] * z for w, z in zip(resid, qi)]
+    if math.sqrt(_dot(resid, resid).real) > _FEASIBLE_TOL * alpha:
         return None
-    m = np.stack([np.array(b.apply(aw), dtype=complex) for b in structure.basis],
-                 axis=1)
-    rhs = np.array(w, dtype=complex)
-    try:
-        return _min_norm_on_affine(structure, m, rhs, polish=polish)
-    except InfeasibleConstraint:
-        return None
+    beta, delta, rho = 0j, 0j, alpha
+    if len(rows) == 1:
+        n1, n2, c = rows[0]
+        s1, s2 = abs(n1) ** 2, abs(n2) ** 2
+        a = max(0.0, abs(c) ** 2 - alpha * alpha * s2) / (s1 + s2)
+        rho2 = alpha * alpha + a
+        den = a * s1 + rho2 * s2
+        f = c / den if den > 0.0 else 0j
+        beta, delta = f * a * n1.conjugate(), f * rho2 * n2.conjugate()
+        rho = math.sqrt(rho2)
+    elif len(rows) == 2:
+        (n1, n2, c), (m1, m2, d) = rows
+        det = n1 * m2 - n2 * m1
+        beta, delta = (c * m2 - n2 * d) / det, (n1 * d - c * m1) / det
+        rho = _singular_values(alpha, beta, 0j, delta)[0]
+    r1, r2 = alpha * cu1 - beta * u2, alpha * cu2 + beta * u1
+    x = Matrix2(v1 * r1 + cv2 * delta * u2, v1 * r2 - cv2 * delta * u1,
+                v2 * r1 - cv1 * delta * u2, v2 * r2 + cv1 * delta * u1)
+    return rho, x
+
+
+def _dot(x, y) -> complex:
+    return sum(s.conjugate() * t for s, t in zip(x, y))
 
 
 def _w_of(phi: float, psi: float):
@@ -362,9 +359,12 @@ def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
     # If the top singular vector admits a feasible X with ||X|| within eps of
     # 1/sigma_1, then mu lies in [sigma_1/(1+eps), sigma_1] whatever the
     # structure, so sigma_1 is returned without descending on the variety.
-    probe = _inner_min_norm(a, structure, v1)
+    # The probe is F(v1) = min{||X|| : X in E, X(A v1) = v1}.
+    av = a.apply(v1)
+    probe = (_least_norm_mapper(structure, av, v1)
+             if abs(av[0]) + abs(av[1]) >= 1e-150 else None)
     if probe is not None and probe[0] * s1 <= 1.0 + 1e-6:
-        x = structure.element(probe[1])
+        x = probe[1]
         if _det_residual(a, x) <= _RESIDUAL_TOL * (1.0 + s1 * probe[0]) ** 2:
             status = "Exact" if probe[0] * s1 <= 1.0 + 1e-9 else "Numeric"
             return MuResult(value=s1, minimizer=x, status=status)
@@ -564,19 +564,9 @@ def mu_value(a: Matrix2, structure: Structure,
                         status="Exact")
 
     if k == 1:
-        b = basis[0]
-        lc, qc = lin[0], quad[(0, 0)]
-        if qc == 0.0:
-            roots = [-1.0 / lc]
-        else:
-            # roots of qc c^2 + lc c + 1, cancellation-safe split
-            sq = cmath.sqrt(lc * lc - 4.0 * qc)
-            u = lc + sq if abs(lc + sq) >= abs(lc - sq) else lc - sq
-            roots = [-u / (2.0 * qc), -2.0 / u]
-        c = min(roots, key=abs)
-        x = b.scale(c)
-        return MuResult(value=1.0 / (abs(c) * operator_norm(b)), minimizer=x,
-                        status="Exact")
+        c = min(_quadratic_roots(quad[(0, 0)], lin[0], 1.0), key=abs)
+        return MuResult(value=1.0 / (abs(c) * operator_norm(basis[0])),
+                        minimizer=basis[0].scale(c), status="Exact")
 
     if k == 4:
         s1, u1, v1 = _top_singular_pair(a)
@@ -612,7 +602,11 @@ def rigidity_check(structure: Structure, u, v,
 
     u and v must be unit vectors.  The minimum is always >= 1; a returned
     matrix therefore has norm 1 up to tol.  None when the affine set is empty
-    or the minimum exceeds 1 + tol.
+    or the minimum exceeds 1 + tol.  Exact and O(1): in the bases (u, u^p)
+    and (v, v^p) such A are [[1, beta], [0, delta]], the structure's normals
+    cut (beta, delta) to a point, a line or the plane, and on a line the
+    least rho is where the ellipse |beta|^2/(rho^2 - 1) + |delta|^2/rho^2 =
+    1 touches it; see _least_norm_mapper.
     """
     uu = tuple(complex(t) for t in u)
     vv = tuple(complex(t) for t in v)
@@ -622,17 +616,10 @@ def rigidity_check(structure: Structure, u, v,
         raise PreconditionViolation(f"u is not a unit vector: {u!r}")
     if abs(math.sqrt(abs(vv[0]) ** 2 + abs(vv[1]) ** 2) - 1.0) > 1e-12:
         raise PreconditionViolation(f"v is not a unit vector: {v!r}")
-    m = np.stack([np.array(b.apply(uu), dtype=complex) for b in structure.basis],
-                 axis=1)
-    rhs = np.array(vv, dtype=complex)
-    try:
-        norm, c = _min_norm_on_affine(structure, m, rhs, starts=10,
-                                      rng=random.Random(_SEED_STARTS))
-    except InfeasibleConstraint:
+    found = _least_norm_mapper(structure, uu, vv)
+    if found is None or found[0] > 1.0 + tol:
         return None
-    if norm > 1.0 + tol:
-        return None
-    return structure.element(c)
+    return found[1]
 
 
 def _cp1_grid(n: int, offset: float = 0.0):

@@ -43,7 +43,7 @@ from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
 from .pentablock import penta_classify, penta_dual_check
 from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
                          tetra_dual_check)
-from .verdict import BAND_FACTOR, Region
+from .verdict import BAND_FACTOR, DEFAULT_TOL, Region
 
 DEFAULT_SEED = 7
 DEFAULT_R_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -821,7 +821,7 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
     if shilov_f_test(pt34):
         failures.append("kind=post_cor34 leg=shilov expected=false")
 
-    return SuiteReport("counterexamples", len(tuple(r_grid)), 0, 1e-12,
+    return SuiteReport("counterexamples", len(tuple(r_grid)), 0, DEFAULT_TOL,
                        tuple(failures), elapsed=time.perf_counter() - t0)
 
 

@@ -13,16 +13,17 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from mublocks.bidisc import g2_classify, g2_roots
 from mublocks.domain_f import f_classify
-from mublocks.errors import (DenominatorNearZero, OptimizerNoConverge,
-                             PreconditionViolation)
+from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
+                             OptimizerNoConverge, PreconditionViolation)
 from mublocks.hexablock import _check_quad
 from mublocks.lie_ball import transported_lattice
-from mublocks.matrix2 import Matrix2
+from mublocks.matrix2 import Matrix2, _singular_values
 from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _check_triple
 from mublocks.tetrablock import be_test, tetra_classify
@@ -573,6 +574,86 @@ def transport_distance_nm_oracle(target, lattice=None) -> float:
     img = _image_from_params(q[0], q[1], q[2], q[3], q[4])
     refined = math.sqrt(sum(abs(img[i] - tgt[i]) ** 2 for i in range(4)))
     return min(best, refined)
+
+
+# The least-norm mapper as mu computed it before its closed form: seeded
+# multistart Nelder-Mead over the nullspace coordinates, kept verbatim.
+# rigidity_check ran it with starts=10 and rng=random.Random(0x5EED), the
+# certificate probe with the defaults.
+def min_norm_on_affine_nm(structure, m: np.ndarray, rhs: np.ndarray,
+                          starts: int = 1, rng: Optional[random.Random] = None,
+                          polish: bool = True):
+    """Minimize the operator norm of X(c) over {c : m c = rhs}.
+
+    Returns (norm, c) or raises InfeasibleConstraint when the affine set is
+    empty.  The least-squares particular solution is polished by descent over
+    the complex nullspace coordinates.  The norm is convex in c, but its
+    minimum typically sits where the two singular values coincide — a kink —
+    so with `polish` the simplex search is restarted at the incumbent with
+    shrinking steps to recover the digits lost to stagnation.
+    """
+    c0, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
+    scale = max(1.0, float(np.abs(rhs).max()))
+    if np.abs(m @ c0 - rhs).max() > 1e-9 * scale:
+        raise InfeasibleConstraint("affine constraint set is empty")
+    u, s, vh = np.linalg.svd(m)
+    rank = int(np.sum(s > 1e-12 * max(float(s[0]), 1e-300)))
+    null = vh[rank:].conj().T  # k x (k - rank)
+    nd = null.shape[1]
+    x0 = structure.entries_at(c0)
+    norm0 = _singular_values(*x0)[0]
+    if nd == 0:
+        return norm0, c0
+    null_entries = [structure.entries_at(null[:, j]) for j in range(nd)]
+
+    def norm_at(t) -> float:
+        x11, x12, x21, x22 = x0
+        for j, (n11, n12, n21, n22) in enumerate(null_entries):
+            cj = complex(t[2 * j], t[2 * j + 1])
+            x11 += cj * n11
+            x12 += cj * n12
+            x21 += cj * n21
+            x22 += cj * n22
+        return _singular_values(x11, x12, x21, x22)[0]
+
+    step = 0.5 * max(1.0, norm0)
+    best_t, best_f = [0.0] * (2 * nd), norm_at([0.0] * (2 * nd))
+    trials = [[0.0] * (2 * nd)]
+    if rng is not None:
+        for _ in range(max(0, starts - 1)):
+            trials.append([rng.gauss(0.0, step) for _ in range(2 * nd)])
+    budget = 400 if polish else 150
+    for t0 in trials:
+        t, f, _, _ = nelder_mead(norm_at, t0, step=step, xatol=1e-11,
+                                 fatol=1e-13 * max(1.0, best_f),
+                                 maxiter=budget)
+        if f < best_f:
+            best_t, best_f = list(t), f
+    if polish:
+        for shrink in (1e-2, 1e-4):
+            t, f, _, _ = nelder_mead(norm_at, best_t, step=step * shrink,
+                                     xatol=1e-13, fatol=1e-15 * max(1.0, best_f),
+                                     maxiter=400)
+            if f < best_f:
+                best_t, best_f = list(t), f
+    c = np.array(c0, dtype=complex)
+    for j in range(nd):
+        c = c + null[:, j] * complex(best_t[2 * j], best_t[2 * j + 1])
+    return best_f, c
+
+
+def min_norm_mapper_nm(structure, u, v, starts: int = 10):
+    """(norm, X) for min{||X|| : X in E, X u = v} through
+    min_norm_on_affine_nm, as rigidity_check ran it; None when infeasible."""
+    m = np.stack([np.array(b.apply(u), dtype=complex) for b in structure.basis],
+                 axis=1)
+    try:
+        norm, c = min_norm_on_affine_nm(structure, m, np.array(v, dtype=complex),
+                                        starts=starts,
+                                        rng=random.Random(0x5EED))
+    except InfeasibleConstraint:
+        return None
+    return norm, structure.element(c)
 
 
 # The Nelder-Mead core as it stood before its bookkeeping was rewritten, kept

@@ -176,3 +176,35 @@ def test_matrix2_contract_holds():
         Matrix2(1e308, 0, 0, 1) + Matrix2(1e308, 0, 0, 1)
     with pytest.raises(PreconditionViolation):
         Matrix2(1e200, 0, 0, 1) @ Matrix2(1e200, 0, 0, 1)
+
+
+def test_singular_values_far_from_unit_scale():
+    """The kernel squares its entries, so it used to raise OverflowError
+    from entries of about 1e77 up and return 0.0 near 1e-170; it now
+    rescales there by a power of two."""
+    base = Matrix2(1 + 2j, 0.5, -0.3j, 2)
+    s1, s2 = singular_values(base)
+    for e in (-200, -170, 78, 200):
+        t1, t2 = singular_values(base.scale(10.0 ** e))
+        assert t1 == pytest.approx(s1 * 10.0 ** e, rel=1e-15)
+        assert t2 == pytest.approx(s2 * 10.0 ** e, rel=1e-15)
+        assert operator_norm(base.scale(10.0 ** e)) == t1
+    assert operator_norm(Matrix2(1e78, 2e78, 0, 1e78)) == pytest.approx(
+        (1.0 + math.sqrt(2.0)) * 1e78, rel=1e-15)
+    assert singular_values(Matrix2(0, 0, 0, 0)) == (0.0, 0.0)
+    assert singular_values(Matrix2(5e-324, 0, 0, 0)) == (5e-324, 0.0)
+
+
+def test_singular_values_scale_exactly_by_powers_of_two():
+    """Scaling by 2^k is exact on both paths of the kernel, so the largest
+    singular value scales bitwise, from subnormal-adjacent entries up to
+    1e300; where the rescaled path is not taken this is the kernel's old
+    arithmetic unchanged."""
+    rng = random.Random(44)
+    for _ in range(20):
+        m = Matrix2(*(complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                      for _ in range(4)))
+        s1 = operator_norm(m)
+        for k in range(-1000, 1000, 37):
+            f = math.ldexp(1.0, k)
+            assert operator_norm(m.scale(f)) == s1 * f

@@ -14,8 +14,8 @@ from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          f_mu_membership, mu_equals_norm_suite,
                          mu_sandwich_check, mu_value, rigidity_check,
                          rigidity_grid_pass, structure_from_name)
-from oracles import (eig_radius, mu_diag_dscale_oracle, mu_diag_gauge_oracle,
-                     mu_upper_hexablock_oracle, svd_norm)
+from oracles import (eig_radius, min_norm_mapper_nm, mu_diag_dscale_oracle,
+                     mu_diag_gauge_oracle, mu_upper_hexablock_oracle, svd_norm)
 
 rng = random.Random(101)
 
@@ -436,7 +436,14 @@ def test_mu_result_consistency_enforced():
 
 def test_rigidity_check_examples():
     e1, e2 = (1, 0), (0, 1)
-    assert rigidity_check(structure_from_name("diag"), e1, e2) is None
+    # infeasible systems, rank-0 ones (upper and full: the least is v u*)
+    # and a single point (scalar)
+    for name in ("diag", "scalar"):
+        assert rigidity_check(structure_from_name(name), e1, e2) is None
+    assert rigidity_check(structure_from_name("upper"), e1, e1) == E11
+    assert rigidity_check(structure_from_name("full"), e1, e2) == E21
+    assert (rigidity_check(structure_from_name("scalar"), e1, e1)
+            == Matrix2.identity())
 
     a = rigidity_check(e_theta(0.0), e1, e2)
     assert a is not None
@@ -461,6 +468,137 @@ def _unit():
     g = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
     n = math.sqrt(sum(abs(t) ** 2 for t in g))
     return (g[0] / n, g[1] / n)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form least-norm mapper behind the certificate probe and
+# rigidity_check, held against the Nelder-Mead route it replaced.
+
+def _gauss_c(r):
+    return complex(r.gauss(0.0, 1.0), r.gauss(0.0, 1.0))
+
+
+def _unit_from(r):
+    g = (_gauss_c(r), _gauss_c(r))
+    n = math.hypot(abs(g[0]), abs(g[1]))
+    return (g[0] / n, g[1] / n)
+
+
+MAPPER_SPANS = (
+    *(structure_from_name(name) for name in
+      ("scalar", "diag", "upper", "lower", "full", "skewdiag")),
+    e_theta(0.0), e_theta(0.7), e_theta(2.1),
+    Structure((E11 + E12, E21.scale(2j) - E22), name="k2_generic"),
+    Structure((E12, E21, E11 + E22.scale(0.3j)), name="k3_generic"),
+)
+
+
+def _mapper_cases(r):
+    """Unit pairs as rigidity_check gets them, probe pairs (A w, w) over
+    scales 10^U(-1, 1), pairs with v a multiple of u (feasible on scalar),
+    the coordinate pairs and a u within 1e-6 of e1 (nearly rank-deficient
+    equations)."""
+    e1, e2 = (1 + 0j, 0j), (0j, 1 + 0j)
+    near = 1e-6 * _gauss_c(r)
+    cases = [(e1, e2), (e1, e1), (e2, e1),
+             ((1.0 / math.hypot(1.0, abs(near)), near), _unit_from(r))]
+    for _ in range(4):
+        cases.append((_unit_from(r), _unit_from(r)))
+        a = Matrix2(*(_gauss_c(r) * 10.0 ** r.uniform(-1.0, 1.0)
+                      for _ in range(4)))
+        w = _unit_from(r)
+        cases.append((a.apply(w), w))
+        u, c = _unit_from(r), _gauss_c(r)
+        cases.append((u, (c * u[0], c * u[1])))
+    return cases
+
+
+def test_least_norm_mapper_matches_nelder_mead_oracle():
+    """closed <= NM (1 + 1e-12), |closed - NM| <= 1e-9 NM and the same
+    feasibility, on every preset, three e_theta angles and a non-preset
+    k = 2 and k = 3 span; the closed-form X lies in the span, maps u to v
+    and has the returned norm."""
+    r = random.Random(909)
+    feasible = 0
+    for s in MAPPER_SPANS:
+        for u, v in _mapper_cases(r):
+            closed = mu_module._least_norm_mapper(s, u, v)
+            nm = min_norm_mapper_nm(s, u, v)
+            assert (closed is None) == (nm is None), (s.name, u, v)
+            if closed is None:
+                continue
+            feasible += 1
+            value, x = closed
+            assert value <= nm[0] * (1.0 + 1e-12), (s.name, u, v)
+            assert abs(value - nm[0]) <= 1e-9 * nm[0], (s.name, u, v)
+            assert s.coeffs_of(x, tol=1e-12) is not None
+            xu = x.apply(u)
+            assert max(abs(xu[0] - v[0]), abs(xu[1] - v[1])) <= 1e-13 * (
+                1.0 + abs(v[0]) + abs(v[1]))
+            assert operator_norm(x) == pytest.approx(value, rel=1e-13)
+    assert feasible >= 150
+
+
+NILPOTENT_SKEWDIAG = Matrix2(
+    0.15503903770031596 + 0.09551372423022435j,
+    -0.3497874881786997 - 0.2684549092818286j,
+    0.06772764643590619 + 0.032690970918862146j,
+    -(0.15503903770031596 + 0.09551372423022435j))
+
+
+def test_certificate_probe_on_nilpotent_skewdiag():
+    """The least norm here equals alpha = |v|/|u|; forming rho^2 - alpha^2
+    as a difference cancelled, the probe missed and mu fell into the
+    variety descent, returning Numeric."""
+    a = NILPOTENT_SKEWDIAG
+    assert abs(a.trace) == 0 and abs(a.det) < 1e-17
+    r = mu_value(a, structure_from_name("skewdiag"))
+    assert r.status == "Exact"
+    assert r.value == pytest.approx(operator_norm(a), rel=1e-15)
+    assert operator_norm(r.minimizer) * r.value == pytest.approx(1.0, rel=1e-9)
+
+
+def test_least_norm_mapper_zero_denominator():
+    """On skewdiag at A = E12, E21 (and multiples) the reduced equation has
+    c = n2 = 0, so a = 0 and the tangency denominator vanishes."""
+    skew = structure_from_name("skewdiag")
+    for a, want in ((E12, 1.0), (E21, 1.0), (E12.scale(2.0), 2.0),
+                    (E21.scale(2.0), 2.0)):
+        r = mu_value(a, skew)
+        assert r.status == "Exact" and r.value == want
+        assert operator_norm(r.minimizer) == 1.0 / want
+        assert abs((Matrix2.identity() - a @ r.minimizer).det) <= 1e-15
+    x = rigidity_check(skew, (1, 0), (0, 1))
+    assert x == E21
+
+
+def test_presets_and_rigidity_take_no_nelder_mead(monkeypatch):
+    """mu on every preset over the degenerate kinds, and rigidity_check on
+    every preset, without a single Nelder-Mead call."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Nelder-Mead called")
+
+    monkeypatch.setattr(mu_module, "nelder_mead", forbidden)
+    r = random.Random(64)
+    presets = [structure_from_name(name) for name in
+               ("scalar", "diag", "upper", "lower", "full", "skewdiag")]
+    presets += [e_theta(r.uniform(0.0, 2.0 * math.pi)) for _ in range(3)]
+    for _ in range(8):
+        sc = 10.0 ** r.uniform(-1.0, 1.0)
+        u, v = (_gauss_c(r), _gauss_c(r)), (_gauss_c(r), _gauss_c(r))
+        for a in (Matrix2(u[0] * u[1], -u[0] * u[0], u[1] * u[1],
+                          -u[1] * u[0]).scale(sc),              # nilpotent
+                  Matrix2(u[0] * v[0], u[0] * v[1], u[1] * v[0],
+                          u[1] * v[1]).scale(sc),               # rank one
+                  random_unitary(r.randrange(10 ** 6)).scale(sc),  # coincident
+                  Matrix2(0, 0, 0, 0)):
+            for s in presets:
+                res = mu_value(a, s)
+                if s.name == "skewdiag" or s.name.startswith("e_theta"):
+                    want = "Infeasible" if a == Matrix2(0, 0, 0, 0) else "Exact"
+                    assert res.status == want
+        for s in presets:
+            rigidity_check(s, _unit_from(r), _unit_from(r))
 
 
 def test_rigidity_grid():

@@ -5,7 +5,7 @@ import pytest
 from mublocks import bidisc, domain_f, hexablock, lie_ball, tetrablock, verify
 from mublocks.errors import (CriteriaDisagree, PreconditionViolation,
                              UnknownSuite)
-from mublocks.verdict import raise_if_split
+from mublocks.verdict import DEFAULT_TOL, raise_if_split
 from mublocks.verify import (SuiteReport, run_counterexamples, run_suite,
                              suite_names)
 
@@ -116,6 +116,9 @@ def test_counterexamples_custom_grid():
     rep = run_counterexamples((0.3, 0.6))
     assert rep.passed
     assert rep.n_samples == 2
+    # the tol its classifiers and dual checks run at
+    assert rep.tol == DEFAULT_TOL == 1e-9
+    assert " tol=1e-09 " in rep.to_lines()[0]
     for bad in ((0.5, 1.0), (0.0,), (-0.2,)):
         with pytest.raises(PreconditionViolation):
             run_counterexamples(bad)
