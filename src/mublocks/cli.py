@@ -293,13 +293,9 @@ def _cmd_mu(args) -> int:
     a = parse_matrix(matrix_text)
     try:
         structure = structure_from_name(name)
-    except UnknownSuite:
-        raise
     except KeyError as exc:
         raise _CliError(65, f"unknown structure: {exc.args[0]}") from None
-    tol = _resolve_tol(args)
-    kw = {} if tol is None else {"tol": tol}
-    result = mu_value(a, structure, **kw)
+    result = mu_value(a, structure)
     doc = {
         "structure": structure.name,
         "matrix": _matrix_doc(a),
@@ -496,7 +492,6 @@ def _build_parser() -> _Parser:
                       help="e.g. \"[[0,1],[0,0]]\"")
     p_mu.add_argument("--structure", help="structure name")
     p_mu.add_argument("--matrix", help="matrix literal")
-    p_mu.add_argument("--tol", type=float, help="residual tolerance")
     p_mu.set_defaults(func=_cmd_mu)
 
     p_verify = sub.add_parser(

@@ -13,7 +13,8 @@ route -- reconstruct B from the quadratic t^2 - s t + (ax - p) and test its
 norm -- is a separate oracle, which the suites and the tests compare with it.
 
 The domain is (1,1,2,1)-quasi-balanced, which gives the scaling lemma, the
-Minkowski gauge, and the swap symmetry
+Minkowski gauge (the norm of the matrix over the point, since scaling the
+point by t scales that matrix by t), and the swap symmetry
 
     (x, a, p, s)  <->  (lambda1, lambda2, -p, a + x),
 
@@ -43,7 +44,7 @@ import random
 from dataclasses import dataclass
 
 from .bidisc import g2_classify, g2_roots
-from .errors import OptimizerNoConverge, PreconditionViolation
+from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords, operator_norm
 from .tetrablock import be_test
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
@@ -125,42 +126,12 @@ def f_rescale_by(pt, t: float):
     return (x / t, a / t, p / (t * t), s / t)
 
 
-def minkowski_gauge(pt, tol: float = DEFAULT_TOL) -> float:
-    """inf{t > 0 : (x/t, a/t, p/t^2, s/t) interior}, by bracketing bisection.
-
-    0 at the origin; < 1 iff interior; 1 on distinguished-boundary points.
-    """
-    x, a, p, s = _check_quad(pt)
-    if x == 0 and a == 0 and p == 0 and s == 0:
-        return 0.0
-
-    # Exact-sign membership (tol 0): the banded verdict would bias the
-    # crossing by band^(1/k) at boundary points of tangency order k.
-    def inside(t: float) -> bool:
-        return f_classify(f_rescale_by(pt, t), 0.0).is_interior
-
-    hi = 1.0
-    for _ in range(60):
-        if inside(hi):
-            break
-        hi *= 2.0
-    else:
-        raise OptimizerNoConverge(f"no interior bracket above for {pt!r}")
-    lo = hi
-    for _ in range(60):
-        lo *= 0.5
-        if not inside(lo):
-            break
-    else:
-        raise OptimizerNoConverge(f"no exterior bracket below for {pt!r}")
-    # invariant: inside(hi), not inside(lo); the inside set is an up-ray in t
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def minkowski_gauge(pt) -> float:
+    """inf{t > 0 : (x/t, a/t, p/t^2, s/t) interior} = ||B||, B the matrix
+    over the point: the scaled point is the projection of B/t, whose only
+    other preimage B^T/t has the same norm, so it is interior iff t > ||B||.
+    0 at the origin; < 1 iff interior; 1 on distinguished-boundary points."""
+    return operator_norm(f_matrix_witness(pt))
 
 
 def f_swap(pt):

@@ -10,16 +10,20 @@ beta(z1) = x2 - x3 z1, the inner supremum over z2 of (1-|z2|^2)/|alpha -
 beta z2|^2 equals 1/(|alpha|^2 - |beta|^2) (maximize the phase, then the
 radius r2 = |beta|/|alpha|).  The outer problem over z1 reduces on rays to
 
-    maximize (1 - r^2) / (c - 2 m r + d r^2),
+    maximize g(r) = (1 - r^2) / (c - 2 m r + d r^2),
     c = 1 - |x2|^2,  d = |x1|^2 - |x3|^2,  m = |x1 - conj(x2) x3|,
 
-whose critical equation m r^2 - (c+d) r + m = 0 has exactly one root in
-[0, 1), namely r* = 2m / ((c+d) + sqrt((c+d)^2 - 4 m^2)); membership of x in
-the tetrablock guarantees c > 0 and c + d - 2m > 0, so the formula is total.
+whose critical equation m r^2 - (c+d) r + m = 0 has one root r* in [0, 1).
+There g = r* / (m - d r*) = 2 / den, so r* is never formed:
+
+    sup = |a| sqrt(2 / den),   den = (c - d) + sqrt((c + d)^2 - 4 m^2).
+
+Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0; the form is inf
+only where rounding at the tetrablock boundary makes den <= 0.
 hexa_classify evaluates it after its own tetrablock verdict, so each call
-classifies the tetrablock part once.  The product-grid optimizer psi_sup_grid,
-the independent numeric route the tests compare against, lives with the test
-oracles.
+classifies the tetrablock part once.  The product-grid optimizer psi_sup_grid
+and the critical-radius route psi_sup_critical_radius, which the tests
+compare against, live with the test oracles.
 
 The normed variant reduces to the four-coordinate domain: for a != 0,
 (a, x1, x2, x3) is in it iff (x1, x2, x3, a + (x1 x2 - x3)/a) is interior
@@ -63,8 +67,8 @@ def _sup_coeffs(x1: complex, x2: complex, x3: complex) -> tuple[float, float, fl
     return c, d, m
 
 
-def psi_sup(pt, tol: float = 1e-8) -> float:
-    """Supremum of |psi| over the open bidisc (closed form; tol unused).
+def psi_sup(pt) -> float:
+    """Supremum of |psi| over the open bidisc, in closed form.
 
     Exactly 0 when a = 0; exactly |a| at x = 0; linear in |a| throughout.
     """
@@ -78,20 +82,11 @@ def psi_sup(pt, tol: float = 1e-8) -> float:
 
 
 def _psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
-    """The closed form of psi_sup for a != 0 and x interior to the
-    tetrablock, which the caller has checked."""
+    """|a| sqrt(2 / den) (module docstring) for a != 0 and x interior to the
+    tetrablock, which the caller has checked; inf where den <= 0."""
     c, d, m = _sup_coeffs(x1, x2, x3)
-    if m == 0.0:
-        return abs(a) / math.sqrt(c)
-    disc = max((c + d) ** 2 - 4.0 * m * m, 0.0)
-    den = (c + d) + math.sqrt(disc)
-    if den == 0.0:  # c + d = 0 < m: x reads interior only through rounding
-        return float("inf")
-    rstar = 2.0 * m / den
-    dmin = c - 2.0 * m * rstar + d * rstar * rstar
-    if dmin <= 1e-300:
-        return float("inf")
-    return abs(a) * math.sqrt(max(1.0 - rstar * rstar, 0.0) / dmin)
+    den = (c - d) + math.sqrt(max((c + d) ** 2 - 4.0 * m * m, 0.0))
+    return abs(a) * math.sqrt(2.0 / den) if den > 0.0 else math.inf
 
 
 def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:

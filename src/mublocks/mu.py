@@ -28,6 +28,12 @@ rigid.  Otherwise seeded multistart descent runs over charts of the
 variety; its objectives evaluate ||X(c)|| on the entries of X(c) as a plain
 tuple (Structure.entries_at and matrix2's private singular-value kernel),
 and a Matrix2 is built only for the minimizer a result returns.
+
+Every path works on an A whose largest entry modulus lies in [2^-200,
+2^200], where none of them over- or underflows.  mu(cA) = |c|
+mu(A), so mu_value brings any other A there by an even power of 2, which
+keeps _mu_diagonal's square roots exact, and scales the value and the
+minimizer back with ldexp, which keeps the sign of a zero.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ _SEED_STARTS = 0x5EED
 _RESIDUAL_TOL = 1e-7
 _RANK_TOL = 1e-12       # on columns of modulus <= 1, see _least_norm_mapper
 _FEASIBLE_TOL = 1e-9    # relative to |v|/|u|, see _least_norm_mapper
+_RANGE_LO, _RANGE_HI = 2.0 ** -200, 2.0 ** 200  # see mu_value
 
 E11 = Matrix2(1, 0, 0, 0)
 E12 = Matrix2(0, 1, 0, 0)
@@ -209,8 +216,6 @@ def _top_singular_pair(a: Matrix2):
         v, n = (1.0 + 0j, 0j), 1.0
     v1 = (v[0] / n, v[1] / n)
     s1 = math.sqrt(max(lam, 0.0))
-    if s1 < 1e-150:
-        return 0.0, (1.0 + 0j, 0j), v1
     av = a.apply(v1)
     u1 = (av[0] / s1, av[1] / s1)
     return s1, u1, v1
@@ -353,16 +358,14 @@ class _VarietyChart:
         return best
 
 
-def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
+def _mu_numeric(a: Matrix2, structure: Structure) -> MuResult:
     s1, _, v1 = _top_singular_pair(a)
     # certificate: any feasible X satisfies ||X|| >= 1/||A w|| >= 1/sigma_1.
     # If the top singular vector admits a feasible X with ||X|| within eps of
     # 1/sigma_1, then mu lies in [sigma_1/(1+eps), sigma_1] whatever the
     # structure, so sigma_1 is returned without descending on the variety.
     # The probe is F(v1) = min{||X|| : X in E, X(A v1) = v1}.
-    av = a.apply(v1)
-    probe = (_least_norm_mapper(structure, av, v1)
-             if abs(av[0]) + abs(av[1]) >= 1e-150 else None)
+    probe = _least_norm_mapper(structure, a.apply(v1), v1)
     if probe is not None and probe[0] * s1 <= 1.0 + 1e-6:
         x = probe[1]
         if _det_residual(a, x) <= _RESIDUAL_TOL * (1.0 + s1 * probe[0]) ** 2:
@@ -371,7 +374,7 @@ def _mu_numeric(a: Matrix2, structure: Structure, tol: float) -> MuResult:
 
     lin, quad = _constraint_coeffs(a, structure.basis)
     k = structure.k
-    scale0 = 1.0 / max(s1, 1e-150)
+    scale0 = 1.0 / s1
     rng = random.Random(_SEED_STARTS)
     charts = [_VarietyChart(structure, lin, quad, dep) for dep in range(k)]
     ndim = 2 * (k - 1)
@@ -496,10 +499,10 @@ def _mu_upper(a: Matrix2) -> MuResult:
     a22/r, det A/r^2) lies in the hexablock H, the domain the paper studies
     and which Biswas-Pal-Tomar introduced for this mu-synthesis problem.
     H's tetrablock leg x = (a11, a22, det A)/r is interior iff r > mu_diag(A).
-    The supremum that hexablock evaluates is |a| sqrt(g(t*)), g(t) =
-    (1 - t^2) / (c - 2 m t + d t^2), at the root t* of m t^2 - (c+d) t + m
-    = 0.  There g = t / (m - d t) = 2 / (c - d + sqrt((c+d)^2 - 4 m^2)), and
-    with m^2 = c d + |x1 x2 - x3|^2 the supremum is
+    hexablock evaluates the supremum as |a| sqrt(2 / (c - d + sqrt((c+d)^2 -
+    4 m^2))), the value of g(t) = (1 - t^2) / (c - 2 m t + d t^2) at its
+    critical root, where g = t / (m - d t).  With m^2 = c d + |x1 x2 - x3|^2
+    the supremum is
 
         |a| sqrt(2 / (K + sqrt(K^2 - 4 |x1 x2 - x3|^2))),
         K = c - d = 1 - |x1|^2 - |x2|^2 + |x3|^2.
@@ -544,9 +547,29 @@ def _mu_upper(a: Matrix2) -> MuResult:
     return MuResult(value=value, minimizer=x, status="Exact")
 
 
-def mu_value(a: Matrix2, structure: Structure,
-             tol: float = _RESIDUAL_TOL) -> MuResult:
+def mu_value(a: Matrix2, structure: Structure) -> MuResult:
     """Structured singular value of `a` relative to `structure`."""
+    try:
+        hi = max(abs(a.a11), abs(a.a12), abs(a.a21), abs(a.a22))
+    except OverflowError:  # a modulus past the largest float
+        hi = math.inf
+    if _RANGE_LO <= hi <= _RANGE_HI or hi == 0.0:
+        return _mu_in_range(a, structure)
+    e = math.frexp(hi)[1] & ~1 if hi < math.inf else 1024
+    r = _mu_in_range(_ldexp(a, -e), structure)
+    if r.minimizer is None:
+        return r
+    return MuResult(value=math.ldexp(r.value, e),
+                    minimizer=_ldexp(r.minimizer, -e), status=r.status)
+
+
+def _ldexp(m: Matrix2, e: int) -> Matrix2:
+    return Matrix2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                     for z in m.entries()))
+
+
+def _mu_in_range(a: Matrix2, structure: Structure) -> MuResult:
+    """mu_value for an A whose largest entry modulus is in [2^-200, 2^200]."""
     basis = structure.basis
     lin, quad = _constraint_coeffs(a, basis)
     if all(v == 0.0 for v in lin) and all(v == 0.0 for v in quad.values()):
@@ -570,14 +593,12 @@ def mu_value(a: Matrix2, structure: Structure,
 
     if k == 4:
         s1, u1, v1 = _top_singular_pair(a)
-        if s1 <= 0.0:
-            return MuResult(value=0.0, minimizer=None, status="Infeasible")
         x = Matrix2(v1[0] * u1[0].conjugate(), v1[0] * u1[1].conjugate(),
                     v1[1] * u1[0].conjugate(), v1[1] * u1[1].conjugate())
         x = x.scale(1.0 / s1)
         return MuResult(value=s1, minimizer=x, status="Exact")
 
-    return _mu_numeric(a, structure, tol)
+    return _mu_numeric(a, structure)
 
 
 def mu_sandwich_check(a: Matrix2, structure: Structure,
@@ -723,28 +744,20 @@ def classify_subspace(structure: Structure, tol: float = 1e-9) -> SubspaceVerdic
     """Decide whether a 3-dimensional structure containing both diagonal
     cells is the twisted off-diagonal family, and recover its angle.
 
-    Reduces the basis modulo the diagonal cells to one off-diagonal generator
-    [[0, alpha], [beta, 0]] and tests |alpha| = |beta| != 0; the angle is
-    arg(beta/alpha), normalized into [0, 2 pi).
+    The span's unit normal (n11, n12, n21, n22) has n11 = n22 = 0 exactly
+    when E11 and E22 lie in the span; its off-diagonal generator [[0, alpha],
+    [beta, 0]] is then the unit vector (alpha, beta) = (n21, -n12).  The
+    family is |alpha| = |beta|, at angle arg(beta/alpha) in [0, 2 pi).
     """
     if structure.k != 3:
         raise PreconditionViolation(
             f"need a 3-dimensional structure, got k={structure.k}")
-    if structure.coeffs_of(E11) is None or structure.coeffs_of(E22) is None:
+    (n11, n12, n21, n22), = structure.normals
+    if max(abs(n11), abs(n22)) > 1e-10:
         raise PreconditionViolation(
             "structure does not contain both diagonal cells")
-    off = np.stack([[b.a12, b.a21] for b in structure.basis]).astype(complex)
-    u, s, vh = np.linalg.svd(off)
-    scale = max(float(s[0]), 1e-300)
-    if s[0] <= 1e-12:
-        return SubspaceVerdict(kind="NotETheta")
-    if len(s) > 1 and s[1] > 1e-9 * scale:
-        raise PreconditionViolation(
-            "off-diagonal part is not one-dimensional; basis invariant broken")
-    alpha, beta = vh[0, 0], vh[0, 1]
-    if abs(alpha) <= tol or abs(beta) <= tol:
-        return SubspaceVerdict(kind="NotETheta")
-    if abs(abs(alpha) - abs(beta)) > tol:
+    alpha, beta = n21, -n12
+    if min(abs(alpha), abs(beta)) <= tol or abs(abs(alpha) - abs(beta)) > tol:
         return SubspaceVerdict(kind="NotETheta")
     theta = cmath.phase(beta / alpha) % (2.0 * math.pi)
     return SubspaceVerdict(kind="IsETheta", theta=theta)

@@ -55,10 +55,10 @@ def penta_radius(s: complex, p: complex) -> float:
     return t1 + math.sqrt(max(g, 0.0)) / 2.0
 
 
-def penta_sup(pt, tol: float = 1e-8) -> float:
+def penta_sup(pt) -> float:
     """sup over the open unit disc of |a (1 - |z|^2) / (1 - s z + p z^2)|.
 
-    Closed form, tol unused: the supremum is linear in |a| and equals
+    Closed form: the supremum is linear in |a| and equals
     |a| / penta_radius(s, p) -- exactly 0 when a = 0, and inf where the
     critical radius vanishes (both roots at one point of the circle).
     """

@@ -10,6 +10,7 @@ the implementation under test.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 import random
 from dataclasses import dataclass
@@ -18,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from mublocks.bidisc import g2_classify, g2_roots
-from mublocks.domain_f import f_classify
+from mublocks.domain_f import f_classify, f_rescale_by
 from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
-from mublocks.hexablock import _check_quad
+from mublocks.hexablock import _check_quad, _sup_coeffs, pi_hexa
 from mublocks.lie_ball import transported_lattice
-from mublocks.matrix2 import Matrix2, _singular_values
+from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
+                              unitary_from_rng)
 from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _check_triple
 from mublocks.tetrablock import be_test, tetra_classify
@@ -332,6 +334,75 @@ def psi_sup_grid(pt, tol: float = 1e-7) -> float:
     return best
 
 
+def psi_sup_critical_radius(a: complex, x1: complex, x2: complex,
+                            x3: complex) -> float:
+    """The supremum through the critical radius r*: the root of m r^2 -
+    (c+d) r + m = 0 in [0, 1), at which the ray ratio (1 - r^2) / (c - 2 m r
+    + d r^2) is evaluated.  For a != 0 and x interior to the tetrablock.
+    hexablock's closed form skips r*; this route keeps it, with its guards,
+    so that mu_upper_hexablock_oracle stays independent of the value
+    mu._mu_upper derives."""
+    c, d, m = _sup_coeffs(x1, x2, x3)
+    if m == 0.0:
+        return abs(a) / math.sqrt(c)
+    disc = max((c + d) ** 2 - 4.0 * m * m, 0.0)
+    den = (c + d) + math.sqrt(disc)
+    if den == 0.0:  # c + d = 0 < m: x reads interior only through rounding
+        return float("inf")
+    rstar = 2.0 * m / den
+    dmin = c - 2.0 * m * rstar + d * rstar * rstar
+    if dmin <= 1e-300:
+        return float("inf")
+    return abs(a) * math.sqrt(max(1.0 - rstar * rstar, 0.0) / dmin)
+
+
+def hexa_points(rng: random.Random, n: int) -> list:
+    """n seeded hexablock points (a, x1, x2, x3), a quarter of each kind:
+    projections of contractions, of contractions rescaled to norm
+    1 - 10^-U(3, 16) and of unitaries times 1 - 10^-U(6, 16) (the last two
+    next to the boundary of the tetrablock), and Gaussian boxes."""
+    pts = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            pts.append(pi_hexa(contraction_from_rng(rng)))
+        elif kind == 1:
+            b = contraction_from_rng(rng)
+            t = 1.0 - 10.0 ** -rng.uniform(3.0, 16.0)
+            pts.append(pi_hexa(b.scale(t / svd_norm(b))))
+        elif kind == 2:
+            t = 1.0 - 10.0 ** -rng.uniform(6.0, 16.0)
+            pts.append(pi_hexa(unitary_from_rng(rng).scale(t)))
+        else:
+            pts.append(tuple(complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8))
+                             for _ in range(4)))
+    return pts
+
+
+def psi_sup_decimal(a: complex, x1: complex, x2: complex, x3: complex,
+                    digits: int = 50) -> Optional[float]:
+    """hexablock's closed form |a| sqrt(2 / den), den = (c - d) + sqrt((c +
+    d)^2 - 4 m^2), evaluated at `digits` digits on the exact binary values
+    of the inputs; None where the radicand is negative or den <= 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        (ar, ai), (r1, i1), (r2, i2), (r3, i3) = (
+            (decimal.Decimal(z.real), decimal.Decimal(z.imag))
+            for z in (complex(a), complex(x1), complex(x2), complex(x3)))
+        c = 1 - (r2 * r2 + i2 * i2)
+        d = (r1 * r1 + i1 * i1) - (r3 * r3 + i3 * i3)
+        # x1 - conj(x2) x3
+        wr = r1 - (r2 * r3 + i2 * i3)
+        wi = i1 - (r2 * i3 - i2 * r3)
+        disc = (c + d) ** 2 - 4 * (wr * wr + wi * wi)
+        if disc < 0:
+            return None
+        den = (c - d) + disc.sqrt()
+        if den <= 0:
+            return None
+        return float((ar * ar + ai * ai).sqrt() * (2 / den).sqrt())
+
+
 # ---------------------------------------------------------------------------
 # tetrablock: completion search.  x is in the closed set iff some matrix with
 # diagonal (x1, x2) and determinant x3 has norm <= 1; the off-diagonal product
@@ -393,6 +464,50 @@ def tetra_classify_delegated(pt, tol: float = 1e-9) -> MembershipVerdict:
 
 
 # ---------------------------------------------------------------------------
+# four-coordinate domain: the Minkowski gauge by bisection on membership,
+# which domain_f.minkowski_gauge's norm of the matrix over the point is
+# held against.
+
+
+def minkowski_gauge_bisect(pt, tol: float = 1e-9) -> float:
+    """inf{t > 0 : (x/t, a/t, p/t^2, s/t) interior}, by bracketing bisection.
+
+    0 at the origin; < 1 iff interior; 1 on distinguished-boundary points.
+    """
+    x, a, p, s = _check_quad(pt)
+    if x == 0 and a == 0 and p == 0 and s == 0:
+        return 0.0
+
+    # Exact-sign membership (tol 0): the banded verdict would bias the
+    # crossing by band^(1/k) at boundary points of tangency order k.
+    def inside(t: float) -> bool:
+        return f_classify(f_rescale_by(pt, t), 0.0).is_interior
+
+    hi = 1.0
+    for _ in range(60):
+        if inside(hi):
+            break
+        hi *= 2.0
+    else:
+        raise OptimizerNoConverge(f"no interior bracket above for {pt!r}")
+    lo = hi
+    for _ in range(60):
+        lo *= 0.5
+        if not inside(lo):
+            break
+    else:
+        raise OptimizerNoConverge(f"no exterior bracket below for {pt!r}")
+    # invariant: inside(hi), not inside(lo); the inside set is an up-ray in t
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # mu oracles
 
 
@@ -448,19 +563,18 @@ def mu_upper_hexablock_oracle(m: Matrix2) -> float:
     such that (a21, a11, a22, det A) / (t, t, t, t^2) leaves the open
     hexablock.
 
-    Uses the package's tetrablock test and the closed form of psi_sup
-    (called directly, as psi_sup's own tetrablock check has a wider band),
-    but none of the mu machinery: it is a dual route, not a fully external
-    oracle.
+    Uses the package's tetrablock test and the critical-radius supremum
+    psi_sup_critical_radius (called directly, as psi_sup's own tetrablock
+    check has a wider band), but none of the mu machinery: it is a dual
+    route, not a fully external oracle.
     """
-    from mublocks.hexablock import _psi_sup_closed
     from mublocks.tetrablock import pi_tetra, tetra_classify
 
     def inside(t: float) -> bool:
         b = m.scale(1.0 / t)
         x = pi_tetra(b)
         return (tetra_classify(x, 1e-15).is_interior
-                and (b.a21 == 0 or _psi_sup_closed(b.a21, *x) < 1.0))
+                and (b.a21 == 0 or psi_sup_critical_radius(b.a21, *x) < 1.0))
 
     return _least_inside_scale(inside, 200)
 

@@ -132,6 +132,15 @@ def test_mu_unknown_structure_exit_65():
     assert "bogus" in err
 
 
+def test_mu_takes_no_tolerance(monkeypatch):
+    """No mu path reads a tolerance: --tol is an unknown option (exit 64),
+    and a malformed MUBLOCKS_TOL does not reach mu."""
+    code, _, err = run(["mu", "diag", "[[1,2],[3,4]]", "--tol", "1e-3"])
+    assert code == 64 and "--tol" in err
+    monkeypatch.setenv("MUBLOCKS_TOL", "abc")
+    assert run(["mu", "diag", "[[1,2],[3,4]]"])[0] == 0
+
+
 def test_mu_matrix_parse_failures():
     assert run(["mu", "full", "[[1,0],[0]]"])[0] == 64
     assert run(["mu", "full", "not json"])[0] == 64

@@ -20,6 +20,7 @@ from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm
 from mublocks.pentablock import penta_classify, penta_dual_check
 from mublocks.tetrablock import tetra_classify
 from mublocks.verdict import Region
+from oracles import minkowski_gauge_bisect
 
 finite = st.floats(min_value=-1.5, max_value=1.5,
                    allow_nan=False, allow_infinity=False)
@@ -113,6 +114,22 @@ def test_gauge_frozen_values():
     # boundary point reached radially at t = 1
     assert minkowski_gauge((0, 0, -1.0, 2.0)) == pytest.approx(1.0, abs=1e-5)
     assert minkowski_gauge((0, 0, 0, 0)) == 0.0
+
+
+def test_gauge_exact_values():
+    assert minkowski_gauge((0, 0, 0.25, 0)) == 0.5
+    assert minkowski_gauge((0, 0, -1, 2)) == 1.0
+
+
+def test_gauge_matches_the_bisection():
+    """||B|| against bisection on exact-sign membership, on box noise,
+    contraction images and distinguished-boundary points."""
+    rng = random.Random(2718)
+    for _ in range(60):
+        for pt in (sample_point_f(rng), pi_f(contraction_from_rng(rng)),
+                   shilov_f_param(sample_shilov_param_f(rng))):
+            g = minkowski_gauge(pt)
+            assert abs(g - minkowski_gauge_bisect(pt)) <= 1e-7 * max(1.0, g), pt
 
 
 def test_gauge_homogeneity():

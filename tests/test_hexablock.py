@@ -14,7 +14,8 @@ from mublocks.hexablock import (hexa_classify, hexa_slice_a0, hn_classify,
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
 from mublocks.tetrablock import pi_tetra, tetra_classify
 from mublocks.verdict import Region
-from oracles import PsiProbe, psi_eval, psi_sup_grid
+from oracles import (PsiProbe, hexa_points, psi_eval, psi_sup_critical_radius,
+                     psi_sup_decimal, psi_sup_grid)
 
 rng = random.Random(53)
 
@@ -163,17 +164,93 @@ def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
 
 
 def test_zero_denominator_of_the_supremum_reads_outside():
-    """At this tetrablock point c + d rounds to 0 while m > 0, so the critical
-    radius would divide by zero; the point reads interior only at a tol below
-    its rounding, and the supremum is then inf, as for a vanishing dmin."""
+    """At this tetrablock point, 2e-18 outside E, c + d rounds to 0 while
+    m > 0, so the critical radius would divide by zero.  It reads interior
+    only at a tol below its rounding; the closed form never forms r*, so the
+    supremum is finite there and the margin is 1 - sup, still Outside."""
     a = -1.060124251104098 - 0.6200832766267721j
     x = (0.9885575782368063 + 5.551115123125783e-17j,
          0.37095287710250313 - 0.9163187482851123j,
          0.37524660704552537 - 0.9269250152524857j)
     assert tetra_classify(x, 1e-300).is_interior
-    assert hexablock._psi_sup_closed(a, *x) == math.inf
+    sup = hexablock._psi_sup_closed(a, *x)
+    assert sup == pytest.approx(8.1419, rel=1e-4)
     v = hexa_classify((a, *x), 1e-300)
-    assert (v.region, v.margin) == (Region.OUTSIDE, -1.0)
+    assert (v.region, v.margin) == (Region.OUTSIDE, 1.0 - sup)
+
+
+def test_closed_form_against_fifty_digits():
+    """The closed form against the same expression at 50 digits on exact
+    binary inputs, at points whose tetrablock part reads interior at tol 0
+    (where hexa_classify evaluates it), most of them next to the boundary
+    of the tetrablock."""
+    checked = 0
+    for a, *x in hexa_points(random.Random(20261018), 4000):
+        if a == 0 or not tetra_classify(x, 0.0).is_interior:
+            continue
+        ref = psi_sup_decimal(a, *x)
+        if ref is None:
+            continue
+        got = hexablock._psi_sup_closed(a, *x)
+        assert got != math.inf, (a, x)
+        assert got == pytest.approx(ref, rel=1e-10), (a, x)
+        checked += 1
+    assert checked > 2000
+
+
+def test_closed_form_against_the_critical_radius():
+    """Clear of the tetrablock boundary the closed form agrees with the
+    critical-radius route to 1e-12; where the radicand (c+d)^2 - 4 m^2
+    cancels they may differ by more, but then the closed form is the one
+    nearer the 50-digit value."""
+    checked = 0
+    for a, *x in hexa_points(random.Random(4411), 8000):
+        if a == 0 or tetra_classify(x).margin <= 1e-6:
+            continue
+        new = hexablock._psi_sup_closed(a, *x)
+        old = psi_sup_critical_radius(a, *x)
+        if abs(new - old) > 1e-12 * old:
+            ref = psi_sup_decimal(a, *x)
+            assert abs(new - ref) <= abs(old - ref), (a, x)
+        checked += 1
+    assert checked > 3000
+
+
+def test_corrected_point_reads_interior():
+    """x lies exactly inside E, with (A)-slack +1.0e-16; the critical-radius
+    route returned inf here and read the point Outside with margin -1.0."""
+    a = 0.2013097612717037 + 0.14170713034712498j
+    x = (0.8254648431772083 + 0j,
+         0.19050654966369385 - 0.8031808400707822j,
+         0.23078699382330492 - 0.9730042977715981j)
+    assert psi_sup_critical_radius(a, *x) == math.inf
+    sup = hexablock._psi_sup_closed(a, *x)
+    assert sup == pytest.approx(0.43614562014367104, rel=1e-15)
+    v = hexa_classify((a, *x), 0.0)
+    assert v.region is Region.INTERIOR
+    assert v.margin == min(tetra_classify(x, 0.0).margin, 1.0 - sup)
+
+
+def test_verdicts_match_the_critical_radius_route(monkeypatch):
+    """hexa_classify through the closed form and through the critical
+    radius give the same region, indeterminate and shilov flags on 20 000
+    seeded points, near-boundary ones included.  The two suprema differ in
+    the last bits, so a verdict may change only where the two margins lie
+    on either side of a band edge, within 1e-13 of each other."""
+    pts = hexa_points(random.Random(4411), 20000)
+    tols = (1e-9, 1e-12, 1e-15)
+    new = {tol: [hexa_classify(p, tol) for p in pts] for tol in tols}
+    monkeypatch.setattr(hexablock, "_psi_sup_closed", psi_sup_critical_radius)
+    for tol in tols:
+        for p, v in zip(pts, new[tol]):
+            o = hexa_classify(p, tol)
+            if (v.region, v.indeterminate, v.shilov) == (o.region,
+                                                         o.indeterminate,
+                                                         o.shilov):
+                continue
+            lo, hi = sorted((v.margin, o.margin))
+            assert lo <= tol < hi or lo < -tol <= hi, (tol, p)
+            assert hi - lo <= 1e-13, (tol, p)
 
 
 def test_slice_three_way_agreement():

@@ -118,6 +118,53 @@ def test_mu_homogeneity():
             assert got == pytest.approx(abs(c) * base, rel=1e-6)
 
 
+def test_mu_over_the_whole_float_range():
+    """mu(cA) = |c| mu(A) far outside [2^-200, 2^200].  Unscaled, these
+    calls raised OverflowError (e = 78, 150) or PreconditionViolation (e =
+    300), came out Numeric and low (e = -78, -150), or off, Infeasible or
+    unconverged (e = -170, -300)."""
+    a = Matrix2(1 + 2j, 0.5, -0.3j, 2)
+    for name in ("scalar", "diag", "upper", "lower", "full", "skewdiag",
+                 "e_theta:0.7"):
+        s = structure_from_name(name)
+        base = mu_value(a, s).value
+        for e in (78, 150, 300, -78, -150, -170, -300):
+            big = a.scale(10.0 ** e)
+            r = mu_value(big, s)
+            assert r.status == "Exact", (name, e)
+            assert r.value == pytest.approx(base * 10.0 ** e, rel=1e-15)
+            assert operator_norm(r.minimizer) * r.value == pytest.approx(1.0, rel=1e-12)
+            det = (Matrix2.identity() - big @ r.minimizer).det
+            assert abs(det) <= 1e-12, (name, e)
+
+
+def test_mu_range_scaling_is_bitwise():
+    """Out of range, A 2^k with k even is computed as A itself: the value
+    and every part of the minimizer (the sign of a zero included) are those
+    for A, times 2^k and 2^-k.  An odd power would move _mu_diagonal's
+    square roots by an ulp."""
+    def hexparts(m, k=0):
+        return [float.hex(math.ldexp(t, k))
+                for z in m.entries() for t in (z.real, z.imag)]
+
+    r_seeded = random.Random(77)
+    for _ in range(10):
+        a = Matrix2(*(complex(r_seeded.gauss(0, 1), r_seeded.gauss(0, 1))
+                      for _ in range(4)))
+        for name in ("scalar", "diag", "upper", "lower", "full", "skewdiag",
+                     "e_theta:0.7"):
+            s = structure_from_name(name)
+            base = mu_value(a, s)
+            for k in (300, -300, 700, -900):
+                big = Matrix2(*(complex(math.ldexp(z.real, k),
+                                        math.ldexp(z.imag, k))
+                                for z in a.entries()))
+                r = mu_value(big, s)
+                assert (r.value, r.status) == (math.ldexp(base.value, k),
+                                               base.status), (name, k)
+                assert hexparts(r.minimizer) == hexparts(base.minimizer, -k)
+
+
 def _check_diag_result(a, r):
     """Exact status, a diagonal minimizer on the variety with norm 1/mu."""
     assert r.status == "Exact"
@@ -181,7 +228,7 @@ def test_mu_diag_closed_form_vs_numeric_and_dscale_oracle():
                       for _ in range(4)))
         r = mu_value(a, diag)
         _check_diag_result(a, r)
-        numeric = mu_module._mu_numeric(a, diag, 1e-7).value
+        numeric = mu_module._mu_numeric(a, diag).value
         assert numeric <= r.value * (1.0 + 1e-12)
         assert abs(numeric - r.value) <= 1e-5 * r.value
         assert r.value == pytest.approx(mu_diag_dscale_oracle(a), rel=1e-12)
@@ -332,7 +379,7 @@ def test_mu_triangular_chain_and_transpose():
         assert results[1].minimizer == r_up_t.minimizer.transpose()
         if i < 10:
             for s, r in zip((upper, lower), results):
-                numeric = mu_module._mu_numeric(a, s, 1e-7).value
+                numeric = mu_module._mu_numeric(a, s).value
                 assert numeric <= r.value * (1.0 + 1e-12)
 
 
@@ -393,7 +440,7 @@ def test_mu_triangular_degenerate_inputs():
             assert mu_value(m, diag).value <= r.value
             assert r.value <= svd_norm(m) * (1.0 + 1e-14)
             _check_tri_result(m, r, s)
-            numeric = mu_module._mu_numeric(m, s, 1e-7).value
+            numeric = mu_module._mu_numeric(m, s).value
             assert numeric <= r.value * (1.0 + 1e-12)
     assert mu_value(Matrix2(0, 0, 1.5 - 2j, 0), lower).status == "Infeasible"
 
