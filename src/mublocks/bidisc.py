@@ -6,12 +6,13 @@ are known:
     (A)  |s - conj(s) p| < 1 - |p|^2
     (B)  2 |s - conj(s) p| + |s^2 - 4 p| < 4 - |s|^2
 
-and the closure is the non-strict version.  g2_classify evaluates (A) only;
-g2_dual_check holds it against (B), and the verification suites and the
-tests call it, never a classifier.  Criterion (A) alone does not close
-up correctly on |p| = 1 (it degenerates to the line s = conj(s) p, which
-admits arbitrarily large |s|), so the reported margin carries the extra leg
-2 - |s|:
+and the closure is the non-strict version.  g2_classify evaluates (A) only,
+through the kernel _g2_margin, which the pentablock and F also call for
+their bidisc leg; g2_dual_check holds (A) against (B), and the verification
+suites and the tests call it, never a classifier.  Criterion (A) alone does
+not close up correctly on |p| = 1 (it degenerates to the line
+s = conj(s) p, which admits arbitrarily large |s|), so the reported margin
+carries the extra leg 2 - |s|:
 
     margin = min((1 - |p|^2) - |s - conj(s) p|, 2 - |s|).
 
@@ -28,7 +29,7 @@ import cmath
 
 from .errors import PreconditionViolation
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
-                      raise_if_split, verdict_from_margin)
+                      raise_if_split)
 
 
 def _check_pair(pt) -> tuple[complex, complex]:
@@ -41,14 +42,18 @@ def _slack_b(s: complex, p: complex) -> float:
     return (4.0 - abs(s) ** 2) - (2.0 * abs(s - s.conjugate() * p) + abs(s * s - 4.0 * p))
 
 
+def _g2_margin(s: complex, p: complex) -> float:
+    """Criterion (A) slack capped by 2 - |s|: g2_classify's margin."""
+    return min((1.0 - abs(p) ** 2) - abs(s - s.conjugate() * p), 2.0 - abs(s))
+
+
 def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = criterion (A) slack capped by 2 - |s|."""
     s, p = _check_pair(pt)
-    margin = min((1.0 - abs(p) ** 2) - abs(s - s.conjugate() * p), 2.0 - abs(s))
-    shilov = None
-    if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
-        shilov = bgamma_test((s, p), tol)
-    return verdict_from_margin(margin, tol, shilov=shilov)
+    margin = _g2_margin(s, p)
+    region = classify_margin(margin, tol)
+    shilov = bgamma_test((s, p), tol) if region is Region.CLOSURE_BOUNDARY else None
+    return MembershipVerdict(region, margin, tol, shilov)
 
 
 def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:

@@ -216,27 +216,43 @@ _CLASSIFIERS = {
 }
 
 
-def _hn_region(rec) -> str:
+def _hn_region(rec) -> Region:
     # The normed variant is not open, so Interior is reserved for the
     # interior of the set itself; members outside that interior report
     # ClosureBoundary even when they sit inside the ambient hexablock.
     if rec.in_interior_of_hn:
-        return "Interior"
+        return Region.INTERIOR
     if rec.in_closure:
-        return "ClosureBoundary"
-    return "Outside"
+        return Region.CLOSURE_BOUNDARY
+    return Region.OUTSIDE
+
+
+def _cell_classifier(domain: str, tol: Optional[float]):
+    """The per-point call of check and slice: coords -> (verdict code,
+    margin, verdict), where hn gives its HnVerdict and a NaN margin."""
+    kw = {} if tol is None else {"tol": tol}
+    if domain == "hn":
+        def hn_cell(coords):
+            rec = hn_classify(coords, **kw)
+            return _REGION_CODE[_hn_region(rec)], math.nan, rec
+        return hn_cell
+    classify = _CLASSIFIERS[domain]
+
+    def cell(coords):
+        verdict = classify(coords, **kw)
+        code = (_INDETERMINATE_CODE if verdict.indeterminate
+                else _REGION_CODE[verdict.region])
+        return code, verdict.margin, verdict
+    return cell
 
 
 def _classify_cell(domain: str, coords: Sequence[complex],
                    tol: Optional[float]) -> tuple[int, float, dict]:
     """(verdict code, margin, extra JSON fields) for one point."""
-    kw = {} if tol is None else {"tol": tol}
+    code, margin, rec = _cell_classifier(domain, tol)(coords)
     if domain == "hn":
-        rec = hn_classify(coords, **kw)
-        region = _hn_region(rec)
-        code = {"Interior": 0, "ClosureBoundary": 1, "Outside": 2}[region]
-        extra = {
-            "region": region,
+        return code, margin, {
+            "region": _hn_region(rec).value,
             "in_open": rec.in_open,
             "in_closure": rec.in_closure,
             "in_interior_of_hn": rec.in_interior_of_hn,
@@ -244,18 +260,13 @@ def _classify_cell(domain: str, coords: Sequence[complex],
             "shilov": None,
             "indeterminate": False,
         }
-        return code, float("nan"), extra
-    verdict = _CLASSIFIERS[domain](coords, **kw)
-    code = (_INDETERMINATE_CODE if verdict.indeterminate
-            else _REGION_CODE[verdict.region])
-    extra = {
-        "region": verdict.region.value,
-        "margin": verdict.margin,
-        "tol": verdict.tol,
-        "shilov": verdict.shilov,
-        "indeterminate": verdict.indeterminate,
+    return code, margin, {
+        "region": rec.region.value,
+        "margin": rec.margin,
+        "tol": rec.tol,
+        "shilov": rec.shilov,
+        "indeterminate": rec.indeterminate,
     }
-    return code, verdict.margin, extra
 
 
 def _merge_positional(pos, opt, what: str) -> str:
@@ -428,19 +439,24 @@ def _cmd_slice(args) -> int:
     tol = _resolve_tol(args)
 
     base = [fixed.get(nm, 0j) for nm in names]
-    idx = {nm: k for k, nm in enumerate(names)}
+    (comp1, nm1), (comp2, nm2) = axes
+    k1, k2 = names.index(nm1), names.index(nm2)
+    cell = _cell_classifier(domain, tol)
+    cols = [(v2, f"\t{v2:.10g}\t") for v2 in
+            (lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n))]
     lines = [f"{_axis_label(axes[0])}\t{_axis_label(axes[1])}\tcode\tmargin"]
     for i in range(n):
         v1 = lo1 + (hi1 - lo1) * i / (n - 1)
-        for j in range(n):
-            v2 = lo2 + (hi2 - lo2) * j / (n - 1)
-            coords = list(base)
-            for (comp, nm), val in zip(axes, (v1, v2)):
-                z = coords[idx[nm]]
-                coords[idx[nm]] = complex(val, z.imag) if comp == "re" \
-                    else complex(z.real, val)
-            code, margin, _extra = _classify_cell(domain, tuple(coords), tol)
-            lines.append(f"{v1:.10g}\t{v2:.10g}\t{code}\t{margin:.17g}")
+        text1 = f"{v1:.10g}"
+        # Where both axes name one coordinate, the second reads the row's value.
+        row = list(base)
+        z = row[k1]
+        row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)
+        z = row[k2]
+        for v2, text2 in cols:
+            row[k2] = complex(v2, z.imag) if comp2 == "re" else complex(z.real, v2)
+            code, margin, _verdict = cell(tuple(row))
+            lines.append(f"{text1}{text2}{code}\t{margin:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

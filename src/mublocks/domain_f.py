@@ -43,12 +43,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bidisc import g2_classify, g2_roots
+from .bidisc import _g2_margin, g2_roots
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords, operator_norm
 from .tetrablock import be_test
-from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
-                      verdict_from_margin)
+from .verdict import DEFAULT_TOL, MembershipVerdict, Region, classify_margin
 
 # Bounding box for random sampling: the closure projects into the closed
 # bidisc/tetrablock/pentablock hulls, so |x|, |a| <= 1, |p| <= 1, |s| <= 2;
@@ -73,22 +72,15 @@ def q_value(pt) -> float:
     return gram_det_from_coords(x, a, p, s)
 
 
-def f_margins(pt, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
-    """The three signed slacks: bidisc margin of (s, ax-p), 1 - |p|, Q."""
-    x, a, p, s = _check_quad(pt)
-    gv = g2_classify((s, a * x - p), tol)
-    return (gv.margin, 1.0 - abs(p), gram_det_from_coords(x, a, p, s))
-
-
 def f_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Three-state membership verdict; margin = min of the three slacks."""
-    m1, m2, m3 = f_margins(pt, tol)
-    margin = min(m1, m2, m3)
+    """Three-state membership verdict; margin = min of the three slacks: the
+    bidisc margin of (s, ax-p) (kernel bidisc._g2_margin), 1 - |p| and Q."""
+    x, a, p, s = _check_quad(pt)
+    margin = min(_g2_margin(s, a * x - p), 1.0 - abs(p),
+                 gram_det_from_coords(x, a, p, s))
     region = classify_margin(margin, tol)
-    shilov = None
-    if region is Region.CLOSURE_BOUNDARY:
-        shilov = shilov_f_test(pt, tol)
-    return verdict_from_margin(margin, tol, shilov=shilov)
+    shilov = shilov_f_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
+    return MembershipVerdict(region, margin, tol, shilov)
 
 
 def f_matrix_witness(pt) -> Matrix2:
@@ -103,10 +95,9 @@ def f_matrix_witness(pt) -> Matrix2:
 def f_classify_matrix_oracle(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Independent verdict via reconstruction: margin = 1 - ||B||."""
     margin = 1.0 - operator_norm(f_matrix_witness(pt))
-    shilov = None
-    if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
-        shilov = shilov_f_test(pt, tol)
-    return verdict_from_margin(margin, tol, shilov=shilov)
+    region = classify_margin(margin, tol)
+    shilov = shilov_f_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
+    return MembershipVerdict(region, margin, tol, shilov)
 
 
 def f_scale(pt, r: float):

@@ -20,10 +20,11 @@ There g = r* / (m - d r*) = 2 / den, so r* is never formed:
 
 Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0; the form is inf
 only where rounding at the tetrablock boundary makes den <= 0.
-hexa_classify evaluates it after its own tetrablock verdict, so each call
-classifies the tetrablock part once.  The product-grid optimizer psi_sup_grid
-and the critical-radius route psi_sup_critical_radius, which the tests
-compare against, live with the test oracles.
+hexa_classify evaluates it after the tetrablock kernel
+tetrablock._tetra_margin, called once per point and mapped to a region by
+classify_margin, so no tetrablock verdict is built.  The product-grid
+optimizer psi_sup_grid and the critical-radius route psi_sup_critical_radius,
+which the tests compare against, live with the test oracles.
 
 The normed variant reduces to the four-coordinate domain: for a != 0,
 (a, x1, x2, x3) is in it iff (x1, x2, x3, a + (x1 x2 - x3)/a) is interior
@@ -42,7 +43,7 @@ from .domain_f import f_classify
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_report, operator_norm
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .tetrablock import tetra_classify
+from .tetrablock import _tetra_margin, tetra_classify
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
                       verdict_from_margin)
 
@@ -99,26 +100,25 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     otherwise ClosureBoundary flagged indeterminate.
     """
     a, x1, x2, x3 = _check_quad(pt)
-    tv = tetra_classify((x1, x2, x3), tol)
+    t_margin = _tetra_margin(x1, x2, x3)
+    t_region = classify_margin(t_margin, tol)
     if a == 0:
-        return verdict_from_margin(tv.margin, tol,
-                                   shilov=(shilov_h_test(pt, tol)
-                                           if tv.region is Region.CLOSURE_BOUNDARY
-                                           else None))
-    if tv.region is Region.OUTSIDE:
-        return verdict_from_margin(tv.margin, tol)
-    if tv.region is Region.CLOSURE_BOUNDARY:
+        shilov = shilov_h_test(pt, tol) if t_region is Region.CLOSURE_BOUNDARY else None
+        return MembershipVerdict(t_region, t_margin, tol, shilov)
+    if t_region is Region.OUTSIDE:
+        return verdict_from_margin(t_margin, tol)
+    if t_region is Region.CLOSURE_BOUNDARY:
         if abs(a) > 1.0 + tol:
-            return verdict_from_margin(min(tv.margin, 1.0 - abs(a)), tol)
-        margin = min(tv.margin, max(-tol, min(tol, 1.0 - abs(a))))
+            return verdict_from_margin(min(t_margin, 1.0 - abs(a)), tol)
+        margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
         return MembershipVerdict(region=Region.CLOSURE_BOUNDARY, margin=margin,
                                  tol=tol, shilov=shilov_h_test(pt, tol),
                                  indeterminate=True)
     sup = _psi_sup_closed(a, x1, x2, x3)
-    margin = -1.0 if sup == float("inf") else min(tv.margin, 1.0 - sup)
+    margin = -1.0 if sup == float("inf") else min(t_margin, 1.0 - sup)
     region = classify_margin(margin, tol)
     shilov = shilov_h_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
-    return verdict_from_margin(margin, tol, shilov=shilov)
+    return MembershipVerdict(region, margin, tol, shilov)
 
 
 def hexa_slice_a0(x1: complex, x2: complex, x3: complex,

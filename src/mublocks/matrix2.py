@@ -30,11 +30,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import FormulaMismatch, PreconditionViolation
 
 _GRAM_AGREE_TOL = 1e-10
+_NORMAL_MIN = sys.float_info.min
 
 
 def _as_finite_complex(z, what: str) -> complex:
@@ -122,6 +124,8 @@ def _singular_values(a11: complex, a12: complex, a21: complex,
     vouches that the entries are finite complex numbers.  Where the squares
     overflow (entries past about 1e77) or underflow (below about 1e-145),
     and only there, the entries are first scaled exactly by a power of two.
+    Where |det B|^2 alone is below the normal range, sigma_min is
+    |det B| / sigma_max.
     """
     # B*B = [[h11, h12], [conj(h12), h22]]; its eigenvalues are
     # mid +- gap.  The gap is taken as a hypot of the half-difference and the
@@ -144,6 +148,9 @@ def _singular_values(a11: complex, a12: complex, a21: complex,
                                             math.ldexp(z.imag, -e))
                                     for z in (a11, a12, a21, a22)))
         return math.ldexp(s1, e), math.ldexp(s2, e)
+    if d < _NORMAL_MIN:   # |det|^2 underflowed; |det| / sigma_max needs no square
+        s1 = math.sqrt(hi)
+        return s1, min(abs(a11 * a22 - a12 * a21) / s1, s1)
     # mid - gap cancels catastrophically when d << hi^2; the eigenvalue
     # product is d exactly, so divide instead.
     lo = d / hi

@@ -6,7 +6,8 @@ For (s, p) in the open symmetrized bidisc with roots (l1, l2), membership is
     |a|  <  |1 - conj(l2) l1| / 2 + sqrt((1 - |l1|^2)(1 - |l2|^2)) / 2,
 
 the critical radius of Agler-Lykova-Young.  This root form is the only rule
-penta_classify evaluates.  The equivalent supremum form
+penta_classify evaluates, next to the bidisc kernel bidisc._g2_margin for
+(s, p).  The equivalent supremum form
 
     sup_{|z|<1} |a (1 - |z|^2) / (1 - s z + p z^2)| < 1
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .bidisc import bgamma_test, g2_classify, g2_roots
+from .bidisc import _g2_margin, bgamma_test, g2_classify, g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
@@ -117,17 +118,14 @@ def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     not consulted here: penta_dual_check is the cross-check.
     """
     a, s, p = _check_triple(pt)
-    gv = g2_classify((s, p), tol)
-    if gv.region is Region.OUTSIDE:
-        return verdict_from_margin(gv.margin, tol)
+    g2_margin = _g2_margin(s, p)
+    if classify_margin(g2_margin, tol) is Region.OUTSIDE:
+        return verdict_from_margin(g2_margin, tol)
     slack = penta_radius(s, p) - abs(a)
-    margin = min(gv.margin, slack)
+    margin = min(g2_margin, slack)
     region = classify_margin(margin, tol)
-
-    shilov = None
-    if region is Region.CLOSURE_BOUNDARY:
-        shilov = bp_test(pt, tol)
-    return verdict_from_margin(margin, tol, shilov=shilov)
+    shilov = bp_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
+    return MembershipVerdict(region, margin, tol, shilov)
 
 
 def bp_test(pt, tol: float = DEFAULT_TOL) -> bool:

@@ -16,8 +16,9 @@ characterize the closure (e.g. (1, 5, 5) satisfies it with |x3| = 5).  But x is
 in the closed tetrablock iff (x1, x2, x3, 0) is in the closed image domain of
 (a11, a22, det, a12 + a21), whose three legs at s = 0 are 1 - |x1 x2 - x3|^2,
 1 - |x3| and the Gram determinant Q(x1, x2, x3, 0).  tetra_classify reports
-min((A)-slack, legs), which is sign-faithful in all three regions.  For the
-suites and the tests, tetra_dual_check holds (A) against (B) and the legs.
+min((A)-slack, legs), sign-faithful in all three regions, via the kernel
+_tetra_margin, which the hexablock also calls.  For the suites and the
+tests, tetra_dual_check holds (A) against (B) and the legs.
 
 Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 (u11, u22, det U) of 2x2 unitaries.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
-                      raise_if_split, verdict_from_margin)
+                      raise_if_split)
 
 _EQ_TOL = 1e-12
 
@@ -63,14 +64,18 @@ def tetra_margins(x1: complex, x2: complex, x3: complex) -> tuple[float, float]:
     return _slack_a(x1, x2, x3), cb
 
 
+def _tetra_margin(x1: complex, x2: complex, x3: complex) -> float:
+    """min of the (A)-slack and the closure legs: tetra_classify's margin."""
+    return min(_slack_a(x1, x2, x3), _closure_margin(x1, x2, x3))
+
+
 def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = min of the (A)-slack and the closure legs."""
     x1, x2, x3 = _check_triple(pt)
-    margin = min(_slack_a(x1, x2, x3), _closure_margin(x1, x2, x3))
-    shilov = None
-    if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
-        shilov = be_test(pt, tol)
-    return verdict_from_margin(margin, tol, shilov=shilov)
+    margin = _tetra_margin(x1, x2, x3)
+    region = classify_margin(margin, tol)
+    shilov = be_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
+    return MembershipVerdict(region, margin, tol, shilov)
 
 
 def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:

@@ -11,12 +11,15 @@ contract, uniformly:
 
 The margin is a signed slack of the binding inequality: positive inside,
 negative outside, units depend on the domain (documented per classifier).
+
+A verdict is a named tuple underneath, cheap to build, immutable and equal
+only to a verdict; its constructor checks the rules above and the Shilov flag.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CriteriaDisagree
 
@@ -45,8 +48,7 @@ def classify_margin(margin: float, tol: float = DEFAULT_TOL) -> Region:
     return Region.CLOSURE_BOUNDARY
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class _VerdictFields(NamedTuple):
     region: Region
     margin: float
     tol: float = DEFAULT_TOL
@@ -59,15 +61,28 @@ class MembershipVerdict:
     # over a near-boundary base point).
     indeterminate: bool = False
 
-    def __post_init__(self) -> None:
-        if self.region is Region.INTERIOR and not (self.margin > self.tol):
+
+class MembershipVerdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, region: Region, margin: float, tol: float = DEFAULT_TOL,
+                shilov: bool | None = None, indeterminate: bool = False):
+        if region is Region.INTERIOR and not (margin > tol):
             raise AssertionError(
-                f"verdict invariant: Interior needs margin > tol, got {self.margin!r}")
-        if self.region is Region.OUTSIDE and not (self.margin < -self.tol):
+                f"verdict invariant: Interior needs margin > tol, got {margin!r}")
+        if region is Region.OUTSIDE and not (margin < -tol):
             raise AssertionError(
-                f"verdict invariant: Outside needs margin < -tol, got {self.margin!r}")
-        if self.shilov and self.region is Region.INTERIOR:
+                f"verdict invariant: Outside needs margin < -tol, got {margin!r}")
+        if shilov and region is Region.INTERIOR:
             raise AssertionError("verdict invariant: Shilov points are never interior")
+        return tuple.__new__(cls, (region, margin, tol, shilov, indeterminate))
+
+    # A verdict equals only a verdict, never a bare tuple of the same fields.
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     @property
     def in_closure(self) -> bool:
@@ -81,9 +96,8 @@ class MembershipVerdict:
 def verdict_from_margin(margin: float, tol: float = DEFAULT_TOL, *,
                         shilov: bool | None = None,
                         indeterminate: bool = False) -> MembershipVerdict:
-    region = classify_margin(margin, tol)
-    return MembershipVerdict(region=region, margin=margin, tol=tol,
-                             shilov=shilov, indeterminate=indeterminate)
+    return MembershipVerdict(classify_margin(margin, tol), margin, tol,
+                             shilov, indeterminate)
 
 
 def raise_if_split(what: str, pt, margin_a: float, margin_b: float, tol: float) -> None:

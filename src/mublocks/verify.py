@@ -21,7 +21,7 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .bidisc import bgamma_test, g2_classify, g2_dual_check
@@ -157,10 +157,12 @@ def _mixed_point_tetra(rng: random.Random):
 
 
 def _lie_ball_interior(rng: random.Random):
-    """Rejection sample of the open Cartan-ball interior in C^4."""
+    """Rejection sample of the open Cartan-ball interior in C^4.  The margin
+    is at most 1 - sum |z|^2, so sum |z|^2 >= 1 rejects without classifying."""
     while True:
         z = tuple(0.55 * _complex_gauss(rng) for _ in range(4))
-        if lie_ball_classify(z, 0.0).margin > 1e-6:
+        if (sum(abs(v) ** 2 for v in z) < 1.0
+                and lie_ball_classify(z, 0.0).margin > 1e-6):
             return z
 
 
@@ -178,7 +180,6 @@ def _unit_s3(rng: random.Random):
 
 def _suite_lemma21_gram(n: int, seed: int, tol: float) -> SuiteReport:
     """det(I - B*B) direct vs the coordinate closed form."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     ident = Matrix2.identity()
@@ -191,13 +192,11 @@ def _suite_lemma21_gram(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(
                 f"kind=gram_det index={i} b={_pt17(b.entries())} "
                 f"direct={_c17(direct)} closed={closed:.17g}")
-    return SuiteReport("lemma21_gram", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("lemma21_gram", n, seed, tol, tuple(failures))
 
 
 def _suite_prop22_vs_oracle(n: int, seed: int, tol: float) -> SuiteReport:
     """Coordinate criteria vs matrix-reconstruction oracle, full verdict."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -214,12 +213,11 @@ def _suite_prop22_vs_oracle(n: int, seed: int, tol: float) -> SuiteReport:
                 f"criteria={va.region.value} oracle={vb.region.value} "
                 f"margins={va.margin:.17g},{vb.margin:.17g}")
     return SuiteReport("prop22_vs_oracle", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+                       band_excluded=band)
 
 
 def _suite_prop24_closure(n: int, seed: int, tol: float) -> SuiteReport:
     """Closure = image of the closed ball; non-strict criteria vs oracle."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -242,13 +240,11 @@ def _suite_prop24_closure(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(
                 f"kind=closure_agreement index={i} pt={_pt17(pt)} "
                 f"criteria={va.in_closure} oracle={vb.in_closure}")
-    return SuiteReport("prop24_closure", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+    return SuiteReport("prop24_closure", n, seed, tol, tuple(failures), band_excluded=band)
 
 
 def _suite_swap_involution(n: int, seed: int, tol: float) -> SuiteReport:
     """The coordinate swap preserves the verdict; so does applying it twice."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -268,13 +264,11 @@ def _suite_swap_involution(n: int, seed: int, tol: float) -> SuiteReport:
                 f"kind=swap_verdict index={i} pt={_pt17(pt)} "
                 f"orig={v0.region.value} once={v1.region.value} "
                 f"twice={v2.region.value}")
-    return SuiteReport("swap_involution", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+    return SuiteReport("swap_involution", n, seed, tol, tuple(failures), band_excluded=band)
 
 
 def _suite_lemma25_scaling(n: int, seed: int, tol: float) -> SuiteReport:
     """Quasi-balanced inward scaling sends the closure into the interior."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -293,14 +287,24 @@ def _suite_lemma25_scaling(n: int, seed: int, tol: float) -> SuiteReport:
         failures.append(
             f"kind=scaled_not_interior index={i} pt={_pt17(pt)} r={r:.17g} "
             f"observed={sv.region.value} margin={sv.margin:.17g}")
-    return SuiteReport("lemma25_scaling", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+    return SuiteReport("lemma25_scaling", n, seed, tol, tuple(failures), band_excluded=band)
+
+
+def _projection_legs(rel, tol: float = DEFAULT_TOL):
+    """(name, verdict) of the g2, tetra and penta projections of an F point,
+    each projection also held to its domain's dual check."""
+    legs = (("g2", g2_classify(rel.g2, tol)),
+            ("tetra", tetra_classify(rel.tetra, tol)),
+            ("penta", penta_classify(rel.penta, tol)))
+    g2_dual_check(rel.g2, tol)
+    tetra_dual_check(rel.tetra, tol)
+    penta_dual_check(rel.penta, tol)
+    return legs
 
 
 def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
     """Interior points project into the three classical domains; each
     projection is also held to its domain's dual check."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -315,14 +319,7 @@ def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
                 f"kind=image_not_interior index={i} pt={_pt17(pt)} "
                 f"observed={fv.region.value} margin={fv.margin:.17g}")
             continue
-        rel = f_relations(pt)
-        legs = (("g2", g2_classify(rel.g2, tol)),
-                ("tetra", tetra_classify(rel.tetra, tol)),
-                ("penta", penta_classify(rel.penta, tol)))
-        g2_dual_check(rel.g2, tol)
-        tetra_dual_check(rel.tetra, tol)
-        penta_dual_check(rel.penta, tol)
-        for name, v in legs:
+        for name, v in _projection_legs(f_relations(pt), tol):
             if v.region is Region.INTERIOR:
                 continue
             if abs(v.margin) <= BAND_FACTOR * tol:
@@ -332,13 +329,12 @@ def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
                 f"kind=projection index={i} pt={_pt17(pt)} leg={name} "
                 f"observed={v.region.value} margin={v.margin:.17g}")
     return SuiteReport("thm29_projections", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+                       band_excluded=band)
 
 
 def _suite_prop210_slice(n: int, seed: int, tol: float) -> SuiteReport:
     """s = 0 slice: three-way equivalence with the tetrablock and the a = 0
     hexablock slice."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -355,13 +351,11 @@ def _suite_prop210_slice(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(
                 f"kind=slice_s0 index={i} x={_pt17(x)} "
                 f"f={fv.is_interior} tetra={tv.is_interior} hexa={hv.is_interior}")
-    return SuiteReport("prop210_slice", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+    return SuiteReport("prop210_slice", n, seed, tol, tuple(failures), band_excluded=band)
 
 
 def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
     """x = a = 0 slice against the two-coordinate domain with negated product."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -383,15 +377,13 @@ def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(
                 f"kind=slice_xa0 index={i} p={_c17(p)} s={_c17(s)} "
                 f"f={fv.is_interior} g2={gv.is_interior}")
-    return SuiteReport("prop211_slice", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+    return SuiteReport("prop211_slice", n, seed, tol, tuple(failures), band_excluded=band)
 
 
 def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteReport:
     """Closure points project into the three closed domains (plus the negated
     product pair, the fourth conclusion); each projection is also held to its
     domain's dual check."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -402,13 +394,7 @@ def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteRep
             pt = shilov_f_param(sample_shilov_param_f(rng))
         rel = f_relations(pt)
         x, a, p, s = pt
-        legs = (("g2", g2_classify(rel.g2, tol)),
-                ("tetra", tetra_classify(rel.tetra, tol)),
-                ("penta", penta_classify(rel.penta, tol)),
-                ("g2_neg_p", g2_classify((s, -p), tol)))
-        g2_dual_check(rel.g2, tol)
-        tetra_dual_check(rel.tetra, tol)
-        penta_dual_check(rel.penta, tol)
+        legs = _projection_legs(rel, tol) + (("g2_neg_p", g2_classify((s, -p), tol)),)
         g2_dual_check((s, -p), tol)
         for name, v in legs:
             if v.in_closure:
@@ -420,14 +406,12 @@ def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteRep
                 f"kind=closure_projection index={i} pt={_pt17(pt)} leg={name} "
                 f"observed={v.region.value} margin={v.margin:.17g}")
     return SuiteReport("cor213_closure_projections", n, seed, tol,
-                       tuple(failures), band_excluded=band,
-                       elapsed=time.perf_counter() - t0)
+                       tuple(failures), band_excluded=band)
 
 
 def _suite_prop215_hn(n: int, seed: int, tol: float) -> SuiteReport:
     """a != 0 membership in the normed variant: four-coordinate reduction vs
     direct matrix reconstruction."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     band = 0
@@ -456,8 +440,7 @@ def _suite_prop215_hn(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(
                 f"kind=hn_open index={i} pt={_pt17(pt)} via_f={via_f} "
                 f"direct={direct} norm={norm:.17g}")
-    return SuiteReport("prop215_hn", n, seed, tol, tuple(failures),
-                       band_excluded=band, elapsed=time.perf_counter() - t0)
+    return SuiteReport("prop215_hn", n, seed, tol, tuple(failures), band_excluded=band)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +452,6 @@ def _suite_thm32_boundary_transport(n: int, seed: int, tol: float) -> SuiteRepor
     boundary (and agree exactly with the direct parametrization).  Reverse:
     parametrized boundary points are matched by the transported set.  Plus
     interior transport on a subsample."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for i in range(n):
@@ -506,14 +488,12 @@ def _suite_thm32_boundary_transport(n: int, seed: int, tol: float) -> SuiteRepor
         if not d <= 1e-8:
             failures.append(
                 f"kind=match index={i} target={_pt17(target)} dist={d:.17g}")
-    return SuiteReport("thm32_boundary_transport", n, seed, tol,
-                       tuple(failures), elapsed=time.perf_counter() - t0)
+    return SuiteReport("thm32_boundary_transport", n, seed, tol, tuple(failures))
 
 
 def _suite_thm33_shilov_equivalences(n: int, seed: int, tol: float) -> SuiteReport:
     """Both boundary parametrizations pass the closed-form test and classify
     on the closure boundary; radial perturbations fall off the boundary."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     test_tol = max(tol, 1e-9)
@@ -548,13 +528,11 @@ def _suite_thm33_shilov_equivalences(n: int, seed: int, tol: float) -> SuiteRepo
                 f"kind=perturbed index={i} pt={_pt17(pt)} "
                 f"inner={shilov_f_test(inner, test_tol)} "
                 f"outer={shilov_f_test(outer, test_tol)}")
-    return SuiteReport("thm33_shilov_equivalences", n, seed, tol,
-                       tuple(failures), elapsed=time.perf_counter() - t0)
+    return SuiteReport("thm33_shilov_equivalences", n, seed, tol, tuple(failures))
 
 
 def _suite_cor34_necessity(n: int, seed: int, tol: float) -> SuiteReport:
     """Distinguished-boundary points satisfy the two necessary conditions."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     test_tol = max(tol, 1e-9)
@@ -565,14 +543,12 @@ def _suite_cor34_necessity(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(f"kind=be_leg index={i} pt={_pt17(pt)}")
         if not bgamma_test((s, -p), test_tol):
             failures.append(f"kind=bgamma_leg index={i} pt={_pt17(pt)}")
-    return SuiteReport("cor34_necessity", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("cor34_necessity", n, seed, tol, tuple(failures))
 
 
 def _suite_cor35_double_cover(n: int, seed: int, tol: float) -> SuiteReport:
     """Antipodal parameters give the identical point; nearby non-antipodal
     parameters give distinct points."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for i in range(n):
@@ -581,8 +557,7 @@ def _suite_cor35_double_cover(n: int, seed: int, tol: float) -> SuiteReport:
             failures.append(
                 f"kind=double_cover index={i} theta={q.theta:.17g} "
                 f"x=({q.x2:.17g},{q.x3:.17g},{q.x4:.17g})")
-    return SuiteReport("cor35_double_cover", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("cor35_double_cover", n, seed, tol, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +569,6 @@ _SANDWICH_NAMES = ("scalar", "diag", "upper", "lower", "full")
 
 def _suite_mu_sandwich(n: int, seed: int, tol: float) -> SuiteReport:
     """r(A) <= mu(A) <= ||A|| over every identity-containing preset."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for i in range(n):
@@ -611,8 +585,7 @@ def _suite_mu_sandwich(n: int, seed: int, tol: float) -> SuiteReport:
                 f"kind=sandwich index={i} structure={st.name} "
                 f"a={_pt17(a.entries())} mu={mu_value(a, st).value:.17g} "
                 f"r={spectral_radius(a):.17g} norm={operator_norm(a):.17g}")
-    return SuiteReport("mu_sandwich", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("mu_sandwich", n, seed, tol, tuple(failures))
 
 
 _RIGID_PRESETS = ("e_theta:0.0", "e_theta:0.7", "e_theta:2.1", "skewdiag",
@@ -650,7 +623,6 @@ def _suite_thm41_equivalence(n: int, seed: int, tol: float) -> SuiteReport:
     """The three legs of the equivalence (norm attainment, unit-sphere
     rigidity, membership agreement) answer identically on every preset, and
     the answer matches the known classification."""
-    t0 = time.perf_counter()
     failures = []
     cases = [(name, True) for name in _RIGID_PRESETS]
     cases += [(name, False) for name in _NONRIGID_PRESETS]
@@ -668,14 +640,12 @@ def _suite_thm41_equivalence(n: int, seed: int, tol: float) -> SuiteReport:
                 f"kind=equivalence structure={name} norm_leg={leg_norm} "
                 f"rigidity_leg={leg_rigid} membership_leg={leg_member} "
                 f"expected={expected} witness={mismatch or 'none'}")
-    return SuiteReport("thm41_equivalence", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("thm41_equivalence", n, seed, tol, tuple(failures))
 
 
 def _suite_cor42_etheta(n: int, seed: int, tol: float) -> SuiteReport:
     """Every phase-parametrized preset attains the norm and reproduces the
     domain by mu-membership."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     thetas = [0.0, 0.7, 2.1, rng.uniform(0.0, 2.0 * math.pi),
@@ -689,8 +659,7 @@ def _suite_cor42_etheta(n: int, seed: int, tol: float) -> SuiteReport:
                                       max(tol, 1e-6))
         if mismatch is not None:
             failures.append(f"kind=membership theta={theta:.17g} {mismatch}")
-    return SuiteReport("cor42_etheta", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("cor42_etheta", n, seed, tol, tuple(failures))
 
 
 def _angle_gap(a: float, b: float) -> float:
@@ -701,7 +670,6 @@ def _angle_gap(a: float, b: float) -> float:
 def _suite_final_classification(n: int, seed: int, tol: float) -> SuiteReport:
     """Subspace classification: phase recovery on scrambled bases, rejection
     of the non-rigid three-dimensional presets with explicit mu witnesses."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     theta_tol = max(tol, 1e-9)
@@ -747,8 +715,7 @@ def _suite_final_classification(n: int, seed: int, tol: float) -> SuiteReport:
         failures.append(
             f"kind=witness structure=odd_offdiag mu={res.value:.17g} "
             f"expected=0.5 norm=1")
-    return SuiteReport("final_classification", n, seed, tol, tuple(failures),
-                       elapsed=time.perf_counter() - t0)
+    return SuiteReport("final_classification", n, seed, tol, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +769,10 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         failures.append(f"kind=eg310_q q={q_value(lim):.17g} expected=-0.25")
     if f_classify(lim).region is not Region.OUTSIDE:
         failures.append(f"kind=eg310_f pt={_pt17(lim)}")
-    rel = f_relations(lim)
-    for name, v in (("g2", g2_classify(rel.g2)),
-                    ("tetra", tetra_classify(rel.tetra)),
-                    ("penta", penta_classify(rel.penta))):
+    for name, v in _projection_legs(f_relations(lim)):
         if not v.in_closure:
             failures.append(f"kind=eg310_projection leg={name} "
                             f"observed={v.region.value}")
-    g2_dual_check(rel.g2)
-    tetra_dual_check(rel.tetra)
-    penta_dual_check(rel.penta)
 
     pt34 = (1j, 1.0, 1j, 1.0 - 1j)
     if not be_test((pt34[0], pt34[1], pt34[2])):
@@ -872,7 +833,8 @@ def suite_names() -> tuple[str, ...]:
 def run_suite(name: str, n_samples: Optional[int] = None,
               seed: int = DEFAULT_SEED,
               tol: Optional[float] = None) -> SuiteReport:
-    """Run one registered suite; None arguments pick the suite's defaults."""
+    """Run one registered suite, timed into its report's elapsed; None
+    arguments pick the suite's defaults."""
     try:
         spec = _REGISTRY[name]
     except KeyError:
@@ -882,7 +844,9 @@ def run_suite(name: str, n_samples: Optional[int] = None,
     t = spec.default_tol if tol is None else float(tol)
     if n <= 0:
         raise PreconditionViolation(f"n_samples must be positive, got {n}")
-    return spec.fn(n, seed, t)
+    t0 = time.perf_counter()
+    report = spec.fn(n, seed, t)
+    return replace(report, elapsed=time.perf_counter() - t0)
 
 
 def run_all(seed: int = DEFAULT_SEED,

@@ -23,7 +23,7 @@ from mublocks.domain_f import f_classify, f_rescale_by
 from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
 from mublocks.hexablock import _check_quad, _sup_coeffs, pi_hexa
-from mublocks.lie_ball import transported_lattice
+from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               unitary_from_rng)
 from mublocks.optimize import nelder_mead
@@ -829,3 +829,17 @@ def nelder_mead_reference(f, x0, step, xatol: float = 1e-10,
 
     order = sorted(range(n + 1), key=lambda k: vals[k])
     return pts[order[0]], vals[order[0]], it, False
+
+
+# ---------------------------------------------------------------------------
+# thm32's Lie-ball sampler as it was before its sum |z|^2 >= 1 pre-test:
+# every candidate goes through the classifier.
+
+
+def lie_ball_interior_reference(rng: random.Random):
+    """Rejection sample of the open Cartan-ball interior in C^4."""
+    while True:
+        z = tuple(0.55 * complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                  for _ in range(4))
+        if lie_ball_classify(z, 0.0).margin > 1e-6:
+            return z

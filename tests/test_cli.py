@@ -3,10 +3,19 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
+from mublocks import cli
+from mublocks.bidisc import g2_classify
 from mublocks.cli import main
+from mublocks.domain_f import f_classify
+from mublocks.hexablock import hexa_classify, hn_classify
+from mublocks.lie_ball import lie_ball_classify
+from mublocks.pentablock import penta_classify
+from mublocks.tetrablock import tetra_classify
+from mublocks.verdict import Region
 
 
 def run(argv):
@@ -269,3 +278,65 @@ def test_repeated_main_calls_are_independent():
     code, _, err = run(["verify", "lemma21_gram", "--n", "3", "--r", "0.5"])
     assert code == 64 and "--r" in err
     assert run(["verify", "lemma21_gram", "--n", "3"])[0] == 0
+
+
+_PUBLIC = {"g2": g2_classify, "tetra": tetra_classify, "penta": penta_classify,
+           "f": f_classify, "h": hexa_classify, "l4": lie_ball_classify}
+_CODE = {Region.INTERIOR: 0, Region.CLOSURE_BOUNDARY: 1, Region.OUTSIDE: 2}
+
+# Planes of every domain, one with --tol and the h plane of
+# test_slice_indeterminate_cells_use_code_9: (domain, fixed, axes, ranges,
+# extra argv).  Re(a),Im(a) and Im(z1),Re(z1) name one coordinate twice.
+_SLICE_PLANES = (
+    ("g2", {}, "Re(s),Im(p)", ((-2.2, 2.2), (-1.2, 1.2)), []),
+    ("tetra", {"x3": 0.1j}, "Re(x1),Re(x2)", ((-1.2, 1.2), (-1.2, 1.2)), []),
+    ("penta", {"s": 0.9, "p": 0.4}, "Re(a),Im(a)", ((-1.6, 1.6), (-1.6, 1.6)), []),
+    ("f", {"x": 0.25, "p": 0, "s": 0}, "Re(a),Im(a)", ((-1.2, 1.2), (-1.2, 1.2)), []),
+    ("h", {"x1": 0.3, "x2": 0.2, "x3": 0.1}, "Re(a),Im(a)",
+     ((-1.4, 1.4), (-1.4, 1.4)), []),
+    ("hn", {"x1": 0.3, "x2": 0.2}, "Re(a),Re(x3)", ((-1.2, 1.2), (-1.2, 1.2)), []),
+    ("l4", {"z3": 0.2j, "z4": 0}, "Im(z1),Re(z1)", ((-1.2, 1.2), (-0.6, 0.9)), []),
+    ("f", {"x": 0.25, "p": 0, "s": 0}, "Re(a),Im(a)", ((-1.2, 1.2), (-1.2, 1.2)),
+     ["--tol", "0.05"]),
+    ("h", {"x1": 1, "x2": 0, "x3": 0}, "Re(a),Im(a)", ((-0.5, 0.5), (-0.5, 0.5)), []),
+)
+
+
+@pytest.mark.parametrize("plane", range(len(_SLICE_PLANES)))
+def test_slice_rows_equal_the_public_classifiers(plane):
+    """Every row's code and 17-digit margin are the public classifier's at
+    the cell's point; hn reads its region from the set flags, margin nan."""
+    domain, fixed, axes, ranges, extra = _SLICE_PLANES[plane]
+    n = 9
+    argv = ["slice", domain, "--axes", axes, "--grid", str(n), "--range",
+            ",".join(f"{lo!r}:{hi!r}" for lo, hi in ranges)] + extra
+    if fixed:
+        argv += ["--fixed", ",".join(f"{k}={complex(v)!r}".replace("j", "i")
+                                     for k, v in fixed.items())]
+    code, out, err = run(argv)
+    assert code == 0, err
+    rows = out.splitlines()[1:]
+    assert len(rows) == n * n
+    kw = {"tol": float(extra[1])} if extra else {}
+    names = cli._COORD_NAMES[domain]
+    codes = set()
+    for i in range(n):
+        for j in range(n):
+            values = [lo + (hi - lo) * k / (n - 1) for (lo, hi), k in zip(ranges, (i, j))]
+            coords = [complex(fixed.get(nm, 0)) for nm in names]
+            for axis, val in zip(axes.split(","), values):
+                k = names.index(axis[3:-1])
+                z = coords[k]
+                coords[k] = complex(val, z.imag) if axis[:2] == "Re" else complex(z.real, val)
+            if domain == "hn":
+                region = cli._hn_region(hn_classify(tuple(coords), **kw))
+                want_code, margin = _CODE[region], math.nan
+            else:
+                v = _PUBLIC[domain](tuple(coords), **kw)
+                want_code = 9 if v.indeterminate else _CODE[v.region]
+                margin = v.margin
+            want = f"{values[0]:.10g}\t{values[1]:.10g}\t{want_code}\t{margin:.17g}"
+            assert rows[i * n + j] == want, (i, j)
+            codes.add(want_code)
+    assert len(codes) > 1
+    assert (9 in codes) == (plane == len(_SLICE_PLANES) - 1)

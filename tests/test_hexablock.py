@@ -12,7 +12,7 @@ from mublocks.errors import PreconditionViolation
 from mublocks.hexablock import (hexa_classify, hexa_slice_a0, hn_classify,
                                 pi_hexa, psi_sup, shilov_h_test)
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
-from mublocks.tetrablock import pi_tetra, tetra_classify
+from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
 from mublocks.verdict import Region
 from oracles import (PsiProbe, hexa_points, psi_eval, psi_sup_critical_radius,
                      psi_sup_decimal, psi_sup_grid)
@@ -144,11 +144,11 @@ def test_hexa_indeterminate_band_on_tetra_boundary():
 def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
     calls = []
 
-    def counted(x, *args, **kwargs):
+    def counted(*x):
         calls.append(x)
-        return tetra_classify(x, *args, **kwargs)
+        return _tetra_margin(*x)
 
-    monkeypatch.setattr(hexablock, "tetra_classify", counted)
+    monkeypatch.setattr(hexablock, "_tetra_margin", counted)
     for pt, region in (((0.5, 0.3, 0.2, 0.05), Region.INTERIOR),
                        ((1.5, 0.3, 0.2, 0.05), Region.OUTSIDE),   # sup > 1
                        ((0.5, 1, 0, 0), Region.CLOSURE_BOUNDARY),  # band

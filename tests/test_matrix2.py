@@ -195,6 +195,22 @@ def test_singular_values_far_from_unit_scale():
     assert singular_values(Matrix2(5e-324, 0, 0, 0)) == (5e-324, 0.0)
 
 
+def test_smallest_singular_value_where_the_determinant_squared_underflows():
+    """Between entries of about 1e-145 and 1e-77 sigma_max^2 is normal, so
+    the kernel does not rescale, but |det|^2 underflows; sigma_min is then
+    |det| / sigma_max, where it used to read 0.0."""
+    m = Matrix2(1 + 2j, 0.5, -0.3j, 2)
+    s1, s2 = singular_values(m.scale(1e-100))
+    assert s2 == pytest.approx(1.9759130576108182e-100, rel=1e-15, abs=0.0)
+    assert s1 == pytest.approx(2.331473265719139e-100, rel=1e-15, abs=0.0)
+    u1, u2 = singular_values(m)
+    for e in range(-145, -76, 4):
+        t1, t2 = singular_values(m.scale(10.0 ** e))
+        assert t1 == pytest.approx(u1 * 10.0 ** e, rel=1e-15, abs=0.0)
+        assert t2 == pytest.approx(u2 * 10.0 ** e, rel=1e-15, abs=0.0)
+    assert singular_values(Matrix2(0, 2e-100, 0, 0)) == (2e-100, 0.0)
+
+
 def test_singular_values_scale_exactly_by_powers_of_two():
     """Scaling by 2^k is exact on both paths of the kernel, so the largest
     singular value scales bitwise, from subnormal-adjacent entries up to

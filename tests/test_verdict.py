@@ -1,0 +1,89 @@
+"""MembershipVerdict's record semantics, and the classifiers that build one
+verdict per call from the kernels instead of nested verdicts."""
+
+import pickle
+
+import pytest
+
+from mublocks import bidisc, domain_f, hexablock, pentablock, tetrablock, verdict
+from mublocks.pentablock import penta_radius
+from mublocks.verdict import MembershipVerdict, Region, verdict_from_margin
+
+
+def test_invariants_still_raise():
+    with pytest.raises(AssertionError, match="Interior needs margin > tol"):
+        MembershipVerdict(Region.INTERIOR, 1e-10)
+    with pytest.raises(AssertionError, match="Outside needs margin < -tol"):
+        MembershipVerdict(region=Region.OUTSIDE, margin=-1e-10)
+    with pytest.raises(AssertionError, match="Shilov points are never interior"):
+        MembershipVerdict(Region.INTERIOR, 0.5, shilov=True)
+
+
+def test_verdicts_are_immutable_records():
+    v = verdict_from_margin(-0.25, 1e-6, shilov=False)
+    assert repr(v) == ("MembershipVerdict(region=<Region.OUTSIDE: 'Outside'>, "
+                       "margin=-0.25, tol=1e-06, shilov=False, "
+                       "indeterminate=False)")
+    assert (v.region, v.margin, v.tol, v.shilov, v.indeterminate) == (
+        Region.OUTSIDE, -0.25, 1e-6, False, False)
+    assert not v.in_closure and not v.is_interior
+    for name in ("region", "margin", "tol", "shilov", "indeterminate", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+    assert v == verdict_from_margin(-0.25, 1e-6, shilov=False)
+
+
+def test_equal_verdicts_compare_and_hash_equal():
+    a = verdict_from_margin(0.5)
+    b = MembershipVerdict(region=Region.INTERIOR, margin=0.5, tol=1e-9)
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a != verdict_from_margin(0.25) and a != verdict_from_margin(0.5, 1e-3)
+    assert pickle.loads(pickle.dumps(a)) == a
+    # a verdict equals only a verdict, as the frozen record did
+    assert a != tuple(a) and tuple(a) != a and not a == tuple(a)
+
+
+def _points():
+    r = penta_radius(0.9, 0.4)
+    return (
+        (pentablock.penta_classify,
+         ((0.3, 0.9, 0.4), (r, 0.9, 0.4), (2, 0.9, 0.4), (0.3, 3, 0),
+          (0, 0.9, 0.4), (0, 2, 1))),
+        (domain_f.f_classify,
+         ((0, 0, 0.25, 0), (0, 1, 0, 0), (0, 0.5, 0, 1), (0.5, 0, 0, 0),
+          (1j, 0, 1j, 0), (0, 0, 0, 2))),
+        (hexablock.hexa_classify,
+         ((0.5, 0.3, 0.2, 0.05), (0.5, 1, 0, 0), (1.5, 0.3, 0.2, 0.05),
+          (0.5, 2, 0, 0), (0, 0.3, 0.2, 0.05), (0, 1, 0, 0), (0, 1, 1, 1),
+          (0, 2, 0, 0))),
+    )
+
+
+def test_no_nested_verdicts(monkeypatch):
+    """penta, f and hexa classify their bidisc or tetrablock part through
+    the margin kernels: with the public classifiers of those parts made to
+    raise, the verdicts are unchanged, and each call builds one verdict."""
+    expected = [[fn(pt) for pt in pts] for fn, pts in _points()]
+    regions = {v.region for row in expected for v in row}
+    assert regions == set(Region)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("nested verdict")
+
+    monkeypatch.setattr(pentablock, "g2_classify", unavailable)
+    monkeypatch.setattr(domain_f, "g2_classify", unavailable, raising=False)
+    monkeypatch.setattr(hexablock, "tetra_classify", unavailable)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return MembershipVerdict(*args, **kwargs)
+
+    for module in (verdict, bidisc, tetrablock, pentablock, domain_f, hexablock):
+        monkeypatch.setattr(module, "MembershipVerdict", counted)
+    for (fn, pts), want in zip(_points(), expected):
+        for pt, v in zip(pts, want):
+            built.clear()
+            assert fn(pt) == v, (fn.__name__, pt)
+            assert len(built) == 1, (fn.__name__, pt)

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -8,6 +9,8 @@ from mublocks.errors import (CriteriaDisagree, PreconditionViolation,
 from mublocks.verdict import DEFAULT_TOL, raise_if_split
 from mublocks.verify import (SuiteReport, run_counterexamples, run_suite,
                              suite_names)
+import oracles
+from oracles import lie_ball_interior_reference
 
 EXPECTED_SUITES = (
     "lemma21_gram", "prop22_vs_oracle", "prop24_closure", "swap_involution",
@@ -151,3 +154,34 @@ def test_report_formatting():
     assert ok.passed
     assert ok.to_lines()[0].endswith("status=pass")
     assert ok.to_dict()["passed"] is True
+
+
+def test_lie_ball_sampler_matches_the_classify_every_candidate_loop(monkeypatch):
+    """thm32's sampler skips the classifier where sum |z|^2 >= 1, which
+    bounds the margin by 1 - sum |z|^2 <= 0; the draws and the accepted
+    samples stay those of the loop that classifies every candidate."""
+    calls = {verify: 0, oracles: 0}
+
+    def counter(module):
+        def counted(z, tol):
+            calls[module] += 1
+            return lie_ball.lie_ball_classify(z, tol)
+        return counted
+
+    for module in calls:
+        monkeypatch.setattr(module, "lie_ball_classify", counter(module))
+    for seed in (7, 301, 2026):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            assert verify._lie_ball_interior(new) == lie_ball_interior_reference(old)
+        assert new.getstate() == old.getstate()
+    assert 900 < calls[verify] < calls[oracles] / 5
+
+
+def test_run_suite_times_each_suite():
+    """run_suite fills in elapsed; the suites themselves report 0.0."""
+    rep = run_suite("cor34_necessity", n_samples=50, seed=7)
+    assert rep.elapsed > 0.0
+    assert verify._REGISTRY["cor34_necessity"].fn(50, 7, 1e-9).elapsed == 0.0
+    assert rep.to_lines()[0].startswith(
+        "suite=cor34_necessity n=50 seed=7 tol=1e-09 failures=0 band_excluded=0 ")
