@@ -24,16 +24,15 @@ from .matrix2 import (GramReport, Matrix2, contraction_from_rng,
                       operator_norm, random_contraction, random_unitary,
                       singular_values, spectral_radius, unitary_from_rng)
 from .mu import (MuResult, Structure, SubspaceVerdict, classify_subspace,
-                 e_theta, f_mu_membership, mu_equals_norm_suite,
-                 mu_sandwich_check, mu_value, rigidity_check,
-                 rigidity_grid_pass, structure_from_name)
+                 e_theta, f_mu_membership, mu_sandwich_check, mu_value,
+                 rigidity_check, rigidity_grid_pass, structure_from_name)
 from .pentablock import (bp_test, penta_classify, penta_dual_check,
                          penta_radius, penta_sup)
 from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
                          tetra_dual_check, tetra_margins)
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region,
                       verdict_from_margin)
-from .verify import (SuiteReport, run_all, run_counterexamples, run_suite,
-                     suite_names)
+from .verify import (SuiteReport, mu_equals_norm_suite, run_all,
+                     run_counterexamples, run_suite, suite_names)
 
 __version__ = "0.1.0"

@@ -72,12 +72,17 @@ def q_value(pt) -> float:
     return gram_det_from_coords(x, a, p, s)
 
 
+def _f_margin(x: complex, a: complex, p: complex, s: complex) -> float:
+    """The min of the three slacks: the bidisc margin of (s, ax-p) (kernel
+    bidisc._g2_margin), 1 - |p| and Q; shared with hexablock.hn_classify."""
+    return min(_g2_margin(s, a * x - p), 1.0 - abs(p),
+               gram_det_from_coords(x, a, p, s))
+
+
 def f_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Three-state membership verdict; margin = min of the three slacks: the
-    bidisc margin of (s, ax-p) (kernel bidisc._g2_margin), 1 - |p| and Q."""
+    """Three-state membership verdict; margin = _f_margin."""
     x, a, p, s = _check_quad(pt)
-    margin = min(_g2_margin(s, a * x - p), 1.0 - abs(p),
-                 gram_det_from_coords(x, a, p, s))
+    margin = _f_margin(x, a, p, s)
     region = classify_margin(margin, tol)
     shilov = shilov_f_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
     return MembershipVerdict(region, margin, tol, shilov)

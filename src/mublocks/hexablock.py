@@ -27,10 +27,14 @@ optimizer psi_sup_grid and the critical-radius route psi_sup_critical_radius,
 which the tests compare against, live with the test oracles.
 
 The normed variant reduces to the four-coordinate domain: for a != 0,
-(a, x1, x2, x3) is in it iff (x1, x2, x3, a + (x1 x2 - x3)/a) is interior
-there (the matrix [[x1, (x1 x2 - x3)/a], [a, x2]] is the unique matrix over
-the point); for a = 0 the exact rule is x3 = x1 x2 with both |x1|, |x2|
-small enough.
+B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over
+the point, so (a, x1, x2, x3) is in it iff (x1, x2, x3, a + t) is interior
+there, and in its closure iff ||B|| <= 1.  hn_classify forms t once and
+reads both from raw entries: the open verdict from the four-coordinate
+kernel domain_f._f_margin, the closed one from matrix2's singular-value
+kernel, with a Matrix2 built only for gram_report inside the band
+||B|| = 1 +- 1e-6.  For a = 0 the exact rule is x3 = x1 x2 with both
+|x1|, |x2| small enough.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .domain_f import f_classify
+from .domain_f import _f_margin
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, gram_report, operator_norm
+from .matrix2 import Matrix2, _singular_values, gram_report
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
@@ -146,16 +150,17 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
     The interior of the closure-free set is its a != 0 part.
     """
     a, x1, x2, x3 = _check_quad(pt)
-    in_closure = _hn_in_closure(a, x1, x2, x3, tol)
     if a == 0:
         in_open = (abs(x3 - x1 * x2) <= _EQ_TOL
                    and tetra_classify((x1, x2, x3), tol).is_interior)
-        return HnVerdict(in_open=in_open, in_closure=in_closure,
+        return HnVerdict(in_open=in_open,
+                         in_closure=_hn_in_closure(a, x1, x2, x3, tol),
                          in_interior_of_hn=False)
     t = (x1 * x2 - x3) / a
     if not cmath.isfinite(t):
         return HnVerdict(in_open=False, in_closure=False, in_interior_of_hn=False)
-    in_open = f_classify((x1, x2, x3, a + t), tol).is_interior
+    in_closure = _norm_at_most_one(x1, t, a, x2, tol)
+    in_open = _f_margin(x1, x2, x3, a + t) > tol
     return HnVerdict(in_open=in_open, in_closure=in_closure,
                      in_interior_of_hn=in_open)
 
@@ -167,11 +172,13 @@ def _hn_in_closure(a: complex, x1: complex, x2: complex, x3: complex,
         return (abs(x3 - x1 * x2) <= _EQ_TOL
                 and max(abs(x1), abs(x2)) <= 1.0 + tol)
     t = (x1 * x2 - x3) / a
-    return cmath.isfinite(t) and _norm_at_most_one(Matrix2(x1, t, a, x2), tol)
+    return cmath.isfinite(t) and _norm_at_most_one(x1, t, a, x2, tol)
 
 
-def _norm_at_most_one(b: Matrix2, tol: float) -> bool:
-    """||B|| <= 1 up to tol.
+def _norm_at_most_one(x1: complex, t: complex, a: complex, x2: complex,
+                      tol: float) -> bool:
+    """||B|| <= 1 up to tol for B = [[x1, t], [a, x2]], where x1, t and x2
+    are finite; a non-finite a raises PreconditionViolation, as Matrix2 does.
 
     Outside the band 1 +- 1e-6 the closed-form norm decides.  Inside it the
     verdict is positivity of I - B*B up to tol, read from its trace and
@@ -179,12 +186,14 @@ def _norm_at_most_one(b: Matrix2, tol: float) -> bool:
     not that of comparing the norm with 1 + tol: it can differ when the top
     singular value lies within about tol of 1 + tol.
     """
-    nrm = operator_norm(b)
+    if not cmath.isfinite(a):
+        raise PreconditionViolation(f"a21: non-finite entry {a!r}")
+    nrm = _singular_values(x1, t, a, x2)[0]
     if nrm > 1.0 + 1e-6:
         return False
     if nrm <= 1.0 - 1e-6:
         return True
-    g = gram_report(b)
+    g = gram_report(Matrix2(x1, t, a, x2))
     return g.trace_gram >= -2.0 * tol and g.det_gram >= -tol
 
 

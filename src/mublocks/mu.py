@@ -41,12 +41,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .domain_f import f_matrix_witness
 from .errors import OptimizerNoConverge, PreconditionViolation
 from .matrix2 import Matrix2, _singular_values, operator_norm, spectral_radius
 from .optimize import nelder_mead
@@ -667,61 +667,10 @@ def rigidity_grid_pass(structure: Structure, n_side: int = 20,
     return True
 
 
-def _random_matrix(rng: random.Random, scale: float) -> Matrix2:
-    return Matrix2(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * scale
-                     for _ in range(4)))
-
-
-def mu_equals_norm_suite(structure: Structure, n_samples: int = 100,
-                         seed: int = 7, tol: float = 1e-5):
-    """Sample matrices over mixed scales and compare mu against the operator
-    norm; also spot-check the unit-sphere mapping property on random vector
-    pairs.  Returns a SuiteReport whose failures list is empty exactly when
-    the structure is rigid on the sample."""
-    from .verify import SuiteReport  # local import to avoid a module cycle
-
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    failures: list[str] = []
-    samples: list[Matrix2] = [E12, E21]
-    while len(samples) < n_samples:
-        samples.append(_random_matrix(rng, 10.0 ** rng.uniform(-2.0, 2.0)))
-    for i, a in enumerate(samples[:n_samples]):
-        norm = operator_norm(a)
-        mu = mu_value(a, structure).value
-        if abs(mu - norm) > tol * max(norm, 1e-12):
-            failures.append(
-                f"kind=mu_vs_norm index={i} a={a!r} mu={mu:.17g} "
-                f"norm={norm:.17g}")
-    n_pairs = max(4, min(25, n_samples // 4))
-    for j in range(n_pairs):
-        uu = _unit_vector(rng)
-        vv = _unit_vector(rng)
-        if rigidity_check(structure, uu, vv, max(tol, 1e-6)) is None:
-            failures.append(
-                f"kind=rigidity index={j} u=({uu[0]:.17g},{uu[1]:.17g}) "
-                f"v=({vv[0]:.17g},{vv[1]:.17g}) result=absent")
-    return SuiteReport(
-        suite=f"mu_equals_norm[{structure.name or 'anon'}]",
-        n_samples=n_samples, seed=seed, tol=tol, failures=tuple(failures),
-        band_excluded=0, elapsed=time.perf_counter() - t0)
-
-
-def _unit_vector(rng: random.Random):
-    g = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
-    n = math.sqrt(sum(abs(t) ** 2 for t in g))
-    while n < 1e-6:
-        g = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
-        n = math.sqrt(sum(abs(t) ** 2 for t in g))
-    return (g[0] / n, g[1] / n)
-
-
 def f_mu_membership(pt, structure: Structure, tol: float = 1e-6) -> bool:
     """Whether pt lies in the image of the open mu-unit-ball under the
     four-coordinate projection: the fiber over pt is {B, B^t} for the
     reconstructed witness B, so membership is mu(B) < 1 or mu(B^t) < 1."""
-    from .domain_f import f_matrix_witness  # local import: domain_f is a peer
-
     b = f_matrix_witness(pt)
     if mu_value(b, structure).value < 1.0 - tol:
         return True

@@ -13,6 +13,13 @@ alone.
 Sampling mixes three generators per domain: projection images of random
 contractions (interior-dense), boundary parametrizations, and uniform box
 noise (outside-dense).
+
+A suite is one function of a _Run, registered under its name by the
+@_suite(name, default_n, default_tol) decorator, in the order the functions
+are defined.  The body draws from run.rng, the suite's own
+random.Random(seed), records each counterexample with run.fail, and skips a
+sample with ``if run.in_band(*margins): continue``, which counts the
+exclusion; the driver builds the report.
 """
 
 from __future__ import annotations
@@ -35,10 +42,11 @@ from .hexablock import hexa_classify, hn_classify, pi_hexa
 from .lie_ball import (biholo_f, lambda_map, lie_ball_classify,
                        lie_ball_dual_check, nearest_transport_distance,
                        shilov_l4_param, ShilovParamL4)
-from .matrix2 import (Matrix2, contraction_from_rng, gram_det_from_coords,
-                      operator_norm, spectral_radius, unitary_from_rng)
+from .matrix2 import (Matrix2, _complex_gauss, contraction_from_rng,
+                      gram_det_from_coords, operator_norm, spectral_radius,
+                      unitary_from_rng)
 from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
-                 mu_equals_norm_suite, mu_sandwich_check, mu_value,
+                 mu_sandwich_check, mu_value, rigidity_check,
                  rigidity_grid_pass, structure_from_name, Structure)
 from .pentablock import penta_classify, penta_dual_check
 from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
@@ -101,12 +109,63 @@ def _pt17(pt) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Samplers
+# Driver
 # ---------------------------------------------------------------------------
 
-def _complex_gauss(rng: random.Random) -> complex:
-    return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+class _Run:
+    """One suite run: its size, seed and tol, the random stream it draws
+    from, and the failure records and band exclusions it collects."""
 
+    def __init__(self, n: int, seed: int, tol: float):
+        self.n, self.seed, self.tol = n, seed, tol
+        self.rng = random.Random(seed)
+        self.failures: list[str] = []
+        self.band = 0
+
+    def fail(self, record: str) -> None:
+        self.failures.append(record)
+
+    def in_band(self, *margins: float) -> bool:
+        """True, counting one exclusion, when some |margin| <= BAND_FACTOR tol."""
+        if min(abs(m) for m in margins) <= BAND_FACTOR * self.tol:
+            self.band += 1
+            return True
+        return False
+
+    def report(self, name: str, elapsed: float = 0.0) -> SuiteReport:
+        return SuiteReport(name, self.n, self.seed, self.tol,
+                           tuple(self.failures), self.band, elapsed)
+
+
+@dataclass(frozen=True)
+class _SuiteSpec:
+    fn: Callable[[int, int, float], SuiteReport]
+    default_n: int
+    default_tol: float
+
+
+_ALGEBRAIC_N = 10_000
+_NUMERIC_N = 100
+
+_REGISTRY: dict[str, _SuiteSpec] = {}
+
+
+def _suite(name: str, default_n: int = _ALGEBRAIC_N, default_tol: float = 1e-9):
+    """Register body(run) as the suite `name`; its fn(n, seed, tol) runs the
+    body on a fresh _Run and reports with elapsed 0.0."""
+    def register(body: Callable[[_Run], None]):
+        def fn(n: int, seed: int, tol: float) -> SuiteReport:
+            run = _Run(n, seed, tol)
+            body(run)
+            return run.report(name)
+        _REGISTRY[name] = _SuiteSpec(fn, default_n, default_tol)
+        return body
+    return register
+
+
+# ---------------------------------------------------------------------------
+# Samplers
+# ---------------------------------------------------------------------------
 
 def _mixed_matrix(rng: random.Random) -> Matrix2:
     """Contractions, unitaries, and unconstrained Gaussian matrices."""
@@ -174,120 +233,105 @@ def _unit_s3(rng: random.Random):
             return tuple(t / n for t in g)
 
 
+def _random_matrix(rng: random.Random, scale: float) -> Matrix2:
+    return Matrix2(*(_complex_gauss(rng) * scale for _ in range(4)))
+
+
+def _unit_vector(rng: random.Random):
+    g = [_complex_gauss(rng) for _ in range(2)]
+    n = math.sqrt(sum(abs(t) ** 2 for t in g))
+    while n < 1e-6:
+        g = [_complex_gauss(rng) for _ in range(2)]
+        n = math.sqrt(sum(abs(t) ** 2 for t in g))
+    return (g[0] / n, g[1] / n)
+
+
 # ---------------------------------------------------------------------------
 # Suites: matrix kernel and the four-coordinate domain
 # ---------------------------------------------------------------------------
 
-def _suite_lemma21_gram(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("lemma21_gram", default_tol=1e-10)
+def _(run: _Run) -> None:
     """det(I - B*B) direct vs the coordinate closed form."""
-    rng = random.Random(seed)
-    failures = []
     ident = Matrix2.identity()
-    for i in range(n):
-        b = _mixed_matrix(rng)
-        g = ident - (b.conj_transpose() @ b)
-        direct = g.det
+    for i in range(run.n):
+        b = _mixed_matrix(run.rng)
+        direct = (ident - (b.conj_transpose() @ b)).det
         closed = gram_det_from_coords(b.a11, b.a22, b.det, b.a12 + b.a21)
-        if abs(direct.imag) > tol or abs(direct.real - closed) > tol:
-            failures.append(
-                f"kind=gram_det index={i} b={_pt17(b.entries())} "
-                f"direct={_c17(direct)} closed={closed:.17g}")
-    return SuiteReport("lemma21_gram", n, seed, tol, tuple(failures))
+        if abs(direct.imag) > run.tol or abs(direct.real - closed) > run.tol:
+            run.fail(f"kind=gram_det index={i} b={_pt17(b.entries())} "
+                     f"direct={_c17(direct)} closed={closed:.17g}")
 
 
-def _suite_prop22_vs_oracle(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("prop22_vs_oracle")
+def _(run: _Run) -> None:
     """Coordinate criteria vs matrix-reconstruction oracle, full verdict."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
-        pt = _mixed_point_f(rng)
-        va = f_classify(pt, tol)
-        vb = f_classify_matrix_oracle(pt, tol)
-        if min(abs(va.margin), abs(vb.margin)) <= BAND_FACTOR * tol:
-            band += 1
+    for i in range(run.n):
+        pt = _mixed_point_f(run.rng)
+        va = f_classify(pt, run.tol)
+        vb = f_classify_matrix_oracle(pt, run.tol)
+        if run.in_band(va.margin, vb.margin):
             continue
         if va.region is not vb.region:
-            failures.append(
-                f"kind=verdict index={i} pt={_pt17(pt)} "
-                f"criteria={va.region.value} oracle={vb.region.value} "
-                f"margins={va.margin:.17g},{vb.margin:.17g}")
-    return SuiteReport("prop22_vs_oracle", n, seed, tol, tuple(failures),
-                       band_excluded=band)
+            run.fail(f"kind=verdict index={i} pt={_pt17(pt)} "
+                     f"criteria={va.region.value} oracle={vb.region.value} "
+                     f"margins={va.margin:.17g},{vb.margin:.17g}")
 
 
-def _suite_prop24_closure(n: int, seed: int, tol: float) -> SuiteReport:
-    """Closure = image of the closed ball; non-strict criteria vs oracle."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n // 2):
-        pt = pi_f(_closed_ball_matrix(rng))
-        fv = f_classify(pt, tol)
-        if fv.margin < -BAND_FACTOR * tol:
-            failures.append(
-                f"kind=closed_ball_image index={i} pt={_pt17(pt)} "
-                f"observed={fv.region.value} expected=closure "
-                f"margin={fv.margin:.17g}")
-    for i in range(n - n // 2):
-        pt = _mixed_point_f(rng)
-        va = f_classify(pt, tol)
-        vb = f_classify_matrix_oracle(pt, tol)
-        if min(abs(va.margin), abs(vb.margin)) <= BAND_FACTOR * tol:
-            band += 1
+@_suite("prop24_closure")
+def _(run: _Run) -> None:
+    """Closure = image of the closed ball; non-strict criteria vs oracle.
+    The closed-ball half excludes no band."""
+    for i in range(run.n // 2):
+        pt = pi_f(_closed_ball_matrix(run.rng))
+        fv = f_classify(pt, run.tol)
+        if fv.margin < -BAND_FACTOR * run.tol:
+            run.fail(f"kind=closed_ball_image index={i} pt={_pt17(pt)} "
+                     f"observed={fv.region.value} expected=closure "
+                     f"margin={fv.margin:.17g}")
+    for i in range(run.n - run.n // 2):
+        pt = _mixed_point_f(run.rng)
+        va = f_classify(pt, run.tol)
+        vb = f_classify_matrix_oracle(pt, run.tol)
+        if run.in_band(va.margin, vb.margin):
             continue
         if va.in_closure != vb.in_closure:
-            failures.append(
-                f"kind=closure_agreement index={i} pt={_pt17(pt)} "
-                f"criteria={va.in_closure} oracle={vb.in_closure}")
-    return SuiteReport("prop24_closure", n, seed, tol, tuple(failures), band_excluded=band)
+            run.fail(f"kind=closure_agreement index={i} pt={_pt17(pt)} "
+                     f"criteria={va.in_closure} oracle={vb.in_closure}")
 
 
-def _suite_swap_involution(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("swap_involution")
+def _(run: _Run) -> None:
     """The coordinate swap preserves the verdict; so does applying it twice."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
-        pt = _mixed_point_f(rng)
-        v0 = f_classify(pt, tol)
+    for i in range(run.n):
+        pt = _mixed_point_f(run.rng)
+        v0 = f_classify(pt, run.tol)
         p1 = f_swap(pt)
-        v1 = f_classify(p1, tol)
-        p2 = f_swap(p1)
-        v2 = f_classify(p2, tol)
-        margins = (abs(v0.margin), abs(v1.margin), abs(v2.margin))
-        if min(margins) <= BAND_FACTOR * tol:
-            band += 1
+        v1 = f_classify(p1, run.tol)
+        v2 = f_classify(f_swap(p1), run.tol)
+        if run.in_band(v0.margin, v1.margin, v2.margin):
             continue
         if v1.region is not v0.region or v2.region is not v0.region:
-            failures.append(
-                f"kind=swap_verdict index={i} pt={_pt17(pt)} "
-                f"orig={v0.region.value} once={v1.region.value} "
-                f"twice={v2.region.value}")
-    return SuiteReport("swap_involution", n, seed, tol, tuple(failures), band_excluded=band)
+            run.fail(f"kind=swap_verdict index={i} pt={_pt17(pt)} "
+                     f"orig={v0.region.value} once={v1.region.value} "
+                     f"twice={v2.region.value}")
 
 
-def _suite_lemma25_scaling(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("lemma25_scaling")
+def _(run: _Run) -> None:
     """Quasi-balanced inward scaling sends the closure into the interior."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
+    rng = run.rng
+    for i in range(run.n):
         if rng.random() < 0.5:
             pt = pi_f(_closed_ball_matrix(rng))
         else:
             pt = shilov_f_param(sample_shilov_param_f(rng))
         r = rng.uniform(0.05, 0.95)
-        sv = f_classify(f_scale(pt, r), tol)
-        if sv.region is Region.INTERIOR:
+        sv = f_classify(f_scale(pt, r), run.tol)
+        if sv.region is Region.INTERIOR or run.in_band(sv.margin):
             continue
-        if abs(sv.margin) <= BAND_FACTOR * tol:
-            band += 1
-            continue
-        failures.append(
-            f"kind=scaled_not_interior index={i} pt={_pt17(pt)} r={r:.17g} "
-            f"observed={sv.region.value} margin={sv.margin:.17g}")
-    return SuiteReport("lemma25_scaling", n, seed, tol, tuple(failures), band_excluded=band)
+        run.fail(f"kind=scaled_not_interior index={i} pt={_pt17(pt)} r={r:.17g} "
+                 f"observed={sv.region.value} margin={sv.margin:.17g}")
 
 
 def _projection_legs(rel, tol: float = DEFAULT_TOL):
@@ -302,64 +346,49 @@ def _projection_legs(rel, tol: float = DEFAULT_TOL):
     return legs
 
 
-def _suite_thm29_projections(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("thm29_projections")
+def _(run: _Run) -> None:
     """Interior points project into the three classical domains; each
     projection is also held to its domain's dual check."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
-        pt = pi_f(contraction_from_rng(rng))
-        fv = f_classify(pt, tol)
-        if abs(fv.margin) <= BAND_FACTOR * tol:
-            band += 1
+    for i in range(run.n):
+        pt = pi_f(contraction_from_rng(run.rng))
+        fv = f_classify(pt, run.tol)
+        if run.in_band(fv.margin):
             continue
         if not fv.is_interior:
-            failures.append(
-                f"kind=image_not_interior index={i} pt={_pt17(pt)} "
-                f"observed={fv.region.value} margin={fv.margin:.17g}")
+            run.fail(f"kind=image_not_interior index={i} pt={_pt17(pt)} "
+                     f"observed={fv.region.value} margin={fv.margin:.17g}")
             continue
-        for name, v in _projection_legs(f_relations(pt), tol):
-            if v.region is Region.INTERIOR:
+        for name, v in _projection_legs(f_relations(pt), run.tol):
+            if v.region is Region.INTERIOR or run.in_band(v.margin):
                 continue
-            if abs(v.margin) <= BAND_FACTOR * tol:
-                band += 1
-                continue
-            failures.append(
-                f"kind=projection index={i} pt={_pt17(pt)} leg={name} "
-                f"observed={v.region.value} margin={v.margin:.17g}")
-    return SuiteReport("thm29_projections", n, seed, tol, tuple(failures),
-                       band_excluded=band)
+            run.fail(f"kind=projection index={i} pt={_pt17(pt)} leg={name} "
+                     f"observed={v.region.value} margin={v.margin:.17g}")
 
 
-def _suite_prop210_slice(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("prop210_slice")
+def _(run: _Run) -> None:
     """s = 0 slice: three-way equivalence with the tetrablock and the a = 0
     hexablock slice."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
-        x = _mixed_point_tetra(rng)
-        fv = f_classify((x[0], x[1], x[2], 0.0), tol)
-        tv = tetra_classify(x, tol)
-        tetra_dual_check(x, tol)
-        hv = hexa_classify((0.0, x[0], x[1], x[2]), tol)
-        if min(abs(fv.margin), abs(tv.margin), abs(hv.margin)) <= BAND_FACTOR * tol:
-            band += 1
+    for i in range(run.n):
+        x = _mixed_point_tetra(run.rng)
+        fv = f_classify((x[0], x[1], x[2], 0.0), run.tol)
+        tv = tetra_classify(x, run.tol)
+        tetra_dual_check(x, run.tol)
+        hv = hexa_classify((0.0, x[0], x[1], x[2]), run.tol)
+        if run.in_band(fv.margin, tv.margin, hv.margin):
             continue
         if not (fv.is_interior == tv.is_interior == hv.is_interior):
-            failures.append(
-                f"kind=slice_s0 index={i} x={_pt17(x)} "
-                f"f={fv.is_interior} tetra={tv.is_interior} hexa={hv.is_interior}")
-    return SuiteReport("prop210_slice", n, seed, tol, tuple(failures), band_excluded=band)
+            run.fail(f"kind=slice_s0 index={i} x={_pt17(x)} "
+                     f"f={fv.is_interior} tetra={tv.is_interior} "
+                     f"hexa={hv.is_interior}")
 
 
-def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("prop211_slice")
+def _(run: _Run) -> None:
     """x = a = 0 slice against the two-coordinate domain with negated product."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
+    rng = run.rng
+    for i in range(run.n):
         if rng.random() < 0.5:
             z1 = math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             z2 = math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -367,58 +396,47 @@ def _suite_prop211_slice(n: int, seed: int, tol: float) -> SuiteReport:
         else:
             p = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             s = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        fv = f_classify((0.0, 0.0, p, s), tol)
-        gv = g2_classify((s, -p), tol)
-        g2_dual_check((s, -p), tol)
-        if min(abs(fv.margin), abs(gv.margin)) <= BAND_FACTOR * tol:
-            band += 1
+        fv = f_classify((0.0, 0.0, p, s), run.tol)
+        gv = g2_classify((s, -p), run.tol)
+        g2_dual_check((s, -p), run.tol)
+        if run.in_band(fv.margin, gv.margin):
             continue
         if fv.is_interior != gv.is_interior:
-            failures.append(
-                f"kind=slice_xa0 index={i} p={_c17(p)} s={_c17(s)} "
-                f"f={fv.is_interior} g2={gv.is_interior}")
-    return SuiteReport("prop211_slice", n, seed, tol, tuple(failures), band_excluded=band)
+            run.fail(f"kind=slice_xa0 index={i} p={_c17(p)} s={_c17(s)} "
+                     f"f={fv.is_interior} g2={gv.is_interior}")
 
 
-def _suite_cor213_closure_projections(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("cor213_closure_projections")
+def _(run: _Run) -> None:
     """Closure points project into the three closed domains (plus the negated
     product pair, the fourth conclusion); each projection is also held to its
     domain's dual check."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
-        if rng.random() < 0.5:
-            pt = pi_f(_closed_ball_matrix(rng))
+    for i in range(run.n):
+        if run.rng.random() < 0.5:
+            pt = pi_f(_closed_ball_matrix(run.rng))
         else:
-            pt = shilov_f_param(sample_shilov_param_f(rng))
-        rel = f_relations(pt)
+            pt = shilov_f_param(sample_shilov_param_f(run.rng))
         x, a, p, s = pt
-        legs = _projection_legs(rel, tol) + (("g2_neg_p", g2_classify((s, -p), tol)),)
-        g2_dual_check((s, -p), tol)
+        legs = (_projection_legs(f_relations(pt), run.tol)
+                + (("g2_neg_p", g2_classify((s, -p), run.tol)),))
+        g2_dual_check((s, -p), run.tol)
         for name, v in legs:
-            if v.in_closure:
+            if v.in_closure or run.in_band(v.margin):
                 continue
-            if abs(v.margin) <= BAND_FACTOR * tol:
-                band += 1
-                continue
-            failures.append(
-                f"kind=closure_projection index={i} pt={_pt17(pt)} leg={name} "
-                f"observed={v.region.value} margin={v.margin:.17g}")
-    return SuiteReport("cor213_closure_projections", n, seed, tol,
-                       tuple(failures), band_excluded=band)
+            run.fail(f"kind=closure_projection index={i} pt={_pt17(pt)} "
+                     f"leg={name} observed={v.region.value} "
+                     f"margin={v.margin:.17g}")
 
 
-def _suite_prop215_hn(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("prop215_hn")
+def _(run: _Run) -> None:
     """a != 0 membership in the normed variant: four-coordinate reduction vs
-    direct matrix reconstruction."""
-    rng = random.Random(seed)
-    failures = []
-    band = 0
-    for i in range(n):
+    direct matrix reconstruction.  Besides the band, it excludes |a| < 1e-6
+    and a matrix norm within 1e-7 of 1."""
+    rng = run.rng
+    for i in range(run.n):
         if rng.random() < 0.5:
-            b = _mixed_matrix(rng)
-            pt = pi_hexa(b)
+            pt = pi_hexa(_mixed_matrix(rng))
         else:
             pt = (complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)),
                   complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)),
@@ -426,87 +444,79 @@ def _suite_prop215_hn(n: int, seed: int, tol: float) -> SuiteReport:
                   complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)))
         a, x1, x2, x3 = pt
         if abs(a) < 1e-6:
-            band += 1
+            run.band += 1
             continue
         t = (x1 * x2 - x3) / a
         norm = operator_norm(Matrix2(x1, t, a, x2))
-        fv = f_classify((x1, x2, x3, a + t), tol)
-        if abs(norm - 1.0) <= 1e-7 or abs(fv.margin) <= BAND_FACTOR * tol:
-            band += 1
+        fv = f_classify((x1, x2, x3, a + t), run.tol)
+        if abs(norm - 1.0) <= 1e-7:
+            run.band += 1
             continue
-        via_f = hn_classify(pt, tol).in_open
+        if run.in_band(fv.margin):
+            continue
+        via_f = hn_classify(pt, run.tol).in_open
         direct = norm < 1.0
         if via_f != direct:
-            failures.append(
-                f"kind=hn_open index={i} pt={_pt17(pt)} via_f={via_f} "
-                f"direct={direct} norm={norm:.17g}")
-    return SuiteReport("prop215_hn", n, seed, tol, tuple(failures), band_excluded=band)
+            run.fail(f"kind=hn_open index={i} pt={_pt17(pt)} via_f={via_f} "
+                     f"direct={direct} norm={norm:.17g}")
 
 
 # ---------------------------------------------------------------------------
 # Suites: boundary transport
 # ---------------------------------------------------------------------------
 
-def _suite_thm32_boundary_transport(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("thm32_boundary_transport")
+def _(run: _Run) -> None:
     """Forward: mapped boundary-lattice points land on the distinguished
     boundary (and agree exactly with the direct parametrization).  Reverse:
     parametrized boundary points are matched by the transported set.  Plus
-    interior transport on a subsample."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(n):
+    interior transport on a subsample, which excludes no band."""
+    rng = run.rng
+    for i in range(run.n):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         x = _unit_s3(rng)
         img = biholo_f(shilov_l4_param(ShilovParamL4(theta, x)))
-        if not shilov_f_test(img, max(tol, 1e-9)):
-            failures.append(
-                f"kind=forward index={i} theta={theta:.17g} "
-                f"x=({x[0]:.17g},{x[1]:.17g},{x[2]:.17g},{x[3]:.17g}) "
-                f"img={_pt17(img)} observed=off_boundary")
+        if not shilov_f_test(img, max(run.tol, 1e-9)):
+            run.fail(f"kind=forward index={i} theta={theta:.17g} "
+                     f"x=({x[0]:.17g},{x[1]:.17g},{x[2]:.17g},{x[3]:.17g}) "
+                     f"img={_pt17(img)} observed=off_boundary")
             continue
         ref = shilov_f_param(ShilovParamF(theta, x[1], x[2], x[3]))
         gap = max(abs(u - v) for u, v in zip(img, ref))
         if gap > 1e-12:
-            failures.append(
-                f"kind=composite_identity index={i} theta={theta:.17g} "
-                f"gap={gap:.17g}")
+            run.fail(f"kind=composite_identity index={i} theta={theta:.17g} "
+                     f"gap={gap:.17g}")
 
-    n_int = max(10, n // 10)
-    for i in range(n_int):
+    for i in range(max(10, run.n // 10)):
         z = _lie_ball_interior(rng)
-        lie_ball_dual_check(z, tol)
-        fv = f_classify(biholo_f(lambda_map(z)), tol)
-        if fv.region is not Region.INTERIOR and abs(fv.margin) > BAND_FACTOR * tol:
-            failures.append(
-                f"kind=interior_transport index={i} z={_pt17(z)} "
-                f"observed={fv.region.value} margin={fv.margin:.17g}")
+        lie_ball_dual_check(z, run.tol)
+        fv = f_classify(biholo_f(lambda_map(z)), run.tol)
+        if (fv.region is not Region.INTERIOR
+                and abs(fv.margin) > BAND_FACTOR * run.tol):
+            run.fail(f"kind=interior_transport index={i} z={_pt17(z)} "
+                     f"observed={fv.region.value} margin={fv.margin:.17g}")
 
-    n_match = min(max(n // 10, 10), 1000)
-    for i in range(n_match):
+    for i in range(min(max(run.n // 10, 10), 1000)):
         target = shilov_f_param(sample_shilov_param_f(rng))
         d = nearest_transport_distance(target)
         if not d <= 1e-8:
-            failures.append(
-                f"kind=match index={i} target={_pt17(target)} dist={d:.17g}")
-    return SuiteReport("thm32_boundary_transport", n, seed, tol, tuple(failures))
+            run.fail(f"kind=match index={i} target={_pt17(target)} dist={d:.17g}")
 
 
-def _suite_thm33_shilov_equivalences(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("thm33_shilov_equivalences")
+def _(run: _Run) -> None:
     """Both boundary parametrizations pass the closed-form test and classify
     on the closure boundary; radial perturbations fall off the boundary."""
-    rng = random.Random(seed)
-    failures = []
-    test_tol = max(tol, 1e-9)
-    for i in range(n):
-        q = sample_shilov_param_f(rng)
-        pt = shilov_f_param(q)
+    rng = run.rng
+    test_tol = max(run.tol, 1e-9)
+    for i in range(run.n):
+        pt = shilov_f_param(sample_shilov_param_f(rng))
         fv = f_classify(pt, test_tol)
         if not shilov_f_test(pt, test_tol):
-            failures.append(f"kind=param_test index={i} pt={_pt17(pt)}")
+            run.fail(f"kind=param_test index={i} pt={_pt17(pt)}")
         elif fv.region is not Region.CLOSURE_BOUNDARY or fv.shilov is not True:
-            failures.append(
-                f"kind=param_verdict index={i} pt={_pt17(pt)} "
-                f"region={fv.region.value} shilov={fv.shilov}")
+            run.fail(f"kind=param_verdict index={i} pt={_pt17(pt)} "
+                     f"region={fv.region.value} shilov={fv.shilov}")
 
         phi = rng.uniform(0.0, 2.0 * math.pi)
         r2 = rng.random()
@@ -517,61 +527,79 @@ def _suite_thm33_shilov_equivalences(n: int, seed: int, tol: float) -> SuiteRepo
         eta = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         pt2 = shilov_f_from_ball(BallParamF(z, w, eta))
         if not shilov_f_test(pt2, test_tol):
-            failures.append(
-                f"kind=ball_param index={i} z={_c17(z)} w={_c17(w)} "
-                f"eta={_c17(eta)} pt={_pt17(pt2)}")
+            run.fail(f"kind=ball_param index={i} z={_c17(z)} w={_c17(w)} "
+                     f"eta={_c17(eta)} pt={_pt17(pt2)}")
 
-        inner = f_scale(pt, 0.97)
-        outer = f_rescale_by(pt, 0.97)
-        if shilov_f_test(inner, test_tol) or shilov_f_test(outer, test_tol):
-            failures.append(
-                f"kind=perturbed index={i} pt={_pt17(pt)} "
-                f"inner={shilov_f_test(inner, test_tol)} "
-                f"outer={shilov_f_test(outer, test_tol)}")
-    return SuiteReport("thm33_shilov_equivalences", n, seed, tol, tuple(failures))
+        inner = shilov_f_test(f_scale(pt, 0.97), test_tol)
+        outer = shilov_f_test(f_rescale_by(pt, 0.97), test_tol)
+        if inner or outer:
+            run.fail(f"kind=perturbed index={i} pt={_pt17(pt)} "
+                     f"inner={inner} outer={outer}")
 
 
-def _suite_cor34_necessity(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("cor34_necessity")
+def _(run: _Run) -> None:
     """Distinguished-boundary points satisfy the two necessary conditions."""
-    rng = random.Random(seed)
-    failures = []
-    test_tol = max(tol, 1e-9)
-    for i in range(n):
-        pt = shilov_f_param(sample_shilov_param_f(rng))
+    test_tol = max(run.tol, 1e-9)
+    for i in range(run.n):
+        pt = shilov_f_param(sample_shilov_param_f(run.rng))
         x, a, p, s = pt
         if not be_test((x, a, p), test_tol):
-            failures.append(f"kind=be_leg index={i} pt={_pt17(pt)}")
+            run.fail(f"kind=be_leg index={i} pt={_pt17(pt)}")
         if not bgamma_test((s, -p), test_tol):
-            failures.append(f"kind=bgamma_leg index={i} pt={_pt17(pt)}")
-    return SuiteReport("cor34_necessity", n, seed, tol, tuple(failures))
+            run.fail(f"kind=bgamma_leg index={i} pt={_pt17(pt)}")
 
 
-def _suite_cor35_double_cover(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("cor35_double_cover")
+def _(run: _Run) -> None:
     """Antipodal parameters give the identical point; nearby non-antipodal
     parameters give distinct points."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(n):
-        q = sample_shilov_param_f(rng)
-        if not shilov_f_double_cover(q, max(tol, 1e-9)):
-            failures.append(
-                f"kind=double_cover index={i} theta={q.theta:.17g} "
-                f"x=({q.x2:.17g},{q.x3:.17g},{q.x4:.17g})")
-    return SuiteReport("cor35_double_cover", n, seed, tol, tuple(failures))
+    for i in range(run.n):
+        q = sample_shilov_param_f(run.rng)
+        if not shilov_f_double_cover(q, max(run.tol, 1e-9)):
+            run.fail(f"kind=double_cover index={i} theta={q.theta:.17g} "
+                     f"x=({q.x2:.17g},{q.x3:.17g},{q.x4:.17g})")
 
 
 # ---------------------------------------------------------------------------
 # Suites: structured singular value
 # ---------------------------------------------------------------------------
 
+def mu_equals_norm_suite(structure: Structure, n_samples: int = 100,
+                         seed: int = 7, tol: float = 1e-5) -> SuiteReport:
+    """Sample matrices over mixed scales and compare mu against the operator
+    norm; also spot-check the unit-sphere mapping property on random vector
+    pairs.  Returns a SuiteReport whose failures list is empty exactly when
+    the structure is rigid on the sample."""
+    t0 = time.perf_counter()
+    run = _Run(n_samples, seed, tol)
+    samples: list[Matrix2] = [E12, E21]
+    while len(samples) < n_samples:
+        samples.append(_random_matrix(run.rng, 10.0 ** run.rng.uniform(-2.0, 2.0)))
+    for i, a in enumerate(samples[:n_samples]):
+        norm = operator_norm(a)
+        mu = mu_value(a, structure).value
+        if abs(mu - norm) > tol * max(norm, 1e-12):
+            run.fail(f"kind=mu_vs_norm index={i} a={a!r} mu={mu:.17g} "
+                     f"norm={norm:.17g}")
+    for j in range(max(4, min(25, n_samples // 4))):
+        uu = _unit_vector(run.rng)
+        vv = _unit_vector(run.rng)
+        if rigidity_check(structure, uu, vv, max(tol, 1e-6)) is None:
+            run.fail(f"kind=rigidity index={j} u=({uu[0]:.17g},{uu[1]:.17g}) "
+                     f"v=({vv[0]:.17g},{vv[1]:.17g}) result=absent")
+    return run.report(f"mu_equals_norm[{structure.name or 'anon'}]",
+                      elapsed=time.perf_counter() - t0)
+
+
 _SANDWICH_NAMES = ("scalar", "diag", "upper", "lower", "full")
 
 
-def _suite_mu_sandwich(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("mu_sandwich", _NUMERIC_N, 1e-6)
+def _(run: _Run) -> None:
     """r(A) <= mu(A) <= ||A|| over every identity-containing preset."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(n):
+    rng = run.rng
+    for i in range(run.n):
         k = i % (len(_SANDWICH_NAMES) + 1)
         if k < len(_SANDWICH_NAMES):
             st = structure_from_name(_SANDWICH_NAMES[k])
@@ -580,12 +608,10 @@ def _suite_mu_sandwich(n: int, seed: int, tol: float) -> SuiteReport:
         a = Matrix2(_complex_gauss(rng), _complex_gauss(rng),
                     _complex_gauss(rng), _complex_gauss(rng)
                     ).scale(10.0 ** rng.uniform(-1.0, 1.0))
-        if not mu_sandwich_check(a, st, tol):
-            failures.append(
-                f"kind=sandwich index={i} structure={st.name} "
-                f"a={_pt17(a.entries())} mu={mu_value(a, st).value:.17g} "
-                f"r={spectral_radius(a):.17g} norm={operator_norm(a):.17g}")
-    return SuiteReport("mu_sandwich", n, seed, tol, tuple(failures))
+        if not mu_sandwich_check(a, st, run.tol):
+            run.fail(f"kind=sandwich index={i} structure={st.name} "
+                     f"a={_pt17(a.entries())} mu={mu_value(a, st).value:.17g} "
+                     f"r={spectral_radius(a):.17g} norm={operator_norm(a):.17g}")
 
 
 _RIGID_PRESETS = ("e_theta:0.0", "e_theta:0.7", "e_theta:2.1", "skewdiag",
@@ -619,47 +645,45 @@ def _mu_membership_leg(st: Structure, rng: random.Random, n_pts: int,
     return None
 
 
-def _suite_thm41_equivalence(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("thm41_equivalence", _NUMERIC_N, 1e-6)
+def _(run: _Run) -> None:
     """The three legs of the equivalence (norm attainment, unit-sphere
     rigidity, membership agreement) answer identically on every preset, and
-    the answer matches the known classification."""
-    failures = []
+    the answer matches the known classification.  Each preset draws from its
+    own random.Random(seed)."""
     cases = [(name, True) for name in _RIGID_PRESETS]
     cases += [(name, False) for name in _NONRIGID_PRESETS]
     for name, expected in cases:
         st = structure_from_name(name)
-        rng = random.Random(seed)
+        rng = random.Random(run.seed)
         leg_norm = mu_equals_norm_suite(
-            st, n_samples=min(n, 14), seed=seed, tol=1e-5).passed
-        leg_rigid = rigidity_grid_pass(st, n_side=6, tol=max(tol, 1e-6))
-        mismatch = _mu_membership_leg(st, rng, max(4, min(n // 16, 8)),
-                                      max(tol, 1e-6))
+            st, n_samples=min(run.n, 14), seed=run.seed, tol=1e-5).passed
+        leg_rigid = rigidity_grid_pass(st, n_side=6, tol=max(run.tol, 1e-6))
+        mismatch = _mu_membership_leg(st, rng, max(4, min(run.n // 16, 8)),
+                                      max(run.tol, 1e-6))
         leg_member = mismatch is None
         if not (leg_norm == leg_rigid == leg_member == expected):
-            failures.append(
-                f"kind=equivalence structure={name} norm_leg={leg_norm} "
-                f"rigidity_leg={leg_rigid} membership_leg={leg_member} "
-                f"expected={expected} witness={mismatch or 'none'}")
-    return SuiteReport("thm41_equivalence", n, seed, tol, tuple(failures))
+            run.fail(f"kind=equivalence structure={name} norm_leg={leg_norm} "
+                     f"rigidity_leg={leg_rigid} membership_leg={leg_member} "
+                     f"expected={expected} witness={mismatch or 'none'}")
 
 
-def _suite_cor42_etheta(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("cor42_etheta", _NUMERIC_N, 1e-6)
+def _(run: _Run) -> None:
     """Every phase-parametrized preset attains the norm and reproduces the
     domain by mu-membership."""
-    rng = random.Random(seed)
-    failures = []
+    rng = run.rng
     thetas = [0.0, 0.7, 2.1, rng.uniform(0.0, 2.0 * math.pi),
               rng.uniform(-math.pi, math.pi)]
     for theta in thetas:
         st = e_theta(theta)
-        rep = mu_equals_norm_suite(st, n_samples=n, seed=seed, tol=1e-5)
+        rep = mu_equals_norm_suite(st, n_samples=run.n, seed=run.seed, tol=1e-5)
         for rec in rep.failures:
-            failures.append(f"theta={theta:.17g} {rec}")
-        mismatch = _mu_membership_leg(st, rng, max(4, min(n // 5, 20)),
-                                      max(tol, 1e-6))
+            run.fail(f"theta={theta:.17g} {rec}")
+        mismatch = _mu_membership_leg(st, rng, max(4, min(run.n // 5, 20)),
+                                      max(run.tol, 1e-6))
         if mismatch is not None:
-            failures.append(f"kind=membership theta={theta:.17g} {mismatch}")
-    return SuiteReport("cor42_etheta", n, seed, tol, tuple(failures))
+            run.fail(f"kind=membership theta={theta:.17g} {mismatch}")
 
 
 def _angle_gap(a: float, b: float) -> float:
@@ -667,13 +691,13 @@ def _angle_gap(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def _suite_final_classification(n: int, seed: int, tol: float) -> SuiteReport:
+@_suite("final_classification", _NUMERIC_N, 1e-9)
+def _(run: _Run) -> None:
     """Subspace classification: phase recovery on scrambled bases, rejection
     of the non-rigid three-dimensional presets with explicit mu witnesses."""
-    rng = random.Random(seed)
-    failures = []
-    theta_tol = max(tol, 1e-9)
-    for i in range(n):
+    rng = run.rng
+    theta_tol = max(run.tol, 1e-9)
+    for i in range(run.n):
         theta = rng.uniform(-8.0, 8.0)
         st = e_theta(theta)
         if i % 3 == 0:
@@ -686,36 +710,28 @@ def _suite_final_classification(n: int, seed: int, tol: float) -> SuiteReport:
         sv = classify_subspace(st, theta_tol)
         if sv.kind != "IsETheta" or _angle_gap(sv.theta, theta) > theta_tol:
             got = sv.theta if sv.theta is not None else float("nan")
-            failures.append(
-                f"kind=recover index={i} theta={theta:.17g} got_kind={sv.kind} "
-                f"got_theta={got:.17g}")
+            run.fail(f"kind=recover index={i} theta={theta:.17g} "
+                     f"got_kind={sv.kind} got_theta={got:.17g}")
 
-    witnesses = (
-        ("upper", E12, 0.0),
-        ("lower", E21, 0.0),
-    )
-    for name, wit, expected_mu in witnesses:
+    for name, wit, expected_mu in (("upper", E12, 0.0), ("lower", E21, 0.0)):
         st = structure_from_name(name)
         sv = classify_subspace(st, theta_tol)
         res = mu_value(wit, st)
         if sv.kind != "NotETheta":
-            failures.append(f"kind=reject structure={name} got={sv.kind}")
+            run.fail(f"kind=reject structure={name} got={sv.kind}")
         if abs(res.value - expected_mu) > 1e-9 or res.value == operator_norm(wit):
-            failures.append(
-                f"kind=witness structure={name} mu={res.value:.17g} "
-                f"expected={expected_mu:.17g} norm={operator_norm(wit):.17g}")
+            run.fail(f"kind=witness structure={name} mu={res.value:.17g} "
+                     f"expected={expected_mu:.17g} norm={operator_norm(wit):.17g}")
 
     odd = Structure((Matrix2(1, 0, 0, 0), Matrix2(0, 0, 0, 1),
                      Matrix2(0, 1, 2, 0)), name="odd_offdiag")
     sv = classify_subspace(odd, theta_tol)
     if sv.kind != "NotETheta":
-        failures.append(f"kind=reject structure=odd_offdiag got={sv.kind}")
+        run.fail(f"kind=reject structure=odd_offdiag got={sv.kind}")
     res = mu_value(E21, odd)
     if abs(res.value - 0.5) > 1e-5:
-        failures.append(
-            f"kind=witness structure=odd_offdiag mu={res.value:.17g} "
-            f"expected=0.5 norm=1")
-    return SuiteReport("final_classification", n, seed, tol, tuple(failures))
+        run.fail(f"kind=witness structure=odd_offdiag mu={res.value:.17g} "
+                 f"expected=0.5 norm=1")
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +751,8 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
     distinguished boundary.
     """
     t0 = time.perf_counter()
-    failures = []
+    r_grid = tuple(r_grid)
+    run = _Run(len(r_grid), 0, DEFAULT_TOL)
     for r in r_grid:
         if not (0.0 < r < 1.0):
             raise PreconditionViolation(f"r values must lie in (0, 1), got {r!r}")
@@ -744,87 +761,48 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         q_expected = (1.0 - r * r) ** 2 - a * a
         q = q_value(pt)
         if abs(q - q_expected) > 1e-12:
-            failures.append(
-                f"kind=eg309_q r={r:.17g} q={q:.17g} expected={q_expected:.17g}")
+            run.fail(f"kind=eg309_q r={r:.17g} q={q:.17g} expected={q_expected:.17g}")
         if f_classify(pt).region is not Region.OUTSIDE:
-            failures.append(f"kind=eg309_f r={r:.17g} pt={_pt17(pt)}")
+            run.fail(f"kind=eg309_f r={r:.17g} pt={_pt17(pt)}")
         if penta_classify((a, 0.0, -r * r)).region is not Region.INTERIOR:
-            failures.append(f"kind=eg309_penta r={r:.17g}")
+            run.fail(f"kind=eg309_penta r={r:.17g}")
         penta_dual_check((a, 0.0, -r * r))
         if g2_classify((0.0, -r * r)).region is not Region.INTERIOR:
-            failures.append(f"kind=eg309_g2 r={r:.17g}")
+            run.fail(f"kind=eg309_g2 r={r:.17g}")
         g2_dual_check((0.0, -r * r))
 
         if tetra_classify((0.0, a, 0.0)).region is not Region.INTERIOR:
-            failures.append(f"kind=eg310_tetra r={r:.17g}")
+            run.fail(f"kind=eg310_tetra r={r:.17g}")
         tetra_dual_check((0.0, a, 0.0))
 
         if f_classify((0.0, 0.0, r * r, 0.0)).region is not Region.INTERIOR:
-            failures.append(f"kind=slice_inside r={r:.17g}")
+            run.fail(f"kind=slice_inside r={r:.17g}")
         if hn_classify((0.0, 0.0, 0.0, r * r)).in_open:
-            failures.append(f"kind=hn_outside r={r:.17g}")
+            run.fail(f"kind=hn_outside r={r:.17g}")
 
     lim = (0.0, 0.5, 0.0, 1.0)
     if abs(q_value(lim) + 0.25) > 1e-12:
-        failures.append(f"kind=eg310_q q={q_value(lim):.17g} expected=-0.25")
+        run.fail(f"kind=eg310_q q={q_value(lim):.17g} expected=-0.25")
     if f_classify(lim).region is not Region.OUTSIDE:
-        failures.append(f"kind=eg310_f pt={_pt17(lim)}")
+        run.fail(f"kind=eg310_f pt={_pt17(lim)}")
     for name, v in _projection_legs(f_relations(lim)):
         if not v.in_closure:
-            failures.append(f"kind=eg310_projection leg={name} "
-                            f"observed={v.region.value}")
+            run.fail(f"kind=eg310_projection leg={name} observed={v.region.value}")
 
     pt34 = (1j, 1.0, 1j, 1.0 - 1j)
     if not be_test((pt34[0], pt34[1], pt34[2])):
-        failures.append("kind=post_cor34 leg=be expected=true")
+        run.fail("kind=post_cor34 leg=be expected=true")
     if not bgamma_test((pt34[3], -pt34[2])):
-        failures.append("kind=post_cor34 leg=bgamma expected=true")
+        run.fail("kind=post_cor34 leg=bgamma expected=true")
     if shilov_f_test(pt34):
-        failures.append("kind=post_cor34 leg=shilov expected=false")
+        run.fail("kind=post_cor34 leg=shilov expected=false")
 
-    return SuiteReport("counterexamples", len(tuple(r_grid)), 0, DEFAULT_TOL,
-                       tuple(failures), elapsed=time.perf_counter() - t0)
+    return run.report("counterexamples", elapsed=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _SuiteSpec:
-    fn: Callable[[int, int, float], SuiteReport]
-    default_n: int
-    default_tol: float
-
-
-_ALGEBRAIC_N = 10_000
-_NUMERIC_N = 100
-
-_REGISTRY: dict[str, _SuiteSpec] = {
-    "lemma21_gram": _SuiteSpec(_suite_lemma21_gram, _ALGEBRAIC_N, 1e-10),
-    "prop22_vs_oracle": _SuiteSpec(_suite_prop22_vs_oracle, _ALGEBRAIC_N, 1e-9),
-    "prop24_closure": _SuiteSpec(_suite_prop24_closure, _ALGEBRAIC_N, 1e-9),
-    "swap_involution": _SuiteSpec(_suite_swap_involution, _ALGEBRAIC_N, 1e-9),
-    "lemma25_scaling": _SuiteSpec(_suite_lemma25_scaling, _ALGEBRAIC_N, 1e-9),
-    "thm29_projections": _SuiteSpec(_suite_thm29_projections, _ALGEBRAIC_N, 1e-9),
-    "prop210_slice": _SuiteSpec(_suite_prop210_slice, _ALGEBRAIC_N, 1e-9),
-    "prop211_slice": _SuiteSpec(_suite_prop211_slice, _ALGEBRAIC_N, 1e-9),
-    "cor213_closure_projections": _SuiteSpec(
-        _suite_cor213_closure_projections, _ALGEBRAIC_N, 1e-9),
-    "prop215_hn": _SuiteSpec(_suite_prop215_hn, _ALGEBRAIC_N, 1e-9),
-    "thm32_boundary_transport": _SuiteSpec(
-        _suite_thm32_boundary_transport, _ALGEBRAIC_N, 1e-9),
-    "thm33_shilov_equivalences": _SuiteSpec(
-        _suite_thm33_shilov_equivalences, _ALGEBRAIC_N, 1e-9),
-    "cor34_necessity": _SuiteSpec(_suite_cor34_necessity, _ALGEBRAIC_N, 1e-9),
-    "cor35_double_cover": _SuiteSpec(_suite_cor35_double_cover, _ALGEBRAIC_N, 1e-9),
-    "mu_sandwich": _SuiteSpec(_suite_mu_sandwich, _NUMERIC_N, 1e-6),
-    "thm41_equivalence": _SuiteSpec(_suite_thm41_equivalence, _NUMERIC_N, 1e-6),
-    "cor42_etheta": _SuiteSpec(_suite_cor42_etheta, _NUMERIC_N, 1e-6),
-    "final_classification": _SuiteSpec(
-        _suite_final_classification, _NUMERIC_N, 1e-9),
-}
-
 
 def suite_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)

@@ -22,10 +22,10 @@ from mublocks.bidisc import g2_classify, g2_roots
 from mublocks.domain_f import f_classify, f_rescale_by
 from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
-from mublocks.hexablock import _check_quad, _sup_coeffs, pi_hexa
+from mublocks.hexablock import HnVerdict, _check_quad, _sup_coeffs, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
-                              unitary_from_rng)
+                              gram_report, operator_norm, unitary_from_rng)
 from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _check_triple
 from mublocks.tetrablock import be_test, tetra_classify
@@ -843,3 +843,49 @@ def lie_ball_interior_reference(rng: random.Random):
                   for _ in range(4))
         if lie_ball_classify(z, 0.0).margin > 1e-6:
             return z
+
+
+# ---------------------------------------------------------------------------
+# hn_classify as it was before it formed t once and read its verdicts from
+# the raw-entry kernels, kept verbatim with its two helpers.
+
+
+def hn_classify_reference(pt, tol: float = 1e-9):
+    """Membership in the normed variant (image of the open/closed ball).
+
+    a != 0: reduce to the four-coordinate domain via the unique matrix
+    [[x1, (x1 x2 - x3)/a], [a, x2]] over the point.  a = 0: exact slice rule.
+    The interior of the closure-free set is its a != 0 part.
+    """
+    a, x1, x2, x3 = _check_quad(pt)
+    in_closure = _hn_in_closure_reference(a, x1, x2, x3, tol)
+    if a == 0:
+        in_open = (abs(x3 - x1 * x2) <= 1e-12
+                   and tetra_classify((x1, x2, x3), tol).is_interior)
+        return HnVerdict(in_open=in_open, in_closure=in_closure,
+                         in_interior_of_hn=False)
+    t = (x1 * x2 - x3) / a
+    if not cmath.isfinite(t):
+        return HnVerdict(in_open=False, in_closure=False, in_interior_of_hn=False)
+    in_open = f_classify((x1, x2, x3, a + t), tol).is_interior
+    return HnVerdict(in_open=in_open, in_closure=in_closure,
+                     in_interior_of_hn=in_open)
+
+
+def _hn_in_closure_reference(a, x1, x2, x3, tol):
+    if a == 0:
+        return (abs(x3 - x1 * x2) <= 1e-12
+                and max(abs(x1), abs(x2)) <= 1.0 + tol)
+    t = (x1 * x2 - x3) / a
+    return cmath.isfinite(t) and _norm_at_most_one_reference(
+        Matrix2(x1, t, a, x2), tol)
+
+
+def _norm_at_most_one_reference(b: Matrix2, tol: float) -> bool:
+    nrm = operator_norm(b)
+    if nrm > 1.0 + 1e-6:
+        return False
+    if nrm <= 1.0 - 1e-6:
+        return True
+    g = gram_report(b)
+    return g.trace_gram >= -2.0 * tol and g.det_gram >= -tol

@@ -14,8 +14,8 @@ from mublocks.hexablock import (hexa_classify, hexa_slice_a0, hn_classify,
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
 from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
 from mublocks.verdict import Region
-from oracles import (PsiProbe, hexa_points, psi_eval, psi_sup_critical_radius,
-                     psi_sup_decimal, psi_sup_grid)
+from oracles import (PsiProbe, hexa_points, hn_classify_reference, psi_eval,
+                     psi_sup_critical_radius, psi_sup_decimal, psi_sup_grid)
 
 rng = random.Random(53)
 
@@ -311,6 +311,55 @@ def test_hn_closure_covers_closed_ball_images():
         v = hn_classify(pi_hexa(u))
         assert v.in_closure
         assert not v.in_open
+
+
+def _hn_reference_points(r: random.Random):
+    """Seeded points for each branch of hn_classify, by family."""
+    def cdisc(radius):
+        return radius * math.sqrt(r.random()) * cmath.exp(
+            1j * r.uniform(0.0, 2.0 * math.pi))
+
+    a0 = []
+    for k in range(200):
+        x1, x2 = cdisc(1.3), cdisc(1.3)
+        a0.append((0.0, x1, x2, x1 * x2 if k % 2 else cdisc(1.3)))
+    nonfinite = [(cdisc(1.0) * 1e-310, cdisc(1.0) + 0.5, cdisc(1.0), cdisc(1.0) - 2.0)
+                 for _ in range(20)]
+    nonfinite += [(0.5, float("nan"), 0.1, 0.2), (0.5, 0.1, 0.2, float("inf")),
+                  (float("nan"), 0.1, 0.2, 0.3), (0.3, float("inf"), 0.0, 0.0)]
+    band = []
+    for k in range(400):
+        u, v = unitary_from_rng(r), unitary_from_rng(r)
+        s1, s2 = (1.0 + r.choice((1e-6, 1e-8, 1e-10)) * r.uniform(-1.0, 1.0)
+                  for _ in range(2))
+        band.append(pi_hexa((u @ Matrix2(s1, 0, 0, s2 if k % 2 else r.random()))
+                            @ v.conj_transpose()))
+    spread = [pi_hexa(contraction_from_rng(r)) for _ in range(200)]
+    spread += [tuple(complex(r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5))
+                     for _ in range(4)) for _ in range(400)]
+    return {"a0": a0, "nonfinite": nonfinite, "band": band, "spread": spread}
+
+
+@pytest.mark.parametrize("tol", (1e-9, 1e-7, 0.0))
+def test_hn_classify_matches_its_reference(tol):
+    """hn_classify, which forms t once and reads raw-entry kernels, gives
+    the verdicts of the route that built a Matrix2 and a full f_classify."""
+    families = _hn_reference_points(random.Random(2026))
+    for family, pts in families.items():
+        got = [hn_classify(pt, tol) for pt in pts]
+        assert got == [hn_classify_reference(pt, tol) for pt in pts], family
+        # each family reaches both answers of the verdict it is there for
+        if family == "nonfinite":
+            assert not any(v.in_closure or v.in_open for v in got)
+        elif family == "band":
+            assert {v.in_closure for v in got} == {True, False}
+        else:
+            assert {v.in_open for v in got} == {True, False}, family
+    for pt in ((float("inf"), 0.1, 0.1, 0.0), (complex(math.inf, 1.0), 0, 0, 0)):
+        with pytest.raises(PreconditionViolation, match="a21: non-finite"):
+            hn_classify(pt, tol)
+        with pytest.raises(PreconditionViolation, match="a21: non-finite"):
+            hn_classify_reference(pt, tol)
 
 
 def test_shilov_h_unitary_images():

@@ -186,8 +186,8 @@ def test_singular_values_far_from_unit_scale():
     s1, s2 = singular_values(base)
     for e in (-200, -170, 78, 200):
         t1, t2 = singular_values(base.scale(10.0 ** e))
-        assert t1 == pytest.approx(s1 * 10.0 ** e, rel=1e-15)
-        assert t2 == pytest.approx(s2 * 10.0 ** e, rel=1e-15)
+        assert t1 == pytest.approx(s1 * 10.0 ** e, rel=1e-15, abs=0.0)
+        assert t2 == pytest.approx(s2 * 10.0 ** e, rel=1e-15, abs=0.0)
         assert operator_norm(base.scale(10.0 ** e)) == t1
     assert operator_norm(Matrix2(1e78, 2e78, 0, 1e78)) == pytest.approx(
         (1.0 + math.sqrt(2.0)) * 1e78, rel=1e-15)

@@ -11,9 +11,10 @@ from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
                               random_unitary, spectral_radius)
 from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          SubspaceVerdict, classify_subspace, e_theta,
-                         f_mu_membership, mu_equals_norm_suite,
-                         mu_sandwich_check, mu_value, rigidity_check,
-                         rigidity_grid_pass, structure_from_name)
+                         f_mu_membership, mu_sandwich_check, mu_value,
+                         rigidity_check, rigidity_grid_pass,
+                         structure_from_name)
+from mublocks.verify import mu_equals_norm_suite
 from oracles import (eig_radius, min_norm_mapper_nm, mu_diag_dscale_oracle,
                      mu_diag_gauge_oracle, mu_upper_hexablock_oracle, svd_norm)
 
