@@ -25,9 +25,8 @@ The distinguished (Shilov) boundary is the set |p| = 1, s = conj(s) p,
 
 from __future__ import annotations
 
-import cmath
-
 from .errors import PreconditionViolation
+from .matrix2 import _quadratic_roots
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
                       raise_if_split)
 
@@ -64,19 +63,13 @@ def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
 
 
 def g2_roots(pt) -> tuple[complex, complex]:
-    """The two roots of t^2 - s t + p, ordered lexicographically by (Re, Im).
-
-    Round trip: roots sum to s and multiply to p (checked to 1e-10).
-    """
+    """The two roots of t^2 - s t + p, ordered lexicographically by (Re, Im),
+    computed without cancellation (matrix2._quadratic_roots): the smaller
+    keeps the relative precision of the larger however far apart they are."""
     s, p = _check_pair(pt)
-    root = cmath.sqrt(s * s - 4.0 * p)
-    l1 = (s + root) / 2.0
-    l2 = (s - root) / 2.0
+    l1, l2 = _quadratic_roots(1.0, -s, p)
     if (l1.real, l1.imag) > (l2.real, l2.imag):
         l1, l2 = l2, l1
-    scale = 1.0 + abs(s) + abs(p)
-    if abs((l1 + l2) - s) > 1e-10 * scale or abs(l1 * l2 - p) > 1e-10 * scale:
-        raise AssertionError(f"root round-trip failed for {pt!r}")
     return l1, l2
 
 
@@ -91,12 +84,14 @@ def bgamma_test(pt, tol: float = DEFAULT_TOL) -> bool:
 def bgamma_point(beta: complex, p: complex) -> tuple[complex, complex]:
     """Parametrize the distinguished boundary: (beta + conj(beta) p, p), |p| = 1.
 
-    Valid for |beta| <= 1; used by samplers and tests.
+    Needs |beta| <= 1; used by samplers and tests.
     """
     beta = complex(beta)
     p = complex(p)
-    if abs(abs(p) - 1.0) > 1e-12:
+    if not abs(abs(p) - 1.0) <= 1e-12:
         raise PreconditionViolation(f"|p| must be 1, got {abs(p)!r}")
+    if not abs(beta) <= 1.0 + 1e-12:
+        raise PreconditionViolation(f"|beta| must be <= 1, got {abs(beta)!r}")
     return (beta + beta.conjugate() * p, p)
 
 

@@ -19,7 +19,8 @@ values always rendered as ``{"re", "im"}`` pairs so that printed points
 re-parse to the identical verdict.
 
 The environment variable ``MUBLOCKS_TOL`` supplies the default tolerance
-wherever ``--tol`` is omitted.
+wherever a tolerance is read and ``--tol`` is omitted.  A flag that a run
+does not read exits 64, as do NaN, infinities and literals past the floats.
 """
 
 from __future__ import annotations
@@ -100,29 +101,35 @@ def _parse_complex_text(text: str) -> complex:
         raise _CliError(64, "empty complex literal")
     t = t.replace("I", "i").replace("J", "j").replace("i", "j")
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError:
         raise _CliError(64, f"cannot parse complex literal {text!r}") from None
+    return _finite_complex(z.real, z.imag, text)
+
+
+def _finite_complex(re_part, im_part, what) -> complex:
+    """complex(re_part, im_part); exits 64 on NaN, an infinity or an integer
+    past the float range."""
+    try:
+        z = complex(float(re_part), float(im_part))
+    except OverflowError:
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise _CliError(64, f"not a finite number: {what!r}")
+    return z
 
 
 def _coerce_scalar(obj) -> complex:
-    if isinstance(obj, bool):
-        raise _CliError(64, f"boolean is not a coordinate: {obj!r}")
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, complex):
-        return obj
     if isinstance(obj, str):
         return _parse_complex_text(obj)
+    parts = (obj.real, obj.imag) if isinstance(obj, complex) else (obj, 0)
     if isinstance(obj, dict):
         if not obj or not set(obj) <= {"re", "im"}:
             raise _CliError(64, f"complex object must have keys re/im: {obj!r}")
-        re_part, im_part = obj.get("re", 0), obj.get("im", 0)
-        if isinstance(re_part, bool) or isinstance(im_part, bool) or \
-                not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
-            raise _CliError(64, f"re/im must be numbers: {obj!r}")
-        return complex(float(re_part), float(im_part))
-    raise _CliError(64, f"cannot interpret {obj!r} as a complex number")
+        parts = (obj.get("re", 0), obj.get("im", 0))
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in parts):
+        raise _CliError(64, f"cannot interpret {obj!r} as a complex number")
+    return _finite_complex(*parts, obj)
 
 
 def _parse_literal(text: str):
@@ -320,19 +327,19 @@ def _cmd_mu(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = _merge_positional(args.suite_pos, args.suite, "suite")
+    unread = {"all": ("n", "tol"), "counterexamples": ("n", "seed", "tol")}
+    for flag in unread.get(suite, ("r",)):
+        if getattr(args, flag) is not None:
+            raise _CliError(64, f"--{flag} does not apply to 'verify {suite}'")
     seed = 7 if args.seed is None else args.seed
-    tol = _resolve_tol(args)
     r_grid = tuple(args.r) if args.r else DEFAULT_R_GRID
     if suite == "all":
-        if args.n is not None:
-            raise _CliError(64, "--n applies to single suites, not 'all'")
         reports = run_all(seed=seed, r_grid=r_grid)
     elif suite == "counterexamples":
         reports = [run_counterexamples(r_grid)]
     else:
-        if args.r:
-            raise _CliError(64, "--r only applies to the counterexample grid")
-        reports = [run_suite(suite, n_samples=args.n, seed=seed, tol=tol)]
+        reports = [run_suite(suite, n_samples=args.n, seed=seed,
+                             tol=_resolve_tol(args))]
     for report in reports:
         print("\n".join(report.to_lines()))
     total = sum(len(r.failures) for r in reports)

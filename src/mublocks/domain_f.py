@@ -176,8 +176,10 @@ class ShilovParamF:
     x4: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise PreconditionViolation(f"theta must be finite, got {self.theta!r}")
         r2 = self.x2 ** 2 + self.x3 ** 2 + self.x4 ** 2
-        if r2 > 1.0 + 1e-12:
+        if not r2 <= 1.0 + 1e-12:
             raise PreconditionViolation(
                 f"(x2, x3, x4) must lie in the closed unit 3-ball, |.|^2 = {r2!r}")
 
@@ -192,9 +194,9 @@ class BallParamF:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "w", complex(self.w))
         object.__setattr__(self, "eta", complex(self.eta))
-        if abs(self.z) ** 2 + abs(self.w) ** 2 > 1.0 + 1e-12:
+        if not abs(self.z) ** 2 + abs(self.w) ** 2 <= 1.0 + 1e-12:
             raise PreconditionViolation("(z, w) must lie in the closed unit 2-ball")
-        if abs(abs(self.eta) - 1.0) > 1e-12:
+        if not abs(abs(self.eta) - 1.0) <= 1e-12:
             raise PreconditionViolation(f"|eta| must be 1, got {abs(self.eta)!r}")
 
 

@@ -97,8 +97,10 @@ class ShilovParamL4:
         object.__setattr__(self, "x", xs)
         if len(xs) != 4:
             raise PreconditionViolation(f"x must have 4 entries, got {self.x!r}")
+        if not math.isfinite(self.theta):
+            raise PreconditionViolation(f"theta must be finite, got {self.theta!r}")
         r2 = sum(v * v for v in xs)
-        if abs(r2 - 1.0) > 1e-12:
+        if not abs(r2 - 1.0) <= 1e-12:
             raise PreconditionViolation(
                 f"x must lie on the unit 3-sphere, |x|^2 = {r2!r}")
 

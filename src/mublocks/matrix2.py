@@ -2,7 +2,10 @@
 
 Everything downstream (domain classifiers, mu computations, verification
 suites) funnels through this module, so norms and spectra are closed-form --
-no iterative linear algebra for a 2x2.
+no iterative linear algebra for a 2x2.  Its kernels _singular_values (behind
+singular_values and operator_norm), _top_singular_pair (sigma_1 and its
+singular vectors) and _quadratic_roots (behind spectral_radius, g2_roots and
+mu's k = 1 and variety routes) are the package's only routes to these.
 
 Coordinate convention used throughout the package for a matrix
 B = [[b11, b12], [b21, b22]]:
@@ -159,6 +162,23 @@ def _singular_values(a11: complex, a12: complex, a21: complex,
     return math.sqrt(hi), math.sqrt(lo)
 
 
+def _top_singular_pair(b: Matrix2):
+    """(sigma_1, u1, v1), B v1 = sigma_1 u1 for unit u1, v1, sigma_1 being
+    _singular_values' own; v1 from the Gram entries of B, e1 where B*B is a
+    multiple of I.  The entries must square without over- or underflow."""
+    a11, a12, a21, a22 = b.a11, b.a12, b.a21, b.a22
+    s1 = _singular_values(a11, a12, a21, a22)[0]
+    h12 = a11.conjugate() * a12 + a21.conjugate() * a22
+    d1 = s1 * s1 - (abs(a11) ** 2 + abs(a21) ** 2)   # sigma_1^2 - h11
+    d2 = s1 * s1 - (abs(a12) ** 2 + abs(a22) ** 2)   # sigma_1^2 - h22
+    # B*B - sigma_1^2 I maps both to 0; the longer is the better conditioned
+    v = (h12, complex(d1)) if abs(d1) >= abs(d2) else (complex(d2), h12.conjugate())
+    n = math.hypot(abs(v[0]), abs(v[1]))
+    v1 = (v[0] / n, v[1] / n) if n >= 1e-150 else (1.0 + 0j, 0j)
+    u1 = ((a11 * v1[0] + a12 * v1[1]) / s1, (a21 * v1[0] + a22 * v1[1]) / s1)
+    return s1, u1, v1
+
+
 def singular_values(b: Matrix2) -> tuple[float, float]:
     """(sigma_max, sigma_min), from the eigenvalues of B*B in closed form."""
     return _singular_values(b.a11, b.a12, b.a21, b.a22)
@@ -168,11 +188,23 @@ def operator_norm(b: Matrix2) -> float:
     return _singular_values(b.a11, b.a12, b.a21, b.a22)[0]
 
 
+def _quadratic_roots(m: complex, l: complex, q: complex) -> list:
+    """Roots of m x^2 + l x + q without cancellation, the larger modulus
+    first and a double root twice; [] if m = l = 0, [-q/l] if only m = 0."""
+    if m == 0.0:
+        if l == 0.0:
+            return []
+        return [-q / l]
+    sq = cmath.sqrt(l * l - 4.0 * m * q)
+    u = l + sq if abs(l + sq) >= abs(l - sq) else l - sq
+    if u == 0.0:
+        return [0j, 0j]
+    return [-u / (2.0 * m), -2.0 * q / u]
+
+
 def spectral_radius(b: Matrix2) -> float:
-    t = b.trace
-    d = b.det
-    root = cmath.sqrt(t * t - 4.0 * d)
-    return max(abs((t + root) / 2.0), abs((t - root) / 2.0))
+    """Largest eigenvalue modulus: the first root of t^2 - tr(B) t + det B."""
+    return abs(_quadratic_roots(1.0, -b.trace, b.det)[0])
 
 
 def gram_det_from_coords(x: complex, a: complex, p: complex, s: complex) -> float:

@@ -24,10 +24,12 @@ A X) = 0 iff X(Aw) = w for some unit w, and F(w) = min{||X|| : X in E,
 X(Aw) = w} has a closed form (_least_norm_mapper).  Since ||X|| >=
 1/||A w|| >= 1/||A||, F = 1/||A|| at the top singular vector certifies mu
 = ||A||; that probe settles every A on skewdiag and e_theta, which are
-rigid.  Otherwise seeded multistart descent runs over charts of the
-variety; its objectives evaluate ||X(c)|| on the entries of X(c) as a plain
-tuple (Structure.entries_at and matrix2's private singular-value kernel),
-and a Matrix2 is built only for the minimizer a result returns.
+rigid.  There and on full, mu is matrix2's sigma_1 (_top_singular_pair), so
+operator_norm(A) bitwise.  Otherwise seeded multistart descent runs over
+charts of the variety; its objectives evaluate ||X(c)|| on the entries of
+X(c) as a plain tuple (Structure.entries_at and matrix2's private
+singular-value kernel), and a Matrix2 is built only for the minimizer a
+result returns.
 
 Every path works on an A whose largest entry modulus lies in [2^-200,
 2^200], where none of them over- or underflows.  mu(cA) = |c|
@@ -48,7 +50,8 @@ import numpy as np
 
 from .domain_f import f_matrix_witness
 from .errors import OptimizerNoConverge, PreconditionViolation
-from .matrix2 import Matrix2, _singular_values, operator_norm, spectral_radius
+from .matrix2 import (Matrix2, _quadratic_roots, _singular_values,
+                      _top_singular_pair, operator_norm, spectral_radius)
 from .optimize import nelder_mead
 
 _SEED_STARTS = 0x5EED
@@ -154,7 +157,9 @@ def structure_from_name(name: str) -> Structure:
         try:
             theta = float(key.split(":", 1)[1])
         except ValueError:
-            raise KeyError(f"bad e_theta parameter in {name!r}") from None
+            theta = math.nan
+        if not math.isfinite(theta):
+            raise KeyError(f"bad e_theta parameter in {name!r}")
         return e_theta(theta)
     if key in _PRESETS:
         return _PRESETS[key]()
@@ -197,28 +202,6 @@ def _constraint_coeffs(a: Matrix2, basis):
 def _det_residual(a: Matrix2, x: Matrix2) -> float:
     m = Matrix2.identity() - (a @ x)
     return abs(m.det)
-
-
-def _top_singular_pair(a: Matrix2):
-    """(sigma_1, u_1, v_1) with A v1 = sigma_1 u1, from the 2x2 Hermitian A*A."""
-    h = a.conj_transpose() @ a
-    h11, h12 = h.a11.real, h.a12
-    h22 = h.a22.real
-    half = 0.5 * (h11 - h22)
-    lam = 0.5 * (h11 + h22) + math.hypot(half, abs(h12))
-    v_a = (h12, complex(lam - h11))
-    v_b = (complex(lam - h22), h12.conjugate())
-    na = abs(v_a[0]) ** 2 + abs(v_a[1]) ** 2
-    nb = abs(v_b[0]) ** 2 + abs(v_b[1]) ** 2
-    v = v_a if na >= nb else v_b
-    n = math.sqrt(max(na, nb))
-    if n < 1e-150:
-        v, n = (1.0 + 0j, 0j), 1.0
-    v1 = (v[0] / n, v[1] / n)
-    s1 = math.sqrt(max(lam, 0.0))
-    av = a.apply(v1)
-    u1 = (av[0] / s1, av[1] / s1)
-    return s1, u1, v1
 
 
 def _least_norm_mapper(structure: Structure, u, v):
@@ -295,19 +278,6 @@ def _dot(x, y) -> complex:
 
 def _w_of(phi: float, psi: float):
     return (complex(math.cos(phi)), cmath.exp(1j * psi) * math.sin(phi))
-
-
-def _quadratic_roots(m: complex, l: complex, q: complex):
-    """Roots of m x^2 + l x + q = 0, cancellation-safe; [] when unsolvable."""
-    if m == 0.0:
-        if l == 0.0:
-            return []
-        return [-q / l]
-    sq = cmath.sqrt(l * l - 4.0 * m * q)
-    u = l + sq if abs(l + sq) >= abs(l - sq) else l - sq
-    if u == 0.0:
-        return [complex(0.0)]
-    return [-u / (2.0 * m), -2.0 * q / u]
 
 
 class _VarietyChart:
@@ -633,10 +603,9 @@ def rigidity_check(structure: Structure, u, v,
     vv = tuple(complex(t) for t in v)
     if len(uu) != 2 or len(vv) != 2:
         raise PreconditionViolation("u, v must be 2-vectors")
-    if abs(math.sqrt(abs(uu[0]) ** 2 + abs(uu[1]) ** 2) - 1.0) > 1e-12:
-        raise PreconditionViolation(f"u is not a unit vector: {u!r}")
-    if abs(math.sqrt(abs(vv[0]) ** 2 + abs(vv[1]) ** 2) - 1.0) > 1e-12:
-        raise PreconditionViolation(f"v is not a unit vector: {v!r}")
+    for name, w in (("u", uu), ("v", vv)):
+        if not abs(math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2) - 1.0) <= 1e-12:
+            raise PreconditionViolation(f"{name} is not a unit vector: {w!r}")
     found = _least_norm_mapper(structure, uu, vv)
     if found is None or found[0] > 1.0 + tol:
         return None

@@ -100,8 +100,8 @@ def be_point(x2: complex, x3: complex) -> tuple[complex, complex, complex]:
     """Parametrize the distinguished boundary by (x2, x3), |x2| <= 1, |x3| = 1."""
     x2 = complex(x2)
     x3 = complex(x3)
-    if abs(abs(x3) - 1.0) > 1e-12:
+    if not abs(abs(x3) - 1.0) <= 1e-12:
         raise PreconditionViolation(f"|x3| must be 1, got {abs(x3)!r}")
-    if abs(x2) > 1.0 + 1e-12:
+    if not abs(x2) <= 1.0 + 1e-12:
         raise PreconditionViolation(f"|x2| must be <= 1, got {abs(x2)!r}")
     return (x2.conjugate() * x3, x2, x3)

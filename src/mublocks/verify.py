@@ -28,7 +28,7 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .bidisc import bgamma_test, g2_classify, g2_dual_check
@@ -87,16 +87,8 @@ class SuiteReport:
         return [head] + [f"  {rec}" for rec in sorted(self.failures)]
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "failures": sorted(self.failures),
-            "band_excluded": self.band_excluded,
-            "elapsed": self.elapsed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "failures": sorted(self.failures),
+                "passed": self.passed}
 
 
 def _c17(z: complex) -> str:

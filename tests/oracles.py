@@ -93,6 +93,16 @@ def quad_roots(s: complex, p: complex) -> tuple[complex, complex]:
     return complex(w[0]), complex(w[1])
 
 
+def spectral_radius_reference(m: Matrix2) -> float:
+    """The discriminant form of the spectral radius, max |(t +- root)/2|
+    with root = sqrt(t^2 - 4 det), which matrix2.spectral_radius replaced
+    by the first root of matrix2._quadratic_roots; the two agree bitwise."""
+    t = m.trace
+    d = m.det
+    root = cmath.sqrt(t * t - 4.0 * d)
+    return max(abs((t + root) / 2.0), abs((t - root) / 2.0))
+
+
 def roots_max_modulus(s: complex, p: complex) -> float:
     z1, z2 = quad_roots(s, p)
     return max(abs(z1), abs(z2))

@@ -49,6 +49,26 @@ def test_roots_recover_point():
         assert abs(max(abs(z1), abs(z2)) - roots_max_modulus(s, p)) <= 1e-7
 
 
+def test_roots_round_trip_to_1e_15():
+    """Both roots of t^2 - s t + p hold Vieta's relations to 1e-15 of their
+    own moduli, across scales and where one root is far smaller than the
+    other: the cancelling (s - root)/2 used to return 0 at (1e8, 1), whose
+    product 0 is not p."""
+    rng = random.Random(12)
+    pts = [(1e8, 1), (-1e8, 1), (1e-8, -1), (0, 0), (2, 1), (0, 1), (1j, 0),
+           (3e15, 1e-3)]
+    for _ in range(3000):
+        s = cmath.rect(10.0 ** rng.uniform(-8, 8), rng.uniform(0, 2 * math.pi))
+        p = cmath.rect(10.0 ** rng.uniform(-8, 8), rng.uniform(0, 2 * math.pi))
+        pts.append((s, p))
+    for s, p in pts:
+        z1, z2 = g2_roots((s, p))
+        assert (z1.real, z1.imag) <= (z2.real, z2.imag)
+        assert abs(z1 + z2 - s) <= 1e-15 * (abs(z1) + abs(z2))
+        assert abs(z1 * z2 - p) <= 1e-15 * abs(z1) * abs(z2)
+    assert g2_roots((1e8, 1)) == (1e-8, 1e8)
+
+
 def test_known_points():
     assert g2_classify((0, 0)).region is Region.INTERIOR
     assert g2_classify((0, 0)).margin == pytest.approx(1.0)
@@ -96,6 +116,11 @@ def test_boundary_point_off_the_distinguished_part():
 def test_bgamma_point_precondition():
     with pytest.raises(PreconditionViolation):
         bgamma_point(0.5, 0.5)      # |p| != 1
+    with pytest.raises(PreconditionViolation):
+        bgamma_point(1.5, 1.0)      # |beta| > 1
+    for beta, p in ((0.5, complex(math.nan, 0.0)), (math.nan, 1.0)):
+        with pytest.raises(PreconditionViolation):
+            bgamma_point(beta, p)
 
 
 def test_classify_dimension_check():

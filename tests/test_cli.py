@@ -109,6 +109,27 @@ def test_check_parse_failures_exit_64():
     assert run(["check", "nosuchdomain", "(0,0)"])[0] == 64
 
 
+_NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400", '{"re": 1e400}',
+               '{"im": NaN}', '"nan"', '"1e400i"', "1" + "0" * 400)
+
+
+@pytest.mark.parametrize("domain", cli._DOMAINS)
+def test_non_finite_numbers_exit_64(domain):
+    """NaN, infinities and literals past the float range are usage errors
+    in a point, in its python-style form and in --fixed, on every domain;
+    nothing is printed."""
+    names = cli._COORD_NAMES[domain]
+    zeros = ["0"] * (len(names) - 1)
+    for bad in _NON_FINITE:
+        code, out, err = run(["check", domain, "[" + ",".join(zeros + [bad]) + "]"])
+        assert (code, out) == (64, ""), (bad, err)
+    assert run(["check", domain, "(" + ",".join(zeros + ["1e400"]) + ")"])[:2] == (64, "")
+    for bad in ("nan", "inf", "-inf", "1e400", "1e400i", "nan+1i"):
+        code, out, err = run(["slice", domain, "--fixed", f"{names[0]}={bad}",
+                              "--grid", "2"])
+        assert (code, out) == (64, ""), (bad, err)
+
+
 def test_check_round_trip_through_output_doc():
     code, doc = run_json(["check", "f", "(0.1+0.2i,0.05,-0.02,0.3)"])
     redoc = {"coords": doc["point"], "domain": "f"}
@@ -139,6 +160,9 @@ def test_mu_unknown_structure_exit_65():
     code, out, err = run(["mu", "bogus", "[[1,0],[0,1]]"])
     assert code == 65
     assert "bogus" in err
+    for name in ("e_theta:soup", "e_theta:nan", "e_theta:inf"):
+        code, _, err = run(["mu", name, "[[1,0],[0,1]]"])
+        assert code == 65 and "bad e_theta parameter" in err
 
 
 def test_mu_takes_no_tolerance(monkeypatch):
@@ -153,6 +177,8 @@ def test_mu_takes_no_tolerance(monkeypatch):
 def test_mu_matrix_parse_failures():
     assert run(["mu", "full", "[[1,0],[0]]"])[0] == 64
     assert run(["mu", "full", "not json"])[0] == 64
+    assert run(["mu", "full", "[[NaN,0],[0,1]]"])[0] == 64
+    assert run(["mu", "full", '[[{"re": 1e400},0],[0,1]]'])[0] == 64
 
 
 def test_verify_named_suite():
@@ -164,13 +190,24 @@ def test_verify_named_suite():
     assert lines[-1] == "total: suites=1 failures=0 status=pass"
 
 
-def test_verify_counterexamples_and_grid_flag():
+def test_verify_counterexamples_and_grid_flag(monkeypatch):
     code, out, _ = run(["verify", "counterexamples", "--r", "0.5", "--r", "0.25"])
     assert code == 0
     assert "suite=counterexamples n=2" in out
-    # --r only makes sense there; --n only for sized suites
+    # a flag the run does not read is a usage error: --r is read only by
+    # the grid, --n and --tol only by a single suite, --seed not by the grid
     assert run(["verify", "lemma21_gram", "--r", "0.5"])[0] == 64
     assert run(["verify", "all", "--n", "10"])[0] == 64
+    assert run(["verify", "all", "--tol", "1e-3"])[0] == 64
+    for flags in (["--n", "3"], ["--seed", "5"], ["--tol", "0.5"],
+                  ["--n", "3", "--seed", "5", "--tol", "0.5"]):
+        code, out, err = run(["verify", "counterexamples", *flags])
+        assert (code, out) == (64, ""), flags
+        assert flags[0] in err
+    # MUBLOCKS_TOL is read only where a tolerance is used
+    monkeypatch.setenv("MUBLOCKS_TOL", "abc")
+    assert run(["verify", "counterexamples"])[0] == 0
+    assert run(["verify", "lemma21_gram", "--n", "5"])[0] == 64
 
 
 def test_verify_unknown_suite_exit_66():

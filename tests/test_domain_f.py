@@ -132,6 +132,17 @@ def test_gauge_matches_the_bisection():
             assert abs(g - minkowski_gauge_bisect(pt)) <= 1e-7 * max(1.0, g), pt
 
 
+def test_root_maps_where_one_root_is_tiny():
+    """At (0, 0, 1, 1e8) the off-diagonal entries are the roots 1e8 and
+    -1e-8 of t^2 - 1e8 t - 1; the matrix-based maps all answer there."""
+    pt = (0, 0, 1, 1e8)
+    assert f_swap(pt) == (-1e-8, 1e8, -1, 0)
+    assert minkowski_gauge(pt) == 1e8
+    v = f_classify_matrix_oracle(pt)
+    assert v.region is Region.OUTSIDE and v.margin == 1.0 - 1e8
+    assert f_classify(pt).region is Region.OUTSIDE
+
+
 def test_gauge_homogeneity():
     # rescale_by divides the coordinates along the quasi-balanced weights,
     # so the gauge divides with it
@@ -254,6 +265,17 @@ def test_double_cover():
     anti = ShilovParamF(q.theta + math.pi, -q.x2, -q.x3, -q.x4)
     for u, v in zip(shilov_f_param(q), shilov_f_param(anti)):
         assert u == pytest.approx(v, abs=1e-12)
+
+
+def test_parameter_records_reject_nan_and_infinite_angles():
+    assert ShilovParamF(0.3, 0.5, 0.1, 0.2).theta == 0.3
+    for args in ((math.nan, 0.5, 0.1, 0.2), (math.inf, 0.5, 0.1, 0.2),
+                 (0.3, math.nan, 0.1, 0.2)):
+        with pytest.raises(PreconditionViolation):
+            ShilovParamF(*args)
+    for args in ((math.nan, 0, 1), (0.5, 0.5j, complex(1, math.nan))):
+        with pytest.raises(PreconditionViolation):
+            BallParamF(*args)
 
 
 def test_dimension_check():

@@ -57,6 +57,11 @@ def test_lambda_map_is_two_to_one(z):
 def test_shilov_param_l4_unit_sphere_enforced():
     with pytest.raises(PreconditionViolation):
         ShilovParamL4(0.0, (1.0, 1.0, 0.0, 0.0))
+    for theta, x in ((0.0, (math.nan, 0.0, 0.0, 0.0)),
+                     (math.nan, (1.0, 0.0, 0.0, 0.0)),
+                     (math.inf, (1.0, 0.0, 0.0, 0.0))):
+        with pytest.raises(PreconditionViolation):
+            ShilovParamL4(theta, x)
     q = ShilovParamL4(0.3, (0.5, 0.5, 0.5, 0.5))
     z = shilov_l4_param(q)
     # the parametrized point is the squared-first-coordinate image of

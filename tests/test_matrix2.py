@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mublocks.errors import FormulaMismatch, PreconditionViolation
-from mublocks.matrix2 import (Matrix2, contraction_from_rng, contraction_test,
+from mublocks.matrix2 import (Matrix2, _quadratic_roots, _top_singular_pair,
+                              contraction_from_rng, contraction_test,
                               gram_det_from_coords, gram_report,
                               operator_norm, random_contraction,
                               random_unitary, singular_values,
                               spectral_radius, unitary_from_rng)
-from oracles import eig_radius, power_norm, svd_values
+from oracles import (eig_radius, power_norm, quad_roots,
+                     spectral_radius_reference, svd_values)
 
 finite = st.floats(min_value=-5.0, max_value=5.0,
                    allow_nan=False, allow_infinity=False)
@@ -224,3 +227,84 @@ def test_singular_values_scale_exactly_by_powers_of_two():
         for k in range(-1000, 1000, 37):
             f = math.ldexp(1.0, k)
             assert operator_norm(m.scale(f)) == s1 * f
+
+
+def test_quadratic_roots_match_the_companion_oracle():
+    """Seeded (m, l, q) with moduli from 1e-150 to 1e150 and every fourth a
+    double root r (moduli kept in range), against numpy's companion matrix
+    for t^2 + (l/m) t + q/m.  That oracle is backward stable only, so each
+    root is compared on the scale of the larger; Vieta's relations hold
+    each root to its own scale, the smaller one included."""
+    rng = random.Random(17)
+
+    def draw(e):
+        return cmath.rect(10.0 ** rng.uniform(-e, e), rng.uniform(-math.pi, math.pi))
+
+    for i in range(4000):
+        m, l, q = draw(150), draw(150), draw(150)
+        double = i % 4 == 0
+        if double:
+            m, r = draw(50), draw(50)
+            l, q = -2.0 * m * r, m * r * r
+        got = _quadratic_roots(m, l, q)
+        assert len(got) == 2
+        ref = quad_roots(-l / m, q / m)
+        big = max(abs(z) for z in ref)
+        err = min(max(abs(got[0] - ref[0]), abs(got[1] - ref[1])),
+                  max(abs(got[0] - ref[1]), abs(got[1] - ref[0])))
+        assert err <= (1e-6 if double else 1e-13) * big
+        assert abs(got[0]) >= abs(got[1]) * (1.0 - 1e-15)
+        assert abs(got[0] * got[1] - q / m) <= 1e-15 * abs(q / m)
+        assert abs(got[0] + got[1] + l / m) <= 1e-15 * (abs(got[0]) + abs(got[1]))
+
+
+def test_quadratic_roots_degenerate_cases():
+    """A double root comes back twice, the root 0 included; m = 0 leaves
+    the linear root, and m = l = 0 none."""
+    assert _quadratic_roots(1.0, -2.0, 1.0) == [1.0, 1.0]
+    assert _quadratic_roots(1.0, 0.0, 0.0) == [0j, 0j]
+    assert _quadratic_roots(2j, 0.0, 0.0) == [0j, 0j]
+    assert _quadratic_roots(0.0, 2.0, 4.0) == [-2.0]
+    assert _quadratic_roots(0.0, 0.0, 1.0) == []
+    # roots 1e8 and 1e-8: the small one is q/m over the large, not a
+    # difference of two numbers near 1e8
+    assert _quadratic_roots(1.0, -(1e8 + 1e-8), 1.0) == [1e8, 1e-8]
+
+
+def test_spectral_radius_is_the_discriminant_form_bitwise():
+    """The first root of _quadratic_roots is the old max |(t +- root)/2|
+    exactly, at every scale down to subnormal entries (NaN where t^2
+    overflows, on both routes)."""
+    rng = random.Random(11)
+    for i in range(6000):
+        f = 10.0 ** (rng.choice((-320, -300, -150, -30, 0, 30, 150)) + rng.uniform(-3, 3))
+        z = complex(rng.gauss(0, 1), rng.gauss(0, 1)) * f
+        kind = i % 4
+        if kind == 0:
+            m = unitary_from_rng(rng).scale(f)
+        elif kind == 1:       # a double eigenvalue
+            m = Matrix2(z, complex(rng.gauss(0, 1), rng.gauss(0, 1)) * f, 0, z)
+        elif kind == 2:       # nilpotent
+            m = Matrix2(z, z, -z, -z)
+        else:
+            m = Matrix2(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * f
+                          for _ in range(4)))
+        want = spectral_radius_reference(m)
+        assert spectral_radius(m) == want or (math.isnan(want)
+                                              and math.isnan(spectral_radius(m)))
+
+
+def test_top_singular_pair():
+    """sigma_1 is operator_norm bitwise, v1 and u1 are unit vectors with
+    B v1 = sigma_1 u1, and a multiple of a unitary gets e1."""
+    rng = random.Random(29)
+    for _ in range(500):
+        m = Matrix2(*(complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                      * 10.0 ** rng.uniform(-50, 50) for _ in range(4)))
+        s1, u1, v1 = _top_singular_pair(m)
+        assert s1 == operator_norm(m)
+        for w in (u1, v1):
+            assert abs(math.hypot(abs(w[0]), abs(w[1])) - 1.0) <= 1e-14
+        bv = m.apply(v1)
+        assert abs(bv[0] - s1 * u1[0]) + abs(bv[1] - s1 * u1[1]) <= 1e-13 * s1
+    assert _top_singular_pair(Matrix2(0, 3, -3, 0)) == (3.0, (0j, -1 + 0j), (1 + 0j, 0j))

@@ -40,8 +40,9 @@ def test_structure_names_resolve():
     assert off.a12 == 1 and off.a21 == pytest.approx(cmath.exp(0.7j))
     with pytest.raises(KeyError):
         structure_from_name("bogus")
-    with pytest.raises(KeyError):
-        structure_from_name("e_theta:soup")
+    for bad in ("e_theta:soup", "e_theta:nan", "e_theta:inf", "e_theta:-inf"):
+        with pytest.raises(KeyError, match="bad e_theta parameter"):
+            structure_from_name(bad)
 
 
 def test_structure_basis_invariants():
@@ -84,6 +85,28 @@ def test_mu_full_is_operator_norm():
         m = Matrix2.identity() - (a @ x)
         assert abs(m.det) < 1e-9
         assert operator_norm(x) == pytest.approx(1.0 / r.value, rel=1e-9)
+
+
+def test_mu_on_rigid_structures_is_the_operator_norm_bitwise():
+    """On full, skewdiag and E_theta mu is ||A||, and it is computed as
+    operator_norm's own sigma_1, at every scale.  On upper with |a21| >
+    |a12| (and lower on the transpose) it is max(||A||, mu_diag(A)), the
+    max only guarding against a sigma_1 rounded below mu_diag."""
+    r9 = random.Random(9)
+    rigid = [structure_from_name(n) for n in
+             ("full", "skewdiag", "e_theta:0.7", "e_theta:2.5")]
+    upper, lower, diag = (structure_from_name(n) for n in ("upper", "lower", "diag"))
+    for _ in range(300):
+        f = 10.0 ** r9.choice((-250, -60, -8, 0, 8, 60, 250))
+        a = Matrix2(*(complex(r9.gauss(0, 1), r9.gauss(0, 1)) * f
+                      * 10.0 ** r9.uniform(-2, 2) for _ in range(4)))
+        norm = operator_norm(a)
+        for s in rigid:
+            assert mu_value(a, s).value == norm
+        t = a if abs(a.a21) > abs(a.a12) else a.transpose()
+        want = max(operator_norm(t), mu_value(t, diag).value)
+        assert mu_value(t, upper).value == want
+        assert mu_value(t.transpose(), lower).value == want
 
 
 def test_mu_infeasible_cases():
@@ -510,6 +533,9 @@ def test_rigidity_check_examples():
 
     with pytest.raises(PreconditionViolation):
         rigidity_check(fl, (1, 1), (0, 1))
+    for u, v in (((math.nan, 0), (0, 1)), ((1, 0), (0, complex(0, math.nan)))):
+        with pytest.raises(PreconditionViolation, match="not a unit vector"):
+            rigidity_check(fl, u, v)
 
 
 def _unit():

@@ -106,6 +106,11 @@ def test_be_point_precondition():
         be_point(1.5, 1.0)
     with pytest.raises(PreconditionViolation):
         be_point(0.5, 0.9)
+    # NaN fails each range check instead of slipping past it
+    with pytest.raises(PreconditionViolation):
+        be_point(math.nan, 1.0)
+    with pytest.raises(PreconditionViolation):
+        be_point(0.5, complex(math.nan, 1.0))
 
 
 def test_dimension_check():
