@@ -38,13 +38,13 @@ from typing import Optional, Sequence
 from .bidisc import g2_classify
 from .domain_f import f_classify
 from .errors import PreconditionViolation, UnknownSuite
-from .hexablock import hexa_classify, hn_classify
+from .hexablock import HnVerdict, hexa_classify, hn_classify
 from .lie_ball import lie_ball_classify
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
 from .pentablock import penta_classify
 from .tetrablock import tetra_classify
-from .verdict import Region
+from .verdict import DEFAULT_TOL, MembershipVerdict, Region
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
@@ -236,17 +236,25 @@ def _hn_region(rec) -> Region:
 
 def _cell_classifier(domain: str, tol: Optional[float]):
     """The per-point call of check and slice: coords -> (verdict code,
-    margin, verdict), where hn gives its HnVerdict and a NaN margin."""
+    margin, verdict), where hn gives its HnVerdict and a NaN margin.  A
+    slack past the floats is Outside, margin -inf: every domain is bounded."""
     kw = {} if tol is None else {"tol": tol}
     if domain == "hn":
         def hn_cell(coords):
-            rec = hn_classify(coords, **kw)
+            try:
+                rec = hn_classify(coords, **kw)
+            except OverflowError:
+                rec = HnVerdict(False, False, False)
             return _REGION_CODE[_hn_region(rec)], math.nan, rec
         return hn_cell
     classify = _CLASSIFIERS[domain]
+    far = MembershipVerdict(Region.OUTSIDE, -math.inf, kw.get("tol", DEFAULT_TOL))
 
     def cell(coords):
-        verdict = classify(coords, **kw)
+        try:
+            verdict = classify(coords, **kw)
+        except OverflowError:
+            verdict = far
         code = (_INDETERMINATE_CODE if verdict.indeterminate
                 else _REGION_CODE[verdict.region])
         return code, verdict.margin, verdict
@@ -269,7 +277,7 @@ def _classify_cell(domain: str, coords: Sequence[complex],
         }
     return code, margin, {
         "region": rec.region.value,
-        "margin": rec.margin,
+        "margin": max(rec.margin, -sys.float_info.max),   # JSON has no -inf
         "tol": rec.tol,
         "shilov": rec.shilov,
         "indeterminate": rec.indeterminate,

@@ -6,6 +6,8 @@ no iterative linear algebra for a 2x2.  Its kernels _singular_values (behind
 singular_values and operator_norm), _top_singular_pair (sigma_1 and its
 singular vectors) and _quadratic_roots (behind spectral_radius, g2_roots and
 mu's k = 1 and variety routes) are the package's only routes to these.
+A Matrix2 is a checked tuple record, equal only to a Matrix2.  It rejects
+non-numbers and non-finite entries; a finite entry sum clears all four at once.
 
 Coordinate convention used throughout the package for a matrix
 B = [[b11, b12], [b21, b22]]:
@@ -34,6 +36,7 @@ import cmath
 import math
 import random
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import FormulaMismatch, PreconditionViolation
@@ -42,26 +45,33 @@ _GRAM_AGREE_TOL = 1e-10
 _NORMAL_MIN = sys.float_info.min
 
 
-def _as_finite_complex(z, what: str) -> complex:
-    try:
-        w = complex(z)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionViolation(f"{what}: not a complex number: {z!r}") from exc
-    if not (cmath.isfinite(w)):
-        raise PreconditionViolation(f"{what}: non-finite entry {w!r}")
-    return w
+class Matrix2(namedtuple("_Entries", "a11 a12 a21 a22")):
+    __slots__ = ()
 
+    def __new__(cls, a11, a12, a21, a22):
+        try:
+            e = (complex(a11), complex(a12), complex(a21), complex(a22))
+        except (TypeError, ValueError, OverflowError):
+            e = None
+        if e is None or not cmath.isfinite(e[0] + e[1] + e[2] + e[3]):
+            for what, z in zip(cls._fields, (a11, a12, a21, a22)):
+                try:
+                    w = complex(z)
+                except (TypeError, ValueError) as exc:
+                    raise PreconditionViolation(
+                        f"{what}: not a complex number: {z!r}") from exc
+                if not cmath.isfinite(w):
+                    raise PreconditionViolation(f"{what}: non-finite entry {w!r}")
+        return tuple.__new__(cls, e)
 
-@dataclass(frozen=True)
-class Matrix2:
-    a11: complex
-    a12: complex
-    a21: complex
-    a22: complex
+    # namedtuple's own _make, behind _replace, would skip the check
+    _make = classmethod(lambda cls, entries: cls(*entries))
 
-    def __post_init__(self) -> None:
-        for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name, _as_finite_complex(getattr(self, name), name))
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     @classmethod
     def identity(cls) -> "Matrix2":
@@ -71,7 +81,7 @@ class Matrix2:
         return ((self.a11, self.a12), (self.a21, self.a22))
 
     def entries(self):
-        return (self.a11, self.a12, self.a21, self.a22)
+        return tuple(self)
 
     @property
     def det(self) -> complex:
@@ -166,7 +176,7 @@ def _top_singular_pair(b: Matrix2):
     """(sigma_1, u1, v1), B v1 = sigma_1 u1 for unit u1, v1, sigma_1 being
     _singular_values' own; v1 from the Gram entries of B, e1 where B*B is a
     multiple of I.  The entries must square without over- or underflow."""
-    a11, a12, a21, a22 = b.a11, b.a12, b.a21, b.a22
+    a11, a12, a21, a22 = b
     s1 = _singular_values(a11, a12, a21, a22)[0]
     h12 = a11.conjugate() * a12 + a21.conjugate() * a22
     d1 = s1 * s1 - (abs(a11) ** 2 + abs(a21) ** 2)   # sigma_1^2 - h11
@@ -181,11 +191,11 @@ def _top_singular_pair(b: Matrix2):
 
 def singular_values(b: Matrix2) -> tuple[float, float]:
     """(sigma_max, sigma_min), from the eigenvalues of B*B in closed form."""
-    return _singular_values(b.a11, b.a12, b.a21, b.a22)
+    return _singular_values(*b)
 
 
 def operator_norm(b: Matrix2) -> float:
-    return _singular_values(b.a11, b.a12, b.a21, b.a22)[0]
+    return _singular_values(*b)[0]
 
 
 def _quadratic_roots(m: complex, l: complex, q: complex) -> list:
@@ -203,8 +213,18 @@ def _quadratic_roots(m: complex, l: complex, q: complex) -> list:
 
 
 def spectral_radius(b: Matrix2) -> float:
-    """Largest eigenvalue modulus: the first root of t^2 - tr(B) t + det B."""
-    return abs(_quadratic_roots(1.0, -b.trace, b.det)[0])
+    """Largest eigenvalue modulus: the first root of t^2 - tr(B) t + det B,
+    on B scaled by a power of two where t^2 could leave the normal range."""
+    top = max(max(abs(z.real), abs(z.imag)) for z in b)
+    if 2.0 ** -480 <= top <= 2.0 ** 480 or top == 0.0:
+        return abs(_quadratic_roots(1.0, -b.trace, b.det)[0])
+    e = math.frexp(top)[1]
+    return math.ldexp(spectral_radius(_ldexp(b, -e)), e)
+
+
+def _ldexp(b: Matrix2, e: int) -> Matrix2:
+    return Matrix2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                     for z in b))
 
 
 def gram_det_from_coords(x: complex, a: complex, p: complex, s: complex) -> float:

@@ -26,10 +26,10 @@ X(Aw) = w} has a closed form (_least_norm_mapper).  Since ||X|| >=
 = ||A||; that probe settles every A on skewdiag and e_theta, which are
 rigid.  There and on full, mu is matrix2's sigma_1 (_top_singular_pair), so
 operator_norm(A) bitwise.  Otherwise seeded multistart descent runs over
-charts of the variety; its objectives evaluate ||X(c)|| on the entries of
-X(c) as a plain tuple (Structure.entries_at and matrix2's private
-singular-value kernel), and a Matrix2 is built only for the minimizer a
-result returns.
+charts of the variety.  A Structure fixes its route (k1, diag, upper, lower,
+k4 or numeric) once, as Structure.route.  The constraint coefficients, the
+det residual and the objectives (Structure.entries_at, matrix2's private
+singular-value kernel) read raw entries and build no Matrix2.
 
 Every path works on an A whose largest entry modulus lies in [2^-200,
 2^200], where none of them over- or underflows.  mu(cA) = |c|
@@ -50,7 +50,7 @@ import numpy as np
 
 from .domain_f import f_matrix_witness
 from .errors import OptimizerNoConverge, PreconditionViolation
-from .matrix2 import (Matrix2, _quadratic_roots, _singular_values,
+from .matrix2 import (Matrix2, _ldexp, _quadratic_roots, _singular_values,
                       _top_singular_pair, operator_norm, spectral_radius)
 from .optimize import nelder_mead
 
@@ -67,10 +67,6 @@ E22 = Matrix2(0, 0, 0, 1)
 IDENTITY = Matrix2.identity()
 
 
-def _vec(b: Matrix2) -> np.ndarray:
-    return np.array(b.entries(), dtype=complex)
-
-
 @dataclass(frozen=True)
 class Structure:
     """A complex-linear subspace of M2(C) given by an independent basis."""
@@ -84,8 +80,7 @@ class Structure:
         k = len(basis)
         if not 1 <= k <= 4:
             raise PreconditionViolation(f"basis length must be 1..4, got {k}")
-        m = np.stack([_vec(b) for b in basis], axis=1)
-        left, sv, _ = np.linalg.svd(m)
+        left, sv, _ = np.linalg.svd(self.basis_matrix())
         if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
             raise PreconditionViolation(
                 f"basis is linearly dependent (singular values {sv!r})")
@@ -93,6 +88,14 @@ class Structure:
         # the conjugated left singular vectors past the k-th (orthonormal)
         object.__setattr__(self, "normals", tuple(
             tuple(complex(t) for t in left[:, j].conj()) for j in range(k, 4)))
+        object.__setattr__(self, "route", _route(basis))
+        # det X(c) = sum_{i<=j} polar[(i, j)] c_i c_j
+        polar = {}
+        for i, (b11, b12, b21, b22) in enumerate(basis):
+            polar[(i, i)] = b11 * b22 - b12 * b21
+            for j, (c11, c12, c21, c22) in enumerate(basis[i + 1:], i + 1):
+                polar[(i, j)] = b11 * c22 + c11 * b22 - b12 * c21 - c12 * b21
+        object.__setattr__(self, "polar", polar)
 
     @property
     def k(self) -> int:
@@ -100,14 +103,14 @@ class Structure:
 
     def basis_matrix(self) -> np.ndarray:
         """4 x k complex matrix whose columns are the vectorized basis."""
-        return np.stack([_vec(b) for b in self.basis], axis=1)
+        return np.array(self.basis, dtype=complex).T
 
     def coeffs_of(self, a: Matrix2, tol: float = 1e-10) -> Optional[np.ndarray]:
         """Coefficients of `a` in the basis, or None if a is not in the span."""
-        m = self.basis_matrix()
-        c, _, _, _ = np.linalg.lstsq(m, _vec(a), rcond=None)
-        scale = max(1.0, float(np.abs(_vec(a)).max()))
-        if np.abs(m @ c - _vec(a)).max() > tol * scale:
+        m, va = self.basis_matrix(), np.array(a, dtype=complex)
+        c, _, _, _ = np.linalg.lstsq(m, va, rcond=None)
+        scale = max(1.0, float(np.abs(va).max()))
+        if np.abs(m @ c - va).max() > tol * scale:
             return None
         return c
 
@@ -122,13 +125,20 @@ class Structure:
         order starting from 0j; objectives evaluate on these without
         building a Matrix2."""
         x11 = x12 = x21 = x22 = 0j
-        for ci, b in zip(c, self.basis):
+        for ci, (b11, b12, b21, b22) in zip(c, self.basis):
             ci = complex(ci)
-            x11 += ci * b.a11
-            x12 += ci * b.a12
-            x21 += ci * b.a21
-            x22 += ci * b.a22
+            x11 += ci * b11
+            x12 += ci * b12
+            x21 += ci * b21
+            x22 += ci * b22
         return x11, x12, x21, x22
+
+
+def _route(basis) -> str:
+    """_mu_in_range's branch, from the entries zero throughout the basis."""
+    z12, z21 = (all(b[i] == 0.0 for b in basis) for i in (1, 2))
+    k3 = "upper" if z21 else "lower" if z12 else "numeric"
+    return ("k1", "diag" if z12 and z21 else "numeric", k3, "k4")[len(basis) - 1]
 
 
 def e_theta(theta: float) -> Structure:
@@ -182,26 +192,19 @@ class MuResult:
                 f"{self.status!r}")
 
 
-def _constraint_coeffs(a: Matrix2, basis):
+def _constraint_coeffs(a: Matrix2, structure: Structure):
     """det(I - A X(c)) = 1 + sum_i lin[i] c_i + sum_{i<=j} quad[(i,j)] c_i c_j."""
-    k = len(basis)
-    lin = [-(a @ b).trace for b in basis]
+    a11, a12, a21, a22 = a
+    lin = [-((a11 * b11 + a12 * b21) + (a21 * b12 + a22 * b22))   # tr(A @ B)'s sum
+           for b11, b12, b21, b22 in structure.basis]
     da = a.det
-    quad = {}
-    for i in range(k):
-        bi = basis[i]
-        quad[(i, i)] = da * bi.det
-        for j in range(i + 1, k):
-            bj = basis[j]
-            mixed = (bi.a11 * bj.a22 + bj.a11 * bi.a22
-                     - bi.a12 * bj.a21 - bj.a12 * bi.a21)
-            quad[(i, j)] = da * mixed
-    return lin, quad
+    return lin, {ij: da * m for ij, m in structure.polar.items()}
 
 
 def _det_residual(a: Matrix2, x: Matrix2) -> float:
-    m = Matrix2.identity() - (a @ x)
-    return abs(m.det)
+    (a11, a12, a21, a22), (x11, x12, x21, x22) = a, x
+    return abs((1.0 - (a11 * x11 + a12 * x21)) * (1.0 - (a21 * x12 + a22 * x22))
+               - (a11 * x12 + a12 * x22) * (a21 * x11 + a22 * x21))
 
 
 def _least_norm_mapper(structure: Structure, u, v):
@@ -273,7 +276,10 @@ def _least_norm_mapper(structure: Structure, u, v):
 
 
 def _dot(x, y) -> complex:
-    return sum(s.conjugate() * t for s, t in zip(x, y))
+    acc = 0j
+    for s, t in zip(x, y):
+        acc += s.conjugate() * t
+    return acc
 
 
 def _w_of(phi: float, psi: float):
@@ -342,7 +348,7 @@ def _mu_numeric(a: Matrix2, structure: Structure) -> MuResult:
             status = "Exact" if probe[0] * s1 <= 1.0 + 1e-9 else "Numeric"
             return MuResult(value=s1, minimizer=x, status=status)
 
-    lin, quad = _constraint_coeffs(a, structure.basis)
+    lin, quad = _constraint_coeffs(a, structure)
     k = structure.k
     scale0 = 1.0 / s1
     rng = random.Random(_SEED_STARTS)
@@ -511,16 +517,17 @@ def _mu_upper(a: Matrix2) -> MuResult:
         w11 = (u1[0] / v1[0]).conjugate()
         w22 = v1[1] / u1[1]
         y = (abs(v1[0]) ** 2 - abs(u1[0]) ** 2) / (v1[0].conjugate() * u1[1])
-        candidates.append(Matrix2(w11, y, 0, w22).scale(1.0 / s1))
+        candidates.append(Matrix2(*(1.0 / s1 * z for z in (w11, y, 0, w22))))
     # ||X mu||, not ||X|| mu: X has entries of order 1/mu
-    x = min(candidates, key=lambda m: abs(operator_norm(m.scale(value)) - 1.0))
+    x = min(candidates,
+            key=lambda m: abs(_singular_values(*(value * z for z in m))[0] - 1.0))
     return MuResult(value=value, minimizer=x, status="Exact")
 
 
 def mu_value(a: Matrix2, structure: Structure) -> MuResult:
     """Structured singular value of `a` relative to `structure`."""
     try:
-        hi = max(abs(a.a11), abs(a.a12), abs(a.a21), abs(a.a22))
+        hi = max(map(abs, a))
     except OverflowError:  # a modulus past the largest float
         hi = math.inf
     if _RANGE_LO <= hi <= _RANGE_HI or hi == 0.0:
@@ -533,39 +540,32 @@ def mu_value(a: Matrix2, structure: Structure) -> MuResult:
                     minimizer=_ldexp(r.minimizer, -e), status=r.status)
 
 
-def _ldexp(m: Matrix2, e: int) -> Matrix2:
-    return Matrix2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-                     for z in m.entries()))
-
-
 def _mu_in_range(a: Matrix2, structure: Structure) -> MuResult:
     """mu_value for an A whose largest entry modulus is in [2^-200, 2^200]."""
     basis = structure.basis
-    lin, quad = _constraint_coeffs(a, basis)
-    if all(v == 0.0 for v in lin) and all(v == 0.0 for v in quad.values()):
+    lin, quad = _constraint_coeffs(a, structure)
+    if not any(lin) and not any(quad.values()):   # every coefficient is 0
         return MuResult(value=0.0, minimizer=None, status="Infeasible")
 
-    k = structure.k
-    if k == 2 and all(b.a12 == 0.0 and b.a21 == 0.0 for b in basis):
+    route = structure.route
+    if route == "diag":
         return _mu_diagonal(a)
-    if k == 3 and all(b.a21 == 0.0 for b in basis):
+    if route == "upper":
         return _mu_upper(a)
-    if k == 3 and all(b.a12 == 0.0 for b in basis):
+    if route == "lower":
         # X lower triangular: det(I - A X) = det(I - A^T X^T)
         r = _mu_upper(a.transpose())
         return MuResult(value=r.value, minimizer=r.minimizer.transpose(),
                         status="Exact")
 
-    if k == 1:
+    if route == "k1":
         c = min(_quadratic_roots(quad[(0, 0)], lin[0], 1.0), key=abs)
         return MuResult(value=1.0 / (abs(c) * operator_norm(basis[0])),
                         minimizer=basis[0].scale(c), status="Exact")
 
-    if k == 4:
+    if route == "k4":   # X = v1 u1* / sigma_1
         s1, u1, v1 = _top_singular_pair(a)
-        x = Matrix2(v1[0] * u1[0].conjugate(), v1[0] * u1[1].conjugate(),
-                    v1[1] * u1[0].conjugate(), v1[1] * u1[1].conjugate())
-        x = x.scale(1.0 / s1)
+        x = Matrix2(*(1.0 / s1 * (v * w.conjugate()) for v in v1 for w in u1))
         return MuResult(value=s1, minimizer=x, status="Exact")
 
     return _mu_numeric(a, structure)

@@ -103,6 +103,32 @@ def spectral_radius_reference(m: Matrix2) -> float:
     return max(abs((t + root) / 2.0), abs((t - root) / 2.0))
 
 
+def constraint_coeffs_reference(a: Matrix2, basis):
+    """mu's constraint coefficients through Matrix2 products, as
+    mu._constraint_coeffs computed them before it read raw entries:
+    det(I - A X(c)) = 1 + sum_i lin[i] c_i + sum_{i<=j} quad[(i,j)] c_i c_j."""
+    k = len(basis)
+    lin = [-(a @ b).trace for b in basis]
+    da = a.det
+    quad = {}
+    for i in range(k):
+        bi = basis[i]
+        quad[(i, i)] = da * bi.det
+        for j in range(i + 1, k):
+            bj = basis[j]
+            mixed = (bi.a11 * bj.a22 + bj.a11 * bi.a22
+                     - bi.a12 * bj.a21 - bj.a12 * bi.a21)
+            quad[(i, j)] = da * mixed
+    return lin, quad
+
+
+def det_residual_reference(a: Matrix2, x: Matrix2) -> float:
+    """|det(I - A X)| through Matrix2 products, as mu._det_residual
+    computed it before it read raw entries."""
+    m = Matrix2.identity() - (a @ x)
+    return abs(m.det)
+
+
 def roots_max_modulus(s: complex, p: complex) -> float:
     z1, z2 = quad_roots(s, p)
     return max(abs(z1), abs(z2))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -128,6 +129,41 @@ def test_non_finite_numbers_exit_64(domain):
         code, out, err = run(["slice", domain, "--fixed", f"{names[0]}={bad}",
                               "--grid", "2"])
         assert (code, out) == (64, ""), (bad, err)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("domain", cli._DOMAINS)
+def test_huge_coordinates_are_outside(domain):
+    """Every domain is bounded, so a finite coordinate whose square or
+    product overflows is Outside (exit 2), not an OverflowError (exit 70),
+    in each coordinate and in a --fixed plane; the check JSON stays strict,
+    with the margin -inf clamped to the most negative float."""
+    names = cli._COORD_NAMES[domain]
+    for k in range(len(names)):
+        for big in ("1e200", "-1e300i", "1e154+1e154i", "1.7e308"):
+            coords = ["0"] * len(names)
+            coords[k] = big
+            code, out, err = run(["check", domain, "(" + ",".join(coords) + ")"])
+            assert code == 2, (coords, err)
+            doc = _strict_json(out)
+            assert doc["region"] == "Outside"
+            if domain == "hn":
+                assert doc["margin"] is None and doc["in_closure"] is False
+            else:
+                assert -sys.float_info.max <= doc["margin"] < -doc["tol"]
+        other = names[k - 1]
+        code, out, err = run(["slice", domain, "--fixed", f"{names[k]}=1e200",
+                              "--axes", f"Re({other}),Im({other})", "--grid", "3"])
+        assert code == 0, err
+        for row in out.splitlines()[1:]:
+            _, _, cell_code, margin = row.split("\t")
+            assert cell_code == "2"
+            assert math.isnan(float(margin)) if domain == "hn" else float(margin) < 0.0
 
 
 def test_check_round_trip_through_output_doc():

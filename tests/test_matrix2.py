@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -271,10 +273,16 @@ def test_quadratic_roots_degenerate_cases():
     assert _quadratic_roots(1.0, -(1e8 + 1e-8), 1.0) == [1e8, 1e-8]
 
 
+def _entry_exponent(m):
+    """frexp exponent of the largest real or imaginary part of m's entries."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.entries()))[1]
+
+
 def test_spectral_radius_is_the_discriminant_form_bitwise():
     """The first root of _quadratic_roots is the old max |(t +- root)/2|
-    exactly, at every scale down to subnormal entries (NaN where t^2
-    overflows, on both routes)."""
+    exactly wherever the entries lie in [2^-480, 2^480].  Outside that
+    range, where t^2 can overflow (NaN on the old route) or underflow, it
+    is the same form on B 2^-e, scaled back by 2^e."""
     rng = random.Random(11)
     for i in range(6000):
         f = 10.0 ** (rng.choice((-320, -300, -150, -30, 0, 30, 150)) + rng.uniform(-3, 3))
@@ -289,9 +297,37 @@ def test_spectral_radius_is_the_discriminant_form_bitwise():
         else:
             m = Matrix2(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * f
                           for _ in range(4)))
-        want = spectral_radius_reference(m)
-        assert spectral_radius(m) == want or (math.isnan(want)
-                                              and math.isnan(spectral_radius(m)))
+        top = max(max(abs(z.real), abs(z.imag)) for z in m.entries())
+        if 2.0 ** -480 <= top <= 2.0 ** 480 or top == 0.0:
+            want = spectral_radius_reference(m)
+        else:
+            e = _entry_exponent(m)
+            scaled = Matrix2(*(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+                               for z in m.entries()))
+            want = math.ldexp(spectral_radius_reference(scaled), e)
+        assert spectral_radius(m) == want
+
+
+def test_spectral_radius_far_from_unit_scale():
+    """t^2 - 4 det overflowed to inf - inf from entries of about 1e154 up,
+    so the radius read NaN and mu_sandwich_check failed on a matrix whose mu
+    is fine; below about 1e-154 t^2 and det underflowed, so distinct
+    eigenvalues were lost."""
+    assert math.isnan(spectral_radius_reference(Matrix2(1e155, 0, 0, 1e155)))
+    assert spectral_radius(Matrix2(1e155, 0, 0, 1e155)) == 1e155
+    assert spectral_radius(Matrix2(1e300, 0, 0, -1e300)) == 1e300
+    tiny = Matrix2(1e-170, 1e-170, 0, 2e-170)
+    assert spectral_radius_reference(tiny) != 2e-170
+    assert spectral_radius(tiny) == pytest.approx(2e-170, rel=1e-15, abs=0.0)
+    base = Matrix2(1 + 2j, 0.5, -0.3j, 2)
+    r = eig_radius(base)
+    for e in (-300, -170, -150, 155, 200, 300):
+        assert spectral_radius(base.scale(10.0 ** e)) == pytest.approx(
+            r * 10.0 ** e, rel=1e-14, abs=0.0)
+    assert spectral_radius(Matrix2(1.5e308, 1.5e308j, 0, 0)) == 1.5e308
+    from mublocks.mu import mu_sandwich_check, structure_from_name
+    assert mu_sandwich_check(Matrix2(1e155, 0, 0, 1e155),
+                             structure_from_name("diag"))
 
 
 def test_top_singular_pair():
@@ -308,3 +344,60 @@ def test_top_singular_pair():
         bv = m.apply(v1)
         assert abs(bv[0] - s1 * u1[0]) + abs(bv[1] - s1 * u1[1]) <= 1e-13 * s1
     assert _top_singular_pair(Matrix2(0, 3, -3, 0)) == (3.0, (0j, -1 + 0j), (1 + 0j, 0j))
+
+
+def test_matrix2_is_a_checked_tuple_record():
+    """A Matrix2 is equal only to a Matrix2, hashes by its entries, survives
+    pickling and copying, refuses assignment and prints as before."""
+    m = Matrix2(1, 2j, 3.5, -1)
+    assert m == Matrix2(1 + 0j, 2j, 3.5, -1.0) and not m != Matrix2(1, 2j, 3.5, -1)
+    assert m != (1, 2j, 3.5, -1) and not m == (1 + 0j, 2j, 3.5 + 0j, -1 + 0j)
+    assert m != m.entries() and m.entries() == (1, 2j, 3.5, -1)
+    assert type(m.entries()) is tuple
+    assert hash(m) == hash(Matrix2(1, 2j, 3.5, -1)) == hash((1, 2j, 3.5, -1))
+    assert len({m, Matrix2(1, 2j, 3.5, -1), m.transpose()}) == 2
+    for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert copied == m and type(copied) is Matrix2
+    with pytest.raises(AttributeError):
+        m.a11 = 5
+    with pytest.raises(TypeError):
+        m[0] = 5
+    assert repr(m) == "Matrix2(a11=(1+0j), a12=2j, a21=(3.5+0j), a22=(-1+0j))"
+    assert eval(repr(m), {"Matrix2": Matrix2}) == m
+    assert (m.a11, m.a12, m.a21, m.a22) == (1, 2j, 3.5, -1)
+    assert all(type(z) is complex for z in m.entries())
+    assert m.rows() == ((1, 2j), (3.5, -1))
+
+
+def test_matrix2_checks_every_construction_path():
+    """Entries are checked in one pass, by their sum, and one by one only
+    where that sum is not finite, with the messages of the per-entry check;
+    a sum that overflows on finite entries is accepted.  _make and _replace
+    check too, and pickling rebuilds through the constructor."""
+    inf, nan = float("inf"), float("nan")
+    cases = [((nan, 0, 0, 0), "a11: non-finite entry (nan+0j)"),
+             ((0, complex(0, inf), 0, 0), "a12: non-finite entry infj"),
+             ((0, 0, inf, -inf), "a21: non-finite entry (inf+0j)"),
+             ((1, 2, 3, complex(nan, 1)), "a22: non-finite entry (nan+1j)"),
+             (("soup", 0, 0, 0), "a11: not a complex number: 'soup'"),
+             ((0, None, nan, 0), "a12: not a complex number: None"),
+             ((0, 0, nan, "soup"), "a21: non-finite entry (nan+0j)")]
+    for args, message in cases:
+        with pytest.raises(PreconditionViolation) as exc:
+            Matrix2(*args)
+        assert str(exc.value) == message
+    big = Matrix2(1e308, 1e308, 0, 0)
+    assert big.entries() == (1e308, 1e308, 0, 0)
+    assert Matrix2(1e308, 1e308, -1e308j, -1e308j).a22 == -1e308j
+    assert Matrix2("1+2j", 0, 0, 0).a11 == 1 + 2j
+    with pytest.raises(OverflowError):
+        Matrix2(10 ** 400, 0, 0, 0)
+    with pytest.raises(PreconditionViolation):
+        Matrix2._make((1, 2, 3, inf))
+    with pytest.raises(PreconditionViolation):
+        Matrix2(1, 2, 3, 4)._replace(a21=nan)
+    assert Matrix2(1, 2, 3, 4)._replace(a21=5) == Matrix2(1, 2, 5, 4)
+    for op in (lambda: big + big, lambda: big.scale(2.0), lambda: big @ big,
+               lambda: big - big.scale(-1.0)):
+        with pytest.raises(PreconditionViolation):
+            op()

@@ -15,7 +15,8 @@ from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          rigidity_check, rigidity_grid_pass,
                          structure_from_name)
 from mublocks.verify import mu_equals_norm_suite
-from oracles import (eig_radius, min_norm_mapper_nm, mu_diag_dscale_oracle,
+from oracles import (constraint_coeffs_reference, det_residual_reference,
+                     eig_radius, min_norm_mapper_nm, mu_diag_dscale_oracle,
                      mu_diag_gauge_oracle, mu_upper_hexablock_oracle, svd_norm)
 
 rng = random.Random(101)
@@ -746,3 +747,109 @@ def test_subspace_verdict_consistency():
         SubspaceVerdict(kind="NotETheta", theta=0.3)
     with pytest.raises(PreconditionViolation):
         SubspaceVerdict(kind="Maybe")
+
+
+_PRESET_NAMES = ("scalar", "diag", "upper", "lower", "full", "skewdiag",
+                 "e_theta:0.7")
+
+
+def _seeded_matrices(seed, n):
+    """Gaussian, rank-one, nilpotent and triangular matrices at scales
+    10^U(-3, 3), and the zero matrix."""
+    r = random.Random(seed)
+    out = [Matrix2(0, 0, 0, 0)]
+    for i in range(n):
+        g = [complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(4)]
+        kind = i % 4
+        if kind == 1:
+            g = [g[0] * g[2], g[0] * g[3], g[1] * g[2], g[1] * g[3]]
+        elif kind == 2:
+            g = [g[0] * g[1], -g[0] * g[0], g[1] * g[1], -g[1] * g[0]]
+        elif kind == 3:
+            g[r.randrange(1, 3)] = 0
+        out.append(Matrix2(*g).scale(10.0 ** r.uniform(-3, 3)))
+    return out
+
+
+def test_constraint_algebra_on_raw_entries_is_bitwise_the_matrix2_route():
+    """_constraint_coeffs reads tr(A B_i) and _det_residual reads det(I - A X)
+    off raw entries, summed as the Matrix2 products summed them: the
+    coefficients (signed zeros included) and residuals are bitwise those of
+    the Matrix2 route kept in oracles, on every preset, the odd span and a
+    scrambled basis, at each preset's minimizers and at seeded X."""
+    # dense bases, where the grouping of the trace's four products shows
+    dense = _seeded_matrices(46, 12)[1::4]
+    dense = [Structure(tuple(dense[:k])) for k in (1, 2, 3)]
+    slow = [ODD] + dense[1:]    # the variety descent takes tens of ms a call
+    structures = [structure_from_name(n) for n in _PRESET_NAMES]
+    structures += [Structure((E22, Matrix2(1, 1, 0, 0), E11)), dense[0]] + slow
+    xs = _seeded_matrices(44, 60)
+    for i, a in enumerate(_seeded_matrices(43, 400)):
+        for s in structures:
+            got, want = mu_module._constraint_coeffs(a, s), \
+                constraint_coeffs_reference(a, s.basis)
+            assert repr(got) == repr(want)
+            if i % 50 and any(s is t for t in slow):
+                continue
+            r = mu_value(a, s)
+            for x in ([] if r.minimizer is None else [r.minimizer]) + xs[:3]:
+                assert (mu_module._det_residual(a, x)
+                        == det_residual_reference(a, x))
+        for x in xs:
+            assert mu_module._det_residual(a, x) == det_residual_reference(a, x)
+
+
+# (structure, route): the presets, scrambled bases of the closed-form spans
+# and the odd span; each route is the branch the span took when
+# _mu_in_range tested the basis on every call.
+_ROUTES = (
+    (structure_from_name("scalar"), "k1"),
+    (structure_from_name("diag"), "diag"),
+    (structure_from_name("upper"), "upper"),
+    (structure_from_name("lower"), "lower"),
+    (structure_from_name("full"), "k4"),
+    (structure_from_name("skewdiag"), "numeric"),
+    (structure_from_name("e_theta:0.7"), "numeric"),
+    (ODD, "numeric"),
+    (Structure((E22, E11 + E22)), "diag"),
+    (Structure((E22, E12 + E11, E11)), "upper"),
+    (Structure((E21.scale(2j), E22 - E11, E11)), "lower"),
+    (Structure((E22, E21, E12 + E11, E11)), "k4"),
+    (Structure((E11 + E12,)), "k1"),
+    (Structure((E11, E12 + E21)), "numeric"),
+    (Structure((E11, E22, E12 + E21)), "numeric"),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_ROUTES)))
+def test_structure_route_is_fixed_once(case, monkeypatch):
+    """Each span keeps its branch, Structure.route records it, _mu_in_range
+    dispatches on it, and the basis test runs once per Structure, not once
+    per mu_value call."""
+    s, route = _ROUTES[case]
+    assert s.route == route
+    calls, original = [], mu_module._route
+
+    def counted(basis):
+        calls.append(basis)
+        return original(basis)
+
+    monkeypatch.setattr(mu_module, "_route", counted)
+    fresh = Structure(s.basis, name=s.name)
+    assert fresh.route == route and len(calls) == 1
+
+    taken = []
+    for name in ("_mu_diagonal", "_mu_upper", "_mu_numeric", "_top_singular_pair",
+                 "_quadratic_roots"):
+        def spy(*args, _name=name, _fn=getattr(mu_module, name)):
+            taken.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mu_module, name, spy)
+    first = {"k1": "_quadratic_roots", "diag": "_mu_diagonal",
+             "upper": "_mu_upper", "lower": "_mu_upper",
+             "k4": "_top_singular_pair", "numeric": "_mu_numeric"}[route]
+    for a in _seeded_matrices(45, 8)[1:]:
+        taken.clear()
+        mu_value(a, fresh)
+        assert taken[0] == first
+    assert len(calls) == 1
