@@ -18,7 +18,8 @@ from .hexablock import (HnVerdict, hexa_classify, hexa_slice_a0, hn_classify,
                         pi_hexa, psi_sup, shilov_h_test)
 from .lie_ball import (ShilovParamL4, biholo_f, lambda_map, lie_ball_classify,
                        lie_ball_dual_check, nearest_transport_distance,
-                       shilov_l4_lattice, shilov_l4_param, transported_lattice)
+                       nearest_transport_distances, shilov_l4_lattice,
+                       shilov_l4_param, transported_lattice)
 from .matrix2 import (GramReport, Matrix2, contraction_from_rng,
                       contraction_test, gram_det_from_coords, gram_report,
                       operator_norm, random_contraction, random_unitary,

@@ -35,7 +35,10 @@ Every path works on an A whose largest entry modulus lies in [2^-200,
 2^200], where none of them over- or underflows.  mu(cA) = |c|
 mu(A), so mu_value brings any other A there by an even power of 2, which
 keeps _mu_diagonal's square roots exact, and scales the value and the
-minimizer back with ldexp, which keeps the sign of a zero.
+minimizer back with ldexp, which keeps the sign of a zero.  The k1 route
+also forms det B of its one basis element B, so a Structure stores a B
+whose largest entry part lies outside that range rescaled by a power of 2:
+the span, and so mu, is the same.
 """
 
 from __future__ import annotations
@@ -76,6 +79,10 @@ class Structure:
 
     def __post_init__(self) -> None:
         basis = tuple(self.basis)
+        if len(basis) == 1:   # the k1 route forms det B; see the module docstring
+            top = max(max(abs(z.real), abs(z.imag)) for z in basis[0])
+            if not (_RANGE_LO <= top <= _RANGE_HI or top == 0.0):
+                basis = (_ldexp(basis[0], -math.frexp(top)[1]),)
         object.__setattr__(self, "basis", basis)
         k = len(basis)
         if not 1 <= k <= 4:

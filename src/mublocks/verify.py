@@ -40,7 +40,7 @@ from .domain_f import (f_classify, f_classify_matrix_oracle, f_relations,
 from .errors import PreconditionViolation, UnknownSuite
 from .hexablock import hexa_classify, hn_classify, pi_hexa
 from .lie_ball import (biholo_f, lambda_map, lie_ball_classify,
-                       lie_ball_dual_check, nearest_transport_distance,
+                       lie_ball_dual_check, nearest_transport_distances,
                        shilov_l4_param, ShilovParamL4)
 from .matrix2 import (Matrix2, _complex_gauss, contraction_from_rng,
                       gram_det_from_coords, operator_norm, spectral_radius,
@@ -209,12 +209,19 @@ def _mixed_point_tetra(rng: random.Random):
 
 def _lie_ball_interior(rng: random.Random):
     """Rejection sample of the open Cartan-ball interior in C^4.  The margin
-    is at most 1 - sum |z|^2, so sum |z|^2 >= 1 rejects without classifying."""
+    is at most 1 - sum |z|^2, so sum |z|^2 >= 1 rejects without classifying;
+    the pre-test's rounding moves sum |z|^2 by far less than the 1e-6 margin
+    an accepted sample needs."""
+    gauss = rng.gauss
     while True:
-        z = tuple(0.55 * _complex_gauss(rng) for _ in range(4))
-        if (sum(abs(v) ** 2 for v in z) < 1.0
-                and lie_ball_classify(z, 0.0).margin > 1e-6):
-            return z
+        z0 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
+        z1 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
+        z2 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
+        z3 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
+        if abs(z0) ** 2 + abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 < 1.0:
+            z = (z0, z1, z2, z3)
+            if lie_ball_classify(z, 0.0).margin > 1e-6:
+                return z
 
 
 def _unit_s3(rng: random.Random):
@@ -488,9 +495,11 @@ def _(run: _Run) -> None:
             run.fail(f"kind=interior_transport index={i} z={_pt17(z)} "
                      f"observed={fv.region.value} margin={fv.margin:.17g}")
 
-    for i in range(min(max(run.n // 10, 10), 1000)):
-        target = shilov_f_param(sample_shilov_param_f(rng))
-        d = nearest_transport_distance(target)
+    # the search draws nothing from rng: drawing every target first keeps them
+    targets = [shilov_f_param(sample_shilov_param_f(rng))
+               for _ in range(min(max(run.n // 10, 10), 1000))]
+    for i, (target, d) in enumerate(
+            zip(targets, nearest_transport_distances(targets))):
         if not d <= 1e-8:
             run.fail(f"kind=match index={i} target={_pt17(target)} dist={d:.17g}")
 

@@ -726,6 +726,74 @@ def transport_distance_nm_oracle(target, lattice=None) -> float:
     return min(best, refined)
 
 
+# ---------------------------------------------------------------------------
+# nearest_transport_distance as it was before it ran the zoom levels of many
+# targets together, kept verbatim with its constants and _ball_minimizer: the
+# batched search is held to it bitwise.
+
+_H_REF = np.array([4.0, 2.0, 2.0])   # curvatures of the rotated distance in y
+# angle search: 1024-point scan, then ten 16x zooms on its best 3 local minima
+_SCAN_REF, _CELLS_REF, _LEVELS_REF = 1024, 3, 10
+_ZOOM_REF = np.array([k / 16.0 for k in range(-16, 17)])
+
+
+def _transported_reference(w, y2, y3, y4):
+    """(w (y3 + i y4), -w (y3 - i y4), -w^2, 2 w y2) on a new last axis."""
+    return np.stack((w * (y3 + 1j * y4), -w * (y3 - 1j * y4), -(w * w),
+                     2.0 * w * y2), axis=-1)
+
+
+def _ball_minimizer_reference(g):
+    """argmin over |y| <= 1 of sum_i h_i (y_i - g_i)^2 for (..., 3) centres g.
+    Outside the ball y = h g / (h + lam): Newton on the concave, increasing
+    1/||y(lam)|| - 1 climbs from lam = 0 without overshoot (h > 0: no hard case)."""
+    y = g.copy()
+    outside = (g * g).sum(axis=-1) > 1.0
+    hg = _H_REF * g[outside]
+    lam = np.zeros((len(hg), 1))
+    for _ in range(50):
+        q = hg / (_H_REF + lam)
+        n2 = (q * q).sum(axis=-1, keepdims=True)
+        step = n2 * (np.sqrt(n2) - 1.0) / (q * q / (_H_REF + lam)).sum(axis=-1, keepdims=True)
+        lam = lam + step
+        if not (step > 1e-15 * (lam + 2.0)).any():
+            break
+    y[outside] = hg / (_H_REF + lam)
+    return y
+
+
+def nearest_transport_distance_reference(target) -> float:
+    """Distance from `target` (4 finite complex numbers) to the transported
+    set {(w (y3 + i y4), -w (y3 - i y4), -w^2, 2 w y2): |w| = 1, |y| <= 1}.
+
+    With A = conj(w) t1, B = -conj(w) t2, T = conj(w) t4 the squared distance
+    is 4 (y2 - Re T/2)^2 + 2 |y3 + i y4 - (A + conj B)/2|^2 + c(w): at fixed w
+    a trust-region subproblem with a one-variable secular equation (More and
+    Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)), so only w is searched.
+    """
+    tgt = np.asarray([complex(v) for v in target])
+    if len(tgt) != 4 or not np.isfinite(tgt).all():
+        raise PreconditionViolation(f"target must be 4 finite coordinates, got {target!r}")
+
+    def residual2(theta):
+        # measured from the nearest point itself: the expanded quadratic
+        # cancels to ~1e-12 on boundary targets
+        w = np.exp(1j * theta)
+        c = 0.5 * (w.conj() * tgt[0] - w * tgt[1].conjugate())
+        y = _ball_minimizer_reference(np.stack(((0.5 * w.conj() * tgt[3]).real, c.real, c.imag), -1))
+        return (np.abs(_transported_reference(w, y[..., 0], y[..., 1], y[..., 2]) - tgt) ** 2).sum(-1)
+
+    theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_REF, endpoint=False)
+    r2 = residual2(theta)
+    local = np.flatnonzero((r2 <= np.roll(r2, 1)) & (r2 <= np.roll(r2, -1)))
+    cells = theta[local[np.argsort(r2[local])[:_CELLS_REF]]]
+    for level in range(_LEVELS_REF):
+        grid = cells[:, None] + (2.0 * math.pi / _SCAN_REF / 16.0 ** level) * _ZOOM_REF
+        r2 = residual2(grid)
+        cells = grid[np.arange(len(cells)), np.argmin(r2, axis=1)]
+    return math.sqrt(float(r2.min()))
+
+
 # The least-norm mapper as mu computed it before its closed form: seeded
 # multistart Nelder-Mead over the nullspace coordinates, kept verbatim.
 # rigidity_check ran it with starts=10 and rng=random.Random(0x5EED), the

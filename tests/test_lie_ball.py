@@ -12,10 +12,11 @@ from mublocks.domain_f import (f_classify, sample_shilov_param_f,
 from mublocks.errors import PreconditionViolation
 from mublocks.lie_ball import (ShilovParamL4, biholo_f, lambda_map,
                                lie_ball_classify, nearest_transport_distance,
-                               shilov_l4_lattice, shilov_l4_param,
-                               transported_lattice)
+                               nearest_transport_distances, shilov_l4_lattice,
+                               shilov_l4_param, transported_lattice)
 from mublocks.verdict import Region
 from oracles import (lie_ball_region_oracle, lie_norm,
+                     nearest_transport_distance_reference,
                      transport_distance_nm_oracle)
 
 finite = st.floats(min_value=-1.2, max_value=1.2,
@@ -153,21 +154,61 @@ def test_transport_distance_matches_nm_oracle():
         _assert_matches_nm_oracle(target, lattice)
 
 
+# t3 = 0, where the |w^2 + t3|^2 term is flat in the angle; half a boundary
+# point, where at its own angle |g| <= 1/2, so lam = 0; an optimum at angle 0
+# with y = (0, 1, 0), on the sphere with y2 = 0; the origin, where every angle
+# is optimal; a modulus about 1e3
+_DEGENERATE = (
+    (0.3 + 0.1j, -0.2j, 0.0, 0.5),
+    tuple(0.5 * v for v in shilov_f_param(ShilovParamF(0.7, 0.3, -0.4, 0.5))),
+    (1.5, -1.5, -1.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (600 + 300j, -400j, -500.0, 300 + 100j),
+)
+
+
 def test_transport_distance_degenerate_targets():
     lattice = transported_lattice(10_000)
-    # t3 = 0: the |w^2 + t3|^2 term is flat in the angle
-    _assert_matches_nm_oracle((0.3 + 0.1j, -0.2j, 0.0, 0.5), lattice)
-    # half a boundary point: at its own angle |g| <= 1/2, so lam = 0
-    half = tuple(0.5 * v for v in shilov_f_param(ShilovParamF(0.7, 0.3, -0.4, 0.5)))
-    _assert_matches_nm_oracle(half, lattice)
-    # optimum at angle 0 with y = (0, 1, 0): on the sphere with y2 = 0
-    d = _assert_matches_nm_oracle((1.5, -1.5, -1.0, 0.0), lattice)
-    assert d == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    # the origin: every angle is optimal
-    d = _assert_matches_nm_oracle((0.0, 0.0, 0.0, 0.0), lattice)
-    assert d == pytest.approx(1.0, abs=1e-15)
-    # modulus about 1e3
-    _assert_matches_nm_oracle((600 + 300j, -400j, -500.0, 300 + 100j), lattice)
+    got = [_assert_matches_nm_oracle(t, lattice) for t in _DEGENERATE]
+    assert got[2] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert got[3] == pytest.approx(1.0, abs=1e-15)
+
+
+def _bitwise_targets():
+    """Seeded boundary targets alternating with targets pushed off the
+    boundary by sigma = 0.2 (whose Newton steps run), the degenerate targets
+    spread among them: 1 000 in all."""
+    rng = random.Random(4003)
+    out = []
+    for k in range(995):
+        t = shilov_f_param(sample_shilov_param_f(rng))
+        if k % 2:
+            t = tuple(v + complex(rng.gauss(0, 0.2), rng.gauss(0, 0.2)) for v in t)
+        out.append(t)
+    for k, t in enumerate(_DEGENERATE):
+        out.insert(1 + 211 * k, t)
+    return out
+
+
+def test_batched_transport_distances_are_the_reference_bitwise(monkeypatch):
+    """Single targets (100 of them) and batches of 20, 100 and 1 000 give
+    the distances of the routine that searched one target at a time, bit
+    for bit; so does one zoom grid over all 1 000 targets, so the chunk
+    size does not set the bits."""
+    targets = _bitwise_targets()
+    want = [nearest_transport_distance_reference(t) for t in targets]
+    assert [nearest_transport_distance(t) for t in targets[:100]] == want[:100]
+    for size in (20, 100, 1000):
+        got = []
+        for k in range(0, len(targets), size):
+            got += nearest_transport_distances(targets[k:k + size])
+        assert got == want, size
+    monkeypatch.setattr(lie_ball, "_CHUNK", 1000)
+    assert nearest_transport_distances(targets) == want
+
+
+def test_batched_transport_distances_of_no_targets():
+    assert nearest_transport_distances([]) == []
 
 
 def test_transport_distance_takes_no_nelder_mead(monkeypatch):
@@ -186,5 +227,11 @@ def test_transport_distance_takes_no_nelder_mead(monkeypatch):
     (float("nan"), 0, 0, 0), (0, complex(0, float("inf")), 0, 0),
     (0, 0, float("-inf"), 0), (0, 0, 0), (0, 0, 0, 0, 0)])
 def test_transport_distance_rejects_bad_targets(target):
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionViolation) as single:
         nearest_transport_distance(target)
+    good = list(_DEGENERATE) * 4
+    for at in (0, 7, len(good)):
+        batch = good[:at] + [target] + good[at:]
+        with pytest.raises(PreconditionViolation) as batched:
+            nearest_transport_distances(batch)
+        assert str(batched.value) == str(single.value)

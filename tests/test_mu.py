@@ -163,6 +163,33 @@ def test_mu_over_the_whole_float_range():
             assert abs(det) <= 1e-12, (name, e)
 
 
+def test_mu_k1_on_a_basis_scaled_far_from_unit():
+    """mu does not depend on how the one basis element is scaled.  The k1
+    route forms det B, which left the float range: scaled by 1e-300 the
+    scalar span gave 2e10 for A below (rho(A) = 1e10 + 1), by 1e-160
+    1.00334e10, and by 1e150 or more it raised PreconditionViolation.  The
+    quadratic cancels on this A, so its value holds only to 1e-7; the
+    generic matrix holds to rounding."""
+    a = Matrix2(1e10, 1, 2j, 1e10)
+    g = Matrix2(0.3 + 0.1j, -0.7, 0.45j, 0.9 - 0.2j)
+    for b in (Matrix2.identity(), E11 + E12, Matrix2(0.5j, 2, -1, 0.25)):
+        base = mu_value(g, Structure((b,)))
+        for e in (100, 150, 160, 200, 250, 300, -100, -150, -160, -200,
+                  -250, -300):
+            s = Structure((b.scale(10.0 ** e),))
+            assert s.route == "k1"
+            r = mu_value(g, s)
+            assert r.value == pytest.approx(base.value, rel=1e-14, abs=0.0), (b, e)
+            for u, v in zip(r.minimizer, base.minimizer):
+                assert u == pytest.approx(v, rel=1e-13, abs=0.0), (b, e)
+            if b == Matrix2.identity():
+                assert mu_value(a, s).value == pytest.approx(1e10 + 1.0, rel=1e-7)
+    # in range the basis is stored as given
+    for e in (-60, 0, 60):
+        b = E11.scale(10.0 ** e) + E12
+        assert Structure((b,)).basis == (b,)
+
+
 def test_mu_range_scaling_is_bitwise():
     """Out of range, A 2^k with k even is computed as A itself: the value
     and every part of the minimizer (the sign of a zero included) are those

@@ -53,8 +53,8 @@ def test_every_suite_passes_at_reduced_size(name):
 
 
 def test_thm32_counts_a_nan_distance_as_a_failure(monkeypatch):
-    monkeypatch.setattr(verify, "nearest_transport_distance",
-                        lambda target: float("nan"))
+    monkeypatch.setattr(verify, "nearest_transport_distances",
+                        lambda targets: [float("nan")] * len(targets))
     rep = run_suite("thm32_boundary_transport", n_samples=20, seed=7)
     assert sum("kind=match" in f for f in rep.failures) == 10
 
