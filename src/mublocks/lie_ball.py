@@ -19,18 +19,11 @@ and the map
 
     f(w) = (w3 + i w4, -w3 + i w4, -w2^2 - w3^2 - w4^2 - w1, 2 w2)
 
-carries it onto the distinguished boundary of the target domain.  No inverse
-of f is implemented anywhere; the distance to the transported set solves a
-trust-region subproblem over the closed unit 3-ball at each angle.
-
-The angle search scans 1024 angles per target, then zooms in ten 16x
-levels on the scan's best 3 local minima.  nearest_transport_distances
-runs the zoom levels of many targets together, as the rows of one grid, and
-gives each target the bits a search of its own gives: every operation is
-elementwise or reduces within a target.  Its scans stay one per target,
-since scanning many targets at once holds arrays of targets x 1024 angles,
-and it zooms at most _CHUNK targets at a time, which bounds the zoom arrays
-however many targets are passed.
+carries it onto the distinguished boundary of the target domain.  Each such
+point t proposes its own parameter (omega^2 = -t3, x2 = Re(t4 / 2 omega),
+x3 + i x4 = t1 / omega), and the thm32 suite checks the match by evaluating
+f forward there.  nearest_transport_distance measures any target against the
+whole transported set, by a trust-region subproblem over the unit 3-ball.
 """
 
 from __future__ import annotations
@@ -168,61 +161,37 @@ _H = np.array([4.0, 2.0, 2.0])   # curvatures of the rotated distance in y
 # angle search: 1024-point scan, then ten 16x zooms on its best 3 local minima
 _SCAN, _CELLS, _LEVELS = 1024, 3, 10
 _ZOOM = np.array([k / 16.0 for k in range(-16, 17)])  # no ufunc at import: ~170 KiB RSS
-# targets per batched zoom: bounds its memory, not its bits.  thm32 at n =
-# 10 000 passes 1 000 targets; zoomed in one grid they took its peak RSS
-# from 32 to 47 MiB.
-_CHUNK = 100
 
 
-def _ball_minimizer(g, owner=None):
+def _ball_minimizer(g):
     """argmin over |y| <= 1 of sum_i h_i (y_i - g_i)^2 for (..., 3) centres g.
     Outside the ball y = h g / (h + lam): Newton on the concave, increasing
-    1/||y(lam)|| - 1 climbs from lam = 0 without overshoot (h > 0: no hard case).
-
-    owner (the shape of g without its last axis) names each centre's target:
-    a target's centres keep stepping until none of them moves, as they would
-    in a call of their own; None puts every centre under one target."""
+    1/||y(lam)|| - 1 climbs from lam = 0 without overshoot (h > 0: no hard case)."""
     outside = (g * g).sum(axis=-1) > 1.0
     if not outside.any():
         return g
     y = g.copy()
     hg = _H * g[outside]
     lam = np.zeros((len(hg), 1))
-    live = np.arange(len(hg))   # rows of hg still stepping
-    own = None if owner is None else owner[outside]
     for _ in range(50):
-        h, lv = hg[live], lam[live]
-        q = h / (_H + lv)
+        q = hg / (_H + lam)
         n2 = (q * q).sum(axis=-1, keepdims=True)
-        step = n2 * (np.sqrt(n2) - 1.0) / (q * q / (_H + lv)).sum(axis=-1, keepdims=True)
-        lv = lv + step
-        lam[live] = lv
-        moving = (step > 1e-15 * (lv + 2.0))[:, 0]
-        if not moving.any():
+        step = n2 * (np.sqrt(n2) - 1.0) / (q * q / (_H + lam)).sum(axis=-1, keepdims=True)
+        lam = lam + step
+        if not (step > 1e-15 * (lam + 2.0)).any():
             break
-        if own is not None:   # drop the targets none of whose rows moved
-            lo = own[live]
-            live = live[np.isin(lo, lo[moving])]
     y[outside] = hg / (_H + lam)
     return y
 
 
-def _residual2(theta, tgt, owner=None):
-    """Squared distance from tgt (..., 4) to the nearest transported point at
+def _residual2(theta, tgt):
+    """Squared distance from tgt (4,) to the nearest transported point at
     each angle, measured from that point itself: the expanded quadratic
     cancels to ~1e-12 on boundary targets."""
     w = np.exp(1j * theta)
-    c = 0.5 * (w.conj() * tgt[..., 0] - w * tgt[..., 1].conjugate())
-    y = _ball_minimizer(np.stack(((0.5 * w.conj() * tgt[..., 3]).real, c.real, c.imag), -1),
-                        owner)
+    c = 0.5 * (w.conj() * tgt[0] - w * tgt[1].conjugate())
+    y = _ball_minimizer(np.stack(((0.5 * w.conj() * tgt[3]).real, c.real, c.imag), -1))
     return (np.abs(_transported(w, y[..., 0], y[..., 1], y[..., 2]) - tgt) ** 2).sum(-1)
-
-
-def _checked_target(target) -> np.ndarray:
-    tgt = np.asarray([complex(v) for v in target])
-    if len(tgt) != 4 or not np.isfinite(tgt).all():
-        raise PreconditionViolation(f"target must be 4 finite coordinates, got {target!r}")
-    return tgt
 
 
 def nearest_transport_distance(target) -> float:
@@ -233,49 +202,17 @@ def nearest_transport_distance(target) -> float:
     is 4 (y2 - Re T/2)^2 + 2 |y3 + i y4 - (A + conj B)/2|^2 + c(w): at fixed w
     a trust-region subproblem with a one-variable secular equation (More and
     Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)), so only w is searched:
-    a 1024-point scan, then ten 16x zooms on its best 3 local minima.  The
-    same search as nearest_transport_distances((target,))[0].
+    a 1024-point scan, then ten 16x zooms on its best 3 local minima.
     """
-    return nearest_transport_distances((target,))[0]
-
-
-def nearest_transport_distances(targets) -> list[float]:
-    """nearest_transport_distance of each target, bitwise, from one search.
-
-    Every target is checked before any is searched, and a bad one raises
-    the error its own call raises.  Each target gets its own 1024-point
-    angle scan.  The ten zoom levels then run for up to _CHUNK targets
-    together: the (up to) 3 cells of every target are rows of one grid of
-    33 angles per row, and _ball_minimizer's Newton loop stops per target.
-    The chunk keeps that grid within 300 x 33 angles, so its arrays stay
-    under 1 MiB each for any number of targets; the distances do not
-    depend on it.
-    """
-    tgts = [_checked_target(t) for t in targets]
-    scan = np.linspace(0.0, 2.0 * math.pi, _SCAN, endpoint=False)
-    out = []
-    for k in range(0, len(tgts), _CHUNK):
-        out += _search(tgts[k:k + _CHUNK], scan)
-    return out
-
-
-def _search(tgts, scan) -> list[float]:
-    """Distances of tgts, checked (4,) arrays: a scan each, one zoom."""
-    cells, rows = [], []
-    for tgt in tgts:
-        r2 = _residual2(scan, tgt)
-        local = np.flatnonzero((r2 <= np.roll(r2, 1)) & (r2 <= np.roll(r2, -1)))
-        best = scan[local[np.argsort(r2[local])[:_CELLS]]]
-        cells.append(best)
-        rows.append(len(best))
-    cells = np.concatenate(cells)
-    owner = np.repeat(np.arange(len(tgts)), rows)
-    tgt = np.stack(tgts)[owner][:, None, :]
-    own = np.broadcast_to(owner[:, None], (len(cells), len(_ZOOM)))
-    pick = np.arange(len(cells))
+    tgt = np.asarray([complex(v) for v in target])
+    if len(tgt) != 4 or not np.isfinite(tgt).all():
+        raise PreconditionViolation(f"target must be 4 finite coordinates, got {target!r}")
+    theta = np.linspace(0.0, 2.0 * math.pi, _SCAN, endpoint=False)
+    r2 = _residual2(theta, tgt)
+    local = np.flatnonzero((r2 <= np.roll(r2, 1)) & (r2 <= np.roll(r2, -1)))
+    cells = theta[local[np.argsort(r2[local])[:_CELLS]]]
     for level in range(_LEVELS):
         grid = cells[:, None] + (2.0 * math.pi / _SCAN / 16.0 ** level) * _ZOOM
-        r2 = _residual2(grid, tgt, own)
-        cells = grid[pick, np.argmin(r2, axis=1)]
-    best = np.minimum.reduceat(r2.min(axis=1), np.cumsum([0] + rows[:-1]))
-    return [math.sqrt(float(v)) for v in best]
+        r2 = _residual2(grid, tgt)
+        cells = grid[np.arange(len(cells)), np.argmin(r2, axis=1)]
+    return math.sqrt(float(r2.min()))

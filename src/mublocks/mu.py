@@ -47,7 +47,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -183,20 +183,33 @@ def structure_from_name(name: str) -> Structure:
     raise KeyError(f"unknown structure name {name!r}")
 
 
-@dataclass(frozen=True)
-class MuResult:
+class _MuFields(NamedTuple):
     value: float
     minimizer: Optional[Matrix2]
     status: str  # "Exact" | "Numeric" | "Infeasible"
 
-    def __post_init__(self) -> None:
-        if self.status not in ("Exact", "Numeric", "Infeasible"):
-            raise PreconditionViolation(f"bad status {self.status!r}")
-        infeasible = self.status == "Infeasible"
-        if infeasible != (self.value == 0.0) or infeasible != (self.minimizer is None):
+
+class MuResult(_MuFields):
+    __slots__ = ()
+
+    def __new__(cls, value: float, minimizer: Optional[Matrix2], status: str):
+        if status not in ("Exact", "Numeric", "Infeasible"):
+            raise PreconditionViolation(f"bad status {status!r}")
+        infeasible = status == "Infeasible"
+        if infeasible != (value == 0.0) or infeasible != (minimizer is None):
             raise PreconditionViolation(
-                f"inconsistent result: {self.value!r}, {self.minimizer!r}, "
-                f"{self.status!r}")
+                f"inconsistent result: {value!r}, {minimizer!r}, {status!r}")
+        return tuple.__new__(cls, (value, minimizer, status))
+
+    # namedtuple's own _make, behind _replace, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    # A result equals only a result, never a bare tuple of the same fields.
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
 
 def _constraint_coeffs(a: Matrix2, structure: Structure):

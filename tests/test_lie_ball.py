@@ -12,8 +12,8 @@ from mublocks.domain_f import (f_classify, sample_shilov_param_f,
 from mublocks.errors import PreconditionViolation
 from mublocks.lie_ball import (ShilovParamL4, biholo_f, lambda_map,
                                lie_ball_classify, nearest_transport_distance,
-                               nearest_transport_distances, shilov_l4_lattice,
-                               shilov_l4_param, transported_lattice)
+                               shilov_l4_lattice, shilov_l4_param,
+                               transported_lattice)
 from mublocks.verdict import Region
 from oracles import (lie_ball_region_oracle, lie_norm,
                      nearest_transport_distance_reference,
@@ -190,25 +190,12 @@ def _bitwise_targets():
     return out
 
 
-def test_batched_transport_distances_are_the_reference_bitwise(monkeypatch):
-    """Single targets (100 of them) and batches of 20, 100 and 1 000 give
-    the distances of the routine that searched one target at a time, bit
-    for bit; so does one zoom grid over all 1 000 targets, so the chunk
-    size does not set the bits."""
+def test_transport_distance_is_the_reference_bitwise():
+    """Each of the 1 000 targets gives the distance of the one-target
+    routine kept in tests/oracles, bit for bit."""
     targets = _bitwise_targets()
     want = [nearest_transport_distance_reference(t) for t in targets]
-    assert [nearest_transport_distance(t) for t in targets[:100]] == want[:100]
-    for size in (20, 100, 1000):
-        got = []
-        for k in range(0, len(targets), size):
-            got += nearest_transport_distances(targets[k:k + size])
-        assert got == want, size
-    monkeypatch.setattr(lie_ball, "_CHUNK", 1000)
-    assert nearest_transport_distances(targets) == want
-
-
-def test_batched_transport_distances_of_no_targets():
-    assert nearest_transport_distances([]) == []
+    assert [nearest_transport_distance(t) for t in targets] == want
 
 
 def test_transport_distance_takes_no_nelder_mead(monkeypatch):
@@ -227,11 +214,5 @@ def test_transport_distance_takes_no_nelder_mead(monkeypatch):
     (float("nan"), 0, 0, 0), (0, complex(0, float("inf")), 0, 0),
     (0, 0, float("-inf"), 0), (0, 0, 0), (0, 0, 0, 0, 0)])
 def test_transport_distance_rejects_bad_targets(target):
-    with pytest.raises(PreconditionViolation) as single:
+    with pytest.raises(PreconditionViolation):
         nearest_transport_distance(target)
-    good = list(_DEGENERATE) * 4
-    for at in (0, 7, len(good)):
-        batch = good[:at] + [target] + good[at:]
-        with pytest.raises(PreconditionViolation) as batched:
-            nearest_transport_distances(batch)
-        assert str(batched.value) == str(single.value)

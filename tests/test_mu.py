@@ -533,6 +533,19 @@ def test_mu_result_consistency_enforced():
         MuResult(value=1.0, minimizer=E11, status="Approximate")
 
 
+def test_mu_result_is_a_checked_record():
+    r = MuResult(value=1.0, minimizer=E11, status="Exact")
+    assert r == MuResult(1.0, E11, "Exact")
+    assert hash(r) == hash(MuResult(1.0, E11, "Exact"))
+    assert r != (1.0, E11, "Exact") and not r == (1.0, E11, "Exact")
+    assert r != MuResult(1.0, E11, "Numeric")
+    with pytest.raises(AttributeError):
+        r.value = 2.0
+    with pytest.raises(PreconditionViolation, match="inconsistent result"):
+        r._replace(status="Infeasible")
+    assert r._replace(value=2.0) == MuResult(2.0, E11, "Exact")
+
+
 def test_rigidity_check_examples():
     e1, e2 = (1, 0), (0, 1)
     # infeasible systems, rank-0 ones (upper and full: the least is v u*)

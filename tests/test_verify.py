@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -53,10 +54,46 @@ def test_every_suite_passes_at_reduced_size(name):
 
 
 def test_thm32_counts_a_nan_distance_as_a_failure(monkeypatch):
-    monkeypatch.setattr(verify, "nearest_transport_distances",
-                        lambda targets: [float("nan")] * len(targets))
+    monkeypatch.setattr(verify, "_transport_gap", lambda target: float("nan"))
     rep = run_suite("thm32_boundary_transport", n_samples=20, seed=7)
     assert sum("kind=match" in f for f in rep.failures) == 10
+
+
+def test_transport_gap_is_tiny_on_boundary_targets():
+    """Seeded targets, then x1 = 0, x2 = x3 = x4 = 0 and the angles 0, pi and
+    +-pi/2; at +-pi/2, -t3 lies on cmath.sqrt's branch cut, and with omega =
+    1j exactly and t3 = 1 +- 0j the root taken is omega or -omega."""
+    rng = random.Random(7)
+    targets = [domain_f.shilov_f_param(domain_f.sample_shilov_param_f(rng))
+               for _ in range(1000)]
+    xs = ((0.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.6, -0.8), (0.0, 0.0, 1.0),
+          (-1.0, 0.0, 0.0), (0.3, -0.4, 0.5))
+    for theta in (0.0, math.pi, math.pi / 2, -math.pi / 2):
+        targets += [domain_f.shilov_f_param(domain_f.ShilovParamF(theta, *x))
+                    for x in xs]
+    for t3 in (complex(1.0, 0.0), complex(1.0, -0.0)):
+        targets += [(1j * complex(x3, x4), -1j * complex(x3, -x4), t3, 2j * x2)
+                    for x2, x3, x4 in xs]
+    assert max(verify._transport_gap(t) for t in targets) <= 1e-14
+
+
+def test_transport_gap_bounds_the_distance_from_above():
+    """The gap is a distance to one transported point, so it is never below
+    the nearest distance, here on targets pushed off the boundary."""
+    rng = random.Random(4004)
+    for _ in range(200):
+        t = tuple(v + complex(rng.gauss(0, 0.2), rng.gauss(0, 0.2))
+                  for v in domain_f.shilov_f_param(domain_f.sample_shilov_param_f(rng)))
+        assert verify._transport_gap(t) >= oracles.nearest_transport_distance_reference(t)
+
+
+def test_thm32_runs_no_transport_search(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("transport search called")
+
+    monkeypatch.setattr(lie_ball, "_residual2", forbidden)
+    monkeypatch.setattr(lie_ball, "nearest_transport_distance", forbidden)
+    assert run_suite("thm32_boundary_transport", n_samples=200, seed=7).passed
 
 
 def test_split_guard_raises_only_outside_the_band():
