@@ -23,7 +23,8 @@ carries it onto the distinguished boundary of the target domain.  Each such
 point t proposes its own parameter (omega^2 = -t3, x2 = Re(t4 / 2 omega),
 x3 + i x4 = t1 / omega), and the thm32 suite checks the match by evaluating
 f forward there.  nearest_transport_distance measures any target against the
-whole transported set, by a trust-region subproblem over the unit 3-ball.
+whole transported set, by a trust-region subproblem over the unit 3-ball.  It
+and the lattice import numpy when called; importing this module does not.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
@@ -121,6 +120,7 @@ def shilov_l4_lattice(n: int = 10_000):
     Kronecker rotations for the angles.  Returns float arrays
     (theta, x1, x2, x3, x4), each of length n, with x rows unit-normalized.
     """
+    import numpy as np
     k = np.arange(n, dtype=float)
     u = (k + 0.5) / n
     eta = np.arcsin(np.sqrt(u))
@@ -142,6 +142,7 @@ def transported_lattice(n: int = 10_000):
     points is an (n, 4) complex array of boundary points of the target
     domain.
     """
+    import numpy as np
     theta, x1, x2, x3, x4 = shilov_l4_lattice(n)
     return (theta, x1, x2, x3, x4), _transported(np.exp(1j * theta), x2, x3, x4)
 
@@ -153,20 +154,21 @@ def _transported(w, y2, y3, y4):
     temporary right operand of 256 KiB or more as the output and then
     multiplies in swapped order, and a complex product with fused
     multiply-adds is not commutative bit for bit."""
+    import numpy as np
     u, v = y3 + 1j * y4, y3 - 1j * y4
     return np.stack((w * u, -w * v, -(w * w), 2.0 * w * y2), axis=-1)
 
 
-_H = np.array([4.0, 2.0, 2.0])   # curvatures of the rotated distance in y
-# angle search: 1024-point scan, then ten 16x zooms on its best 3 local minima
-_SCAN, _CELLS, _LEVELS = 1024, 3, 10
-_ZOOM = np.array([k / 16.0 for k in range(-16, 17)])  # no ufunc at import: ~170 KiB RSS
+_H = (4.0, 2.0, 2.0)   # curvatures of the rotated distance in y
+_SCAN, _CELLS, _LEVELS = 1024, 3, 10  # angle scan, minima zoomed, 16x zooms
+_ZOOM = tuple(k / 16.0 for k in range(-16, 17))  # tuples, as _H: no numpy at import
 
 
 def _ball_minimizer(g):
     """argmin over |y| <= 1 of sum_i h_i (y_i - g_i)^2 for (..., 3) centres g.
     Outside the ball y = h g / (h + lam): Newton on the concave, increasing
     1/||y(lam)|| - 1 climbs from lam = 0 without overshoot (h > 0: no hard case)."""
+    import numpy as np
     outside = (g * g).sum(axis=-1) > 1.0
     if not outside.any():
         return g
@@ -188,6 +190,7 @@ def _residual2(theta, tgt):
     """Squared distance from tgt (4,) to the nearest transported point at
     each angle, measured from that point itself: the expanded quadratic
     cancels to ~1e-12 on boundary targets."""
+    import numpy as np
     w = np.exp(1j * theta)
     c = 0.5 * (w.conj() * tgt[0] - w * tgt[1].conjugate())
     y = _ball_minimizer(np.stack(((0.5 * w.conj() * tgt[3]).real, c.real, c.imag), -1))
@@ -204,6 +207,7 @@ def nearest_transport_distance(target) -> float:
     Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)), so only w is searched:
     a 1024-point scan, then ten 16x zooms on its best 3 local minima.
     """
+    import numpy as np
     tgt = np.asarray([complex(v) for v in target])
     if len(tgt) != 4 or not np.isfinite(tgt).all():
         raise PreconditionViolation(f"target must be 4 finite coordinates, got {target!r}")
@@ -212,7 +216,7 @@ def nearest_transport_distance(target) -> float:
     local = np.flatnonzero((r2 <= np.roll(r2, 1)) & (r2 <= np.roll(r2, -1)))
     cells = theta[local[np.argsort(r2[local])[:_CELLS]]]
     for level in range(_LEVELS):
-        grid = cells[:, None] + (2.0 * math.pi / _SCAN / 16.0 ** level) * _ZOOM
+        grid = cells[:, None] + np.multiply(2.0 * math.pi / _SCAN / 16.0 ** level, _ZOOM)
         r2 = _residual2(grid, tgt)
         cells = grid[np.arange(len(cells)), np.argmin(r2, axis=1)]
     return math.sqrt(float(r2.min()))

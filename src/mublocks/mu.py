@@ -26,10 +26,10 @@ X(Aw) = w} has a closed form (_least_norm_mapper).  Since ||X|| >=
 = ||A||; that probe settles every A on skewdiag and e_theta, which are
 rigid.  There and on full, mu is matrix2's sigma_1 (_top_singular_pair), so
 operator_norm(A) bitwise.  Otherwise seeded multistart descent runs over
-charts of the variety.  A Structure fixes its route (k1, diag, upper, lower,
-k4 or numeric) once, as Structure.route.  The constraint coefficients, the
-det residual and the objectives (Structure.entries_at, matrix2's private
-singular-value kernel) read raw entries and build no Matrix2.
+charts of the variety.  A Structure fixes its route and, by one plain-Python
+Gauss-Jordan pass, its normals and coefficient weights when built.  The
+constraint coefficients, the det residual and the objectives (entries_at and
+matrix2's singular-value kernel) read raw entries and build no Matrix2.
 
 Every path works on an A whose largest entry modulus lies in [2^-200,
 2^200], where none of them over- or underflows.  mu(cA) = |c|
@@ -48,8 +48,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .domain_f import f_matrix_witness
 from .errors import OptimizerNoConverge, PreconditionViolation
@@ -72,7 +70,13 @@ IDENTITY = Matrix2.identity()
 
 @dataclass(frozen=True)
 class Structure:
-    """A complex-linear subspace of M2(C) given by an independent basis."""
+    """A complex-linear subspace of M2(C) given by an independent basis.
+
+    Gauss-Jordan on the rows [b_i | e_i], each pivoting on its largest
+    remaining entry, rejects the basis as dependent at a pivot <= 1e-10 x
+    its largest entry modulus.  Gram-Schmidt on the free columns' null
+    vectors gives `normals` (X is in the span iff sum n_ij x_ij = 0 for
+    each), and the rows' last k entries are coeffs_of's weights."""
 
     basis: tuple[Matrix2, ...]
     name: str = ""
@@ -87,14 +91,22 @@ class Structure:
         k = len(basis)
         if not 1 <= k <= 4:
             raise PreconditionViolation(f"basis length must be 1..4, got {k}")
-        left, sv, _ = np.linalg.svd(self.basis_matrix())
-        if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
-            raise PreconditionViolation(
-                f"basis is linearly dependent (singular values {sv!r})")
-        # X is in the span iff sum_ij n_ij x_ij = 0 for these 4 - k functionals,
-        # the conjugated left singular vectors past the k-th (orthonormal)
-        object.__setattr__(self, "normals", tuple(
-            tuple(complex(t) for t in left[:, j].conj()) for j in range(k, 4)))
+        pivots, floor = [], 1e-10 * max(abs(z) for b in basis for z in b)
+        rows = [[*b, *(complex(i == j) for j in range(k))] for i, b in enumerate(basis)]
+        for i in range(k):
+            row = rows[i]
+            p = max((c for c in range(4) if c not in pivots), key=lambda c: abs(row[c]))
+            if abs(row[p]) <= floor:
+                raise PreconditionViolation(f"dependent basis: pivot {abs(row[p])!r}")
+            row = [w / row[p] for w in row]
+            for j, r in enumerate(rows):
+                rows[j] = row if j == i else [w - r[p] * z for w, z in zip(r, row)]
+            pivots.append(p)
+        # a null vector is 1 at its free column, 0 at the others: no remainder < 1
+        object.__setattr__(self, "normals", tuple(map(tuple, _orthonormal(
+            [[-rows[pivots.index(c)][f] if c in pivots else complex(c == f)
+              for c in range(4)] for f in range(4) if f not in pivots]))))
+        object.__setattr__(self, "_weights", tuple(zip(pivots, (r[4:] for r in rows))))
         object.__setattr__(self, "route", _route(basis))
         # det X(c) = sum_{i<=j} polar[(i, j)] c_i c_j
         polar = {}
@@ -108,18 +120,11 @@ class Structure:
     def k(self) -> int:
         return len(self.basis)
 
-    def basis_matrix(self) -> np.ndarray:
-        """4 x k complex matrix whose columns are the vectorized basis."""
-        return np.array(self.basis, dtype=complex).T
-
-    def coeffs_of(self, a: Matrix2, tol: float = 1e-10) -> Optional[np.ndarray]:
+    def coeffs_of(self, a: Matrix2, tol: float = 1e-10) -> Optional[list[complex]]:
         """Coefficients of `a` in the basis, or None if a is not in the span."""
-        m, va = self.basis_matrix(), np.array(a, dtype=complex)
-        c, _, _, _ = np.linalg.lstsq(m, va, rcond=None)
-        scale = max(1.0, float(np.abs(va).max()))
-        if np.abs(m @ c - va).max() > tol * scale:
-            return None
-        return c
+        c = [sum(a[p] * w[i] for p, w in self._weights) for i in range(self.k)]
+        resid = max(abs(s - t) for s, t in zip(a, self.entries_at(c)))
+        return c if resid <= tol * max(1.0, max(map(abs, a))) else None
 
     def contains_identity(self, tol: float = 1e-10) -> bool:
         return self.coeffs_of(IDENTITY, tol) is not None
@@ -259,15 +264,7 @@ def _least_norm_mapper(structure: Structure, u, v):
         cols[1].append(cv1 * p2 - cv2 * p1)
         cols[2].append(-alpha * (v1 * (m11 * cu1 + m12 * cu2)
                                  + v2 * (m21 * cu1 + m22 * cu2)))
-    # an orthonormal basis q of the column space, larger column first
-    q = []
-    for col in sorted(cols[:2], key=lambda c: _dot(c, c).real, reverse=True):
-        for qi in q:
-            t = _dot(qi, col)
-            col = [w - t * z for w, z in zip(col, qi)]
-        n = math.sqrt(_dot(col, col).real)
-        if n > _RANK_TOL:
-            q.append([w / n for w in col])
+    q = _orthonormal(sorted(cols[:2], key=lambda c: _dot(c, c).real, reverse=True))
     rows = [[_dot(qi, col) for col in cols] for qi in q]
     resid = cols[2]
     for qi, row in zip(q, rows):
@@ -300,6 +297,19 @@ def _dot(x, y) -> complex:
     for s, t in zip(x, y):
         acc += s.conjugate() * t
     return acc
+
+
+def _orthonormal(vectors) -> list[list[complex]]:
+    """Gram-Schmidt in order, dropping remainders of norm <= _RANK_TOL."""
+    q = []
+    for col in vectors:
+        for qi in q:
+            t = _dot(qi, col)
+            col = [w - t * z for w, z in zip(col, qi)]
+        n = math.sqrt(_dot(col, col).real)
+        if n > _RANK_TOL:
+            q.append([w / n for w in col])
+    return q
 
 
 def _w_of(phi: float, psi: float):

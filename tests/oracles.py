@@ -993,3 +993,29 @@ def _norm_at_most_one_reference(b: Matrix2, tol: float) -> bool:
         return True
     g = gram_report(b)
     return g.trace_gram >= -2.0 * tol and g.det_gram >= -tol
+
+
+# ---------------------------------------------------------------------------
+# Structure's normals, dependence test and coefficients as they were computed
+# before its Gauss-Jordan pass: LAPACK's SVD and least squares on the 4 x k
+# matrix whose columns are the vectorized basis.
+
+
+def structure_svd_reference(basis):
+    """(normals, sigma_min / sigma_max): the normals are the conjugated left
+    singular vectors past the k-th, and the old rule rejected a basis whose
+    ratio is at most 1e-10."""
+    left, sv, _ = np.linalg.svd(np.array(basis, dtype=complex).T)
+    normals = tuple(tuple(complex(t) for t in left[:, j].conj())
+                    for j in range(len(basis), 4))
+    return normals, float(sv[-1] / max(sv[0], 1e-300))
+
+
+def coeffs_lstsq_reference(basis, a: Matrix2, tol: float = 1e-10):
+    """Least-squares coefficients of `a` in the basis, or None when the
+    residual has an entry above tol * max(1, max |a_ij|)."""
+    m, va = np.array(basis, dtype=complex).T, np.array(a, dtype=complex)
+    c, _, _, _ = np.linalg.lstsq(m, va, rcond=None)
+    if np.abs(m @ c - va).max() > tol * max(1.0, float(np.abs(va).max())):
+        return None
+    return c

@@ -4,10 +4,13 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import mublocks
 from mublocks import cli
 from mublocks.bidisc import g2_classify
 from mublocks.cli import main
@@ -413,3 +416,28 @@ def test_slice_rows_equal_the_public_classifiers(plane):
             codes.add(want_code)
     assert len(codes) > 1
     assert (9 in codes) == (plane == len(_SLICE_PLANES) - 1)
+
+
+def test_cli_and_thm32_run_without_numpy():
+    """numpy serves only lie_ball's lattice and transport search, which
+    import it when called: a CLI check, a mu call on a numeric-route preset
+    and the thm32 suite leave it unimported."""
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "import mublocks",
+        "from mublocks import cli",
+        "from mublocks.verify import run_suite",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['check', 'g2', '(0,0)']) == 0",
+        "    assert cli.main(['mu', 'e_theta:0.7', '[[1,2],[3,4]]']) == 0",
+        "run_suite('thm32_boundary_transport', n_samples=20)",
+        "assert 'numpy' not in sys.modules, 'numpy imported'",
+        "from mublocks.lie_ball import nearest_transport_distance",
+        "print(nearest_transport_distance((0.5, 0.5, -1.0, 0.2)))",
+    ))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mublocks.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert math.isfinite(float(done.stdout))

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import mublocks.mu as mu_module
@@ -15,9 +16,11 @@ from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          rigidity_check, rigidity_grid_pass,
                          structure_from_name)
 from mublocks.verify import mu_equals_norm_suite
-from oracles import (constraint_coeffs_reference, det_residual_reference,
-                     eig_radius, min_norm_mapper_nm, mu_diag_dscale_oracle,
-                     mu_diag_gauge_oracle, mu_upper_hexablock_oracle, svd_norm)
+from oracles import (coeffs_lstsq_reference, constraint_coeffs_reference,
+                     det_residual_reference, eig_radius, min_norm_mapper_nm,
+                     mu_diag_dscale_oracle, mu_diag_gauge_oracle,
+                     mu_upper_hexablock_oracle, structure_svd_reference,
+                     svd_norm)
 
 rng = random.Random(101)
 
@@ -893,3 +896,78 @@ def test_structure_route_is_fixed_once(case, monkeypatch):
         mu_value(a, fresh)
         assert taken[0] == first
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Structure's Gauss-Jordan pass, held against the SVD and least squares it
+# replaced (oracles.structure_svd_reference, oracles.coeffs_lstsq_reference).
+
+def _structure_spans(seed):
+    """Gaussian spans with k = 1, 2, 3, E_theta bases scrambled by a random
+    3x3 matrix, and k = 1 bases scaled by 2^300 and 2^-300."""
+    r = random.Random(seed)
+    spans = [tuple(Matrix2(*(_gauss_c(r) for _ in range(4))) for _ in range(k))
+             for k in (1, 2, 3) for _ in range(40)]
+    for _ in range(30):
+        b = e_theta(r.uniform(0.0, 2.0 * math.pi)).basis
+        mix = [[_gauss_c(r) for _ in range(3)] for _ in range(3)]
+        spans.append(tuple(Matrix2(*(sum(m * bj[e] for m, bj in zip(row, b))
+                                     for e in range(4))) for row in mix))
+    for e in (300, -300):
+        spans += [(Matrix2(*(math.ldexp(1.0, e) * _gauss_c(r) for _ in range(4))),)
+                  for _ in range(10)]
+    return spans
+
+
+def test_structure_normals_and_coeffs_match_the_svd_reference():
+    r = random.Random(404)
+    for basis in _structure_spans(403):
+        s = Structure(basis)
+        ref, _ = structure_svd_reference(s.basis)
+        assert len(s.normals) == len(ref) == 4 - len(basis)
+        n = np.array(s.normals, dtype=complex)
+        assert np.abs(n.conj() @ n.T - np.eye(len(n))).max() <= 1e-15
+        scale = max(abs(z) for b in basis for z in b)
+        for b in basis:
+            for nn in s.normals:
+                assert abs(sum(x * z for x, z in zip(nn, b))) <= 1e-15 * scale
+        m = np.array(ref, dtype=complex)
+        assert np.abs(n.T @ n.conj() - m.T @ m.conj()).max() <= 1e-14
+        for _ in range(4):
+            a = s.element([_gauss_c(r) for _ in basis])
+            c, c_ref = s.coeffs_of(a), coeffs_lstsq_reference(s.basis, a)
+            assert isinstance(c, list) and c_ref is not None
+            assert max(abs(x - y) for x, y in zip(c, c_ref)) <= 1e-12 * max(
+                1.0, max(map(abs, c_ref)))
+            push = 1e-6 * max(1.0, max(map(abs, a)))
+            off = Matrix2(*(z + push * x.conjugate() for z, x in zip(a, s.normals[0])))
+            assert s.coeffs_of(off) is None
+            assert coeffs_lstsq_reference(s.basis, off) is None
+
+
+def test_preset_normals_are_exact():
+    h = 1.0 / math.sqrt(2.0)
+    expected = {"scalar": [(0, 1, 0, 0), (0, 0, 1, 0), (-h, 0, 0, h)],
+                "diag": [(0, 1, 0, 0), (0, 0, 1, 0)], "upper": [(0, 0, 1, 0)],
+                "lower": [(0, 1, 0, 0)], "full": [], "skewdiag": [(h, 0, 0, h)]}
+    for name, vectors in expected.items():
+        normals = structure_from_name(name).normals
+        assert len(normals) == len(vectors), name
+        for n in normals:
+            assert any(n in (v, tuple(-t for t in v)) for v in vectors), (name, n)
+
+
+def test_structure_dependence_threshold():
+    """A pivot at most 1e-10 times the largest entry modulus is dependence.
+    On (E11, E11 + eps E22) this agrees with the SVD rule sigma_min/sigma_max
+    <= 1e-10 it replaced, on both sides of the threshold."""
+    for eps, dependent in ((1e-11, True), (1e-9, False)):
+        basis = (E11, Matrix2(1, 0, 0, eps))
+        assert (structure_svd_reference(basis)[1] <= 1e-10) is dependent
+        if dependent:
+            with pytest.raises(PreconditionViolation, match="dependent basis: pivot"):
+                Structure(basis)
+        else:
+            assert Structure(basis).normals
+    with pytest.raises(PreconditionViolation, match="dependent basis"):
+        Structure((Matrix2(0, 0, 0, 0),))
