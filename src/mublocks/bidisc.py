@@ -25,8 +25,10 @@ The distinguished (Shilov) boundary is the set |p| = 1, s = conj(s) p,
 
 from __future__ import annotations
 
+import cmath
+
 from .errors import PreconditionViolation
-from .matrix2 import _quadratic_roots
+from .matrix2 import _quadratic_roots, raise_if_nonfinite
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
                       raise_if_split)
 
@@ -34,7 +36,10 @@ from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
 def _check_pair(pt) -> tuple[complex, complex]:
     if len(pt) != 2:
         raise PreconditionViolation(f"expected a pair (s, p), got {pt!r}")
-    return complex(pt[0]), complex(pt[1])
+    s, p = complex(pt[0]), complex(pt[1])
+    if not cmath.isfinite(s + p):
+        raise_if_nonfinite("sp", (s, p))
+    return s, p
 
 
 def _slack_b(s: complex, p: complex) -> float:

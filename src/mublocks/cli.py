@@ -18,9 +18,11 @@ JSON documents; all output is structured JSON / delimited text, with complex
 values always rendered as ``{"re", "im"}`` pairs so that printed points
 re-parse to the identical verdict.
 
-The environment variable ``MUBLOCKS_TOL`` supplies the default tolerance
-wherever a tolerance is read and ``--tol`` is omitted.  A flag that a run
-does not read exits 64, as do NaN, infinities and literals past the floats.
+Each argument has one spelling: domain, point, structure, matrix and suite
+are required positionals, the rest are flags.  ``MUBLOCKS_TOL`` supplies the
+default tolerance wherever a tolerance is read and ``--tol`` is omitted.  A
+flag that a run does not read exits 64, as do NaN, infinities and literals
+past the floats.
 """
 
 from __future__ import annotations
@@ -284,27 +286,15 @@ def _classify_cell(domain: str, coords: Sequence[complex],
     }
 
 
-def _merge_positional(pos, opt, what: str) -> str:
-    if opt is not None:
-        return opt
-    if pos is not None:
-        return pos
-    raise _CliError(64, f"missing {what} (give it positionally or via --{what})")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_check(args) -> int:
-    domain = _merge_positional(args.domain_pos, args.domain, "domain")
-    if domain not in _COORD_NAMES:
-        raise _CliError(64, f"unknown domain {domain!r}; choose from {_DOMAINS}")
-    point_text = _merge_positional(args.point_pos, args.point, "point")
-    coords = parse_point(point_text, domain)
+    coords = parse_point(args.point, args.domain)
     tol = _resolve_tol(args)
-    code, _margin, extra = _classify_cell(domain, coords, tol)
-    doc = {"domain": domain, "point": _point_doc(coords)}
+    code, _margin, extra = _classify_cell(args.domain, coords, tol)
+    doc = {"domain": args.domain, "point": _point_doc(coords)}
     doc.update(extra)
     print(json.dumps(doc))
     if code == _INDETERMINATE_CODE:
@@ -314,11 +304,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    name = _merge_positional(args.structure_pos, args.structure, "structure")
-    matrix_text = _merge_positional(args.matrix_pos, args.matrix, "matrix")
-    a = parse_matrix(matrix_text)
+    a = parse_matrix(args.matrix)
     try:
-        structure = structure_from_name(name)
+        structure = structure_from_name(args.structure)
     except KeyError as exc:
         raise _CliError(65, f"unknown structure: {exc.args[0]}") from None
     result = mu_value(a, structure)
@@ -334,7 +322,7 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite = _merge_positional(args.suite_pos, args.suite, "suite")
+    suite = args.suite
     unread = {"all": ("n", "tol"), "counterexamples": ("n", "seed", "tol")}
     for flag in unread.get(suite, ("r",)):
         if getattr(args, flag) is not None:
@@ -441,10 +429,7 @@ def _axis_label(axis: tuple[str, str]) -> str:
 
 
 def _cmd_slice(args) -> int:
-    domain = _merge_positional(args.domain_pos, args.domain, "domain")
-    if domain not in _COORD_NAMES:
-        raise _CliError(64, f"unknown domain {domain!r}; choose from {_DOMAINS}")
-    names = _COORD_NAMES[domain]
+    names = _COORD_NAMES[args.domain]
     fixed = _parse_fixed(args.fixed, names)
     axes = _parse_axes(args.axes, names, fixed)
     (lo1, hi1), (lo2, hi2) = _parse_range(args.range)
@@ -456,7 +441,7 @@ def _cmd_slice(args) -> int:
     base = [fixed.get(nm, 0j) for nm in names]
     (comp1, nm1), (comp2, nm2) = axes
     k1, k2 = names.index(nm1), names.index(nm2)
-    cell = _cell_classifier(domain, tol)
+    cell = _cell_classifier(args.domain, tol)
     cols = [(v2, f"\t{v2:.10g}\t") for v2 in
             (lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n))]
     lines = [f"{_axis_label(axes[0])}\t{_axis_label(axes[1])}\tcode\tmargin"]
@@ -503,12 +488,9 @@ def _build_parser() -> _Parser:
         "check", help="classify a point against a domain",
         description="Classify a point; prints a JSON verdict with region, "
                     "margin, and shilov flag.")
-    p_check.add_argument("domain_pos", nargs="?", metavar="domain",
+    p_check.add_argument("domain", choices=_DOMAINS, metavar="domain",
                          help=f"one of {', '.join(_DOMAINS)}")
-    p_check.add_argument("point_pos", nargs="?", metavar="point",
-                         help="e.g. \"(0,0,0.25,0)\" or JSON with {re,im} pairs")
-    p_check.add_argument("--domain", help="domain name (alternative to positional)")
-    p_check.add_argument("--point", help="point literal (alternative to positional)")
+    p_check.add_argument("point", help="e.g. \"(0,0,0.25,0)\" or JSON with {re,im} pairs")
     p_check.add_argument("--tol", type=float, help="classification tolerance")
     p_check.set_defaults(func=_cmd_check)
 
@@ -516,13 +498,9 @@ def _build_parser() -> _Parser:
         "mu", help="structured singular value of a 2x2 matrix",
         description="Compute mu for a matrix relative to a named structure; "
                     "prints value, status, and minimizer.")
-    p_mu.add_argument("structure_pos", nargs="?", metavar="structure",
-                      help="scalar, diag, upper, lower, full, skewdiag, "
-                           "or e_theta:<angle>")
-    p_mu.add_argument("matrix_pos", nargs="?", metavar="matrix",
-                      help="e.g. \"[[0,1],[0,0]]\"")
-    p_mu.add_argument("--structure", help="structure name")
-    p_mu.add_argument("--matrix", help="matrix literal")
+    p_mu.add_argument("structure", help="scalar, diag, upper, lower, full, "
+                                        "skewdiag, or e_theta:<angle>")
+    p_mu.add_argument("matrix", help="e.g. \"[[0,1],[0,0]]\"")
     p_mu.set_defaults(func=_cmd_mu)
 
     p_verify = sub.add_parser(
@@ -530,8 +508,7 @@ def _build_parser() -> _Parser:
         description="Run one registered suite, the counterexample grid, or "
                     "everything; exits 3 when any failure is recorded. "
                     f"Suites: all, counterexamples, {', '.join(suite_names())}.")
-    p_verify.add_argument("suite_pos", nargs="?", metavar="suite")
-    p_verify.add_argument("--suite", help="suite name")
+    p_verify.add_argument("suite")
     p_verify.add_argument("--n", type=int, help="sample count override")
     p_verify.add_argument("--seed", type=int, help="RNG seed (default 7)")
     p_verify.add_argument("--tol", type=float, help="tolerance override")
@@ -546,8 +523,8 @@ def _build_parser() -> _Parser:
                     "rows of axis1 value, axis2 value, verdict code "
                     "(0 Interior, 1 ClosureBoundary, 2 Outside, "
                     "9 indeterminate band), margin.")
-    p_slice.add_argument("domain_pos", nargs="?", metavar="domain")
-    p_slice.add_argument("--domain", help="domain name")
+    p_slice.add_argument("domain", choices=_DOMAINS, metavar="domain",
+                         help=f"one of {', '.join(_DOMAINS)}")
     p_slice.add_argument("--fixed", help="comma list of name=value, e.g. x=0,a=0")
     p_slice.add_argument("--axes", help=_AXIS_RE_HELP +
                          " (default: real parts of the first two unfixed coordinates)")
@@ -561,9 +538,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_VALUE_FLAGS = frozenset({
-    "--range", "--fixed", "--axes", "--point", "--matrix", "--tol", "--r",
-})
+_VALUE_FLAGS = frozenset({"--range", "--fixed", "--axes", "--tol", "--r"})
 
 
 def _preprocess_argv(argv: Sequence[str]) -> list[str]:

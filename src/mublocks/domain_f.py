@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .bidisc import _g2_margin, g2_roots
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, gram_det_from_coords, operator_norm
+from .matrix2 import Matrix2, gram_det_from_coords, operator_norm, raise_if_nonfinite
 from .tetrablock import be_test
 from .verdict import DEFAULT_TOL, MembershipVerdict, Region, classify_margin
 
@@ -58,7 +58,10 @@ SAMPLE_BOX = (2.5, 2.5, 1.5, 2.5)  # |x|, |a|, |p|, |s|
 def _check_quad(pt) -> tuple[complex, complex, complex, complex]:
     if len(pt) != 4:
         raise PreconditionViolation(f"expected (x, a, p, s), got {pt!r}")
-    return complex(pt[0]), complex(pt[1]), complex(pt[2]), complex(pt[3])
+    x = complex(pt[0]), complex(pt[1]), complex(pt[2]), complex(pt[3])
+    if not cmath.isfinite(x[0] + x[1] + x[2] + x[3]):
+        raise_if_nonfinite("xaps", x)
+    return x
 
 
 def pi_f(b: Matrix2) -> tuple[complex, complex, complex, complex]:

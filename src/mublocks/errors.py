@@ -24,12 +24,14 @@ class OptimizerNoConverge(RuntimeError):
 
 class DenominatorNearZero(ArithmeticError):
     """A denominator came within the hard floor of zero; the evaluation point
-    is essentially on the singular set."""
+    is essentially on the singular set.  Only the numeric reference routes
+    of the test oracles raise it; the package keeps it for their callers."""
 
 
 class InfeasibleConstraint(ValueError):
-    """A linear/affine constraint set is empty (raised and handled internally
-    by the mu machinery)."""
+    """A linear/affine constraint set is empty.  Only the numeric affine
+    min-norm of the test oracles raises it; mu's closed forms report an
+    empty constraint set as status Infeasible instead."""
 
 
 class UnknownSuite(KeyError):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .domain_f import _f_margin
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, _singular_values, gram_report
+from .matrix2 import Matrix2, _singular_values, gram_report, raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
@@ -104,6 +104,8 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     otherwise ClosureBoundary flagged indeterminate.
     """
     a, x1, x2, x3 = _check_quad(pt)
+    if not cmath.isfinite(a + x1 + x2 + x3):   # not in _check_quad: hn answers these
+        raise_if_nonfinite(("a", "x1", "x2", "x3"), (a, x1, x2, x3))
     t_margin = _tetra_margin(x1, x2, x3)
     t_region = classify_margin(t_margin, tol)
     if a == 0:

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PreconditionViolation
+from .matrix2 import raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .verdict import (DEFAULT_TOL, MembershipVerdict, raise_if_split,
                       verdict_from_margin)
@@ -43,6 +44,8 @@ def _coords(z) -> list[complex]:
     zs = [complex(v) for v in z]
     if len(zs) < 2:
         raise PreconditionViolation(f"need at least 2 coordinates, got {z!r}")
+    if not cmath.isfinite(sum(zs)):
+        raise_if_nonfinite([f"z{k}" for k in range(1, len(zs) + 1)], zs)
     return zs
 
 

@@ -6,7 +6,7 @@ no iterative linear algebra for a 2x2.  Its kernels _singular_values (behind
 singular_values and operator_norm), _top_singular_pair (sigma_1 and its
 singular vectors) and _quadratic_roots (behind spectral_radius, g2_roots and
 mu's k = 1 and variety routes) are the package's only routes to these.
-A Matrix2 is a checked tuple record, equal only to a Matrix2.  It rejects
+A Matrix2 is a CheckedRecord, equal only to a Matrix2.  It rejects
 non-numbers and non-finite entries; a finite entry sum clears all four at once.
 
 Coordinate convention used throughout the package for a matrix
@@ -45,7 +45,33 @@ _GRAM_AGREE_TOL = 1e-10
 _NORMAL_MIN = sys.float_info.min
 
 
-class Matrix2(namedtuple("_Entries", "a11 a12 a21 a22")):
+def raise_if_nonfinite(fields, values) -> None:
+    """Raise PreconditionViolation, under its field name, at the first of values
+    that is not a finite complex number; a finite sum of the values clears all."""
+    for what, z in zip(fields, values):
+        try:
+            w = complex(z)
+        except (TypeError, ValueError) as exc:
+            raise PreconditionViolation(f"{what}: not a complex number: {z!r}") from exc
+        if not cmath.isfinite(w):
+            raise PreconditionViolation(f"{what}: non-finite entry {w!r}")
+
+
+class CheckedRecord(tuple):
+    """First base of a checked named tuple: it equals only its own class,
+    and _make (so _replace) runs the subclass's checking constructor."""
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+
+class Matrix2(CheckedRecord, namedtuple("_Entries", "a11 a12 a21 a22")):
     __slots__ = ()
 
     def __new__(cls, a11, a12, a21, a22):
@@ -54,24 +80,8 @@ class Matrix2(namedtuple("_Entries", "a11 a12 a21 a22")):
         except (TypeError, ValueError, OverflowError):
             e = None
         if e is None or not cmath.isfinite(e[0] + e[1] + e[2] + e[3]):
-            for what, z in zip(cls._fields, (a11, a12, a21, a22)):
-                try:
-                    w = complex(z)
-                except (TypeError, ValueError) as exc:
-                    raise PreconditionViolation(
-                        f"{what}: not a complex number: {z!r}") from exc
-                if not cmath.isfinite(w):
-                    raise PreconditionViolation(f"{what}: non-finite entry {w!r}")
+            raise_if_nonfinite(cls._fields, (a11, a12, a21, a22))
         return tuple.__new__(cls, e)
-
-    # namedtuple's own _make, behind _replace, would skip the check
-    _make = classmethod(lambda cls, entries: cls(*entries))
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
 
     @classmethod
     def identity(cls) -> "Matrix2":

@@ -51,8 +51,8 @@ from typing import NamedTuple, Optional
 
 from .domain_f import f_matrix_witness
 from .errors import OptimizerNoConverge, PreconditionViolation
-from .matrix2 import (Matrix2, _ldexp, _quadratic_roots, _singular_values,
-                      _top_singular_pair, operator_norm, spectral_radius)
+from .matrix2 import (CheckedRecord, Matrix2, _ldexp, _quadratic_roots,
+                      _singular_values, _top_singular_pair, operator_norm, spectral_radius)
 from .optimize import nelder_mead
 
 _SEED_STARTS = 0x5EED
@@ -194,7 +194,7 @@ class _MuFields(NamedTuple):
     status: str  # "Exact" | "Numeric" | "Infeasible"
 
 
-class MuResult(_MuFields):
+class MuResult(CheckedRecord, _MuFields):
     __slots__ = ()
 
     def __new__(cls, value: float, minimizer: Optional[Matrix2], status: str):
@@ -205,16 +205,6 @@ class MuResult(_MuFields):
             raise PreconditionViolation(
                 f"inconsistent result: {value!r}, {minimizer!r}, {status!r}")
         return tuple.__new__(cls, (value, minimizer, status))
-
-    # namedtuple's own _make, behind _replace, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    # A result equals only a result, never a bare tuple of the same fields.
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
 
 
 def _constraint_coeffs(a: Matrix2, structure: Structure):

@@ -1,6 +1,7 @@
-"""Tiny derivative-free minimizer for the numeric routes that remain: mu's
-variety descent and affine min-norm, plus the numeric suprema that the test
-oracles keep as reference implementations.
+"""Tiny derivative-free minimizer for the numeric route that remains, mu's
+variety descent, plus the numeric suprema and the affine min-norm that the
+test oracles keep as reference implementations (mu's min-norm is now
+_least_norm_mapper's closed form).
 
 Hand-rolled Nelder-Mead: those problems are 1-6 real variables with smooth
 (sometimes kinked-convex) objectives, where a heavyweight optimizer's per-call

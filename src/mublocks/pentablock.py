@@ -28,10 +28,12 @@ Distinguished boundary: (s, p) on the bidisc distinguished boundary and
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .bidisc import _g2_margin, bgamma_test, g2_classify, g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
+from .matrix2 import raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
                       classify_margin, verdict_from_margin)
@@ -40,7 +42,10 @@ from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
 def _check_triple(pt) -> tuple[complex, complex, complex]:
     if len(pt) != 3:
         raise PreconditionViolation(f"expected (a, s, p), got {pt!r}")
-    return complex(pt[0]), complex(pt[1]), complex(pt[2])
+    x = complex(pt[0]), complex(pt[1]), complex(pt[2])
+    if not cmath.isfinite(x[0] + x[1] + x[2]):
+        raise_if_nonfinite("asp", x)
+    return x
 
 
 def penta_radius(s: complex, p: complex) -> float:

@@ -26,8 +26,10 @@ Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 
 from __future__ import annotations
 
+import cmath
+
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, gram_det_from_coords
+from .matrix2 import Matrix2, gram_det_from_coords, raise_if_nonfinite
 from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
                       raise_if_split)
 
@@ -37,7 +39,10 @@ _EQ_TOL = 1e-12
 def _check_triple(pt) -> tuple[complex, complex, complex]:
     if len(pt) != 3:
         raise PreconditionViolation(f"expected a triple (x1, x2, x3), got {pt!r}")
-    return complex(pt[0]), complex(pt[1]), complex(pt[2])
+    x = complex(pt[0]), complex(pt[1]), complex(pt[2])
+    if not cmath.isfinite(x[0] + x[1] + x[2]):
+        raise_if_nonfinite(("x1", "x2", "x3"), x)
+    return x
 
 
 def pi_tetra(a: Matrix2) -> tuple[complex, complex, complex]:

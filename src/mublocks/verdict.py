@@ -12,8 +12,9 @@ contract, uniformly:
 The margin is a signed slack of the binding inequality: positive inside,
 negative outside, units depend on the domain (documented per classifier).
 
-A verdict is a named tuple underneath, cheap to build, immutable and equal
-only to a verdict; its constructor checks the rules above and the Shilov flag.
+A verdict is a matrix2.CheckedRecord: a cheap, immutable named tuple equal
+only to a verdict, whose every construction path (_replace and pickle too)
+checks the rules above and the Shilov flag.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import CriteriaDisagree
+from .matrix2 import CheckedRecord
 
 DEFAULT_TOL = 1e-9
 
@@ -62,7 +64,7 @@ class _VerdictFields(NamedTuple):
     indeterminate: bool = False
 
 
-class MembershipVerdict(_VerdictFields):
+class MembershipVerdict(CheckedRecord, _VerdictFields):
     __slots__ = ()
 
     def __new__(cls, region: Region, margin: float, tol: float = DEFAULT_TOL,
@@ -76,13 +78,6 @@ class MembershipVerdict(_VerdictFields):
         if shilov and region is Region.INTERIOR:
             raise AssertionError("verdict invariant: Shilov points are never interior")
         return tuple.__new__(cls, (region, margin, tol, shilov, indeterminate))
-
-    # A verdict equals only a verdict, never a bare tuple of the same fields.
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
 
     @property
     def in_closure(self) -> bool:

@@ -15,6 +15,7 @@ from mublocks import cli
 from mublocks.bidisc import g2_classify
 from mublocks.cli import main
 from mublocks.domain_f import f_classify
+from mublocks.errors import PreconditionViolation
 from mublocks.hexablock import hexa_classify, hn_classify
 from mublocks.lie_ball import lie_ball_classify
 from mublocks.pentablock import penta_classify
@@ -332,6 +333,63 @@ def test_usage_errors():
     assert run([])[0] == 64
     assert run(["frobnicate"])[0] == 64
     assert run(["check"])[0] == 64
+
+
+_POSITIONALS = {"check": (["domain", "point"], ["g2", "(0,0)"]),
+                "mu": (["structure", "matrix"], ["diag", "[[1,0],[0,1]]"]),
+                "verify": (["suite"], ["lemma21_gram"]),
+                "slice": (["domain"], ["g2"])}
+_OLD_FLAGS = {"check": ["--domain", "f", "--point", "(5,0,0,0)"],
+              "mu": ["--structure", "full", "--matrix", "[[0,1],[0,0]]"],
+              "verify": ["--suite", "all"], "slice": ["--domain", "f"]}
+
+
+@pytest.mark.parametrize("command", sorted(_POSITIONALS))
+def test_each_argument_has_one_spelling(command):
+    """The domain, point, structure, matrix and suite are required
+    positionals with no --flag twin: --help names each once, and a missing
+    one, an unknown domain or the old flag form (which silently overrode
+    the positional) exits 64 with nothing on stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    usage = out.getvalue().split("\n\n")[0].split()
+    names, args = _POSITIONALS[command]
+    for name in names:
+        assert usage.count(name) == 1 and f"--{name}" not in out.getvalue()
+    for k in range(len(args)):
+        assert run([command, *args[:k]])[:2] == (64, "")
+    old = _OLD_FLAGS[command]
+    for k in range(0, len(old), 2):
+        assert run([command, *args, *old[k:k + 2]])[:2] == (64, "")
+    if names[0] == "domain":
+        assert run([command, "nosuch", *args[1:]])[:2] == (64, "")
+
+
+def test_flags_may_sit_between_positionals():
+    """With required positionals a flag may come between them, which the
+    optional positionals refused as an unrecognized argument."""
+    assert run(["check", "g2", "--tol", "1e-3", "(0.5,0)"]) == run(
+        ["check", "g2", "(0.5,0)", "--tol", "1e-3"])
+    assert run(["check", "g2", "--tol", "1e-3", "(0.5,0)"])[0] == 0
+
+
+@pytest.mark.parametrize("domain", sorted(cli._CLASSIFIERS))
+def test_classifiers_refuse_non_finite_coordinates(domain):
+    """A NaN or an infinity in any coordinate raises PreconditionViolation
+    naming that coordinate, as Matrix2 does for its entries; finite
+    coordinates whose sum overflows still answer (Outside)."""
+    classify, names = cli._CLASSIFIERS[domain], cli._COORD_NAMES[domain]
+    for k, name in enumerate(names):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+                    complex(0, -math.inf)):
+            pt = [0.1] * len(names)
+            pt[k] = bad
+            with pytest.raises(PreconditionViolation, match=f"^{name}: non-finite"):
+                classify(tuple(pt))
+    huge = (1e308, 1e308) + (0.0,) * (len(names) - 2)
+    assert cli._cell_classifier(domain, None)(huge)[0] == 2
 
 
 def test_repeated_main_calls_are_independent():

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mublocks.errors import FormulaMismatch, PreconditionViolation
-from mublocks.matrix2 import (Matrix2, _quadratic_roots, _top_singular_pair,
-                              contraction_from_rng, contraction_test,
-                              gram_det_from_coords, gram_report,
-                              operator_norm, random_contraction,
+from mublocks.matrix2 import (CheckedRecord, Matrix2, _quadratic_roots,
+                              _top_singular_pair, contraction_from_rng,
+                              contraction_test, gram_det_from_coords,
+                              gram_report, operator_norm, random_contraction,
                               random_unitary, singular_values,
                               spectral_radius, unitary_from_rng)
+from mublocks.mu import MuResult
+from mublocks.verdict import MembershipVerdict, Region
 from oracles import (eig_radius, power_norm, quad_roots,
                      spectral_radius_reference, svd_values)
 
@@ -401,3 +403,37 @@ def test_matrix2_checks_every_construction_path():
                lambda: big - big.scale(-1.0)):
         with pytest.raises(PreconditionViolation):
             op()
+
+
+_RECORDS = {
+    # record, a field change the constructor accepts, one it refuses
+    "Matrix2": (Matrix2(1, 2j, 3.5, -1), {"a21": 5}, {"a21": float("nan")},
+                PreconditionViolation),
+    "MembershipVerdict": (MembershipVerdict(Region.INTERIOR, 1.0), {"margin": 0.5},
+                          {"margin": -5.0}, AssertionError),
+    "MuResult": (MuResult(1.0, Matrix2(1, 0, 0, 0), "Exact"), {"value": 2.0},
+                 {"status": "Infeasible"}, PreconditionViolation),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_checked_records_share_one_base(name):
+    """Matrix2, MembershipVerdict and MuResult take equality, hashing and
+    _make from CheckedRecord alone, so _make and _replace run each one's
+    constructor checks, and copies and pickles come back as that class."""
+    record, good, bad, error = _RECORDS[name]
+    cls = type(record)
+    assert cls.__mro__[1] is CheckedRecord
+    assert not {"_make", "__eq__", "__ne__", "__hash__"} & set(vars(cls))
+    with pytest.raises(error):
+        record._replace(**bad)
+    with pytest.raises(error):
+        cls._make([bad.get(f, v) for f, v in zip(cls._fields, record)])
+    changed = record._replace(**good)
+    assert type(changed) is cls and changed != record
+    assert changed == cls(**{**record._asdict(), **good})
+    assert record != tuple(record) and tuple(record) != record
+    assert hash(record) == hash(tuple(record))
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                   copy.deepcopy(record)):
+        assert copied == record and type(copied) is cls
