@@ -26,6 +26,7 @@ The distinguished (Shilov) boundary is the set |p| = 1, s = conj(s) p,
 from __future__ import annotations
 
 import cmath
+import math
 
 from .errors import PreconditionViolation
 from .matrix2 import _quadratic_roots, raise_if_nonfinite
@@ -54,7 +55,10 @@ def _g2_margin(s: complex, p: complex) -> float:
 def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = criterion (A) slack capped by 2 - |s|."""
     s, p = _check_pair(pt)
-    margin = _g2_margin(s, p)
+    try:
+        margin = _g2_margin(s, p)
+    except OverflowError:   # a square past the floats; the domain is bounded
+        margin = -math.inf
     region = classify_margin(margin, tol)
     shilov = bgamma_test((s, p), tol) if region is Region.CLOSURE_BOUNDARY else None
     return MembershipVerdict(region, margin, tol, shilov)
@@ -63,8 +67,8 @@ def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the g2_classify margin against criterion (B) at pt; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    raise_if_split("bidisc criteria", pt, g2_classify(pt, tol).margin,
-                   _slack_b(*_check_pair(pt)), tol)
+    s, p = _check_pair(pt)
+    raise_if_split("bidisc criteria", pt, _g2_margin(s, p), _slack_b(s, p), tol)
 
 
 def g2_roots(pt) -> tuple[complex, complex]:

@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -40,13 +41,13 @@ from typing import Optional, Sequence
 from .bidisc import g2_classify
 from .domain_f import f_classify
 from .errors import PreconditionViolation, UnknownSuite
-from .hexablock import HnVerdict, hexa_classify, hn_classify
+from .hexablock import hexa_classify, hn_classify
 from .lie_ball import lie_ball_classify
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
 from .pentablock import penta_classify
 from .tetrablock import tetra_classify
-from .verdict import DEFAULT_TOL, MembershipVerdict, Region
+from .verdict import Region
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
@@ -82,7 +83,13 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the contract wants 64."""
+    """argparse exits 2 on bad usage; the contract wants 64.  A token that
+    starts with '-' and a digit or '.' is a value, such as the bare point
+    -0.5,0: no option is spelled that way."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _CliError(64, f"{self.prog}: error: {message}")
@@ -238,25 +245,17 @@ def _hn_region(rec) -> Region:
 
 def _cell_classifier(domain: str, tol: Optional[float]):
     """The per-point call of check and slice: coords -> (verdict code,
-    margin, verdict), where hn gives its HnVerdict and a NaN margin.  A
-    slack past the floats is Outside, margin -inf: every domain is bounded."""
+    margin, verdict), where hn gives its HnVerdict and a NaN margin."""
     kw = {} if tol is None else {"tol": tol}
     if domain == "hn":
         def hn_cell(coords):
-            try:
-                rec = hn_classify(coords, **kw)
-            except OverflowError:
-                rec = HnVerdict(False, False, False)
+            rec = hn_classify(coords, **kw)
             return _REGION_CODE[_hn_region(rec)], math.nan, rec
         return hn_cell
     classify = _CLASSIFIERS[domain]
-    far = MembershipVerdict(Region.OUTSIDE, -math.inf, kw.get("tol", DEFAULT_TOL))
 
     def cell(coords):
-        try:
-            verdict = classify(coords, **kw)
-        except OverflowError:
-            verdict = far
+        verdict = classify(coords, **kw)
         code = (_INDETERMINATE_CODE if verdict.indeterminate
                 else _REGION_CODE[verdict.region])
         return code, verdict.margin, verdict
@@ -538,32 +537,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_VALUE_FLAGS = frozenset({"--range", "--fixed", "--axes", "--tol", "--r"})
-
-
-def _preprocess_argv(argv: Sequence[str]) -> list[str]:
-    """Join value flags with '=' so arguments like '--range -1.5:1.5' are not
-    mistaken for options by argparse."""
-    out: list[str] = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_FLAGS and k + 1 < len(argv) and argv[k + 1].startswith("-") \
-                and not argv[k + 1].startswith("--"):
-            out.append(f"{tok}={argv[k + 1]}")
-            skip = True
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(_preprocess_argv(raw))
+        args = parser.parse_args(argv)
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 from .bidisc import _g2_margin, g2_roots
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, gram_det_from_coords, operator_norm, raise_if_nonfinite
+from .matrix2 import (Matrix2, _complex_gauss, gram_det_from_coords, operator_norm,
+                      raise_if_nonfinite)
 from .tetrablock import be_test
 from .verdict import DEFAULT_TOL, MembershipVerdict, Region, classify_margin
 
@@ -85,7 +86,10 @@ def _f_margin(x: complex, a: complex, p: complex, s: complex) -> float:
 def f_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state membership verdict; margin = _f_margin."""
     x, a, p, s = _check_quad(pt)
-    margin = _f_margin(x, a, p, s)
+    try:
+        margin = _f_margin(x, a, p, s)
+    except OverflowError:   # a square past the floats; the domain is bounded
+        margin = -math.inf
     region = classify_margin(margin, tol)
     shilov = shilov_f_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
     return MembershipVerdict(region, margin, tol, shilov)
@@ -265,13 +269,15 @@ def shilov_f_double_cover(q: ShilovParamF, tol: float = DEFAULT_TOL) -> bool:
 def sample_shilov_param_f(rng: random.Random) -> ShilovParamF:
     """Uniform-ish sample of the boundary parameters (angle x closed 3-ball)."""
     theta = rng.uniform(0.0, 2.0 * math.pi)
-    g = [rng.gauss(0.0, 1.0) for _ in range(3)]
-    nrm = math.sqrt(sum(v * v for v in g))
-    while nrm < 1e-12:
-        g = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        nrm = math.sqrt(sum(v * v for v in g))
+    while True:
+        g01 = _complex_gauss(rng)   # the first two of three rng.gauss draws
+        g0, g1, g2 = g01.real, g01.imag, rng.gauss(0.0, 1.0)
+        # sum(), not +, keeps the bits on 3.12, whose float sum() is compensated
+        nrm = math.sqrt(sum((g0 * g0, g1 * g1, g2 * g2)))
+        if nrm >= 1e-12:
+            break
     r = rng.random() ** (1.0 / 3.0)
-    return ShilovParamF(theta, r * g[0] / nrm, r * g[1] / nrm, r * g[2] / nrm)
+    return ShilovParamF(theta, r * g0 / nrm, r * g1 / nrm, r * g2 / nrm)
 
 
 def sample_point_f(rng: random.Random):

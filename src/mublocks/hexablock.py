@@ -106,25 +106,31 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     a, x1, x2, x3 = _check_quad(pt)
     if not cmath.isfinite(a + x1 + x2 + x3):   # not in _check_quad: hn answers these
         raise_if_nonfinite(("a", "x1", "x2", "x3"), (a, x1, x2, x3))
-    t_margin = _tetra_margin(x1, x2, x3)
-    t_region = classify_margin(t_margin, tol)
-    if a == 0:
-        shilov = shilov_h_test(pt, tol) if t_region is Region.CLOSURE_BOUNDARY else None
-        return MembershipVerdict(t_region, t_margin, tol, shilov)
-    if t_region is Region.OUTSIDE:
-        return verdict_from_margin(t_margin, tol)
-    if t_region is Region.CLOSURE_BOUNDARY:
-        if abs(a) > 1.0 + tol:
-            return verdict_from_margin(min(t_margin, 1.0 - abs(a)), tol)
-        margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
-        return MembershipVerdict(region=Region.CLOSURE_BOUNDARY, margin=margin,
-                                 tol=tol, shilov=shilov_h_test(pt, tol),
-                                 indeterminate=True)
-    sup = _psi_sup_closed(a, x1, x2, x3)
-    margin = -1.0 if sup == float("inf") else min(t_margin, 1.0 - sup)
-    region = classify_margin(margin, tol)
-    shilov = shilov_h_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
-    return MembershipVerdict(region, margin, tol, shilov)
+    try:
+        t_margin = _tetra_margin(x1, x2, x3)
+        t_region = classify_margin(t_margin, tol)
+        if a == 0:
+            shilov = (shilov_h_test(pt, tol)
+                      if t_region is Region.CLOSURE_BOUNDARY else None)
+            return MembershipVerdict(t_region, t_margin, tol, shilov)
+        if t_region is Region.OUTSIDE:
+            return verdict_from_margin(t_margin, tol)
+        if t_region is Region.CLOSURE_BOUNDARY:
+            if abs(a) > 1.0 + tol:
+                return verdict_from_margin(min(t_margin, 1.0 - abs(a)), tol)
+            margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
+            return MembershipVerdict(region=Region.CLOSURE_BOUNDARY,
+                                     margin=margin, tol=tol,
+                                     shilov=shilov_h_test(pt, tol),
+                                     indeterminate=True)
+        sup = _psi_sup_closed(a, x1, x2, x3)
+        margin = -1.0 if sup == float("inf") else min(t_margin, 1.0 - sup)
+        region = classify_margin(margin, tol)
+        shilov = (shilov_h_test(pt, tol)
+                  if region is Region.CLOSURE_BOUNDARY else None)
+        return MembershipVerdict(region, margin, tol, shilov)
+    except OverflowError:   # a square past the floats; the domain is bounded
+        return verdict_from_margin(-math.inf, tol)
 
 
 def hexa_slice_a0(x1: complex, x2: complex, x3: complex,
@@ -152,19 +158,23 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
     The interior of the closure-free set is its a != 0 part.
     """
     a, x1, x2, x3 = _check_quad(pt)
-    if a == 0:
-        in_open = (abs(x3 - x1 * x2) <= _EQ_TOL
-                   and tetra_classify((x1, x2, x3), tol).is_interior)
-        return HnVerdict(in_open=in_open,
-                         in_closure=_hn_in_closure(a, x1, x2, x3, tol),
-                         in_interior_of_hn=False)
-    t = (x1 * x2 - x3) / a
-    if not cmath.isfinite(t):
+    try:
+        if a == 0:
+            in_open = (abs(x3 - x1 * x2) <= _EQ_TOL
+                       and tetra_classify((x1, x2, x3), tol).is_interior)
+            return HnVerdict(in_open=in_open,
+                             in_closure=_hn_in_closure(a, x1, x2, x3, tol),
+                             in_interior_of_hn=False)
+        t = (x1 * x2 - x3) / a
+        if not cmath.isfinite(t):
+            return HnVerdict(in_open=False, in_closure=False,
+                             in_interior_of_hn=False)
+        in_closure = _norm_at_most_one(x1, t, a, x2, tol)
+        in_open = _f_margin(x1, x2, x3, a + t) > tol
+        return HnVerdict(in_open=in_open, in_closure=in_closure,
+                         in_interior_of_hn=in_open)
+    except OverflowError:   # a square past the floats; the set is bounded
         return HnVerdict(in_open=False, in_closure=False, in_interior_of_hn=False)
-    in_closure = _norm_at_most_one(x1, t, a, x2, tol)
-    in_open = _f_margin(x1, x2, x3, a + t) > tol
-    return HnVerdict(in_open=in_open, in_closure=in_closure,
-                     in_interior_of_hn=in_open)
 
 
 def _hn_in_closure(a: complex, x1: complex, x2: complex, x3: complex,

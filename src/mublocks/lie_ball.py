@@ -49,8 +49,7 @@ def _coords(z) -> list[complex]:
     return zs
 
 
-def _moduli(z) -> tuple[float, float]:  # sum |z_j|^2, |sum z_j^2|
-    zs = _coords(z)
+def _moduli(zs) -> tuple[float, float]:  # sum |z_j|^2, |sum z_j^2| of _coords
     return sum(abs(v) ** 2 for v in zs), abs(sum(v * v for v in zs))
 
 
@@ -61,16 +60,20 @@ def _slack_b(norm2: float, bullet: float) -> float:
 def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the Lie ball in C^n (n >= 2); margin =
     min(1 - sum|z|^2, 1 - (2 sum|z|^2 - |z bullet z|^2))."""
-    norm2, bullet = _moduli(z)
-    return verdict_from_margin(
-        min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet)), tol)
+    zs = _coords(z)
+    try:
+        norm2, bullet = _moduli(zs)
+        margin = min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
+    except OverflowError:   # a square past the floats; the ball is bounded
+        margin = -math.inf
+    return verdict_from_margin(margin, tol)
 
 
 def lie_ball_dual_check(z, tol: float = DEFAULT_TOL) -> None:
     """Hold the lie_ball_classify margin against criterion (B) at z; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
     raise_if_split("Lie-ball criteria", z, lie_ball_classify(z, tol).margin,
-                   _slack_b(*_moduli(z)), tol)
+                   _slack_b(*_moduli(_coords(z))), tol)
 
 
 def lambda_map(z):

@@ -6,6 +6,7 @@ no iterative linear algebra for a 2x2.  Its kernels _singular_values (behind
 singular_values and operator_norm), _top_singular_pair (sigma_1 and its
 singular vectors) and _quadratic_roots (behind spectral_radius, g2_roots and
 mu's k = 1 and variety routes) are the package's only routes to these.
+_complex_gauss, one Box-Muller step, is the samplers' standard-normal draw.
 A Matrix2 is a CheckedRecord, equal only to a Matrix2.  It rejects
 non-numbers and non-finite entries; a finite entry sum clears all four at once.
 
@@ -296,34 +297,86 @@ def contraction_test(b: Matrix2, strict: bool = True) -> bool:
     return gram_report(b).det_gram >= 0.0
 
 
+_TWOPI = 2.0 * math.pi     # random.TWOPI
+_cos, _sin, _log, _sqrt = math.cos, math.sin, math.log, math.sqrt
+
+
 def _complex_gauss(rng: random.Random) -> complex:
-    return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+    """complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)), bit for bit, and
+    rng left in the same state (Mersenne Twister and gauss_next alike).
+
+    The samplers' one standard-normal kernel: a single Box-Muller step,
+    CPython's Random.gauss written out (3.10 to 3.12 share it).  Two uniforms
+    give an angle x2pi = u1 * 2 pi and a radius g = sqrt(-2 log(1 - u2)).
+    With no value pending in rng.gauss_next the two gauss calls return
+    cos(x2pi) g and then sin(x2pi) g and leave nothing pending; with z
+    pending they return z and cos(x2pi) g, and sin(x2pi) g becomes the new
+    pending value.  Each part is 0.0 + value, as gauss's mu + z * sigma is,
+    so a -0.0 (g is -0.0 where u2 = 0) comes out +0.0.  rng may be any
+    random.Random whose gauss is the stock one; random() may be overridden.
+    """
+    random = rng.random
+    x2pi = random() * _TWOPI
+    g2rad = _sqrt(-2.0 * _log(1.0 - random()))
+    z = rng.gauss_next
+    if z is None:
+        return complex(0.0 + _cos(x2pi) * g2rad, 0.0 + _sin(x2pi) * g2rad)
+    rng.gauss_next = _sin(x2pi) * g2rad
+    return complex(0.0 + z, 0.0 + _cos(x2pi) * g2rad)
 
 
-def _unit_phase(z: complex) -> complex:
-    m = abs(z)
-    return z / m if m > 1e-12 else 1.0 + 0.0j
+def _box_muller(u1: float, u2: float) -> complex:
+    """_complex_gauss with no value pending, on the uniforms u1, u2 it
+    would draw."""
+    x2pi = u1 * _TWOPI
+    g2rad = _sqrt(-2.0 * _log(1.0 - u2))
+    return complex(0.0 + _cos(x2pi) * g2rad, 0.0 + _sin(x2pi) * g2rad)
 
 
 def unitary_from_rng(rng: random.Random) -> Matrix2:
     """Gram-Schmidt on two complex Gaussian columns; first pivot made real>=0."""
     while True:
-        g1 = (_complex_gauss(rng), _complex_gauss(rng))
-        n1 = math.sqrt(abs(g1[0]) ** 2 + abs(g1[1]) ** 2)
+        g1 = _complex_gauss(rng)
+        g2 = _complex_gauss(rng)
+        n1 = _sqrt(abs(g1) ** 2 + abs(g2) ** 2)
         if n1 > 1e-8:
             break
-    v1 = (g1[0] / n1, g1[1] / n1)
+    v1 = g1 / n1
+    v2 = g2 / n1
+    c1 = v1.conjugate()
+    c2 = v2.conjugate()
     while True:
-        g2 = (_complex_gauss(rng), _complex_gauss(rng))
-        ip = v1[0].conjugate() * g2[0] + v1[1].conjugate() * g2[1]
-        w = (g2[0] - ip * v1[0], g2[1] - ip * v1[1])
-        n2 = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)
+        h1 = _complex_gauss(rng)
+        h2 = _complex_gauss(rng)
+        ip = c1 * h1 + c2 * h2
+        w1 = h1 - ip * v1
+        w2 = h2 - ip * v2
+        n2 = _sqrt(abs(w1) ** 2 + abs(w2) ** 2)
         if n2 > 1e-8:
             break
-    v2 = (w[0] / n2, w[1] / n2)
-    ph = _unit_phase(v1[0]).conjugate()
-    v1 = (ph * v1[0], ph * v1[1])
-    return Matrix2(v1[0], v2[0], v1[1], v2[1])
+    m = abs(v1)
+    ph = (v1 / m if m > 1e-12 else 1.0 + 0.0j).conjugate()   # unit phase of v1
+    return Matrix2(ph * v1, w1 / n2, ph * v2, w2 / n2)
+
+
+def _usv(u: Matrix2, s1: float, s2: float, v: Matrix2) -> Matrix2:
+    """(U @ Matrix2(s1, 0, 0, s2)) @ V.conj_transpose(), bit for bit: the
+    expressions of Matrix2.__matmul__, the 0j products included, with one
+    checked construction."""
+    u11, u12, u21, u22 = u
+    v11, v12, v21, v22 = v
+    d1 = complex(s1)
+    d2 = complex(s2)
+    m11 = u11 * d1 + u12 * 0j
+    m12 = u11 * 0j + u12 * d2
+    m21 = u21 * d1 + u22 * 0j
+    m22 = u21 * 0j + u22 * d2
+    w11 = v11.conjugate()
+    w12 = v21.conjugate()
+    w21 = v12.conjugate()
+    w22 = v22.conjugate()
+    return Matrix2(m11 * w11 + m12 * w21, m11 * w12 + m12 * w22,
+                   m21 * w11 + m22 * w21, m21 * w12 + m22 * w22)
 
 
 def contraction_from_rng(rng: random.Random) -> Matrix2:
@@ -332,8 +385,7 @@ def contraction_from_rng(rng: random.Random) -> Matrix2:
     v = unitary_from_rng(rng)
     s1 = rng.random()
     s2 = rng.random()
-    d = Matrix2(s1, 0, 0, s2)
-    return (u @ d) @ v.conj_transpose()
+    return _usv(u, s1, s2, v)
 
 
 def random_unitary(seed: int) -> Matrix2:

@@ -102,7 +102,7 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
     boundary.
     """
     a, s, p = _check_triple(pt)
-    if g2_classify((s, p), tol).region is not Region.INTERIOR:
+    if classify_margin(_g2_margin(s, p), tol) is not Region.INTERIOR:
         return None
     slack = penta_radius(s, p) - abs(a)
     if abs(slack) <= BAND_FACTOR * max(tol, 1e-7):
@@ -123,11 +123,13 @@ def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     not consulted here: penta_dual_check is the cross-check.
     """
     a, s, p = _check_triple(pt)
-    g2_margin = _g2_margin(s, p)
-    if classify_margin(g2_margin, tol) is Region.OUTSIDE:
-        return verdict_from_margin(g2_margin, tol)
-    slack = penta_radius(s, p) - abs(a)
-    margin = min(g2_margin, slack)
+    try:
+        g2_margin = _g2_margin(s, p)
+        if classify_margin(g2_margin, tol) is Region.OUTSIDE:
+            return verdict_from_margin(g2_margin, tol)
+        margin = min(g2_margin, penta_radius(s, p) - abs(a))
+    except OverflowError:   # a square past the floats; the domain is bounded
+        margin = -math.inf
     region = classify_margin(margin, tol)
     shilov = bp_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
     return MembershipVerdict(region, margin, tol, shilov)

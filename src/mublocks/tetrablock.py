@@ -27,6 +27,7 @@ Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 from __future__ import annotations
 
 import cmath
+import math
 
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords, raise_if_nonfinite
@@ -77,7 +78,10 @@ def _tetra_margin(x1: complex, x2: complex, x3: complex) -> float:
 def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = min of the (A)-slack and the closure legs."""
     x1, x2, x3 = _check_triple(pt)
-    margin = _tetra_margin(x1, x2, x3)
+    try:
+        margin = _tetra_margin(x1, x2, x3)
+    except OverflowError:   # a square past the floats; the domain is bounded
+        margin = -math.inf
     region = classify_margin(margin, tol)
     shilov = be_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
     return MembershipVerdict(region, margin, tol, shilov)

@@ -41,9 +41,9 @@ from .errors import PreconditionViolation, UnknownSuite
 from .hexablock import hexa_classify, hn_classify, pi_hexa
 from .lie_ball import (biholo_f, lambda_map, lie_ball_classify,
                        lie_ball_dual_check, shilov_l4_param, ShilovParamL4)
-from .matrix2 import (Matrix2, _complex_gauss, contraction_from_rng,
-                      gram_det_from_coords, operator_norm, spectral_radius,
-                      unitary_from_rng)
+from .matrix2 import (Matrix2, _box_muller, _complex_gauss, _usv,
+                      contraction_from_rng, gram_det_from_coords, operator_norm,
+                      spectral_radius, unitary_from_rng)
 from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
                  mu_sandwich_check, mu_value, rigidity_check,
                  rigidity_grid_pass, structure_from_name, Structure)
@@ -176,7 +176,7 @@ def _closed_ball_matrix(rng: random.Random) -> Matrix2:
     v = unitary_from_rng(rng)
     s1 = 1.0 if rng.random() < 0.3 else rng.random()
     s2 = 1.0 if rng.random() < 0.3 else rng.random()
-    return (u @ Matrix2(s1, 0, 0, s2)) @ v.conj_transpose()
+    return _usv(u, s1, s2, v)
 
 
 def _mixed_point_f(rng: random.Random):
@@ -207,16 +207,43 @@ def _mixed_point_tetra(rng: random.Random):
 
 
 def _lie_ball_interior(rng: random.Random):
-    """Rejection sample of the open Cartan-ball interior in C^4.  The margin
-    is at most 1 - sum |z|^2, so sum |z|^2 >= 1 rejects without classifying;
-    the pre-test's rounding moves sum |z|^2 by far less than the 1e-6 margin
-    an accepted sample needs."""
-    gauss = rng.gauss
+    """Rejection sample of the open Cartan-ball interior in C^4: z_k =
+    0.55 * _complex_gauss(rng), the first z with lie_ball_classify margin
+    above 1e-6.  The margin is at most 1 - sum |z|^2, so sum |z|^2 >= 1
+    rejects without classifying.
+
+    With no value pending in rng.gauss_next a try is the 8 uniforms of four
+    Box-Muller steps, (u0, u1), ..., (u6, u7), and it rejects at once where
+
+        -0.605 log((1 - u1)(1 - u3)(1 - u5)(1 - u7)) > 1 + 1e-9.
+
+    The left side is 0.3025 sum_k -2 log(1 - u_2k+1), that is 0.55^2 times
+    the sum of the squared radii g_k^2, which is sum |z|^2 in exact
+    arithmetic because cos^2 + sin^2 = 1.  Rounding (the product of four
+    factors in (0, 1], the log, cos, sin, sqrt, the squares, 0.55^2 against
+    0.3025) moves either side by some 1e-15 relative, far below the 1e-9
+    margin, so no rejected try has sum |z|^2 < 1.  About 9 % of tries pass;
+    they build z from their uniforms with _box_muller, the kernel's own
+    expressions, and take the exact sum |z|^2 < 1 test.  With a value
+    pending (it then stays pending from try to try) each try draws through
+    _complex_gauss."""
+    random, log = rng.random, math.log
     while True:
-        z0 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
-        z1 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
-        z2 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
-        z3 = 0.55 * complex(gauss(0.0, 1.0), gauss(0.0, 1.0))
+        if rng.gauss_next is None:
+            u0, u1, u2, u3 = random(), random(), random(), random()
+            u4, u5, u6, u7 = random(), random(), random(), random()
+            if -0.605 * log((1.0 - u1) * (1.0 - u3) * (1.0 - u5) * (1.0 - u7)) \
+                    > 1.0 + 1e-9:
+                continue
+            z0 = 0.55 * _box_muller(u0, u1)
+            z1 = 0.55 * _box_muller(u2, u3)
+            z2 = 0.55 * _box_muller(u4, u5)
+            z3 = 0.55 * _box_muller(u6, u7)
+        else:
+            z0 = 0.55 * _complex_gauss(rng)
+            z1 = 0.55 * _complex_gauss(rng)
+            z2 = 0.55 * _complex_gauss(rng)
+            z3 = 0.55 * _complex_gauss(rng)
         if abs(z0) ** 2 + abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 < 1.0:
             z = (z0, z1, z2, z3)
             if lie_ball_classify(z, 0.0).margin > 1e-6:
@@ -225,10 +252,13 @@ def _lie_ball_interior(rng: random.Random):
 
 def _unit_s3(rng: random.Random):
     while True:
-        g = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(t * t for t in g))
+        a = _complex_gauss(rng)
+        b = _complex_gauss(rng)
+        g0, g1, g2, g3 = a.real, a.imag, b.real, b.imag
+        # sum(), not +, keeps the bits on 3.12, whose float sum() is compensated
+        n = math.sqrt(sum((g0 * g0, g1 * g1, g2 * g2, g3 * g3)))
         if n > 1e-9:
-            return tuple(t / n for t in g)
+            return (g0 / n, g1 / n, g2 / n, g3 / n)
 
 
 def _random_matrix(rng: random.Random, scale: float) -> Matrix2:

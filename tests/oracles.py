@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from mublocks.bidisc import g2_classify, g2_roots
-from mublocks.domain_f import f_classify, f_rescale_by
+from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
 from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
 from mublocks.hexablock import HnVerdict, _check_quad, _sup_coeffs, pi_hexa
@@ -936,8 +936,86 @@ def nelder_mead_reference(f, x0, step, xatol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
+# The samplers as they were before the Box-Muller kernel, kept verbatim: two
+# Random.gauss calls per complex normal, tuples, and Matrix2 products.  The
+# package's samplers must draw the same numbers, bit for bit, and leave the
+# generator in the same state.
+
+
+def complex_gauss_reference(rng: random.Random) -> complex:
+    return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+
+
+def _unit_phase_reference(z: complex) -> complex:
+    m = abs(z)
+    return z / m if m > 1e-12 else 1.0 + 0.0j
+
+
+def unitary_from_rng_reference(rng: random.Random) -> Matrix2:
+    """Gram-Schmidt on two complex Gaussian columns; first pivot made real>=0."""
+    while True:
+        g1 = (complex_gauss_reference(rng), complex_gauss_reference(rng))
+        n1 = math.sqrt(abs(g1[0]) ** 2 + abs(g1[1]) ** 2)
+        if n1 > 1e-8:
+            break
+    v1 = (g1[0] / n1, g1[1] / n1)
+    while True:
+        g2 = (complex_gauss_reference(rng), complex_gauss_reference(rng))
+        ip = v1[0].conjugate() * g2[0] + v1[1].conjugate() * g2[1]
+        w = (g2[0] - ip * v1[0], g2[1] - ip * v1[1])
+        n2 = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)
+        if n2 > 1e-8:
+            break
+    v2 = (w[0] / n2, w[1] / n2)
+    ph = _unit_phase_reference(v1[0]).conjugate()
+    v1 = (ph * v1[0], ph * v1[1])
+    return Matrix2(v1[0], v2[0], v1[1], v2[1])
+
+
+def contraction_from_rng_reference(rng: random.Random) -> Matrix2:
+    """U diag(s1, s2) V* with independent singular values uniform on [0, 1)."""
+    u = unitary_from_rng_reference(rng)
+    v = unitary_from_rng_reference(rng)
+    s1 = rng.random()
+    s2 = rng.random()
+    d = Matrix2(s1, 0, 0, s2)
+    return (u @ d) @ v.conj_transpose()
+
+
+def closed_ball_matrix_reference(rng: random.Random) -> Matrix2:
+    """U diag(s1, s2) V* with singular values in [0, 1], sometimes exactly 1."""
+    u = unitary_from_rng_reference(rng)
+    v = unitary_from_rng_reference(rng)
+    s1 = 1.0 if rng.random() < 0.3 else rng.random()
+    s2 = 1.0 if rng.random() < 0.3 else rng.random()
+    return (u @ Matrix2(s1, 0, 0, s2)) @ v.conj_transpose()
+
+
+def unit_s3_reference(rng: random.Random):
+    while True:
+        g = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        n = math.sqrt(sum(t * t for t in g))
+        if n > 1e-9:
+            return tuple(t / n for t in g)
+
+
+def sample_shilov_param_f_reference(rng: random.Random) -> ShilovParamF:
+    """Uniform-ish sample of the boundary parameters (angle x closed 3-ball)."""
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    g = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    nrm = math.sqrt(sum(v * v for v in g))
+    while nrm < 1e-12:
+        g = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        nrm = math.sqrt(sum(v * v for v in g))
+    r = rng.random() ** (1.0 / 3.0)
+    return ShilovParamF(theta, r * g[0] / nrm, r * g[1] / nrm, r * g[2] / nrm)
+
+
+# ---------------------------------------------------------------------------
 # thm32's Lie-ball sampler as it was before its sum |z|^2 >= 1 pre-test:
-# every candidate goes through the classifier.
+# every candidate goes through the classifier.  Its draws and samples are
+# also those of the loop that pre-tested through two gauss calls per complex
+# normal, the reference of the Box-Muller pre-test.
 
 
 def lie_ball_interior_reference(rng: random.Random):

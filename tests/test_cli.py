@@ -16,7 +16,7 @@ from mublocks.bidisc import g2_classify
 from mublocks.cli import main
 from mublocks.domain_f import f_classify
 from mublocks.errors import PreconditionViolation
-from mublocks.hexablock import hexa_classify, hn_classify
+from mublocks.hexablock import HnVerdict, hexa_classify, hn_classify
 from mublocks.lie_ball import lie_ball_classify
 from mublocks.pentablock import penta_classify
 from mublocks.tetrablock import tetra_classify
@@ -390,6 +390,39 @@ def test_classifiers_refuse_non_finite_coordinates(domain):
                 classify(tuple(pt))
     huge = (1e308, 1e308) + (0.0,) * (len(names) - 2)
     assert cli._cell_classifier(domain, None)(huge)[0] == 2
+
+
+@pytest.mark.parametrize("domain", cli._DOMAINS)
+def test_classifiers_answer_huge_coordinates_outside(domain):
+    """A finite coordinate of modulus 1e200 or more puts a point far outside
+    every domain, all of them bounded.  Each classifier answers so itself,
+    with margin -inf where a square overflows (hn: all three flags False)
+    rather than raising OverflowError, and check's cell is that verdict."""
+    names = cli._COORD_NAMES[domain]
+    classify = hn_classify if domain == "hn" else cli._CLASSIFIERS[domain]
+    margins = []
+    for k in range(len(names)):
+        for big in (1e200, -1e200j, complex(1e308, 1e308)):
+            pt = [0j] * len(names)
+            pt[k] = big
+            verdict = classify(tuple(pt))
+            assert cli._cell_classifier(domain, None)(tuple(pt))[2] == verdict
+            if domain == "hn":
+                assert verdict == HnVerdict(False, False, False)
+                continue
+            assert verdict.region is Region.OUTSIDE and verdict.margin < -1e100
+            margins.append(verdict.margin)
+    assert domain == "hn" or -math.inf in margins
+
+
+@pytest.mark.parametrize("domain, bare", [("g2", "-0.5,0"), ("g2", "-.5,-0.25"),
+                                          ("h", "-0.1,0,0,0")])
+def test_bare_point_may_start_with_a_minus(domain, bare):
+    """A bare point whose first coordinate is negative is the point, not an
+    option: check answers as for its parenthesised form."""
+    code, out, err = run(["check", domain, bare])
+    assert (code, out, err) == run(["check", domain, f"({bare})"])
+    assert code == 0 and err == ""
 
 
 def test_repeated_main_calls_are_independent():
