@@ -316,18 +316,20 @@ def _complex_gauss(rng: random.Random) -> complex:
     random.Random whose gauss is the stock one; random() may be overridden.
     """
     random = rng.random
-    x2pi = random() * _TWOPI
-    g2rad = _sqrt(-2.0 * _log(1.0 - random()))
+    u1 = random()
+    u2 = random()
     z = rng.gauss_next
     if z is None:
-        return complex(0.0 + _cos(x2pi) * g2rad, 0.0 + _sin(x2pi) * g2rad)
+        return _box_muller(u1, u2)
+    x2pi = u1 * _TWOPI
+    g2rad = _sqrt(-2.0 * _log(1.0 - u2))
     rng.gauss_next = _sin(x2pi) * g2rad
     return complex(0.0 + z, 0.0 + _cos(x2pi) * g2rad)
 
 
 def _box_muller(u1: float, u2: float) -> complex:
     """_complex_gauss with no value pending, on the uniforms u1, u2 it
-    would draw."""
+    draws."""
     x2pi = u1 * _TWOPI
     g2rad = _sqrt(-2.0 * _log(1.0 - u2))
     return complex(0.0 + _cos(x2pi) * g2rad, 0.0 + _sin(x2pi) * g2rad)

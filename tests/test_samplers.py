@@ -56,7 +56,7 @@ def _assert_same_state(new: random.Random, old: random.Random) -> None:
 def _pair(seed: int, pending: bool):
     new, old = random.Random(seed), random.Random(seed)
     if pending:   # a lone gauss draw leaves its partner pending
-        assert new.gauss() == old.gauss()
+        assert new.gauss(0.0, 1.0) == old.gauss(0.0, 1.0)
         assert new.gauss_next is not None
     return new, old
 
@@ -87,18 +87,24 @@ def test_complex_gauss_alternates_the_pending_value():
 
 
 class _Scripted(random.Random):
-    """random() returns the scripted uniforms first, then its own stream."""
+    """random() returns the scripted uniforms first, then its own stream.
+    (Python 3.10's Random takes no keyword or second argument in a
+    subclass, so the script is set after construction.)"""
 
-    def __init__(self, seed, script=()):
-        super().__init__(seed)
-        self.script = list(script)
+    script = ()
 
     def random(self):
         return self.script.pop(0) if self.script else super().random()
 
 
+def _scripted(seed, script) -> _Scripted:
+    rng = _Scripted(seed)
+    rng.script = list(script)
+    return rng
+
+
 def _scripted_pair(seed, script, pending):
-    new, old = _Scripted(seed, script), _Scripted(seed, script)
+    new, old = _scripted(seed, script), _scripted(seed, script)
     if pending:
         new.gauss_next = old.gauss_next = 0.25
     return new, old
@@ -171,7 +177,7 @@ def test_lie_ball_sampler_at_the_unit_sphere(pending):
     _assert_same_state(new, old)
     if not pending:   # the scripted sums straddle 1 as intended
         sums = []
-        probe = _Scripted(5, tries)
+        probe = _scripted(5, tries)
         for _ in range(4):
             z = [0.55 * complex_gauss_reference(probe) for _ in range(4)]
             sums.append(sum(abs(v) ** 2 for v in z))
