@@ -25,22 +25,12 @@ The distinguished (Shilov) boundary is the set |p| = 1, s = conj(s) p,
 
 from __future__ import annotations
 
-import cmath
-import math
-
 from .errors import PreconditionViolation
-from .matrix2 import _quadratic_roots, raise_if_nonfinite
-from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
-                      raise_if_split)
+from .matrix2 import _quadratic_roots
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, classify_point,
+                      guarded_margin, raise_if_split)
 
-
-def _check_pair(pt) -> tuple[complex, complex]:
-    if len(pt) != 2:
-        raise PreconditionViolation(f"expected a pair (s, p), got {pt!r}")
-    s, p = complex(pt[0]), complex(pt[1])
-    if not cmath.isfinite(s + p):
-        raise_if_nonfinite("sp", (s, p))
-    return s, p
+_NAMES = ("s", "p")
 
 
 def _slack_b(s: complex, p: complex) -> float:
@@ -54,28 +44,22 @@ def _g2_margin(s: complex, p: complex) -> float:
 
 def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = criterion (A) slack capped by 2 - |s|."""
-    s, p = _check_pair(pt)
-    try:
-        margin = _g2_margin(s, p)
-    except OverflowError:   # a square past the floats; the domain is bounded
-        margin = -math.inf
-    region = classify_margin(margin, tol)
-    shilov = bgamma_test((s, p), tol) if region is Region.CLOSURE_BOUNDARY else None
-    return MembershipVerdict(region, margin, tol, shilov)
+    return classify_point(_g2_margin, checked_point(pt, _NAMES), tol, bgamma_test)
 
 
 def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the g2_classify margin against criterion (B) at pt; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    s, p = _check_pair(pt)
-    raise_if_split("bidisc criteria", pt, _g2_margin(s, p), _slack_b(s, p), tol)
+    x = checked_point(pt, _NAMES)
+    raise_if_split("bidisc criteria", pt, guarded_margin(_g2_margin, *x),
+                   guarded_margin(_slack_b, *x), tol)
 
 
 def g2_roots(pt) -> tuple[complex, complex]:
     """The two roots of t^2 - s t + p, ordered lexicographically by (Re, Im),
     computed without cancellation (matrix2._quadratic_roots): the smaller
     keeps the relative precision of the larger however far apart they are."""
-    s, p = _check_pair(pt)
+    s, p = checked_point(pt, _NAMES)
     l1, l2 = _quadratic_roots(1.0, -s, p)
     if (l1.real, l1.imag) > (l2.real, l2.imag):
         l1, l2 = l2, l1
@@ -84,7 +68,7 @@ def g2_roots(pt) -> tuple[complex, complex]:
 
 def bgamma_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: |p| = 1, s = conj(s) p, |s| <= 2."""
-    s, p = _check_pair(pt)
+    s, p = checked_point(pt, _NAMES)
     return (abs(abs(p) - 1.0) <= tol
             and abs(s - s.conjugate() * p) <= tol
             and abs(s) <= 2.0 + tol)

@@ -38,15 +38,10 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .bidisc import g2_classify
-from .domain_f import f_classify
+from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
 from .errors import PreconditionViolation, UnknownSuite
-from .hexablock import hexa_classify, hn_classify
-from .lie_ball import lie_ball_classify
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
-from .pentablock import penta_classify
-from .tetrablock import tetra_classify
 from .verdict import Region
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
@@ -55,13 +50,9 @@ _ENV_TOL = "MUBLOCKS_TOL"
 _DOMAINS = ("g2", "tetra", "penta", "f", "h", "hn", "l4")
 
 _COORD_NAMES = {
-    "g2": ("s", "p"),
-    "tetra": ("x1", "x2", "x3"),
-    "penta": ("a", "s", "p"),
-    "f": ("x", "a", "p", "s"),
-    "h": ("a", "x1", "x2", "x3"),
-    "hn": ("a", "x1", "x2", "x3"),
-    "l4": ("z1", "z2", "z3", "z4"),
+    "g2": bidisc._NAMES, "tetra": tetrablock._NAMES, "penta": pentablock._NAMES,
+    "f": domain_f._NAMES, "h": hexablock._NAMES, "hn": hexablock._NAMES,
+    "l4": lie_ball._names(4),
 }
 
 _REGION_CODE = {
@@ -223,12 +214,9 @@ def _matrix_doc(m: Optional[Matrix2]) -> Optional[list]:
 # classification plumbing
 
 _CLASSIFIERS = {
-    "g2": g2_classify,
-    "tetra": tetra_classify,
-    "penta": penta_classify,
-    "f": f_classify,
-    "h": hexa_classify,
-    "l4": lie_ball_classify,
+    "g2": bidisc.g2_classify, "tetra": tetrablock.tetra_classify,
+    "penta": pentablock.penta_classify, "f": domain_f.f_classify,
+    "h": hexablock.hexa_classify, "l4": lie_ball.lie_ball_classify,
 }
 
 
@@ -249,7 +237,7 @@ def _cell_classifier(domain: str, tol: Optional[float]):
     kw = {} if tol is None else {"tol": tol}
     if domain == "hn":
         def hn_cell(coords):
-            rec = hn_classify(coords, **kw)
+            rec = hexablock.hn_classify(coords, **kw)
             return _REGION_CODE[_hn_region(rec)], math.nan, rec
         return hn_cell
     classify = _CLASSIFIERS[domain]

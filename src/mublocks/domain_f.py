@@ -45,24 +45,15 @@ from dataclasses import dataclass
 
 from .bidisc import _g2_margin, g2_roots
 from .errors import PreconditionViolation
-from .matrix2 import (Matrix2, _complex_gauss, gram_det_from_coords, operator_norm,
-                      raise_if_nonfinite)
+from .matrix2 import Matrix2, _complex_gauss, gram_det_from_coords, operator_norm
 from .tetrablock import be_test
-from .verdict import DEFAULT_TOL, MembershipVerdict, Region, classify_margin
+from .verdict import DEFAULT_TOL, MembershipVerdict, checked_point, classify_point
 
 # Bounding box for random sampling: the closure projects into the closed
 # bidisc/tetrablock/pentablock hulls, so |x|, |a| <= 1, |p| <= 1, |s| <= 2;
 # the box is padded to keep outside-dense noise in play.
 SAMPLE_BOX = (2.5, 2.5, 1.5, 2.5)  # |x|, |a|, |p|, |s|
-
-
-def _check_quad(pt) -> tuple[complex, complex, complex, complex]:
-    if len(pt) != 4:
-        raise PreconditionViolation(f"expected (x, a, p, s), got {pt!r}")
-    x = complex(pt[0]), complex(pt[1]), complex(pt[2]), complex(pt[3])
-    if not cmath.isfinite(x[0] + x[1] + x[2] + x[3]):
-        raise_if_nonfinite("xaps", x)
-    return x
+_NAMES = ("x", "a", "p", "s")
 
 
 def pi_f(b: Matrix2) -> tuple[complex, complex, complex, complex]:
@@ -72,7 +63,7 @@ def pi_f(b: Matrix2) -> tuple[complex, complex, complex, complex]:
 
 def q_value(pt) -> float:
     """The Gram-determinant invariant Q of a point (exact arithmetic)."""
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     return gram_det_from_coords(x, a, p, s)
 
 
@@ -85,31 +76,25 @@ def _f_margin(x: complex, a: complex, p: complex, s: complex) -> float:
 
 def f_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state membership verdict; margin = _f_margin."""
-    x, a, p, s = _check_quad(pt)
-    try:
-        margin = _f_margin(x, a, p, s)
-    except OverflowError:   # a square past the floats; the domain is bounded
-        margin = -math.inf
-    region = classify_margin(margin, tol)
-    shilov = shilov_f_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
-    return MembershipVerdict(region, margin, tol, shilov)
+    return classify_point(_f_margin, checked_point(pt, _NAMES), tol, shilov_f_test)
 
 
 def f_matrix_witness(pt) -> Matrix2:
     """A matrix over the point: off-diagonal entries are the roots of
     t^2 - s t + (ax - p).  The only other matrix over the point is the
     transpose, which has the same norm."""
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     b12, b21 = g2_roots((s, a * x - p))
     return Matrix2(x, b12, b21, a)
 
 
+def _oracle_margin(*x: complex) -> float:
+    return 1.0 - operator_norm(f_matrix_witness(x))
+
+
 def f_classify_matrix_oracle(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Independent verdict via reconstruction: margin = 1 - ||B||."""
-    margin = 1.0 - operator_norm(f_matrix_witness(pt))
-    region = classify_margin(margin, tol)
-    shilov = shilov_f_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
-    return MembershipVerdict(region, margin, tol, shilov)
+    return classify_point(_oracle_margin, checked_point(pt, _NAMES), tol, shilov_f_test)
 
 
 def f_scale(pt, r: float):
@@ -119,13 +104,13 @@ def f_scale(pt, r: float):
     """
     if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
         raise PreconditionViolation(f"scale factor must lie in (0, 1), got {r!r}")
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     return (r * x, r * a, r * r * p, r * s)
 
 
 def f_rescale_by(pt, t: float):
     """(x/t, a/t, p/t^2, s/t) -- the gauge direction (no range restriction)."""
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     return (x / t, a / t, p / (t * t), s / t)
 
 
@@ -139,7 +124,7 @@ def minkowski_gauge(pt) -> float:
 
 def f_swap(pt):
     """(x, a, p, s) -> (lambda1, lambda2, -p, a + x); preserves membership."""
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     l1, l2 = g2_roots((s, a * x - p))
     return (l1, l2, -p, a + x)
 
@@ -155,7 +140,7 @@ def f_relations(pt) -> FRelations:
     """The three coordinate projections carried by an interior point:
     (s, ax-p) in the bidisc domain, (x, a, p) in the tetrablock,
     (a, s, -p) in the pentablock."""
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     return FRelations(g2=(s, a * x - p), tetra=(x, a, p), penta=(a, s, -p))
 
 
@@ -213,7 +198,7 @@ def shilov_f_test(pt, tol: float = DEFAULT_TOL) -> bool:
         (x, a, p) on the tetrablock distinguished boundary,
         s + conj(s) p = 0,  and  |x|^2 + |s|^2/4 <= 1.
     """
-    x, a, p, s = _check_quad(pt)
+    x, a, p, s = checked_point(pt, _NAMES)
     return (be_test((x, a, p), tol)
             and abs(s + s.conjugate() * p) <= tol
             and abs(x) ** 2 + abs(s) ** 2 / 4.0 <= 1.0 + tol)

@@ -21,8 +21,8 @@ There g = r* / (m - d r*) = 2 / den, so r* is never formed:
 Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0; the form is inf
 only where rounding at the tetrablock boundary makes den <= 0.
 hexa_classify evaluates it after the tetrablock kernel
-tetrablock._tetra_margin, called once per point and mapped to a region by
-classify_margin, so no tetrablock verdict is built.  The product-grid
+tetrablock._tetra_margin, called once per point under the overflow guard,
+so no tetrablock verdict is built.  The product-grid
 optimizer psi_sup_grid and the critical-radius route psi_sup_critical_radius,
 which the tests compare against, live with the test oracles.
 
@@ -45,19 +45,14 @@ from dataclasses import dataclass
 
 from .domain_f import _f_margin
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, _singular_values, gram_report, raise_if_nonfinite
+from .matrix2 import Matrix2, _singular_values, gram_report
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify
-from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
-                      verdict_from_margin)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, checked_point,
+                      classify_point, guarded_margin)
 
 _EQ_TOL = 1e-12  # exact-equality band for x3 = x1 x2 in the a = 0 slice
-
-
-def _check_quad(pt) -> tuple[complex, complex, complex, complex]:
-    if len(pt) != 4:
-        raise PreconditionViolation(f"expected (a, x1, x2, x3), got {pt!r}")
-    return complex(pt[0]), complex(pt[1]), complex(pt[2]), complex(pt[3])
+_NAMES = ("a", "x1", "x2", "x3")
 
 
 def pi_hexa(b: Matrix2) -> tuple[complex, complex, complex, complex]:
@@ -77,7 +72,7 @@ def psi_sup(pt) -> float:
 
     Exactly 0 when a = 0; exactly |a| at x = 0; linear in |a| throughout.
     """
-    a, x1, x2, x3 = _check_quad(pt)
+    a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
     if not tetra_classify((x1, x2, x3)).is_interior:
         raise PreconditionViolation(
             f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
@@ -94,6 +89,23 @@ def _psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
     return abs(a) * math.sqrt(2.0 / den) if den > 0.0 else math.inf
 
 
+def _hexa_margin(a: complex, x1: complex, x2: complex, x3: complex,
+                 t_margin: float, tol: float) -> float:
+    """hexa_classify's margin off its band, given the tetrablock margin t_margin."""
+    if a == 0:
+        return t_margin
+    if t_margin > tol:
+        sup = _psi_sup_closed(a, x1, x2, x3)
+        return -1.0 if sup == math.inf else min(t_margin, 1.0 - sup)
+    if t_margin < -tol:
+        return t_margin
+    return min(t_margin, 1.0 - abs(a))   # the band's other side, |a| > 1 + tol
+
+
+def _room(a: complex, tol: float) -> float:   # >= 0 exactly where |a| <= 1 + tol
+    return (1.0 + tol) - abs(a)
+
+
 def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the hexablock.
 
@@ -103,34 +115,13 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     then Outside if |a| > 1 + tol (the sup dominates |psi(0,0)| = |a|), and
     otherwise ClosureBoundary flagged indeterminate.
     """
-    a, x1, x2, x3 = _check_quad(pt)
-    if not cmath.isfinite(a + x1 + x2 + x3):   # not in _check_quad: hn answers these
-        raise_if_nonfinite(("a", "x1", "x2", "x3"), (a, x1, x2, x3))
-    try:
-        t_margin = _tetra_margin(x1, x2, x3)
-        t_region = classify_margin(t_margin, tol)
-        if a == 0:
-            shilov = (shilov_h_test(pt, tol)
-                      if t_region is Region.CLOSURE_BOUNDARY else None)
-            return MembershipVerdict(t_region, t_margin, tol, shilov)
-        if t_region is Region.OUTSIDE:
-            return verdict_from_margin(t_margin, tol)
-        if t_region is Region.CLOSURE_BOUNDARY:
-            if abs(a) > 1.0 + tol:
-                return verdict_from_margin(min(t_margin, 1.0 - abs(a)), tol)
-            margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
-            return MembershipVerdict(region=Region.CLOSURE_BOUNDARY,
-                                     margin=margin, tol=tol,
-                                     shilov=shilov_h_test(pt, tol),
-                                     indeterminate=True)
-        sup = _psi_sup_closed(a, x1, x2, x3)
-        margin = -1.0 if sup == float("inf") else min(t_margin, 1.0 - sup)
-        region = classify_margin(margin, tol)
-        shilov = (shilov_h_test(pt, tol)
-                  if region is Region.CLOSURE_BOUNDARY else None)
-        return MembershipVerdict(region, margin, tol, shilov)
-    except OverflowError:   # a square past the floats; the domain is bounded
-        return verdict_from_margin(-math.inf, tol)
+    a, x1, x2, x3 = x = checked_point(pt, _NAMES)
+    t_margin = guarded_margin(_tetra_margin, x1, x2, x3)
+    if a != 0 and not abs(t_margin) > tol and guarded_margin(_room, a, tol) >= 0.0:
+        margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
+        return MembershipVerdict(Region.CLOSURE_BOUNDARY, margin, tol,
+                                 shilov_h_test(x, tol), indeterminate=True)
+    return classify_point(_hexa_margin, x, tol, shilov_h_test, t_margin, tol)
 
 
 def hexa_slice_a0(x1: complex, x2: complex, x3: complex,
@@ -155,9 +146,12 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
 
     a != 0: reduce to the four-coordinate domain via the unique matrix
     [[x1, (x1 x2 - x3)/a], [a, x2]] over the point.  a = 0: exact slice rule.
-    The interior of the closure-free set is its a != 0 part.
+    The interior of the closure-free set is its a != 0 part.  Unlike the
+    classifiers, it does not refuse a NaN or an infinity up front: the
+    answer is all False where t (or, at a = 0, the slice rule) sees one, and
+    an infinite a raises PreconditionViolation as the matrix entry a21.
     """
-    a, x1, x2, x3 = _check_quad(pt)
+    a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
     try:
         if a == 0:
             in_open = (abs(x3 - x1 * x2) <= _EQ_TOL
@@ -211,6 +205,6 @@ def _norm_at_most_one(x1: complex, t: complex, a: complex, x2: complex,
 
 def shilov_h_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: in the closed normed variant with |x3| = 1."""
-    a, x1, x2, x3 = _check_quad(pt)
+    a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
     return (_hn_in_closure(a, x1, x2, x3, tol)
             and abs(abs(x3) - 1.0) <= tol)

@@ -30,64 +30,64 @@ and the lattice import numpy when called; importing this module does not.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import PreconditionViolation
-from .matrix2 import raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (DEFAULT_TOL, MembershipVerdict, raise_if_split,
-                      verdict_from_margin)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, classify_point,
+                      guarded_margin, raise_if_split)
 
 
-def _coords(z) -> list[complex]:
-    zs = [complex(v) for v in z]
-    if len(zs) < 2:
-        raise PreconditionViolation(f"need at least 2 coordinates, got {z!r}")
-    if not cmath.isfinite(sum(zs)):
-        raise_if_nonfinite([f"z{k}" for k in range(1, len(zs) + 1)], zs)
-    return zs
+@functools.cache
+def _names(n: int) -> tuple[str, ...]:
+    return tuple(f"z{k}" for k in range(1, n + 1))
+
+
+def _coords(z) -> tuple[complex, ...]:
+    if len(z) < 2:
+        raise PreconditionViolation(f"expected (z1, z2, ...), got {z!r}")
+    return checked_point(z, _names(len(z)))
 
 
 def _moduli(zs) -> tuple[float, float]:  # sum |z_j|^2, |sum z_j^2| of _coords
     return sum(abs(v) ** 2 for v in zs), abs(sum(v * v for v in zs))
 
 
-def _slack_b(norm2: float, bullet: float) -> float:
+def _lie_ball_margin(*zs: complex) -> float:
+    norm2, bullet = _moduli(zs)
+    return min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
+
+
+def _slack_b(*zs: complex) -> float:
+    norm2, bullet = _moduli(zs)
     return (1.0 - norm2) - math.sqrt(max(norm2 * norm2 - bullet * bullet, 0.0))
 
 
 def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the Lie ball in C^n (n >= 2); margin =
     min(1 - sum|z|^2, 1 - (2 sum|z|^2 - |z bullet z|^2))."""
-    zs = _coords(z)
-    try:
-        norm2, bullet = _moduli(zs)
-        margin = min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
-    except OverflowError:   # a square past the floats; the ball is bounded
-        margin = -math.inf
-    return verdict_from_margin(margin, tol)
+    return classify_point(_lie_ball_margin, _coords(z), tol, None)
 
 
 def lie_ball_dual_check(z, tol: float = DEFAULT_TOL) -> None:
     """Hold the lie_ball_classify margin against criterion (B) at z; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    raise_if_split("Lie-ball criteria", z, lie_ball_classify(z, tol).margin,
-                   _slack_b(*_moduli(_coords(z))), tol)
+    zs = _coords(z)
+    raise_if_split("Lie-ball criteria", z, guarded_margin(_lie_ball_margin, *zs),
+                   guarded_margin(_slack_b, *zs), tol)
 
 
 def lambda_map(z):
     """(z1, z2, ..., zn) -> (z1^2, z2, ..., zn); identifies +-z1 exactly."""
     zs = _coords(z)
-    return tuple([zs[0] * zs[0]] + zs[1:])
+    return (zs[0] * zs[0],) + zs[1:]
 
 
 def biholo_f(w):
     """(w3 + i w4, -w3 + i w4, -w2^2 - w3^2 - w4^2 - w1, 2 w2)."""
-    ws = _coords(w)
-    if len(ws) != 4:
-        raise PreconditionViolation(f"need exactly 4 coordinates, got {w!r}")
-    w1, w2, w3, w4 = ws
+    w1, w2, w3, w4 = checked_point(w, _names(4))
     return (w3 + 1j * w4,
             -w3 + 1j * w4,
             -w2 * w2 - w3 * w3 - w4 * w4 - w1,

@@ -28,24 +28,15 @@ Distinguished boundary: (s, p) on the bidisc distinguished boundary and
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .bidisc import _g2_margin, bgamma_test, g2_classify, g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
-from .matrix2 import raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
-                      classify_margin, verdict_from_margin)
+                      checked_point, classify_margin, classify_point, guarded_margin)
 
-
-def _check_triple(pt) -> tuple[complex, complex, complex]:
-    if len(pt) != 3:
-        raise PreconditionViolation(f"expected (a, s, p), got {pt!r}")
-    x = complex(pt[0]), complex(pt[1]), complex(pt[2])
-    if not cmath.isfinite(x[0] + x[1] + x[2]):
-        raise_if_nonfinite("asp", x)
-    return x
+_NAMES = ("a", "s", "p")
 
 
 def penta_radius(s: complex, p: complex) -> float:
@@ -68,7 +59,7 @@ def penta_sup(pt) -> float:
     |a| / penta_radius(s, p) -- exactly 0 when a = 0, and inf where the
     critical radius vanishes (both roots at one point of the circle).
     """
-    a, s, p = _check_triple(pt)
+    a, s, p = checked_point(pt, _NAMES)
     if g2_classify((s, p)).region is Region.OUTSIDE:
         raise PreconditionViolation(
             f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")
@@ -101,11 +92,11 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
     raises CriteriaDisagree when the routes put pt on opposite sides of the
     boundary.
     """
-    a, s, p = _check_triple(pt)
-    if classify_margin(_g2_margin(s, p), tol) is not Region.INTERIOR:
+    a, s, p = checked_point(pt, _NAMES)
+    if classify_margin(guarded_margin(_g2_margin, s, p), tol) is not Region.INTERIOR:
         return None
-    slack = penta_radius(s, p) - abs(a)
-    if abs(slack) <= BAND_FACTOR * max(tol, 1e-7):
+    slack = guarded_margin(_radius_slack, a, s, p)   # -inf: |a| past the floats
+    if abs(slack) <= BAND_FACTOR * max(tol, 1e-7) or slack == -math.inf:
         return None
     sup = _beta_sup(a, s, p)
     if (sup < 1.0) != (slack > 0.0):
@@ -115,29 +106,28 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
     return sup
 
 
-def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Three-state verdict for the pentablock by the critical-radius rule.
+def _radius_slack(a: complex, s: complex, p: complex) -> float:
+    return penta_radius(s, p) - abs(a)
 
-    Margin = min(bidisc margin of (s, p), critical-radius slack); outside the
-    closed bidisc domain the bidisc margin alone.  The supremum form is
-    not consulted here: penta_dual_check is the cross-check.
-    """
-    a, s, p = _check_triple(pt)
-    try:
-        g2_margin = _g2_margin(s, p)
-        if classify_margin(g2_margin, tol) is Region.OUTSIDE:
-            return verdict_from_margin(g2_margin, tol)
-        margin = min(g2_margin, penta_radius(s, p) - abs(a))
-    except OverflowError:   # a square past the floats; the domain is bounded
-        margin = -math.inf
-    region = classify_margin(margin, tol)
-    shilov = bp_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
-    return MembershipVerdict(region, margin, tol, shilov)
+
+def _penta_margin(a: complex, s: complex, p: complex, tol: float) -> float:
+    """penta_classify's margin: min(bidisc margin of (s, p), critical-radius
+    slack), or the bidisc margin alone outside the closed bidisc domain."""
+    g2_margin = _g2_margin(s, p)
+    if g2_margin < -tol:
+        return g2_margin
+    return min(g2_margin, penta_radius(s, p) - abs(a))
+
+
+def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
+    """Three-state verdict for the pentablock by the critical-radius rule
+    (_penta_margin); the supremum form is penta_dual_check's cross-check."""
+    return classify_point(_penta_margin, checked_point(pt, _NAMES), tol, bp_test, tol)
 
 
 def bp_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: (s, p) on the bidisc distinguished
     boundary and |a|^2 + |s|^2/4 = 1."""
-    a, s, p = _check_triple(pt)
+    a, s, p = checked_point(pt, _NAMES)
     return (bgamma_test((s, p), tol)
             and abs(abs(a) ** 2 + abs(s) ** 2 / 4.0 - 1.0) <= tol)

@@ -26,24 +26,13 @@ Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 
 from __future__ import annotations
 
-import cmath
-import math
-
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, gram_det_from_coords, raise_if_nonfinite
-from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, classify_margin,
-                      raise_if_split)
+from .matrix2 import Matrix2, gram_det_from_coords
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, classify_point,
+                      guarded_margin, raise_if_split)
 
 _EQ_TOL = 1e-12
-
-
-def _check_triple(pt) -> tuple[complex, complex, complex]:
-    if len(pt) != 3:
-        raise PreconditionViolation(f"expected a triple (x1, x2, x3), got {pt!r}")
-    x = complex(pt[0]), complex(pt[1]), complex(pt[2])
-    if not cmath.isfinite(x[0] + x[1] + x[2]):
-        raise_if_nonfinite(("x1", "x2", "x3"), x)
-    return x
+_NAMES = ("x1", "x2", "x3")
 
 
 def pi_tetra(a: Matrix2) -> tuple[complex, complex, complex]:
@@ -60,14 +49,15 @@ def _closure_margin(x1: complex, x2: complex, x3: complex) -> float:
                gram_det_from_coords(x1, x2, x3, 0j))
 
 
-def tetra_margins(x1: complex, x2: complex, x3: complex) -> tuple[float, float]:
-    """Signed slacks of criteria (A) and (B)."""
+def _slack_b(x1: complex, x2: complex, x3: complex) -> float:
     gap = abs(x1 * x2 - x3)
-    cb = (1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2) - 2.0 * gap
-    cb = min(cb, 1.0 - abs(x3))
-    if gap <= _EQ_TOL:
-        cb = min(cb, 2.0 - abs(x1) - abs(x2))
-    return _slack_a(x1, x2, x3), cb
+    cb = min((1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2) - 2.0 * gap, 1.0 - abs(x3))
+    return min(cb, 2.0 - abs(x1) - abs(x2)) if gap <= _EQ_TOL else cb
+
+
+def tetra_margins(x1: complex, x2: complex, x3: complex) -> tuple[float, float]:
+    """Signed slacks of criteria (A) and (B), each -inf past the floats."""
+    return guarded_margin(_slack_a, x1, x2, x3), guarded_margin(_slack_b, x1, x2, x3)
 
 
 def _tetra_margin(x1: complex, x2: complex, x3: complex) -> float:
@@ -77,29 +67,22 @@ def _tetra_margin(x1: complex, x2: complex, x3: complex) -> float:
 
 def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = min of the (A)-slack and the closure legs."""
-    x1, x2, x3 = _check_triple(pt)
-    try:
-        margin = _tetra_margin(x1, x2, x3)
-    except OverflowError:   # a square past the floats; the domain is bounded
-        margin = -math.inf
-    region = classify_margin(margin, tol)
-    shilov = be_test(pt, tol) if region is Region.CLOSURE_BOUNDARY else None
-    return MembershipVerdict(region, margin, tol, shilov)
+    return classify_point(_tetra_margin, checked_point(pt, _NAMES), tol, be_test)
 
 
 def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the (A)-slack against (B) and against the closure legs at pt;
     raises CriteriaDisagree when either pair splits outside the guard band."""
-    x1, x2, x3 = _check_triple(pt)
-    ca, cb = tetra_margins(x1, x2, x3)
+    x = checked_point(pt, _NAMES)
+    ca, cb = tetra_margins(*x)
     raise_if_split("tetrablock criteria", pt, ca, cb, tol)
     raise_if_split("tetrablock interior test and closure legs", pt, ca,
-                   _closure_margin(x1, x2, x3), tol)
+                   guarded_margin(_closure_margin, *x), tol)
 
 
 def be_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1."""
-    x1, x2, x3 = _check_triple(pt)
+    x1, x2, x3 = checked_point(pt, _NAMES)
     return (abs(x1 - x2.conjugate() * x3) <= tol
             and abs(abs(x3) - 1.0) <= tol
             and abs(x2) <= 1.0 + tol)

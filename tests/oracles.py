@@ -22,15 +22,19 @@ from mublocks.bidisc import g2_classify, g2_roots
 from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
 from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
-from mublocks.hexablock import HnVerdict, _check_quad, _sup_coeffs, pi_hexa
+from mublocks.hexablock import HnVerdict, _sup_coeffs, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
 from mublocks.optimize import nelder_mead
-from mublocks.pentablock import _check_triple
 from mublocks.tetrablock import be_test, tetra_classify
-from mublocks.verdict import (MembershipVerdict, Region, classify_margin,
-                              verdict_from_margin)
+from mublocks.verdict import (MembershipVerdict, Region, checked_point,
+                              classify_margin, verdict_from_margin)
+
+
+def _check_quad(pt):
+    """Four complex coordinates, NaN and infinities let through."""
+    return checked_point(pt, ("a", "x1", "x2", "x3"), finite=False)
 
 
 def power_norm(m: Matrix2) -> float:
@@ -199,7 +203,7 @@ def penta_sup_numeric(pt, tol: float = 1e-8) -> float:
     an angular spike narrower than any fixed grid), then Nelder-Mead
     refinement from the best starts.
     """
-    a, s, p = _check_triple(pt)
+    a, s, p = checked_point(pt, ("a", "s", "p"))
     if g2_classify((s, p)).region is Region.OUTSIDE:
         raise PreconditionViolation(
             f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")

@@ -1,10 +1,13 @@
 """End-to-end command tests, run in-process via main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 
@@ -379,8 +382,13 @@ def test_flags_may_sit_between_positionals():
 def test_classifiers_refuse_non_finite_coordinates(domain):
     """A NaN or an infinity in any coordinate raises PreconditionViolation
     naming that coordinate, as Matrix2 does for its entries; finite
-    coordinates whose sum overflows still answer (Outside)."""
+    coordinates whose sum overflows still answer (Outside).  A point with
+    one coordinate raises PreconditionViolation naming the domain's
+    coordinates (l4, in C^n for n >= 2: the first two)."""
     classify, names = cli._CLASSIFIERS[domain], cli._COORD_NAMES[domain]
+    want = "(z1, z2, ...)" if domain == "l4" else f"({', '.join(names)})"
+    with pytest.raises(PreconditionViolation, match=re.escape(f"expected {want}, got")):
+        classify((0.1,))
     for k, name in enumerate(names):
         for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan),
                     complex(0, -math.inf)):
@@ -413,6 +421,30 @@ def test_classifiers_answer_huge_coordinates_outside(domain):
             assert verdict.region is Region.OUTSIDE and verdict.margin < -1e100
             margins.append(verdict.margin)
     assert domain == "hn" or -math.inf in margins
+
+
+# sha256 of each gallery plane of scripts/render_slices.py (121 x 121), the
+# same on Python 3.10, 3.11 and 3.12
+_GALLERY_SHA256 = {
+    "g2_real": "2601267d586a33bf5f06864ea0778b69c59fa64fcdfd1a0493882bc6b5a796dd",
+    "tetra_x1x2_real": "f8679be58148c64476ec05dbc463d639d3347ccdfeb77cabb969db5b6ac03169",
+    "penta_a_plane": "6468a6ba44c6a1b08a772df14e98f24b8fe3285e1d30a5011d33621c3c9b9b72",
+    "f_a_plane_s0": "c0315693b3a6a81b424430feaff002a262e239748b1a823bb533bd956aeb7c86",
+    "hexa_a_plane": "1b66153ca2e1cc1b69593e166d3c7e3208f2c6b153ea4a045dce3c951d7810d7",
+    "lie_ball_z1z2_real": "03b90776e47958412c522b2ffe5254efe4daf177d99742054d7c4d21915e24ad",
+}
+
+
+def test_gallery_planes_keep_their_bits(tmp_path):
+    """The six gallery planes, rendered through main(["slice", ...]), are
+    byte for byte the files whose digests are pinned above."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "render_slices.py")
+    slices = runpy.run_path(script)["SLICES"]
+    assert sorted(stem for stem, _ in slices) == sorted(_GALLERY_SHA256)
+    for stem, tail in slices:
+        path = tmp_path / f"{stem}.tsv"
+        assert main(["slice", *tail, "--grid", "121", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _GALLERY_SHA256[stem], stem
 
 
 @pytest.mark.parametrize("domain, bare", [("g2", "-0.5,0"), ("g2", "-.5,-0.25"),

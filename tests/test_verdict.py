@@ -5,7 +5,11 @@ import pickle
 
 import pytest
 
-from mublocks import bidisc, domain_f, hexablock, pentablock, tetrablock, verdict
+from mublocks import domain_f, hexablock, pentablock, verdict
+from mublocks.bidisc import g2_dual_check
+from mublocks.lie_ball import lie_ball_dual_check
+from mublocks.pentablock import penta_dual_check
+from mublocks.tetrablock import tetra_dual_check
 from mublocks.pentablock import penta_radius
 from mublocks.verdict import MembershipVerdict, Region, verdict_from_margin
 
@@ -80,10 +84,27 @@ def test_no_nested_verdicts(monkeypatch):
         built.append(args)
         return MembershipVerdict(*args, **kwargs)
 
-    for module in (verdict, bidisc, tetrablock, pentablock, domain_f, hexablock):
+    # verdicts are built in verdict.classify_point and, for its
+    # indeterminate band, in hexablock.hexa_classify
+    for module in (verdict, hexablock):
         monkeypatch.setattr(module, "MembershipVerdict", counted)
     for (fn, pts), want in zip(_points(), expected):
         for pt, v in zip(pts, want):
             built.clear()
             assert fn(pt) == v, (fn.__name__, pt)
             assert len(built) == 1, (fn.__name__, pt)
+
+
+@pytest.mark.parametrize("check", (g2_dual_check, tetra_dual_check,
+                                   penta_dual_check, lie_ball_dual_check))
+def test_dual_checks_answer_huge_coordinates(check):
+    """A finite coordinate of modulus 1e200 or more puts a point far
+    outside; the dual checks read their margins through the classifiers'
+    overflow guard, so they compare -inf with -inf (penta: skip) rather
+    than raise OverflowError."""
+    n = {g2_dual_check: 2, tetra_dual_check: 3, penta_dual_check: 3}.get(check, 4)
+    for k in range(n):
+        for big in (1e200, -1e200j, complex(1e308, 1e308)):
+            pt = [0j] * n
+            pt[k] = big
+            check(tuple(pt))
