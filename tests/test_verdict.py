@@ -8,9 +8,8 @@ import pytest
 from mublocks import domain_f, hexablock, pentablock, verdict
 from mublocks.bidisc import g2_dual_check
 from mublocks.lie_ball import lie_ball_dual_check
-from mublocks.pentablock import penta_dual_check
+from mublocks.pentablock import penta_dual_check, penta_radius
 from mublocks.tetrablock import tetra_dual_check
-from mublocks.pentablock import penta_radius
 from mublocks.verdict import MembershipVerdict, Region, verdict_from_margin
 
 
