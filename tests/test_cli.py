@@ -317,6 +317,48 @@ def test_slice_argument_validation():
     assert run(["slice", "f", "--fixed", "x=notanumber"])[0] == 64
 
 
+# Ranges whose width overflows: an axis value is NaN (0 times an infinite
+# width, at the first cell) or infinite (an overflowing product, at a later
+# row or column).  (argv tail, the stderr of exit 64)
+_OVERFLOWING_SLICES = (
+    (["g2", "--grid", "3", "--range=-1e308:1e308"],
+     "invalid input: s: non-finite entry (nan+0j)\n"),
+    (["g2", "--grid", "3", "--axes", "Re(s),Im(s)", "--range=0:1e308"],
+     "invalid input: s: non-finite entry infj\n"),
+    (["tetra", "--grid", "3", "--range=-1e308:1e308"],
+     "invalid input: x1: non-finite entry (nan+0j)\n"),
+    (["penta", "--grid", "3", "--range=0:1,-1e308:1e308"],
+     "invalid input: s: non-finite entry (nan+0j)\n"),
+    (["f", "--grid", "3", "--range=-1e308:1e308"],
+     "invalid input: x: non-finite entry (nan+0j)\n"),
+    (["h", "--grid", "3", "--range=-1e308:1e308"],
+     "invalid input: a: non-finite entry (nan+0j)\n"),
+    (["h", "--grid", "3", "--axes", "Im(x2),Re(x3)", "--range=0:1,-1e308:1e308"],
+     "invalid input: x3: non-finite entry (nan+0j)\n"),
+    (["l4", "--grid", "3", "--range=-1e308:1e308"],
+     "invalid input: z1: non-finite entry (nan+0j)\n"),
+    (["l4", "--grid", "4", "--axes", "Im(z1),Re(z1)", "--range=0:1e308,0:1"],
+     "invalid input: z1: non-finite entry infj\n"),
+)
+
+
+@pytest.mark.parametrize("tail, err", _OVERFLOWING_SLICES)
+def test_slice_refuses_a_non_finite_axis_value(tail, err):
+    """A cell whose axis value is not finite exits 64 naming the first such
+    coordinate, and nothing reaches stdout."""
+    assert run(["slice", *tail]) == (64, "", err)
+
+
+def test_slice_hn_keeps_its_non_finite_rows():
+    """hn answers on NaN and infinite coordinates (all three flags False):
+    its overflowing slice prints code 2 and margin nan in every row."""
+    code, out, err = run(["slice", "hn", "--grid", "3", "--range=-1e308:1e308"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["Re(a)\tRe(x1)\tcode\tmargin"] + [
+        f"{v1}\t{v2}\t2\tnan" for v1 in ("nan", "inf", "inf")
+        for v2 in ("nan", "inf", "inf")]
+
+
 def test_tol_env_and_flag(monkeypatch):
     monkeypatch.setenv("MUBLOCKS_TOL", "0.3")
     code, doc = run_json(["check", "g2", "(0,0.9)"])
