@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from .errors import PreconditionViolation
 from .matrix2 import _quadratic_roots
-from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, classify_point,
-                      guarded_margin, raise_if_split)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
+                      guarded_margin, margin_cell, raise_if_split)
 
 _NAMES = ("s", "p")
+_PARAM_TOL = 1e-12   # slack of bgamma_point's |p| = 1 and |beta| <= 1 preconditions
 
 
 def _slack_b(s: complex, p: complex) -> float:
@@ -44,7 +45,7 @@ def _g2_margin(s: complex, p: complex) -> float:
 
 def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = criterion (A) slack capped by 2 - |s|."""
-    return classify_point(_g2_margin, checked_point(pt, _NAMES), tol, bgamma_test)
+    return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
 def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
@@ -59,7 +60,10 @@ def g2_roots(pt) -> tuple[complex, complex]:
     """The two roots of t^2 - s t + p, ordered lexicographically by (Re, Im),
     computed without cancellation (matrix2._quadratic_roots): the smaller
     keeps the relative precision of the larger however far apart they are."""
-    s, p = checked_point(pt, _NAMES)
+    return _g2_roots(*checked_point(pt, _NAMES))
+
+
+def _g2_roots(s: complex, p: complex) -> tuple[complex, complex]:
     l1, l2 = _quadratic_roots(1.0, -s, p)
     if (l1.real, l1.imag) > (l2.real, l2.imag):
         l1, l2 = l2, l1
@@ -68,10 +72,16 @@ def g2_roots(pt) -> tuple[complex, complex]:
 
 def bgamma_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: |p| = 1, s = conj(s) p, |s| <= 2."""
-    s, p = checked_point(pt, _NAMES)
+    return _bgamma(*checked_point(pt, _NAMES), tol)
+
+
+def _bgamma(s: complex, p: complex, tol: float) -> bool:
     return (abs(abs(p) - 1.0) <= tol
             and abs(s - s.conjugate() * p) <= tol
             and abs(s) <= 2.0 + tol)
+
+
+_DOMAIN = Domain(_NAMES, margin_cell(_g2_margin), _bgamma)
 
 
 def bgamma_point(beta: complex, p: complex) -> tuple[complex, complex]:
@@ -81,9 +91,9 @@ def bgamma_point(beta: complex, p: complex) -> tuple[complex, complex]:
     """
     beta = complex(beta)
     p = complex(p)
-    if not abs(abs(p) - 1.0) <= 1e-12:
+    if not abs(abs(p) - 1.0) <= _PARAM_TOL:
         raise PreconditionViolation(f"|p| must be 1, got {abs(p)!r}")
-    if not abs(beta) <= 1.0 + 1e-12:
+    if not abs(beta) <= 1.0 + _PARAM_TOL:
         raise PreconditionViolation(f"|beta| must be <= 1, got {abs(beta)!r}")
     return (beta + beta.conjugate() * p, p)
 

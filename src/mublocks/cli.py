@@ -18,6 +18,15 @@ JSON documents; all output is structured JSON / delimited text, with complex
 values always rendered as ``{"re", "im"}`` pairs so that printed points
 re-parse to the identical verdict.
 
+check classifies its point through the domain's public classifier.  slice
+parses and checks the fixed coordinates once and each row and column value
+once, then runs at every grid point the cell that classifier runs
+(verdict.Domain: the margin kernel under the overflow guard and
+verdict.margin_code, the one threshold rule), with no coordinate check and
+no verdict per cell; a cell whose axis value is not finite goes through
+verdict.checked_point, which exits 64 as check would.  hn, which answers on
+NaN and infinities, reads hn_classify at every cell.
+
 Each argument has one spelling: domain, point, structure, matrix and suite
 are required positionals, the rest are flags.  ``MUBLOCKS_TOL`` supplies the
 default tolerance wherever a tolerance is read and ``--tol`` is omitted.  A
@@ -42,26 +51,20 @@ from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
 from .errors import PreconditionViolation, UnknownSuite
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
-from .verdict import Region
+from .verdict import (CLOSURE_BOUNDARY, DEFAULT_TOL, INDETERMINATE_CODE, INTERIOR, OUTSIDE,
+                      Region, checked_point)
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
 
 _DOMAINS = ("g2", "tetra", "penta", "f", "h", "hn", "l4")
 
-_COORD_NAMES = {
-    "g2": bidisc._NAMES, "tetra": tetrablock._NAMES, "penta": pentablock._NAMES,
-    "f": domain_f._NAMES, "h": hexablock._NAMES, "hn": hexablock._NAMES,
-    "l4": lie_ball._names(4),
+# The Domain record each classifier reads; slice runs its cell directly.
+_DOMAIN_RECORDS = {
+    "g2": bidisc._DOMAIN, "tetra": tetrablock._DOMAIN, "penta": pentablock._DOMAIN,
+    "f": domain_f._DOMAIN, "h": hexablock._DOMAIN, "l4": lie_ball._DOMAIN,
 }
-
-_REGION_CODE = {
-    Region.INTERIOR: 0,
-    Region.CLOSURE_BOUNDARY: 1,
-    Region.OUTSIDE: 2,
-}
-
-_INDETERMINATE_CODE = 9
+_COORD_NAMES = {d: rec.names for d, rec in _DOMAIN_RECORDS.items()} | {"hn": hexablock._NAMES}
 
 
 class _CliError(Exception):
@@ -225,27 +228,31 @@ def _hn_region(rec) -> Region:
     # interior of the set itself; members outside that interior report
     # ClosureBoundary even when they sit inside the ambient hexablock.
     if rec.in_interior_of_hn:
-        return Region.INTERIOR
+        return INTERIOR
     if rec.in_closure:
-        return Region.CLOSURE_BOUNDARY
-    return Region.OUTSIDE
+        return CLOSURE_BOUNDARY
+    return OUTSIDE
+
+
+def _hn_cell(coords, tol: float) -> tuple[int, float]:
+    """hn's slice cell: its region's code, margin NaN."""
+    return _hn_region(hexablock.hn_classify(coords, tol)).code, math.nan
 
 
 def _cell_classifier(domain: str, tol: Optional[float]):
-    """The per-point call of check and slice: coords -> (verdict code,
-    margin, verdict), where hn gives its HnVerdict and a NaN margin."""
+    """check's per-point call, the public classifier: coords -> (verdict
+    code, margin, verdict), where hn gives its HnVerdict and a NaN margin."""
     kw = {} if tol is None else {"tol": tol}
     if domain == "hn":
         def hn_cell(coords):
             rec = hexablock.hn_classify(coords, **kw)
-            return _REGION_CODE[_hn_region(rec)], math.nan, rec
+            return _hn_region(rec).code, math.nan, rec
         return hn_cell
     classify = _CLASSIFIERS[domain]
 
     def cell(coords):
         verdict = classify(coords, **kw)
-        code = (_INDETERMINATE_CODE if verdict.indeterminate
-                else _REGION_CODE[verdict.region])
+        code = INDETERMINATE_CODE if verdict.indeterminate else verdict.region.code
         return code, verdict.margin, verdict
     return cell
 
@@ -284,7 +291,7 @@ def _cmd_check(args) -> int:
     doc = {"domain": args.domain, "point": _point_doc(coords)}
     doc.update(extra)
     print(json.dumps(doc))
-    if code == _INDETERMINATE_CODE:
+    if code == INDETERMINATE_CODE:
         # An indeterminate hexablock verdict is still a boundary-band call.
         return 1
     return code
@@ -428,21 +435,28 @@ def _cmd_slice(args) -> int:
     base = [fixed.get(nm, 0j) for nm in names]
     (comp1, nm1), (comp2, nm2) = axes
     k1, k2 = names.index(nm1), names.index(nm2)
-    cell = _cell_classifier(args.domain, tol)
-    cols = [(v2, f"\t{v2:.10g}\t") for v2 in
+    check = args.domain != "hn"   # hn answers on NaN and infinities
+    cell = _DOMAIN_RECORDS[args.domain].cell if check else _hn_cell
+    tol = DEFAULT_TOL if tol is None else tol
+    # Each axis value is checked once; a cell with a non-finite one goes to
+    # checked_point, which raises naming the cell's first such coordinate.
+    cols = [(v2, f"\t{v2:.10g}\t", check and not math.isfinite(v2)) for v2 in
             (lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n))]
     lines = [f"{_axis_label(axes[0])}\t{_axis_label(axes[1])}\tcode\tmargin"]
     for i in range(n):
         v1 = lo1 + (hi1 - lo1) * i / (n - 1)
-        text1 = f"{v1:.10g}"
+        text1, bad1 = f"{v1:.10g}", check and not math.isfinite(v1)
         # Where both axes name one coordinate, the second reads the row's value.
         row = list(base)
         z = row[k1]
         row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)
         z = row[k2]
-        for v2, text2 in cols:
+        for v2, text2, bad2 in cols:
             row[k2] = complex(v2, z.imag) if comp2 == "re" else complex(z.real, v2)
-            code, margin, _verdict = cell(tuple(row))
+            x = tuple(row)
+            if bad1 or bad2:
+                checked_point(x, names)
+            code, margin = cell(x, tol)
             lines.append(f"{text1}{text2}{code}\t{margin:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:

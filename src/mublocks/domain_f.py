@@ -43,17 +43,20 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bidisc import _g2_margin, g2_roots
+from .bidisc import _g2_margin, _g2_roots
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, _complex_gauss, gram_det_from_coords, operator_norm
-from .tetrablock import be_test
-from .verdict import DEFAULT_TOL, MembershipVerdict, checked_point, classify_point
+from .tetrablock import _be
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
+                      margin_cell)
 
 # Bounding box for random sampling: the closure projects into the closed
 # bidisc/tetrablock/pentablock hulls, so |x|, |a| <= 1, |p| <= 1, |s| <= 2;
 # the box is padded to keep outside-dense noise in play.
 SAMPLE_BOX = (2.5, 2.5, 1.5, 2.5)  # |x|, |a|, |p|, |s|
 _NAMES = ("x", "a", "p", "s")
+_PARAM_TOL = 1e-12   # slack of the boundary parameters' ball and |eta| = 1 checks
+_DIRECTION_FLOOR = 1e-12   # least norm of a Gaussian draw made a unit direction
 
 
 def pi_f(b: Matrix2) -> tuple[complex, complex, complex, complex]:
@@ -76,25 +79,28 @@ def _f_margin(x: complex, a: complex, p: complex, s: complex) -> float:
 
 def f_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state membership verdict; margin = _f_margin."""
-    return classify_point(_f_margin, checked_point(pt, _NAMES), tol, shilov_f_test)
+    return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
 def f_matrix_witness(pt) -> Matrix2:
     """A matrix over the point: off-diagonal entries are the roots of
     t^2 - s t + (ax - p).  The only other matrix over the point is the
     transpose, which has the same norm."""
-    x, a, p, s = checked_point(pt, _NAMES)
-    b12, b21 = g2_roots((s, a * x - p))
+    return _witness(*checked_point(pt, _NAMES))
+
+
+def _witness(x: complex, a: complex, p: complex, s: complex) -> Matrix2:
+    b12, b21 = _g2_roots(s, a * x - p)
     return Matrix2(x, b12, b21, a)
 
 
 def _oracle_margin(*x: complex) -> float:
-    return 1.0 - operator_norm(f_matrix_witness(x))
+    return 1.0 - operator_norm(_witness(*x))
 
 
 def f_classify_matrix_oracle(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Independent verdict via reconstruction: margin = 1 - ||B||."""
-    return classify_point(_oracle_margin, checked_point(pt, _NAMES), tol, shilov_f_test)
+    return classify_point(_ORACLE, checked_point(pt, _NAMES), tol)
 
 
 def f_scale(pt, r: float):
@@ -125,7 +131,7 @@ def minkowski_gauge(pt) -> float:
 def f_swap(pt):
     """(x, a, p, s) -> (lambda1, lambda2, -p, a + x); preserves membership."""
     x, a, p, s = checked_point(pt, _NAMES)
-    l1, l2 = g2_roots((s, a * x - p))
+    l1, l2 = _g2_roots(s, a * x - p)
     return (l1, l2, -p, a + x)
 
 
@@ -171,7 +177,7 @@ class ShilovParamF:
         if not math.isfinite(self.theta):
             raise PreconditionViolation(f"theta must be finite, got {self.theta!r}")
         r2 = self.x2 ** 2 + self.x3 ** 2 + self.x4 ** 2
-        if not r2 <= 1.0 + 1e-12:
+        if not r2 <= 1.0 + _PARAM_TOL:
             raise PreconditionViolation(
                 f"(x2, x3, x4) must lie in the closed unit 3-ball, |.|^2 = {r2!r}")
 
@@ -186,9 +192,9 @@ class BallParamF:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "w", complex(self.w))
         object.__setattr__(self, "eta", complex(self.eta))
-        if not abs(self.z) ** 2 + abs(self.w) ** 2 <= 1.0 + 1e-12:
+        if not abs(self.z) ** 2 + abs(self.w) ** 2 <= 1.0 + _PARAM_TOL:
             raise PreconditionViolation("(z, w) must lie in the closed unit 2-ball")
-        if not abs(abs(self.eta) - 1.0) <= 1e-12:
+        if not abs(abs(self.eta) - 1.0) <= _PARAM_TOL:
             raise PreconditionViolation(f"|eta| must be 1, got {abs(self.eta)!r}")
 
 
@@ -198,10 +204,17 @@ def shilov_f_test(pt, tol: float = DEFAULT_TOL) -> bool:
         (x, a, p) on the tetrablock distinguished boundary,
         s + conj(s) p = 0,  and  |x|^2 + |s|^2/4 <= 1.
     """
-    x, a, p, s = checked_point(pt, _NAMES)
-    return (be_test((x, a, p), tol)
+    return _shilov_f(*checked_point(pt, _NAMES), tol)
+
+
+def _shilov_f(x: complex, a: complex, p: complex, s: complex, tol: float) -> bool:
+    return (_be(x, a, p, tol)
             and abs(s + s.conjugate() * p) <= tol
             and abs(x) ** 2 + abs(s) ** 2 / 4.0 <= 1.0 + tol)
+
+
+_DOMAIN = Domain(_NAMES, margin_cell(_f_margin), _shilov_f)
+_ORACLE = Domain(_NAMES, margin_cell(_oracle_margin), _shilov_f)
 
 
 def _shilov_point_from_omega(omega: complex, x2: float, x3: float, x4: float):
@@ -259,7 +272,7 @@ def sample_shilov_param_f(rng: random.Random) -> ShilovParamF:
         g0, g1, g2 = g01.real, g01.imag, rng.gauss(0.0, 1.0)
         # sum(), not +, keeps the bits on 3.12, whose float sum() is compensated
         nrm = math.sqrt(sum((g0 * g0, g1 * g1, g2 * g2)))
-        if nrm >= 1e-12:
+        if nrm >= _DIRECTION_FLOOR:
             break
     r = rng.random() ** (1.0 / 3.0)
     return ShilovParamF(theta, r * g0 / nrm, r * g1 / nrm, r * g2 / nrm)

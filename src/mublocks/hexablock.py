@@ -48,10 +48,11 @@ from .errors import PreconditionViolation
 from .matrix2 import Matrix2, _singular_values, gram_report
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify
-from .verdict import (DEFAULT_TOL, MembershipVerdict, Region, checked_point,
-                      classify_point, guarded_margin)
+from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, Domain, MembershipVerdict,
+                      checked_point, classify_point, guarded_margin, margin_code)
 
 _EQ_TOL = 1e-12  # exact-equality band for x3 = x1 x2 in the a = 0 slice
+_NORM_BAND = 1e-6  # half-width of the band about ||B|| = 1 decided by the Gram matrix
 _NAMES = ("a", "x1", "x2", "x3")
 
 
@@ -106,6 +107,17 @@ def _room(a: complex, tol: float) -> float:   # >= 0 exactly where |a| <= 1 + to
     return (1.0 + tol) - abs(a)
 
 
+def _hexa_cell(x, tol: float) -> tuple[int, float]:
+    """hexa_classify's cell: the indeterminate band where the tetrablock
+    margin is within tol of 0, a != 0 and |a| <= 1 + tol, else _hexa_margin."""
+    a, x1, x2, x3 = x
+    t_margin = guarded_margin(_tetra_margin, x1, x2, x3)
+    if a != 0 and not abs(t_margin) > tol and guarded_margin(_room, a, tol) >= 0.0:
+        return INDETERMINATE_CODE, min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
+    margin = guarded_margin(_hexa_margin, a, x1, x2, x3, t_margin, tol)
+    return margin_code(margin, tol), margin
+
+
 def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the hexablock.
 
@@ -115,13 +127,7 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     then Outside if |a| > 1 + tol (the sup dominates |psi(0,0)| = |a|), and
     otherwise ClosureBoundary flagged indeterminate.
     """
-    a, x1, x2, x3 = x = checked_point(pt, _NAMES)
-    t_margin = guarded_margin(_tetra_margin, x1, x2, x3)
-    if a != 0 and not abs(t_margin) > tol and guarded_margin(_room, a, tol) >= 0.0:
-        margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
-        return MembershipVerdict(Region.CLOSURE_BOUNDARY, margin, tol,
-                                 shilov_h_test(x, tol), indeterminate=True)
-    return classify_point(_hexa_margin, x, tol, shilov_h_test, t_margin, tol)
+    return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
 def hexa_slice_a0(x1: complex, x2: complex, x3: complex,
@@ -154,8 +160,8 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
     a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
     try:
         if a == 0:
-            in_open = (abs(x3 - x1 * x2) <= _EQ_TOL
-                       and tetra_classify((x1, x2, x3), tol).is_interior)
+            in_open = (abs(x3 - x1 * x2) <= _EQ_TOL   # only finite x reach the margin
+                       and guarded_margin(_tetra_margin, x1, x2, x3) > tol)
             return HnVerdict(in_open=in_open,
                              in_closure=_hn_in_closure(a, x1, x2, x3, tol),
                              in_interior_of_hn=False)
@@ -195,9 +201,9 @@ def _norm_at_most_one(x1: complex, t: complex, a: complex, x2: complex,
     if not cmath.isfinite(a):
         raise PreconditionViolation(f"a21: non-finite entry {a!r}")
     nrm = _singular_values(x1, t, a, x2)[0]
-    if nrm > 1.0 + 1e-6:
+    if nrm > 1.0 + _NORM_BAND:
         return False
-    if nrm <= 1.0 - 1e-6:
+    if nrm <= 1.0 - _NORM_BAND:
         return True
     g = gram_report(Matrix2(x1, t, a, x2))
     return g.trace_gram >= -2.0 * tol and g.det_gram >= -tol
@@ -205,6 +211,11 @@ def _norm_at_most_one(x1: complex, t: complex, a: complex, x2: complex,
 
 def shilov_h_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: in the closed normed variant with |x3| = 1."""
-    a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
-    return (_hn_in_closure(a, x1, x2, x3, tol)
-            and abs(abs(x3) - 1.0) <= tol)
+    return _shilov_h(*checked_point(pt, _NAMES, finite=False), tol)
+
+
+def _shilov_h(a: complex, x1: complex, x2: complex, x3: complex, tol: float) -> bool:
+    return _hn_in_closure(a, x1, x2, x3, tol) and abs(abs(x3) - 1.0) <= tol
+
+
+_DOMAIN = Domain(_NAMES, _hexa_cell, _shilov_h)

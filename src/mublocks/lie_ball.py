@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, classify_point,
-                      guarded_margin, raise_if_split)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
+                      guarded_margin, margin_cell, raise_if_split)
 
 
 @functools.cache
@@ -60,6 +60,9 @@ def _lie_ball_margin(*zs: complex) -> float:
     return min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
 
 
+_DOMAIN = Domain(_names(4), margin_cell(_lie_ball_margin))   # the CLI's l4: C^4
+
+
 def _slack_b(*zs: complex) -> float:
     norm2, bullet = _moduli(zs)
     return (1.0 - norm2) - math.sqrt(max(norm2 * norm2 - bullet * bullet, 0.0))
@@ -68,7 +71,7 @@ def _slack_b(*zs: complex) -> float:
 def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the Lie ball in C^n (n >= 2); margin =
     min(1 - sum|z|^2, 1 - (2 sum|z|^2 - |z bullet z|^2))."""
-    return classify_point(_lie_ball_margin, _coords(z), tol, None)
+    return classify_point(_DOMAIN, _coords(z), tol)
 
 
 def lie_ball_dual_check(z, tol: float = DEFAULT_TOL) -> None:

@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import math
 
-from .bidisc import _g2_margin, bgamma_test, g2_classify, g2_roots
+from .bidisc import _NAMES as _G2_NAMES, _bgamma, _g2_margin, _g2_roots, g2_classify
 from .errors import CriteriaDisagree, PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
-                      checked_point, classify_margin, classify_point, guarded_margin)
+from .verdict import (BAND_FACTOR, DEFAULT_TOL, INTERIOR, OUTSIDE, Domain, MembershipVerdict,
+                      checked_point, classify_margin, classify_point, guarded_margin,
+                      margin_cell)
 
 _NAMES = ("a", "s", "p")
+_DUAL_FLOOR = 1e-7   # least tol of penta_dual_check's guard band, against round-off
 
 
 def penta_radius(s: complex, p: complex) -> float:
@@ -46,7 +48,11 @@ def penta_radius(s: complex, p: complex) -> float:
     callers guard that.  The product under the root is clamped at 0 against
     round-off on the boundary.
     """
-    l1, l2 = g2_roots((s, p))
+    return _penta_radius(*checked_point((s, p), _G2_NAMES))
+
+
+def _penta_radius(s: complex, p: complex) -> float:
+    l1, l2 = _g2_roots(s, p)
     t1 = abs(1.0 - l2.conjugate() * l1) / 2.0
     g = (1.0 - abs(l1) ** 2) * (1.0 - abs(l2) ** 2)
     return t1 + math.sqrt(max(g, 0.0)) / 2.0
@@ -60,12 +66,12 @@ def penta_sup(pt) -> float:
     critical radius vanishes (both roots at one point of the circle).
     """
     a, s, p = checked_point(pt, _NAMES)
-    if g2_classify((s, p)).region is Region.OUTSIDE:
+    if g2_classify((s, p)).region is OUTSIDE:
         raise PreconditionViolation(
             f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")
     if a == 0:
         return 0.0
-    radius = penta_radius(s, p)
+    radius = _penta_radius(s, p)
     return abs(a) / radius if radius > 0.0 else math.inf
 
 
@@ -87,16 +93,16 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
 
     Runs only where both routes carry information: (s, p) interior to the
     bidisc and the critical-radius slack outside the guard band
-    BAND_FACTOR * max(tol, 1e-7).  Returns the supremum |a| / K of the
+    BAND_FACTOR * max(tol, _DUAL_FLOOR).  Returns the supremum |a| / K of the
     beta form when the check ran, None when the guard skipped it, and
     raises CriteriaDisagree when the routes put pt on opposite sides of the
     boundary.
     """
     a, s, p = checked_point(pt, _NAMES)
-    if classify_margin(guarded_margin(_g2_margin, s, p), tol) is not Region.INTERIOR:
+    if classify_margin(guarded_margin(_g2_margin, s, p), tol) is not INTERIOR:
         return None
     slack = guarded_margin(_radius_slack, a, s, p)   # -inf: |a| past the floats
-    if abs(slack) <= BAND_FACTOR * max(tol, 1e-7) or slack == -math.inf:
+    if abs(slack) <= BAND_FACTOR * max(tol, _DUAL_FLOOR) or slack == -math.inf:
         return None
     sup = _beta_sup(a, s, p)
     if (sup < 1.0) != (slack > 0.0):
@@ -107,7 +113,7 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
 
 
 def _radius_slack(a: complex, s: complex, p: complex) -> float:
-    return penta_radius(s, p) - abs(a)
+    return _penta_radius(s, p) - abs(a)
 
 
 def _penta_margin(a: complex, s: complex, p: complex, tol: float) -> float:
@@ -116,18 +122,23 @@ def _penta_margin(a: complex, s: complex, p: complex, tol: float) -> float:
     g2_margin = _g2_margin(s, p)
     if g2_margin < -tol:
         return g2_margin
-    return min(g2_margin, penta_radius(s, p) - abs(a))
+    return min(g2_margin, _penta_radius(s, p) - abs(a))
 
 
 def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the pentablock by the critical-radius rule
     (_penta_margin); the supremum form is penta_dual_check's cross-check."""
-    return classify_point(_penta_margin, checked_point(pt, _NAMES), tol, bp_test, tol)
+    return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
 def bp_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: (s, p) on the bidisc distinguished
     boundary and |a|^2 + |s|^2/4 = 1."""
-    a, s, p = checked_point(pt, _NAMES)
-    return (bgamma_test((s, p), tol)
-            and abs(abs(a) ** 2 + abs(s) ** 2 / 4.0 - 1.0) <= tol)
+    return _bp(*checked_point(pt, _NAMES), tol)
+
+
+def _bp(a: complex, s: complex, p: complex, tol: float) -> bool:
+    return _bgamma(s, p, tol) and abs(abs(a) ** 2 + abs(s) ** 2 / 4.0 - 1.0) <= tol
+
+
+_DOMAIN = Domain(_NAMES, margin_cell(_penta_margin, with_tol=True), _bp)

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords
-from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, classify_point,
-                      guarded_margin, raise_if_split)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
+                      guarded_margin, margin_cell, raise_if_split)
 
-_EQ_TOL = 1e-12
+_EQ_TOL = 1e-12     # x1 x2 = x3 band of criterion (B)'s extra leg
+_PARAM_TOL = 1e-12  # slack of be_point's |x3| = 1 and |x2| <= 1 preconditions
 _NAMES = ("x1", "x2", "x3")
 
 
@@ -67,7 +68,7 @@ def _tetra_margin(x1: complex, x2: complex, x3: complex) -> float:
 
 def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict; margin = min of the (A)-slack and the closure legs."""
-    return classify_point(_tetra_margin, checked_point(pt, _NAMES), tol, be_test)
+    return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
 def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
@@ -82,18 +83,24 @@ def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
 
 def be_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1."""
-    x1, x2, x3 = checked_point(pt, _NAMES)
+    return _be(*checked_point(pt, _NAMES), tol)
+
+
+def _be(x1: complex, x2: complex, x3: complex, tol: float) -> bool:
     return (abs(x1 - x2.conjugate() * x3) <= tol
             and abs(abs(x3) - 1.0) <= tol
             and abs(x2) <= 1.0 + tol)
+
+
+_DOMAIN = Domain(_NAMES, margin_cell(_tetra_margin), _be)
 
 
 def be_point(x2: complex, x3: complex) -> tuple[complex, complex, complex]:
     """Parametrize the distinguished boundary by (x2, x3), |x2| <= 1, |x3| = 1."""
     x2 = complex(x2)
     x3 = complex(x3)
-    if not abs(abs(x3) - 1.0) <= 1e-12:
+    if not abs(abs(x3) - 1.0) <= _PARAM_TOL:
         raise PreconditionViolation(f"|x3| must be 1, got {abs(x3)!r}")
-    if not abs(x2) <= 1.0 + 1e-12:
+    if not abs(x2) <= 1.0 + _PARAM_TOL:
         raise PreconditionViolation(f"|x2| must be <= 1, got {abs(x2)!r}")
     return (x2.conjugate() * x3, x2, x3)

@@ -16,11 +16,14 @@ A verdict is a matrix2.CheckedRecord: a cheap, immutable named tuple equal
 only to a verdict, whose every construction path (_replace and pickle too)
 checks the rules above and the Shilov flag.
 
-Every classifier takes one path: checked_point checks the coordinates;
-classify_point evaluates the margin kernel under the overflow guard (a square
-past the floats reads -inf: every domain is bounded), maps the margin to a
-region and runs the Shilov test on the closure boundary only.  The dual checks
-read their margins through the same guard, guarded_margin.
+Every classifier takes one path: checked_point checks the coordinates, and
+classify_point runs the domain's cell on them -- its margin kernel under the
+overflow guard (a square past the floats reads -inf: every domain is bounded)
+and margin_code, the one threshold rule -- then its Shilov kernel on the
+closure boundary only.  mublocks slice checks each axis value once and runs
+the same cell at every grid point, building no verdict.  Each Region carries
+its code; code 9 is the hexablock's indeterminate band, a ClosureBoundary
+verdict.  The dual checks read their margins through guarded_margin.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CriteriaDisagree, PreconditionViolation
 from .matrix2 import CheckedRecord, raise_if_nonfinite
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9   # half-width of the boundary band where a caller gives no tol
 
 # Guard-band multiplier used whenever two independent criteria are compared:
 # disagreements are only treated as errors if both margins clear this band.
@@ -41,25 +44,34 @@ BAND_FACTOR = 10.0
 
 
 class Region(enum.Enum):
-    INTERIOR = "Interior"
-    CLOSURE_BOUNDARY = "ClosureBoundary"
-    OUTSIDE = "Outside"
+    """A verdict's region; .code is its exit code and its slice cell code."""
+    INTERIOR = "Interior", 0
+    CLOSURE_BOUNDARY = "ClosureBoundary", 1
+    OUTSIDE = "Outside", 2
+
+    def __new__(cls, value: str, code: int):
+        member = object.__new__(cls)
+        member._value_, member.code = value, code
+        return member
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
 
 # Plain names: on Python 3.11 each Region.X is a descriptor call, half a verdict's cost.
-_INTERIOR, _BOUNDARY, _OUTSIDE = Region.INTERIOR, Region.CLOSURE_BOUNDARY, Region.OUTSIDE
+INTERIOR, CLOSURE_BOUNDARY, OUTSIDE = Region.INTERIOR, Region.CLOSURE_BOUNDARY, Region.OUTSIDE
+INDETERMINATE_CODE = 9   # the hexablock's indeterminate band: a ClosureBoundary verdict
+_REGION_OF = {r.code: r for r in Region} | {INDETERMINATE_CODE: CLOSURE_BOUNDARY}
+
+
+def margin_code(margin: float, tol: float) -> int:
+    """The one threshold rule: the code of a signed margin in the +-tol band."""
+    return 0 if margin > tol else 2 if margin < -tol else 1
 
 
 def classify_margin(margin: float, tol: float = DEFAULT_TOL) -> Region:
     """Map a signed margin to a region using the +-tol band."""
-    if margin > tol:
-        return _INTERIOR
-    if margin < -tol:
-        return _OUTSIDE
-    return _BOUNDARY
+    return _REGION_OF[margin_code(margin, tol)]
 
 
 class _VerdictFields(NamedTuple):
@@ -81,23 +93,23 @@ class MembershipVerdict(CheckedRecord, _VerdictFields):
 
     def __new__(cls, region: Region, margin: float, tol: float = DEFAULT_TOL,
                 shilov: bool | None = None, indeterminate: bool = False):
-        if region is _INTERIOR and not (margin > tol):
+        if region is INTERIOR and not (margin > tol):
             raise AssertionError(
                 f"verdict invariant: Interior needs margin > tol, got {margin!r}")
-        if region is _OUTSIDE and not (margin < -tol):
+        if region is OUTSIDE and not (margin < -tol):
             raise AssertionError(
                 f"verdict invariant: Outside needs margin < -tol, got {margin!r}")
-        if shilov and region is _INTERIOR:
+        if shilov and region is INTERIOR:
             raise AssertionError("verdict invariant: Shilov points are never interior")
         return tuple.__new__(cls, (region, margin, tol, shilov, indeterminate))
 
     @property
     def in_closure(self) -> bool:
-        return self.region is not Region.OUTSIDE
+        return self.region is not OUTSIDE
 
     @property
     def is_interior(self) -> bool:
-        return self.region is Region.INTERIOR
+        return self.region is INTERIOR
 
 
 def verdict_from_margin(margin: float, tol: float = DEFAULT_TOL, *,
@@ -130,15 +142,34 @@ def guarded_margin(kernel, *args) -> float:
         return -math.inf
 
 
-def classify_point(kernel, x, tol: float, shilov_test, *args) -> MembershipVerdict:
-    """Verdict at checked x: guarded kernel(*x, *args), region, boundary Shilov test."""
-    try:   # guarded_margin, inlined: one call less per verdict
-        margin = kernel(*x, *args)
-    except OverflowError:
-        margin = -math.inf
-    region = classify_margin(margin, tol)
-    return MembershipVerdict(region, margin, tol, shilov_test(x, tol)
-                             if shilov_test and region is _BOUNDARY else None)
+class Domain(NamedTuple):
+    """A domain as classify_point and mublocks slice read it: its coordinate
+    names, its cell (x, tol) -> (code, margin) on checked coordinates and its
+    Shilov kernel (*x, tol) -> bool, None where the boundary is not known."""
+    names: tuple
+    cell: Callable
+    shilov: Optional[Callable] = None
+
+
+def margin_cell(kernel, with_tol: bool = False):
+    """The cell of a margin kernel: the guarded kernel(*x) (kernel(*x, tol)
+    with_tol) and its margin_code."""
+    def cell(x, tol):
+        try:   # guarded_margin, inlined: one call less per cell
+            margin = kernel(*x, tol) if with_tol else kernel(*x)
+        except OverflowError:
+            margin = -math.inf
+        return margin_code(margin, tol), margin
+    return cell
+
+
+def classify_point(domain: Domain, x, tol: float) -> MembershipVerdict:
+    """Verdict at checked x: the domain's cell, its Shilov kernel on the closure boundary."""
+    code, margin = domain.cell(x, tol)
+    region = _REGION_OF[code]
+    return MembershipVerdict(region, margin, tol, domain.shilov(*x, tol)
+                             if domain.shilov and region is CLOSURE_BOUNDARY else None,
+                             code == INDETERMINATE_CODE)
 
 
 def raise_if_split(what: str, pt, margin_a: float, margin_b: float, tol: float) -> None:

@@ -39,8 +39,8 @@ from .domain_f import (f_classify, f_classify_matrix_oracle, f_relations,
                        BallParamF, ShilovParamF)
 from .errors import PreconditionViolation, UnknownSuite
 from .hexablock import hexa_classify, hn_classify, pi_hexa
-from .lie_ball import (biholo_f, lambda_map, lie_ball_classify,
-                       lie_ball_dual_check, shilov_l4_param, ShilovParamL4)
+from .lie_ball import (_lie_ball_margin, biholo_f, lambda_map, lie_ball_dual_check,
+                       shilov_l4_param, ShilovParamL4)
 from .matrix2 import (Matrix2, _box_muller, _complex_gauss, _usv,
                       contraction_from_rng, gram_det_from_coords, operator_norm,
                       spectral_radius, unitary_from_rng)
@@ -50,7 +50,7 @@ from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
 from .pentablock import penta_classify, penta_dual_check
 from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
                          tetra_dual_check)
-from .verdict import BAND_FACTOR, DEFAULT_TOL, Region
+from .verdict import BAND_FACTOR, CLOSURE_BOUNDARY, DEFAULT_TOL, INTERIOR, OUTSIDE
 
 DEFAULT_SEED = 7
 DEFAULT_R_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -209,8 +209,9 @@ def _mixed_point_tetra(rng: random.Random):
 def _lie_ball_interior(rng: random.Random):
     """Rejection sample of the open Cartan-ball interior in C^4: z_k =
     0.55 * _complex_gauss(rng), the first z with lie_ball_classify margin
-    above 1e-6.  The margin is at most 1 - sum |z|^2, so sum |z|^2 >= 1
-    rejects without classifying.
+    above 1e-6, read from its kernel _lie_ball_margin (z needs no check).
+    The margin is at most 1 - sum |z|^2, so sum |z|^2 >= 1 rejects without
+    classifying.
 
     With no value pending in rng.gauss_next a try is the 8 uniforms of four
     Box-Muller steps, (u0, u1), ..., (u6, u7), and it rejects at once where
@@ -246,7 +247,7 @@ def _lie_ball_interior(rng: random.Random):
             z3 = 0.55 * _complex_gauss(rng)
         if abs(z0) ** 2 + abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 < 1.0:
             z = (z0, z1, z2, z3)
-            if lie_ball_classify(z, 0.0).margin > 1e-6:
+            if _lie_ball_margin(*z) > 1e-6:
                 return z
 
 
@@ -356,7 +357,7 @@ def _(run: _Run) -> None:
             pt = shilov_f_param(sample_shilov_param_f(rng))
         r = rng.uniform(0.05, 0.95)
         sv = f_classify(f_scale(pt, r), run.tol)
-        if sv.region is Region.INTERIOR or run.in_band(sv.margin):
+        if sv.region is INTERIOR or run.in_band(sv.margin):
             continue
         run.fail(f"kind=scaled_not_interior index={i} pt={_pt17(pt)} r={r:.17g} "
                  f"observed={sv.region.value} margin={sv.margin:.17g}")
@@ -388,7 +389,7 @@ def _(run: _Run) -> None:
                      f"observed={fv.region.value} margin={fv.margin:.17g}")
             continue
         for name, v in _projection_legs(f_relations(pt), run.tol):
-            if v.region is Region.INTERIOR or run.in_band(v.margin):
+            if v.region is INTERIOR or run.in_band(v.margin):
                 continue
             run.fail(f"kind=projection index={i} pt={_pt17(pt)} leg={name} "
                      f"observed={v.region.value} margin={v.margin:.17g}")
@@ -539,7 +540,7 @@ def _(run: _Run) -> None:
         z = _lie_ball_interior(rng)
         lie_ball_dual_check(z, run.tol)
         fv = f_classify(biholo_f(lambda_map(z)), run.tol)
-        if (fv.region is not Region.INTERIOR
+        if (fv.region is not INTERIOR
                 and abs(fv.margin) > BAND_FACTOR * run.tol):
             run.fail(f"kind=interior_transport index={i} z={_pt17(z)} "
                      f"observed={fv.region.value} margin={fv.margin:.17g}")
@@ -562,7 +563,7 @@ def _(run: _Run) -> None:
         fv = f_classify(pt, test_tol)
         if not shilov_f_test(pt, test_tol):
             run.fail(f"kind=param_test index={i} pt={_pt17(pt)}")
-        elif fv.region is not Region.CLOSURE_BOUNDARY or fv.shilov is not True:
+        elif fv.region is not CLOSURE_BOUNDARY or fv.shilov is not True:
             run.fail(f"kind=param_verdict index={i} pt={_pt17(pt)} "
                      f"region={fv.region.value} shilov={fv.shilov}")
 
@@ -810,20 +811,20 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         q = q_value(pt)
         if abs(q - q_expected) > 1e-12:
             run.fail(f"kind=eg309_q r={r:.17g} q={q:.17g} expected={q_expected:.17g}")
-        if f_classify(pt).region is not Region.OUTSIDE:
+        if f_classify(pt).region is not OUTSIDE:
             run.fail(f"kind=eg309_f r={r:.17g} pt={_pt17(pt)}")
-        if penta_classify((a, 0.0, -r * r)).region is not Region.INTERIOR:
+        if penta_classify((a, 0.0, -r * r)).region is not INTERIOR:
             run.fail(f"kind=eg309_penta r={r:.17g}")
         penta_dual_check((a, 0.0, -r * r))
-        if g2_classify((0.0, -r * r)).region is not Region.INTERIOR:
+        if g2_classify((0.0, -r * r)).region is not INTERIOR:
             run.fail(f"kind=eg309_g2 r={r:.17g}")
         g2_dual_check((0.0, -r * r))
 
-        if tetra_classify((0.0, a, 0.0)).region is not Region.INTERIOR:
+        if tetra_classify((0.0, a, 0.0)).region is not INTERIOR:
             run.fail(f"kind=eg310_tetra r={r:.17g}")
         tetra_dual_check((0.0, a, 0.0))
 
-        if f_classify((0.0, 0.0, r * r, 0.0)).region is not Region.INTERIOR:
+        if f_classify((0.0, 0.0, r * r, 0.0)).region is not INTERIOR:
             run.fail(f"kind=slice_inside r={r:.17g}")
         if hn_classify((0.0, 0.0, 0.0, r * r)).in_open:
             run.fail(f"kind=hn_outside r={r:.17g}")
@@ -831,7 +832,7 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
     lim = (0.0, 0.5, 0.0, 1.0)
     if abs(q_value(lim) + 0.25) > 1e-12:
         run.fail(f"kind=eg310_q q={q_value(lim):.17g} expected=-0.25")
-    if f_classify(lim).region is not Region.OUTSIDE:
+    if f_classify(lim).region is not OUTSIDE:
         run.fail(f"kind=eg310_f pt={_pt17(lim)}")
     for name, v in _projection_legs(f_relations(lim)):
         if not v.in_closure:

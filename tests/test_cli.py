@@ -23,7 +23,7 @@ from mublocks.hexablock import HnVerdict, hexa_classify, hn_classify
 from mublocks.lie_ball import lie_ball_classify
 from mublocks.pentablock import penta_classify
 from mublocks.tetrablock import tetra_classify
-from mublocks.verdict import Region
+from mublocks.verdict import MembershipVerdict, Region, checked_point
 
 
 def run(argv):
@@ -581,6 +581,39 @@ def test_slice_rows_equal_the_public_classifiers(plane):
             codes.add(want_code)
     assert len(codes) > 1
     assert (9 in codes) == (plane == len(_SLICE_PLANES) - 1)
+
+
+@pytest.mark.parametrize("domain", sorted(cli._CLASSIFIERS))
+def test_slice_cells_build_no_verdict_and_check_no_point(domain, monkeypatch):
+    """A 21x21 slice runs the domain's cell at every grid point: with
+    MembershipVerdict refusing construction the bytes are unchanged, and
+    checked_point, counted in every module namespace that binds it, runs at
+    most once per slice (a finite grid needs no check beyond the parsing)."""
+    argv = ["slice", domain, "--grid", "21"]
+    want = run(argv)
+    assert want[0] == 0 and len(want[1].splitlines()) == 1 + 21 * 21
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a slice cell built a verdict")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MembershipVerdict, "__new__", refuse)
+        assert run(argv) == want
+        with pytest.raises(AssertionError, match="built a verdict"):
+            _PUBLIC[domain]((0.0,) * len(cli._COORD_NAMES[domain]))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return checked_point(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mublocks") and vars(module).get("checked_point") is checked_point:
+            monkeypatch.setattr(module, "checked_point", counted)
+    assert run(argv) == want
+    assert len(calls) <= 1
+    _PUBLIC[domain]((0.0,) * len(cli._COORD_NAMES[domain]))
+    assert len(calls) >= 1   # the public classifier's one check is counted
 
 
 def test_cli_and_thm32_run_without_numpy():

@@ -10,7 +10,9 @@ from mublocks.bidisc import g2_dual_check
 from mublocks.lie_ball import lie_ball_dual_check
 from mublocks.pentablock import penta_dual_check, penta_radius
 from mublocks.tetrablock import tetra_dual_check
-from mublocks.verdict import MembershipVerdict, Region, verdict_from_margin
+from mublocks.verdict import (CLOSURE_BOUNDARY, DEFAULT_TOL, INDETERMINATE_CODE, INTERIOR,
+                              OUTSIDE, MembershipVerdict, Region, classify_margin,
+                              margin_code, verdict_from_margin)
 
 
 def test_invariants_still_raise():
@@ -45,6 +47,19 @@ def test_equal_verdicts_compare_and_hash_equal():
     assert pickle.loads(pickle.dumps(a)) == a
     # a verdict equals only a verdict, as the frozen record did
     assert a != tuple(a) and tuple(a) != a and not a == tuple(a)
+
+
+def test_each_region_carries_its_code():
+    """verdict holds the one table: margin_code gives each margin its
+    region's code, which is check's exit code and the slice cell code; the
+    plain names are the members, and a member still pickles by its value."""
+    assert (INTERIOR, CLOSURE_BOUNDARY, OUTSIDE) == tuple(Region)
+    assert [r.code for r in Region] == [0, 1, 2] and INDETERMINATE_CODE == 9
+    for margin, region in ((0.5, INTERIOR), (1e-9, CLOSURE_BOUNDARY),
+                           (-1e-9, CLOSURE_BOUNDARY), (-0.5, OUTSIDE)):
+        assert margin_code(margin, DEFAULT_TOL) == region.code
+        assert classify_margin(margin) is region
+    assert Region("Outside") is OUTSIDE and pickle.loads(pickle.dumps(OUTSIDE)) is OUTSIDE
 
 
 def _points():
@@ -83,8 +98,8 @@ def test_no_nested_verdicts(monkeypatch):
         built.append(args)
         return MembershipVerdict(*args, **kwargs)
 
-    # verdicts are built in verdict.classify_point and, for its
-    # indeterminate band, in hexablock.hexa_classify
+    # verdicts are built in verdict.classify_point, the hexablock's
+    # indeterminate band too; hexablock is patched to catch a second site
     for module in (verdict, hexablock):
         monkeypatch.setattr(module, "MembershipVerdict", counted)
     for (fn, pts), want in zip(_points(), expected):

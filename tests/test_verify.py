@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -210,19 +211,22 @@ def test_report_formatting():
 
 
 def test_lie_ball_sampler_matches_the_classify_every_candidate_loop(monkeypatch):
-    """thm32's sampler skips the classifier where sum |z|^2 >= 1, which
-    bounds the margin by 1 - sum |z|^2 <= 0; the draws and the accepted
-    samples stay those of the loop that classifies every candidate."""
+    """thm32's sampler skips the margin where sum |z|^2 >= 1, which bounds
+    it by 1 - sum |z|^2 <= 0, and reads the rest through lie_ball_classify's
+    kernel, on points that need no check; the draws and the accepted samples
+    stay those of the loop that classifies every candidate."""
     calls = {verify: 0, oracles: 0}
 
-    def counter(module):
-        def counted(z, tol):
-            calls[module] += 1
-            return lie_ball.lie_ball_classify(z, tol)
-        return counted
+    def counter(module, name):
+        real = getattr(module, name)
 
-    for module in calls:
-        monkeypatch.setattr(module, "lie_ball_classify", counter(module))
+        def counted(*args):
+            calls[module] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counter(verify, "_lie_ball_margin")
+    counter(oracles, "lie_ball_classify")
     for seed in (7, 301, 2026):
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(300):
@@ -238,3 +242,47 @@ def test_run_suite_times_each_suite():
     assert verify._REGISTRY["cor34_necessity"].fn(50, 7, 1e-9).elapsed == 0.0
     assert rep.to_lines()[0].startswith(
         "suite=cor34_necessity n=50 seed=7 tol=1e-09 failures=0 band_excluded=0 ")
+
+
+# The chapter 2-3 suites, the set the verify_geometry benchmark workload times.
+_GEOMETRY_SUITES = (
+    "lemma21_gram", "prop22_vs_oracle", "prop24_closure", "swap_involution",
+    "lemma25_scaling", "thm29_projections", "prop210_slice", "prop211_slice",
+    "cor213_closure_projections", "prop215_hn", "thm32_boundary_transport",
+    "thm33_shilov_equivalences", "cor34_necessity", "cor35_double_cover",
+)
+
+
+def test_geometry_suites_check_each_point_once():
+    """A public call checks its point once: on the 14 geometry suites at
+    n = 200, no checked_point call runs below a frame that has already made
+    one (internal callers read the private kernels on checked coordinates)."""
+    from mublocks.verdict import checked_point
+
+    code = checked_point.__code__
+    frames: list[list] = []   # [code object, made a checked_point call]
+    nested: dict = {}
+    total = 0
+
+    def profile(frame, event, arg):
+        nonlocal total
+        if event == "call":
+            if frame.f_code is code:
+                total += 1
+                outer = [f[0].co_name for f in frames if f[1]]
+                if outer:
+                    key = (outer[-1], frame.f_back.f_code.co_name)
+                    nested[key] = nested.get(key, 0) + 1
+                if frames:
+                    frames[-1][1] = True
+            frames.append([frame.f_code, False])
+        elif event == "return" and frames:
+            frames.pop()
+
+    sys.setprofile(profile)
+    try:
+        reports = [run_suite(name, n_samples=200, seed=7) for name in _GEOMETRY_SUITES]
+    finally:
+        sys.setprofile(None)
+    assert all(r.passed for r in reports)
+    assert total > 5000 and nested == {}
