@@ -1,6 +1,6 @@
 """Membership, boundary, and structured-singular-value computations for the
 symmetrized bidisc, tetrablock, pentablock, and their four-coordinate
-relatives.  numpy serves only the Lie ball's lattice and transport search."""
+relatives, in plain Python: the package has no runtime dependency."""
 
 from .bidisc import (bgamma_point, bgamma_test, g2_classify, g2_dual_check,
                      g2_point, g2_roots)

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 from .domain_f import _f_margin
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, _singular_values, gram_report
+from .matrix2 import Matrix2, _singular_values, gram_report, raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .tetrablock import _tetra_margin, tetra_classify
+from .tetrablock import _tetra_margin, tetra_classify  # tetra_classify: perfbench reads it
 from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, Domain, MembershipVerdict,
                       checked_point, classify_point, guarded_margin, margin_code)
 
@@ -74,7 +74,8 @@ def psi_sup(pt) -> float:
     Exactly 0 when a = 0; exactly |a| at x = 0; linear in |a| throughout.
     """
     a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
-    if not tetra_classify((x1, x2, x3)).is_interior:
+    raise_if_nonfinite(_NAMES[1:], (x1, x2, x3))
+    if margin_code(guarded_margin(_tetra_margin, x1, x2, x3), DEFAULT_TOL):
         raise PreconditionViolation(
             f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
     if a == 0:

@@ -23,8 +23,8 @@ carries it onto the distinguished boundary of the target domain.  Each such
 point t proposes its own parameter (omega^2 = -t3, x2 = Re(t4 / 2 omega),
 x3 + i x4 = t1 / omega), and the thm32 suite checks the match by evaluating
 f forward there.  nearest_transport_distance measures any target against the
-whole transported set, by a trust-region subproblem over the unit 3-ball.  It
-and the lattice import numpy when called; importing this module does not.
+whole transported set: in closed form where the free optimum over the unit
+3-ball is feasible, else by a scan of the angle.
 """
 
 from __future__ import annotations
@@ -126,84 +126,82 @@ def shilov_l4_lattice(n: int = 10_000):
     """Deterministic Fibonacci-type lattice on the boundary parameters.
 
     Hopf coordinates on S^3 (stratified in sin^2) crossed with three
-    Kronecker rotations for the angles.  Returns float arrays
+    Kronecker rotations for the angles.  Returns float tuples
     (theta, x1, x2, x3, x4), each of length n, with x rows unit-normalized.
     """
-    import numpy as np
-    k = np.arange(n, dtype=float)
-    u = (k + 0.5) / n
-    eta = np.arcsin(np.sqrt(u))
-    xi1 = 2.0 * np.pi * np.mod(k * (math.sqrt(2.0) - 1.0), 1.0)
-    xi2 = 2.0 * np.pi * np.mod(k * (math.sqrt(3.0) - 1.0), 1.0)
-    theta = 2.0 * np.pi * np.mod(k * (math.sqrt(5.0) - 1.0) / 2.0, 1.0)
-    x1 = np.cos(eta) * np.cos(xi1)
-    x2 = np.cos(eta) * np.sin(xi1)
-    x3 = np.sin(eta) * np.cos(xi2)
-    x4 = np.sin(eta) * np.sin(xi2)
-    nrm = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4)
-    return theta, x1 / nrm, x2 / nrm, x3 / nrm, x4 / nrm
+    rows = []
+    for k in range(n):
+        eta = math.asin(math.sqrt((k + 0.5) / n))
+        xi1, xi2 = (2.0 * math.pi * (k * (math.sqrt(m) - 1.0) % 1.0) for m in (2.0, 3.0))
+        x = (math.cos(eta) * math.cos(xi1), math.cos(eta) * math.sin(xi1),
+             math.sin(eta) * math.cos(xi2), math.sin(eta) * math.sin(xi2))
+        nrm = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+        rows.append((2.0 * math.pi * (k * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0),
+                     *(v / nrm for v in x)))
+    return tuple(zip(*rows)) if rows else ((),) * 5
 
 
 def transported_lattice(n: int = 10_000):
-    """biholo_f of the squared lattice, vectorized.
-
-    Returns (params, points): params is the (theta, x1..x4) tuple of arrays,
-    points is an (n, 4) complex array of boundary points of the target
-    domain.
-    """
-    import numpy as np
-    theta, x1, x2, x3, x4 = shilov_l4_lattice(n)
-    return (theta, x1, x2, x3, x4), _transported(np.exp(1j * theta), x2, x3, x4)
+    """biholo_f of the squared lattice: (params, points), params the lattice
+    (theta, x1..x4), points its n boundary points of the target domain."""
+    params = theta, _, x2, x3, x4 = shilov_l4_lattice(n)
+    return params, tuple(_point(cmath.exp(1j * t), *y) for t, *y in zip(theta, x2, x3, x4))
 
 
-def _transported(w, y2, y3, y4):
-    """(w (y3 + i y4), -w (y3 - i y4), -w^2, 2 w y2) on a new last axis.
-
-    The named factors keep w on the left of every product.  numpy reuses a
-    temporary right operand of 256 KiB or more as the output and then
-    multiplies in swapped order, and a complex product with fused
-    multiply-adds is not commutative bit for bit."""
-    import numpy as np
-    u, v = y3 + 1j * y4, y3 - 1j * y4
-    return np.stack((w * u, -w * v, -(w * w), 2.0 * w * y2), axis=-1)
+def _point(w: complex, y2: float, y3: float, y4: float) -> tuple:
+    """(w (y3 + i y4), -w (y3 - i y4), -w^2, 2 w y2): a transported point."""
+    return (w * complex(y3, y4), -w * complex(y3, -y4), -(w * w), 2.0 * w * y2)
 
 
-_H = (4.0, 2.0, 2.0)   # curvatures of the rotated distance in y
-_SCAN, _CELLS, _LEVELS = 1024, 3, 10  # angle scan, minima zoomed, 16x zooms
-_ZOOM = tuple(k / 16.0 for k in range(-16, 17))  # tuples, as _H: no numpy at import
+def _centre(w: complex, t) -> tuple[float, float, float]:
+    """(Re T/2, Re c, Im c), c = (A + conj B)/2: the free minimizer y at w."""
+    c = 0.5 * (w.conjugate() * t[0] - w * t[1].conjugate())
+    return (0.5 * w.conjugate() * t[3]).real, c.real, c.imag
 
 
-def _ball_minimizer(g):
-    """argmin over |y| <= 1 of sum_i h_i (y_i - g_i)^2 for (..., 3) centres g.
+def _ball_minimizer(g2: float, g3: float, g4: float) -> tuple[float, float, float]:
+    """argmin over |y| <= 1 of sum_i h_i (y_i - g_i)^2, h = (4, 2, 2).
     Outside the ball y = h g / (h + lam): Newton on the concave, increasing
     1/||y(lam)|| - 1 climbs from lam = 0 without overshoot (h > 0: no hard case)."""
-    import numpy as np
-    outside = (g * g).sum(axis=-1) > 1.0
-    if not outside.any():
-        return g
-    y = g.copy()
-    hg = _H * g[outside]
-    lam = np.zeros((len(hg), 1))
+    if g2 * g2 + g3 * g3 + g4 * g4 <= 1.0:
+        return g2, g3, g4
+    a, b, c = 4.0 * g2, 2.0 * g3, 2.0 * g4
+    a2, bc2 = a * a, b * b + c * c   # h3 = h4: y3 and y4 share a denominator
+    lam = 0.0
     for _ in range(50):
-        q = hg / (_H + lam)
-        n2 = (q * q).sum(axis=-1, keepdims=True)
-        step = n2 * (np.sqrt(n2) - 1.0) / (q * q / (_H + lam)).sum(axis=-1, keepdims=True)
-        lam = lam + step
-        if not (step > 1e-15 * (lam + 2.0)).any():
+        d4, d2 = 4.0 + lam, 2.0 + lam
+        u, v = a2 / (d4 * d4), bc2 / (d2 * d2)
+        step = (u + v) * (math.sqrt(u + v) - 1.0) / (u / d4 + v / d2)
+        lam += step
+        if not step > 1e-15 * (lam + 2.0):
             break
-    y[outside] = hg / (_H + lam)
-    return y
+    return a / (4.0 + lam), b / (2.0 + lam), c / (2.0 + lam)
 
 
-def _residual2(theta, tgt):
-    """Squared distance from tgt (4,) to the nearest transported point at
-    each angle, measured from that point itself: the expanded quadratic
-    cancels to ~1e-12 on boundary targets."""
-    import numpy as np
-    w = np.exp(1j * theta)
-    c = 0.5 * (w.conj() * tgt[0] - w * tgt[1].conjugate())
-    y = _ball_minimizer(np.stack(((0.5 * w.conj() * tgt[3]).real, c.real, c.imag), -1))
-    return (np.abs(_transported(w, y[..., 0], y[..., 1], y[..., 2]) - tgt) ** 2).sum(-1)
+def _residual2(w: complex, t) -> float:
+    """Squared distance from t to the nearest transported point at angle w, measured
+    from that point: the expanded quadratic cancels to ~1e-12 on boundary targets."""
+    p = _point(w, *_ball_minimizer(*_centre(w, t)))
+    return (abs(p[0] - t[0]) ** 2 + abs(p[1] - t[1]) ** 2
+            + abs(p[2] - t[2]) ** 2 + abs(p[3] - t[3]) ** 2)
+
+
+def _scan_distance(t) -> float:
+    """The distance by a 1024-angle scan, then ten 16x zooms on its best 3
+    local minima.  (-w, -y) gives the point of (w, y), so the residual has
+    period pi, and the best 3 minima are the best 2 on [0, pi) and a copy of
+    one: only [0, pi) is scanned, and its best 2 are zoomed."""
+    n = 512   # the angles of [0, pi) in the 1024-angle scan
+    theta = [k * (math.pi / n) for k in range(n)]
+    r2 = [_residual2(cmath.exp(1j * th), t) for th in theta]
+    local = [k for k in range(n) if r2[k] <= r2[k - 1] and r2[k] <= r2[(k + 1) % n]]
+    cells = [theta[k] for k in sorted(local, key=r2.__getitem__)[:2]]
+    for level in range(1, 11):
+        scale = math.pi / n / 16.0 ** level
+        best = [min((_residual2(cmath.exp(1j * th), t), th)
+                    for th in [cell + scale * k for k in range(-16, 17)]) for cell in cells]
+        cells = [th for _, th in best]
+    return math.sqrt(min(best)[0])
 
 
 def nearest_transport_distance(target) -> float:
@@ -212,20 +210,20 @@ def nearest_transport_distance(target) -> float:
 
     With A = conj(w) t1, B = -conj(w) t2, T = conj(w) t4 the squared distance
     is 4 (y2 - Re T/2)^2 + 2 |y3 + i y4 - (A + conj B)/2|^2 + c(w): at fixed w
-    a trust-region subproblem with a one-variable secular equation (More and
-    Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)), so only w is searched:
-    a 1024-point scan, then ten 16x zooms on its best 3 local minima.
+    a trust-region subproblem (More and Sorensen 1983).  Over y in R^3 its
+    minimum is C + Re(K w^2), C constant, K = 2 conj(t3) - conj(t4)^2/2 +
+    conj(t1 t2); over the ball it is at least that at every angle.  So where
+    K != 0 and the free centre at w^2 = -conj(K)/|K| lies in the unit ball,
+    that angle is optimal: one residual, measured from the point there (C - |K|
+    cancels on boundary targets).  Elsewhere _scan_distance searches the angle.
     """
-    import numpy as np
-    tgt = np.asarray([complex(v) for v in target])
-    if len(tgt) != 4 or not np.isfinite(tgt).all():
+    t = tuple(complex(v) for v in target)
+    if len(t) != 4 or not all(map(cmath.isfinite, t)):
         raise PreconditionViolation(f"target must be 4 finite coordinates, got {target!r}")
-    theta = np.linspace(0.0, 2.0 * math.pi, _SCAN, endpoint=False)
-    r2 = _residual2(theta, tgt)
-    local = np.flatnonzero((r2 <= np.roll(r2, 1)) & (r2 <= np.roll(r2, -1)))
-    cells = theta[local[np.argsort(r2[local])[:_CELLS]]]
-    for level in range(_LEVELS):
-        grid = cells[:, None] + np.multiply(2.0 * math.pi / _SCAN / 16.0 ** level, _ZOOM)
-        r2 = _residual2(grid, tgt)
-        cells = grid[np.arange(len(cells)), np.argmin(r2, axis=1)]
-    return math.sqrt(float(r2.min()))
+    t1, t2, t3, t4 = t
+    k = 2.0 * t3.conjugate() - 0.5 * (t4 * t4).conjugate() + (t1 * t2).conjugate()
+    if k:
+        w = cmath.sqrt(-k.conjugate() / abs(k))
+        if sum(v * v for v in _centre(w, t)) <= 1.0:
+            return math.sqrt(_residual2(w, t))
+    return _scan_distance(t)

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 
-from .bidisc import _NAMES as _G2_NAMES, _bgamma, _g2_margin, _g2_roots, g2_classify
+from .bidisc import _NAMES as _G2_NAMES, _bgamma, _g2_margin, _g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, INTERIOR, OUTSIDE, Domain, MembershipVerdict,
+from .verdict import (BAND_FACTOR, DEFAULT_TOL, INTERIOR, Domain, MembershipVerdict,
                       checked_point, classify_margin, classify_point, guarded_margin,
                       margin_cell)
 
@@ -66,7 +66,7 @@ def penta_sup(pt) -> float:
     critical radius vanishes (both roots at one point of the circle).
     """
     a, s, p = checked_point(pt, _NAMES)
-    if g2_classify((s, p)).region is OUTSIDE:
+    if guarded_margin(_g2_margin, s, p) < -DEFAULT_TOL:
         raise PreconditionViolation(
             f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")
     if a == 0:

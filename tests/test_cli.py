@@ -617,25 +617,35 @@ def test_slice_cells_build_no_verdict_and_check_no_point(domain, monkeypatch):
 
 
 def test_cli_and_thm32_run_without_numpy():
-    """numpy serves only lie_ball's lattice and transport search, which
-    import it when called: a CLI check, a mu call on a numeric-route preset
-    and the thm32 suite leave it unimported."""
+    """The package needs no numpy: with it unimportable, the CLI (check,
+    mu, slice, verify thm32), the lattice and the transport distance on
+    both of its branches run."""
     script = "\n".join((
-        "import contextlib, io, sys",
+        "import contextlib, io, math, random, sys",
+        "sys.modules['numpy'] = None",
         "import mublocks",
-        "from mublocks import cli",
-        "from mublocks.verify import run_suite",
+        "from mublocks import cli, lie_ball",
+        "from mublocks.domain_f import sample_shilov_param_f, shilov_f_param",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert cli.main(['check', 'g2', '(0,0)']) == 0",
         "    assert cli.main(['mu', 'e_theta:0.7', '[[1,2],[3,4]]']) == 0",
-        "run_suite('thm32_boundary_transport', n_samples=20)",
-        "assert 'numpy' not in sys.modules, 'numpy imported'",
-        "from mublocks.lie_ball import nearest_transport_distance",
-        "print(nearest_transport_distance((0.5, 0.5, -1.0, 0.2)))",
+        "    assert cli.main(['slice', 'l4', '--grid', '21']) == 0",
+        "    assert cli.main(['verify', 'thm32_boundary_transport']) == 0",
+        "params, points = lie_ball.transported_lattice(100)",
+        "assert len(points) == 100 and all(map(len, (*params, *points)))",
+        "scans, scan = [], lie_ball._scan_distance",
+        "lie_ball._scan_distance = lambda t: scans.append(t) or scan(t)",
+        "rng = random.Random(7)",
+        "boundary = shilov_f_param(sample_shilov_param_f(rng))",
+        "noisy = tuple(v + complex(rng.gauss(0, 1), rng.gauss(0, 1))",
+        "              for v in shilov_f_param(sample_shilov_param_f(rng)))",
+        "assert lie_ball.nearest_transport_distance(boundary) <= 1e-12 and not scans",
+        "print(lie_ball.nearest_transport_distance(noisy), len(scans))",
     ))
     src = os.path.dirname(os.path.dirname(os.path.abspath(mublocks.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert math.isfinite(float(done.stdout))
+    distance, scans = done.stdout.split()
+    assert math.isfinite(float(distance)) and scans == "1"

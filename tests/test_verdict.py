@@ -7,12 +7,13 @@ import pytest
 
 from mublocks import domain_f, hexablock, pentablock, verdict
 from mublocks.bidisc import g2_dual_check
+from mublocks.errors import PreconditionViolation
 from mublocks.lie_ball import lie_ball_dual_check
 from mublocks.pentablock import penta_dual_check, penta_radius
 from mublocks.tetrablock import tetra_dual_check
 from mublocks.verdict import (CLOSURE_BOUNDARY, DEFAULT_TOL, INDETERMINATE_CODE, INTERIOR,
-                              OUTSIDE, MembershipVerdict, Region, classify_margin,
-                              margin_code, verdict_from_margin)
+                              OUTSIDE, MembershipVerdict, Region, checked_point,
+                              classify_margin, margin_code, verdict_from_margin)
 
 
 def test_invariants_still_raise():
@@ -78,20 +79,41 @@ def _points():
     )
 
 
+def _sup_points():
+    nan = float("nan")
+    return (
+        (pentablock.penta_sup,
+         ((0.3, 0.9, 0.4), (0, 0.9, 0.4), (0.3, 2, 1), (0.3, 3, 0), (0.3, nan, 0))),
+        (hexablock.psi_sup,
+         ((0.5, 0.3, 0.2, 0.05), (0, 0.3, 0.2, 0.05), (0.5, 1, 0, 0),
+          (nan, 0.3, 0.2, 0.05), (0.5, 0, nan, 0))),
+    )
+
+
+def _sup_outcome(fn, pt):
+    try:
+        return repr(fn(pt))
+    except PreconditionViolation as exc:
+        return str(exc)
+
+
 def test_no_nested_verdicts(monkeypatch):
     """penta, f and hexa classify their bidisc or tetrablock part through
     the margin kernels: with the public classifiers of those parts made to
-    raise, the verdicts are unchanged, and each call builds one verdict."""
+    raise, the verdicts are unchanged, and each call builds one verdict.
+    penta_sup and psi_sup check their point once and build no verdict, with
+    the same values and error texts."""
     expected = [[fn(pt) for pt in pts] for fn, pts in _points()]
     regions = {v.region for row in expected for v in row}
     assert regions == set(Region)
+    expected_sups = [[_sup_outcome(fn, pt) for pt in pts] for fn, pts in _sup_points()]
 
     def unavailable(*args, **kwargs):
         raise AssertionError("nested verdict")
 
-    monkeypatch.setattr(pentablock, "g2_classify", unavailable)
+    monkeypatch.setattr(pentablock, "g2_classify", unavailable, raising=False)
     monkeypatch.setattr(domain_f, "g2_classify", unavailable, raising=False)
-    monkeypatch.setattr(hexablock, "tetra_classify", unavailable)
+    monkeypatch.setattr(hexablock, "tetra_classify", unavailable, raising=False)
     built = []
 
     def counted(*args, **kwargs):
@@ -107,6 +129,20 @@ def test_no_nested_verdicts(monkeypatch):
             built.clear()
             assert fn(pt) == v, (fn.__name__, pt)
             assert len(built) == 1, (fn.__name__, pt)
+    checks = []
+
+    def counted_check(*args, **kwargs):
+        checks.append(args)
+        return checked_point(*args, **kwargs)
+
+    for module in (pentablock, hexablock):
+        monkeypatch.setattr(module, "checked_point", counted_check)
+    for (fn, pts), want in zip(_sup_points(), expected_sups):
+        for pt, outcome in zip(pts, want):
+            built.clear()
+            checks.clear()
+            assert _sup_outcome(fn, pt) == outcome, (fn.__name__, pt)
+            assert len(checks) == 1 and not built, (fn.__name__, pt)
 
 
 @pytest.mark.parametrize("check", (g2_dual_check, tetra_dual_check,
