@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import PreconditionViolation
@@ -204,6 +205,10 @@ def _scan_distance(t) -> float:
     return math.sqrt(min(best)[0])
 
 
+_FAR = 2.0 ** 511   # _ball_minimizer squares terms up to 2 |t|: the search stops here
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
 def nearest_transport_distance(target) -> float:
     """Distance from `target` (4 finite complex numbers) to the transported
     set {(w (y3 + i y4), -w (y3 - i y4), -w^2, 2 w y2): |w| = 1, |y| <= 1}.
@@ -216,11 +221,22 @@ def nearest_transport_distance(target) -> float:
     K != 0 and the free centre at w^2 = -conj(K)/|K| lies in the unit ball,
     that angle is optimal: one residual, measured from the point there (C - |K|
     cancels on boundary targets).  Elsewhere _scan_distance searches the angle.
+
+    The set lies within sqrt 5 of the origin, so beyond |t| = 2^511, where
+    that is far below an ulp, the distance is |t|; beyond the square root of
+    the largest float its square overflows, and PreconditionViolation names
+    the target.
     """
     t = tuple(complex(v) for v in target)
     if len(t) != 4 or not all(map(cmath.isfinite, t)):
         raise PreconditionViolation(f"target must be 4 finite coordinates, got {target!r}")
     t1, t2, t3, t4 = t
+    n = math.hypot(t1.real, t1.imag, t2.real, t2.imag, t3.real, t3.imag, t4.real, t4.imag)
+    if n > _FAR:
+        if n > _SQRT_MAX:
+            raise PreconditionViolation(
+                f"the squared distance from {target!r} passes the largest float")
+        return n
     k = 2.0 * t3.conjugate() - 0.5 * (t4 * t4).conjugate() + (t1 * t2).conjugate()
     if k:
         w = cmath.sqrt(-k.conjugate() / abs(k))

@@ -10,7 +10,9 @@ polynomial equation in the basis coefficients c:
     det(I - A X(c)) = 1 - sum_i tr(A B_i) c_i + det(A) * det(X(c)),
 
 with det(X(c)) quadratic in c via polarized determinants.  Exact paths: the
-symbolic infeasibility test (all non-constant coefficients vanish), k = 1
+symbolic infeasibility test (all non-constant coefficients vanish; it forms
+them lazily, tr(A B_i) one at a time up to the first nonzero one and det(A)
+times the polarized determinants only where all of those vanish), k = 1
 (quadratic roots), the diagonal span (any k = 2 basis with zero off-diagonal
 entries, whatever the structure's name: mu is the D-scaling bound in closed
 form, see _mu_diagonal), the upper- and lower-triangular spans (any k = 3
@@ -56,9 +58,18 @@ from .matrix2 import (CheckedRecord, Matrix2, _ldexp, _quadratic_roots,
 from .optimize import nelder_mead
 
 _SEED_STARTS = 0x5EED
-_RESIDUAL_TOL = 1e-7
+_RESIDUAL_TOL = 1e-7    # det(I - A X) of a minimizer, relative to its scale
 _RANK_TOL = 1e-12       # on columns of modulus <= 1, see _least_norm_mapper
 _FEASIBLE_TOL = 1e-9    # relative to |v|/|u|, see _least_norm_mapper
+_UNIT_TOL = 1e-12       # | |w| - 1 | of a unit vector given to rigidity_check
+_SPAN_TOL = 1e-10       # relative size at which a remainder counts as 0: a Gauss-
+                        # Jordan pivot, coeffs_of's residual, a unit normal's entry
+_CERT_TOL = 1e-6        # ||X|| sigma_1 <= 1 + this: the certificate settles mu
+_EXACT_TOL = 1e-9       # ... and within 1 + this it reports Exact, not Numeric
+_DESCENT_STEP, _DESCENT_TOL = 0.7, 1e-12   # descent step and x/f atol, per 1/sigma_1
+_REPEAT_TOL = 1e-8      # descent minima within this relative band are repeats
+_POLISH_STEP, _POLISH_XATOL = 1e-3, 1e-13   # polish step and xatol, per 1/sigma_1
+_POLISH_FATOL = 1e-15   # polish fatol, relative to the incumbent norm
 _RANGE_LO, _RANGE_HI = 2.0 ** -200, 2.0 ** 200  # see mu_value
 
 E11 = Matrix2(1, 0, 0, 0)
@@ -73,8 +84,8 @@ class Structure:
     """A complex-linear subspace of M2(C) given by an independent basis.
 
     Gauss-Jordan on the rows [b_i | e_i], each pivoting on its largest
-    remaining entry, rejects the basis as dependent at a pivot <= 1e-10 x
-    its largest entry modulus.  Gram-Schmidt on the free columns' null
+    remaining entry, rejects the basis as dependent at a pivot <= _SPAN_TOL
+    x its largest entry modulus.  Gram-Schmidt on the free columns' null
     vectors gives `normals` (X is in the span iff sum n_ij x_ij = 0 for
     each), and the rows' last k entries are coeffs_of's weights."""
 
@@ -91,7 +102,7 @@ class Structure:
         k = len(basis)
         if not 1 <= k <= 4:
             raise PreconditionViolation(f"basis length must be 1..4, got {k}")
-        pivots, floor = [], 1e-10 * max(abs(z) for b in basis for z in b)
+        pivots, floor = [], _SPAN_TOL * max(abs(z) for b in basis for z in b)
         rows = [[*b, *(complex(i == j) for j in range(k))] for i, b in enumerate(basis)]
         for i in range(k):
             row = rows[i]
@@ -120,13 +131,13 @@ class Structure:
     def k(self) -> int:
         return len(self.basis)
 
-    def coeffs_of(self, a: Matrix2, tol: float = 1e-10) -> Optional[list[complex]]:
+    def coeffs_of(self, a: Matrix2, tol: float = _SPAN_TOL) -> Optional[list[complex]]:
         """Coefficients of `a` in the basis, or None if a is not in the span."""
         c = [sum(a[p] * w[i] for p, w in self._weights) for i in range(self.k)]
         resid = max(abs(s - t) for s, t in zip(a, self.entries_at(c)))
         return c if resid <= tol * max(1.0, max(map(abs, a))) else None
 
-    def contains_identity(self, tol: float = 1e-10) -> bool:
+    def contains_identity(self, tol: float = _SPAN_TOL) -> bool:
         return self.coeffs_of(IDENTITY, tol) is not None
 
     def element(self, c) -> Matrix2:
@@ -241,29 +252,121 @@ def _least_norm_mapper(structure: Structure, u, v):
     a is never formed as a difference rho^2 - alpha^2, which cancels where
     the minimum is alpha (a nilpotent A on skewdiag); the denominator
     vanishes only at c = n2 = 0, where beta = delta = 0.
+
+    The reduction is written out for each number of normals, 4 - k, on local
+    scalars: per normal the three column entries, then Gram-Schmidt on the
+    first two columns taken in order of decreasing squared norm (ties keep
+    column order), the rows (q_i . col) and the residual of the third.  Each
+    branch does the operations of the list-based routine, kept as
+    tests/oracles.least_norm_mapper_reference, in its order, with dot
+    products accumulated from 0j, so that rho and X are bitwise its own.
+    Squared norms read re^2 + im^2, which is (conj(z) z).real exactly.  A
+    dropped first column drops the second too, whose squared norm is no
+    larger; with one normal the second column's remainder is rounding (its
+    entries have modulus <= 1), so it is never kept.
     """
     nu, nv = math.hypot(abs(u[0]), abs(u[1])), math.hypot(abs(v[0]), abs(v[1]))
     alpha = nv / nu
     u1, u2, v1, v2 = u[0] / nu, u[1] / nu, v[0] / nv, v[1] / nv
-    cu1, cu2, cv1, cv2 = (t.conjugate() for t in (u1, u2, v1, v2))
-    # per functional N, the columns N(v^ u^p*), N(v^p u^p*), -alpha N(v^ u^*)
-    cols = ([], [], [])
-    for m11, m12, m21, m22 in structure.normals:
+    cu1, cu2, cv1, cv2 = u1.conjugate(), u2.conjugate(), v1.conjugate(), v2.conjugate()
+    # per normal N, the columns x = N(v^ u^p*), y = N(v^p u^p*), z = -alpha N(v^ u^*)
+    normals = structure.normals
+    row1 = row2 = None   # the reduced equations n1 beta + n2 delta = c
+    if len(normals) == 1:
+        (m11, m12, m21, m22), = normals
         p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
-        cols[0].append(v1 * p1 + v2 * p2)
-        cols[1].append(cv1 * p2 - cv2 * p1)
-        cols[2].append(-alpha * (v1 * (m11 * cu1 + m12 * cu2)
-                                 + v2 * (m21 * cu1 + m22 * cu2)))
-    q = _orthonormal(sorted(cols[:2], key=lambda c: _dot(c, c).real, reverse=True))
-    rows = [[_dot(qi, col) for col in cols] for qi in q]
-    resid = cols[2]
-    for qi, row in zip(q, rows):
-        resid = [w - row[2] * z for w, z in zip(resid, qi)]
-    if math.sqrt(_dot(resid, resid).real) > _FEASIBLE_TOL * alpha:
-        return None
-    beta, delta, rho = 0j, 0j, alpha
-    if len(rows) == 1:
-        n1, n2, c = rows[0]
+        x, y = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
+        z = -alpha * (v1 * (m11 * cu1 + m12 * cu2) + v2 * (m21 * cu1 + m22 * cu2))
+        sx, sy = x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag
+        f, sf = (y, sy) if sx < sy else (x, sx)
+        nf = math.sqrt(sf)
+        if nf > _RANK_TOL:
+            q = f / nf
+            cq = q.conjugate()
+            c = 0j + cq * z
+            row1 = (0j + cq * x, 0j + cq * y, c)
+            z = z - c * q
+        if math.sqrt(z.real * z.real + z.imag * z.imag) > _FEASIBLE_TOL * alpha:
+            return None
+    elif len(normals) == 2:
+        (m11, m12, m21, m22), (k11, k12, k21, k22) = normals
+        p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
+        x1, y1 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
+        z1 = -alpha * (v1 * (m11 * cu1 + m12 * cu2) + v2 * (m21 * cu1 + m22 * cu2))
+        p1, p2 = k12 * u1 - k11 * u2, k22 * u1 - k21 * u2
+        x2, y2 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
+        z2 = -alpha * (v1 * (k11 * cu1 + k12 * cu2) + v2 * (k21 * cu1 + k22 * cu2))
+        sx = (x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
+        sy = (y1.real * y1.real + y1.imag * y1.imag) + (y2.real * y2.real + y2.imag * y2.imag)
+        f1, f2, sf, g1, g2 = (y1, y2, sy, x1, x2) if sx < sy else (x1, x2, sx, y1, y2)
+        nf = math.sqrt(sf)
+        if nf > _RANK_TOL:
+            q1, q2 = f1 / nf, f2 / nf
+            cq1, cq2 = q1.conjugate(), q2.conjugate()
+            t = 0j + cq1 * g1 + cq2 * g2
+            g1, g2 = g1 - t * q1, g2 - t * q2
+            c = 0j + cq1 * z1 + cq2 * z2
+            row1 = (0j + cq1 * x1 + cq2 * x2, 0j + cq1 * y1 + cq2 * y2, c)
+            w1, w2 = z1 - c * q1, z2 - c * q2
+            ng = math.sqrt((g1.real * g1.real + g1.imag * g1.imag)
+                           + (g2.real * g2.real + g2.imag * g2.imag))
+            if ng > _RANK_TOL:
+                q1, q2 = g1 / ng, g2 / ng
+                cq1, cq2 = q1.conjugate(), q2.conjugate()
+                c = 0j + cq1 * z1 + cq2 * z2
+                row2 = (0j + cq1 * x1 + cq2 * x2, 0j + cq1 * y1 + cq2 * y2, c)
+                w1, w2 = w1 - c * q1, w2 - c * q2
+        else:
+            w1, w2 = z1, z2
+        if math.sqrt((w1.real * w1.real + w1.imag * w1.imag)
+                     + (w2.real * w2.real + w2.imag * w2.imag)) > _FEASIBLE_TOL * alpha:
+            return None
+    elif len(normals) == 3:
+        (m11, m12, m21, m22), (k11, k12, k21, k22), (l11, l12, l21, l22) = normals
+        p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
+        x1, y1 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
+        z1 = -alpha * (v1 * (m11 * cu1 + m12 * cu2) + v2 * (m21 * cu1 + m22 * cu2))
+        p1, p2 = k12 * u1 - k11 * u2, k22 * u1 - k21 * u2
+        x2, y2 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
+        z2 = -alpha * (v1 * (k11 * cu1 + k12 * cu2) + v2 * (k21 * cu1 + k22 * cu2))
+        p1, p2 = l12 * u1 - l11 * u2, l22 * u1 - l21 * u2
+        x3, y3 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
+        z3 = -alpha * (v1 * (l11 * cu1 + l12 * cu2) + v2 * (l21 * cu1 + l22 * cu2))
+        sx = ((x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
+              + (x3.real * x3.real + x3.imag * x3.imag))
+        sy = ((y1.real * y1.real + y1.imag * y1.imag) + (y2.real * y2.real + y2.imag * y2.imag)
+              + (y3.real * y3.real + y3.imag * y3.imag))
+        f1, f2, f3, sf, g1, g2, g3 = ((y1, y2, y3, sy, x1, x2, x3) if sx < sy
+                                      else (x1, x2, x3, sx, y1, y2, y3))
+        nf = math.sqrt(sf)
+        if nf > _RANK_TOL:
+            q1, q2, q3 = f1 / nf, f2 / nf, f3 / nf
+            cq1, cq2, cq3 = q1.conjugate(), q2.conjugate(), q3.conjugate()
+            t = 0j + cq1 * g1 + cq2 * g2 + cq3 * g3
+            g1, g2, g3 = g1 - t * q1, g2 - t * q2, g3 - t * q3
+            c = 0j + cq1 * z1 + cq2 * z2 + cq3 * z3
+            row1 = (0j + cq1 * x1 + cq2 * x2 + cq3 * x3, 0j + cq1 * y1 + cq2 * y2 + cq3 * y3, c)
+            w1, w2, w3 = z1 - c * q1, z2 - c * q2, z3 - c * q3
+            ng = math.sqrt((g1.real * g1.real + g1.imag * g1.imag)
+                           + (g2.real * g2.real + g2.imag * g2.imag)
+                           + (g3.real * g3.real + g3.imag * g3.imag))
+            if ng > _RANK_TOL:
+                q1, q2, q3 = g1 / ng, g2 / ng, g3 / ng
+                cq1, cq2, cq3 = q1.conjugate(), q2.conjugate(), q3.conjugate()
+                c = 0j + cq1 * z1 + cq2 * z2 + cq3 * z3
+                row2 = (0j + cq1 * x1 + cq2 * x2 + cq3 * x3,
+                        0j + cq1 * y1 + cq2 * y2 + cq3 * y3, c)
+                w1, w2, w3 = w1 - c * q1, w2 - c * q2, w3 - c * q3
+        else:
+            w1, w2, w3 = z1, z2, z3
+        if math.sqrt((w1.real * w1.real + w1.imag * w1.imag)
+                     + (w2.real * w2.real + w2.imag * w2.imag)
+                     + (w3.real * w3.real + w3.imag * w3.imag)) > _FEASIBLE_TOL * alpha:
+            return None
+    if row1 is None:   # no normals, or both columns dropped: X = alpha v^ u^*
+        beta, delta, rho = 0j, 0j, alpha
+    elif row2 is None:
+        n1, n2, c = row1
         s1, s2 = abs(n1) ** 2, abs(n2) ** 2
         a = max(0.0, abs(c) ** 2 - alpha * alpha * s2) / (s1 + s2)
         rho2 = alpha * alpha + a
@@ -271,8 +374,8 @@ def _least_norm_mapper(structure: Structure, u, v):
         f = c / den if den > 0.0 else 0j
         beta, delta = f * a * n1.conjugate(), f * rho2 * n2.conjugate()
         rho = math.sqrt(rho2)
-    elif len(rows) == 2:
-        (n1, n2, c), (m1, m2, d) = rows
+    else:
+        (n1, n2, c), (m1, m2, d) = row1, row2
         det = n1 * m2 - n2 * m1
         beta, delta = (c * m2 - n2 * d) / det, (n1 * d - c * m1) / det
         rho = _singular_values(alpha, beta, 0j, delta)[0]
@@ -362,10 +465,10 @@ def _mu_numeric(a: Matrix2, structure: Structure) -> MuResult:
     # structure, so sigma_1 is returned without descending on the variety.
     # The probe is F(v1) = min{||X|| : X in E, X(A v1) = v1}.
     probe = _least_norm_mapper(structure, a.apply(v1), v1)
-    if probe is not None and probe[0] * s1 <= 1.0 + 1e-6:
+    if probe is not None and probe[0] * s1 <= 1.0 + _CERT_TOL:
         x = probe[1]
         if _det_residual(a, x) <= _RESIDUAL_TOL * (1.0 + s1 * probe[0]) ** 2:
-            status = "Exact" if probe[0] * s1 <= 1.0 + 1e-9 else "Numeric"
+            status = "Exact" if probe[0] * s1 <= 1.0 + _EXACT_TOL else "Numeric"
             return MuResult(value=s1, minimizer=x, status=status)
 
     lin, quad = _constraint_coeffs(a, structure)
@@ -386,15 +489,15 @@ def _mu_numeric(a: Matrix2, structure: Structure) -> MuResult:
     best_f, best_c, repeats = math.inf, None, 0
     for dep, t0 in starts:
         chart = charts[dep]
-        t, f, _, _ = nelder_mead(chart.norm, t0, step=0.7 * scale0,
-                                 xatol=1e-12 * scale0,
-                                 fatol=1e-12 * scale0, maxiter=400)
+        t, f, _, _ = nelder_mead(chart.norm, t0, step=_DESCENT_STEP * scale0,
+                                 xatol=_DESCENT_TOL * scale0,
+                                 fatol=_DESCENT_TOL * scale0, maxiter=400)
         if not math.isfinite(f):
             continue
-        if f < best_f * (1.0 - 1e-8):
+        if f < best_f * (1.0 - _REPEAT_TOL):
             best_f, repeats = f, 0
             best_c = min(chart.complete(t), key=chart.norm_of)
-        elif f <= best_f * (1.0 + 1e-8):
+        elif f <= best_f * (1.0 + _REPEAT_TOL):
             repeats += 1
             if repeats >= 3:
                 break
@@ -406,8 +509,9 @@ def _mu_numeric(a: Matrix2, structure: Structure) -> MuResult:
         t0 = []
         for i2 in chart.free:
             t0 += [best_c[i2].real, best_c[i2].imag]
-        t, f, _, _ = nelder_mead(chart.norm, t0, step=1e-3 * scale0,
-                                 xatol=1e-13 * scale0, fatol=1e-15 * best_f,
+        t, f, _, _ = nelder_mead(chart.norm, t0, step=_POLISH_STEP * scale0,
+                                 xatol=_POLISH_XATOL * scale0,
+                                 fatol=_POLISH_FATOL * best_f,
                                  maxiter=300)
         if math.isfinite(f) and f < best_f:
             best_f = f
@@ -563,9 +667,14 @@ def mu_value(a: Matrix2, structure: Structure) -> MuResult:
 def _mu_in_range(a: Matrix2, structure: Structure) -> MuResult:
     """mu_value for an A whose largest entry modulus is in [2^-200, 2^200]."""
     basis = structure.basis
-    lin, quad = _constraint_coeffs(a, structure)
-    if not any(lin) and not any(quad.values()):   # every coefficient is 0
-        return MuResult(value=0.0, minimizer=None, status="Infeasible")
+    a11, a12, a21, a22 = a
+    for b11, b12, b21, b22 in basis:   # _constraint_coeffs' tr(A B_i), lazily
+        if (a11 * b11 + a12 * b21) + (a21 * b12 + a22 * b22):
+            break
+    else:   # every tr(A B_i) is 0: infeasible unless some det(A) polar is not
+        da = a.det
+        if not any(da * m for m in structure.polar.values()):
+            return MuResult(value=0.0, minimizer=None, status="Infeasible")
 
     route = structure.route
     if route == "diag":
@@ -579,6 +688,7 @@ def _mu_in_range(a: Matrix2, structure: Structure) -> MuResult:
                         status="Exact")
 
     if route == "k1":
+        lin, quad = _constraint_coeffs(a, structure)
         c = min(_quadratic_roots(quad[(0, 0)], lin[0], 1.0), key=abs)
         return MuResult(value=1.0 / (abs(c) * operator_norm(basis[0])),
                         minimizer=basis[0].scale(c), status="Exact")
@@ -619,12 +729,11 @@ def rigidity_check(structure: Structure, u, v,
     least rho is where the ellipse |beta|^2/(rho^2 - 1) + |delta|^2/rho^2 =
     1 touches it; see _least_norm_mapper.
     """
-    uu = tuple(complex(t) for t in u)
-    vv = tuple(complex(t) for t in v)
+    uu, vv = tuple(map(complex, u)), tuple(map(complex, v))
     if len(uu) != 2 or len(vv) != 2:
         raise PreconditionViolation("u, v must be 2-vectors")
     for name, w in (("u", uu), ("v", vv)):
-        if not abs(math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2) - 1.0) <= 1e-12:
+        if not abs(math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2) - 1.0) <= _UNIT_TOL:
             raise PreconditionViolation(f"{name} is not a unit vector: {w!r}")
     found = _least_norm_mapper(structure, uu, vv)
     if found is None or found[0] > 1.0 + tol:
@@ -691,7 +800,7 @@ def classify_subspace(structure: Structure, tol: float = 1e-9) -> SubspaceVerdic
         raise PreconditionViolation(
             f"need a 3-dimensional structure, got k={structure.k}")
     (n11, n12, n21, n22), = structure.normals
-    if max(abs(n11), abs(n22)) > 1e-10:
+    if max(abs(n11), abs(n22)) > _SPAN_TOL:
         raise PreconditionViolation(
             "structure does not contain both diagonal cells")
     alpha, beta = n21, -n12

@@ -26,6 +26,7 @@ from mublocks.hexablock import HnVerdict, _sup_coeffs, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
+from mublocks.mu import _FEASIBLE_TOL, _dot, _orthonormal
 from mublocks.optimize import nelder_mead
 from mublocks.tetrablock import be_test, tetra_classify
 from mublocks.verdict import (MembershipVerdict, Region, checked_point,
@@ -876,6 +877,52 @@ def min_norm_mapper_nm(structure, u, v, starts: int = 10):
     except InfeasibleConstraint:
         return None
     return norm, structure.element(c)
+
+
+# The closed-form least-norm mapper as it stood on lists (columns per normal,
+# sorted Gram-Schmidt through mu._orthonormal, rows through mu._dot), kept
+# verbatim: tests/test_mu.py requires mu._least_norm_mapper, written out per
+# number of normals, to match it bit for bit.
+def least_norm_mapper_reference(structure, u, v):
+    """(norm, X) for min{||X|| : X in E, X u = v}, or None when infeasible."""
+    nu, nv = math.hypot(abs(u[0]), abs(u[1])), math.hypot(abs(v[0]), abs(v[1]))
+    alpha = nv / nu
+    u1, u2, v1, v2 = u[0] / nu, u[1] / nu, v[0] / nv, v[1] / nv
+    cu1, cu2, cv1, cv2 = (t.conjugate() for t in (u1, u2, v1, v2))
+    # per functional N, the columns N(v^ u^p*), N(v^p u^p*), -alpha N(v^ u^*)
+    cols = ([], [], [])
+    for m11, m12, m21, m22 in structure.normals:
+        p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
+        cols[0].append(v1 * p1 + v2 * p2)
+        cols[1].append(cv1 * p2 - cv2 * p1)
+        cols[2].append(-alpha * (v1 * (m11 * cu1 + m12 * cu2)
+                                 + v2 * (m21 * cu1 + m22 * cu2)))
+    q = _orthonormal(sorted(cols[:2], key=lambda c: _dot(c, c).real, reverse=True))
+    rows = [[_dot(qi, col) for col in cols] for qi in q]
+    resid = cols[2]
+    for qi, row in zip(q, rows):
+        resid = [w - row[2] * z for w, z in zip(resid, qi)]
+    if math.sqrt(_dot(resid, resid).real) > _FEASIBLE_TOL * alpha:
+        return None
+    beta, delta, rho = 0j, 0j, alpha
+    if len(rows) == 1:
+        n1, n2, c = rows[0]
+        s1, s2 = abs(n1) ** 2, abs(n2) ** 2
+        a = max(0.0, abs(c) ** 2 - alpha * alpha * s2) / (s1 + s2)
+        rho2 = alpha * alpha + a
+        den = a * s1 + rho2 * s2
+        f = c / den if den > 0.0 else 0j
+        beta, delta = f * a * n1.conjugate(), f * rho2 * n2.conjugate()
+        rho = math.sqrt(rho2)
+    elif len(rows) == 2:
+        (n1, n2, c), (m1, m2, d) = rows
+        det = n1 * m2 - n2 * m1
+        beta, delta = (c * m2 - n2 * d) / det, (n1 * d - c * m1) / det
+        rho = _singular_values(alpha, beta, 0j, delta)[0]
+    r1, r2 = alpha * cu1 - beta * u2, alpha * cu2 + beta * u1
+    x = Matrix2(v1 * r1 + cv2 * delta * u2, v1 * r2 - cv2 * delta * u1,
+                v2 * r1 - cv1 * delta * u2, v2 * r2 + cv1 * delta * u1)
+    return rho, x
 
 
 # The Nelder-Mead core as it stood before its bookkeeping was rewritten, kept

@@ -247,3 +247,30 @@ def test_transport_distance_takes_no_nelder_mead(monkeypatch):
 def test_transport_distance_rejects_bad_targets(target):
     with pytest.raises(PreconditionViolation):
         nearest_transport_distance(target)
+
+
+@pytest.mark.parametrize("target", [
+    (1e160, 0, 0, 0), (1e200, 0, 0, 0), (0, 0, 0, 1e200), (0, 0, 1e200, 0),
+    (1e308, 1e308, 0, 0)])
+def test_transport_distance_rejects_targets_whose_square_overflows(target):
+    """Finite targets whose squared distance passes the largest float raise
+    PreconditionViolation naming the target (ValueError or OverflowError
+    from the scan before)."""
+    with pytest.raises(PreconditionViolation, match="passes the largest float") as err:
+        nearest_transport_distance(target)
+    assert repr(target) in str(err.value)
+
+
+def test_transport_distance_on_huge_finite_targets(monkeypatch):
+    """(1e150, 0, 0, 0) is still 1e150; beyond 2^511, where the scan's
+    squares would overflow, the distance is |t| (the set lies within sqrt 5
+    of 0); and the guard moves none of the 1 000 test targets' distances."""
+    assert nearest_transport_distance((1e150, 0, 0, 0)) == 1e150
+    for t in ((1e154, 0, 0, 0), (0, 1.2e154j, 0, 0),
+              (-3e153 - 5e153j, 0, 7e153, -6e153 + 2e153j)):
+        want = math.hypot(*(c for v in map(complex, t) for c in (v.real, v.imag)))
+        assert nearest_transport_distance(t) == want
+    targets = _reference_targets()
+    guarded = [nearest_transport_distance(t) for t in targets]
+    monkeypatch.setattr(lie_ball, "_FAR", math.inf)
+    assert guarded == [nearest_transport_distance(t) for t in targets]

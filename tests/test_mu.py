@@ -16,8 +16,10 @@ from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          rigidity_check, rigidity_grid_pass,
                          structure_from_name)
 from mublocks.verify import mu_equals_norm_suite
+import oracles
 from oracles import (coeffs_lstsq_reference, constraint_coeffs_reference,
-                     det_residual_reference, eig_radius, min_norm_mapper_nm,
+                     det_residual_reference, eig_radius,
+                     least_norm_mapper_reference, min_norm_mapper_nm,
                      mu_diag_dscale_oracle, mu_diag_gauge_oracle,
                      mu_upper_hexablock_oracle, structure_svd_reference,
                      svd_norm)
@@ -120,6 +122,39 @@ def test_mu_infeasible_cases():
         assert r.value == 0.0
         assert r.status == "Infeasible"
         assert r.minimizer is None
+
+
+def test_infeasibility_screen_forms_coefficients_lazily(monkeypatch):
+    """The screen reads tr(A B_i) up to the first nonzero one and det(A)
+    times the polarized determinants only where all vanish.  A = 0 is
+    Infeasible everywhere, and E12 on upper (every trace 0, det 0); on diag
+    [[0, 1], [1, 0]] has every trace 0 but det(A) polar != 0, so it is
+    feasible, with mu exactly 1.  Only the k1 route and the descent after a
+    failed certificate probe form the coefficients."""
+    calls = []
+
+    def counted(a, structure):
+        calls.append(structure.name)
+        return coeffs(a, structure)
+
+    coeffs = mu_module._constraint_coeffs
+    monkeypatch.setattr(mu_module, "_constraint_coeffs", counted)
+    for name in _PRESET_NAMES:
+        r = mu_value(Matrix2(0, 0, 0, 0), structure_from_name(name))
+        assert r == MuResult(0.0, None, "Infeasible"), name
+    assert mu_value(E12, structure_from_name("upper")).status == "Infeasible"
+    r = mu_value(Matrix2(0, 1, 1, 0), structure_from_name("diag"))
+    assert r.status == "Exact" and r.value == 1.0
+    assert calls == []
+
+    a = Matrix2(0.3 + 0.1j, -0.7, 0.45j, 0.9 - 0.2j)
+    for name in _PRESET_NAMES:
+        calls.clear()
+        mu_value(a, structure_from_name(name))
+        assert calls == (["scalar"] if name == "scalar" else []), name
+    calls.clear()
+    assert mu_value(E21, ODD).status == "Numeric"   # the probe misses
+    assert calls == ["odd_offdiag"]
 
 
 def test_mu_e_theta_on_e12():
@@ -688,6 +723,83 @@ def test_least_norm_mapper_zero_denominator():
         assert abs((Matrix2.identity() - a @ r.minimizer).det) <= 1e-15
     x = rigidity_check(skew, (1, 0), (0, 1))
     assert x == E21
+
+
+def _reference_branches(monkeypatch):
+    """Record, per reference call, (number of normals, first sorted column
+    dropped, vectors kept) from the reference's Gram-Schmidt."""
+    seen = []
+
+    def spy(vectors):
+        q = orthonormal(vectors)
+        first = vectors[0]
+        dropped = math.sqrt(sum(abs(w) ** 2 for w in first)) <= mu_module._RANK_TOL
+        seen.append((len(first), dropped, len(q)))
+        return q
+
+    orthonormal = oracles._orthonormal
+    monkeypatch.setattr(oracles, "_orthonormal", spy)
+    return seen
+
+
+def _exact_units():
+    """Unit vectors with exact entries: signed zeros beside +-1 and +-i, and
+    entries of equal modulus sqrt(1/2), where column norms tie."""
+    h = math.sqrt(0.5)
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0))
+    ones = (1 + 0j, -1 + 0j, 1j, -1j)
+    halves = (complex(h, 0.0), complex(-h, 0.0), complex(0.0, h), complex(0.0, -h))
+    return ([(z, w) for z in zeros for w in ones] + [(w, z) for z in zeros for w in ones]
+            + [(a, b) for a in halves for b in halves])
+
+
+def test_least_norm_mapper_is_the_reference_bitwise(monkeypatch):
+    """The mapper written out per number of normals returns None exactly
+    where the list-based reference does, the same rho and the same X entries
+    (repr, so signed zeros count).  Cases: MAPPER_SPANS x _mapper_cases,
+    MAPPER_SPANS x every pair of _exact_units (signed zeros and tied column
+    norms show there), and 2 000 seeded pairs spread over MAPPER_SPANS: unit
+    pairs, probe pairs (A w, w) at scales 10^U(-3, 3), v a multiple of u, v
+    orthogonal to u, coordinate vectors.  They reach each number of normals,
+    a dropped first sorted column (upper at u = e1), the zero-denominator
+    case (skewdiag at e1 -> e2), infeasible pairs and 0, 1 and 2 reduced
+    rows."""
+    seen = _reference_branches(monkeypatch)
+    r = random.Random(2323)
+    e1, e2 = (1 + 0j, 0j), (0j, 1 + 0j)
+    exact = _exact_units()
+    cases = [(s, u, v) for s in MAPPER_SPANS for u, v in _mapper_cases(r)]
+    cases += [(s, u, v) for s in MAPPER_SPANS for u in exact for v in exact]
+    for i in range(2000):
+        u, kind = _unit_from(r), i % 5
+        if kind == 0:
+            v = _unit_from(r)
+        elif kind == 1:
+            a = Matrix2(*(_gauss_c(r) * 10.0 ** r.uniform(-3.0, 3.0) for _ in range(4)))
+            u, v = a.apply(u), u
+        elif kind == 2:
+            c = _gauss_c(r)
+            v = (c * u[0], c * u[1])
+        elif kind == 3:
+            v = (-u[1].conjugate(), u[0].conjugate())
+        else:
+            u, v = r.choice((e1, e2)), r.choice((e1, e2, _unit_from(r)))
+        cases.append((MAPPER_SPANS[i % len(MAPPER_SPANS)], u, v))
+    infeasible = 0
+    for s, u, v in cases:
+        got, want = mu_module._least_norm_mapper(s, u, v), least_norm_mapper_reference(s, u, v)
+        assert (got is None) == (want is None), (s.name, u, v)
+        if want is None:
+            infeasible += 1
+            continue
+        assert got[0] == want[0], (s.name, u, v)
+        assert repr(tuple(got[1])) == repr(tuple(want[1])), (s.name, u, v)
+    assert infeasible > 0
+    assert {m for m, _, _ in seen} == {0, 1, 2, 3}
+    assert any(dropped for m, dropped, _ in seen if m > 0)
+    assert {kept for m, _, kept in seen if m > 0} == {0, 1, 2}
+    assert least_norm_mapper_reference(structure_from_name("skewdiag"), e1, e2) is not None
+    assert seen[-1] == (1, False, 1)
 
 
 def test_presets_and_rigidity_take_no_nelder_mead(monkeypatch):
