@@ -8,9 +8,9 @@ are known:
 
 and the closure is the non-strict version.  g2_classify evaluates (A) only,
 through the kernel _g2_margin, which the pentablock and F also call for
-their bidisc leg; g2_dual_check holds (A) against (B), and the verification
-suites and the tests call it, never a classifier.  Criterion (A) alone does
-not close up correctly on |p| = 1 (it degenerates to the line
+their bidisc leg; _g2_dual holds that margin against (B) and returns it to
+g2_dual_check and the suites' bidisc legs, never to a classifier.  (A) alone
+does not close up correctly on |p| = 1 (it degenerates to the line
 s = conj(s) p, which admits arbitrarily large |s|), so the reported margin
 carries the extra leg 2 - |s|:
 
@@ -51,9 +51,14 @@ def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the g2_classify margin against criterion (B) at pt; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    x = checked_point(pt, _NAMES)
-    raise_if_split("bidisc criteria", pt, guarded_margin(_g2_margin, *x),
-                   guarded_margin(_slack_b, *x), tol)
+    _g2_dual(checked_point(pt, _NAMES), tol)
+
+
+def _g2_dual(x: tuple, tol: float) -> float:
+    """g2_dual_check on checked coordinates; returns g2_classify's margin."""
+    margin = guarded_margin(_g2_margin, *x)
+    raise_if_split("bidisc criteria", x, margin, guarded_margin(_slack_b, *x), tol)
+    return margin
 
 
 def g2_roots(pt) -> tuple[complex, complex]:

@@ -41,11 +41,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .bidisc import _g2_margin, _g2_roots
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, _complex_gauss, gram_det_from_coords, operator_norm
+from .matrix2 import (CheckedRecord, Matrix2, _complex_gauss, gram_det_from_coords,
+                      operator_norm)
 from .tetrablock import _be
 from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
                       margin_cell)
@@ -115,7 +117,9 @@ def f_scale(pt, r: float):
 
 
 def f_rescale_by(pt, t: float):
-    """(x/t, a/t, p/t^2, s/t) -- the gauge direction (no range restriction)."""
+    """(x/t, a/t, p/t^2, s/t) -- the gauge direction, for finite t with t^2 != 0."""
+    if not (math.isfinite(t) and t * t != 0.0):
+        raise PreconditionViolation(f"rescale factor t must be finite, t*t != 0: {t!r}")
     x, a, p, s = checked_point(pt, _NAMES)
     return (x / t, a / t, p / (t * t), s / t)
 
@@ -135,11 +139,8 @@ def f_swap(pt):
     return (l1, l2, -p, a + x)
 
 
-@dataclass(frozen=True)
-class FRelations:
-    g2: tuple[complex, complex]
-    tetra: tuple[complex, complex, complex]
-    penta: tuple[complex, complex, complex]
+class FRelations(CheckedRecord, namedtuple("_Projections", "g2 tetra penta")):
+    __slots__ = ()
 
 
 def f_relations(pt) -> FRelations:

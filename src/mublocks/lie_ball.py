@@ -8,7 +8,7 @@ Two equivalent defining inequalities are known:
     (B)  sqrt((sum |z_j|^2)^2 - |sum z_j^2|^2)  <  1 - sum |z_j|^2
 
 (B) squares to (A) given sum |z_j|^2 < 1.  lie_ball_classify evaluates (A);
-lie_ball_dual_check holds it against (B) for the suites and the tests.
+_lie_ball_dual holds it against (B) for lie_ball_dual_check and thm32.
 
 The distinguished boundary of the squared image (n = 4) is parametrized by
 
@@ -78,9 +78,14 @@ def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def lie_ball_dual_check(z, tol: float = DEFAULT_TOL) -> None:
     """Hold the lie_ball_classify margin against criterion (B) at z; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    zs = _coords(z)
-    raise_if_split("Lie-ball criteria", z, guarded_margin(_lie_ball_margin, *zs),
-                   guarded_margin(_slack_b, *zs), tol)
+    _lie_ball_dual(_coords(z), tol)
+
+
+def _lie_ball_dual(zs: tuple, tol: float) -> float:
+    """lie_ball_dual_check on checked coordinates; returns lie_ball_classify's margin."""
+    margin = guarded_margin(_lie_ball_margin, *zs)
+    raise_if_split("Lie-ball criteria", zs, margin, guarded_margin(_slack_b, *zs), tol)
+    return margin
 
 
 def lambda_map(z):

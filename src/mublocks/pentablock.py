@@ -13,9 +13,9 @@ penta_classify evaluates, next to the bidisc kernel bidisc._g2_margin for
 
 is linear in |a|, and its value is |a| divided by the critical radius, which
 is how penta_sup evaluates it.  The same source also states the radius
-without roots, through beta = (s - conj(s) p) / (1 - |p|^2);
-penta_dual_check holds the root form against that second closed form and is
-called from the verification suites and the tests, never from a classifier.
+without roots, through beta = (s - conj(s) p) / (1 - |p|^2); _penta_dual
+holds the root form against it and returns the classifier's margin to
+penta_dual_check and the suites' pentablock legs, never to a classifier.
 The numeric supremum (grid, radial scans, Nelder-Mead) is kept as a test
 oracle.  The closure test used here is the non-strict root form together
 with (s, p) in the closed bidisc domain -- the source material characterizes
@@ -33,9 +33,8 @@ import math
 from .bidisc import _NAMES as _G2_NAMES, _bgamma, _g2_margin, _g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, INTERIOR, Domain, MembershipVerdict,
-                      checked_point, classify_margin, classify_point, guarded_margin,
-                      margin_cell)
+from .verdict import (BAND_FACTOR, DEFAULT_TOL, Domain, MembershipVerdict, checked_point,
+                      classify_point, guarded_margin, margin_cell)
 
 _NAMES = ("a", "s", "p")
 _DUAL_FLOOR = 1e-7   # least tol of penta_dual_check's guard band, against round-off
@@ -93,23 +92,30 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
 
     Runs only where both routes carry information: (s, p) interior to the
     bidisc and the critical-radius slack outside the guard band
-    BAND_FACTOR * max(tol, _DUAL_FLOOR).  Returns the supremum |a| / K of the
-    beta form when the check ran, None when the guard skipped it, and
-    raises CriteriaDisagree when the routes put pt on opposite sides of the
-    boundary.
+    BAND_FACTOR * max(tol, _DUAL_FLOOR).  Returns the beta form's supremum
+    |a| / K when the check ran, None when the guard skipped it, and raises
+    CriteriaDisagree when the routes put pt on opposite sides of the boundary.
     """
-    a, s, p = checked_point(pt, _NAMES)
-    if classify_margin(guarded_margin(_g2_margin, s, p), tol) is not INTERIOR:
-        return None
+    return _penta_dual(checked_point(pt, _NAMES), tol)[1]
+
+
+def _penta_dual(x: tuple, tol: float) -> tuple[float, float | None]:
+    """(penta_classify's margin, penta_dual_check's answer) at checked x."""
+    a, s, p = x
+    g2_margin = guarded_margin(_g2_margin, s, p)
+    if g2_margin < -tol:
+        return g2_margin, None
     slack = guarded_margin(_radius_slack, a, s, p)   # -inf: |a| past the floats
-    if abs(slack) <= BAND_FACTOR * max(tol, _DUAL_FLOOR) or slack == -math.inf:
-        return None
+    margin = min(g2_margin, slack)
+    if (not g2_margin > tol or abs(slack) <= BAND_FACTOR * max(tol, _DUAL_FLOOR)
+            or slack == -math.inf):
+        return margin, None
     sup = _beta_sup(a, s, p)
     if (sup < 1.0) != (slack > 0.0):
         raise CriteriaDisagree(
-            f"pentablock dual routes disagree at {pt!r}: "
+            f"pentablock dual routes disagree at {x!r}: "
             f"critical-radius slack {slack!r} vs beta-form sup {sup!r}")
-    return sup
+    return margin, sup
 
 
 def _radius_slack(a: complex, s: complex, p: complex) -> float:

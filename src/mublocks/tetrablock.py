@@ -17,8 +17,8 @@ in the closed tetrablock iff (x1, x2, x3, 0) is in the closed image domain of
 (a11, a22, det, a12 + a21), whose three legs at s = 0 are 1 - |x1 x2 - x3|^2,
 1 - |x3| and the Gram determinant Q(x1, x2, x3, 0).  tetra_classify reports
 min((A)-slack, legs), sign-faithful in all three regions, via the kernel
-_tetra_margin, which the hexablock also calls.  For the suites and the
-tests, tetra_dual_check holds (A) against (B) and the legs.
+_tetra_margin, which the hexablock also calls.  _tetra_dual holds (A)
+against (B) and the legs and returns that margin, for the suites' legs too.
 
 Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 (u11, u22, det U) of 2x2 unitaries.
@@ -74,11 +74,16 @@ def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the (A)-slack against (B) and against the closure legs at pt;
     raises CriteriaDisagree when either pair splits outside the guard band."""
-    x = checked_point(pt, _NAMES)
+    _tetra_dual(checked_point(pt, _NAMES), tol)
+
+
+def _tetra_dual(x: tuple, tol: float) -> float:
+    """tetra_dual_check on checked coordinates; returns tetra_classify's margin."""
     ca, cb = tetra_margins(*x)
-    raise_if_split("tetrablock criteria", pt, ca, cb, tol)
-    raise_if_split("tetrablock interior test and closure legs", pt, ca,
-                   guarded_margin(_closure_margin, *x), tol)
+    closure = guarded_margin(_closure_margin, *x)
+    raise_if_split("tetrablock criteria", x, ca, cb, tol)
+    raise_if_split("tetrablock interior test and closure legs", x, ca, closure, tol)
+    return min(ca, closure)
 
 
 def be_test(pt, tol: float = DEFAULT_TOL) -> bool:

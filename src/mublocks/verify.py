@@ -12,7 +12,8 @@ alone.
 
 Sampling mixes three generators per domain: projection images of random
 contractions (interior-dense), boundary parametrizations, and uniform box
-noise (outside-dense).
+noise (outside-dense).  A projection or slice leg takes its classifier's
+margin and its dual check from one pass of the domain's dual kernel.
 
 A suite is one function of a _Run, registered under its name by the
 @_suite(name, default_n, default_tol) decorator, in the order the functions
@@ -31,7 +32,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .bidisc import bgamma_test, g2_classify, g2_dual_check
+from .bidisc import _g2_dual, bgamma_test
 from .domain_f import (f_classify, f_classify_matrix_oracle, f_relations,
                        f_rescale_by, f_scale, f_swap, pi_f, q_value,
                        sample_point_f, sample_shilov_param_f, shilov_f_from_ball,
@@ -39,7 +40,7 @@ from .domain_f import (f_classify, f_classify_matrix_oracle, f_relations,
                        BallParamF, ShilovParamF)
 from .errors import PreconditionViolation, UnknownSuite
 from .hexablock import hexa_classify, hn_classify, pi_hexa
-from .lie_ball import (_lie_ball_margin, biholo_f, lambda_map, lie_ball_dual_check,
+from .lie_ball import (_lie_ball_dual, _lie_ball_margin, biholo_f, lambda_map,
                        shilov_l4_param, ShilovParamL4)
 from .matrix2 import (Matrix2, _box_muller, _complex_gauss, _usv,
                       contraction_from_rng, gram_det_from_coords, operator_norm,
@@ -47,13 +48,30 @@ from .matrix2 import (Matrix2, _box_muller, _complex_gauss, _usv,
 from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
                  mu_sandwich_check, mu_value, rigidity_check,
                  rigidity_grid_pass, structure_from_name, Structure)
-from .pentablock import penta_classify, penta_dual_check
-from .tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
-                         tetra_dual_check)
-from .verdict import BAND_FACTOR, CLOSURE_BOUNDARY, DEFAULT_TOL, INTERIOR, OUTSIDE
+from .pentablock import _penta_dual
+from .tetrablock import _tetra_dual, be_point, be_test, pi_tetra
+from .verdict import (BAND_FACTOR, CLOSURE_BOUNDARY, DEFAULT_TOL, INTERIOR, OUTSIDE,
+                      classify_margin)
 
 DEFAULT_SEED = 7
 DEFAULT_R_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+# Fixed tolerances; a suite's own tol is its run.tol.
+_GRAM_TOL = 1e-10          # lemma21_gram's default: det(I - B*B) against Q, entries ~1
+_MU_TOL = 1e-6             # mu suites' default; least tol of their rigidity and membership
+_BOUNDARY_TOL = 1e-9       # least tol of the closed-form boundary and phase tests
+_ROUNDING_GAP = 1e-12      # largest gap of two sides equal up to rounding (maps, Q values)
+_MATCH_GAP = 1e-8          # largest thm32 match gap of a boundary target
+_LIE_MARGIN = 1e-6         # least lie_ball_classify margin of a thm32 interior sample
+_LIE_REJECT_SLACK = 1e-9   # slack of _lie_ball_interior's early rejection, past rounding
+_S3_FLOOR = 1e-9           # least norm of a Gaussian draw that _unit_s3 normalizes
+_VECTOR_FLOOR = 1e-6       # least norm of a Gaussian pair that _unit_vector normalizes
+_HN_A_FLOOR = 1e-6         # prop215 excludes |a| below it: t = (x1 x2 - x3) / a
+_HN_NORM_BAND = 1e-7       # prop215 excludes a matrix norm this close to 1
+_MU_NUMERIC_TOL = 1e-5     # accuracy asked of a numeric mu (relative; odd_offdiag's 0.5)
+_NORM_FLOOR = 1e-12        # least norm that the relative mu gap is taken against
+_MEMBERSHIP_GAP = 1e-3     # least |f margin| of a mu-membership sample, off mu's band
+_MU_EXACT_GAP = 1e-9       # largest gap of a closed-form mu witness value
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +129,8 @@ class _Run:
         self.n, self.seed, self.tol = n, seed, tol
         self.rng = random.Random(seed)
         self.failures: list[str] = []
+        self.fail = self.failures.append   # record one counterexample
         self.band = 0
-
-    def fail(self, record: str) -> None:
-        self.failures.append(record)
 
     def in_band(self, *margins: float) -> bool:
         """True, counting one exclusion, when some |margin| <= BAND_FACTOR tol."""
@@ -141,7 +157,7 @@ _NUMERIC_N = 100
 _REGISTRY: dict[str, _SuiteSpec] = {}
 
 
-def _suite(name: str, default_n: int = _ALGEBRAIC_N, default_tol: float = 1e-9):
+def _suite(name: str, default_n: int = _ALGEBRAIC_N, default_tol: float = DEFAULT_TOL):
     """Register body(run) as the suite `name`; its fn(n, seed, tol) runs the
     body on a fresh _Run and reports with elapsed 0.0."""
     def register(body: Callable[[_Run], None]):
@@ -234,7 +250,7 @@ def _lie_ball_interior(rng: random.Random):
             u0, u1, u2, u3 = random(), random(), random(), random()
             u4, u5, u6, u7 = random(), random(), random(), random()
             if -0.605 * log((1.0 - u1) * (1.0 - u3) * (1.0 - u5) * (1.0 - u7)) \
-                    > 1.0 + 1e-9:
+                    > 1.0 + _LIE_REJECT_SLACK:
                 continue
             z0 = 0.55 * _box_muller(u0, u1)
             z1 = 0.55 * _box_muller(u2, u3)
@@ -247,7 +263,7 @@ def _lie_ball_interior(rng: random.Random):
             z3 = 0.55 * _complex_gauss(rng)
         if abs(z0) ** 2 + abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 < 1.0:
             z = (z0, z1, z2, z3)
-            if _lie_ball_margin(*z) > 1e-6:
+            if _lie_ball_margin(*z) > _LIE_MARGIN:
                 return z
 
 
@@ -258,28 +274,23 @@ def _unit_s3(rng: random.Random):
         g0, g1, g2, g3 = a.real, a.imag, b.real, b.imag
         # sum(), not +, keeps the bits on 3.12, whose float sum() is compensated
         n = math.sqrt(sum((g0 * g0, g1 * g1, g2 * g2, g3 * g3)))
-        if n > 1e-9:
+        if n > _S3_FLOOR:
             return (g0 / n, g1 / n, g2 / n, g3 / n)
 
 
-def _random_matrix(rng: random.Random, scale: float) -> Matrix2:
-    return Matrix2(*(_complex_gauss(rng) * scale for _ in range(4)))
-
-
 def _unit_vector(rng: random.Random):
-    g = [_complex_gauss(rng) for _ in range(2)]
-    n = math.sqrt(sum(abs(t) ** 2 for t in g))
-    while n < 1e-6:
+    while True:
         g = [_complex_gauss(rng) for _ in range(2)]
         n = math.sqrt(sum(abs(t) ** 2 for t in g))
-    return (g[0] / n, g[1] / n)
+        if not n < _VECTOR_FLOOR:
+            return (g[0] / n, g[1] / n)
 
 
 # ---------------------------------------------------------------------------
 # Suites: matrix kernel and the four-coordinate domain
 # ---------------------------------------------------------------------------
 
-@_suite("lemma21_gram", default_tol=1e-10)
+@_suite("lemma21_gram", default_tol=_GRAM_TOL)
 def _(run: _Run) -> None:
     """det(I - B*B) direct vs the coordinate closed form."""
     ident = Matrix2.identity()
@@ -363,16 +374,16 @@ def _(run: _Run) -> None:
                  f"observed={sv.region.value} margin={sv.margin:.17g}")
 
 
+def _leg(name: str, margin: float, tol: float):
+    return name, classify_margin(margin, tol), margin
+
+
 def _projection_legs(rel, tol: float = DEFAULT_TOL):
-    """(name, verdict) of the g2, tetra and penta projections of an F point,
-    each projection also held to its domain's dual check."""
-    legs = (("g2", g2_classify(rel.g2, tol)),
-            ("tetra", tetra_classify(rel.tetra, tol)),
-            ("penta", penta_classify(rel.penta, tol)))
-    g2_dual_check(rel.g2, tol)
-    tetra_dual_check(rel.tetra, tol)
-    penta_dual_check(rel.penta, tol)
-    return legs
+    """(name, region, margin) of the g2, tetra and penta projections of an F
+    point, each margin its classifier's, from its dual kernel in one pass."""
+    return (_leg("g2", _g2_dual(rel.g2, tol), tol),
+            _leg("tetra", _tetra_dual(rel.tetra, tol), tol),
+            _leg("penta", _penta_dual(rel.penta, tol)[0], tol))
 
 
 @_suite("thm29_projections")
@@ -388,11 +399,11 @@ def _(run: _Run) -> None:
             run.fail(f"kind=image_not_interior index={i} pt={_pt17(pt)} "
                      f"observed={fv.region.value} margin={fv.margin:.17g}")
             continue
-        for name, v in _projection_legs(f_relations(pt), run.tol):
-            if v.region is INTERIOR or run.in_band(v.margin):
+        for name, region, margin in _projection_legs(f_relations(pt), run.tol):
+            if region is INTERIOR or run.in_band(margin):
                 continue
             run.fail(f"kind=projection index={i} pt={_pt17(pt)} leg={name} "
-                     f"observed={v.region.value} margin={v.margin:.17g}")
+                     f"observed={region.value} margin={margin:.17g}")
 
 
 @_suite("prop210_slice")
@@ -402,14 +413,13 @@ def _(run: _Run) -> None:
     for i in range(run.n):
         x = _mixed_point_tetra(run.rng)
         fv = f_classify((x[0], x[1], x[2], 0.0), run.tol)
-        tv = tetra_classify(x, run.tol)
-        tetra_dual_check(x, run.tol)
+        tm = _tetra_dual(x, run.tol)   # x: complex coordinates
         hv = hexa_classify((0.0, x[0], x[1], x[2]), run.tol)
-        if run.in_band(fv.margin, tv.margin, hv.margin):
+        if run.in_band(fv.margin, tm, hv.margin):
             continue
-        if not (fv.is_interior == tv.is_interior == hv.is_interior):
+        if not (fv.is_interior == (tm > run.tol) == hv.is_interior):
             run.fail(f"kind=slice_s0 index={i} x={_pt17(x)} "
-                     f"f={fv.is_interior} tetra={tv.is_interior} "
+                     f"f={fv.is_interior} tetra={tm > run.tol} "
                      f"hexa={hv.is_interior}")
 
 
@@ -426,13 +436,12 @@ def _(run: _Run) -> None:
             p = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             s = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
         fv = f_classify((0.0, 0.0, p, s), run.tol)
-        gv = g2_classify((s, -p), run.tol)
-        g2_dual_check((s, -p), run.tol)
-        if run.in_band(fv.margin, gv.margin):
+        gm = _g2_dual((s, -p), run.tol)   # s, p: complex
+        if run.in_band(fv.margin, gm):
             continue
-        if fv.is_interior != gv.is_interior:
+        if fv.is_interior != (gm > run.tol):
             run.fail(f"kind=slice_xa0 index={i} p={_c17(p)} s={_c17(s)} "
-                     f"f={fv.is_interior} g2={gv.is_interior}")
+                     f"f={fv.is_interior} g2={gm > run.tol}")
 
 
 @_suite("cor213_closure_projections")
@@ -447,14 +456,13 @@ def _(run: _Run) -> None:
             pt = shilov_f_param(sample_shilov_param_f(run.rng))
         x, a, p, s = pt
         legs = (_projection_legs(f_relations(pt), run.tol)
-                + (("g2_neg_p", g2_classify((s, -p), run.tol)),))
-        g2_dual_check((s, -p), run.tol)
-        for name, v in legs:
-            if v.in_closure or run.in_band(v.margin):
+                + (_leg("g2_neg_p", _g2_dual((s, -p), run.tol), run.tol),))
+        for name, region, margin in legs:
+            if region is not OUTSIDE or run.in_band(margin):
                 continue
             run.fail(f"kind=closure_projection index={i} pt={_pt17(pt)} "
-                     f"leg={name} observed={v.region.value} "
-                     f"margin={v.margin:.17g}")
+                     f"leg={name} observed={region.value} "
+                     f"margin={margin:.17g}")
 
 
 @_suite("prop215_hn")
@@ -472,13 +480,13 @@ def _(run: _Run) -> None:
                   complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)),
                   complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)))
         a, x1, x2, x3 = pt
-        if abs(a) < 1e-6:
+        if abs(a) < _HN_A_FLOOR:
             run.band += 1
             continue
         t = (x1 * x2 - x3) / a
         norm = operator_norm(Matrix2(x1, t, a, x2))
         fv = f_classify((x1, x2, x3, a + t), run.tol)
-        if abs(norm - 1.0) <= 1e-7:
+        if abs(norm - 1.0) <= _HN_NORM_BAND:
             run.band += 1
             continue
         if run.in_band(fv.margin):
@@ -525,30 +533,29 @@ def _(run: _Run) -> None:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         x = _unit_s3(rng)
         img = biholo_f(shilov_l4_param(ShilovParamL4(theta, x)))
-        if not shilov_f_test(img, max(run.tol, 1e-9)):
+        if not shilov_f_test(img, max(run.tol, _BOUNDARY_TOL)):
             run.fail(f"kind=forward index={i} theta={theta:.17g} "
                      f"x=({x[0]:.17g},{x[1]:.17g},{x[2]:.17g},{x[3]:.17g}) "
                      f"img={_pt17(img)} observed=off_boundary")
             continue
         ref = shilov_f_param(ShilovParamF(theta, x[1], x[2], x[3]))
         gap = max(abs(u - v) for u, v in zip(img, ref))
-        if gap > 1e-12:
+        if gap > _ROUNDING_GAP:
             run.fail(f"kind=composite_identity index={i} theta={theta:.17g} "
                      f"gap={gap:.17g}")
 
     for i in range(max(10, run.n // 10)):
         z = _lie_ball_interior(rng)
-        lie_ball_dual_check(z, run.tol)
+        _lie_ball_dual(z, run.tol)   # z: the sampler's complex coordinates
         fv = f_classify(biholo_f(lambda_map(z)), run.tol)
-        if (fv.region is not INTERIOR
-                and abs(fv.margin) > BAND_FACTOR * run.tol):
+        if fv.region is not INTERIOR and abs(fv.margin) > BAND_FACTOR * run.tol:
             run.fail(f"kind=interior_transport index={i} z={_pt17(z)} "
                      f"observed={fv.region.value} margin={fv.margin:.17g}")
 
     for i in range(min(max(run.n // 10, 10), 1000)):
         target = shilov_f_param(sample_shilov_param_f(rng))
         gap = _transport_gap(target)
-        if not gap <= 1e-8:
+        if not gap <= _MATCH_GAP:
             run.fail(f"kind=match index={i} target={_pt17(target)} gap={gap:.17g}")
 
 
@@ -557,7 +564,7 @@ def _(run: _Run) -> None:
     """Both boundary parametrizations pass the closed-form test and classify
     on the closure boundary; radial perturbations fall off the boundary."""
     rng = run.rng
-    test_tol = max(run.tol, 1e-9)
+    test_tol = max(run.tol, _BOUNDARY_TOL)
     for i in range(run.n):
         pt = shilov_f_param(sample_shilov_param_f(rng))
         fv = f_classify(pt, test_tol)
@@ -589,7 +596,7 @@ def _(run: _Run) -> None:
 @_suite("cor34_necessity")
 def _(run: _Run) -> None:
     """Distinguished-boundary points satisfy the two necessary conditions."""
-    test_tol = max(run.tol, 1e-9)
+    test_tol = max(run.tol, _BOUNDARY_TOL)
     for i in range(run.n):
         pt = shilov_f_param(sample_shilov_param_f(run.rng))
         x, a, p, s = pt
@@ -605,7 +612,7 @@ def _(run: _Run) -> None:
     parameters give distinct points."""
     for i in range(run.n):
         q = sample_shilov_param_f(run.rng)
-        if not shilov_f_double_cover(q, max(run.tol, 1e-9)):
+        if not shilov_f_double_cover(q, max(run.tol, _BOUNDARY_TOL)):
             run.fail(f"kind=double_cover index={i} theta={q.theta:.17g} "
                      f"x=({q.x2:.17g},{q.x3:.17g},{q.x4:.17g})")
 
@@ -615,7 +622,7 @@ def _(run: _Run) -> None:
 # ---------------------------------------------------------------------------
 
 def mu_equals_norm_suite(structure: Structure, n_samples: int = 100,
-                         seed: int = 7, tol: float = 1e-5) -> SuiteReport:
+                         seed: int = 7, tol: float = _MU_NUMERIC_TOL) -> SuiteReport:
     """Sample matrices over mixed scales and compare mu against the operator
     norm; also spot-check the unit-sphere mapping property on random vector
     pairs.  Returns a SuiteReport whose failures list is empty exactly when
@@ -624,17 +631,18 @@ def mu_equals_norm_suite(structure: Structure, n_samples: int = 100,
     run = _Run(n_samples, seed, tol)
     samples: list[Matrix2] = [E12, E21]
     while len(samples) < n_samples:
-        samples.append(_random_matrix(run.rng, 10.0 ** run.rng.uniform(-2.0, 2.0)))
+        scale = 10.0 ** run.rng.uniform(-2.0, 2.0)
+        samples.append(Matrix2(*(_complex_gauss(run.rng) * scale for _ in range(4))))
     for i, a in enumerate(samples[:n_samples]):
         norm = operator_norm(a)
         mu = mu_value(a, structure).value
-        if abs(mu - norm) > tol * max(norm, 1e-12):
+        if abs(mu - norm) > tol * max(norm, _NORM_FLOOR):
             run.fail(f"kind=mu_vs_norm index={i} a={a!r} mu={mu:.17g} "
                      f"norm={norm:.17g}")
     for j in range(max(4, min(25, n_samples // 4))):
         uu = _unit_vector(run.rng)
         vv = _unit_vector(run.rng)
-        if rigidity_check(structure, uu, vv, max(tol, 1e-6)) is None:
+        if rigidity_check(structure, uu, vv, max(tol, _MU_TOL)) is None:
             run.fail(f"kind=rigidity index={j} u=({uu[0]:.17g},{uu[1]:.17g}) "
                      f"v=({vv[0]:.17g},{vv[1]:.17g}) result=absent")
     return run.report(f"mu_equals_norm[{structure.name or 'anon'}]",
@@ -644,7 +652,7 @@ def mu_equals_norm_suite(structure: Structure, n_samples: int = 100,
 _SANDWICH_NAMES = ("scalar", "diag", "upper", "lower", "full")
 
 
-@_suite("mu_sandwich", _NUMERIC_N, 1e-6)
+@_suite("mu_sandwich", _NUMERIC_N, _MU_TOL)
 def _(run: _Run) -> None:
     """r(A) <= mu(A) <= ||A|| over every identity-containing preset."""
     rng = run.rng
@@ -681,12 +689,10 @@ def _mu_membership_leg(st: Structure, rng: random.Random, n_pts: int,
     pts = [_NONRIGID_WITNESS_PT]
     while len(pts) < n_pts:
         pt = _mixed_point_f(rng)
-        # avoid the numeric-precision band around the unit norm level
-        fv = f_classify(pt, 1e-9)
-        if abs(fv.margin) > 1e-3:
+        if abs(f_classify(pt).margin) > _MEMBERSHIP_GAP:
             pts.append(pt)
     for pt in pts:
-        expected = f_classify(pt, 1e-9).is_interior
+        expected = f_classify(pt).is_interior
         got = f_mu_membership(pt, st, tol)
         if got != expected:
             return (f"pt={_pt17(pt)} mu_member={got} "
@@ -694,7 +700,7 @@ def _mu_membership_leg(st: Structure, rng: random.Random, n_pts: int,
     return None
 
 
-@_suite("thm41_equivalence", _NUMERIC_N, 1e-6)
+@_suite("thm41_equivalence", _NUMERIC_N, _MU_TOL)
 def _(run: _Run) -> None:
     """The three legs of the equivalence (norm attainment, unit-sphere
     rigidity, membership agreement) answer identically on every preset, and
@@ -706,10 +712,10 @@ def _(run: _Run) -> None:
         st = structure_from_name(name)
         rng = random.Random(run.seed)
         leg_norm = mu_equals_norm_suite(
-            st, n_samples=min(run.n, 14), seed=run.seed, tol=1e-5).passed
-        leg_rigid = rigidity_grid_pass(st, n_side=6, tol=max(run.tol, 1e-6))
+            st, n_samples=min(run.n, 14), seed=run.seed, tol=_MU_NUMERIC_TOL).passed
+        leg_rigid = rigidity_grid_pass(st, n_side=6, tol=max(run.tol, _MU_TOL))
         mismatch = _mu_membership_leg(st, rng, max(4, min(run.n // 16, 8)),
-                                      max(run.tol, 1e-6))
+                                      max(run.tol, _MU_TOL))
         leg_member = mismatch is None
         if not (leg_norm == leg_rigid == leg_member == expected):
             run.fail(f"kind=equivalence structure={name} norm_leg={leg_norm} "
@@ -717,7 +723,7 @@ def _(run: _Run) -> None:
                      f"expected={expected} witness={mismatch or 'none'}")
 
 
-@_suite("cor42_etheta", _NUMERIC_N, 1e-6)
+@_suite("cor42_etheta", _NUMERIC_N, _MU_TOL)
 def _(run: _Run) -> None:
     """Every phase-parametrized preset attains the norm and reproduces the
     domain by mu-membership."""
@@ -726,11 +732,11 @@ def _(run: _Run) -> None:
               rng.uniform(-math.pi, math.pi)]
     for theta in thetas:
         st = e_theta(theta)
-        rep = mu_equals_norm_suite(st, n_samples=run.n, seed=run.seed, tol=1e-5)
+        rep = mu_equals_norm_suite(st, n_samples=run.n, seed=run.seed, tol=_MU_NUMERIC_TOL)
         for rec in rep.failures:
             run.fail(f"theta={theta:.17g} {rec}")
         mismatch = _mu_membership_leg(st, rng, max(4, min(run.n // 5, 20)),
-                                      max(run.tol, 1e-6))
+                                      max(run.tol, _MU_TOL))
         if mismatch is not None:
             run.fail(f"kind=membership theta={theta:.17g} {mismatch}")
 
@@ -740,12 +746,12 @@ def _angle_gap(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-@_suite("final_classification", _NUMERIC_N, 1e-9)
+@_suite("final_classification", _NUMERIC_N, DEFAULT_TOL)
 def _(run: _Run) -> None:
     """Subspace classification: phase recovery on scrambled bases, rejection
     of the non-rigid three-dimensional presets with explicit mu witnesses."""
     rng = run.rng
-    theta_tol = max(run.tol, 1e-9)
+    theta_tol = max(run.tol, _BOUNDARY_TOL)
     for i in range(run.n):
         theta = rng.uniform(-8.0, 8.0)
         st = e_theta(theta)
@@ -768,7 +774,7 @@ def _(run: _Run) -> None:
         res = mu_value(wit, st)
         if sv.kind != "NotETheta":
             run.fail(f"kind=reject structure={name} got={sv.kind}")
-        if abs(res.value - expected_mu) > 1e-9 or res.value == operator_norm(wit):
+        if abs(res.value - expected_mu) > _MU_EXACT_GAP or res.value == operator_norm(wit):
             run.fail(f"kind=witness structure={name} mu={res.value:.17g} "
                      f"expected={expected_mu:.17g} norm={operator_norm(wit):.17g}")
 
@@ -778,7 +784,7 @@ def _(run: _Run) -> None:
     if sv.kind != "NotETheta":
         run.fail(f"kind=reject structure=odd_offdiag got={sv.kind}")
     res = mu_value(E21, odd)
-    if abs(res.value - 0.5) > 1e-5:
+    if abs(res.value - 0.5) > _MU_NUMERIC_TOL:
         run.fail(f"kind=witness structure=odd_offdiag mu={res.value:.17g} "
                  f"expected=0.5 norm=1")
 
@@ -809,20 +815,16 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
         pt = (0.0, a, r * r, 0.0)
         q_expected = (1.0 - r * r) ** 2 - a * a
         q = q_value(pt)
-        if abs(q - q_expected) > 1e-12:
+        if abs(q - q_expected) > _ROUNDING_GAP:
             run.fail(f"kind=eg309_q r={r:.17g} q={q:.17g} expected={q_expected:.17g}")
         if f_classify(pt).region is not OUTSIDE:
             run.fail(f"kind=eg309_f r={r:.17g} pt={_pt17(pt)}")
-        if penta_classify((a, 0.0, -r * r)).region is not INTERIOR:
-            run.fail(f"kind=eg309_penta r={r:.17g}")
-        penta_dual_check((a, 0.0, -r * r))
-        if g2_classify((0.0, -r * r)).region is not INTERIOR:
-            run.fail(f"kind=eg309_g2 r={r:.17g}")
-        g2_dual_check((0.0, -r * r))
-
-        if tetra_classify((0.0, a, 0.0)).region is not INTERIOR:
-            run.fail(f"kind=eg310_tetra r={r:.17g}")
-        tetra_dual_check((0.0, a, 0.0))
+        for kind, margin in (   # classifier margins from the dual kernels
+                ("eg309_penta", _penta_dual((a + 0j, 0j, -r * r + 0j), run.tol)[0]),
+                ("eg309_g2", _g2_dual((0j, -r * r + 0j), run.tol)),
+                ("eg310_tetra", _tetra_dual((0j, a + 0j, 0j), run.tol))):
+            if not margin > run.tol:
+                run.fail(f"kind={kind} r={r:.17g}")
 
         if f_classify((0.0, 0.0, r * r, 0.0)).region is not INTERIOR:
             run.fail(f"kind=slice_inside r={r:.17g}")
@@ -830,13 +832,13 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
             run.fail(f"kind=hn_outside r={r:.17g}")
 
     lim = (0.0, 0.5, 0.0, 1.0)
-    if abs(q_value(lim) + 0.25) > 1e-12:
+    if abs(q_value(lim) + 0.25) > _ROUNDING_GAP:
         run.fail(f"kind=eg310_q q={q_value(lim):.17g} expected=-0.25")
     if f_classify(lim).region is not OUTSIDE:
         run.fail(f"kind=eg310_f pt={_pt17(lim)}")
-    for name, v in _projection_legs(f_relations(lim)):
-        if not v.in_closure:
-            run.fail(f"kind=eg310_projection leg={name} observed={v.region.value}")
+    for name, region, _ in _projection_legs(f_relations(lim)):
+        if region is OUTSIDE:
+            run.fail(f"kind=eg310_projection leg={name} observed={region.value}")
 
     pt34 = (1j, 1.0, 1j, 1.0 - 1j)
     if not be_test((pt34[0], pt34[1], pt34[2])):

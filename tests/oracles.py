@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from mublocks.bidisc import g2_classify, g2_roots
+from mublocks.bidisc import g2_classify, g2_dual_check, g2_roots
 from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
 from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
@@ -28,7 +28,8 @@ from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
 from mublocks.mu import _FEASIBLE_TOL, _dot, _orthonormal
 from mublocks.optimize import nelder_mead
-from mublocks.tetrablock import be_test, tetra_classify
+from mublocks.pentablock import penta_classify, penta_dual_check
+from mublocks.tetrablock import be_test, tetra_classify, tetra_dual_check
 from mublocks.verdict import (MembershipVerdict, Region, checked_point,
                               classify_margin, verdict_from_margin)
 
@@ -502,6 +503,25 @@ def tetra_classify_delegated(pt, tol: float = 1e-9) -> MembershipVerdict:
     if classify_margin(margin, tol) is Region.CLOSURE_BOUNDARY:
         shilov = be_test(pt, tol)
     return verdict_from_margin(margin, tol, shilov=shilov)
+
+
+# ---------------------------------------------------------------------------
+# verification suites: a projection leg as two public calls per domain, its
+# classifier and then its dual check, which verify._projection_legs reads
+# from one pass of each domain's dual kernel.
+
+
+def projection_legs_reference(rel, tol: float = 1e-9):
+    """(name, region, margin) of the g2, tetra and penta projections of an
+    F point, each read from its public classifier and then held to its
+    public dual check."""
+    legs = (("g2", g2_classify(rel.g2, tol)),
+            ("tetra", tetra_classify(rel.tetra, tol)),
+            ("penta", penta_classify(rel.penta, tol)))
+    g2_dual_check(rel.g2, tol)
+    tetra_dual_check(rel.tetra, tol)
+    penta_dual_check(rel.penta, tol)
+    return tuple((name, v.region, v.margin) for name, v in legs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mublocks.bidisc import g2_classify
-from mublocks.domain_f import (BallParamF, ShilovParamF, f_classify,
+from mublocks.domain_f import (BallParamF, FRelations, ShilovParamF, f_classify,
                                f_classify_matrix_oracle, f_matrix_witness,
                                f_relations, f_rescale_by, f_scale,
                                f_slice_s_zero, f_slice_xa_zero, f_swap,
@@ -67,6 +69,32 @@ def test_quasi_balanced_scaling(pt, r):
     x, a, p, s = pt
     assert scaled == (r * x, r * a, r * r * p, r * s)
     assert f_classify(scaled).region is Region.INTERIOR
+
+
+@pytest.mark.parametrize("t", (0, 0.0, -0.0, 1e-170, math.nan, math.inf, -math.inf))
+def test_rescale_refuses_a_zero_or_non_finite_factor(t):
+    """t = 0 divided by zero, t = nan returned a NaN point, and a t whose
+    square underflows to 0 divided by zero too."""
+    with pytest.raises(PreconditionViolation) as exc:
+        f_rescale_by((0.1 + 0.2j, -0.3j, 0.05, 0.4), t)
+    assert str(exc.value) == f"rescale factor t must be finite, t*t != 0: {t!r}"
+
+
+def test_relations_are_a_checked_tuple_record():
+    """FRelations keeps the frozen record's field names, immutability,
+    equality with its own class only and pickling."""
+    rel = f_relations((0.1 + 0.2j, -0.3j, 0.05, 0.4))
+    x, a, p, s = (0.1 + 0.2j, -0.3j, 0.05, 0.4)
+    assert (rel.g2, rel.tetra, rel.penta) == ((s, a * x - p), (x, a, p), (a, s, -p))
+    assert rel._fields == ("g2", "tetra", "penta")
+    assert rel == FRelations(g2=rel.g2, tetra=rel.tetra, penta=rel.penta)
+    assert hash(rel) == hash(FRelations(*rel))
+    assert rel != tuple(rel) and not tuple(rel) == rel
+    assert pickle.loads(pickle.dumps(rel)) == rel and copy.deepcopy(rel) == rel
+    for name in ("g2", "tetra", "penta", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rel, name, None)
+    assert repr(rel) == f"FRelations(g2={rel.g2!r}, tetra={rel.tetra!r}, penta={rel.penta!r})"
 
 
 def test_rescale_is_the_gauge_direction():

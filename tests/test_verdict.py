@@ -1,11 +1,14 @@
 """MembershipVerdict's record semantics, and the classifiers that build one
 verdict per call from the kernels instead of nested verdicts."""
 
+import cmath
+import math
 import pickle
+import random
 
 import pytest
 
-from mublocks import domain_f, hexablock, pentablock, verdict
+from mublocks import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock, verdict
 from mublocks.bidisc import g2_dual_check
 from mublocks.errors import PreconditionViolation
 from mublocks.lie_ball import lie_ball_dual_check
@@ -158,3 +161,72 @@ def test_dual_checks_answer_huge_coordinates(check):
             pt = [0j] * n
             pt[k] = big
             check(tuple(pt))
+
+
+# Each domain's dual kernel, reading its classifier's margin on checked
+# coordinates, with that classifier and the number of coordinates.
+_DUAL_KERNELS = {
+    "g2": (bidisc._g2_dual, bidisc.g2_classify, 2),
+    "tetra": (tetrablock._tetra_dual, tetrablock.tetra_classify, 3),
+    "penta": (lambda x, tol: pentablock._penta_dual(x, tol)[0], pentablock.penta_classify, 3),
+    "lie_ball": (lie_ball._lie_ball_dual, lie_ball.lie_ball_classify, 4),
+}
+
+
+def _near_boundary(domain: str, rng: random.Random) -> list:
+    """Points in the band and within 1e-12 of the boundary: where the
+    classifier's margin changes sign on random rays from the origin (interior
+    to every domain), bisected to the last bit and moved by relative steps
+    of 1e-12 to 2e-8; and the domain's Shilov points, each coordinate moved
+    by up to 1e-12."""
+    _, classify, n = _DUAL_KERNELS[domain]
+    pts = []
+    for _ in range(40):
+        d = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n))
+        lo, hi = 0.0, 1.0
+        while classify(tuple(hi * v for v in d), 0.0).margin > 0.0:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if classify(tuple(mid * v for v in d), 0.0).margin > 0.0 \
+                else (lo, mid)
+        pts += [tuple(lo * (1.0 + e) * v for v in d)
+                for e in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 2e-9, -2e-9, 2e-8, -2e-8)]
+    for _ in range(40):
+        u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        c = math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        s, p = bidisc.bgamma_point(c, u)
+        shilov = {"g2": (s, p), "tetra": tetrablock.be_point(c, u),
+                  "penta": (math.sqrt(max(1.0 - abs(s) ** 2 / 4.0, 0.0)) * u, s, p),
+                  "lie_ball": tuple(u * v for v in _unit_real(rng))}[domain]
+        pts += [shilov, tuple(v + complex(rng.uniform(-1e-12, 1e-12), rng.uniform(-1e-12, 1e-12))
+                              for v in shilov)]
+    return pts
+
+
+def _unit_real(rng: random.Random) -> tuple:
+    x = [rng.gauss(0, 1) for _ in range(4)]
+    r = math.sqrt(sum(v * v for v in x))
+    return tuple(v / r for v in x)
+
+
+@pytest.mark.parametrize("domain", sorted(_DUAL_KERNELS))
+def test_dual_kernels_return_their_classifier_margin(domain):
+    """Each dual kernel returns its classifier's margin, by repr, at three
+    tols: on band points, on points within 1e-12 of the boundary, and on the
+    huge-coordinate points above, where no margin is NaN and the one overflow
+    guard of the classifier and the per-criterion guards of the kernel read
+    the same -inf."""
+    kernel, classify, n = _DUAL_KERNELS[domain]
+    pts = _near_boundary(domain, random.Random(4242))
+    for k in range(n):
+        for big in (1e200, -1e200j, complex(1e308, 1e308)):
+            pts.append(tuple(big if j == k else 0j for j in range(n)))
+    for pt in pts:
+        x = checked_point(pt, ("z",) * n)
+        for tol in (1e-12, DEFAULT_TOL, 1e-6):
+            assert repr(kernel(x, tol)) == repr(classify(pt, tol).margin), (pt, tol)
+    margins = [classify(pt, DEFAULT_TOL).margin for pt in pts]
+    assert sum(abs(m) <= 10 * DEFAULT_TOL for m in margins) >= 100
+    assert sum(abs(m) <= 1e-12 for m in margins) >= 40
+    assert -math.inf in margins

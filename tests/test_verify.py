@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -6,9 +7,12 @@ import sys
 import pytest
 
 from mublocks import bidisc, domain_f, hexablock, lie_ball, tetrablock, verify
+from mublocks.domain_f import (f_relations, pi_f, sample_point_f, sample_shilov_param_f,
+                               shilov_f_param)
+from mublocks.matrix2 import contraction_from_rng
 from mublocks.errors import (CriteriaDisagree, PreconditionViolation,
                              UnknownSuite)
-from mublocks.verdict import DEFAULT_TOL, raise_if_split
+from mublocks.verdict import CLOSURE_BOUNDARY, DEFAULT_TOL, INTERIOR, OUTSIDE, raise_if_split
 from mublocks.verify import (SuiteReport, run_counterexamples, run_suite,
                              suite_names)
 import oracles
@@ -40,6 +44,19 @@ _PINNED_COUNTS = {
     "cor42_etheta": (0, 0), "final_classification": (0, 0),
 }
 
+# (failures, band_excluded) of the 14 geometry suites at n = 200 and seed
+# 301, read from the suites whose legs called the public classifier and then
+# the public dual check; the one-pass legs keep them.
+_PINNED_COUNTS_301 = {
+    "lemma21_gram": (0, 0), "prop22_vs_oracle": (0, 65),
+    "prop24_closure": (0, 34), "swap_involution": (0, 65),
+    "lemma25_scaling": (0, 0), "thm29_projections": (0, 0),
+    "prop210_slice": (0, 74), "prop211_slice": (0, 0),
+    "cor213_closure_projections": (0, 0), "prop215_hn": (0, 18),
+    "thm32_boundary_transport": (0, 0), "thm33_shilov_equivalences": (0, 0),
+    "cor34_necessity": (0, 0), "cor35_double_cover": (0, 0),
+}
+
 
 def test_registry_is_exactly_the_published_list():
     assert suite_names() == EXPECTED_SUITES
@@ -52,6 +69,75 @@ def test_every_suite_passes_at_reduced_size(name):
     assert (len(rep.failures), rep.band_excluded) == _PINNED_COUNTS[name]
     assert rep.suite == name
     assert rep.elapsed >= 0.0
+
+
+@pytest.mark.parametrize("name", _PINNED_COUNTS_301)
+def test_geometry_suites_keep_their_counts_at_a_second_seed(name):
+    rep = run_suite(name, n_samples=200, seed=301)
+    assert (len(rep.failures), rep.band_excluded) == _PINNED_COUNTS_301[name]
+
+
+def test_projection_legs_match_the_two_call_reference():
+    """Each leg's region and margin, read from one pass of its domain's dual
+    kernel, are those of the public classifier followed by the public dual
+    check, margins by repr, on 2 000 seeded F points: interior, closed-ball,
+    Shilov and outside, the mix reaching all three regions."""
+    rng = random.Random(2024)
+    draws = (lambda: pi_f(contraction_from_rng(rng)),
+             lambda: pi_f(verify._closed_ball_matrix(rng)),
+             lambda: shilov_f_param(sample_shilov_param_f(rng)),
+             lambda: sample_point_f(rng))
+    regions = set()
+    for k in range(2000):
+        rel = f_relations(draws[k % 4]())
+        got = verify._projection_legs(rel, DEFAULT_TOL)
+        want = oracles.projection_legs_reference(rel, DEFAULT_TOL)
+        assert [(n, r, repr(m)) for n, r, m in got] == [(n, r, repr(m)) for n, r, m in want]
+        regions.update(r for _, r, _ in got)
+    assert regions == {INTERIOR, CLOSURE_BOUNDARY, OUTSIDE}
+
+
+# A leg read as Outside (margin -0.5 or -0.25) at every sample of the two
+# projection suites, n = 20 and seed 7: the number of records and the sha256
+# of the sorted records, as the suites printed them when their legs called
+# the public classifiers and dual checks.
+_OUTSIDE_LEG_RECORDS = {
+    ("thm29_projections", "_tetra_dual"): (
+        20, "2d49311bbf923722e6130a8ad3edb53dc70236abfe246c6ae3f5b0dfb49dde1f"),
+    ("cor213_closure_projections", "_tetra_dual"): (
+        20, "bed3bec88d2426c2f2067dca329b43694494c716fc5e8cd2ca07e18aaafeede0"),
+    ("thm29_projections", "_g2_dual+_penta_dual"): (
+        40, "33c543a493beb1d3eb244150439b5cb0cb10ebf428f765f8743af41c8b1990fe"),
+    ("cor213_closure_projections", "_g2_dual+_penta_dual"): (
+        60, "b5a4858558daa45a656cf56ea649789cff02764a87f7c30ee84f6732ede6eddc"),
+}
+
+
+@pytest.mark.parametrize("suite, kernels", sorted(_OUTSIDE_LEG_RECORDS))
+def test_an_outside_leg_keeps_its_failure_record(monkeypatch, suite, kernels):
+    """No seed fails a projection leg, so a kernel is patched to read
+    Outside; thm29's kind=projection and cor213's kind=closure_projection
+    records (g2_neg_p among them) keep their bytes."""
+    outside = {"_tetra_dual": lambda x, tol: -0.5, "_g2_dual": lambda x, tol: -0.5,
+               "_penta_dual": lambda x, tol: (-0.25, None)}
+    for name in kernels.split("+"):
+        monkeypatch.setattr(verify, name, outside[name])
+    pts = []
+    real = verify.f_relations
+    monkeypatch.setattr(verify, "f_relations", lambda pt: pts.append(pt) or real(pt))
+    rep = run_suite(suite, n_samples=20, seed=7)
+    kind = "projection" if suite.startswith("thm29") else "closure_projection"
+    legs = {"_tetra_dual": (("tetra", "-0.5"),),
+            "_g2_dual+_penta_dual": (("g2", "-0.5"), ("penta", "-0.25"))}[kernels]
+    if kind == "closure_projection" and "_g2_dual" in kernels:
+        legs += (("g2_neg_p", "-0.5"),)
+    assert len(pts) == 20 and rep.band_excluded == 0
+    assert sorted(rep.failures) == sorted(
+        f"kind={kind} index={i} pt={verify._pt17(pt)} leg={leg} observed=Outside "
+        f"margin={margin}" for i, pt in enumerate(pts) for leg, margin in legs)
+    count, digest = _OUTSIDE_LEG_RECORDS[(suite, kernels)]
+    joined = "\n".join(sorted(rep.failures)).encode()
+    assert (len(rep.failures), hashlib.sha256(joined).hexdigest()) == (count, digest)
 
 
 def test_thm32_counts_a_nan_distance_as_a_failure(monkeypatch):
