@@ -24,8 +24,9 @@ once, then runs at every grid point the cell that classifier runs
 (verdict.Domain: the margin kernel under the overflow guard and
 verdict.margin_code, the one threshold rule), with no coordinate check and
 no verdict per cell; a cell whose axis value is not finite goes through
-verdict.checked_point, which exits 64 as check would.  hn, which answers on
-NaN and infinities, reads hn_classify at every cell.
+verdict.checked_point, which exits 64 as check would.  On the fibre axis a
+of h and penta, a row runs the base kernel once, each point the fibre cell.
+hn, which answers on NaN and infinities, reads hn_classify at every cell.
 
 Each argument has one spelling: domain, point, structure, matrix and suite
 are required positionals, the rest are flags.  ``MUBLOCKS_TOL`` supplies the
@@ -437,6 +438,9 @@ def _cmd_slice(args) -> int:
     k1, k2 = names.index(nm1), names.index(nm2)
     check = args.domain != "hn"   # hn answers on NaN and infinities
     cell = _DOMAIN_RECORDS[args.domain].cell if check else _hn_cell
+    # On a fibred domain's fibre axis a (inner), a row of finite values runs the
+    # base kernel once (a tuple, never falsy) and each point the fibre cell.
+    fibre = _DOMAIN_RECORDS[args.domain].fibre if check and k2 == 0 else None
     tol = DEFAULT_TOL if tol is None else tol
     # Each axis value is checked once; a cell with a non-finite one goes to
     # checked_point, which raises naming the cell's first such coordinate.
@@ -451,12 +455,13 @@ def _cmd_slice(args) -> int:
         z = row[k1]
         row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)
         z = row[k2]
+        fibre_base = fibre and not bad1 and fibre[0](*row[1:], tol)
         for v2, text2, bad2 in cols:
             row[k2] = complex(v2, z.imag) if comp2 == "re" else complex(z.real, v2)
             x = tuple(row)
             if bad1 or bad2:
                 checked_point(x, names)
-            code, margin = cell(x, tol)
+            code, margin = fibre[1](x[0], fibre_base, tol) if fibre_base else cell(x, tol)
             lines.append(f"{text1}{text2}{code}\t{margin:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -19,12 +19,14 @@ There g = r* / (m - d r*) = 2 / den, so r* is never formed:
     sup = |a| sqrt(2 / den),   den = (c - d) + sqrt((c + d)^2 - 4 m^2).
 
 Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0; the form is inf
-only where rounding at the tetrablock boundary makes den <= 0.
-hexa_classify evaluates it after the tetrablock kernel
-tetrablock._tetra_margin, called once per point under the overflow guard,
-so no tetrablock verdict is built.  The product-grid
-optimizer psi_sup_grid and the critical-radius route psi_sup_critical_radius,
-which the tests compare against, live with the test oracles.
+only where rounding at the tetrablock boundary makes den <= 0.  The domain
+is fibred over the tetrablock, so its margin is two kernels: the base kernel
+_hexa_base(x, tol), the guarded tetrablock._tetra_margin and, above tol, the
+fibre factor k = sqrt(2 / den); and the fibre cell _hexa_fibre(a, base, tol),
+which holds |a| k against 1 and keeps the indeterminate band (code 9).
+hexa_classify runs both, psi_sup reads k, and mublocks slice runs the base
+once per row where its inner axis is a.  The test oracles keep the
+product-grid psi_sup_grid and the critical-radius psi_sup_critical_radius.
 
 The normed variant reduces to the four-coordinate domain: for a != 0,
 B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over
@@ -48,8 +50,8 @@ from .errors import PreconditionViolation
 from .matrix2 import Matrix2, _singular_values, gram_report, raise_if_nonfinite
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify  # tetra_classify: perfbench reads it
-from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, Domain, MembershipVerdict,
-                      checked_point, classify_point, guarded_margin, margin_code)
+from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, MembershipVerdict, checked_point,
+                      classify_point, fibred_domain, guarded_margin, margin_code)
 
 _EQ_TOL = 1e-12  # exact-equality band for x3 = x1 x2 in the a = 0 slice
 _NORM_BAND = 1e-6  # half-width of the band about ||B|| = 1 decided by the Gram matrix
@@ -61,13 +63,6 @@ def pi_hexa(b: Matrix2) -> tuple[complex, complex, complex, complex]:
     return (b.a21, b.a11, b.a22, b.det)
 
 
-def _sup_coeffs(x1: complex, x2: complex, x3: complex) -> tuple[float, float, float]:
-    c = 1.0 - abs(x2) ** 2
-    d = abs(x1) ** 2 - abs(x3) ** 2
-    m = abs(x1 - x2.conjugate() * x3)
-    return c, d, m
-
-
 def psi_sup(pt) -> float:
     """Supremum of |psi| over the open bidisc, in closed form.
 
@@ -75,47 +70,50 @@ def psi_sup(pt) -> float:
     """
     a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
     raise_if_nonfinite(_NAMES[1:], (x1, x2, x3))
-    if margin_code(guarded_margin(_tetra_margin, x1, x2, x3), DEFAULT_TOL):
+    t_margin, k = _hexa_base(x1, x2, x3, DEFAULT_TOL)
+    if margin_code(t_margin, DEFAULT_TOL):
         raise PreconditionViolation(
             f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
-    if a == 0:
-        return 0.0
-    return _psi_sup_closed(a, x1, x2, x3)
+    return 0.0 if a == 0 else abs(a) * k
+
+
+def _fibre_factor(x1: complex, x2: complex, x3: complex) -> float:
+    """k = sqrt(2 / den) for x interior to the tetrablock; inf where den <= 0."""
+    c, d = 1.0 - abs(x2) ** 2, abs(x1) ** 2 - abs(x3) ** 2
+    m = abs(x1 - x2.conjugate() * x3)
+    den = (c - d) + math.sqrt(max((c + d) ** 2 - 4.0 * m * m, 0.0))
+    return math.sqrt(2.0 / den) if den > 0.0 else math.inf
 
 
 def _psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
-    """|a| sqrt(2 / den) (module docstring) for a != 0 and x interior to the
-    tetrablock, which the caller has checked; inf where den <= 0."""
-    c, d, m = _sup_coeffs(x1, x2, x3)
-    den = (c - d) + math.sqrt(max((c + d) ** 2 - 4.0 * m * m, 0.0))
-    return abs(a) * math.sqrt(2.0 / den) if den > 0.0 else math.inf
+    """The supremum |a| k, for a != 0 and x interior to the tetrablock."""
+    return abs(a) * _fibre_factor(x1, x2, x3)
 
 
-def _hexa_margin(a: complex, x1: complex, x2: complex, x3: complex,
-                 t_margin: float, tol: float) -> float:
-    """hexa_classify's margin off its band, given the tetrablock margin t_margin."""
-    if a == 0:
-        return t_margin
-    if t_margin > tol:
-        sup = _psi_sup_closed(a, x1, x2, x3)
-        return -1.0 if sup == math.inf else min(t_margin, 1.0 - sup)
-    if t_margin < -tol:
-        return t_margin
-    return min(t_margin, 1.0 - abs(a))   # the band's other side, |a| > 1 + tol
-
-
-def _room(a: complex, tol: float) -> float:   # >= 0 exactly where |a| <= 1 + tol
-    return (1.0 + tol) - abs(a)
-
-
-def _hexa_cell(x, tol: float) -> tuple[int, float]:
-    """hexa_classify's cell: the indeterminate band where the tetrablock
-    margin is within tol of 0, a != 0 and |a| <= 1 + tol, else _hexa_margin."""
-    a, x1, x2, x3 = x
+def _hexa_base(x1: complex, x2: complex, x3: complex, tol: float) -> tuple:
+    """The base kernel: the tetrablock margin of x under the overflow guard
+    and, where it is above tol, the fibre factor k (else None)."""
     t_margin = guarded_margin(_tetra_margin, x1, x2, x3)
-    if a != 0 and not abs(t_margin) > tol and guarded_margin(_room, a, tol) >= 0.0:
-        return INDETERMINATE_CODE, min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
-    margin = guarded_margin(_hexa_margin, a, x1, x2, x3, t_margin, tol)
+    return t_margin, _fibre_factor(x1, x2, x3) if t_margin > tol else None
+
+
+def _hexa_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
+    """The fibre cell over base = (t_margin, k): min(t_margin, 1 - |a| k), -1
+    where |a| k is inf; t_margin at a = 0 or below -tol; within tol of 0 the
+    band (code 9) if |a| <= 1 + tol, else min(t_margin, 1 - |a|)."""
+    t_margin, k = base
+    try:
+        if a != 0 and t_margin > tol:
+            sup = abs(a) * k
+            margin = -1.0 if sup == math.inf else min(t_margin, 1.0 - sup)
+        elif a == 0 or t_margin < -tol:
+            margin = t_margin
+        elif abs(a) <= 1.0 + tol:
+            return INDETERMINATE_CODE, min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
+        else:
+            margin = min(t_margin, 1.0 - abs(a))
+    except OverflowError:
+        margin = -math.inf
     return margin_code(margin, tol), margin
 
 
@@ -219,4 +217,4 @@ def _shilov_h(a: complex, x1: complex, x2: complex, x3: complex, tol: float) -> 
     return _hn_in_closure(a, x1, x2, x3, tol) and abs(abs(x3) - 1.0) <= tol
 
 
-_DOMAIN = Domain(_NAMES, _hexa_cell, _shilov_h)
+_DOMAIN = fibred_domain(_NAMES, _hexa_base, _hexa_fibre, _shilov_h)

@@ -21,9 +21,10 @@ classify_point runs the domain's cell on them -- its margin kernel under the
 overflow guard (a square past the floats reads -inf: every domain is bounded)
 and margin_code, the one threshold rule -- then its Shilov kernel on the
 closure boundary only.  mublocks slice checks each axis value once and runs
-the same cell at every grid point, building no verdict.  Each Region carries
-its code; code 9 is the hexablock's indeterminate band, a ClosureBoundary
-verdict.  The dual checks read their margins through guarded_margin.
+the same cell at every grid point (on a fibred domain's fibre axis: the base
+once per row), building no verdict.  Each Region carries its code; code 9 is
+the hexablock's indeterminate band, a ClosureBoundary verdict.  The dual
+checks read their margins through guarded_margin.
 """
 
 from __future__ import annotations
@@ -144,19 +145,28 @@ def guarded_margin(kernel, *args) -> float:
 
 class Domain(NamedTuple):
     """A domain as classify_point and mublocks slice read it: its coordinate
-    names, its cell (x, tol) -> (code, margin) on checked coordinates and its
-    Shilov kernel (*x, tol) -> bool, None where the boundary is not known."""
+    names, its cell (x, tol) -> (code, margin) on checked coordinates, its Shilov
+    kernel (*x, tol) -> bool (None: not known) and its (base, fibre) pair, None
+    unless the domain is fibred over x[1:] (fibred_domain)."""
     names: tuple
     cell: Callable
     shilov: Optional[Callable] = None
+    fibre: Optional[tuple] = None
 
 
-def margin_cell(kernel, with_tol: bool = False):
-    """The cell of a margin kernel: the guarded kernel(*x) (kernel(*x, tol)
-    with_tol) and its margin_code."""
+def fibred_domain(names: tuple, base: Callable, fibre: Callable, shilov: Callable) -> Domain:
+    """A Hartogs domain over x[1:]: its cell is fibre(x[0], base(*x[1:], tol),
+    tol) -> (code, margin), where base gives all the margin reads of x[1:]."""
+    def cell(x, tol):
+        return fibre(x[0], base(*x[1:], tol), tol)
+    return Domain(names, cell, shilov, (base, fibre))
+
+
+def margin_cell(kernel):
+    """The cell of a margin kernel: the guarded kernel(*x) and its margin_code."""
     def cell(x, tol):
         try:   # guarded_margin, inlined: one call less per cell
-            margin = kernel(*x, tol) if with_tol else kernel(*x)
+            margin = kernel(*x)
         except OverflowError:
             margin = -math.inf
         return margin_code(margin, tol), margin

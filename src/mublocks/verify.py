@@ -380,10 +380,12 @@ def _leg(name: str, margin: float, tol: float):
 
 def _projection_legs(rel, tol: float = DEFAULT_TOL):
     """(name, region, margin) of the g2, tetra and penta projections of an F
-    point, each margin its classifier's, from its dual kernel in one pass."""
-    return (_leg("g2", _g2_dual(rel.g2, tol), tol),
-            _leg("tetra", _tetra_dual(rel.tetra, tol), tol),
-            _leg("penta", _penta_dual(rel.penta, tol)[0], tol))
+    point, each margin its classifier's, from its dual kernel in one pass; -inf
+    (every domain is bounded) where f_relations' products pass the floats."""
+    g2, tetra, penta = (all(map(cmath.isfinite, x)) for x in rel)
+    return (_leg("g2", _g2_dual(rel.g2, tol) if g2 else -math.inf, tol),
+            _leg("tetra", _tetra_dual(rel.tetra, tol) if tetra else -math.inf, tol),
+            _leg("penta", _penta_dual(rel.penta, tol)[0] if penta else -math.inf, tol))
 
 
 @_suite("thm29_projections")

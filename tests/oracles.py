@@ -18,20 +18,21 @@ from typing import Optional
 
 import numpy as np
 
-from mublocks.bidisc import g2_classify, g2_dual_check, g2_roots
+from mublocks.bidisc import _g2_margin, g2_classify, g2_dual_check, g2_roots
 from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
-from mublocks.errors import (DenominatorNearZero, InfeasibleConstraint,
+from mublocks.errors import (CriteriaDisagree, DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
-from mublocks.hexablock import HnVerdict, _sup_coeffs, pi_hexa
+from mublocks.hexablock import HnVerdict, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
 from mublocks.mu import _FEASIBLE_TOL, _dot, _orthonormal
 from mublocks.optimize import nelder_mead
-from mublocks.pentablock import penta_classify, penta_dual_check
-from mublocks.tetrablock import be_test, tetra_classify, tetra_dual_check
-from mublocks.verdict import (MembershipVerdict, Region, checked_point,
-                              classify_margin, verdict_from_margin)
+from mublocks.pentablock import _beta_sup, _penta_radius, penta_classify, penta_dual_check
+from mublocks.tetrablock import _tetra_margin, be_test, tetra_classify, tetra_dual_check
+from mublocks.verdict import (BAND_FACTOR, MembershipVerdict, Region, checked_point,
+                              classify_margin, guarded_margin, margin_code,
+                              verdict_from_margin)
 
 
 def _check_quad(pt):
@@ -384,7 +385,9 @@ def psi_sup_critical_radius(a: complex, x1: complex, x2: complex,
     hexablock's closed form skips r*; this route keeps it, with its guards,
     so that mu_upper_hexablock_oracle stays independent of the value
     mu._mu_upper derives."""
-    c, d, m = _sup_coeffs(x1, x2, x3)
+    c = 1.0 - abs(x2) ** 2
+    d = abs(x1) ** 2 - abs(x3) ** 2
+    m = abs(x1 - x2.conjugate() * x3)
     if m == 0.0:
         return abs(a) / math.sqrt(c)
     disc = max((c + d) ** 2 - 4.0 * m * m, 0.0)
@@ -396,6 +399,60 @@ def psi_sup_critical_radius(a: complex, x1: complex, x2: complex,
     if dmin <= 1e-300:
         return float("inf")
     return abs(a) * math.sqrt(max(1.0 - rstar * rstar, 0.0) / dmin)
+
+
+def psi_sup_closed_reference(a: complex, x1: complex, x2: complex,
+                             x3: complex) -> float:
+    """|a| sqrt(2 / den) written out in one expression, for a != 0 and x
+    interior to the tetrablock; inf where den <= 0."""
+    c = 1.0 - abs(x2) ** 2
+    d = abs(x1) ** 2 - abs(x3) ** 2
+    m = abs(x1 - x2.conjugate() * x3)
+    den = (c - d) + math.sqrt(max((c + d) ** 2 - 4.0 * m * m, 0.0))
+    return abs(a) * math.sqrt(2.0 / den) if den > 0.0 else math.inf
+
+
+def hexa_cell_reference(x, tol: float) -> tuple[int, float]:
+    """hexa_classify's (code, margin) at checked x in one pass over the whole
+    point, with no base/fibre split: the guarded tetrablock margin t; the
+    indeterminate band (code 9) where a != 0, |t| <= tol and |a| <= 1 + tol;
+    else t at a = 0 or off the band's upper side, min(t, 1 - sup) above it
+    (-1 where sup is inf) and min(t, 1 - |a|) in it, -inf past the floats."""
+    a, x1, x2, x3 = x
+    t = guarded_margin(_tetra_margin, x1, x2, x3)
+    room = guarded_margin(lambda: (1.0 + tol) - abs(a))
+    if a != 0 and not abs(t) > tol and room >= 0.0:
+        return 9, min(t, max(-tol, min(tol, 1.0 - abs(a))))
+
+    def margin():
+        if a == 0:
+            return t
+        if t > tol:
+            sup = psi_sup_closed_reference(a, x1, x2, x3)
+            return -1.0 if sup == math.inf else min(t, 1.0 - sup)
+        return t if t < -tol else min(t, 1.0 - abs(a))
+    value = guarded_margin(margin)
+    return margin_code(value, tol), value
+
+
+def penta_dual_reference(x, tol: float) -> tuple[float, Optional[float]]:
+    """(penta_classify's margin, penta_dual_check's answer) at checked x in
+    one pass over the whole point: the guarded bidisc margin, alone below
+    -tol, else its min with the guarded critical-radius slack; the beta-form
+    supremum where the bidisc margin is above tol and the slack outside the
+    guard band, raising CriteriaDisagree where the two routes split."""
+    a, s, p = x
+    g2 = guarded_margin(_g2_margin, s, p)
+    if g2 < -tol:
+        return g2, None
+    slack = guarded_margin(lambda: _penta_radius(s, p) - abs(a))
+    margin = min(g2, slack)
+    if not g2 > tol or abs(slack) <= BAND_FACTOR * max(tol, 1e-7) or slack == -math.inf:
+        return margin, None
+    sup = _beta_sup(a, s, p)
+    if (sup < 1.0) != (slack > 0.0):
+        raise CriteriaDisagree(f"split at {x!r}")
+    return margin, sup
 
 
 def hexa_points(rng: random.Random, n: int) -> list:

@@ -1,11 +1,13 @@
 """End-to-end command tests, run in-process via main(argv)."""
 
+import cmath
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import random
 import re
 import runpy
 import subprocess
@@ -521,6 +523,16 @@ def test_repeated_main_calls_are_independent():
     assert run(["verify", "lemma21_gram", "--n", "3"])[0] == 0
 
 
+def _cell_point(names, fixed, axes, values):
+    """The point a slice prints at the axis values, as the slice forms it."""
+    coords = [complex(fixed.get(nm, 0)) for nm in names]
+    for axis, val in zip(axes.split(","), values):
+        k = names.index(axis[3:-1])
+        z = coords[k]
+        coords[k] = complex(val, z.imag) if axis[:2] == "Re" else complex(z.real, val)
+    return tuple(coords)
+
+
 _PUBLIC = {"g2": g2_classify, "tetra": tetra_classify, "penta": penta_classify,
            "f": f_classify, "h": hexa_classify, "l4": lie_ball_classify}
 _CODE = {Region.INTERIOR: 0, Region.CLOSURE_BOUNDARY: 1, Region.OUTSIDE: 2}
@@ -564,16 +576,12 @@ def test_slice_rows_equal_the_public_classifiers(plane):
     for i in range(n):
         for j in range(n):
             values = [lo + (hi - lo) * k / (n - 1) for (lo, hi), k in zip(ranges, (i, j))]
-            coords = [complex(fixed.get(nm, 0)) for nm in names]
-            for axis, val in zip(axes.split(","), values):
-                k = names.index(axis[3:-1])
-                z = coords[k]
-                coords[k] = complex(val, z.imag) if axis[:2] == "Re" else complex(z.real, val)
+            coords = _cell_point(names, fixed, axes, values)
             if domain == "hn":
-                region = cli._hn_region(hn_classify(tuple(coords), **kw))
+                region = cli._hn_region(hn_classify(coords, **kw))
                 want_code, margin = _CODE[region], math.nan
             else:
-                v = _PUBLIC[domain](tuple(coords), **kw)
+                v = _PUBLIC[domain](coords, **kw)
                 want_code = 9 if v.indeterminate else _CODE[v.region]
                 margin = v.margin
             want = f"{values[0]:.10g}\t{values[1]:.10g}\t{want_code}\t{margin:.17g}"
@@ -614,6 +622,108 @@ def test_slice_cells_build_no_verdict_and_check_no_point(domain, monkeypatch):
     assert len(calls) <= 1
     _PUBLIC[domain]((0.0,) * len(cli._COORD_NAMES[domain]))
     assert len(calls) >= 1   # the public classifier's one check is counted
+
+
+def _fibre_planes():
+    """Seeded h and penta planes whose inner axis is the fibre coordinate a:
+    (domain, fixed, axes, range text, grid, tol or None).  Outer axes are a
+    (both Re/Im orders) or a base coordinate; bases lie off, near or on the
+    tetrablock boundary; a quarter of the ranges are huge or overflow."""
+    r = random.Random(2504)
+    planes = []
+    for k in range(48):
+        domain = ("h", "penta")[k % 2]
+        names = cli._COORD_NAMES[domain]
+        inner = r.choice(("Re", "Im"))
+        if k % 3:
+            outer = f"{'Im' if inner == 'Re' else 'Re'}(a)"
+        else:
+            outer = f"{r.choice(('Re', 'Im'))}({r.choice(names[1:])})"
+        axes = f"{outer},{inner}(a)"
+        fixed = {nm: complex(r.uniform(-0.9, 0.9), r.uniform(-0.9, 0.9)) * 0.5
+                 for nm in names[1:] if nm != outer[3:-1]}
+        if domain == "h" and k % 4 == 0:   # a base on the tetrablock boundary
+            x2 = complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))
+            x3 = cmath.exp(1j * r.uniform(0.0, 2.0 * math.pi))
+            base = {"x1": x2.conjugate() * x3, "x2": x2, "x3": x3}
+            fixed = {nm: v for nm, v in base.items() if nm != outer[3:-1]}
+        if k % 4 == 1:
+            ranges = r.choice(("-1e308:1e308", "-1.7e308:1.7e308,-1e200:1e200",
+                               "-1e200:1e200,-1.7e308:1.7e308", "0:1,-1e160:1e160"))
+        else:
+            ranges = ",".join(f"{-r.uniform(0.3, 2.0)!r}:{r.uniform(0.3, 2.0)!r}"
+                              for _ in range(2))
+        planes.append((domain, fixed, axes, ranges, r.choice((2, 5, 9)),
+                       r.choice((None, "1e-12", "1e-9", "0.05"))))
+    return planes
+
+
+def test_fibre_path_equals_the_per_point_cell(monkeypatch):
+    """On planes whose inner axis is a, h and penta slices (exit code, stdout
+    and stderr) equal those of the per-point cell, run by taking the fibre
+    pair off the domain record; each finite row runs the base kernel once,
+    and sampled cells carry the public classifier's code and margin."""
+    r = random.Random(2505)
+    seen, exits = set(), set()
+    for domain, fixed, axes, ranges, n, tol in _fibre_planes():
+        argv = ["slice", domain, "--axes", axes, "--grid", str(n), "--range", ranges,
+                "--fixed", ",".join(f"{k}={v!r}".replace("j", "i") for k, v in fixed.items())]
+        argv += ["--tol", tol] if tol else []
+        record = cli._DOMAIN_RECORDS[domain]
+        base, fibre_cell = record.fibre
+        calls = []
+
+        def counted(*args):   # only rows of finite values reach the base kernel
+            assert all(map(cmath.isfinite, args)), args
+            calls.append(args)
+            return base(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._DOMAIN_RECORDS, domain, record._replace(fibre=None))
+            want = run(argv)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._DOMAIN_RECORDS, domain,
+                          record._replace(fibre=(counted, fibre_cell)))
+            got = run(argv)
+        assert got == want, argv
+        exits.add(got[0])
+        if got[0]:
+            continue
+        rows = [line.split("\t") for line in got[1].splitlines()[1:]]
+        assert len(calls) == n, argv
+        seen.update(row[2] for row in rows)
+        kw = {"tol": float(tol)} if tol else {}
+        for i, j in ((r.randrange(n), r.randrange(n)) for _ in range(4)):
+            row = rows[i * n + j]
+            (lo1, hi1), (lo2, hi2) = (map(float, part.split(":")) for part in
+                                      (ranges.split(",") * 2)[:2])
+            pt = _cell_point(cli._COORD_NAMES[domain], fixed, axes,
+                             (lo1 + (hi1 - lo1) * i / (n - 1), lo2 + (hi2 - lo2) * j / (n - 1)))
+            v = _PUBLIC[domain](pt, **kw)
+            assert row[2:] == [str(9 if v.indeterminate else _CODE[v.region]),
+                               f"{v.margin:.17g}"], (argv, i, j)
+    assert seen == {"0", "1", "2", "9"}
+    assert exits == {0, 64}
+
+
+@pytest.mark.parametrize("domain, module, kernel", (("h", "hexablock", "_tetra_margin"),
+                                                    ("penta", "pentablock", "_penta_radius")))
+def test_fibre_plane_runs_the_base_once_per_row(domain, module, kernel, monkeypatch):
+    """The 21x21 gallery a-plane of h (penta) makes 21 tetrablock-margin
+    (critical-radius) calls, one per row, against 441 per point."""
+    argv = ["slice", domain, "--axes", "Re(a),Im(a)", "--grid", "21", "--fixed",
+            {"h": "x1=0.3,x2=0.2,x3=0.1", "penta": "s=0.9,p=0.4"}[domain]]
+    want = run(argv)
+    mod = sys.modules[f"mublocks.{module}"]
+    original, calls = getattr(mod, kernel), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mod, kernel, counted)
+    assert run(argv) == want and want[0] == 0
+    assert len(calls) == 21
 
 
 def test_cli_and_thm32_run_without_numpy():

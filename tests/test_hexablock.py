@@ -13,9 +13,10 @@ from mublocks.hexablock import (hexa_classify, hexa_slice_a0, hn_classify,
                                 pi_hexa, psi_sup, shilov_h_test)
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
 from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
-from mublocks.verdict import Region
-from oracles import (PsiProbe, hexa_points, hn_classify_reference, psi_eval,
-                     psi_sup_critical_radius, psi_sup_decimal, psi_sup_grid)
+from mublocks.verdict import DEFAULT_TOL, Region
+from oracles import (PsiProbe, hexa_cell_reference, hexa_points, hn_classify_reference,
+                     psi_eval, psi_sup_closed_reference, psi_sup_critical_radius,
+                     psi_sup_decimal, psi_sup_grid)
 
 rng = random.Random(53)
 
@@ -234,16 +235,26 @@ def test_corrected_point_reads_interior():
 def test_verdicts_match_the_critical_radius_route(monkeypatch):
     """hexa_classify through the closed form and through the critical
     radius give the same region, indeterminate and shilov flags on 20 000
-    seeded points, near-boundary ones included.  The two suprema differ in
-    the last bits, so a verdict may change only where the two margins lie
-    on either side of a band edge, within 1e-13 of each other."""
+    seeded points, near-boundary ones included.  The critical radius enters
+    as the fibre factor k, the supremum at |a| = 1, and the patched route
+    must be the one the classifier reads.  The two suprema differ in the
+    last bits, so a verdict may change only where the two margins lie on
+    either side of a band edge, within 1e-13 of each other."""
     pts = hexa_points(random.Random(4411), 20000)
     tols = (1e-9, 1e-12, 1e-15)
     new = {tol: [hexa_classify(p, tol) for p in pts] for tol in tols}
-    monkeypatch.setattr(hexablock, "_psi_sup_closed", psi_sup_critical_radius)
+    calls = []
+
+    def critical_radius_factor(*x):
+        calls.append(x)
+        return psi_sup_critical_radius(1.0, *x)
+
+    monkeypatch.setattr(hexablock, "_fibre_factor", critical_radius_factor)
     for tol in tols:
-        for p, v in zip(pts, new[tol]):
-            o = hexa_classify(p, tol)
+        calls.clear()
+        old = [hexa_classify(p, tol) for p in pts]
+        assert len(calls) > 10000, tol   # the patched route decides most verdicts
+        for p, v, o in zip(pts, new[tol], old):
             if (v.region, v.indeterminate, v.shilov) == (o.region,
                                                          o.indeterminate,
                                                          o.shilov):
@@ -376,3 +387,44 @@ def test_shilov_h_unitary_images():
 def test_hexa_classify_dimension_check():
     with pytest.raises(PreconditionViolation):
         hexa_classify((0.5, 0.1, 0.2))
+
+
+def _fibre_test_points() -> list:
+    """Seeded hexablock points, a fifth of them over the tetrablock
+    boundary (unitaries and (1, 0, 0), where the indeterminate band lies),
+    plus points where |a|, |a| k or the coordinates pass the floats."""
+    r = random.Random(2502)
+    pts = hexa_points(r, 4000)
+    for _ in range(1000):
+        u = unitary_from_rng(r)
+        a = complex(r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5)) * r.choice((1.0, 1e-9))
+        pts.append((a, *pi_tetra(u)) if r.random() < 0.7 else (a, 1, 0, 0))
+    pts += [(0j, 1, 0, 0), (1e200 + 1e200j, 0.3, 0.2, 0.1), (1.7e308 + 1.7e308j, 1, 0, 0),
+            (1.7e308, 0.3, 0.2, 0.1),   # |a| k passes the floats: margin -1
+            (1e-320, 1, 0, 0), (1e300, 0.1, 0.2, 0.05), (0.5, 1e160, 0, 0),
+            (0.5, 0.3, 1e300, 1e300j), (2, 1, 0, 0), (0, 1, 1, 1)]
+    return [tuple(map(complex, p)) for p in pts]
+
+
+def test_fibred_kernels_equal_the_one_pass_reference():
+    """The cell, and the fibre cell over the base kernel that mublocks slice
+    runs, give hexa_cell_reference's code and margin by repr at tol 0,
+    1e-12, 1e-9 and 0.05, the indeterminate band (code 9) included; psi_sup
+    is psi_sup_closed_reference's value bit for bit."""
+    base, fibre_cell = hexablock._DOMAIN.fibre
+    pts = _fibre_test_points()
+    codes = set()
+    for tol in (0.0, 1e-12, 1e-9, 0.05):
+        for x in pts:
+            want = repr(hexa_cell_reference(x, tol))
+            assert repr(hexablock._DOMAIN.cell(x, tol)) == want, (x, tol)
+            assert repr(fibre_cell(x[0], base(*x[1:], tol), tol)) == want, (x, tol)
+            codes.add(want[1])
+    assert codes == {"0", "1", "2", "9"}
+    checked = 0
+    for a, *x in pts:
+        if tetra_classify(x, DEFAULT_TOL).is_interior and math.isfinite(abs(a)):
+            want = 0.0 if a == 0 else psi_sup_closed_reference(a, *x)
+            assert repr(psi_sup((a, *x))) == repr(want), (a, x)
+            checked += 1
+    assert checked > 2000

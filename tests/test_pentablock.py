@@ -10,10 +10,11 @@ from mublocks.errors import CriteriaDisagree, PreconditionViolation
 from mublocks.hexablock import hexa_classify, psi_sup
 from mublocks.pentablock import (bp_test, penta_classify, penta_dual_check,
                                  penta_radius, penta_sup)
-from mublocks.verdict import Region
+from mublocks.matrix2 import contraction_from_rng, unitary_from_rng
+from mublocks.verdict import Region, margin_code
 from mublocks.verify import run_counterexamples, run_suite
-from oracles import (penta_grid_sup, penta_sup_numeric, penta_sup_points,
-                     quad_roots)
+from oracles import (penta_dual_reference, penta_grid_sup, penta_sup_numeric,
+                     penta_sup_points, quad_roots)
 
 rng = random.Random(17)
 
@@ -191,3 +192,47 @@ def test_roots_convention_agrees_with_oracle():
         from mublocks.bidisc import g2_roots
         r2 = sorted(abs(z) for z in g2_roots((s, p)))
         assert r1 == pytest.approx(r2, abs=1e-8)
+
+
+def _fibre_test_points() -> list:
+    """Seeded pentablock points (a21, tr, det): of contractions, of
+    unitaries scaled to 1 - 10^-U(3, 16) and with a21 moved by up to 10 %
+    (next to both boundaries), Gaussian boxes, and points past the floats."""
+    r = random.Random(2503)
+    pts = []
+    for i in range(6000):
+        kind = i % 3
+        if kind == 0:
+            m = contraction_from_rng(r)
+        elif kind == 1:
+            m = unitary_from_rng(r).scale(1.0 - 10.0 ** -r.uniform(3.0, 16.0))
+        if kind < 2:
+            pts.append((m.a21 * r.uniform(0.9, 1.1), m.a11 + m.a22, m.det))
+        else:
+            pts.append(tuple(complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(3)))
+    pts += [(1e300, 0.1, 0.2), (1.7e308 + 1.7e308j, 0.3, 0.2), (0.5, 1e160, 0),
+            (0.5, 0, 1e160), (0.2, 2, 1), (0.2, 1e300, 1e150), (1.0, 0, 0)]
+    return [tuple(map(complex, p)) for p in pts]
+
+
+def test_fibred_kernels_equal_the_one_pass_reference():
+    """The cell, the fibre cell over the base kernel that mublocks slice
+    runs, and penta_dual_check give penta_dual_reference's margin (by repr,
+    with its code) and answer (or its CriteriaDisagree) at tol 0, 1e-12,
+    1e-9 and 0.05."""
+    base, fibre_cell = pentablock._DOMAIN.fibre
+    answered = 0
+    for tol in (0.0, 1e-12, 1e-9, 0.05):
+        for x in _fibre_test_points():
+            try:
+                margin, answer = penta_dual_reference(x, tol)
+            except CriteriaDisagree:
+                with pytest.raises(CriteriaDisagree):
+                    penta_dual_check(x, tol)
+                continue
+            want = repr((margin_code(margin, tol), margin))
+            assert repr(pentablock._DOMAIN.cell(x, tol)) == want, (x, tol)
+            assert repr(fibre_cell(x[0], base(*x[1:], tol), tol)) == want, (x, tol)
+            assert repr(penta_dual_check(x, tol)) == repr(answer), (x, tol)
+            answered += answer is not None
+    assert answered > 10000

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import random
@@ -95,6 +96,25 @@ def test_projection_legs_match_the_two_call_reference():
         assert [(n, r, repr(m)) for n, r, m in got] == [(n, r, repr(m)) for n, r, m in want]
         regions.update(r for _, r, _ in got)
     assert regions == {INTERIOR, CLOSURE_BOUNDARY, OUTSIDE}
+
+
+@pytest.mark.parametrize("pt, legs", (
+    ((1e200, 1e200, 0, 0), ("g2",)),                  # a x passes the floats
+    ((1e300j, 1e300, 0, 1e300), ("g2",)),
+    ((1e200 + 1e200j, 1e200 - 1e200j, 0, 0), ("g2",)),  # a x = inf + nan i
+))
+def test_a_projection_past_the_floats_reads_outside(pt, legs):
+    """A leg whose projection has a non-finite coordinate reads Outside with
+    margin -inf (every domain is bounded), where the g2 leg read NaN and
+    ClosureBoundary; its finite legs keep their dual kernel's margin."""
+    rel = f_relations(pt)
+    got = verify._projection_legs(rel)
+    for (name, region, margin), x in zip(got, rel):
+        assert (name in legs) == (not all(map(cmath.isfinite, x)))
+        if name in legs:
+            assert (region, margin) == (OUTSIDE, -math.inf)
+        else:
+            assert region is OUTSIDE and not math.isnan(margin)
 
 
 # A leg read as Outside (margin -0.5 or -0.25) at every sample of the two
