@@ -46,6 +46,7 @@ import os
 import re
 import sys
 import traceback
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
@@ -444,20 +445,23 @@ def _cmd_slice(args) -> int:
     tol = DEFAULT_TOL if tol is None else tol
     # Each axis value is checked once; a cell with a non-finite one goes to
     # checked_point, which raises naming the cell's first such coordinate.
-    cols = [(v2, f"\t{v2:.10g}\t", check and not math.isfinite(v2)) for v2 in
-            (lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n))]
+    values = [lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n)]
+    cols = [(f"\t{v2:.10g}\t", check and not math.isfinite(v2)) for v2 in values]
+    def column_coords(z):   # coordinate k2 at each column, its other part z's
+        return (map(complex, values, repeat(z.imag)) if comp2 == "re"
+                else map(complex, repeat(z.real), values))
+    # Where the axes name two coordinates, these are built once per plane;
+    # where they name one (Re(a),Im(a)), each cell's from the row's value.
+    plane_coords = list(column_coords(base[k2])) if k1 != k2 else None
     lines = [f"{_axis_label(axes[0])}\t{_axis_label(axes[1])}\tcode\tmargin"]
     for i in range(n):
         v1 = lo1 + (hi1 - lo1) * i / (n - 1)
         text1, bad1 = f"{v1:.10g}", check and not math.isfinite(v1)
-        # Where both axes name one coordinate, the second reads the row's value.
         row = list(base)
         z = row[k1]
         row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)
-        z = row[k2]
         fibre_base = fibre and not bad1 and fibre[0](*row[1:], tol)
-        for v2, text2, bad2 in cols:
-            row[k2] = complex(v2, z.imag) if comp2 == "re" else complex(z.real, v2)
+        for row[k2], (text2, bad2) in zip(plane_coords or column_coords(row[k2]), cols):
             x = tuple(row)
             if bad1 or bad2:
                 checked_point(x, names)

@@ -157,6 +157,8 @@ def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
     an infinite a raises PreconditionViolation as the matrix entry a21.
     """
     a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
+    if not tol >= 0.0:   # as classify_point
+        raise PreconditionViolation(f"tol must be >= 0, got {tol!r}")
     try:
         if a == 0:
             in_open = (abs(x3 - x1 * x2) <= _EQ_TOL   # only finite x reach the margin

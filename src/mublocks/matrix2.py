@@ -44,6 +44,10 @@ from .errors import FormulaMismatch, PreconditionViolation
 
 _GRAM_AGREE_TOL = 1e-10
 _NORMAL_MIN = sys.float_info.min
+_SQUARES_LO, _SQUARES_HI = 1e-290, 1e300   # sigma_1^2 range _singular_values takes unscaled
+_PAIR_FLOOR = 1e-150   # _top_singular_pair takes e1 where its Gram vector is shorter
+_REDRAW_TOL = 1e-8     # unitary_from_rng redraws a column whose norm is at most this
+_PHASE_FLOOR = 1e-12   # |v1| at most this: unitary_from_rng's first pivot keeps phase 1
 
 
 def raise_if_nonfinite(fields, values) -> None:
@@ -163,7 +167,7 @@ def _singular_values(a11: complex, a12: complex, a21: complex,
         hi = 0.5 * (h11 + h22) + math.hypot(0.5 * (h11 - h22), abs(h12))
     except OverflowError:
         hi = math.inf
-    if not 1e-290 <= hi < 1e300:
+    if not _SQUARES_LO <= hi < _SQUARES_HI:
         top = max(max(abs(z.real), abs(z.imag)) for z in (a11, a12, a21, a22))
         if top == 0.0:
             return 0.0, 0.0
@@ -195,7 +199,7 @@ def _top_singular_pair(b: Matrix2):
     # B*B - sigma_1^2 I maps both to 0; the longer is the better conditioned
     v = (h12, complex(d1)) if abs(d1) >= abs(d2) else (complex(d2), h12.conjugate())
     n = math.hypot(abs(v[0]), abs(v[1]))
-    v1 = (v[0] / n, v[1] / n) if n >= 1e-150 else (1.0 + 0j, 0j)
+    v1 = (v[0] / n, v[1] / n) if n >= _PAIR_FLOOR else (1.0 + 0j, 0j)
     u1 = ((a11 * v1[0] + a12 * v1[1]) / s1, (a21 * v1[0] + a22 * v1[1]) / s1)
     return s1, u1, v1
 
@@ -341,7 +345,7 @@ def unitary_from_rng(rng: random.Random) -> Matrix2:
         g1 = _complex_gauss(rng)
         g2 = _complex_gauss(rng)
         n1 = _sqrt(abs(g1) ** 2 + abs(g2) ** 2)
-        if n1 > 1e-8:
+        if n1 > _REDRAW_TOL:
             break
     v1 = g1 / n1
     v2 = g2 / n1
@@ -354,10 +358,10 @@ def unitary_from_rng(rng: random.Random) -> Matrix2:
         w1 = h1 - ip * v1
         w2 = h2 - ip * v2
         n2 = _sqrt(abs(w1) ** 2 + abs(w2) ** 2)
-        if n2 > 1e-8:
+        if n2 > _REDRAW_TOL:
             break
     m = abs(v1)
-    ph = (v1 / m if m > 1e-12 else 1.0 + 0.0j).conjugate()   # unit phase of v1
+    ph = (v1 / m if m > _PHASE_FLOOR else 1.0 + 0.0j).conjugate()   # unit phase of v1
     return Matrix2(ph * v1, w1 / n2, ph * v2, w2 / n2)
 
 

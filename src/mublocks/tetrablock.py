@@ -17,8 +17,9 @@ in the closed tetrablock iff (x1, x2, x3, 0) is in the closed image domain of
 (a11, a22, det, a12 + a21), whose three legs at s = 0 are 1 - |x1 x2 - x3|^2,
 1 - |x3| and the Gram determinant Q(x1, x2, x3, 0).  tetra_classify reports
 min((A)-slack, legs), sign-faithful in all three regions, via the kernel
-_tetra_margin, which the hexablock also calls.  _tetra_dual holds (A)
-against (B) and the legs and returns that margin, for the suites' legs too.
+_tetra_margin, which the hexablock also calls: one pass, bitwise the composed
+min(_slack_a, _closure_margin).  _tetra_dual holds those, (A) against (B) and
+the legs, and returns that margin, for the suites' legs too.
 
 Distinguished boundary: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1 -- the triples
 (u11, u22, det U) of 2x2 unitaries.
@@ -62,8 +63,13 @@ def tetra_margins(x1: complex, x2: complex, x3: complex) -> tuple[float, float]:
 
 
 def _tetra_margin(x1: complex, x2: complex, x3: complex) -> float:
-    """min of the (A)-slack and the closure legs: tetra_classify's margin."""
-    return min(_slack_a(x1, x2, x3), _closure_margin(x1, x2, x3))
+    """min of the (A)-slack and the closure legs: tetra_classify's margin, in
+    one pass; bitwise min(_slack_a, _closure_margin), squares and NaNs alike."""
+    w = x1 * x2 - x3
+    n1, aw, a3 = abs(x1) ** 2, abs(w), abs(x3)
+    gram = 1.0 - abs(x2) ** 2 - n1 + a3 ** 2 - abs(4.0 * w) / 2.0   # Q(x1, x2, x3, 0)
+    return min(1.0 - (n1 + abs(x2 - x1.conjugate() * x3) + aw),
+               min(1.0 - aw ** 2, 1.0 - a3, gram))
 
 
 def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:

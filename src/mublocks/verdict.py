@@ -175,6 +175,8 @@ def margin_cell(kernel):
 
 def classify_point(domain: Domain, x, tol: float) -> MembershipVerdict:
     """Verdict at checked x: the domain's cell, its Shilov kernel on the closure boundary."""
+    if not tol >= 0.0:   # a band half-width: refuse a negative or NaN tol
+        raise PreconditionViolation(f"tol must be >= 0, got {tol!r}")
     code, margin = domain.cell(x, tol)
     region = _REGION_OF[code]
     return MembershipVerdict(region, margin, tol, domain.shilov(*x, tol)

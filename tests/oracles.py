@@ -29,7 +29,8 @@ from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
 from mublocks.mu import _FEASIBLE_TOL, _dot, _orthonormal
 from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _beta_sup, _penta_radius, penta_classify, penta_dual_check
-from mublocks.tetrablock import _tetra_margin, be_test, tetra_classify, tetra_dual_check
+from mublocks.tetrablock import (_closure_margin, _slack_a, _tetra_margin, be_test, tetra_classify,
+                                 tetra_dual_check)
 from mublocks.verdict import (BAND_FACTOR, MembershipVerdict, Region, checked_point,
                               classify_margin, guarded_margin, margin_code,
                               verdict_from_margin)
@@ -534,6 +535,30 @@ def completion_min_norm(x1: complex, x2: complex, x3: complex) -> float:
             lo = m1
         best = min(best, v1, v2)
     return best
+
+
+def tetra_margin_reference(x1: complex, x2: complex, x3: complex) -> float:
+    """tetrablock._tetra_margin as it was composed: the (A)-slack and the
+    closure legs, each computing x1 x2 - x3 and |x1|^2 itself."""
+    return min(_slack_a(x1, x2, x3), _closure_margin(x1, x2, x3))
+
+
+def lie_ball_moduli_reference(zs) -> tuple[float, float]:
+    """lie_ball._moduli as it was: sum |z_j|^2 and |sum z_j^2| through sum(),
+    which Python 3.12 and later compensate for floats."""
+    return sum(abs(v) ** 2 for v in zs), abs(sum(v * v for v in zs))
+
+
+def mixed_scale_coordinate(rng: random.Random) -> complex:
+    """A zero of either sign in each part, a point of modulus about 1, one of
+    modulus 2^-500 to 2^500, or one whose square passes the floats."""
+    k = rng.random()
+    if k < 0.1:
+        return complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+    scale = (1.0 if k < 0.4 else 2.0 ** rng.randint(-500, 500) if k < 0.9
+             else 2.0 ** rng.randint(512, 600))
+    return complex(rng.gauss(0.0, 1.0) * scale if rng.random() < 0.9 else rng.choice((0.0, -0.0)),
+                   rng.gauss(0.0, 1.0) * scale if rng.random() < 0.9 else rng.choice((0.0, -0.0)))
 
 
 def tetra_closure_oracle(x1: complex, x2: complex, x3: complex,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from mublocks.lie_ball import (ShilovParamL4, biholo_f, lambda_map,
                                shilov_l4_lattice, shilov_l4_param,
                                transported_lattice)
 from mublocks.verdict import Region
-from oracles import (lie_ball_region_oracle, lie_norm,
-                     nearest_transport_distance_reference,
+from oracles import (lie_ball_moduli_reference, lie_ball_region_oracle, lie_norm,
+                     mixed_scale_coordinate, nearest_transport_distance_reference,
                      transport_distance_nm_oracle)
 
 finite = st.floats(min_value=-1.2, max_value=1.2,
@@ -274,3 +275,31 @@ def test_transport_distance_on_huge_finite_targets(monkeypatch):
     guarded = [nearest_transport_distance(t) for t in targets]
     monkeypatch.setattr(lie_ball, "_FAR", math.inf)
     assert guarded == [nearest_transport_distance(t) for t in targets]
+
+
+def test_moduli_match_the_sum_reference():
+    """_moduli's plain loop is the two sum() generators by repr on seeded
+    points, n = 2 to 6, of mixed scale with signed zeros; where a square
+    passes the floats both raise OverflowError.  Python 3.12 compensates a
+    float sum(), so there both moduli are held to 4 ulp of sum |z_j|^2."""
+    rng = random.Random(2603)
+    raised = 0
+    for _ in range(40_000):
+        zs = tuple(mixed_scale_coordinate(rng) for _ in range(rng.randint(2, 6)))
+        try:
+            got = lie_ball._moduli(zs)
+        except OverflowError:
+            got = None
+        try:
+            want = lie_ball_moduli_reference(zs)
+        except OverflowError:
+            want = None
+        assert (got is None) == (want is None), zs
+        if got is None:
+            raised += 1
+        elif sys.version_info < (3, 12) or not math.isfinite(want[0]):
+            assert repr(got) == repr(want), zs
+        else:
+            bound = 4.0 * math.ulp(want[0])
+            assert abs(got[0] - want[0]) <= bound and abs(got[1] - want[1]) <= bound, zs
+    assert raised > 1_000

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from mublocks.errors import PreconditionViolation
 from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
                               unitary_from_rng)
-from mublocks.tetrablock import (be_point, be_test, pi_tetra, tetra_classify,
+from mublocks.tetrablock import (_tetra_margin, be_point, be_test, pi_tetra, tetra_classify,
                                  tetra_margins)
 from mublocks.verdict import Region
-from oracles import tetra_classify_delegated, tetra_closure_oracle
+from oracles import (mixed_scale_coordinate, tetra_classify_delegated, tetra_closure_oracle,
+                     tetra_margin_reference)
 
 finite = st.floats(min_value=-2.0, max_value=2.0,
                    allow_nan=False, allow_infinity=False)
@@ -167,3 +168,27 @@ def test_tiny_tol_answers_with_the_same_margin():
         v = tetra_classify(pt, tol)
         assert v.margin.hex() == margin.hex()
         assert v.region is Region.OUTSIDE
+
+
+def _outcome(kernel, *args) -> str:
+    try:
+        return repr(kernel(*args))
+    except OverflowError:
+        return "OverflowError"
+
+
+def test_tetra_margin_is_the_composed_reference_bitwise():
+    """The one-pass _tetra_margin is min(_slack_a, _closure_margin) by repr on
+    seeded points of mixed scale with signed zeros, a tenth with x3 = x1 x2
+    exactly; where a square passes the floats both raise OverflowError."""
+    rng = random.Random(2602)
+    outcomes = []
+    for _ in range(40_000):
+        x1, x2 = mixed_scale_coordinate(rng), mixed_scale_coordinate(rng)
+        x3 = x1 * x2 if rng.random() < 0.1 else mixed_scale_coordinate(rng)
+        got = _outcome(_tetra_margin, x1, x2, x3)
+        assert got == _outcome(tetra_margin_reference, x1, x2, x3), (x1, x2, x3)
+        outcomes.append(got)
+    assert outcomes.count("OverflowError") > 1_000
+    assert sum(o.startswith("-") for o in outcomes) > 1_000
+    assert sum(o[0].isdigit() and o != "0.0" for o in outcomes) > 1_000

@@ -230,3 +230,30 @@ def test_dual_kernels_return_their_classifier_margin(domain):
     assert sum(abs(m) <= 10 * DEFAULT_TOL for m in margins) >= 100
     assert sum(abs(m) <= 1e-12 for m in margins) >= 40
     assert -math.inf in margins
+
+
+# A point of each domain's public classifier, hn at a != 0 and a = 0, and
+# last the hexablock point whose fibre factor overflowed at tol = -1e300.
+_TOL_CASES = (
+    (bidisc.g2_classify, (0, 0)),
+    (tetrablock.tetra_classify, (0.5, 0.5, 0.25)),
+    (pentablock.penta_classify, (0.1, 0.2, 0)),
+    (domain_f.f_classify, (0.1, 0.25, 0, 0)),
+    (hexablock.hexa_classify, (0.1, 0.3, 0.2, 0.1)),
+    (lie_ball.lie_ball_classify, (0.5, 0.1j, 0, 0)),
+    (hexablock.hn_classify, (0.1, 0.3, 0.2, 0.1)),
+    (hexablock.hn_classify, (0, 0.3, 0.2, 0.06)),
+    (hexablock.hexa_classify, (0.5, 1e100, 0, 0)),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_TOL_CASES)))
+def test_classifiers_refuse_a_negative_or_nan_tol(case):
+    """A band half-width is a number >= 0: a negative or NaN tol raises
+    PreconditionViolation, never an answer or OverflowError; 0 and -0.0
+    answer alike."""
+    classify, pt = _TOL_CASES[case]
+    for tol in (-1e-300, -1e-9, -1.0, -1e300, -math.inf, math.nan):
+        with pytest.raises(PreconditionViolation, match="tol must be >= 0"):
+            classify(pt, tol)
+    assert classify(pt, 0.0) == classify(pt, -0.0)
