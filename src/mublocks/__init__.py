@@ -6,16 +6,14 @@ from .bidisc import (bgamma_point, bgamma_test, g2_classify, g2_dual_check,
                      g2_point, g2_roots)
 from .domain_f import (BallParamF, FRelations, ShilovParamF, f_classify,
                        f_classify_matrix_oracle, f_matrix_witness, f_relations,
-                       f_rescale_by, f_scale, f_slice_s_zero, f_slice_xa_zero,
-                       f_swap, minkowski_gauge, pi_f, q_value,
-                       sample_point_f, sample_shilov_param_f,
+                       f_rescale_by, f_scale, f_swap, minkowski_gauge, pi_f,
+                       q_value, sample_point_f, sample_shilov_param_f,
                        shilov_f_double_cover, shilov_f_from_ball,
                        shilov_f_param, shilov_f_test)
 from .errors import (CriteriaDisagree, DenominatorNearZero, FormulaMismatch,
                      InfeasibleConstraint, OptimizerNoConverge,
                      PreconditionViolation, UnknownSuite)
-from .hexablock import (HnVerdict, hexa_classify, hexa_slice_a0, hn_classify,
-                        pi_hexa, psi_sup, shilov_h_test)
+from .hexablock import hexa_classify, hn_classify, pi_hexa, psi_sup, shilov_h_test
 from .lie_ball import (ShilovParamL4, biholo_f, lambda_map, lie_ball_classify,
                        lie_ball_dual_check, nearest_transport_distance,
                        shilov_l4_lattice, shilov_l4_param,

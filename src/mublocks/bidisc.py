@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from .errors import PreconditionViolation
 from .matrix2 import _quadratic_roots
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
-                      guarded_margin, margin_cell, raise_if_split)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, guarded_margin, margin_cell, raise_if_split)
 
 _NAMES = ("s", "p")
 _PARAM_TOL = 1e-12   # slack of bgamma_point's |p| = 1 and |beta| <= 1 preconditions
@@ -51,7 +51,7 @@ def g2_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def g2_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the g2_classify margin against criterion (B) at pt; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    _g2_dual(checked_point(pt, _NAMES), tol)
+    _g2_dual(checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _g2_dual(x: tuple, tol: float) -> float:
@@ -77,7 +77,7 @@ def _g2_roots(s: complex, p: complex) -> tuple[complex, complex]:
 
 def bgamma_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: |p| = 1, s = conj(s) p, |s| <= 2."""
-    return _bgamma(*checked_point(pt, _NAMES), tol)
+    return _bgamma(*checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _bgamma(s: complex, p: complex, tol: float) -> bool:

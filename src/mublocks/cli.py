@@ -26,7 +26,7 @@ verdict.margin_code, the one threshold rule), with no coordinate check and
 no verdict per cell; a cell whose axis value is not finite goes through
 verdict.checked_point, which exits 64 as check would.  On the fibre axis a
 of h and penta, a row runs the base kernel once, each point the fibre cell.
-hn, which answers on NaN and infinities, reads hn_classify at every cell.
+hn, the normed hexablock, is one of these domains, with the margin 1 - ||B||.
 
 Each argument has one spelling: domain, point, structure, matrix and suite
 are required positionals, the rest are flags.  ``MUBLOCKS_TOL`` supplies the
@@ -53,8 +53,7 @@ from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
 from .errors import PreconditionViolation, UnknownSuite
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
-from .verdict import (CLOSURE_BOUNDARY, DEFAULT_TOL, INDETERMINATE_CODE, INTERIOR, OUTSIDE,
-                      Region, checked_point)
+from .verdict import DEFAULT_TOL, INDETERMINATE_CODE, checked_point
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
@@ -64,9 +63,10 @@ _DOMAINS = ("g2", "tetra", "penta", "f", "h", "hn", "l4")
 # The Domain record each classifier reads; slice runs its cell directly.
 _DOMAIN_RECORDS = {
     "g2": bidisc._DOMAIN, "tetra": tetrablock._DOMAIN, "penta": pentablock._DOMAIN,
-    "f": domain_f._DOMAIN, "h": hexablock._DOMAIN, "l4": lie_ball._DOMAIN,
+    "f": domain_f._DOMAIN, "h": hexablock._DOMAIN, "hn": hexablock._HN_DOMAIN,
+    "l4": lie_ball._DOMAIN,
 }
-_COORD_NAMES = {d: rec.names for d, rec in _DOMAIN_RECORDS.items()} | {"hn": hexablock._NAMES}
+_COORD_NAMES = {d: rec.names for d, rec in _DOMAIN_RECORDS.items()}
 
 
 class _CliError(Exception):
@@ -221,35 +221,15 @@ def _matrix_doc(m: Optional[Matrix2]) -> Optional[list]:
 _CLASSIFIERS = {
     "g2": bidisc.g2_classify, "tetra": tetrablock.tetra_classify,
     "penta": pentablock.penta_classify, "f": domain_f.f_classify,
-    "h": hexablock.hexa_classify, "l4": lie_ball.lie_ball_classify,
+    "h": hexablock.hexa_classify, "hn": hexablock.hn_classify,
+    "l4": lie_ball.lie_ball_classify,
 }
-
-
-def _hn_region(rec) -> Region:
-    # The normed variant is not open, so Interior is reserved for the
-    # interior of the set itself; members outside that interior report
-    # ClosureBoundary even when they sit inside the ambient hexablock.
-    if rec.in_interior_of_hn:
-        return INTERIOR
-    if rec.in_closure:
-        return CLOSURE_BOUNDARY
-    return OUTSIDE
-
-
-def _hn_cell(coords, tol: float) -> tuple[int, float]:
-    """hn's slice cell: its region's code, margin NaN."""
-    return _hn_region(hexablock.hn_classify(coords, tol)).code, math.nan
 
 
 def _cell_classifier(domain: str, tol: Optional[float]):
     """check's per-point call, the public classifier: coords -> (verdict
-    code, margin, verdict), where hn gives its HnVerdict and a NaN margin."""
+    code, margin, verdict)."""
     kw = {} if tol is None else {"tol": tol}
-    if domain == "hn":
-        def hn_cell(coords):
-            rec = hexablock.hn_classify(coords, **kw)
-            return _hn_region(rec).code, math.nan, rec
-        return hn_cell
     classify = _CLASSIFIERS[domain]
 
     def cell(coords):
@@ -259,40 +239,22 @@ def _cell_classifier(domain: str, tol: Optional[float]):
     return cell
 
 
-def _classify_cell(domain: str, coords: Sequence[complex],
-                   tol: Optional[float]) -> tuple[int, float, dict]:
-    """(verdict code, margin, extra JSON fields) for one point."""
-    code, margin, rec = _cell_classifier(domain, tol)(coords)
-    if domain == "hn":
-        return code, margin, {
-            "region": _hn_region(rec).value,
-            "in_open": rec.in_open,
-            "in_closure": rec.in_closure,
-            "in_interior_of_hn": rec.in_interior_of_hn,
-            "margin": None,
-            "shilov": None,
-            "indeterminate": False,
-        }
-    return code, margin, {
-        "region": rec.region.value,
-        "margin": max(rec.margin, -sys.float_info.max),   # JSON has no -inf
-        "tol": rec.tol,
-        "shilov": rec.shilov,
-        "indeterminate": rec.indeterminate,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_check(args) -> int:
     coords = parse_point(args.point, args.domain)
-    tol = _resolve_tol(args)
-    code, _margin, extra = _classify_cell(args.domain, coords, tol)
-    doc = {"domain": args.domain, "point": _point_doc(coords)}
-    doc.update(extra)
-    print(json.dumps(doc))
+    code, _margin, rec = _cell_classifier(args.domain, _resolve_tol(args))(coords)
+    print(json.dumps({
+        "domain": args.domain,
+        "point": _point_doc(coords),
+        "region": rec.region.value,
+        "margin": max(rec.margin, -sys.float_info.max),   # JSON has no -inf
+        "tol": rec.tol,
+        "shilov": rec.shilov,
+        "indeterminate": rec.indeterminate,
+    }))
     if code == INDETERMINATE_CODE:
         # An indeterminate hexablock verdict is still a boundary-band call.
         return 1
@@ -437,16 +399,15 @@ def _cmd_slice(args) -> int:
     base = [fixed.get(nm, 0j) for nm in names]
     (comp1, nm1), (comp2, nm2) = axes
     k1, k2 = names.index(nm1), names.index(nm2)
-    check = args.domain != "hn"   # hn answers on NaN and infinities
-    cell = _DOMAIN_RECORDS[args.domain].cell if check else _hn_cell
+    cell = _DOMAIN_RECORDS[args.domain].cell
     # On a fibred domain's fibre axis a (inner), a row of finite values runs the
     # base kernel once (a tuple, never falsy) and each point the fibre cell.
-    fibre = _DOMAIN_RECORDS[args.domain].fibre if check and k2 == 0 else None
+    fibre = _DOMAIN_RECORDS[args.domain].fibre if k2 == 0 else None
     tol = DEFAULT_TOL if tol is None else tol
     # Each axis value is checked once; a cell with a non-finite one goes to
     # checked_point, which raises naming the cell's first such coordinate.
     values = [lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n)]
-    cols = [(f"\t{v2:.10g}\t", check and not math.isfinite(v2)) for v2 in values]
+    cols = [(f"\t{v2:.10g}\t", not math.isfinite(v2)) for v2 in values]
     def column_coords(z):   # coordinate k2 at each column, its other part z's
         return (map(complex, values, repeat(z.imag)) if comp2 == "re"
                 else map(complex, repeat(z.real), values))
@@ -456,7 +417,7 @@ def _cmd_slice(args) -> int:
     lines = [f"{_axis_label(axes[0])}\t{_axis_label(axes[1])}\tcode\tmargin"]
     for i in range(n):
         v1 = lo1 + (hi1 - lo1) * i / (n - 1)
-        text1, bad1 = f"{v1:.10g}", check and not math.isfinite(v1)
+        text1, bad1 = f"{v1:.10g}", not math.isfinite(v1)
         row = list(base)
         z = row[k1]
         row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)

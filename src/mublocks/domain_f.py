@@ -49,8 +49,8 @@ from .errors import PreconditionViolation
 from .matrix2 import (CheckedRecord, Matrix2, _complex_gauss, gram_det_from_coords,
                       operator_norm)
 from .tetrablock import _be
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
-                      margin_cell)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, margin_cell)
 
 # Bounding box for random sampling: the closure projects into the closed
 # bidisc/tetrablock/pentablock hulls, so |x|, |a| <= 1, |p| <= 1, |s| <= 2;
@@ -74,7 +74,7 @@ def q_value(pt) -> float:
 
 def _f_margin(x: complex, a: complex, p: complex, s: complex) -> float:
     """The min of the three slacks: the bidisc margin of (s, ax-p) (kernel
-    bidisc._g2_margin), 1 - |p| and Q; shared with hexablock.hn_classify."""
+    bidisc._g2_margin), 1 - |p| and Q."""
     return min(_g2_margin(s, a * x - p), 1.0 - abs(p),
                gram_det_from_coords(x, a, p, s))
 
@@ -151,18 +151,6 @@ def f_relations(pt) -> FRelations:
     return FRelations(g2=(s, a * x - p), tetra=(x, a, p), penta=(a, s, -p))
 
 
-def f_slice_s_zero(x1, x2, x3) -> bool:
-    """Is (x1, x2, x3, 0) interior?  (Equivalent to tetrablock membership of
-    (x1, x2, x3); the equivalence is property-tested, not enforced here.)"""
-    return f_classify((complex(x1), complex(x2), complex(x3), 0.0)).is_interior
-
-
-def f_slice_xa_zero(p, s) -> bool:
-    """Is (0, 0, p, s) interior?  (Equivalent to (s, -p) in the open bidisc
-    domain, which the prop211_slice suite checks.)"""
-    return f_classify((0.0, 0.0, complex(p), complex(s))).is_interior
-
-
 # ---------------------------------------------------------------------------
 # Distinguished boundary
 # ---------------------------------------------------------------------------
@@ -205,7 +193,7 @@ def shilov_f_test(pt, tol: float = DEFAULT_TOL) -> bool:
         (x, a, p) on the tetrablock distinguished boundary,
         s + conj(s) p = 0,  and  |x|^2 + |s|^2/4 <= 1.
     """
-    return _shilov_f(*checked_point(pt, _NAMES), tol)
+    return _shilov_f(*checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _shilov_f(x: complex, a: complex, p: complex, s: complex, tol: float) -> bool:

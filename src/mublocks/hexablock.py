@@ -28,33 +28,30 @@ hexa_classify runs both, psi_sup reads k, and mublocks slice runs the base
 once per row where its inner axis is a.  The test oracles keep the
 product-grid psi_sup_grid and the critical-radius psi_sup_critical_radius.
 
-The normed variant reduces to the four-coordinate domain: for a != 0,
-B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over
-the point, so (a, x1, x2, x3) is in it iff (x1, x2, x3, a + t) is interior
-there, and in its closure iff ||B|| <= 1.  hn_classify forms t once and
-reads both from raw entries: the open verdict from the four-coordinate
-kernel domain_f._f_margin, the closed one from matrix2's singular-value
-kernel, with a Matrix2 built only for gram_report inside the band
-||B|| = 1 +- 1e-6.  For a = 0 the exact rule is x3 = x1 x2 with both
-|x1|, |x2| small enough.
+The normed variant hn is the image of the open operator ball.  For a != 0,
+B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over the
+point, so its margin is 1 - sigma1(B), from matrix2's singular-value kernel
+(-inf where t is not finite).  At a = 0 the matrices over the point are
+[[x1, t], [0, x2]] with x3 = x1 x2 (within _EQ_TOL, else -inf), of least
+norm max(|x1|, |x2|) at t = 0, so the margin is 1 - max(|x1|, |x2|).  hn
+has a Domain record like every classifier: its cell is margin_code of that
+margin, except that the a = 0 sheet, which has empty interior, never reads
+Interior; its Shilov kernel is |x3| = 1 on the closure boundary.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .domain_f import _f_margin
 from .errors import PreconditionViolation
-from .matrix2 import Matrix2, _singular_values, gram_report, raise_if_nonfinite
+from .matrix2 import Matrix2, _singular_values
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify  # tetra_classify: perfbench reads it
-from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, MembershipVerdict, checked_point,
-                      classify_point, fibred_domain, guarded_margin, margin_code)
+from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, Domain, MembershipVerdict, checked_point,
+                      checked_tol, classify_point, fibred_domain, guarded_margin, margin_code)
 
 _EQ_TOL = 1e-12  # exact-equality band for x3 = x1 x2 in the a = 0 slice
-_NORM_BAND = 1e-6  # half-width of the band about ||B|| = 1 decided by the Gram matrix
 _NAMES = ("a", "x1", "x2", "x3")
 
 
@@ -68,8 +65,7 @@ def psi_sup(pt) -> float:
 
     Exactly 0 when a = 0; exactly |a| at x = 0; linear in |a| throughout.
     """
-    a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
-    raise_if_nonfinite(_NAMES[1:], (x1, x2, x3))
+    a, x1, x2, x3 = checked_point(pt, _NAMES)
     t_margin, k = _hexa_base(x1, x2, x3, DEFAULT_TOL)
     if margin_code(t_margin, DEFAULT_TOL):
         raise PreconditionViolation(
@@ -129,94 +125,44 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
-def hexa_slice_a0(x1: complex, x2: complex, x3: complex,
-                  tol: float = DEFAULT_TOL) -> bool:
-    """Membership of (0, x1, x2, x3) in the open hexablock.
-
-    The a = 0 slice is exactly the open tetrablock, so this is the
-    no-optimization fast path of hexa_classify.
-    """
-    return hexa_classify((0.0, x1, x2, x3), tol).is_interior
+def hn_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
+    """Three-state verdict for the normed variant; margin 1 - the least norm
+    of a matrix over the point (module docstring).  A point of the a = 0
+    sheet reads ClosureBoundary even where its margin is above tol, so the
+    image of the open ball is {margin > tol} and its interior is_interior."""
+    return classify_point(_HN_DOMAIN, checked_point(pt, _NAMES), tol)
 
 
-@dataclass(frozen=True)
-class HnVerdict:
-    in_open: bool
-    in_closure: bool
-    in_interior_of_hn: bool
-
-
-def hn_classify(pt, tol: float = DEFAULT_TOL) -> HnVerdict:
-    """Membership in the normed variant (image of the open/closed ball).
-
-    a != 0: reduce to the four-coordinate domain via the unique matrix
-    [[x1, (x1 x2 - x3)/a], [a, x2]] over the point.  a = 0: exact slice rule.
-    The interior of the closure-free set is its a != 0 part.  Unlike the
-    classifiers, it does not refuse a NaN or an infinity up front: the
-    answer is all False where t (or, at a = 0, the slice rule) sees one, and
-    an infinite a raises PreconditionViolation as the matrix entry a21.
-    """
-    a, x1, x2, x3 = checked_point(pt, _NAMES, finite=False)
-    if not tol >= 0.0:   # as classify_point
-        raise PreconditionViolation(f"tol must be >= 0, got {tol!r}")
-    try:
-        if a == 0:
-            in_open = (abs(x3 - x1 * x2) <= _EQ_TOL   # only finite x reach the margin
-                       and guarded_margin(_tetra_margin, x1, x2, x3) > tol)
-            return HnVerdict(in_open=in_open,
-                             in_closure=_hn_in_closure(a, x1, x2, x3, tol),
-                             in_interior_of_hn=False)
-        t = (x1 * x2 - x3) / a
-        if not cmath.isfinite(t):
-            return HnVerdict(in_open=False, in_closure=False,
-                             in_interior_of_hn=False)
-        in_closure = _norm_at_most_one(x1, t, a, x2, tol)
-        in_open = _f_margin(x1, x2, x3, a + t) > tol
-        return HnVerdict(in_open=in_open, in_closure=in_closure,
-                         in_interior_of_hn=in_open)
-    except OverflowError:   # a square past the floats; the set is bounded
-        return HnVerdict(in_open=False, in_closure=False, in_interior_of_hn=False)
-
-
-def _hn_in_closure(a: complex, x1: complex, x2: complex, x3: complex,
-                   tol: float) -> bool:
-    """hn_classify's in_closure alone, without its in_open verdict."""
+def _hn_margin(a: complex, x1: complex, x2: complex, x3: complex) -> float:
+    """1 - the least norm of a matrix over the point, -inf where there is none."""
     if a == 0:
-        return (abs(x3 - x1 * x2) <= _EQ_TOL
-                and max(abs(x1), abs(x2)) <= 1.0 + tol)
+        return 1.0 - max(abs(x1), abs(x2)) if abs(x3 - x1 * x2) <= _EQ_TOL else -math.inf
     t = (x1 * x2 - x3) / a
-    return cmath.isfinite(t) and _norm_at_most_one(x1, t, a, x2, tol)
+    return 1.0 - _singular_values(x1, t, a, x2)[0] if cmath.isfinite(t) else -math.inf
 
 
-def _norm_at_most_one(x1: complex, t: complex, a: complex, x2: complex,
-                      tol: float) -> bool:
-    """||B|| <= 1 up to tol for B = [[x1, t], [a, x2]], where x1, t and x2
-    are finite; a non-finite a raises PreconditionViolation, as Matrix2 does.
+def _hn_cell(x: tuple, tol: float) -> tuple[int, float]:
+    """margin_code of the guarded _hn_margin; code 0 reads 1 at a = 0."""
+    try:   # guarded_margin, inlined as in margin_cell
+        margin = _hn_margin(*x)
+    except OverflowError:
+        margin = -math.inf
+    code = margin_code(margin, tol)
+    return (1 if code == 0 and x[0] == 0 else code), margin
 
-    Outside the band 1 +- 1e-6 the closed-form norm decides.  Inside it the
-    verdict is positivity of I - B*B up to tol, read from its trace and
-    determinant, which are polynomial in the entries.  The band verdict is
-    not that of comparing the norm with 1 + tol: it can differ when the top
-    singular value lies within about tol of 1 + tol.
-    """
-    if not cmath.isfinite(a):
-        raise PreconditionViolation(f"a21: non-finite entry {a!r}")
-    nrm = _singular_values(x1, t, a, x2)[0]
-    if nrm > 1.0 + _NORM_BAND:
-        return False
-    if nrm <= 1.0 - _NORM_BAND:
-        return True
-    g = gram_report(Matrix2(x1, t, a, x2))
-    return g.trace_gram >= -2.0 * tol and g.det_gram >= -tol
+
+def _hn_shilov(a: complex, x1: complex, x2: complex, x3: complex, tol: float) -> bool:
+    return abs(abs(x3) - 1.0) <= tol
 
 
 def shilov_h_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: in the closed normed variant with |x3| = 1."""
-    return _shilov_h(*checked_point(pt, _NAMES, finite=False), tol)
+    return _shilov_h(*checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _shilov_h(a: complex, x1: complex, x2: complex, x3: complex, tol: float) -> bool:
-    return _hn_in_closure(a, x1, x2, x3, tol) and abs(abs(x3) - 1.0) <= tol
+    return _hn_cell((a, x1, x2, x3), tol)[0] != 2 and _hn_shilov(a, x1, x2, x3, tol)
 
 
 _DOMAIN = fibred_domain(_NAMES, _hexa_base, _hexa_fibre, _shilov_h)
+_HN_DOMAIN = Domain(_NAMES, _hn_cell, _hn_shilov)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
-                      guarded_margin, margin_cell, raise_if_split)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, guarded_margin, margin_cell, raise_if_split)
 
 _SPHERE_TOL = 1e-12     # | |x|^2 - 1 | allowed of a ShilovParamL4's real unit vector
 _NEWTON_RTOL = 1e-15    # _ball_minimizer stops at a step below this share of lam + 2
@@ -85,7 +85,7 @@ def lie_ball_classify(z, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def lie_ball_dual_check(z, tol: float = DEFAULT_TOL) -> None:
     """Hold the lie_ball_classify margin against criterion (B) at z; raises
     CriteriaDisagree when they differ in sign outside the guard band."""
-    _lie_ball_dual(_coords(z), tol)
+    _lie_ball_dual(_coords(z), checked_tol(tol))
 
 
 def _lie_ball_dual(zs: tuple, tol: float) -> float:

@@ -38,7 +38,7 @@ from .bidisc import _NAMES as _G2_NAMES, _bgamma, _g2_margin, _g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, checked_point,
-                      classify_point, fibred_domain, margin_code)
+                      checked_tol, classify_point, fibred_domain, margin_code)
 
 _NAMES = ("a", "s", "p")
 _DUAL_FLOOR = 1e-7   # least tol of penta_dual_check's guard band, against round-off
@@ -124,7 +124,7 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
     |a| / K when the check ran, None when the guard skipped it, and raises
     CriteriaDisagree when the routes put pt on opposite sides of the boundary.
     """
-    return _penta_dual(checked_point(pt, _NAMES), tol)[1]
+    return _penta_dual(checked_point(pt, _NAMES), checked_tol(tol))[1]
 
 
 def _penta_dual(x: tuple, tol: float) -> tuple[float, float | None]:
@@ -155,7 +155,7 @@ def penta_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def bp_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: (s, p) on the bidisc distinguished
     boundary and |a|^2 + |s|^2/4 = 1."""
-    return _bp(*checked_point(pt, _NAMES), tol)
+    return _bp(*checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _bp(a: complex, s: complex, p: complex, tol: float) -> bool:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, classify_point,
-                      guarded_margin, margin_cell, raise_if_split)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, guarded_margin, margin_cell, raise_if_split)
 
 _EQ_TOL = 1e-12     # x1 x2 = x3 band of criterion (B)'s extra leg
 _PARAM_TOL = 1e-12  # slack of be_point's |x3| = 1 and |x2| <= 1 preconditions
@@ -80,7 +80,7 @@ def tetra_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 def tetra_dual_check(pt, tol: float = DEFAULT_TOL) -> None:
     """Hold the (A)-slack against (B) and against the closure legs at pt;
     raises CriteriaDisagree when either pair splits outside the guard band."""
-    _tetra_dual(checked_point(pt, _NAMES), tol)
+    _tetra_dual(checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _tetra_dual(x: tuple, tol: float) -> float:
@@ -94,7 +94,7 @@ def _tetra_dual(x: tuple, tol: float) -> float:
 
 def be_test(pt, tol: float = DEFAULT_TOL) -> bool:
     """Distinguished-boundary test: x1 = conj(x2) x3, |x3| = 1, |x2| <= 1."""
-    return _be(*checked_point(pt, _NAMES), tol)
+    return _be(*checked_point(pt, _NAMES), checked_tol(tol))
 
 
 def _be(x1: complex, x2: complex, x3: complex, tol: float) -> bool:

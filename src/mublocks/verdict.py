@@ -16,15 +16,18 @@ A verdict is a matrix2.CheckedRecord: a cheap, immutable named tuple equal
 only to a verdict, whose every construction path (_replace and pickle too)
 checks the rules above and the Shilov flag.
 
-Every classifier takes one path: checked_point checks the coordinates, and
-classify_point runs the domain's cell on them -- its margin kernel under the
-overflow guard (a square past the floats reads -inf: every domain is bounded)
-and margin_code, the one threshold rule -- then its Shilov kernel on the
-closure boundary only.  mublocks slice checks each axis value once and runs
-the same cell at every grid point (on a fibred domain's fibre axis: the base
-once per row), building no verdict.  Each Region carries its code; code 9 is
-the hexablock's indeterminate band, a ClosureBoundary verdict.  The dual
-checks read their margins through guarded_margin.
+Every classifier, the normed hexablock's too, takes one path: checked_point
+checks the coordinates (a NaN or an infinity raises PreconditionViolation),
+and classify_point checks tol (checked_tol) and runs the domain's cell on
+them -- its margin kernel under the overflow guard (a square past the floats
+reads -inf: every domain is bounded) and margin_code, the one threshold rule
+-- then its Shilov kernel on the closure boundary only.  The public dual
+checks and Shilov tests refuse a bad tol through the same checked_tol.
+mublocks slice checks each axis value once and runs the same cell at every
+grid point (on a fibred domain's fibre axis: the base once per row),
+building no verdict.  Each Region carries its code; code 9 is the
+hexablock's indeterminate band, a ClosureBoundary verdict.  The dual checks
+read their margins through guarded_margin.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ def verdict_from_margin(margin: float, tol: float = DEFAULT_TOL, *,
                              shilov, indeterminate)
 
 
-def checked_point(pt, names, finite: bool = True) -> tuple:
+def checked_point(pt, names) -> tuple:
     """pt as len(names) complex numbers, or PreconditionViolation naming the
-    coordinates (wrong length) or, if finite, the first NaN or infinity."""
+    coordinates (wrong length) or the first NaN or infinity."""
     if (n := len(pt)) != len(names):
         raise PreconditionViolation(f"expected ({', '.join(names)}), got {pt!r}")
     # unrolled to four coordinates: a map costs Python 3.11 about 0.2 us more a call
@@ -130,7 +133,7 @@ def checked_point(pt, names, finite: bool = True) -> tuple:
          (complex(pt[0]), complex(pt[1]), complex(pt[2])) if n == 3 else
          (complex(pt[0]), complex(pt[1]), complex(pt[2]), complex(pt[3])) if n == 4 else
          tuple(map(complex, pt)))
-    if finite and not cmath.isfinite(sum(x, 0j)):
+    if not cmath.isfinite(sum(x, 0j)):
         raise_if_nonfinite(names, x)
     return x
 
@@ -173,10 +176,17 @@ def margin_cell(kernel):
     return cell
 
 
+def checked_tol(tol: float) -> float:
+    """tol, a band half-width; PreconditionViolation if it is negative or NaN."""
+    if not tol >= 0.0:
+        raise PreconditionViolation(f"tol must be >= 0, got {tol!r}")
+    return tol
+
+
 def classify_point(domain: Domain, x, tol: float) -> MembershipVerdict:
     """Verdict at checked x: the domain's cell, its Shilov kernel on the closure boundary."""
-    if not tol >= 0.0:   # a band half-width: refuse a negative or NaN tol
-        raise PreconditionViolation(f"tol must be >= 0, got {tol!r}")
+    if not tol >= 0.0:   # checked_tol's test inline: a call costs every verdict
+        checked_tol(tol)
     code, margin = domain.cell(x, tol)
     region = _REGION_OF[code]
     return MembershipVerdict(region, margin, tol, domain.shilov(*x, tol)

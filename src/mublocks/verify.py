@@ -469,9 +469,11 @@ def _(run: _Run) -> None:
 
 @_suite("prop215_hn")
 def _(run: _Run) -> None:
-    """a != 0 membership in the normed variant: four-coordinate reduction vs
-    direct matrix reconstruction.  Besides the band, it excludes |a| < 1e-6
-    and a matrix norm within 1e-7 of 1."""
+    """Prop 2.15: for a != 0, (a, x1, x2, x3) is in the normed variant iff
+    (x1, x2, x3, a + t) is in F, t = (x1 x2 - x3) / a.  The hn verdict (the
+    norm of the matrix over the point) against f_classify (F's slacks).
+    Besides the band, it excludes |a| < 1e-6 and a matrix norm within 1e-7
+    of 1."""
     rng = run.rng
     for i in range(run.n):
         if rng.random() < 0.5:
@@ -486,18 +488,16 @@ def _(run: _Run) -> None:
             run.band += 1
             continue
         t = (x1 * x2 - x3) / a
-        norm = operator_norm(Matrix2(x1, t, a, x2))
         fv = f_classify((x1, x2, x3, a + t), run.tol)
-        if abs(norm - 1.0) <= _HN_NORM_BAND:
+        hv = hn_classify(pt, run.tol)
+        if abs(hv.margin) <= _HN_NORM_BAND:   # 1 - ||B||
             run.band += 1
             continue
         if run.in_band(fv.margin):
             continue
-        via_f = hn_classify(pt, run.tol).in_open
-        direct = norm < 1.0
-        if via_f != direct:
-            run.fail(f"kind=hn_open index={i} pt={_pt17(pt)} via_f={via_f} "
-                     f"direct={direct} norm={norm:.17g}")
+        if fv.is_interior != hv.is_interior:
+            run.fail(f"kind=hn_open index={i} pt={_pt17(pt)} via_f={fv.is_interior} "
+                     f"via_norm={hv.is_interior} norm={1.0 - hv.margin:.17g}")
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +830,7 @@ def run_counterexamples(r_grid: Sequence[float] = DEFAULT_R_GRID) -> SuiteReport
 
         if f_classify((0.0, 0.0, r * r, 0.0)).region is not INTERIOR:
             run.fail(f"kind=slice_inside r={r:.17g}")
-        if hn_classify((0.0, 0.0, 0.0, r * r)).in_open:
+        if hn_classify((0.0, 0.0, 0.0, r * r)).in_closure:
             run.fail(f"kind=hn_outside r={r:.17g}")
 
     lim = (0.0, 0.5, 0.0, 1.0)

@@ -22,7 +22,7 @@ from mublocks.bidisc import _g2_margin, g2_classify, g2_dual_check, g2_roots
 from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
 from mublocks.errors import (CriteriaDisagree, DenominatorNearZero, InfeasibleConstraint,
                              OptimizerNoConverge, PreconditionViolation)
-from mublocks.hexablock import HnVerdict, pi_hexa
+from mublocks.hexablock import pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
@@ -38,7 +38,7 @@ from mublocks.verdict import (BAND_FACTOR, MembershipVerdict, Region, checked_po
 
 def _check_quad(pt):
     """Four complex coordinates, NaN and infinities let through."""
-    return checked_point(pt, ("a", "x1", "x2", "x3"), finite=False)
+    return tuple(map(complex, pt))
 
 
 def power_norm(m: Matrix2) -> float:
@@ -501,6 +501,34 @@ def psi_sup_decimal(a: complex, x1: complex, x2: complex, x3: complex,
         if den <= 0:
             return None
         return float((ar * ar + ai * ai).sqrt() * (2 / den).sqrt())
+
+
+def hn_norm_decimal(a: complex, x1: complex, x2: complex, x3: complex,
+                    digits: int = 50) -> Optional[float]:
+    """sigma1 of the unique matrix [[x1, t], [a, x2]], t = (x1 x2 - x3)/a,
+    over a point of the normed hexablock, at `digits` digits on the exact
+    binary values of the inputs: t by complex division, then the top
+    eigenvalue of B*B as mid + hypot(half-difference, |off-diagonal|).
+    None at a = 0, where no matrix is unique."""
+    if complex(a) == 0:
+        return None
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        (ar, ai), (r1, i1), (r2, i2), (r3, i3) = (
+            (decimal.Decimal(z.real), decimal.Decimal(z.imag))
+            for z in (complex(a), complex(x1), complex(x2), complex(x3)))
+        # w = x1 x2 - x3, t = w conj(a) / |a|^2
+        wr, wi = r1 * r2 - i1 * i2 - r3, r1 * i2 + i1 * r2 - i3
+        a2 = ar * ar + ai * ai
+        tr, ti = (wr * ar + wi * ai) / a2, (wi * ar - wr * ai) / a2
+        h11 = r1 * r1 + i1 * i1 + a2
+        h22 = tr * tr + ti * ti + r2 * r2 + i2 * i2
+        # h12 = conj(x1) t + conj(a) x2
+        hr = r1 * tr + i1 * ti + ar * r2 + ai * i2
+        hi = r1 * ti - i1 * tr + ar * i2 - ai * r2
+        half = (h11 - h22) / 2
+        top = (h11 + h22) / 2 + (half * half + hr * hr + hi * hi).sqrt()
+        return float(top.sqrt())
 
 
 # ---------------------------------------------------------------------------
@@ -1181,11 +1209,12 @@ def lie_ball_interior_reference(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# hn_classify as it was before it formed t once and read its verdicts from
-# the raw-entry kernels, kept verbatim with its two helpers.
+# hn_classify as it was before it took the margin 1 - ||B|| (the ||B|| = 1
+# +- 1e-6 band decided by the Gram matrix), with its two helpers; it returns
+# the flags (in_open, in_closure, in_interior_of_hn).
 
 
-def hn_classify_reference(pt, tol: float = 1e-9):
+def hn_classify_reference(pt, tol: float = 1e-9) -> tuple[bool, bool, bool]:
     """Membership in the normed variant (image of the open/closed ball).
 
     a != 0: reduce to the four-coordinate domain via the unique matrix
@@ -1197,14 +1226,12 @@ def hn_classify_reference(pt, tol: float = 1e-9):
     if a == 0:
         in_open = (abs(x3 - x1 * x2) <= 1e-12
                    and tetra_classify((x1, x2, x3), tol).is_interior)
-        return HnVerdict(in_open=in_open, in_closure=in_closure,
-                         in_interior_of_hn=False)
+        return in_open, in_closure, False
     t = (x1 * x2 - x3) / a
     if not cmath.isfinite(t):
-        return HnVerdict(in_open=False, in_closure=False, in_interior_of_hn=False)
+        return False, False, False
     in_open = f_classify((x1, x2, x3, a + t), tol).is_interior
-    return HnVerdict(in_open=in_open, in_closure=in_closure,
-                     in_interior_of_hn=in_open)
+    return in_open, in_closure, in_open
 
 
 def _hn_in_closure_reference(a, x1, x2, x3, tol):

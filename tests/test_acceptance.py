@@ -13,11 +13,11 @@ import pytest
 
 from mublocks.bidisc import bgamma_test, g2_classify
 from mublocks.domain_f import (f_classify, f_classify_matrix_oracle,
-                               f_relations, f_scale, f_slice_s_zero, pi_f,
+                               f_relations, f_scale, pi_f,
                                q_value, sample_point_f, sample_shilov_param_f,
                                shilov_f_double_cover, shilov_f_param,
                                shilov_f_test)
-from mublocks.hexablock import hexa_slice_a0, hn_classify, psi_sup
+from mublocks.hexablock import hexa_classify, hn_classify, psi_sup
 from mublocks.lie_ball import (ShilovParamL4, biholo_f,
                                nearest_transport_distance, shilov_l4_lattice,
                                shilov_l4_param)
@@ -164,7 +164,8 @@ def test_criterion_09_hexablock_numerics():
         t = tetra_classify(x)
         if abs(t.margin) <= 1e-8:
             continue
-        assert hexa_slice_a0(*x) == t.is_interior == f_slice_s_zero(*x)
+        assert (hexa_classify((0.0, *x)).is_interior == t.is_interior
+                == f_classify((*x, 0.0)).is_interior)
         checked += 1
 
     checked = 0
@@ -177,7 +178,7 @@ def test_criterion_09_hexablock_numerics():
         direct = operator_norm(Matrix2(x[0], (x[0] * x[1] - x[2]) / a, a, x[1]))
         if abs(direct - 1.0) <= 1e-7:
             continue
-        assert hn_classify((a, *x)).in_open == (direct < 1.0)
+        assert hn_classify((a, *x)).is_interior == (direct < 1.0)
         checked += 1
 
 

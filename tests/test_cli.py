@@ -21,7 +21,7 @@ from mublocks.bidisc import g2_classify
 from mublocks.cli import main
 from mublocks.domain_f import f_classify
 from mublocks.errors import PreconditionViolation
-from mublocks.hexablock import HnVerdict, hexa_classify, hn_classify
+from mublocks.hexablock import hexa_classify, hn_classify
 from mublocks.lie_ball import lie_ball_classify
 from mublocks.pentablock import penta_classify
 from mublocks.tetrablock import tetra_classify
@@ -62,19 +62,21 @@ def test_check_exit_code_encodes_region():
     assert run(["check", "l4", "(0.6,0.8,0,0)"])[0] == 1
 
 
-def test_check_hn_reports_set_flags_not_margin():
-    code, doc = run_json(["check", "hn", "(0,0,0,0.25)"])
-    assert code == 2
-    assert doc["region"] == "Outside"
-    assert doc["in_open"] is False
-    assert doc["in_closure"] is False
-    assert doc["in_interior_of_hn"] is False
-    assert doc["margin"] is None
-
-    code, doc = run_json(["check", "hn", "(0.3,0.2,0.1,0.05)"])
-    assert code == 0
-    assert doc["region"] == "Interior"
-    assert doc["in_open"] and doc["in_interior_of_hn"]
+def test_check_hn_reports_the_common_document():
+    """check hn prints the document of every domain, with the margin
+    1 - ||B||: -inf (clamped) off the a = 0 sheet's x3 = x1 x2, 1 - max(|x1|,
+    |x2|) on it, which reads ClosureBoundary, and 0 at the image of a
+    rotation, a Shilov point."""
+    keys = set(run_json(["check", "f", "(0,0,0.25,0)"])[1])
+    for point, want in (
+            ("(0,0,0,0.25)", (2, "Outside", -sys.float_info.max, None)),
+            ("(0.3,0.2,0.1,0.05)", (0, "Interior", 0.6381966011250105, None)),
+            ("(0,0.3,0.4,0.12)", (1, "ClosureBoundary", 0.6, False)),
+            ("(0.8,0.6,0.6,1)", (1, "ClosureBoundary", 0.0, True))):
+        code, doc = run_json(["check", "hn", point])
+        assert set(doc) == keys
+        assert (code, doc["region"], doc["margin"], doc["shilov"]) == want, point
+        assert doc["tol"] == 1e-9 and doc["indeterminate"] is False
 
 
 def test_check_indeterminate_maps_to_boundary_exit():
@@ -161,10 +163,7 @@ def test_huge_coordinates_are_outside(domain):
             assert code == 2, (coords, err)
             doc = _strict_json(out)
             assert doc["region"] == "Outside"
-            if domain == "hn":
-                assert doc["margin"] is None and doc["in_closure"] is False
-            else:
-                assert -sys.float_info.max <= doc["margin"] < -doc["tol"]
+            assert -sys.float_info.max <= doc["margin"] < -doc["tol"]
         other = names[k - 1]
         code, out, err = run(["slice", domain, "--fixed", f"{names[k]}=1e200",
                               "--axes", f"Re({other}),Im({other})", "--grid", "3"])
@@ -172,7 +171,7 @@ def test_huge_coordinates_are_outside(domain):
         for row in out.splitlines()[1:]:
             _, _, cell_code, margin = row.split("\t")
             assert cell_code == "2"
-            assert math.isnan(float(margin)) if domain == "hn" else float(margin) < 0.0
+            assert float(margin) < 0.0
 
 
 def test_check_round_trip_through_output_doc():
@@ -341,6 +340,8 @@ _OVERFLOWING_SLICES = (
      "invalid input: z1: non-finite entry (nan+0j)\n"),
     (["l4", "--grid", "4", "--axes", "Im(z1),Re(z1)", "--range=0:1e308,0:1"],
      "invalid input: z1: non-finite entry infj\n"),
+    (["hn", "--grid", "3", "--range=-1e308:1e308"],
+     "invalid input: a: non-finite entry (nan+0j)\n"),
 )
 
 
@@ -349,16 +350,6 @@ def test_slice_refuses_a_non_finite_axis_value(tail, err):
     """A cell whose axis value is not finite exits 64 naming the first such
     coordinate, and nothing reaches stdout."""
     assert run(["slice", *tail]) == (64, "", err)
-
-
-def test_slice_hn_keeps_its_non_finite_rows():
-    """hn answers on NaN and infinite coordinates (all three flags False):
-    its overflowing slice prints code 2 and margin nan in every row."""
-    code, out, err = run(["slice", "hn", "--grid", "3", "--range=-1e308:1e308"])
-    assert (code, err) == (0, "")
-    assert out.splitlines() == ["Re(a)\tRe(x1)\tcode\tmargin"] + [
-        f"{v1}\t{v2}\t2\tnan" for v1 in ("nan", "inf", "inf")
-        for v2 in ("nan", "inf", "inf")]
 
 
 def test_tol_env_and_flag(monkeypatch):
@@ -448,10 +439,10 @@ def test_classifiers_refuse_non_finite_coordinates(domain):
 def test_classifiers_answer_huge_coordinates_outside(domain):
     """A finite coordinate of modulus 1e200 or more puts a point far outside
     every domain, all of them bounded.  Each classifier answers so itself,
-    with margin -inf where a square overflows (hn: all three flags False)
-    rather than raising OverflowError, and check's cell is that verdict."""
+    with margin -inf where a square overflows rather than raising
+    OverflowError, and check's cell is that verdict."""
     names = cli._COORD_NAMES[domain]
-    classify = hn_classify if domain == "hn" else cli._CLASSIFIERS[domain]
+    classify = cli._CLASSIFIERS[domain]
     margins = []
     for k in range(len(names)):
         for big in (1e200, -1e200j, complex(1e308, 1e308)):
@@ -459,12 +450,9 @@ def test_classifiers_answer_huge_coordinates_outside(domain):
             pt[k] = big
             verdict = classify(tuple(pt))
             assert cli._cell_classifier(domain, None)(tuple(pt))[2] == verdict
-            if domain == "hn":
-                assert verdict == HnVerdict(False, False, False)
-                continue
             assert verdict.region is Region.OUTSIDE and verdict.margin < -1e100
             margins.append(verdict.margin)
-    assert domain == "hn" or -math.inf in margins
+    assert -math.inf in margins
 
 
 # sha256 of each gallery plane of scripts/render_slices.py (121 x 121), the
@@ -535,7 +523,7 @@ def _cell_point(names, fixed, axes, values):
 
 
 _PUBLIC = {"g2": g2_classify, "tetra": tetra_classify, "penta": penta_classify,
-           "f": f_classify, "h": hexa_classify, "l4": lie_ball_classify}
+           "f": f_classify, "h": hexa_classify, "hn": hn_classify, "l4": lie_ball_classify}
 _CODE = {Region.INTERIOR: 0, Region.CLOSURE_BOUNDARY: 1, Region.OUTSIDE: 2}
 
 # Planes of every domain, one with --tol and the h plane of
@@ -563,7 +551,7 @@ _SLICE_PLANES = (
 @pytest.mark.parametrize("plane", range(len(_SLICE_PLANES)))
 def test_slice_rows_equal_the_public_classifiers(plane):
     """Every row's code and 17-digit margin are the public classifier's at
-    the cell's point; hn reads its region from the set flags, margin nan."""
+    the cell's point."""
     domain, fixed, axes, ranges, extra = _SLICE_PLANES[plane]
     n = 9
     argv = ["slice", domain, "--axes", axes, "--grid", str(n), "--range",
@@ -582,13 +570,9 @@ def test_slice_rows_equal_the_public_classifiers(plane):
         for j in range(n):
             values = [lo + (hi - lo) * k / (n - 1) for (lo, hi), k in zip(ranges, (i, j))]
             coords = _cell_point(names, fixed, axes, values)
-            if domain == "hn":
-                region = cli._hn_region(hn_classify(coords, **kw))
-                want_code, margin = _CODE[region], math.nan
-            else:
-                v = _PUBLIC[domain](coords, **kw)
-                want_code = 9 if v.indeterminate else _CODE[v.region]
-                margin = v.margin
+            v = _PUBLIC[domain](coords, **kw)
+            want_code = 9 if v.indeterminate else _CODE[v.region]
+            margin = v.margin
             want = f"{values[0]:.10g}\t{values[1]:.10g}\t{want_code}\t{margin:.17g}"
             assert rows[i * n + j] == want, (i, j)
             codes.add(want_code)

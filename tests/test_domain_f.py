@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from mublocks.bidisc import g2_classify
 from mublocks.domain_f import (BallParamF, FRelations, ShilovParamF, f_classify,
                                f_classify_matrix_oracle, f_matrix_witness,
-                               f_relations, f_rescale_by, f_scale,
-                               f_slice_s_zero, f_slice_xa_zero, f_swap,
+                               f_relations, f_rescale_by, f_scale, f_swap,
                                minkowski_gauge, pi_f, q_value,
                                sample_point_f, sample_shilov_param_f,
                                shilov_f_double_cover, shilov_f_from_ball,
@@ -188,10 +187,11 @@ def test_slices():
     rng = random.Random(13)
     for _ in range(300):
         x1, x2, x3 = (complex(rng.gauss(0, .6), rng.gauss(0, .6)) for _ in range(3))
-        assert f_slice_s_zero(x1, x2, x3) == tetra_classify((x1, x2, x3)).is_interior
+        assert (f_classify((x1, x2, x3, 0.0)).is_interior
+                == tetra_classify((x1, x2, x3)).is_interior)
     for _ in range(300):
         p, s = (complex(rng.gauss(0, .6), rng.gauss(0, .6)) for _ in range(2))
-        assert f_slice_xa_zero(p, s) == g2_classify((s, -p)).is_interior
+        assert f_classify((0.0, 0.0, p, s)).is_interior == g2_classify((s, -p)).is_interior
 
 
 def test_relations_of_interior_points():

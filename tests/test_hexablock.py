@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mublocks import hexablock
-from mublocks.domain_f import f_slice_s_zero
+from mublocks.domain_f import f_classify
 from mublocks.errors import PreconditionViolation
-from mublocks.hexablock import (hexa_classify, hexa_slice_a0, hn_classify,
-                                pi_hexa, psi_sup, shilov_h_test)
+from mublocks.hexablock import hexa_classify, hn_classify, pi_hexa, psi_sup, shilov_h_test
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
 from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
-from mublocks.verdict import DEFAULT_TOL, Region
+from mublocks.verdict import DEFAULT_TOL, Region, margin_code
 from oracles import (PsiProbe, hexa_cell_reference, hexa_points, hn_classify_reference,
-                     psi_eval, psi_sup_closed_reference, psi_sup_critical_radius,
-                     psi_sup_decimal, psi_sup_grid)
+                     hn_norm_decimal, psi_eval, psi_sup_closed_reference,
+                     psi_sup_critical_radius, psi_sup_decimal, psi_sup_grid)
 
 rng = random.Random(53)
 
@@ -275,18 +274,18 @@ def test_slice_three_way_agreement():
         if abs(t.margin) < 1e-7:
             continue
         want = t.is_interior
-        assert hexa_slice_a0(*x) == want
-        assert f_slice_s_zero(*x) == want
+        assert f_classify((*x, 0.0)).is_interior == want
         assert hexa_classify((0.0, *x)).is_interior == want
 
 
 def test_hn_classify_exact_fiber_rule_at_a_zero():
-    v = hn_classify((0, 0, 0, 0.25))
-    assert not v.in_open and not v.in_closure and not v.in_interior_of_hn
+    v = hn_classify((0, 0, 0, 0.25))   # x3 != x1 x2: no matrix over the point
+    assert v.region is Region.OUTSIDE and v.margin == -math.inf
 
+    # in the image of the open ball (margin 1 - max(|x1|, |x2|) > tol), but
+    # the a = 0 sheet has empty interior
     v = hn_classify((0, 0.3, 0.4, 0.12))
-    assert v.in_open and v.in_closure
-    assert not v.in_interior_of_hn  # the a = 0 sheet has empty interior
+    assert v.region is Region.CLOSURE_BOUNDARY and v.margin == 0.6
 
 
 def test_hn_contains_contraction_images():
@@ -294,16 +293,16 @@ def test_hn_contains_contraction_images():
         b = contraction_from_rng(rng)
         pt = pi_hexa(b)
         v = hn_classify(pt)
-        assert v.in_open and v.in_closure
+        assert v.margin > DEFAULT_TOL and v.in_closure
         if pt[0] != 0:
-            assert v.in_interior_of_hn
+            assert v.is_interior
         # the normed variant sits inside the sup-defined domain
         assert hexa_classify(pt).region is Region.INTERIOR
 
 
 def test_hn_open_matches_direct_reconstruction():
-    """a != 0 route: the four-coordinate verdict versus literally rebuilding
-    the unique matrix over the point and asking for norm < 1."""
+    """a != 0 route: the verdict versus literally rebuilding the unique
+    matrix over the point and asking for norm < 1; the margin is 1 - norm."""
     for _ in range(300):
         a = complex(rng.gauss(0, 0.7), rng.gauss(0, 0.7))
         x = tuple(complex(rng.gauss(0, 0.7), rng.gauss(0, 0.7)) for _ in range(3))
@@ -311,9 +310,11 @@ def test_hn_open_matches_direct_reconstruction():
             continue
         t = (x[0] * x[1] - x[2]) / a
         direct = operator_norm(Matrix2(x[0], t, a, x[1]))
+        v = hn_classify((a, *x))
+        assert v.margin == 1.0 - direct
         if abs(direct - 1.0) < 1e-7:
             continue
-        assert hn_classify((a, *x)).in_open == (direct < 1.0)
+        assert v.is_interior == (direct < 1.0)
 
 
 def test_hn_closure_covers_closed_ball_images():
@@ -321,7 +322,7 @@ def test_hn_closure_covers_closed_ball_images():
         u = unitary_from_rng(rng)
         v = hn_classify(pi_hexa(u))
         assert v.in_closure
-        assert not v.in_open
+        assert not v.margin > DEFAULT_TOL
 
 
 def _hn_reference_points(r: random.Random):
@@ -351,26 +352,67 @@ def _hn_reference_points(r: random.Random):
     return {"a0": a0, "nonfinite": nonfinite, "band": band, "spread": spread}
 
 
+def _hn_flags(v) -> tuple[bool, bool, bool]:
+    """(in_open, in_closure, in_interior_of_hn), read off an hn verdict."""
+    return v.margin > v.tol, v.in_closure, v.is_interior
+
+
+def _assert_region_is_the_exact_norms(pts, tol) -> int:
+    """Each margin is within 2e-15 of 1 - sigma1, sigma1 from the 50-digit
+    oracle, and each region is margin_code(1 - sigma1) except where sigma1
+    lies within 2e-15 of 1 +- tol; returns the number of regions held."""
+    held = 0
+    for pt in pts:
+        sigma1 = hn_norm_decimal(*pt)
+        v = hn_classify(pt, tol)
+        assert abs(v.margin - (1.0 - sigma1)) <= 2e-15, (pt, sigma1, v)
+        if min(abs(sigma1 - 1.0 - tol), abs(sigma1 - 1.0 + tol)) <= 2e-15:
+            continue
+        assert v.region.code == margin_code(1.0 - sigma1, tol), (pt, tol, sigma1, v)
+        held += 1
+    return held
+
+
 @pytest.mark.parametrize("tol", (1e-9, 1e-7, 0.0))
 def test_hn_classify_matches_its_reference(tol):
-    """hn_classify, which forms t once and reads raw-entry kernels, gives
-    the verdicts of the route that built a Matrix2 and a full f_classify."""
+    """Away from ||B|| = 1 the margin 1 - ||B|| gives the flags of the old
+    route, which built a Matrix2 and a full f_classify: on the a = 0 sheet,
+    on spread points and where t overflows.  On the band family, which the
+    old rule decided by the Gram matrix, the region is the 50-digit norm's.
+    NaN and infinities raise, as on every domain."""
     families = _hn_reference_points(random.Random(2026))
-    for family, pts in families.items():
-        got = [hn_classify(pt, tol) for pt in pts]
-        assert got == [hn_classify_reference(pt, tol) for pt in pts], family
+    for family in ("a0", "spread"):
+        got = [_hn_flags(hn_classify(pt, tol)) for pt in families[family]]
+        assert got == [hn_classify_reference(pt, tol) for pt in families[family]], family
         # each family reaches both answers of the verdict it is there for
-        if family == "nonfinite":
-            assert not any(v.in_closure or v.in_open for v in got)
-        elif family == "band":
-            assert {v.in_closure for v in got} == {True, False}
-        else:
-            assert {v.in_open for v in got} == {True, False}, family
-    for pt in ((float("inf"), 0.1, 0.1, 0.0), (complex(math.inf, 1.0), 0, 0, 0)):
-        with pytest.raises(PreconditionViolation, match="a21: non-finite"):
+        assert {flags[0] for flags in got} == {True, False}, family
+    finite, nonfinite = families["nonfinite"][:20], families["nonfinite"][20:]
+    for pt in finite:
+        v = hn_classify(pt, tol)
+        assert v.region is Region.OUTSIDE and v.margin == -math.inf
+        assert hn_classify_reference(pt, tol) == (False, False, False)
+    for pt in nonfinite + [(float("inf"), 0.1, 0.1, 0.0), (complex(math.inf, 1.0), 0, 0, 0)]:
+        with pytest.raises(PreconditionViolation, match="non-finite entry"):
             hn_classify(pt, tol)
-        with pytest.raises(PreconditionViolation, match="a21: non-finite"):
-            hn_classify_reference(pt, tol)
+    assert _assert_region_is_the_exact_norms(families["band"], tol) >= 390
+    assert {hn_classify(pt, tol).in_closure for pt in families["band"]} == {True, False}
+
+
+def test_hn_region_is_the_exact_norms_next_to_the_unit_sphere():
+    """Seeded points whose matrix has a top singular value within 1e-9 of 1
+    (the second one spread over [0, 1] or next to 1): the region is
+    margin_code(1 - sigma1) of the 50-digit norm, at every tol."""
+    r = random.Random(2027)
+    pts = []
+    for k in range(400):
+        u, v = unitary_from_rng(r), unitary_from_rng(r)
+        s1 = 1.0 + r.uniform(-1e-9, 1e-9)
+        s2 = 1.0 - r.uniform(0.0, 1e-9) if k % 2 else r.random()
+        pts.append(pi_hexa((u @ Matrix2(s1, 0, 0, s2)) @ v.conj_transpose()))
+    for tol in (0.0, 1e-12, 1e-10, DEFAULT_TOL):
+        assert _assert_region_is_the_exact_norms(pts, tol) >= 390, tol
+    codes = {hn_classify(pt, 1e-10).region.code for pt in pts}
+    assert codes == {0, 1, 2}
 
 
 def test_shilov_h_unitary_images():

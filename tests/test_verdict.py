@@ -232,8 +232,9 @@ def test_dual_kernels_return_their_classifier_margin(domain):
     assert -math.inf in margins
 
 
-# A point of each domain's public classifier, hn at a != 0 and a = 0, and
-# last the hexablock point whose fibre factor overflowed at tol = -1e300.
+# A point of each domain's public classifier, hn at a != 0 and a = 0, the
+# hexablock point whose fibre factor overflowed at tol = -1e300, then a
+# point of each public dual check and each Shilov test (on its boundary).
 _TOL_CASES = (
     (bidisc.g2_classify, (0, 0)),
     (tetrablock.tetra_classify, (0.5, 0.5, 0.25)),
@@ -244,6 +245,15 @@ _TOL_CASES = (
     (hexablock.hn_classify, (0.1, 0.3, 0.2, 0.1)),
     (hexablock.hn_classify, (0, 0.3, 0.2, 0.06)),
     (hexablock.hexa_classify, (0.5, 1e100, 0, 0)),
+    (bidisc.g2_dual_check, (0, 0)),
+    (tetrablock.tetra_dual_check, (0.5, 0.5, 0.25)),
+    (pentablock.penta_dual_check, (0.1, 0.2, 0)),
+    (lie_ball.lie_ball_dual_check, (0.5, 0.1j, 0, 0)),
+    (bidisc.bgamma_test, (0, 1)),
+    (tetrablock.be_test, tetrablock.be_point(0.5, 1)),
+    (pentablock.bp_test, (1, 0, 1)),
+    (domain_f.shilov_f_test, (0, 0, 1, 0)),
+    (hexablock.shilov_h_test, (0.8, 0.6, 0.6, 1)),
 )
 
 
@@ -251,7 +261,7 @@ _TOL_CASES = (
 def test_classifiers_refuse_a_negative_or_nan_tol(case):
     """A band half-width is a number >= 0: a negative or NaN tol raises
     PreconditionViolation, never an answer or OverflowError; 0 and -0.0
-    answer alike."""
+    answer alike.  The dual checks and Shilov tests refuse it too."""
     classify, pt = _TOL_CASES[case]
     for tol in (-1e-300, -1e-9, -1.0, -1e300, -math.inf, math.nan):
         with pytest.raises(PreconditionViolation, match="tol must be >= 0"):
