@@ -4,7 +4,7 @@ Each slice fixes all but two real coordinates of a domain point and rasters
 the remaining plane through the command-line classifier, so the files here
 are byte-identical to what `mublocks slice` prints.  Load them in gnuplot or
 pandas; code column is 0 = interior, 1 = boundary of the closure,
-2 = outside, 9 = indeterminate band.
+2 = outside.
 """
 
 import os

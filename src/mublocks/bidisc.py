@@ -101,10 +101,3 @@ def bgamma_point(beta: complex, p: complex) -> tuple[complex, complex]:
     if not abs(beta) <= 1.0 + _PARAM_TOL:
         raise PreconditionViolation(f"|beta| must be <= 1, got {abs(beta)!r}")
     return (beta + beta.conjugate() * p, p)
-
-
-def g2_point(z: complex, w: complex) -> tuple[complex, complex]:
-    """Symmetrization map: (z, w) -> (z + w, z w)."""
-    z = complex(z)
-    w = complex(w)
-    return (z + w, z * w)

@@ -18,15 +18,17 @@ JSON documents; all output is structured JSON / delimited text, with complex
 values always rendered as ``{"re", "im"}`` pairs so that printed points
 re-parse to the identical verdict.
 
-check classifies its point through the domain's public classifier.  slice
-parses and checks the fixed coordinates once and each row and column value
-once, then runs at every grid point the cell that classifier runs
-(verdict.Domain: the margin kernel under the overflow guard and
-verdict.margin_code, the one threshold rule), with no coordinate check and
-no verdict per cell; a cell whose axis value is not finite goes through
-verdict.checked_point, which exits 64 as check would.  On the fibre axis a
-of h and penta, a row runs the base kernel once, each point the fibre cell.
-hn, the normed hexablock, is one of these domains, with the margin 1 - ||B||.
+check and slice read one table, each domain's verdict.Domain record: its
+cell is the margin kernel under the overflow guard and verdict.margin_code,
+the one threshold rule.  check runs verdict.classify_point on that record at
+the point parse_point has checked, as the domain's public classifier does,
+so its exit code is the verdict's Region.code.  slice parses and checks the
+fixed coordinates once and each row and column value once, then runs the
+cell at every grid point, with no coordinate check and no verdict per cell;
+a cell whose axis value is not finite goes through verdict.checked_point,
+which exits 64 as check would.  On the fibre axis a of h and penta, a row
+runs the base kernel once, each point the fibre cell.  hn, the normed
+hexablock, is one of these domains, with the margin 1 - ||B||.
 
 Each argument has one spelling: domain, point, structure, matrix and suite
 are required positionals, the rest are flags.  ``MUBLOCKS_TOL`` supplies the
@@ -53,14 +55,15 @@ from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
 from .errors import PreconditionViolation, UnknownSuite
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
-from .verdict import DEFAULT_TOL, INDETERMINATE_CODE, checked_point
+from .verdict import DEFAULT_TOL, checked_point, classify_point
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
 
 _DOMAINS = ("g2", "tetra", "penta", "f", "h", "hn", "l4")
 
-# The Domain record each classifier reads; slice runs its cell directly.
+# The Domain record each classifier reads; check classifies through it and
+# slice runs its cell directly.
 _DOMAIN_RECORDS = {
     "g2": bidisc._DOMAIN, "tetra": tetrablock._DOMAIN, "penta": pentablock._DOMAIN,
     "f": domain_f._DOMAIN, "h": hexablock._DOMAIN, "hn": hexablock._HN_DOMAIN,
@@ -216,36 +219,14 @@ def _matrix_doc(m: Optional[Matrix2]) -> Optional[list]:
 
 
 # ---------------------------------------------------------------------------
-# classification plumbing
-
-_CLASSIFIERS = {
-    "g2": bidisc.g2_classify, "tetra": tetrablock.tetra_classify,
-    "penta": pentablock.penta_classify, "f": domain_f.f_classify,
-    "h": hexablock.hexa_classify, "hn": hexablock.hn_classify,
-    "l4": lie_ball.lie_ball_classify,
-}
-
-
-def _cell_classifier(domain: str, tol: Optional[float]):
-    """check's per-point call, the public classifier: coords -> (verdict
-    code, margin, verdict)."""
-    kw = {} if tol is None else {"tol": tol}
-    classify = _CLASSIFIERS[domain]
-
-    def cell(coords):
-        verdict = classify(coords, **kw)
-        code = INDETERMINATE_CODE if verdict.indeterminate else verdict.region.code
-        return code, verdict.margin, verdict
-    return cell
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_check(args) -> int:
     coords = parse_point(args.point, args.domain)
-    code, _margin, rec = _cell_classifier(args.domain, _resolve_tol(args))(coords)
+    tol = _resolve_tol(args)
+    rec = classify_point(_DOMAIN_RECORDS[args.domain], coords,
+                         DEFAULT_TOL if tol is None else tol)
     print(json.dumps({
         "domain": args.domain,
         "point": _point_doc(coords),
@@ -253,12 +234,8 @@ def _cmd_check(args) -> int:
         "margin": max(rec.margin, -sys.float_info.max),   # JSON has no -inf
         "tol": rec.tol,
         "shilov": rec.shilov,
-        "indeterminate": rec.indeterminate,
     }))
-    if code == INDETERMINATE_CODE:
-        # An indeterminate hexablock verdict is still a boundary-band call.
-        return 1
-    return code
+    return rec.region.code
 
 
 def _cmd_mu(args) -> int:
@@ -492,8 +469,7 @@ def _build_parser() -> _Parser:
         "slice", help="rasterize a 2-D slice of a domain",
         description="Tab-separated grid: header row with axis names, then "
                     "rows of axis1 value, axis2 value, verdict code "
-                    "(0 Interior, 1 ClosureBoundary, 2 Outside, "
-                    "9 indeterminate band), margin.")
+                    "(0 Interior, 1 ClosureBoundary, 2 Outside), margin.")
     p_slice.add_argument("domain", choices=_DOMAINS, metavar="domain",
                          help=f"one of {', '.join(_DOMAINS)}")
     p_slice.add_argument("--fixed", help="comma list of name=value, e.g. x=0,a=0")

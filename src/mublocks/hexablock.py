@@ -23,10 +23,13 @@ only where rounding at the tetrablock boundary makes den <= 0.  The domain
 is fibred over the tetrablock, so its margin is two kernels: the base kernel
 _hexa_base(x, tol), the guarded tetrablock._tetra_margin and, above tol, the
 fibre factor k = sqrt(2 / den); and the fibre cell _hexa_fibre(a, base, tol),
-which holds |a| k against 1 and keeps the indeterminate band (code 9).
-hexa_classify runs both, psi_sup reads k, and mublocks slice runs the base
-once per row where its inner axis is a.  The test oracles keep the
-product-grid psi_sup_grid and the critical-radius psi_sup_critical_radius.
+which holds |a| k against 1.  Where the base lies in the tol band of the
+tetrablock boundary the supremum is not defined; there the cell reads
+ClosureBoundary with the margin clamped into the band, unless |a| > 1 + tol
+decides Outside.  hexa_classify runs both kernels, as do mublocks check and
+slice (slice runs the base once per row where its inner axis is a), and
+psi_sup reads k.  The test oracles keep the product-grid psi_sup_grid, the
+critical-radius psi_sup_critical_radius and psi_sup_closed, |a| k.
 
 The normed variant hn is the image of the open operator ball.  For a != 0,
 B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over the
@@ -48,8 +51,8 @@ from .errors import PreconditionViolation
 from .matrix2 import Matrix2, _singular_values
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify  # tetra_classify: perfbench reads it
-from .verdict import (DEFAULT_TOL, INDETERMINATE_CODE, Domain, MembershipVerdict, checked_point,
-                      checked_tol, classify_point, fibred_domain, guarded_margin, margin_code)
+from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, fibred_domain, guarded_margin, margin_code)
 
 _EQ_TOL = 1e-12  # exact-equality band for x3 = x1 x2 in the a = 0 slice
 _NAMES = ("a", "x1", "x2", "x3")
@@ -81,11 +84,6 @@ def _fibre_factor(x1: complex, x2: complex, x3: complex) -> float:
     return math.sqrt(2.0 / den) if den > 0.0 else math.inf
 
 
-def _psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
-    """The supremum |a| k, for a != 0 and x interior to the tetrablock."""
-    return abs(a) * _fibre_factor(x1, x2, x3)
-
-
 def _hexa_base(x1: complex, x2: complex, x3: complex, tol: float) -> tuple:
     """The base kernel: the tetrablock margin of x under the overflow guard
     and, where it is above tol, the fibre factor k (else None)."""
@@ -95,8 +93,9 @@ def _hexa_base(x1: complex, x2: complex, x3: complex, tol: float) -> tuple:
 
 def _hexa_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
     """The fibre cell over base = (t_margin, k): min(t_margin, 1 - |a| k), -1
-    where |a| k is inf; t_margin at a = 0 or below -tol; within tol of 0 the
-    band (code 9) if |a| <= 1 + tol, else min(t_margin, 1 - |a|)."""
+    where |a| k is inf; t_margin at a = 0 or below -tol; within tol of 0,
+    min(t_margin, 1 - |a|), clamped into [-tol, tol] (ClosureBoundary) if
+    |a| <= 1 + tol."""
     t_margin, k = base
     try:
         if a != 0 and t_margin > tol:
@@ -105,7 +104,7 @@ def _hexa_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
         elif a == 0 or t_margin < -tol:
             margin = t_margin
         elif abs(a) <= 1.0 + tol:
-            return INDETERMINATE_CODE, min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
+            margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
         else:
             margin = min(t_margin, 1.0 - abs(a))
     except OverflowError:
@@ -120,7 +119,7 @@ def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     exactly the tetrablock verdict (no optimization).  When the tetrablock
     part sits inside the tol band the supremum is ill-defined; the verdict is
     then Outside if |a| > 1 + tol (the sup dominates |psi(0,0)| = |a|), and
-    otherwise ClosureBoundary flagged indeterminate.
+    otherwise ClosureBoundary, its margin clamped into the band.
     """
     return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 

@@ -281,26 +281,6 @@ def gram_report(b: Matrix2) -> GramReport:
                       norm=operator_norm(b))
 
 
-def contraction_test(b: Matrix2, strict: bool = True) -> bool:
-    """Norm test via the sign of det(I - B*B).
-
-    Valid only under a determinant precondition: for |det B| < 1,
-    ||B|| < 1  iff  det(I - B*B) > 0; for |det B| <= 1, ||B|| <= 1 iff
-    det(I - B*B) >= 0.  Violating the precondition raises rather than
-    returning a wrong answer.
-    """
-    dp = abs(b.det)
-    if strict:
-        if not dp < 1.0:
-            raise PreconditionViolation(
-                f"strict contraction test needs |det B| < 1, got {dp!r}")
-        return gram_report(b).det_gram > 0.0
-    if not dp <= 1.0:
-        raise PreconditionViolation(
-            f"non-strict contraction test needs |det B| <= 1, got {dp!r}")
-    return gram_report(b).det_gram >= 0.0
-
-
 _TWOPI = 2.0 * math.pi     # random.TWOPI
 _cos, _sin, _log, _sqrt = math.cos, math.sin, math.log, math.sqrt
 
@@ -392,11 +372,3 @@ def contraction_from_rng(rng: random.Random) -> Matrix2:
     s1 = rng.random()
     s2 = rng.random()
     return _usv(u, s1, s2, v)
-
-
-def random_unitary(seed: int) -> Matrix2:
-    return unitary_from_rng(random.Random(seed))
-
-
-def random_contraction(seed: int) -> Matrix2:
-    return contraction_from_rng(random.Random(seed))

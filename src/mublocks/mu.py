@@ -56,6 +56,7 @@ from .errors import OptimizerNoConverge, PreconditionViolation
 from .matrix2 import (CheckedRecord, Matrix2, _ldexp, _quadratic_roots,
                       _singular_values, _top_singular_pair, operator_norm, spectral_radius)
 from .optimize import nelder_mead
+from .verdict import checked_tol
 
 _SEED_STARTS = 0x5EED
 _RESIDUAL_TOL = 1e-7    # det(I - A X) of a minimizer, relative to its scale
@@ -707,6 +708,7 @@ def mu_sandwich_check(a: Matrix2, structure: Structure,
 
     Requires the identity in the structure's span.
     """
+    checked_tol(tol)
     if not structure.contains_identity():
         raise PreconditionViolation(
             f"identity not in span of structure {structure.name!r}")
@@ -729,6 +731,7 @@ def rigidity_check(structure: Structure, u, v,
     least rho is where the ellipse |beta|^2/(rho^2 - 1) + |delta|^2/rho^2 =
     1 touches it; see _least_norm_mapper.
     """
+    checked_tol(tol)
     uu, vv = tuple(map(complex, u)), tuple(map(complex, v))
     if len(uu) != 2 or len(vv) != 2:
         raise PreconditionViolation("u, v must be 2-vectors")
@@ -756,6 +759,7 @@ def rigidity_grid_pass(structure: Structure, n_side: int = 20,
                        tol: float = 1e-6) -> bool:
     """rigidity_check over an n x n grid of unit-vector pairs; True iff every
     pair admits a norm-one mapper."""
+    checked_tol(tol)
     us = _cp1_grid(n_side)
     vs = _cp1_grid(n_side, offset=0.37)
     for uu in us:
@@ -769,6 +773,7 @@ def f_mu_membership(pt, structure: Structure, tol: float = 1e-6) -> bool:
     """Whether pt lies in the image of the open mu-unit-ball under the
     four-coordinate projection: the fiber over pt is {B, B^t} for the
     reconstructed witness B, so membership is mu(B) < 1 or mu(B^t) < 1."""
+    checked_tol(tol)
     b = f_matrix_witness(pt)
     if mu_value(b, structure).value < 1.0 - tol:
         return True
@@ -796,6 +801,7 @@ def classify_subspace(structure: Structure, tol: float = 1e-9) -> SubspaceVerdic
     [beta, 0]] is then the unit vector (alpha, beta) = (n21, -n12).  The
     family is |alpha| = |beta|, at angle arg(beta/alpha) in [0, 2 pi).
     """
+    checked_tol(tol)
     if structure.k != 3:
         raise PreconditionViolation(
             f"need a 3-dimensional structure, got k={structure.k}")

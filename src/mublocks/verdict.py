@@ -25,9 +25,10 @@ reads -inf: every domain is bounded) and margin_code, the one threshold rule
 checks and Shilov tests refuse a bad tol through the same checked_tol.
 mublocks slice checks each axis value once and runs the same cell at every
 grid point (on a fibred domain's fibre axis: the base once per row),
-building no verdict.  Each Region carries its code; code 9 is the
-hexablock's indeterminate band, a ClosureBoundary verdict.  The dual checks
-read their margins through guarded_margin.
+building no verdict, and mublocks check runs classify_point on the same
+Domain record.  Each Region carries its code, which is both the slice cell
+code and the exit code of every domain.  The dual checks read their margins
+through guarded_margin.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class Region(enum.Enum):
 
 # Plain names: on Python 3.11 each Region.X is a descriptor call, half a verdict's cost.
 INTERIOR, CLOSURE_BOUNDARY, OUTSIDE = Region.INTERIOR, Region.CLOSURE_BOUNDARY, Region.OUTSIDE
-INDETERMINATE_CODE = 9   # the hexablock's indeterminate band: a ClosureBoundary verdict
-_REGION_OF = {r.code: r for r in Region} | {INDETERMINATE_CODE: CLOSURE_BOUNDARY}
+_REGION_OF = {r.code: r for r in Region}
 
 
 def margin_code(margin: float, tol: float) -> int:
@@ -86,17 +86,15 @@ class _VerdictFields(NamedTuple):
     # meaningful for region == CLOSURE_BOUNDARY; classifiers that do not know
     # their Shilov boundary leave it None).
     shilov: bool | None = None
-    # True when the classifier could not decide between boundary and interior
-    # because an auxiliary quantity was itself in the tol band (hexablock
-    # over a near-boundary base point).
-    indeterminate: bool = False
 
 
 class MembershipVerdict(CheckedRecord, _VerdictFields):
     __slots__ = ()
+    # perfbench's workloads and tracing read it until ROADMAP item 4
+    indeterminate = False
 
     def __new__(cls, region: Region, margin: float, tol: float = DEFAULT_TOL,
-                shilov: bool | None = None, indeterminate: bool = False):
+                shilov: bool | None = None):
         if region is INTERIOR and not (margin > tol):
             raise AssertionError(
                 f"verdict invariant: Interior needs margin > tol, got {margin!r}")
@@ -105,7 +103,7 @@ class MembershipVerdict(CheckedRecord, _VerdictFields):
                 f"verdict invariant: Outside needs margin < -tol, got {margin!r}")
         if shilov and region is INTERIOR:
             raise AssertionError("verdict invariant: Shilov points are never interior")
-        return tuple.__new__(cls, (region, margin, tol, shilov, indeterminate))
+        return tuple.__new__(cls, (region, margin, tol, shilov))
 
     @property
     def in_closure(self) -> bool:
@@ -114,13 +112,6 @@ class MembershipVerdict(CheckedRecord, _VerdictFields):
     @property
     def is_interior(self) -> bool:
         return self.region is INTERIOR
-
-
-def verdict_from_margin(margin: float, tol: float = DEFAULT_TOL, *,
-                        shilov: bool | None = None,
-                        indeterminate: bool = False) -> MembershipVerdict:
-    return MembershipVerdict(classify_margin(margin, tol), margin, tol,
-                             shilov, indeterminate)
 
 
 def checked_point(pt, names) -> tuple:
@@ -190,8 +181,7 @@ def classify_point(domain: Domain, x, tol: float) -> MembershipVerdict:
     code, margin = domain.cell(x, tol)
     region = _REGION_OF[code]
     return MembershipVerdict(region, margin, tol, domain.shilov(*x, tol)
-                             if domain.shilov and region is CLOSURE_BOUNDARY else None,
-                             code == INDETERMINATE_CODE)
+                             if domain.shilov and region is CLOSURE_BOUNDARY else None)
 
 
 def raise_if_split(what: str, pt, margin_a: float, margin_b: float, tol: float) -> None:

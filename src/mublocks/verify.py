@@ -51,7 +51,7 @@ from .mu import (E12, E21, classify_subspace, e_theta, f_mu_membership,
 from .pentablock import _penta_dual
 from .tetrablock import _tetra_dual, be_point, be_test, pi_tetra
 from .verdict import (BAND_FACTOR, CLOSURE_BOUNDARY, DEFAULT_TOL, INTERIOR, OUTSIDE,
-                      classify_margin)
+                      checked_tol, classify_margin)
 
 DEFAULT_SEED = 7
 DEFAULT_R_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -630,7 +630,7 @@ def mu_equals_norm_suite(structure: Structure, n_samples: int = 100,
     pairs.  Returns a SuiteReport whose failures list is empty exactly when
     the structure is rigid on the sample."""
     t0 = time.perf_counter()
-    run = _Run(n_samples, seed, tol)
+    run = _Run(n_samples, seed, checked_tol(tol))
     samples: list[Matrix2] = [E12, E21]
     while len(samples) < n_samples:
         scale = 10.0 ** run.rng.uniform(-2.0, 2.0)
@@ -872,7 +872,7 @@ def run_suite(name: str, n_samples: Optional[int] = None,
         raise UnknownSuite(
             f"unknown suite {name!r}; known: {', '.join(_REGISTRY)}") from None
     n = spec.default_n if n_samples is None else int(n_samples)
-    t = spec.default_tol if tol is None else float(tol)
+    t = spec.default_tol if tol is None else checked_tol(float(tol))
     if n <= 0:
         raise PreconditionViolation(f"n_samples must be positive, got {n}")
     t0 = time.perf_counter()

@@ -20,9 +20,8 @@ import numpy as np
 
 from mublocks.bidisc import _g2_margin, g2_classify, g2_dual_check, g2_roots
 from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
-from mublocks.errors import (CriteriaDisagree, DenominatorNearZero, InfeasibleConstraint,
-                             OptimizerNoConverge, PreconditionViolation)
-from mublocks.hexablock import pi_hexa
+from mublocks.errors import CriteriaDisagree, OptimizerNoConverge, PreconditionViolation
+from mublocks.hexablock import _fibre_factor, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
@@ -31,9 +30,68 @@ from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _beta_sup, _penta_radius, penta_classify, penta_dual_check
 from mublocks.tetrablock import (_closure_margin, _slack_a, _tetra_margin, be_test, tetra_classify,
                                  tetra_dual_check)
-from mublocks.verdict import (BAND_FACTOR, MembershipVerdict, Region, checked_point,
-                              classify_margin, guarded_margin, margin_code,
-                              verdict_from_margin)
+from mublocks.verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, Region,
+                              checked_point, classify_margin, guarded_margin, margin_code)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that no package route calls, kept for the tests that pin them.
+
+
+class DenominatorNearZero(ArithmeticError):
+    """A denominator came within the hard floor of zero; the evaluation point
+    is essentially on the singular set (psi_eval)."""
+
+
+class InfeasibleConstraint(ValueError):
+    """A linear/affine constraint set is empty (min_norm_on_affine_nm); mu's
+    closed forms report an empty constraint set as status Infeasible instead."""
+
+
+def verdict_from_margin(margin: float, tol: float = DEFAULT_TOL, *,
+                        shilov: bool | None = None) -> MembershipVerdict:
+    return MembershipVerdict(classify_margin(margin, tol), margin, tol, shilov)
+
+
+def g2_point(z: complex, w: complex) -> tuple[complex, complex]:
+    """Symmetrization map: (z, w) -> (z + w, z w)."""
+    z = complex(z)
+    w = complex(w)
+    return (z + w, z * w)
+
+
+def random_unitary(seed: int) -> Matrix2:
+    return unitary_from_rng(random.Random(seed))
+
+
+def random_contraction(seed: int) -> Matrix2:
+    return contraction_from_rng(random.Random(seed))
+
+
+def contraction_test(b: Matrix2, strict: bool = True) -> bool:
+    """Norm test via the sign of det(I - B*B).
+
+    Valid only under a determinant precondition: for |det B| < 1,
+    ||B|| < 1  iff  det(I - B*B) > 0; for |det B| <= 1, ||B|| <= 1 iff
+    det(I - B*B) >= 0.  Violating the precondition raises rather than
+    returning a wrong answer.
+    """
+    dp = abs(b.det)
+    if strict:
+        if not dp < 1.0:
+            raise PreconditionViolation(
+                f"strict contraction test needs |det B| < 1, got {dp!r}")
+        return gram_report(b).det_gram > 0.0
+    if not dp <= 1.0:
+        raise PreconditionViolation(
+            f"non-strict contraction test needs |det B| <= 1, got {dp!r}")
+    return gram_report(b).det_gram >= 0.0
+
+
+def psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
+    """The hexablock supremum |a| k through the package's fibre factor k,
+    for a != 0 and x interior to the tetrablock."""
+    return abs(a) * _fibre_factor(x1, x2, x3)
 
 
 def _check_quad(pt):
@@ -415,8 +473,10 @@ def psi_sup_closed_reference(a: complex, x1: complex, x2: complex,
 
 def hexa_cell_reference(x, tol: float) -> tuple[int, float]:
     """hexa_classify's (code, margin) at checked x in one pass over the whole
-    point, with no base/fibre split: the guarded tetrablock margin t; the
-    indeterminate band (code 9) where a != 0, |t| <= tol and |a| <= 1 + tol;
+    point, with no base/fibre split, under the earlier rule that gave the
+    band its own code 9 (the package reads it as 1, ClosureBoundary): the
+    guarded tetrablock margin t; the band (code 9) where a != 0, |t| <= tol
+    and |a| <= 1 + tol;
     else t at a = 0 or off the band's upper side, min(t, 1 - sup) above it
     (-1 where sup is inf) and min(t, 1 - |a|) in it, -inf past the floats."""
     a, x1, x2, x3 = x

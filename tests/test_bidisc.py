@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mublocks.bidisc import (bgamma_point, bgamma_test, g2_classify,
-                             g2_point, g2_roots)
+from mublocks.bidisc import bgamma_point, bgamma_test, g2_classify, g2_roots
 from mublocks.errors import PreconditionViolation
 from mublocks.verdict import BAND_FACTOR, Region
-from oracles import gamma_region, roots_max_modulus, symmetrized_slack_a
+from oracles import g2_point, gamma_region, roots_max_modulus, symmetrized_slack_a
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)

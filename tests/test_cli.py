@@ -25,7 +25,7 @@ from mublocks.hexablock import hexa_classify, hn_classify
 from mublocks.lie_ball import lie_ball_classify
 from mublocks.pentablock import penta_classify
 from mublocks.tetrablock import tetra_classify
-from mublocks.verdict import MembershipVerdict, Region, checked_point
+from mublocks.verdict import MembershipVerdict, Region, checked_point, classify_point
 
 
 def run(argv):
@@ -49,7 +49,7 @@ def test_check_interior_f_point():
     assert doc["margin"] == pytest.approx(0.5625)
     assert doc["tol"] == 1e-9
     assert doc["shilov"] is None
-    assert not doc["indeterminate"]
+    assert "indeterminate" not in doc
     assert doc["point"][2] == {"re": 0.25, "im": 0.0}
 
 
@@ -76,14 +76,18 @@ def test_check_hn_reports_the_common_document():
         code, doc = run_json(["check", "hn", point])
         assert set(doc) == keys
         assert (code, doc["region"], doc["margin"], doc["shilov"]) == want, point
-        assert doc["tol"] == 1e-9 and doc["indeterminate"] is False
+        assert doc["tol"] == 1e-9
 
 
-def test_check_indeterminate_maps_to_boundary_exit():
-    code, doc = run_json(["check", "h", "(0.5,1,0,0)"])
-    assert code == 1
-    assert doc["region"] == "ClosureBoundary"
-    assert doc["indeterminate"] is True
+def test_check_band_maps_to_boundary_exit():
+    """Over a base on the tetrablock boundary the hexablock's supremum is not
+    defined; check reads ClosureBoundary there, exit 1, with the margin
+    clamped into the band: 0 at |a| = 0.5, -tol at |a| = 1 + 1e-9."""
+    keys = set(run_json(["check", "f", "(0,0,0.25,0)"])[1])
+    for point, margin in (("(0.5,1,0,0)", 0.0), ("(1.000000001,1,0,0)", -1e-09)):
+        code, doc = run_json(["check", "h", point])
+        assert set(doc) == keys
+        assert (code, doc["region"], doc["margin"]) == (1, "ClosureBoundary", margin)
 
 
 def test_check_tiny_tol_answers_where_rounding_splits_the_criteria():
@@ -300,13 +304,15 @@ def test_slice_deterministic_and_out_file(tmp_path):
     assert path.read_text() == a[1]
 
 
-def test_slice_indeterminate_cells_use_code_9():
+def test_slice_band_cells_use_code_1():
+    """Over the tetrablock boundary point (1, 0, 0) every cell of the a-plane
+    is in the band: code 1 (ClosureBoundary) with margin 0."""
     code, out, _ = run(["slice", "h", "--fixed", "x1=1,x2=0,x3=0",
                         "--axes", "Re(a),Im(a)",
                         "--range", "-0.5:0.5,-0.5:0.5", "--grid", "3"])
     assert code == 0
-    codes = {l.split("\t")[2] for l in out.strip().splitlines()[1:]}
-    assert "9" in codes
+    assert out == "Re(a)\tIm(a)\tcode\tmargin\n" + "".join(
+        f"{u}\t{v}\t1\t0\n" for u in ("-0.5", "0", "0.5") for v in ("-0.5", "0", "0.5"))
 
 
 def test_slice_argument_validation():
@@ -413,14 +419,14 @@ def test_flags_may_sit_between_positionals():
     assert run(["check", "g2", "--tol", "1e-3", "(0.5,0)"])[0] == 0
 
 
-@pytest.mark.parametrize("domain", sorted(cli._CLASSIFIERS))
+@pytest.mark.parametrize("domain", sorted(cli._DOMAINS))
 def test_classifiers_refuse_non_finite_coordinates(domain):
     """A NaN or an infinity in any coordinate raises PreconditionViolation
     naming that coordinate, as Matrix2 does for its entries; finite
     coordinates whose sum overflows still answer (Outside).  A point with
     one coordinate raises PreconditionViolation naming the domain's
     coordinates (l4, in C^n for n >= 2: the first two)."""
-    classify, names = cli._CLASSIFIERS[domain], cli._COORD_NAMES[domain]
+    classify, names = _PUBLIC[domain], cli._COORD_NAMES[domain]
     want = "(z1, z2, ...)" if domain == "l4" else f"({', '.join(names)})"
     with pytest.raises(PreconditionViolation, match=re.escape(f"expected {want}, got")):
         classify((0.1,))
@@ -432,7 +438,8 @@ def test_classifiers_refuse_non_finite_coordinates(domain):
             with pytest.raises(PreconditionViolation, match=f"^{name}: non-finite"):
                 classify(tuple(pt))
     huge = (1e308, 1e308) + (0.0,) * (len(names) - 2)
-    assert cli._cell_classifier(domain, None)(huge)[0] == 2
+    assert classify(huge).region is Region.OUTSIDE
+    assert run(["check", domain, repr(huge)])[0] == 2
 
 
 @pytest.mark.parametrize("domain", cli._DOMAINS)
@@ -440,19 +447,54 @@ def test_classifiers_answer_huge_coordinates_outside(domain):
     """A finite coordinate of modulus 1e200 or more puts a point far outside
     every domain, all of them bounded.  Each classifier answers so itself,
     with margin -inf where a square overflows rather than raising
-    OverflowError, and check's cell is that verdict."""
+    OverflowError, and check's classify_point on the domain's record gives
+    that verdict."""
     names = cli._COORD_NAMES[domain]
-    classify = cli._CLASSIFIERS[domain]
+    classify = _PUBLIC[domain]
     margins = []
     for k in range(len(names)):
         for big in (1e200, -1e200j, complex(1e308, 1e308)):
             pt = [0j] * len(names)
             pt[k] = big
             verdict = classify(tuple(pt))
-            assert cli._cell_classifier(domain, None)(tuple(pt))[2] == verdict
+            assert classify_point(cli._DOMAIN_RECORDS[domain], tuple(pt), 1e-9) == verdict
             assert verdict.region is Region.OUTSIDE and verdict.margin < -1e100
             margins.append(verdict.margin)
     assert -math.inf in margins
+
+
+@pytest.mark.parametrize("domain", cli._DOMAINS)
+def test_check_equals_the_public_classifier(domain):
+    """check prints the public classifier's region, margin (-inf clamped to
+    the least float, as JSON has no -inf), tol and Shilov flag, and exits
+    with the region's code, on seeded points of mixed scale, points on and
+    near the unit circles, and points past the floats; h includes its band
+    over the tetrablock boundary point (1, 0, 0)."""
+    names = cli._COORD_NAMES[domain]
+    r = random.Random(2807)
+    pts = []
+    for _ in range(60):
+        scale = r.choice((0.3, 0.7, 1.0, 1.0 + 1e-9, 1.5, 1e200))
+        pts.append(tuple(complex(r.uniform(-1, 1), r.uniform(-1, 1)) * scale
+                         for _ in names))
+        pts.append(tuple(cmath.exp(1j * r.uniform(0, 2 * math.pi)) * r.choice((1.0, 0.5, 0.0))
+                         for _ in names))
+    pts += [(0j,) * len(names), (1e308, 1e308) + (0j,) * (len(names) - 2)]
+    if domain == "h":
+        pts += [(complex(r.uniform(-1, 1), r.uniform(-1, 1)), 1, 0, 0) for _ in range(20)]
+        pts += [(0.5, 1, 0, 0), (1.000000001, 1, 0, 0), (2, 1, 0, 0)]
+    regions = set()
+    for pt in pts:
+        for tol in (None, 1e-6):
+            argv = ["check", domain, json.dumps(
+                [{"re": complex(z).real, "im": complex(z).imag} for z in pt])]
+            v = _PUBLIC[domain](pt) if tol is None else _PUBLIC[domain](pt, tol)
+            code, doc = run_json(argv if tol is None else argv + ["--tol", repr(tol)])
+            assert code == v.region.code, (pt, tol)
+            assert (doc["region"], doc["margin"], doc["tol"], doc["shilov"]) == (
+                v.region.value, max(v.margin, -sys.float_info.max), v.tol, v.shilov), (pt, tol)
+            regions.add(v.region)
+    assert regions == set(Region)
 
 
 # sha256 of each gallery plane of scripts/render_slices.py (121 x 121), the
@@ -524,11 +566,10 @@ def _cell_point(names, fixed, axes, values):
 
 _PUBLIC = {"g2": g2_classify, "tetra": tetra_classify, "penta": penta_classify,
            "f": f_classify, "h": hexa_classify, "hn": hn_classify, "l4": lie_ball_classify}
-_CODE = {Region.INTERIOR: 0, Region.CLOSURE_BOUNDARY: 1, Region.OUTSIDE: 2}
 
 # Planes of every domain, one with --tol and the h plane of
-# test_slice_indeterminate_cells_use_code_9: (domain, fixed, axes, ranges,
-# extra argv).  Re(a),Im(a) and Im(z1),Re(z1) name one coordinate twice;
+# test_slice_band_cells_use_code_1: (domain, fixed, axes, ranges, extra
+# argv).  Re(a),Im(a) and Im(z1),Re(z1) name one coordinate twice;
 # Re(x2),Im(x1) and Re(z3),Re(z1) put the inner axis first in coordinate
 # order, whose column values the slice builds once from the fixed coordinates.
 _SLICE_PLANES = (
@@ -571,16 +612,16 @@ def test_slice_rows_equal_the_public_classifiers(plane):
             values = [lo + (hi - lo) * k / (n - 1) for (lo, hi), k in zip(ranges, (i, j))]
             coords = _cell_point(names, fixed, axes, values)
             v = _PUBLIC[domain](coords, **kw)
-            want_code = 9 if v.indeterminate else _CODE[v.region]
-            margin = v.margin
-            want = f"{values[0]:.10g}\t{values[1]:.10g}\t{want_code}\t{margin:.17g}"
+            want = f"{values[0]:.10g}\t{values[1]:.10g}\t{v.region.code}\t{v.margin:.17g}"
             assert rows[i * n + j] == want, (i, j)
-            codes.add(want_code)
-    assert len(codes) > 1
-    assert (9 in codes) == (plane == len(_SLICE_PLANES) - 1)
+            codes.add(v.region.code)
+    if plane == len(_SLICE_PLANES) - 1:   # the band plane: every cell in the band
+        assert codes == {1}
+    else:
+        assert len(codes) > 1
 
 
-@pytest.mark.parametrize("domain", sorted(cli._CLASSIFIERS))
+@pytest.mark.parametrize("domain", sorted(cli._DOMAINS))
 def test_slice_cells_build_no_verdict_and_check_no_point(domain, monkeypatch):
     """A 21x21 slice runs the domain's cell at every grid point: with
     MembershipVerdict refusing construction the bytes are unchanged, and
@@ -689,9 +730,8 @@ def test_fibre_path_equals_the_per_point_cell(monkeypatch):
             pt = _cell_point(cli._COORD_NAMES[domain], fixed, axes,
                              (lo1 + (hi1 - lo1) * i / (n - 1), lo2 + (hi2 - lo2) * j / (n - 1)))
             v = _PUBLIC[domain](pt, **kw)
-            assert row[2:] == [str(9 if v.indeterminate else _CODE[v.region]),
-                               f"{v.margin:.17g}"], (argv, i, j)
-    assert seen == {"0", "1", "2", "9"}
+            assert row[2:] == [str(v.region.code), f"{v.margin:.17g}"], (argv, i, j)
+    assert seen == {"0", "1", "2"}
     assert exits == {0, 64}
 
 

@@ -14,7 +14,7 @@ from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unita
 from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
 from mublocks.verdict import DEFAULT_TOL, Region, margin_code
 from oracles import (PsiProbe, hexa_cell_reference, hexa_points, hn_classify_reference,
-                     hn_norm_decimal, psi_eval, psi_sup_closed_reference,
+                     hn_norm_decimal, psi_eval, psi_sup_closed, psi_sup_closed_reference,
                      psi_sup_critical_radius, psi_sup_decimal, psi_sup_grid)
 
 rng = random.Random(53)
@@ -128,17 +128,19 @@ def test_hexa_interior_iff_sup_strictly_below_one():
             assert v.region is Region.OUTSIDE
 
 
-def test_hexa_indeterminate_band_on_tetra_boundary():
-    # tetra part exactly on the boundary and |a| <= 1: the sup is not
-    # defined, so the verdict is a flagged boundary, never a guess
+def test_hexa_band_on_tetra_boundary_reads_closure_boundary():
+    """Tetra part exactly on the boundary and |a| <= 1 + tol: the sup is not
+    defined, so the verdict is ClosureBoundary with min(t, 1 - |a|) clamped
+    into the band, never a guess; at |a| = 1 + 1e-9, 1 - |a| rounds below
+    -tol and the clamp keeps the margin at -tol.  A sup lower bound |a| >
+    1 + tol still decides Outside."""
     v = hexa_classify((0.5, 1, 0, 0))
-    assert v.region is Region.CLOSURE_BOUNDARY
-    assert v.indeterminate
-    assert v.shilov is False
-    # ... but a sup lower bound |a| > 1 still decides Outside
+    assert (v.region, v.margin, v.shilov) == (Region.CLOSURE_BOUNDARY, 0.0, False)
+    assert 1.0 - abs(1.000000001) < -DEFAULT_TOL
+    v = hexa_classify((1.000000001, 1, 0, 0))
+    assert (v.region, v.margin) == (Region.CLOSURE_BOUNDARY, -DEFAULT_TOL)
     v = hexa_classify((2, 1, 0, 0))
     assert v.region is Region.OUTSIDE
-    assert not v.indeterminate
 
 
 def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
@@ -173,7 +175,7 @@ def test_zero_denominator_of_the_supremum_reads_outside():
          0.37095287710250313 - 0.9163187482851123j,
          0.37524660704552537 - 0.9269250152524857j)
     assert tetra_classify(x, 1e-300).is_interior
-    sup = hexablock._psi_sup_closed(a, *x)
+    sup = psi_sup_closed(a, *x)
     assert sup == pytest.approx(8.1419, rel=1e-4)
     v = hexa_classify((a, *x), 1e-300)
     assert (v.region, v.margin) == (Region.OUTSIDE, 1.0 - sup)
@@ -191,7 +193,7 @@ def test_closed_form_against_fifty_digits():
         ref = psi_sup_decimal(a, *x)
         if ref is None:
             continue
-        got = hexablock._psi_sup_closed(a, *x)
+        got = psi_sup_closed(a, *x)
         assert got != math.inf, (a, x)
         assert got == pytest.approx(ref, rel=1e-10), (a, x)
         checked += 1
@@ -207,7 +209,7 @@ def test_closed_form_against_the_critical_radius():
     for a, *x in hexa_points(random.Random(4411), 8000):
         if a == 0 or tetra_classify(x).margin <= 1e-6:
             continue
-        new = hexablock._psi_sup_closed(a, *x)
+        new = psi_sup_closed(a, *x)
         old = psi_sup_critical_radius(a, *x)
         if abs(new - old) > 1e-12 * old:
             ref = psi_sup_decimal(a, *x)
@@ -224,7 +226,7 @@ def test_corrected_point_reads_interior():
          0.19050654966369385 - 0.8031808400707822j,
          0.23078699382330492 - 0.9730042977715981j)
     assert psi_sup_critical_radius(a, *x) == math.inf
-    sup = hexablock._psi_sup_closed(a, *x)
+    sup = psi_sup_closed(a, *x)
     assert sup == pytest.approx(0.43614562014367104, rel=1e-15)
     v = hexa_classify((a, *x), 0.0)
     assert v.region is Region.INTERIOR
@@ -233,7 +235,7 @@ def test_corrected_point_reads_interior():
 
 def test_verdicts_match_the_critical_radius_route(monkeypatch):
     """hexa_classify through the closed form and through the critical
-    radius give the same region, indeterminate and shilov flags on 20 000
+    radius give the same region and shilov flag on 20 000
     seeded points, near-boundary ones included.  The critical radius enters
     as the fibre factor k, the supremum at |a| = 1, and the patched route
     must be the one the classifier reads.  The two suprema differ in the
@@ -254,9 +256,7 @@ def test_verdicts_match_the_critical_radius_route(monkeypatch):
         old = [hexa_classify(p, tol) for p in pts]
         assert len(calls) > 10000, tol   # the patched route decides most verdicts
         for p, v, o in zip(pts, new[tol], old):
-            if (v.region, v.indeterminate, v.shilov) == (o.region,
-                                                         o.indeterminate,
-                                                         o.shilov):
+            if (v.region, v.shilov) == (o.region, o.shilov):
                 continue
             lo, hi = sorted((v.margin, o.margin))
             assert lo <= tol < hi or lo < -tol <= hi, (tol, p)
@@ -433,7 +433,7 @@ def test_hexa_classify_dimension_check():
 
 def _fibre_test_points() -> list:
     """Seeded hexablock points, a fifth of them over the tetrablock
-    boundary (unitaries and (1, 0, 0), where the indeterminate band lies),
+    boundary (unitaries and (1, 0, 0), where the supremum is not defined),
     plus points where |a|, |a| k or the coordinates pass the floats."""
     r = random.Random(2502)
     pts = hexa_points(r, 4000)
@@ -444,25 +444,27 @@ def _fibre_test_points() -> list:
     pts += [(0j, 1, 0, 0), (1e200 + 1e200j, 0.3, 0.2, 0.1), (1.7e308 + 1.7e308j, 1, 0, 0),
             (1.7e308, 0.3, 0.2, 0.1),   # |a| k passes the floats: margin -1
             (1e-320, 1, 0, 0), (1e300, 0.1, 0.2, 0.05), (0.5, 1e160, 0, 0),
-            (0.5, 0.3, 1e300, 1e300j), (2, 1, 0, 0), (0, 1, 1, 1)]
+            (0.5, 0.3, 1e300, 1e300j), (2, 1, 0, 0), (0, 1, 1, 1), (1 + 1e-9, 1, 0, 0)]
     return [tuple(map(complex, p)) for p in pts]
 
 
 def test_fibred_kernels_equal_the_one_pass_reference():
     """The cell, and the fibre cell over the base kernel that mublocks slice
     runs, give hexa_cell_reference's code and margin by repr at tol 0,
-    1e-12, 1e-9 and 0.05, the indeterminate band (code 9) included; psi_sup
-    is psi_sup_closed_reference's value bit for bit."""
+    1e-12, 1e-9 and 0.05, with the reference's band code 9 read as 1
+    (ClosureBoundary), the margin unchanged; psi_sup is
+    psi_sup_closed_reference's value bit for bit."""
     base, fibre_cell = hexablock._DOMAIN.fibre
     pts = _fibre_test_points()
     codes = set()
     for tol in (0.0, 1e-12, 1e-9, 0.05):
         for x in pts:
-            want = repr(hexa_cell_reference(x, tol))
+            code, margin = hexa_cell_reference(x, tol)
+            want = repr((1 if code == 9 else code, margin))
             assert repr(hexablock._DOMAIN.cell(x, tol)) == want, (x, tol)
             assert repr(fibre_cell(x[0], base(*x[1:], tol), tol)) == want, (x, tol)
-            codes.add(want[1])
-    assert codes == {"0", "1", "2", "9"}
+            codes.add(code)
+    assert codes == {0, 1, 2, 9}
     checked = 0
     for a, *x in pts:
         if tetra_classify(x, DEFAULT_TOL).is_interior and math.isfinite(abs(a)):

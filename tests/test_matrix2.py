@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from mublocks.errors import FormulaMismatch, PreconditionViolation
 from mublocks.matrix2 import (CheckedRecord, Matrix2, _quadratic_roots,
                               _top_singular_pair, contraction_from_rng,
-                              contraction_test, gram_det_from_coords,
-                              gram_report, operator_norm, random_contraction,
-                              random_unitary, singular_values,
-                              spectral_radius, unitary_from_rng)
+                              gram_det_from_coords, gram_report, operator_norm,
+                              singular_values, spectral_radius, unitary_from_rng)
 from mublocks.mu import MuResult
 from mublocks.verdict import MembershipVerdict, Region
-from oracles import (eig_radius, power_norm, quad_roots,
+from oracles import (contraction_test, eig_radius, power_norm, quad_roots,
+                     random_contraction, random_unitary,
                      spectral_radius_reference, svd_values)
 
 finite = st.floats(min_value=-5.0, max_value=5.0,

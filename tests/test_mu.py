@@ -8,8 +8,7 @@ import pytest
 import mublocks.mu as mu_module
 from mublocks.domain_f import f_classify, pi_f
 from mublocks.errors import PreconditionViolation
-from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
-                              random_unitary, spectral_radius)
+from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, spectral_radius
 from mublocks.mu import (E11, E12, E21, E22, MuResult, Structure,
                          SubspaceVerdict, classify_subspace, e_theta,
                          f_mu_membership, mu_sandwich_check, mu_value,
@@ -21,8 +20,8 @@ from oracles import (coeffs_lstsq_reference, constraint_coeffs_reference,
                      det_residual_reference, eig_radius,
                      least_norm_mapper_reference, min_norm_mapper_nm,
                      mu_diag_dscale_oracle, mu_diag_gauge_oracle,
-                     mu_upper_hexablock_oracle, structure_svd_reference,
-                     svd_norm)
+                     mu_upper_hexablock_oracle, random_unitary,
+                     structure_svd_reference, svd_norm)
 
 rng = random.Random(101)
 

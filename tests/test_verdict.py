@@ -8,15 +8,18 @@ import random
 
 import pytest
 
-from mublocks import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock, verdict
+from mublocks import bidisc, domain_f, hexablock, lie_ball, mu, pentablock, tetrablock, verdict
 from mublocks.bidisc import g2_dual_check
 from mublocks.errors import PreconditionViolation
 from mublocks.lie_ball import lie_ball_dual_check
+from mublocks.matrix2 import Matrix2
 from mublocks.pentablock import penta_dual_check, penta_radius
 from mublocks.tetrablock import tetra_dual_check
-from mublocks.verdict import (CLOSURE_BOUNDARY, DEFAULT_TOL, INDETERMINATE_CODE, INTERIOR,
-                              OUTSIDE, MembershipVerdict, Region, checked_point,
-                              classify_margin, margin_code, verdict_from_margin)
+from mublocks.verdict import (CLOSURE_BOUNDARY, DEFAULT_TOL, INTERIOR, OUTSIDE,
+                              MembershipVerdict, Region, checked_point, classify_margin,
+                              margin_code)
+from mublocks.verify import mu_equals_norm_suite, run_suite
+from oracles import verdict_from_margin
 
 
 def test_invariants_still_raise():
@@ -31,12 +34,10 @@ def test_invariants_still_raise():
 def test_verdicts_are_immutable_records():
     v = verdict_from_margin(-0.25, 1e-6, shilov=False)
     assert repr(v) == ("MembershipVerdict(region=<Region.OUTSIDE: 'Outside'>, "
-                       "margin=-0.25, tol=1e-06, shilov=False, "
-                       "indeterminate=False)")
-    assert (v.region, v.margin, v.tol, v.shilov, v.indeterminate) == (
-        Region.OUTSIDE, -0.25, 1e-6, False, False)
+                       "margin=-0.25, tol=1e-06, shilov=False)")
+    assert (v.region, v.margin, v.tol, v.shilov) == (Region.OUTSIDE, -0.25, 1e-6, False)
     assert not v.in_closure and not v.is_interior
-    for name in ("region", "margin", "tol", "shilov", "indeterminate", "extra"):
+    for name in ("region", "margin", "tol", "shilov", "extra"):
         with pytest.raises(AttributeError):
             setattr(v, name, None)
     assert v == verdict_from_margin(-0.25, 1e-6, shilov=False)
@@ -58,7 +59,7 @@ def test_each_region_carries_its_code():
     region's code, which is check's exit code and the slice cell code; the
     plain names are the members, and a member still pickles by its value."""
     assert (INTERIOR, CLOSURE_BOUNDARY, OUTSIDE) == tuple(Region)
-    assert [r.code for r in Region] == [0, 1, 2] and INDETERMINATE_CODE == 9
+    assert [r.code for r in Region] == [0, 1, 2]
     for margin, region in ((0.5, INTERIOR), (1e-9, CLOSURE_BOUNDARY),
                            (-1e-9, CLOSURE_BOUNDARY), (-0.5, OUTSIDE)):
         assert margin_code(margin, DEFAULT_TOL) == region.code
@@ -123,8 +124,8 @@ def test_no_nested_verdicts(monkeypatch):
         built.append(args)
         return MembershipVerdict(*args, **kwargs)
 
-    # verdicts are built in verdict.classify_point, the hexablock's
-    # indeterminate band too; hexablock is patched to catch a second site
+    # verdicts are built in verdict.classify_point; hexablock is patched to
+    # catch a second site
     for module in (verdict, hexablock):
         monkeypatch.setattr(module, "MembershipVerdict", counted)
     for (fn, pts), want in zip(_points(), expected):
@@ -267,3 +268,31 @@ def test_classifiers_refuse_a_negative_or_nan_tol(case):
         with pytest.raises(PreconditionViolation, match="tol must be >= 0"):
             classify(pt, tol)
     assert classify(pt, 0.0) == classify(pt, -0.0)
+
+
+_DIAG = mu.structure_from_name("diag")
+_ODD = mu.Structure((mu.E11, mu.E22, Matrix2(0, 1, 2, 0)), name="odd_offdiag")
+
+# The mu checks and the suites that take a tol, each as a call of tol alone:
+# at NaN the rigidity calls found a mapper for diag, which is not rigid,
+# classify_subspace read odd_offdiag as an E_theta, and both suites passed.
+_MU_TOL_CASES = (
+    lambda tol: mu.mu_sandwich_check(Matrix2(0.3, 0.4j, 0.4j, 0.3), _DIAG, tol),
+    lambda tol: mu.rigidity_check(_DIAG, (0.6, 0.8j), (0.8, -0.6j), tol),
+    lambda tol: mu.rigidity_grid_pass(_DIAG, 2, tol),
+    lambda tol: mu.f_mu_membership((0.1, 0.25, 0, 0), _DIAG, tol),
+    lambda tol: mu.classify_subspace(_ODD, tol),
+    lambda tol: run_suite("lemma21_gram", n_samples=5, tol=tol),
+    lambda tol: mu_equals_norm_suite(_DIAG, n_samples=4, tol=tol),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_MU_TOL_CASES)))
+def test_mu_checks_and_suites_refuse_a_negative_or_nan_tol(case):
+    """mu's checks and the suites refuse a negative or NaN tol as the
+    classifiers do, and answer at tol 0."""
+    call = _MU_TOL_CASES[case]
+    for tol in (-1e-300, -1e-9, -1.0, -math.inf, math.nan):
+        with pytest.raises(PreconditionViolation, match="tol must be >= 0"):
+            call(tol)
+    call(0.0)
