@@ -328,11 +328,13 @@ def _parse_axes(text: Optional[str], names: Sequence[str],
             raise _CliError(64, f"bad axis {token!r} ({_AXIS_RE_HELP})")
         if nm not in names:
             raise _CliError(64, f"unknown coordinate {nm!r}; domain has {tuple(names)}")
-        if nm in fixed:
-            raise _CliError(64, f"coordinate {nm!r} is fixed and cannot be an axis")
+        if nm in fixed and (fixed[nm].real if comp == "re" else fixed[nm].imag) != 0:
+            raise _CliError(64, f"the {comp} part of fixed coordinate {nm!r} is an axis")
         axes.append((comp, nm))
     if axes[0] == axes[1]:
         raise _CliError(64, "the two axes must differ")
+    if axes[0][1] == axes[1][1] and axes[0][1] in fixed:
+        raise _CliError(64, f"coordinate {axes[0][1]!r} is fixed and cannot be both axes")
     return axes
 
 

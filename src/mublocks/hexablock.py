@@ -19,17 +19,17 @@ There g = r* / (m - d r*) = 2 / den, so r* is never formed:
     sup = |a| sqrt(2 / den),   den = (c - d) + sqrt((c + d)^2 - 4 m^2).
 
 Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0; the form is inf
-only where rounding at the tetrablock boundary makes den <= 0.  The domain
-is fibred over the tetrablock, so its margin is two kernels: the base kernel
-_hexa_base(x, tol), the guarded tetrablock._tetra_margin and, above tol, the
-fibre factor k = sqrt(2 / den); and the fibre cell _hexa_fibre(a, base, tol),
-which holds |a| k against 1.  Where the base lies in the tol band of the
-tetrablock boundary the supremum is not defined; there the cell reads
-ClosureBoundary with the margin clamped into the band, unless |a| > 1 + tol
-decides Outside.  hexa_classify runs both kernels, as do mublocks check and
-slice (slice runs the base once per row where its inner axis is a), and
-psi_sup reads k.  The test oracles keep the product-grid psi_sup_grid, the
-critical-radius psi_sup_critical_radius and psi_sup_closed, |a| k.
+only where den <= 0 at or past the tetrablock boundary.  The domain is
+fibred over the tetrablock, so its margin is two kernels: the base kernel
+_hexa_base(x, tol), the guarded tetrablock._tetra_margin and, where it is not
+below -tol, the fibre factor k = sqrt(2 / den); and the fibre cell
+_hexa_fibre(a, base, tol), which holds |a| k against 1.  R = 1/k is
+continuous on the closed tetrablock, so over a base on its boundary the
+closure's fibre is the disc |a| <= R; R is 0 at (1, 0, 0) and 1 at (0, 0, 1).
+hexa_classify runs both kernels, as do mublocks check and slice (slice runs
+the base once per row where its inner axis is a), and psi_sup reads k.  The
+test oracles keep the product-grid psi_sup_grid, the critical-radius
+psi_sup_critical_radius and psi_sup_closed, |a| k.
 
 The normed variant hn is the image of the open operator ball.  For a != 0,
 B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over the
@@ -86,27 +86,21 @@ def _fibre_factor(x1: complex, x2: complex, x3: complex) -> float:
 
 def _hexa_base(x1: complex, x2: complex, x3: complex, tol: float) -> tuple:
     """The base kernel: the tetrablock margin of x under the overflow guard
-    and, where it is above tol, the fibre factor k (else None)."""
+    and, where it is not below -tol, the fibre factor k (else None)."""
     t_margin = guarded_margin(_tetra_margin, x1, x2, x3)
-    return t_margin, _fibre_factor(x1, x2, x3) if t_margin > tol else None
+    return t_margin, None if t_margin < -tol else _fibre_factor(x1, x2, x3)
 
 
 def _hexa_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
-    """The fibre cell over base = (t_margin, k): min(t_margin, 1 - |a| k), -1
-    where |a| k is inf; t_margin at a = 0 or below -tol; within tol of 0,
-    min(t_margin, 1 - |a|), clamped into [-tol, tol] (ClosureBoundary) if
-    |a| <= 1 + tol."""
+    """The fibre cell over base = (t_margin, k): t_margin at a = 0 or without
+    k, else min(t_margin, 1 - |a| k), -1 where |a| k is inf."""
     t_margin, k = base
     try:
-        if a != 0 and t_margin > tol:
+        if a == 0 or k is None:
+            margin = t_margin
+        else:
             sup = abs(a) * k
             margin = -1.0 if sup == math.inf else min(t_margin, 1.0 - sup)
-        elif a == 0 or t_margin < -tol:
-            margin = t_margin
-        elif abs(a) <= 1.0 + tol:
-            margin = min(t_margin, max(-tol, min(tol, 1.0 - abs(a))))
-        else:
-            margin = min(t_margin, 1.0 - abs(a))
     except OverflowError:
         margin = -math.inf
     return margin_code(margin, tol), margin
@@ -115,11 +109,9 @@ def _hexa_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
 def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the hexablock.
 
-    Margin: min(tetrablock margin, 1 - sup).  On the a = 0 slice the rule is
-    exactly the tetrablock verdict (no optimization).  When the tetrablock
-    part sits inside the tol band the supremum is ill-defined; the verdict is
-    then Outside if |a| > 1 + tol (the sup dominates |psi(0,0)| = |a|), and
-    otherwise ClosureBoundary, its margin clamped into the band.
+    Margin: min(tetrablock margin, 1 - |a| k), the tetrablock margin alone
+    at a = 0 or below -tol; over a base within tol of the tetrablock
+    boundary, k is its closed form there (module docstring).
     """
     return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 

@@ -72,6 +72,10 @@ _REPEAT_TOL = 1e-8      # descent minima within this relative band are repeats
 _POLISH_STEP, _POLISH_XATOL = 1e-3, 1e-13   # polish step and xatol, per 1/sigma_1
 _POLISH_FATOL = 1e-15   # polish fatol, relative to the incumbent norm
 _RANGE_LO, _RANGE_HI = 2.0 ** -200, 2.0 ** 200  # see mu_value
+_SANDWICH_TOL = 1e-6    # mu_sandwich_check's slack, relative to max(1, ||A||)
+_RIGID_TOL = 1e-6       # a least-norm mapper within 1 + this counts as norm one
+_MEMBERSHIP_TOL = 1e-6  # f_mu_membership: mu below 1 - this puts the point inside
+_ETHETA_TOL = 1e-9      # classify_subspace: least |alpha|, |beta| and their |gap|
 
 E11 = Matrix2(1, 0, 0, 0)
 E12 = Matrix2(0, 1, 0, 0)
@@ -254,11 +258,14 @@ def _least_norm_mapper(structure: Structure, u, v):
     the minimum is alpha (a nilpotent A on skewdiag); the denominator
     vanishes only at c = n2 = 0, where beta = delta = 0.
 
-    The reduction is written out for each number of normals, 4 - k, on local
-    scalars: per normal the three column entries, then Gram-Schmidt on the
-    first two columns taken in order of decreasing squared norm (ties keep
-    column order), the rows (q_i . col) and the residual of the third.  Each
-    branch does the operations of the list-based routine, kept as
+    The reduction: per normal (there are 4 - k) the three column entries,
+    then Gram-Schmidt on the first two columns taken in order of decreasing
+    squared norm (ties keep column order), the rows (q_i . col) and the
+    residual of the third.  With one normal, the hot path (mu's certificate
+    probe on skewdiag and E_theta, rigidity_check on every k = 3 span), it
+    is written out on local scalars; other counts loop over the normals,
+    with _orthonormal's steps inline and each row formed as its q is kept.
+    Both do the operations of the list-based routine, kept as
     tests/oracles.least_norm_mapper_reference, in its order, with dot
     products accumulated from 0j, so that rho and X are bitwise its own.
     Squared norms read re^2 + im^2, which is (conj(z) z).real exactly.  A
@@ -272,7 +279,7 @@ def _least_norm_mapper(structure: Structure, u, v):
     cu1, cu2, cv1, cv2 = u1.conjugate(), u2.conjugate(), v1.conjugate(), v2.conjugate()
     # per normal N, the columns x = N(v^ u^p*), y = N(v^p u^p*), z = -alpha N(v^ u^*)
     normals = structure.normals
-    row1 = row2 = None   # the reduced equations n1 beta + n2 delta = c
+    rows = []   # the reduced equations n1 beta + n2 delta = c
     if len(normals) == 1:
         (m11, m12, m21, m22), = normals
         p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
@@ -285,89 +292,37 @@ def _least_norm_mapper(structure: Structure, u, v):
             q = f / nf
             cq = q.conjugate()
             c = 0j + cq * z
-            row1 = (0j + cq * x, 0j + cq * y, c)
+            rows.append((0j + cq * x, 0j + cq * y, c))
             z = z - c * q
         if math.sqrt(z.real * z.real + z.imag * z.imag) > _FEASIBLE_TOL * alpha:
             return None
-    elif len(normals) == 2:
-        (m11, m12, m21, m22), (k11, k12, k21, k22) = normals
-        p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
-        x1, y1 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
-        z1 = -alpha * (v1 * (m11 * cu1 + m12 * cu2) + v2 * (m21 * cu1 + m22 * cu2))
-        p1, p2 = k12 * u1 - k11 * u2, k22 * u1 - k21 * u2
-        x2, y2 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
-        z2 = -alpha * (v1 * (k11 * cu1 + k12 * cu2) + v2 * (k21 * cu1 + k22 * cu2))
-        sx = (x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
-        sy = (y1.real * y1.real + y1.imag * y1.imag) + (y2.real * y2.real + y2.imag * y2.imag)
-        f1, f2, sf, g1, g2 = (y1, y2, sy, x1, x2) if sx < sy else (x1, x2, sx, y1, y2)
-        nf = math.sqrt(sf)
-        if nf > _RANK_TOL:
-            q1, q2 = f1 / nf, f2 / nf
-            cq1, cq2 = q1.conjugate(), q2.conjugate()
-            t = 0j + cq1 * g1 + cq2 * g2
-            g1, g2 = g1 - t * q1, g2 - t * q2
-            c = 0j + cq1 * z1 + cq2 * z2
-            row1 = (0j + cq1 * x1 + cq2 * x2, 0j + cq1 * y1 + cq2 * y2, c)
-            w1, w2 = z1 - c * q1, z2 - c * q2
-            ng = math.sqrt((g1.real * g1.real + g1.imag * g1.imag)
-                           + (g2.real * g2.real + g2.imag * g2.imag))
-            if ng > _RANK_TOL:
-                q1, q2 = g1 / ng, g2 / ng
-                cq1, cq2 = q1.conjugate(), q2.conjugate()
-                c = 0j + cq1 * z1 + cq2 * z2
-                row2 = (0j + cq1 * x1 + cq2 * x2, 0j + cq1 * y1 + cq2 * y2, c)
-                w1, w2 = w1 - c * q1, w2 - c * q2
-        else:
-            w1, w2 = z1, z2
-        if math.sqrt((w1.real * w1.real + w1.imag * w1.imag)
-                     + (w2.real * w2.real + w2.imag * w2.imag)) > _FEASIBLE_TOL * alpha:
+    else:
+        xs, ys, zs = [], [], []
+        for m11, m12, m21, m22 in normals:
+            p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
+            xs.append(v1 * p1 + v2 * p2)
+            ys.append(cv1 * p2 - cv2 * p1)
+            zs.append(-alpha * (v1 * (m11 * cu1 + m12 * cu2) + v2 * (m21 * cu1 + m22 * cu2)))
+        w, q = zs, None
+        for col in ((ys, xs) if _dot(xs, xs).real < _dot(ys, ys).real else (xs, ys)):
+            if q is not None:
+                t = _dot(q, col)
+                col = [g - t * e for g, e in zip(col, q)]
+            n = math.sqrt(_dot(col, col).real)
+            if not n > _RANK_TOL:   # a dropped first column drops the second
+                break
+            q = [g / n for g in col]
+            n1 = n2 = c = 0j
+            for e, x, y, z in zip(q, xs, ys, zs):
+                e = e.conjugate()
+                n1, n2, c = n1 + e * x, n2 + e * y, c + e * z
+            rows.append((n1, n2, c))
+            w = [g - c * e for g, e in zip(w, q)]
+        if math.sqrt(_dot(w, w).real) > _FEASIBLE_TOL * alpha:
             return None
-    elif len(normals) == 3:
-        (m11, m12, m21, m22), (k11, k12, k21, k22), (l11, l12, l21, l22) = normals
-        p1, p2 = m12 * u1 - m11 * u2, m22 * u1 - m21 * u2
-        x1, y1 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
-        z1 = -alpha * (v1 * (m11 * cu1 + m12 * cu2) + v2 * (m21 * cu1 + m22 * cu2))
-        p1, p2 = k12 * u1 - k11 * u2, k22 * u1 - k21 * u2
-        x2, y2 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
-        z2 = -alpha * (v1 * (k11 * cu1 + k12 * cu2) + v2 * (k21 * cu1 + k22 * cu2))
-        p1, p2 = l12 * u1 - l11 * u2, l22 * u1 - l21 * u2
-        x3, y3 = v1 * p1 + v2 * p2, cv1 * p2 - cv2 * p1
-        z3 = -alpha * (v1 * (l11 * cu1 + l12 * cu2) + v2 * (l21 * cu1 + l22 * cu2))
-        sx = ((x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
-              + (x3.real * x3.real + x3.imag * x3.imag))
-        sy = ((y1.real * y1.real + y1.imag * y1.imag) + (y2.real * y2.real + y2.imag * y2.imag)
-              + (y3.real * y3.real + y3.imag * y3.imag))
-        f1, f2, f3, sf, g1, g2, g3 = ((y1, y2, y3, sy, x1, x2, x3) if sx < sy
-                                      else (x1, x2, x3, sx, y1, y2, y3))
-        nf = math.sqrt(sf)
-        if nf > _RANK_TOL:
-            q1, q2, q3 = f1 / nf, f2 / nf, f3 / nf
-            cq1, cq2, cq3 = q1.conjugate(), q2.conjugate(), q3.conjugate()
-            t = 0j + cq1 * g1 + cq2 * g2 + cq3 * g3
-            g1, g2, g3 = g1 - t * q1, g2 - t * q2, g3 - t * q3
-            c = 0j + cq1 * z1 + cq2 * z2 + cq3 * z3
-            row1 = (0j + cq1 * x1 + cq2 * x2 + cq3 * x3, 0j + cq1 * y1 + cq2 * y2 + cq3 * y3, c)
-            w1, w2, w3 = z1 - c * q1, z2 - c * q2, z3 - c * q3
-            ng = math.sqrt((g1.real * g1.real + g1.imag * g1.imag)
-                           + (g2.real * g2.real + g2.imag * g2.imag)
-                           + (g3.real * g3.real + g3.imag * g3.imag))
-            if ng > _RANK_TOL:
-                q1, q2, q3 = g1 / ng, g2 / ng, g3 / ng
-                cq1, cq2, cq3 = q1.conjugate(), q2.conjugate(), q3.conjugate()
-                c = 0j + cq1 * z1 + cq2 * z2 + cq3 * z3
-                row2 = (0j + cq1 * x1 + cq2 * x2 + cq3 * x3,
-                        0j + cq1 * y1 + cq2 * y2 + cq3 * y3, c)
-                w1, w2, w3 = w1 - c * q1, w2 - c * q2, w3 - c * q3
-        else:
-            w1, w2, w3 = z1, z2, z3
-        if math.sqrt((w1.real * w1.real + w1.imag * w1.imag)
-                     + (w2.real * w2.real + w2.imag * w2.imag)
-                     + (w3.real * w3.real + w3.imag * w3.imag)) > _FEASIBLE_TOL * alpha:
-            return None
-    if row1 is None:   # no normals, or both columns dropped: X = alpha v^ u^*
-        beta, delta, rho = 0j, 0j, alpha
-    elif row2 is None:
-        n1, n2, c = row1
+    beta, delta, rho = 0j, 0j, alpha   # no rows: X = alpha v^ u^*
+    if len(rows) == 1:
+        (n1, n2, c), = rows
         s1, s2 = abs(n1) ** 2, abs(n2) ** 2
         a = max(0.0, abs(c) ** 2 - alpha * alpha * s2) / (s1 + s2)
         rho2 = alpha * alpha + a
@@ -375,8 +330,8 @@ def _least_norm_mapper(structure: Structure, u, v):
         f = c / den if den > 0.0 else 0j
         beta, delta = f * a * n1.conjugate(), f * rho2 * n2.conjugate()
         rho = math.sqrt(rho2)
-    else:
-        (n1, n2, c), (m1, m2, d) = row1, row2
+    elif rows:
+        (n1, n2, c), (m1, m2, d) = rows
         det = n1 * m2 - n2 * m1
         beta, delta = (c * m2 - n2 * d) / det, (n1 * d - c * m1) / det
         rho = _singular_values(alpha, beta, 0j, delta)[0]
@@ -703,7 +658,7 @@ def _mu_in_range(a: Matrix2, structure: Structure) -> MuResult:
 
 
 def mu_sandwich_check(a: Matrix2, structure: Structure,
-                      tol: float = 1e-6) -> bool:
+                      tol: float = _SANDWICH_TOL) -> bool:
     """spectral_radius(A) <= mu(A) <= operator_norm(A), up to tol*scale.
 
     Requires the identity in the structure's span.
@@ -720,7 +675,7 @@ def mu_sandwich_check(a: Matrix2, structure: Structure,
 
 
 def rigidity_check(structure: Structure, u, v,
-                   tol: float = 1e-6) -> Optional[Matrix2]:
+                   tol: float = _RIGID_TOL) -> Optional[Matrix2]:
     """Least-norm A in the structure with A u = v, if its norm is <= 1 + tol.
 
     u and v must be unit vectors.  The minimum is always >= 1; a returned
@@ -756,7 +711,7 @@ def _cp1_grid(n: int, offset: float = 0.0):
 
 
 def rigidity_grid_pass(structure: Structure, n_side: int = 20,
-                       tol: float = 1e-6) -> bool:
+                       tol: float = _RIGID_TOL) -> bool:
     """rigidity_check over an n x n grid of unit-vector pairs; True iff every
     pair admits a norm-one mapper."""
     checked_tol(tol)
@@ -769,7 +724,7 @@ def rigidity_grid_pass(structure: Structure, n_side: int = 20,
     return True
 
 
-def f_mu_membership(pt, structure: Structure, tol: float = 1e-6) -> bool:
+def f_mu_membership(pt, structure: Structure, tol: float = _MEMBERSHIP_TOL) -> bool:
     """Whether pt lies in the image of the open mu-unit-ball under the
     four-coordinate projection: the fiber over pt is {B, B^t} for the
     reconstructed witness B, so membership is mu(B) < 1 or mu(B^t) < 1."""
@@ -792,7 +747,7 @@ class SubspaceVerdict:
             raise PreconditionViolation("theta present iff IsETheta")
 
 
-def classify_subspace(structure: Structure, tol: float = 1e-9) -> SubspaceVerdict:
+def classify_subspace(structure: Structure, tol: float = _ETHETA_TOL) -> SubspaceVerdict:
     """Decide whether a 3-dimensional structure containing both diagonal
     cells is the twisted off-diagonal family, and recover its angle.
 

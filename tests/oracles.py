@@ -473,8 +473,9 @@ def psi_sup_closed_reference(a: complex, x1: complex, x2: complex,
 
 def hexa_cell_reference(x, tol: float) -> tuple[int, float]:
     """hexa_classify's (code, margin) at checked x in one pass over the whole
-    point, with no base/fibre split, under the earlier rule that gave the
-    band its own code 9 (the package reads it as 1, ClosureBoundary): the
+    point, with no base/fibre split, under the earlier band rule, which gave
+    the band its own code 9 and later code 1 (ClosureBoundary); the package
+    now agrees with it only off the band, where a = 0 or |t| > tol: the
     guarded tetrablock margin t; the band (code 9) where a != 0, |t| <= tol
     and |a| <= 1 + tol;
     else t at a = 0 or off the band's upper side, min(t, 1 - sup) above it

@@ -80,14 +80,17 @@ def test_check_hn_reports_the_common_document():
 
 
 def test_check_band_maps_to_boundary_exit():
-    """Over a base on the tetrablock boundary the hexablock's supremum is not
-    defined; check reads ClosureBoundary there, exit 1, with the margin
-    clamped into the band: 0 at |a| = 0.5, -tol at |a| = 1 + 1e-9."""
+    """Over a base on the tetrablock boundary the closure's fibre is the disc
+    |a| <= R.  At (0, 0, 1), R = 1: |a| = 0.5 reads ClosureBoundary, exit 1,
+    with margin 0.  At (1, 0, 0), R = 0: |a| = 0.5 lies 0.5 from the closure
+    and reads Outside, exit 2, with margin -1."""
     keys = set(run_json(["check", "f", "(0,0,0.25,0)"])[1])
-    for point, margin in (("(0.5,1,0,0)", 0.0), ("(1.000000001,1,0,0)", -1e-09)):
+    for point, want in (("(0.5,0,0,1)", (1, "ClosureBoundary", 0.0)),
+                        ("(0.5,1,0,0)", (2, "Outside", -1.0)),
+                        ("(1.000000001,1,0,0)", (2, "Outside", -1.0))):
         code, doc = run_json(["check", "h", point])
         assert set(doc) == keys
-        assert (code, doc["region"], doc["margin"]) == (1, "ClosureBoundary", margin)
+        assert (code, doc["region"], doc["margin"]) == want, point
 
 
 def test_check_tiny_tol_answers_where_rounding_splits_the_criteria():
@@ -305,19 +308,25 @@ def test_slice_deterministic_and_out_file(tmp_path):
 
 
 def test_slice_band_cells_use_code_1():
-    """Over the tetrablock boundary point (1, 0, 0) every cell of the a-plane
-    is in the band: code 1 (ClosureBoundary) with margin 0."""
+    """Over the tetrablock boundary point (1, 0, 0) the fibre radius is 0:
+    every cell of the a-plane reads code 2 (Outside) with margin -1, except
+    a = 0, which keeps code 1 (ClosureBoundary) with margin 0."""
     code, out, _ = run(["slice", "h", "--fixed", "x1=1,x2=0,x3=0",
                         "--axes", "Re(a),Im(a)",
                         "--range", "-0.5:0.5,-0.5:0.5", "--grid", "3"])
     assert code == 0
     assert out == "Re(a)\tIm(a)\tcode\tmargin\n" + "".join(
-        f"{u}\t{v}\t1\t0\n" for u in ("-0.5", "0", "0.5") for v in ("-0.5", "0", "0.5"))
+        f"{u}\t{v}\t" + ("1\t0" if u == v == "0" else "2\t-1") + "\n"
+        for u in ("-0.5", "0", "0.5") for v in ("-0.5", "0", "0.5"))
 
 
 def test_slice_argument_validation():
-    # an axis that is also fixed
+    # a fixed coordinate as both axes, or with a nonzero part on its axis
     assert run(["slice", "f", "--fixed", "x=0", "--axes", "Re(x),Im(x)"])[0] == 64
+    for fixed in ("x1=0.5,x3=0", "x2=-0.1+0.3i,x3=0"):
+        assert run(["slice", "tetra", "--axes", "Re(x1),Re(x2)", "--fixed", fixed])[0] == 64
+    assert run(["slice", "tetra", "--axes", "Re(x1),Re(x2)", "--fixed", "x1=0.5i,x3=0",
+                "--grid", "2"])[0] == 0
     assert run(["slice", "f", "--axes", "Re(nope),Im(x)"])[0] == 64
     assert run(["slice", "f", "--range", "1:2:3"])[0] == 64
     assert run(["slice", "f", "--grid", "1"])[0] == 64
@@ -572,6 +581,8 @@ _PUBLIC = {"g2": g2_classify, "tetra": tetra_classify, "penta": penta_classify,
 # argv).  Re(a),Im(a) and Im(z1),Re(z1) name one coordinate twice;
 # Re(x2),Im(x1) and Re(z3),Re(z1) put the inner axis first in coordinate
 # order, whose column values the slice builds once from the fixed coordinates.
+# The last two fix the part of each axis coordinate that its axis does not
+# draw (Im(x1) = 0.5 and Im(x2) = 0.25; Im(a) = 0.2, on the fibre path).
 _SLICE_PLANES = (
     ("g2", {}, "Re(s),Im(p)", ((-2.2, 2.2), (-1.2, 1.2)), []),
     ("tetra", {"x3": 0.1j}, "Re(x1),Re(x2)", ((-1.2, 1.2), (-1.2, 1.2)), []),
@@ -586,6 +597,9 @@ _SLICE_PLANES = (
     ("f", {"x": 0.25, "p": 0, "s": 0}, "Re(a),Im(a)", ((-1.2, 1.2), (-1.2, 1.2)),
      ["--tol", "0.05"]),
     ("h", {"x1": 1, "x2": 0, "x3": 0}, "Re(a),Im(a)", ((-0.5, 0.5), (-0.5, 0.5)), []),
+    ("tetra", {"x1": 0.5j, "x2": 0.25j, "x3": 0}, "Re(x1),Re(x2)",
+     ((-1.2, 1.2), (-1.2, 1.2)), []),
+    ("h", {"a": 0.2j, "x2": 0.1, "x3": 0}, "Re(x1),Re(a)", ((-1.2, 1.2), (-1.2, 1.2)), []),
 )
 
 
@@ -615,10 +629,7 @@ def test_slice_rows_equal_the_public_classifiers(plane):
             want = f"{values[0]:.10g}\t{values[1]:.10g}\t{v.region.code}\t{v.margin:.17g}"
             assert rows[i * n + j] == want, (i, j)
             codes.add(v.region.code)
-    if plane == len(_SLICE_PLANES) - 1:   # the band plane: every cell in the band
-        assert codes == {1}
-    else:
-        assert len(codes) > 1
+    assert len(codes) > 1
 
 
 @pytest.mark.parametrize("domain", sorted(cli._DOMAINS))

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import random
 
@@ -11,8 +12,9 @@ from mublocks.domain_f import f_classify
 from mublocks.errors import PreconditionViolation
 from mublocks.hexablock import hexa_classify, hn_classify, pi_hexa, psi_sup, shilov_h_test
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
+from mublocks.mu import mu_value, structure_from_name
 from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
-from mublocks.verdict import DEFAULT_TOL, Region, margin_code
+from mublocks.verdict import DEFAULT_TOL, Region, guarded_margin, margin_code
 from oracles import (PsiProbe, hexa_cell_reference, hexa_points, hn_classify_reference,
                      hn_norm_decimal, psi_eval, psi_sup_closed, psi_sup_closed_reference,
                      psi_sup_critical_radius, psi_sup_decimal, psi_sup_grid)
@@ -129,18 +131,27 @@ def test_hexa_interior_iff_sup_strictly_below_one():
 
 
 def test_hexa_band_on_tetra_boundary_reads_closure_boundary():
-    """Tetra part exactly on the boundary and |a| <= 1 + tol: the sup is not
-    defined, so the verdict is ClosureBoundary with min(t, 1 - |a|) clamped
-    into the band, never a guess; at |a| = 1 + 1e-9, 1 - |a| rounds below
-    -tol and the clamp keeps the margin at -tol.  A sup lower bound |a| >
-    1 + tol still decides Outside."""
-    v = hexa_classify((0.5, 1, 0, 0))
+    """Over a base on the tetrablock boundary the closure's fibre is the disc
+    |a| <= R, R = 1/k continuous on the closed tetrablock.  At (0, 0, 1), R =
+    1: |a| <= 1 reads ClosureBoundary with margin 0 (the Shilov flag set at
+    |a| = 1), and |a| = 1 + 1e-9 reads Outside with margin 1 - |a|.  R tends
+    to 0 toward (1, 0, 0), 0.141 at x1 = 0.99 and 0.0014 at x1 = 0.999999,
+    and is 0 there: (0.5, 1, 0, 0) lies 0.5 from the closure and reads
+    Outside, as does every a != 0 over that base."""
+    v = hexa_classify((0.5, 0, 0, 1))
     assert (v.region, v.margin, v.shilov) == (Region.CLOSURE_BOUNDARY, 0.0, False)
-    assert 1.0 - abs(1.000000001) < -DEFAULT_TOL
-    v = hexa_classify((1.000000001, 1, 0, 0))
-    assert (v.region, v.margin) == (Region.CLOSURE_BOUNDARY, -DEFAULT_TOL)
-    v = hexa_classify((2, 1, 0, 0))
-    assert v.region is Region.OUTSIDE
+    v = hexa_classify((1, 0, 0, 1))
+    assert (v.region, v.margin, v.shilov) == (Region.CLOSURE_BOUNDARY, 0.0, True)
+    v = hexa_classify((1.000000001, 0, 0, 1))
+    assert (v.region, v.margin) == (Region.OUTSIDE, 1.0 - 1.000000001)
+    for x1, inside, outside in ((0.99, 0.14, 0.15), (0.999999, 0.0014, 0.0015)):
+        assert hexa_classify((inside, x1, 0, 0)).region is Region.INTERIOR, x1
+        assert hexa_classify((outside, x1, 0, 0)).region is Region.OUTSIDE, x1
+    for a in (0.5, 1.000000001, 2, 1e-12):
+        v = hexa_classify((a, 1, 0, 0))
+        assert (v.region, v.margin) == (Region.OUTSIDE, -1.0), a
+    v = hexa_classify((0, 1, 0, 0))
+    assert (v.region, v.margin) == (Region.CLOSURE_BOUNDARY, 0.0)
 
 
 def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
@@ -153,7 +164,8 @@ def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
     monkeypatch.setattr(hexablock, "_tetra_margin", counted)
     for pt, region in (((0.5, 0.3, 0.2, 0.05), Region.INTERIOR),
                        ((1.5, 0.3, 0.2, 0.05), Region.OUTSIDE),   # sup > 1
-                       ((0.5, 1, 0, 0), Region.CLOSURE_BOUNDARY),  # band
+                       ((0.5, 1, 0, 0), Region.OUTSIDE),   # boundary base, R = 0
+                       ((0.5, 0, 0, 1), Region.CLOSURE_BOUNDARY),   # R = 1
                        ((0.5, 2, 0, 0), Region.OUTSIDE),
                        ((0, 0.3, 0.2, 0.05), Region.INTERIOR),
                        ((0, 2, 0, 0), Region.OUTSIDE),
@@ -163,6 +175,39 @@ def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
         calls.clear()
         assert hexa_classify(pt).region is region
         assert len(calls) == 1, pt
+
+
+def test_closure_over_tetra_boundary_bases_is_the_mu_upper_test():
+    """Over a base x on the tetrablock boundary, (a, x) with a != 0 lies in
+    the closure of the hexablock iff mu_upper(A) <= 1 for A = [[x1, P/a],
+    [a, x2]], P = x1 x2 - x3: mu's reading of H, through ||A|| and mu_diag,
+    not through the fibre factor.  The bases are seeded Gaussian matrices
+    scaled onto the boundary by 1/mu_diag, every fourth with a12 = 0 (P =
+    0), and |a| spans 10^-3 to 10^0.1.  mu_upper >= mu_diag(A) = 1 there, so
+    the closure is mu_upper = 1: within 1e-12 of 1 a point must read
+    ClosureBoundary, beyond 1e-6 Outside, and between them it is left
+    undecided.  A base with P = 0 has |x1| = 1 or |x2| = 1, where the fibre
+    radius is 0, so every a != 0 over it lies outside the closure."""
+    r = random.Random(29)
+    diag, upper = structure_from_name("diag"), structure_from_name("upper")
+    seen = collections.Counter()   # (P = 0, region): points
+    for i in range(4000):
+        g = [complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(4)]
+        if i % 4 == 0:
+            g[1] = 0j
+        m = Matrix2(*g).scale(1.0 / mu_value(Matrix2(*g), diag).value)
+        x = (m.a11, m.a22, m.det)
+        a = complex(r.gauss(0, 1), r.gauss(0, 1)) * 10.0 ** r.uniform(-3.0, 0.1)
+        p = x[0] * x[1] - x[2]
+        mu = mu_value(Matrix2(x[0], p / a, a, x[1]), upper).value
+        if 1e-12 < abs(mu - 1.0) <= 1e-6:
+            continue
+        want = Region.OUTSIDE if mu > 1.0 + 1e-6 else Region.CLOSURE_BOUNDARY
+        assert hexa_classify((a, *x)).region is want, (a, x, mu)
+        seen[p == 0, want] += 1
+    assert seen.keys() == {(True, Region.OUTSIDE), (False, Region.OUTSIDE),
+                           (False, Region.CLOSURE_BOUNDARY)}, seen
+    assert min(seen.values()) > 400, seen
 
 
 def test_zero_denominator_of_the_supremum_reads_outside():
@@ -240,7 +285,9 @@ def test_verdicts_match_the_critical_radius_route(monkeypatch):
     as the fibre factor k, the supremum at |a| = 1, and the patched route
     must be the one the classifier reads.  The two suprema differ in the
     last bits, so a verdict may change only where the two margins lie on
-    either side of a band edge, within 1e-13 of each other."""
+    either side of a band edge, within 1e-13 of each other.  The critical
+    radius needs an interior base, so points whose base lies within tol of
+    the tetrablock boundary are not compared."""
     pts = hexa_points(random.Random(4411), 20000)
     tols = (1e-9, 1e-12, 1e-15)
     new = {tol: [hexa_classify(p, tol) for p in pts] for tol in tols}
@@ -256,7 +303,8 @@ def test_verdicts_match_the_critical_radius_route(monkeypatch):
         old = [hexa_classify(p, tol) for p in pts]
         assert len(calls) > 10000, tol   # the patched route decides most verdicts
         for p, v, o in zip(pts, new[tol], old):
-            if (v.region, v.shilov) == (o.region, o.shilov):
+            if ((v.region, v.shilov) == (o.region, o.shilov)
+                    or margin_code(_tetra_margin(*p[1:]), tol) == 1):
                 continue
             lo, hi = sorted((v.margin, o.margin))
             assert lo <= tol < hi or lo < -tol <= hi, (tol, p)
@@ -433,7 +481,7 @@ def test_hexa_classify_dimension_check():
 
 def _fibre_test_points() -> list:
     """Seeded hexablock points, a fifth of them over the tetrablock
-    boundary (unitaries and (1, 0, 0), where the supremum is not defined),
+    boundary (images of unitaries, and (1, 0, 0), where the fibre radius is 0),
     plus points where |a|, |a| k or the coordinates pass the floats."""
     r = random.Random(2502)
     pts = hexa_points(r, 4000)
@@ -451,20 +499,31 @@ def _fibre_test_points() -> list:
 def test_fibred_kernels_equal_the_one_pass_reference():
     """The cell, and the fibre cell over the base kernel that mublocks slice
     runs, give hexa_cell_reference's code and margin by repr at tol 0,
-    1e-12, 1e-9 and 0.05, with the reference's band code 9 read as 1
-    (ClosureBoundary), the margin unchanged; psi_sup is
-    psi_sup_closed_reference's value bit for bit."""
+    1e-12, 1e-9 and 0.05 wherever the base is off the band (a = 0, or the
+    tetrablock margin beyond tol).  Over a base in the band, where the
+    reference clamps, the margin is min(t, 1 - psi_sup_closed_reference), -1
+    where that supremum is inf and -inf where |a| passes the floats.  psi_sup
+    is psi_sup_closed_reference's value bit for bit."""
     base, fibre_cell = hexablock._DOMAIN.fibre
     pts = _fibre_test_points()
-    codes = set()
+    codes, band = set(), 0
     for tol in (0.0, 1e-12, 1e-9, 0.05):
         for x in pts:
             code, margin = hexa_cell_reference(x, tol)
-            want = repr((1 if code == 9 else code, margin))
+            t = guarded_margin(_tetra_margin, *x[1:])
+            if x[0] != 0 and abs(t) <= tol:
+                if math.hypot(x[0].real, x[0].imag) == math.inf:   # |a| overflows
+                    margin = -math.inf
+                else:
+                    sup = psi_sup_closed_reference(*x)
+                    margin = -1.0 if sup == math.inf else min(t, 1.0 - sup)
+                code = margin_code(margin, tol)
+                band += 1
+            want = repr((code, margin))
             assert repr(hexablock._DOMAIN.cell(x, tol)) == want, (x, tol)
             assert repr(fibre_cell(x[0], base(*x[1:], tol), tol)) == want, (x, tol)
             codes.add(code)
-    assert codes == {0, 1, 2, 9}
+    assert codes == {0, 1, 2} and band > 1000
     checked = 0
     for a, *x in pts:
         if tetra_classify(x, DEFAULT_TOL).is_interior and math.isfinite(abs(a)):
