@@ -27,7 +27,7 @@ fixed coordinates once and each row and column value once, then runs the
 cell at every grid point, with no coordinate check and no verdict per cell;
 a cell whose axis value is not finite goes through verdict.checked_point,
 which exits 64 as check would.  On the fibre axis a of h and penta, a row
-runs the base kernel once, each point the fibre cell.  hn, the normed
+runs the base kernel once, each point verdict.fibre_cell.  hn, the normed
 hexablock, is one of these domains, with the margin 1 - ||B||.
 
 Each argument has one spelling: domain, point, structure, matrix and suite
@@ -55,7 +55,7 @@ from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
 from .errors import PreconditionViolation, UnknownSuite
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
-from .verdict import DEFAULT_TOL, checked_point, classify_point
+from .verdict import DEFAULT_TOL, checked_point, classify_point, fibre_cell
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
@@ -380,8 +380,8 @@ def _cmd_slice(args) -> int:
     k1, k2 = names.index(nm1), names.index(nm2)
     cell = _DOMAIN_RECORDS[args.domain].cell
     # On a fibred domain's fibre axis a (inner), a row of finite values runs the
-    # base kernel once (a tuple, never falsy) and each point the fibre cell.
-    fibre = _DOMAIN_RECORDS[args.domain].fibre if k2 == 0 else None
+    # base kernel once (a tuple, never falsy) and each point fibre_cell.
+    base_kernel = _DOMAIN_RECORDS[args.domain].base if k2 == 0 else None
     tol = DEFAULT_TOL if tol is None else tol
     # Each axis value is checked once; a cell with a non-finite one goes to
     # checked_point, which raises naming the cell's first such coordinate.
@@ -400,12 +400,12 @@ def _cmd_slice(args) -> int:
         row = list(base)
         z = row[k1]
         row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)
-        fibre_base = fibre and not bad1 and fibre[0](*row[1:], tol)
+        fibre_base = base_kernel and not bad1 and base_kernel(row[1:], tol)
         for row[k2], (text2, bad2) in zip(plane_coords or column_coords(row[k2]), cols):
             x = tuple(row)
             if bad1 or bad2:
                 checked_point(x, names)
-            code, margin = fibre[1](x[0], fibre_base, tol) if fibre_base else cell(x, tol)
+            code, margin = fibre_cell(x[0], fibre_base, tol) if fibre_base else cell(x, tol)
             lines.append(f"{text1}{text2}{code}\t{margin:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:

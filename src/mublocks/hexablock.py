@@ -18,18 +18,16 @@ There g = r* / (m - d r*) = 2 / den, so r* is never formed:
 
     sup = |a| sqrt(2 / den),   den = (c - d) + sqrt((c + d)^2 - 4 m^2).
 
-Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0; the form is inf
-only where den <= 0 at or past the tetrablock boundary.  The domain is
-fibred over the tetrablock, so its margin is two kernels: the base kernel
-_hexa_base(x, tol), the guarded tetrablock._tetra_margin and, where it is not
-below -tol, the fibre factor k = sqrt(2 / den); and the fibre cell
-_hexa_fibre(a, base, tol), which holds |a| k against 1.  R = 1/k is
-continuous on the closed tetrablock, so over a base on its boundary the
-closure's fibre is the disc |a| <= R; R is 0 at (1, 0, 0) and 1 at (0, 0, 1).
-hexa_classify runs both kernels, as do mublocks check and slice (slice runs
-the base once per row where its inner axis is a), and psi_sup reads k.  The
-test oracles keep the product-grid psi_sup_grid, the critical-radius
-psi_sup_critical_radius and psi_sup_closed, |a| k.
+Interior x gives c - d > 2 |x1 x2 - x3| >= 0, so den > 0.  H is the Hartogs
+domain over the tetrablock with fibre radius R = sqrt(den / 2), 0 where den
+<= 0 at or past its boundary, built by verdict.fibred_domain from
+_tetra_margin and _fibre_radius: margin min(t, R - |a|), t the tetrablock
+margin.  R is continuous on the closed tetrablock, so over a base on its
+boundary the closure's fibre is the disc |a| <= R; R is 0 at (1, 0, 0) and 1
+at (0, 0, 1).  R >= t, so the margin at a = 0 is t (0 where rounding puts t
+a few ulps above R = 0).  psi_sup reads the record's base kernel: |a| / R.
+The test oracles keep the product-grid psi_sup_grid, the critical-radius
+psi_sup_critical_radius and the k form psi_sup_closed_reference.
 
 The normed variant hn is the image of the open operator ball.  For a != 0,
 B = [[x1, t], [a, x2]] with t = (x1 x2 - x3)/a is the unique matrix over the
@@ -52,7 +50,7 @@ from .matrix2 import Matrix2, _singular_values
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
 from .tetrablock import _tetra_margin, tetra_classify  # tetra_classify: perfbench reads it
 from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
-                      classify_point, fibred_domain, guarded_margin, margin_code)
+                      classify_point, fibred_domain, margin_code)
 
 _EQ_TOL = 1e-12  # exact-equality band for x3 = x1 x2 in the a = 0 slice
 _NAMES = ("a", "x1", "x2", "x3")
@@ -64,54 +62,32 @@ def pi_hexa(b: Matrix2) -> tuple[complex, complex, complex, complex]:
 
 
 def psi_sup(pt) -> float:
-    """Supremum of |psi| over the open bidisc, in closed form.
+    """Supremum of |psi| over the open bidisc, in closed form: |a| / R.
 
     Exactly 0 when a = 0; exactly |a| at x = 0; linear in |a| throughout.
     """
     a, x1, x2, x3 = checked_point(pt, _NAMES)
-    t_margin, k = _hexa_base(x1, x2, x3, DEFAULT_TOL)
+    t_margin, radius = _DOMAIN.base((x1, x2, x3), DEFAULT_TOL)
     if margin_code(t_margin, DEFAULT_TOL):
         raise PreconditionViolation(
             f"(x1, x2, x3) must be interior in the tetrablock, got {pt!r}")
-    return 0.0 if a == 0 else abs(a) * k
+    return abs(a) / radius
 
 
-def _fibre_factor(x1: complex, x2: complex, x3: complex) -> float:
-    """k = sqrt(2 / den) for x interior to the tetrablock; inf where den <= 0."""
+def _fibre_radius(x1: complex, x2: complex, x3: complex) -> float:
+    """R = sqrt(den / 2), the fibre radius over x; 0 where den <= 0."""
     c, d = 1.0 - abs(x2) ** 2, abs(x1) ** 2 - abs(x3) ** 2
     m = abs(x1 - x2.conjugate() * x3)
     den = (c - d) + math.sqrt(max((c + d) ** 2 - 4.0 * m * m, 0.0))
-    return math.sqrt(2.0 / den) if den > 0.0 else math.inf
-
-
-def _hexa_base(x1: complex, x2: complex, x3: complex, tol: float) -> tuple:
-    """The base kernel: the tetrablock margin of x under the overflow guard
-    and, where it is not below -tol, the fibre factor k (else None)."""
-    t_margin = guarded_margin(_tetra_margin, x1, x2, x3)
-    return t_margin, None if t_margin < -tol else _fibre_factor(x1, x2, x3)
-
-
-def _hexa_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
-    """The fibre cell over base = (t_margin, k): t_margin at a = 0 or without
-    k, else min(t_margin, 1 - |a| k), -1 where |a| k is inf."""
-    t_margin, k = base
-    try:
-        if a == 0 or k is None:
-            margin = t_margin
-        else:
-            sup = abs(a) * k
-            margin = -1.0 if sup == math.inf else min(t_margin, 1.0 - sup)
-    except OverflowError:
-        margin = -math.inf
-    return margin_code(margin, tol), margin
+    return math.sqrt(den / 2.0) if den > 0.0 else 0.0
 
 
 def hexa_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Three-state verdict for the hexablock.
 
-    Margin: min(tetrablock margin, 1 - |a| k), the tetrablock margin alone
-    at a = 0 or below -tol; over a base within tol of the tetrablock
-    boundary, k is its closed form there (module docstring).
+    Margin: min(tetrablock margin, R - |a|), the tetrablock margin alone
+    below -tol; over a base within tol of the tetrablock boundary, R is its
+    closed form there (module docstring).
     """
     return classify_point(_DOMAIN, checked_point(pt, _NAMES), tol)
 
@@ -155,5 +131,5 @@ def _shilov_h(a: complex, x1: complex, x2: complex, x3: complex, tol: float) -> 
     return _hn_cell((a, x1, x2, x3), tol)[0] != 2 and _hn_shilov(a, x1, x2, x3, tol)
 
 
-_DOMAIN = fibred_domain(_NAMES, _hexa_base, _hexa_fibre, _shilov_h)
+_DOMAIN = fibred_domain(_NAMES, _tetra_margin, _fibre_radius, _shilov_h)
 _HN_DOMAIN = Domain(_NAMES, _hn_cell, _hn_shilov)

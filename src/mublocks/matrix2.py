@@ -4,8 +4,8 @@ Everything downstream (domain classifiers, mu computations, verification
 suites) funnels through this module, so norms and spectra are closed-form --
 no iterative linear algebra for a 2x2.  Its kernels _singular_values (behind
 singular_values and operator_norm), _top_singular_pair (sigma_1 and its
-singular vectors) and _quadratic_roots (behind spectral_radius, g2_roots and
-mu's k = 1 and variety routes) are the package's only routes to these.
+singular vectors), _eigenvalues (spectral_radius, mu's k = 1 route) and
+_quadratic_roots (g2_roots, mu's variety route) are the only such routes.
 _complex_gauss, one Box-Muller step, is the samplers' standard-normal draw.
 A Matrix2 is a CheckedRecord, equal only to a Matrix2.  It rejects
 non-numbers and non-finite entries; a finite entry sum clears all four at once.
@@ -227,12 +227,20 @@ def _quadratic_roots(m: complex, l: complex, q: complex) -> list:
     return [-u / (2.0 * m), -2.0 * q / u]
 
 
+def _eigenvalues(a11: complex, a12: complex, a21: complex, a22: complex) -> tuple:
+    """h +- sqrt(d^2 + a12 a21), h and d the diagonal's half sum and half
+    difference, larger modulus first; unlike t^2 - 4 det, d keeps the gap."""
+    h, d = (a11 + a22) / 2.0, (a11 - a22) / 2.0
+    root = cmath.sqrt(d * d + a12 * a21)
+    return (h + root, h - root) if abs(h + root) >= abs(h - root) else (h - root, h + root)
+
+
 def spectral_radius(b: Matrix2) -> float:
-    """Largest eigenvalue modulus: the first root of t^2 - tr(B) t + det B,
-    on B scaled by a power of two where t^2 could leave the normal range."""
+    """Largest eigenvalue modulus, from _eigenvalues, on B scaled by a power
+    of two where a square could leave the normal range."""
     top = max(max(abs(z.real), abs(z.imag)) for z in b)
     if 2.0 ** -480 <= top <= 2.0 ** 480 or top == 0.0:
-        return abs(_quadratic_roots(1.0, -b.trace, b.det)[0])
+        return abs(_eigenvalues(*b)[0])
     e = math.frexp(top)[1]
     return math.ldexp(spectral_radius(_ldexp(b, -e)), e)
 

@@ -13,7 +13,7 @@ with det(X(c)) quadratic in c via polarized determinants.  Exact paths: the
 symbolic infeasibility test (all non-constant coefficients vanish; it forms
 them lazily, tr(A B_i) one at a time up to the first nonzero one and det(A)
 times the polarized determinants only where all of those vanish), k = 1
-(quadratic roots), the diagonal span (any k = 2 basis with zero off-diagonal
+(top eigenvalue), the diagonal span (any k = 2 basis with zero off-diagonal
 entries, whatever the structure's name: mu is the D-scaling bound in closed
 form, see _mu_diagonal), the upper- and lower-triangular spans (any k = 3
 basis with a zero (2,1), resp. (1,2), entry throughout: mu_upper(A) < 1 iff
@@ -38,9 +38,9 @@ Every path works on an A whose largest entry modulus lies in [2^-200,
 mu(A), so mu_value brings any other A there by an even power of 2, which
 keeps _mu_diagonal's square roots exact, and scales the value and the
 minimizer back with ldexp, which keeps the sign of a zero.  The k1 route
-also forms det B of its one basis element B, so a Structure stores a B
-whose largest entry part lies outside that range rescaled by a power of 2:
-the span, and so mu, is the same.
+also forms det B and the squared entries of A B for its one basis element
+B, so a Structure stores a B whose largest entry part lies outside that
+range rescaled by a power of 2: the span, and so mu, is the same.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional
 
 from .domain_f import f_matrix_witness
 from .errors import OptimizerNoConverge, PreconditionViolation
-from .matrix2 import (CheckedRecord, Matrix2, _ldexp, _quadratic_roots,
+from .matrix2 import (CheckedRecord, Matrix2, _eigenvalues, _ldexp, _quadratic_roots,
                       _singular_values, _top_singular_pair, operator_norm, spectral_radius)
 from .optimize import nelder_mead
 from .verdict import checked_tol
@@ -99,7 +99,7 @@ class Structure:
 
     def __post_init__(self) -> None:
         basis = tuple(self.basis)
-        if len(basis) == 1:   # the k1 route forms det B; see the module docstring
+        if len(basis) == 1:   # the k1 route squares B's scale; see the module docstring
             top = max(max(abs(z.real), abs(z.imag)) for z in basis[0])
             if not (_RANGE_LO <= top <= _RANGE_HI or top == 0.0):
                 basis = (_ldexp(basis[0], -math.frexp(top)[1]),)
@@ -555,10 +555,10 @@ def _mu_upper(a: Matrix2) -> MuResult:
     a22/r, det A/r^2) lies in the hexablock H, the domain the paper studies
     and which Biswas-Pal-Tomar introduced for this mu-synthesis problem.
     H's tetrablock leg x = (a11, a22, det A)/r is interior iff r > mu_diag(A).
-    hexablock evaluates the supremum as |a| sqrt(2 / (c - d + sqrt((c+d)^2 -
-    4 m^2))), the value of g(t) = (1 - t^2) / (c - 2 m t + d t^2) at its
-    critical root, where g = t / (m - d t).  With m^2 = c d + |x1 x2 - x3|^2
-    the supremum is
+    hexablock evaluates the supremum as |a| / R with fibre radius R =
+    sqrt((c - d + sqrt((c+d)^2 - 4 m^2)) / 2), |a| sqrt(g) for g(t) = (1 -
+    t^2) / (c - 2 m t + d t^2) at its critical root, where g = t / (m - d
+    t).  With m^2 = c d + |x1 x2 - x3|^2 the supremum is
 
         |a| sqrt(2 / (K + sqrt(K^2 - 4 |x1 x2 - x3|^2))),
         K = c - d = 1 - |x1|^2 - |x2|^2 + |x3|^2.
@@ -643,11 +643,14 @@ def _mu_in_range(a: Matrix2, structure: Structure) -> MuResult:
         return MuResult(value=r.value, minimizer=r.minimizer.transpose(),
                         status="Exact")
 
-    if route == "k1":
-        lin, quad = _constraint_coeffs(a, structure)
-        c = min(_quadratic_roots(quad[(0, 0)], lin[0], 1.0), key=abs)
-        return MuResult(value=1.0 / (abs(c) * operator_norm(basis[0])),
-                        minimizer=basis[0].scale(c), status="Exact")
+    if route == "k1":   # X = B / lam, lam the top eigenvalue of A B
+        b11, b12, b21, b22 = b = basis[0]
+        lam = _eigenvalues(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                           a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)[0]
+        if not lam:   # A B nilpotent to rounding, though det(A) det(B) is not 0
+            return MuResult(value=0.0, minimizer=None, status="Infeasible")
+        return MuResult(value=abs(lam) / operator_norm(b), minimizer=b.scale(1.0 / lam),
+                        status="Exact")
 
     if route == "k4":   # X = v1 u1* / sigma_1
         s1, u1, v1 = _top_singular_pair(a)

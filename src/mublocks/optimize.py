@@ -21,6 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+_XATOL = 1e-10      # default xatol: each vertex this near the best, per coordinate
+_FATOL = 1e-12      # default fatol: the spread of the vertex values below this
+_MAXITER = 600      # default cap on iterations
+_ZERO_STEP = 1e-4   # initial step in a coordinate whose given step is 0
+
 
 def _stable_sort(pts, vals):
     """Vertices in stable-sort order of their values, and whether that order
@@ -30,12 +35,12 @@ def _stable_sort(pts, vals):
     return [pts[k] for k in order], vals, all(v == v for v in vals)
 
 
-def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
-                maxiter: int = 600):
+def nelder_mead(f, x0, step, xatol: float = _XATOL, fatol: float = _FATOL,
+                maxiter: int = _MAXITER):
     """Minimize f over R^n from x0 with per-coordinate initial steps.
 
     Returns (x_best, f_best, iterations, converged).  `step` may be a scalar
-    or a per-dimension sequence; a zero step becomes 1e-4.  The vertices
+    or a per-dimension sequence; a zero step becomes _ZERO_STEP.  The vertices
     stay in stable-sort order of their values.  Convergence needs both a
     value spread below `fatol` and every vertex within `xatol` of the best
     in each coordinate, so `fatol=0` never converges: it runs `maxiter`
@@ -47,7 +52,7 @@ def nelder_mead(f, x0, step, xatol: float = 1e-10, fatol: float = 1e-12,
     pts = [list(x0)]
     for i in range(n):
         q = list(x0)
-        q[i] += step[i] if step[i] != 0.0 else 1e-4
+        q[i] += step[i] if step[i] != 0.0 else _ZERO_STEP
         pts.append(q)
     pts, vals, total = _stable_sort(pts, [f(q) for q in pts])
 

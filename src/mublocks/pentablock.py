@@ -7,11 +7,12 @@ For (s, p) in the open symmetrized bidisc with roots (l1, l2), membership is
 
 the critical radius of Agler-Lykova-Young.  This root form is the only rule
 penta_classify evaluates, next to the bidisc kernel bidisc._g2_margin for
-(s, p).  So the domain is fibred over the bidisc: the base kernel
-_penta_base(s, p, tol) gives the bidisc margin and the radius, and the fibre
-cell _penta_fibre(a, base, tol) holds |a| against it.  penta_classify runs
-both, penta_sup and _penta_dual read the base kernel, and mublocks slice runs
-it once per row where its inner axis is a.  The equivalent supremum form
+(s, p).  So the domain is the Hartogs domain over the bidisc with fibre
+radius _penta_radius, built by verdict.fibred_domain as the hexablock is:
+its margin is min(bidisc margin, radius - |a|).  penta_classify runs the
+record's cell, penta_sup and _penta_dual read its base kernel, and mublocks
+slice runs that once per row where its inner axis is a.  The equivalent
+supremum form
 
     sup_{|z|<1} |a (1 - |z|^2) / (1 - s z + p z^2)| < 1
 
@@ -37,8 +38,8 @@ import math
 from .bidisc import _NAMES as _G2_NAMES, _bgamma, _g2_margin, _g2_roots
 from .errors import CriteriaDisagree, PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, checked_point,
-                      checked_tol, classify_point, fibred_domain, margin_code)
+from .verdict import (BAND_FACTOR, DEFAULT_TOL, MembershipVerdict, _fibre_slack,
+                      checked_point, checked_tol, classify_point, fibred_domain)
 
 _NAMES = ("a", "s", "p")
 _DUAL_FLOOR = 1e-7   # least tol of penta_dual_check's guard band, against round-off
@@ -69,37 +70,13 @@ def penta_sup(pt) -> float:
     critical radius vanishes (both roots at one point of the circle).
     """
     a, s, p = checked_point(pt, _NAMES)
-    radius = _penta_base(s, p, DEFAULT_TOL)[1]
+    radius = _DOMAIN.base((s, p), DEFAULT_TOL)[1]
     if radius is None:
         raise PreconditionViolation(
             f"(s, p) must lie in the closed bidisc domain, got ({s!r}, {p!r})")
     if a == 0:
         return 0.0
     return abs(a) / radius if radius > 0.0 else math.inf
-
-
-def _penta_base(s: complex, p: complex, tol: float) -> tuple:
-    """The base kernel: the bidisc margin of (s, p) and, where it is not below
-    -tol, the critical radius, else None; (-inf, None) past the floats."""
-    try:
-        g2_margin = _g2_margin(s, p)
-        return g2_margin, None if g2_margin < -tol else _penta_radius(s, p)
-    except OverflowError:
-        return -math.inf, None
-
-
-def _fibre_slack(a: complex, radius: float) -> float:
-    try:   # radius - |a|, -inf where |a| passes the floats
-        return radius - abs(a)
-    except OverflowError:
-        return -math.inf
-
-
-def _penta_fibre(a: complex, base: tuple, tol: float) -> tuple[int, float]:
-    """The fibre cell: min(bidisc margin, radius - |a|), the margin alone without a radius."""
-    g2_margin, radius = base
-    margin = g2_margin if radius is None else min(g2_margin, _fibre_slack(a, radius))
-    return margin_code(margin, tol), margin
 
 
 def _beta_sup(a: complex, s: complex, p: complex) -> float:
@@ -130,7 +107,7 @@ def penta_dual_check(pt, tol: float = DEFAULT_TOL) -> float | None:
 def _penta_dual(x: tuple, tol: float) -> tuple[float, float | None]:
     """(penta_classify's margin, penta_dual_check's answer) at checked x."""
     a, s, p = x
-    g2_margin, radius = _penta_base(s, p, tol)
+    g2_margin, radius = _DOMAIN.base((s, p), tol)
     if radius is None:
         return g2_margin, None
     slack = _fibre_slack(a, radius)
@@ -162,4 +139,4 @@ def _bp(a: complex, s: complex, p: complex, tol: float) -> bool:
     return _bgamma(s, p, tol) and abs(abs(a) ** 2 + abs(s) ** 2 / 4.0 - 1.0) <= tol
 
 
-_DOMAIN = fibred_domain(_NAMES, _penta_base, _penta_fibre, _bp)
+_DOMAIN = fibred_domain(_NAMES, _g2_margin, _penta_radius, _bp)

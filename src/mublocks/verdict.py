@@ -24,11 +24,16 @@ reads -inf: every domain is bounded) and margin_code, the one threshold rule
 -- then its Shilov kernel on the closure boundary only.  The public dual
 checks and Shilov tests refuse a bad tol through the same checked_tol.
 mublocks slice checks each axis value once and runs the same cell at every
-grid point (on a fibred domain's fibre axis: the base once per row),
-building no verdict, and mublocks check runs classify_point on the same
-Domain record.  Each Region carries its code, which is both the slice cell
-code and the exit code of every domain.  The dual checks read their margins
-through guarded_margin.
+grid point, building no verdict, and mublocks check runs classify_point on
+the same Domain record.  Each Region carries its code, which is both the
+slice cell code and the exit code of every domain.  The dual checks read
+their margins through guarded_margin.
+
+The hexablock and the pentablock are each a Hartogs domain {(a, y) : y in
+the base, |a| < R(y)}, built by fibred_domain: its base kernel gives the
+guarded base margin m and, where m is not below -tol, R; fibre_cell gives
+min(m, R - |a|).  mublocks slice runs the base kernel once per row where its
+inner axis is a.
 """
 
 from __future__ import annotations
@@ -140,20 +145,44 @@ def guarded_margin(kernel, *args) -> float:
 class Domain(NamedTuple):
     """A domain as classify_point and mublocks slice read it: its coordinate
     names, its cell (x, tol) -> (code, margin) on checked coordinates, its Shilov
-    kernel (*x, tol) -> bool (None: not known) and its (base, fibre) pair, None
-    unless the domain is fibred over x[1:] (fibred_domain)."""
+    kernel (*x, tol) -> bool (None: not known) and its base kernel, None unless
+    the domain is fibred over x[1:] (fibred_domain)."""
     names: tuple
     cell: Callable
     shilov: Optional[Callable] = None
-    fibre: Optional[tuple] = None
+    base: Optional[Callable] = None
 
 
-def fibred_domain(names: tuple, base: Callable, fibre: Callable, shilov: Callable) -> Domain:
-    """A Hartogs domain over x[1:]: its cell is fibre(x[0], base(*x[1:], tol),
-    tol) -> (code, margin), where base gives all the margin reads of x[1:]."""
+def fibred_domain(names: tuple, margin: Callable, radius: Callable,
+                  shilov: Callable) -> Domain:
+    """The Hartogs domain {|x[0]| < radius(*y), y in the base}, y = x[1:]: its
+    base kernel (y, tol) -> (m, R) is the guarded base margin m = margin(*y)
+    and, where m is not below -tol, R = radius(*y), else None; its cell is
+    fibre_cell(x[0], base(x[1:], tol), tol)."""
+    def base(y, tol):
+        try:
+            m = margin(*y)
+            return m, None if m < -tol else radius(*y)
+        except OverflowError:
+            return -math.inf, None
+
     def cell(x, tol):
-        return fibre(x[0], base(*x[1:], tol), tol)
-    return Domain(names, cell, shilov, (base, fibre))
+        return fibre_cell(x[0], base(x[1:], tol), tol)
+    return Domain(names, cell, shilov, base)
+
+
+def _fibre_slack(a: complex, radius: float) -> float:
+    try:   # radius - |a|, -inf where |a| passes the floats
+        return radius - abs(a)
+    except OverflowError:
+        return -math.inf
+
+
+def fibre_cell(a: complex, base: tuple, tol: float) -> tuple[int, float]:
+    """The one fibre cell over base = (m, R): min(m, R - |a|), m alone where R is None."""
+    m, radius = base
+    margin = m if radius is None else min(m, _fibre_slack(a, radius))
+    return margin_code(margin, tol), margin
 
 
 def margin_cell(kernel):

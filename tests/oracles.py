@@ -21,7 +21,7 @@ import numpy as np
 from mublocks.bidisc import _g2_margin, g2_classify, g2_dual_check, g2_roots
 from mublocks.domain_f import ShilovParamF, f_classify, f_rescale_by
 from mublocks.errors import CriteriaDisagree, OptimizerNoConverge, PreconditionViolation
-from mublocks.hexablock import _fibre_factor, pi_hexa
+from mublocks.hexablock import _fibre_radius, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
                               gram_report, operator_norm, unitary_from_rng)
@@ -89,9 +89,10 @@ def contraction_test(b: Matrix2, strict: bool = True) -> bool:
 
 
 def psi_sup_closed(a: complex, x1: complex, x2: complex, x3: complex) -> float:
-    """The hexablock supremum |a| k through the package's fibre factor k,
-    for a != 0 and x interior to the tetrablock."""
-    return abs(a) * _fibre_factor(x1, x2, x3)
+    """The hexablock supremum |a| / R through the package's fibre radius R,
+    for a != 0 and x interior to the tetrablock; inf where R is 0."""
+    radius = _fibre_radius(x1, x2, x3)
+    return abs(a) / radius if radius > 0.0 else math.inf
 
 
 def _check_quad(pt):
@@ -161,12 +162,22 @@ def quad_roots(s: complex, p: complex) -> tuple[complex, complex]:
 
 def spectral_radius_reference(m: Matrix2) -> float:
     """The discriminant form of the spectral radius, max |(t +- root)/2|
-    with root = sqrt(t^2 - 4 det), which matrix2.spectral_radius replaced
-    by the first root of matrix2._quadratic_roots; the two agree bitwise."""
+    with root = sqrt(t^2 - 4 det), which cancels where the eigenvalues are
+    close relative to their size; matrix2.spectral_radius keeps their gap
+    (spectral_radius_gap_reference)."""
     t = m.trace
     d = m.det
     root = cmath.sqrt(t * t - 4.0 * d)
     return max(abs((t + root) / 2.0), abs((t - root) / 2.0))
+
+
+def spectral_radius_gap_reference(m: Matrix2) -> float:
+    """The half-gap discriminant form of the spectral radius, max |h +-
+    root| with h = (a11 + a22)/2, d = (a11 - a22)/2 and root = sqrt(d^2 +
+    a12 a21), written out in one expression."""
+    h, d = (m.a11 + m.a22) / 2.0, (m.a11 - m.a22) / 2.0
+    root = cmath.sqrt(d * d + m.a12 * m.a21)
+    return max(abs(h + root), abs(h - root))
 
 
 def constraint_coeffs_reference(a: Matrix2, basis):
@@ -460,15 +471,21 @@ def psi_sup_critical_radius(a: complex, x1: complex, x2: complex,
     return abs(a) * math.sqrt(max(1.0 - rstar * rstar, 0.0) / dmin)
 
 
-def psi_sup_closed_reference(a: complex, x1: complex, x2: complex,
-                             x3: complex) -> float:
-    """|a| sqrt(2 / den) written out in one expression, for a != 0 and x
-    interior to the tetrablock; inf where den <= 0."""
+def _fibre_factor(x1: complex, x2: complex, x3: complex) -> float:
+    """k = 1/R = sqrt(2 / den), the form the package used before it held
+    the fibre radius R itself; inf where den <= 0."""
     c = 1.0 - abs(x2) ** 2
     d = abs(x1) ** 2 - abs(x3) ** 2
     m = abs(x1 - x2.conjugate() * x3)
     den = (c - d) + math.sqrt(max((c + d) ** 2 - 4.0 * m * m, 0.0))
-    return abs(a) * math.sqrt(2.0 / den) if den > 0.0 else math.inf
+    return math.sqrt(2.0 / den) if den > 0.0 else math.inf
+
+
+def psi_sup_closed_reference(a: complex, x1: complex, x2: complex,
+                             x3: complex) -> float:
+    """|a| sqrt(2 / den) through the k form, for a != 0 and x interior to
+    the tetrablock; inf where den <= 0."""
+    return abs(a) * _fibre_factor(x1, x2, x3)
 
 
 def hexa_cell_reference(x, tol: float) -> tuple[int, float]:
@@ -494,6 +511,17 @@ def hexa_cell_reference(x, tol: float) -> tuple[int, float]:
             return -1.0 if sup == math.inf else min(t, 1.0 - sup)
         return t if t < -tol else min(t, 1.0 - abs(a))
     value = guarded_margin(margin)
+    return margin_code(value, tol), value
+
+
+def hartogs_cell_reference(x, tol: float, margin, radius) -> tuple[int, float]:
+    """A Hartogs domain's (code, margin) at checked x in one pass over the
+    whole point, with no base/fibre split: the guarded base margin t =
+    margin(*x[1:]), alone below -tol, else min(t, radius(*x[1:]) - |x[0]|)
+    under the overflow guard."""
+    a, *y = x
+    t = guarded_margin(margin, *y)
+    value = t if t < -tol else min(t, guarded_margin(lambda: radius(*y) - abs(a)))
     return margin_code(value, tol), value
 
 
@@ -562,6 +590,25 @@ def psi_sup_decimal(a: complex, x1: complex, x2: complex, x3: complex,
         if den <= 0:
             return None
         return float((ar * ar + ai * ai).sqrt() * (2 / den).sqrt())
+
+
+def spectral_radius_decimal(m: Matrix2, digits: int = 50) -> float:
+    """The largest eigenvalue modulus of m, max |h +- sqrt(d^2 + a12 a21)|
+    with h and d the half sum and half difference of the diagonal, at
+    `digits` digits on the exact binary values of the entries; the complex
+    root by its half-angle real and imaginary parts."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        (r11, i11), (r12, i12), (r21, i21), (r22, i22) = (
+            (decimal.Decimal(z.real), decimal.Decimal(z.imag)) for z in m.entries())
+        hr, hi = (r11 + r22) / 2, (i11 + i22) / 2
+        dr, di = (r11 - r22) / 2, (i11 - i22) / 2
+        er = dr * dr - di * di + r12 * r21 - i12 * i21   # d^2 + a12 a21
+        ei = 2 * dr * di + r12 * i21 + i12 * r21
+        mod = (er * er + ei * ei).sqrt()
+        sr, si = ((mod + er) / 2).sqrt(), ((mod - er) / 2).sqrt().copy_sign(ei)
+        return float(max(((hr + sr) ** 2 + (hi + si) ** 2).sqrt(),
+                         ((hr - sr) ** 2 + (hi - si) ** 2).sqrt()))
 
 
 def hn_norm_decimal(a: complex, x1: complex, x2: complex, x3: complex,

@@ -25,7 +25,8 @@ from mublocks.hexablock import hexa_classify, hn_classify
 from mublocks.lie_ball import lie_ball_classify
 from mublocks.pentablock import penta_classify
 from mublocks.tetrablock import tetra_classify
-from mublocks.verdict import MembershipVerdict, Region, checked_point, classify_point
+from mublocks.verdict import (MembershipVerdict, Region, checked_point, classify_point,
+                              fibred_domain)
 
 
 def run(argv):
@@ -81,13 +82,16 @@ def test_check_hn_reports_the_common_document():
 
 def test_check_band_maps_to_boundary_exit():
     """Over a base on the tetrablock boundary the closure's fibre is the disc
-    |a| <= R.  At (0, 0, 1), R = 1: |a| = 0.5 reads ClosureBoundary, exit 1,
-    with margin 0.  At (1, 0, 0), R = 0: |a| = 0.5 lies 0.5 from the closure
-    and reads Outside, exit 2, with margin -1."""
+    |a| <= R, and the margin is min(t, R - |a|), t = 0.  At (0, 0, 1), R =
+    1: |a| = 0.5 reads ClosureBoundary, exit 1, with margin 0.  At (1, 0, 0),
+    R = 0: |a| = 0.5 lies 0.5 from the closure and reads Outside, exit 2,
+    with margin -0.5, and |a| = 1e-12 reads ClosureBoundary with margin
+    -1e-12."""
     keys = set(run_json(["check", "f", "(0,0,0.25,0)"])[1])
     for point, want in (("(0.5,0,0,1)", (1, "ClosureBoundary", 0.0)),
-                        ("(0.5,1,0,0)", (2, "Outside", -1.0)),
-                        ("(1.000000001,1,0,0)", (2, "Outside", -1.0))):
+                        ("(0.5,1,0,0)", (2, "Outside", -0.5)),
+                        ("(1e-12,1,0,0)", (1, "ClosureBoundary", -1e-12)),
+                        ("(1.000000001,1,0,0)", (2, "Outside", -1.000000001))):
         code, doc = run_json(["check", "h", point])
         assert set(doc) == keys
         assert (code, doc["region"], doc["margin"]) == want, point
@@ -309,14 +313,15 @@ def test_slice_deterministic_and_out_file(tmp_path):
 
 def test_slice_band_cells_use_code_1():
     """Over the tetrablock boundary point (1, 0, 0) the fibre radius is 0:
-    every cell of the a-plane reads code 2 (Outside) with margin -1, except
+    every cell of the a-plane reads code 2 (Outside) with margin -|a|, except
     a = 0, which keeps code 1 (ClosureBoundary) with margin 0."""
     code, out, _ = run(["slice", "h", "--fixed", "x1=1,x2=0,x3=0",
                         "--axes", "Re(a),Im(a)",
                         "--range", "-0.5:0.5,-0.5:0.5", "--grid", "3"])
     assert code == 0
     assert out == "Re(a)\tIm(a)\tcode\tmargin\n" + "".join(
-        f"{u}\t{v}\t" + ("1\t0" if u == v == "0" else "2\t-1") + "\n"
+        f"{u}\t{v}\t" + ("1\t0" if u == v == "0" else
+                        f"2\t{-abs(complex(float(u), float(v))):.17g}") + "\n"
         for u in ("-0.5", "0", "0.5") for v in ("-0.5", "0", "0.5"))
 
 
@@ -514,7 +519,7 @@ _GALLERY_SHA256 = {
     "tetra_x1x2_real": "f8679be58148c64476ec05dbc463d639d3347ccdfeb77cabb969db5b6ac03169",
     "penta_a_plane": "6468a6ba44c6a1b08a772df14e98f24b8fe3285e1d30a5011d33621c3c9b9b72",
     "f_a_plane_s0": "c0315693b3a6a81b424430feaff002a262e239748b1a823bb533bd956aeb7c86",
-    "hexa_a_plane": "1b66153ca2e1cc1b69593e166d3c7e3208f2c6b153ea4a045dce3c951d7810d7",
+    "hexa_a_plane": "bf88a448965d49ce0b04d7ed784561d2846f726630d39190eef066a9f7375ad0",
     "lie_ball_z1z2_real": "03b90776e47958412c522b2ffe5254efe4daf177d99742054d7c4d21915e24ad",
 }
 
@@ -701,8 +706,8 @@ def _fibre_planes():
 
 def test_fibre_path_equals_the_per_point_cell(monkeypatch):
     """On planes whose inner axis is a, h and penta slices (exit code, stdout
-    and stderr) equal those of the per-point cell, run by taking the fibre
-    pair off the domain record; each finite row runs the base kernel once,
+    and stderr) equal those of the per-point cell, run by taking the base
+    kernel off the domain record; each finite row runs the base kernel once,
     and sampled cells carry the public classifier's code and margin."""
     r = random.Random(2505)
     seen, exits = set(), set()
@@ -711,20 +716,18 @@ def test_fibre_path_equals_the_per_point_cell(monkeypatch):
                 "--fixed", ",".join(f"{k}={v!r}".replace("j", "i") for k, v in fixed.items())]
         argv += ["--tol", tol] if tol else []
         record = cli._DOMAIN_RECORDS[domain]
-        base, fibre_cell = record.fibre
         calls = []
 
-        def counted(*args):   # only rows of finite values reach the base kernel
-            assert all(map(cmath.isfinite, args)), args
-            calls.append(args)
-            return base(*args)
+        def counted(y, tol):   # only rows of finite values reach the base kernel
+            assert all(map(cmath.isfinite, y)), y
+            calls.append(y)
+            return record.base(y, tol)
 
         with monkeypatch.context() as patch:
-            patch.setitem(cli._DOMAIN_RECORDS, domain, record._replace(fibre=None))
+            patch.setitem(cli._DOMAIN_RECORDS, domain, record._replace(base=None))
             want = run(argv)
         with monkeypatch.context() as patch:
-            patch.setitem(cli._DOMAIN_RECORDS, domain,
-                          record._replace(fibre=(counted, fibre_cell)))
+            patch.setitem(cli._DOMAIN_RECORDS, domain, record._replace(base=counted))
             got = run(argv)
         assert got == want, argv
         exits.add(got[0])
@@ -746,22 +749,31 @@ def test_fibre_path_equals_the_per_point_cell(monkeypatch):
     assert exits == {0, 64}
 
 
-@pytest.mark.parametrize("domain, module, kernel", (("h", "hexablock", "_tetra_margin"),
-                                                    ("penta", "pentablock", "_penta_radius")))
+_HARTOGS_KERNELS = {"h": ("_tetra_margin", "_fibre_radius"),
+                    "penta": ("_g2_margin", "_penta_radius")}
+
+
+@pytest.mark.parametrize("domain, module, kernel", (
+    ("h", "hexablock", "_tetra_margin"), ("h", "hexablock", "_fibre_radius"),
+    ("penta", "pentablock", "_g2_margin"), ("penta", "pentablock", "_penta_radius")))
 def test_fibre_plane_runs_the_base_once_per_row(domain, module, kernel, monkeypatch):
-    """The 21x21 gallery a-plane of h (penta) makes 21 tetrablock-margin
-    (critical-radius) calls, one per row, against 441 per point."""
+    """The 21x21 gallery a-plane of h (penta), sliced through a record that
+    fibred_domain builds with the base-margin (fibre-radius) kernel counted,
+    makes 21 calls of it, one per row, against 441 per point."""
     argv = ["slice", domain, "--axes", "Re(a),Im(a)", "--grid", "21", "--fixed",
             {"h": "x1=0.3,x2=0.2,x3=0.1", "penta": "s=0.9,p=0.4"}[domain]]
     want = run(argv)
-    mod = sys.modules[f"mublocks.{module}"]
-    original, calls = getattr(mod, kernel), []
+    mod, calls = sys.modules[f"mublocks.{module}"], []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(*y):
+        calls.append(y)
+        return getattr(mod, kernel)(*y)
 
-    monkeypatch.setattr(mod, kernel, counted)
+    record = cli._DOMAIN_RECORDS[domain]
+    margin, radius = (counted if name == kernel else getattr(mod, name)
+                      for name in _HARTOGS_KERNELS[domain])
+    monkeypatch.setitem(cli._DOMAIN_RECORDS, domain,
+                        fibred_domain(record.names, margin, radius, record.shilov))
     assert run(argv) == want and want[0] == 0
     assert len(calls) == 21
 

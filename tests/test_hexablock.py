@@ -14,10 +14,12 @@ from mublocks.hexablock import hexa_classify, hn_classify, pi_hexa, psi_sup, shi
 from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm, unitary_from_rng
 from mublocks.mu import mu_value, structure_from_name
 from mublocks.tetrablock import _tetra_margin, pi_tetra, tetra_classify
-from mublocks.verdict import DEFAULT_TOL, Region, guarded_margin, margin_code
-from oracles import (PsiProbe, hexa_cell_reference, hexa_points, hn_classify_reference,
-                     hn_norm_decimal, psi_eval, psi_sup_closed, psi_sup_closed_reference,
-                     psi_sup_critical_radius, psi_sup_decimal, psi_sup_grid)
+from mublocks.verdict import (BAND_FACTOR, DEFAULT_TOL, Region, classify_point, fibre_cell,
+                              fibred_domain, guarded_margin, margin_code)
+from oracles import (PsiProbe, hartogs_cell_reference, hexa_cell_reference,
+                     hexa_points, hn_classify_reference, hn_norm_decimal, psi_eval, psi_sup_closed,
+                     psi_sup_closed_reference, psi_sup_critical_radius, psi_sup_decimal,
+                     psi_sup_grid)
 
 rng = random.Random(53)
 
@@ -132,12 +134,13 @@ def test_hexa_interior_iff_sup_strictly_below_one():
 
 def test_hexa_band_on_tetra_boundary_reads_closure_boundary():
     """Over a base on the tetrablock boundary the closure's fibre is the disc
-    |a| <= R, R = 1/k continuous on the closed tetrablock.  At (0, 0, 1), R =
-    1: |a| <= 1 reads ClosureBoundary with margin 0 (the Shilov flag set at
-    |a| = 1), and |a| = 1 + 1e-9 reads Outside with margin 1 - |a|.  R tends
-    to 0 toward (1, 0, 0), 0.141 at x1 = 0.99 and 0.0014 at x1 = 0.999999,
-    and is 0 there: (0.5, 1, 0, 0) lies 0.5 from the closure and reads
-    Outside, as does every a != 0 over that base."""
+    |a| <= R, R continuous on the closed tetrablock.  At (0, 0, 1), R = 1:
+    |a| <= 1 reads ClosureBoundary with margin 0 (the Shilov flag set at |a|
+    = 1), and |a| = 1 + 1e-9 reads Outside with margin 1 - |a|.  R tends to 0
+    toward (1, 0, 0), 0.141 at x1 = 0.99 and 0.0014 at x1 = 0.999999, and is
+    0 there: every a != 0 over that base reads margin -|a|, so (0.5, 1, 0, 0),
+    0.5 from the closure, reads Outside, and (1e-12, 1, 0, 0), 1e-12 from it,
+    ClosureBoundary."""
     v = hexa_classify((0.5, 0, 0, 1))
     assert (v.region, v.margin, v.shilov) == (Region.CLOSURE_BOUNDARY, 0.0, False)
     v = hexa_classify((1, 0, 0, 1))
@@ -147,21 +150,29 @@ def test_hexa_band_on_tetra_boundary_reads_closure_boundary():
     for x1, inside, outside in ((0.99, 0.14, 0.15), (0.999999, 0.0014, 0.0015)):
         assert hexa_classify((inside, x1, 0, 0)).region is Region.INTERIOR, x1
         assert hexa_classify((outside, x1, 0, 0)).region is Region.OUTSIDE, x1
-    for a in (0.5, 1.000000001, 2, 1e-12):
+    for a in (0.5, 1.000000001, 2, -3e-9j):
         v = hexa_classify((a, 1, 0, 0))
-        assert (v.region, v.margin) == (Region.OUTSIDE, -1.0), a
-    v = hexa_classify((0, 1, 0, 0))
-    assert (v.region, v.margin) == (Region.CLOSURE_BOUNDARY, 0.0)
+        assert (v.region, v.margin) == (Region.OUTSIDE, -abs(a)), a
+    assert hexablock._fibre_radius(1 + 0j, 0j, 0j) == 0.0
+    for a in (0, 1e-12):
+        v = hexa_classify((a, 1, 0, 0))
+        assert (v.region, v.margin, v.shilov) == (Region.CLOSURE_BOUNDARY, -a, False), a
 
 
 def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
+    """One tetrablock margin and at most one fibre radius per verdict: the
+    record built from counted kernels by fibred_domain, which hexa_classify's
+    record is, gives hexa_classify's verdicts."""
     calls = []
 
-    def counted(*x):
-        calls.append(x)
-        return _tetra_margin(*x)
+    def counted(kernel):
+        def run(*x):
+            calls.append(kernel.__name__)
+            return kernel(*x)
+        return run
 
-    monkeypatch.setattr(hexablock, "_tetra_margin", counted)
+    domain = fibred_domain(hexablock._NAMES, counted(_tetra_margin),
+                           counted(hexablock._fibre_radius), hexablock._shilov_h)
     for pt, region in (((0.5, 0.3, 0.2, 0.05), Region.INTERIOR),
                        ((1.5, 0.3, 0.2, 0.05), Region.OUTSIDE),   # sup > 1
                        ((0.5, 1, 0, 0), Region.OUTSIDE),   # boundary base, R = 0
@@ -173,31 +184,27 @@ def test_hexa_classify_classifies_the_tetra_part_once(monkeypatch):
                        ((0, 1, 0, 0), Region.CLOSURE_BOUNDARY),
                        ((0, 1, 1, 1), Region.CLOSURE_BOUNDARY)):
         calls.clear()
-        assert hexa_classify(pt).region is region
-        assert len(calls) == 1, pt
+        x = tuple(map(complex, pt))
+        v = classify_point(domain, x, DEFAULT_TOL)
+        assert v == hexa_classify(pt) and v.region is region, pt
+        want = ["_tetra_margin"] + ([] if pt[1] == 2 else ["_fibre_radius"])
+        assert calls == want, pt
 
 
 def test_closure_over_tetra_boundary_bases_is_the_mu_upper_test():
     """Over a base x on the tetrablock boundary, (a, x) with a != 0 lies in
     the closure of the hexablock iff mu_upper(A) <= 1 for A = [[x1, P/a],
     [a, x2]], P = x1 x2 - x3: mu's reading of H, through ||A|| and mu_diag,
-    not through the fibre factor.  The bases are seeded Gaussian matrices
+    not through the fibre radius.  The bases are seeded Gaussian matrices
     scaled onto the boundary by 1/mu_diag, every fourth with a12 = 0 (P =
     0), and |a| spans 10^-3 to 10^0.1.  mu_upper >= mu_diag(A) = 1 there, so
     the closure is mu_upper = 1: within 1e-12 of 1 a point must read
     ClosureBoundary, beyond 1e-6 Outside, and between them it is left
     undecided.  A base with P = 0 has |x1| = 1 or |x2| = 1, where the fibre
     radius is 0, so every a != 0 over it lies outside the closure."""
-    r = random.Random(29)
-    diag, upper = structure_from_name("diag"), structure_from_name("upper")
+    upper = structure_from_name("upper")
     seen = collections.Counter()   # (P = 0, region): points
-    for i in range(4000):
-        g = [complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(4)]
-        if i % 4 == 0:
-            g[1] = 0j
-        m = Matrix2(*g).scale(1.0 / mu_value(Matrix2(*g), diag).value)
-        x = (m.a11, m.a22, m.det)
-        a = complex(r.gauss(0, 1), r.gauss(0, 1)) * 10.0 ** r.uniform(-3.0, 0.1)
+    for a, x in _boundary_base_points(29, 4000):
         p = x[0] * x[1] - x[2]
         mu = mu_value(Matrix2(x[0], p / a, a, x[1]), upper).value
         if 1e-12 < abs(mu - 1.0) <= 1e-6:
@@ -214,7 +221,8 @@ def test_zero_denominator_of_the_supremum_reads_outside():
     """At this tetrablock point, 2e-18 outside E, c + d rounds to 0 while
     m > 0, so the critical radius would divide by zero.  It reads interior
     only at a tol below its rounding; the closed form never forms r*, so the
-    supremum is finite there and the margin is 1 - sup, still Outside."""
+    fibre radius R is positive there and the margin is R - |a|, still
+    Outside."""
     a = -1.060124251104098 - 0.6200832766267721j
     x = (0.9885575782368063 + 5.551115123125783e-17j,
          0.37095287710250313 - 0.9163187482851123j,
@@ -223,7 +231,8 @@ def test_zero_denominator_of_the_supremum_reads_outside():
     sup = psi_sup_closed(a, *x)
     assert sup == pytest.approx(8.1419, rel=1e-4)
     v = hexa_classify((a, *x), 1e-300)
-    assert (v.region, v.margin) == (Region.OUTSIDE, 1.0 - sup)
+    assert (v.region, v.margin) == (Region.OUTSIDE, hexablock._fibre_radius(*x) - abs(a))
+    assert v.margin == pytest.approx(abs(a) / sup - abs(a), rel=1e-12)
 
 
 def test_closed_form_against_fifty_digits():
@@ -278,31 +287,32 @@ def test_corrected_point_reads_interior():
     assert v.margin == min(tetra_classify(x, 0.0).margin, 1.0 - sup)
 
 
-def test_verdicts_match_the_critical_radius_route(monkeypatch):
+def test_verdicts_match_the_critical_radius_route():
     """hexa_classify through the closed form and through the critical
-    radius give the same region and shilov flag on 20 000
-    seeded points, near-boundary ones included.  The critical radius enters
-    as the fibre factor k, the supremum at |a| = 1, and the patched route
-    must be the one the classifier reads.  The two suprema differ in the
-    last bits, so a verdict may change only where the two margins lie on
-    either side of a band edge, within 1e-13 of each other.  The critical
-    radius needs an interior base, so points whose base lies within tol of
-    the tetrablock boundary are not compared."""
+    radius give the same region and shilov flag on 20 000 seeded points,
+    near-boundary ones included.  The critical radius enters as the fibre
+    radius 1 / (its supremum at |a| = 1) of a record that fibred_domain
+    builds as it builds hexa_classify's, and the route must be the one that
+    record reads.  The two radii differ in the last bits, so a verdict may
+    change only where the two margins lie on either side of a band edge,
+    within 1e-13 of each other.  The critical radius needs an interior base,
+    so points whose base lies within tol of the tetrablock boundary are not
+    compared."""
     pts = hexa_points(random.Random(4411), 20000)
-    tols = (1e-9, 1e-12, 1e-15)
-    new = {tol: [hexa_classify(p, tol) for p in pts] for tol in tols}
     calls = []
 
-    def critical_radius_factor(*x):
+    def critical_radius(*x):
         calls.append(x)
-        return psi_sup_critical_radius(1.0, *x)
+        return 1.0 / psi_sup_critical_radius(1.0, *x)
 
-    monkeypatch.setattr(hexablock, "_fibre_factor", critical_radius_factor)
-    for tol in tols:
+    old_domain = fibred_domain(hexablock._NAMES, _tetra_margin, critical_radius,
+                               hexablock._shilov_h)
+    for tol in (1e-9, 1e-12, 1e-15):
         calls.clear()
-        old = [hexa_classify(p, tol) for p in pts]
-        assert len(calls) > 10000, tol   # the patched route decides most verdicts
-        for p, v, o in zip(pts, new[tol], old):
+        new = [hexa_classify(p, tol) for p in pts]
+        old = [classify_point(old_domain, tuple(map(complex, p)), tol) for p in pts]
+        assert len(calls) > 10000, tol   # the critical radius decides most verdicts
+        for p, v, o in zip(pts, new, old):
             if ((v.region, v.shilov) == (o.region, o.shilov)
                     or margin_code(_tetra_margin(*p[1:]), tol) == 1):
                 continue
@@ -497,37 +507,97 @@ def _fibre_test_points() -> list:
 
 
 def test_fibred_kernels_equal_the_one_pass_reference():
-    """The cell, and the fibre cell over the base kernel that mublocks slice
-    runs, give hexa_cell_reference's code and margin by repr at tol 0,
-    1e-12, 1e-9 and 0.05 wherever the base is off the band (a = 0, or the
-    tetrablock margin beyond tol).  Over a base in the band, where the
-    reference clamps, the margin is min(t, 1 - psi_sup_closed_reference), -1
-    where that supremum is inf and -inf where |a| passes the floats.  psi_sup
-    is psi_sup_closed_reference's value bit for bit."""
-    base, fibre_cell = hexablock._DOMAIN.fibre
+    """The cell, and verdict.fibre_cell over the base kernel that mublocks
+    slice runs, give hartogs_cell_reference's code and margin by repr at tol
+    0, 1e-12, 1e-9 and 0.05: the tetrablock margin t alone below -tol, else
+    min(t, R - |a|), -inf where |a| passes the floats.  psi_sup is |a| / R
+    bit for bit, and the k form psi_sup_closed_reference to 2 ulps."""
+    base = hexablock._DOMAIN.base
     pts = _fibre_test_points()
-    codes, band = set(), 0
+    codes = set()
     for tol in (0.0, 1e-12, 1e-9, 0.05):
         for x in pts:
-            code, margin = hexa_cell_reference(x, tol)
-            t = guarded_margin(_tetra_margin, *x[1:])
-            if x[0] != 0 and abs(t) <= tol:
-                if math.hypot(x[0].real, x[0].imag) == math.inf:   # |a| overflows
-                    margin = -math.inf
-                else:
-                    sup = psi_sup_closed_reference(*x)
-                    margin = -1.0 if sup == math.inf else min(t, 1.0 - sup)
-                code = margin_code(margin, tol)
-                band += 1
-            want = repr((code, margin))
+            want = repr(hartogs_cell_reference(x, tol, _tetra_margin, hexablock._fibre_radius))
             assert repr(hexablock._DOMAIN.cell(x, tol)) == want, (x, tol)
-            assert repr(fibre_cell(x[0], base(*x[1:], tol), tol)) == want, (x, tol)
-            codes.add(code)
-    assert codes == {0, 1, 2} and band > 1000
+            assert repr(fibre_cell(x[0], base(x[1:], tol), tol)) == want, (x, tol)
+            codes.add(want[1])
+    assert codes == {"0", "1", "2"}
     checked = 0
     for a, *x in pts:
         if tetra_classify(x, DEFAULT_TOL).is_interior and math.isfinite(abs(a)):
-            want = 0.0 if a == 0 else psi_sup_closed_reference(a, *x)
-            assert repr(psi_sup((a, *x))) == repr(want), (a, x)
+            got = psi_sup((a, *x))
+            assert repr(got) == repr(abs(a) / hexablock._fibre_radius(*x)), (a, x)
+            if a != 0:
+                assert got == pytest.approx(psi_sup_closed_reference(a, *x),
+                                            rel=4.5e-16, abs=0.0), (a, x)
             checked += 1
     assert checked > 2000
+
+
+def _boundary_base_points(seed: int, n: int):
+    """(a, x) over n seeded tetrablock boundary bases x: Gaussian matrices
+    scaled onto the boundary by 1/mu_diag, every fourth with a12 = 0 (x1 x2
+    = x3), with a Gaussian scaled by 10^U(-3, 0.1)."""
+    r = random.Random(seed)
+    diag = structure_from_name("diag")
+    for i in range(n):
+        g = [complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(4)]
+        if i % 4 == 0:
+            g[1] = 0j
+        m = Matrix2(*g).scale(1.0 / mu_value(Matrix2(*g), diag).value)
+        yield complex(r.gauss(0, 1), r.gauss(0, 1)) * 10.0 ** r.uniform(-3.0, 0.1), \
+            (m.a11, m.a22, m.det)
+
+
+def _region_sample() -> list:
+    """hexa_points(Random(31), 20 000) and 4 000 boundary-base points."""
+    return (hexa_points(random.Random(31), 20000)
+            + [(a, *x) for a, x in _boundary_base_points(29, 4000)])
+
+
+def test_margin_is_the_fibre_radius_slack():
+    """Each margin is min(t, R - |a|) with the critical-radius route's R =
+    1 / psi_sup_critical_radius(1, x), to 1e-12, over bases clear of the
+    tetrablock boundary (t > 1e-6, where that route holds).  R >= t, so at
+    a = 0 the margin is t bit for bit: checked on every base of
+    hexa_points with t >= -1e-9, most of them next to the boundary.  On the
+    boundary bases t is 0 up to rounding, and t rounds above R = 0 on 3 of
+    the 4 000, where the margin at a = 0 is 0.0 instead of t <= 2^-54."""
+    checked = near = 0
+    pts = _region_sample()
+    for i, (a, *x) in enumerate(pts):
+        x = tuple(map(complex, x))
+        t = guarded_margin(_tetra_margin, *x)
+        if t < -DEFAULT_TOL:
+            continue
+        radius = hexablock._fibre_radius(*x)
+        margin = hexa_classify((0, *x)).margin
+        if i < 20000:
+            assert radius >= t and repr(margin) == repr(t), x
+            near += t < 1e-3
+        else:
+            assert radius >= t or radius == 0.0 < t <= 2.0 ** -54, x
+            assert repr(margin) == repr(min(t, radius)), x
+        if t > 1e-6:
+            want = min(t, 1.0 / psi_sup_critical_radius(1.0, *x) - abs(a))
+            assert hexa_classify((a, *x)).margin == pytest.approx(want, rel=1e-12,
+                                                                  abs=1e-12), (a, x)
+            checked += 1
+    assert checked > 10000 and near > 2000, (checked, near)
+
+
+def test_regions_leave_the_band_rule_only_inside_the_guard_band():
+    """On the 24 000 points of _region_sample the region is
+    hexa_cell_reference's (its band code 9 read as ClosureBoundary) wherever
+    both margins lie outside BAND_FACTOR * tol, at tol 1e-9 and 1e-12; the
+    margins move only where the fibre leg binds."""
+    pts = [tuple(map(complex, p)) for p in _region_sample()]
+    for tol in (1e-9, 1e-12):
+        compared = 0
+        for x in pts:
+            code, margin = hexablock._DOMAIN.cell(x, tol)
+            old_code, old_margin = hexa_cell_reference(x, tol)
+            if min(abs(margin), abs(old_margin)) > BAND_FACTOR * tol:
+                assert code == {9: 1}.get(old_code, old_code), (x, tol)
+                compared += 1
+        assert compared > 13000, tol

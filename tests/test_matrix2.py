@@ -16,8 +16,8 @@ from mublocks.matrix2 import (CheckedRecord, Matrix2, _quadratic_roots,
 from mublocks.mu import MuResult
 from mublocks.verdict import MembershipVerdict, Region
 from oracles import (contraction_test, eig_radius, power_norm, quad_roots,
-                     random_contraction, random_unitary,
-                     spectral_radius_reference, svd_values)
+                     random_contraction, random_unitary, spectral_radius_decimal,
+                     spectral_radius_gap_reference, spectral_radius_reference, svd_values)
 
 finite = st.floats(min_value=-5.0, max_value=5.0,
                    allow_nan=False, allow_infinity=False)
@@ -280,10 +280,11 @@ def _entry_exponent(m):
 
 
 def test_spectral_radius_is_the_discriminant_form_bitwise():
-    """The first root of _quadratic_roots is the old max |(t +- root)/2|
-    exactly wherever the entries lie in [2^-480, 2^480].  Outside that
-    range, where t^2 can overflow (NaN on the old route) or underflow, it
-    is the same form on B 2^-e, scaled back by 2^e."""
+    """spectral_radius is the half-gap discriminant form max |h +- sqrt(d^2 +
+    a12 a21)| (spectral_radius_gap_reference) exactly wherever the entries
+    lie in [2^-480, 2^480].  Outside that range, where the squares can
+    overflow or underflow, it is the same form on B 2^-e, scaled back by
+    2^e."""
     rng = random.Random(11)
     for i in range(6000):
         f = 10.0 ** (rng.choice((-320, -300, -150, -30, 0, 30, 150)) + rng.uniform(-3, 3))
@@ -300,13 +301,39 @@ def test_spectral_radius_is_the_discriminant_form_bitwise():
                           for _ in range(4)))
         top = max(max(abs(z.real), abs(z.imag)) for z in m.entries())
         if 2.0 ** -480 <= top <= 2.0 ** 480 or top == 0.0:
-            want = spectral_radius_reference(m)
+            want = spectral_radius_gap_reference(m)
         else:
             e = _entry_exponent(m)
             scaled = Matrix2(*(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
                                for z in m.entries()))
-            want = math.ldexp(spectral_radius_reference(scaled), e)
+            want = math.ldexp(spectral_radius_gap_reference(scaled), e)
         assert spectral_radius(m) == want
+
+
+def test_spectral_radius_keeps_the_eigenvalue_gap():
+    """On 3 000 seeded V diag(lam, lam + gap) V^-1, gap/lam = 10^-U(2, 12),
+    spectral_radius is the 50-digit radius to 2 ulps, where the trace and
+    determinant form (spectral_radius_reference) cancels to 1e-8.  On
+    [[1e10 + 0.3, 1], [2j, 1e10]] it is numpy's 10000000001.155638."""
+    r = random.Random(46)
+
+    def gauss():
+        return complex(r.gauss(0, 1), r.gauss(0, 1))
+
+    worst_new = worst_old = 0.0
+    for _ in range(3000):
+        lam = gauss() * 10.0 ** r.uniform(-3, 3)
+        gap = lam * 10.0 ** -r.uniform(2, 12) * cmath.exp(1j * r.uniform(0, 2 * math.pi))
+        v = Matrix2(gauss(), gauss(), gauss(), gauss())
+        vi = Matrix2(v.a22, -v.a12, -v.a21, v.a11).scale(1.0 / v.det)
+        m = v @ Matrix2(lam, 0, 0, lam + gap) @ vi
+        want = spectral_radius_decimal(m)
+        worst_new = max(worst_new, abs(spectral_radius(m) - want) / want)
+        worst_old = max(worst_old, abs(spectral_radius_reference(m) - want) / want)
+    assert worst_new <= 4.5e-16 and worst_old > 1e-9, (worst_new, worst_old)
+    m = Matrix2(1e10 + 0.3, 1, 2j, 1e10)
+    assert spectral_radius(m) == spectral_radius_decimal(m) == pytest.approx(
+        10000000001.155638, rel=1e-15)
 
 
 def test_spectral_radius_far_from_unit_scale():

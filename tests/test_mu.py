@@ -128,8 +128,9 @@ def test_infeasibility_screen_forms_coefficients_lazily(monkeypatch):
     times the polarized determinants only where all vanish.  A = 0 is
     Infeasible everywhere, and E12 on upper (every trace 0, det 0); on diag
     [[0, 1], [1, 0]] has every trace 0 but det(A) polar != 0, so it is
-    feasible, with mu exactly 1.  Only the k1 route and the descent after a
-    failed certificate probe form the coefficients."""
+    feasible, with mu exactly 1.  Only the descent after a failed
+    certificate probe forms the coefficients; the k1 route reads A B's
+    entries instead."""
     calls = []
 
     def counted(a, structure):
@@ -150,7 +151,7 @@ def test_infeasibility_screen_forms_coefficients_lazily(monkeypatch):
     for name in _PRESET_NAMES:
         calls.clear()
         mu_value(a, structure_from_name(name))
-        assert calls == (["scalar"] if name == "scalar" else []), name
+        assert calls == [], name
     calls.clear()
     assert mu_value(E21, ODD).status == "Numeric"   # the probe misses
     assert calls == ["odd_offdiag"]
@@ -205,8 +206,9 @@ def test_mu_k1_on_a_basis_scaled_far_from_unit():
     route forms det B, which left the float range: scaled by 1e-300 the
     scalar span gave 2e10 for A below (rho(A) = 1e10 + 1), by 1e-160
     1.00334e10, and by 1e150 or more it raised PreconditionViolation.  The
-    quadratic cancels on this A, so its value holds only to 1e-7; the
-    generic matrix holds to rounding."""
+    route now reads the top eigenvalue of A B through its half-gap
+    discriminant, which does not cancel on this A (the trace-determinant
+    quadratic held it only to 1e-7), so both matrices hold to rounding."""
     a = Matrix2(1e10, 1, 2j, 1e10)
     g = Matrix2(0.3 + 0.1j, -0.7, 0.45j, 0.9 - 0.2j)
     for b in (Matrix2.identity(), E11 + E12, Matrix2(0.5j, 2, -1, 0.25)):
@@ -220,7 +222,7 @@ def test_mu_k1_on_a_basis_scaled_far_from_unit():
             for u, v in zip(r.minimizer, base.minimizer):
                 assert u == pytest.approx(v, rel=1e-13, abs=0.0), (b, e)
             if b == Matrix2.identity():
-                assert mu_value(a, s).value == pytest.approx(1e10 + 1.0, rel=1e-7)
+                assert mu_value(a, s).value == pytest.approx(1e10 + 1.0, rel=1e-15)
     # in range the basis is stored as given
     for e in (-60, 0, 60):
         b = E11.scale(10.0 ** e) + E12
@@ -994,12 +996,12 @@ def test_structure_route_is_fixed_once(case, monkeypatch):
 
     taken = []
     for name in ("_mu_diagonal", "_mu_upper", "_mu_numeric", "_top_singular_pair",
-                 "_quadratic_roots"):
+                 "_eigenvalues"):
         def spy(*args, _name=name, _fn=getattr(mu_module, name)):
             taken.append(_name)
             return _fn(*args)
         monkeypatch.setattr(mu_module, name, spy)
-    first = {"k1": "_quadratic_roots", "diag": "_mu_diagonal",
+    first = {"k1": "_eigenvalues", "diag": "_mu_diagonal",
              "upper": "_mu_upper", "lower": "_mu_upper",
              "k4": "_top_singular_pair", "numeric": "_mu_numeric"}[route]
     for a in _seeded_matrices(45, 8)[1:]:

@@ -4,17 +4,17 @@ import random
 
 import pytest
 from mublocks import hexablock, optimize, pentablock
-from mublocks.bidisc import bgamma_point
+from mublocks.bidisc import _g2_margin, bgamma_point
 from mublocks.cli import main
 from mublocks.errors import CriteriaDisagree, PreconditionViolation
 from mublocks.hexablock import hexa_classify, psi_sup
-from mublocks.pentablock import (bp_test, penta_classify, penta_dual_check,
+from mublocks.pentablock import (_penta_radius, bp_test, penta_classify, penta_dual_check,
                                  penta_radius, penta_sup)
 from mublocks.matrix2 import contraction_from_rng, unitary_from_rng
-from mublocks.verdict import Region, margin_code
+from mublocks.verdict import Region, fibre_cell, guarded_margin, margin_code
 from mublocks.verify import run_counterexamples, run_suite
-from oracles import (penta_dual_reference, penta_grid_sup, penta_sup_numeric,
-                     penta_sup_points, quad_roots)
+from oracles import (hartogs_cell_reference, penta_dual_reference, penta_grid_sup,
+                     penta_sup_numeric, penta_sup_points, quad_roots)
 
 rng = random.Random(17)
 
@@ -216,11 +216,12 @@ def _fibre_test_points() -> list:
 
 
 def test_fibred_kernels_equal_the_one_pass_reference():
-    """The cell, the fibre cell over the base kernel that mublocks slice
+    """The cell, verdict.fibre_cell over the base kernel that mublocks slice
     runs, and penta_dual_check give penta_dual_reference's margin (by repr,
     with its code) and answer (or its CriteriaDisagree) at tol 0, 1e-12,
-    1e-9 and 0.05."""
-    base, fibre_cell = pentablock._DOMAIN.fibre
+    1e-9 and 0.05; the margin is hartogs_cell_reference's, min(bidisc
+    margin, _penta_radius - |a|)."""
+    base = pentablock._DOMAIN.base
     answered = 0
     for tol in (0.0, 1e-12, 1e-9, 0.05):
         for x in _fibre_test_points():
@@ -231,8 +232,25 @@ def test_fibred_kernels_equal_the_one_pass_reference():
                     penta_dual_check(x, tol)
                 continue
             want = repr((margin_code(margin, tol), margin))
+            assert repr(hartogs_cell_reference(x, tol, _g2_margin, _penta_radius)) == want
             assert repr(pentablock._DOMAIN.cell(x, tol)) == want, (x, tol)
-            assert repr(fibre_cell(x[0], base(*x[1:], tol), tol)) == want, (x, tol)
+            assert repr(fibre_cell(x[0], base(x[1:], tol), tol)) == want, (x, tol)
             assert repr(penta_dual_check(x, tol)) == repr(answer), (x, tol)
             answered += answer is not None
     assert answered > 10000
+
+
+def test_margin_at_a_zero_is_the_bidisc_margin():
+    """The critical radius is at least the bidisc margin t, so the margin
+    min(t, radius - |a|) is t bit for bit at a = 0: checked on every base of
+    _fibre_test_points with t >= -1e-9, most of them next to the boundary."""
+    checked = near = 0
+    for _, s, p in _fibre_test_points():
+        t = guarded_margin(_g2_margin, s, p)
+        if t < -1e-9:
+            continue
+        assert _penta_radius(s, p) >= t, (s, p)
+        assert repr(penta_classify((0, s, p)).margin) == repr(t), (s, p)
+        checked += 1
+        near += t < 1e-3
+    assert checked > 3000 and near > 1000, (checked, near)
