@@ -7,9 +7,10 @@ are known:
     (B)  2 |s - conj(s) p| + |s^2 - 4 p| < 4 - |s|^2
 
 and the closure is the non-strict version.  g2_classify evaluates (A) only,
-through the kernel _g2_margin, which the pentablock and F also call for
-their bidisc leg; _g2_dual holds that margin against (B) and returns it to
-g2_dual_check and the suites' bidisc legs, never to a classifier.  (A) alone
+through the kernel _g2_margin, which the pentablock also calls for its
+bidisc leg (F's one-pass kernel writes that leg out); _g2_dual holds that
+margin against (B) and returns it to g2_dual_check and the suites' bidisc
+legs, never to a classifier.  (A) alone
 does not close up correctly on |p| = 1 (it degenerates to the line
 s = conj(s) p, which admits arbitrarily large |s|), so the reported margin
 carries the extra leg 2 - |s|:
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 from .errors import PreconditionViolation
 from .matrix2 import _quadratic_roots
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
-                      classify_point, guarded_margin, margin_cell, raise_if_split)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, guarded_margin, margin_domain, raise_if_split)
 
 _NAMES = ("s", "p")
 _PARAM_TOL = 1e-12   # slack of bgamma_point's |p| = 1 and |beta| <= 1 preconditions
@@ -86,7 +87,7 @@ def _bgamma(s: complex, p: complex, tol: float) -> bool:
             and abs(s) <= 2.0 + tol)
 
 
-_DOMAIN = Domain(_NAMES, margin_cell(_g2_margin), _bgamma)
+_DOMAIN = margin_domain(_NAMES, _g2_margin, _bgamma)
 
 
 def bgamma_point(beta: complex, p: complex) -> tuple[complex, complex]:

@@ -18,17 +18,17 @@ JSON documents; all output is structured JSON / delimited text, with complex
 values always rendered as ``{"re", "im"}`` pairs so that printed points
 re-parse to the identical verdict.
 
-check and slice read one table, each domain's verdict.Domain record: its
-cell is the margin kernel under the overflow guard and verdict.margin_code,
-the one threshold rule.  check runs verdict.classify_point on that record at
-the point parse_point has checked, as the domain's public classifier does,
-so its exit code is the verdict's Region.code.  slice parses and checks the
-fixed coordinates once and each row and column value once, then runs the
-cell at every grid point, with no coordinate check and no verdict per cell;
-a cell whose axis value is not finite goes through verdict.checked_point,
-which exits 64 as check would.  On the fibre axis a of h and penta, a row
-runs the base kernel once, each point verdict.fibre_cell.  hn, the normed
-hexablock, is one of these domains, with the margin 1 - ||B||.
+check and slice read one table, each domain's verdict.Domain record.  check
+runs verdict.classify_point on that record at the point parse_point has
+checked, as the domain's public classifier does, so its exit code is the
+verdict's Region.code.  slice parses and checks the fixed coordinates once
+and each row and column value once, then works a row at a time, with no
+verdict per cell: a row with a non-finite axis value goes through
+verdict.checked_point, which exits 64 as check would; g2, tetra, f and l4 map
+the record's margin kernel over the row, margin_code's rule inline; on the
+fibre axis a of h and penta a row runs the base kernel once, then min(m, R -
+|a|) per point; elsewhere (hn, the normed hexablock, too) and where a kernel
+overflows, a row runs the record's guarded cell at each point.
 
 Each argument has one spelling: domain, point, structure, matrix and suite
 are required positionals, the rest are flags.  ``MUBLOCKS_TOL`` supplies the
@@ -55,7 +55,7 @@ from . import bidisc, domain_f, hexablock, lie_ball, pentablock, tetrablock
 from .errors import PreconditionViolation, UnknownSuite
 from .matrix2 import Matrix2
 from .mu import mu_value, structure_from_name
-from .verdict import DEFAULT_TOL, checked_point, classify_point, fibre_cell
+from .verdict import DEFAULT_TOL, checked_point, classify_point
 from .verify import DEFAULT_R_GRID, run_all, run_counterexamples, run_suite, suite_names
 
 _ENV_TOL = "MUBLOCKS_TOL"
@@ -63,7 +63,7 @@ _ENV_TOL = "MUBLOCKS_TOL"
 _DOMAINS = ("g2", "tetra", "penta", "f", "h", "hn", "l4")
 
 # The Domain record each classifier reads; check classifies through it and
-# slice runs its cell directly.
+# slice maps its margin kernel or its cell over each row.
 _DOMAIN_RECORDS = {
     "g2": bidisc._DOMAIN, "tetra": tetrablock._DOMAIN, "penta": pentablock._DOMAIN,
     "f": domain_f._DOMAIN, "h": hexablock._DOMAIN, "hn": hexablock._HN_DOMAIN,
@@ -373,40 +373,50 @@ def _cmd_slice(args) -> int:
     n = args.grid
     if n < 2:
         raise _CliError(64, f"--grid needs at least 2 points per axis, got {n}")
-    tol = _resolve_tol(args)
+    tol = _resolve_tol(args) or DEFAULT_TOL   # None where unset, else above 0
 
     base = [fixed.get(nm, 0j) for nm in names]
     (comp1, nm1), (comp2, nm2) = axes
     k1, k2 = names.index(nm1), names.index(nm2)
-    cell = _DOMAIN_RECORDS[args.domain].cell
-    # On a fibred domain's fibre axis a (inner), a row of finite values runs the
-    # base kernel once (a tuple, never falsy) and each point fibre_cell.
-    base_kernel = _DOMAIN_RECORDS[args.domain].base if k2 == 0 else None
-    tol = DEFAULT_TOL if tol is None else tol
-    # Each axis value is checked once; a cell with a non-finite one goes to
-    # checked_point, which raises naming the cell's first such coordinate.
+    record = _DOMAIN_RECORDS[args.domain]
+    base_kernel = record.base if k2 == 0 else None   # once per row of a fibre plane
+    low = -tol
     values = [lo2 + (hi2 - lo2) * j / (n - 1) for j in range(n)]
-    cols = [(f"\t{v2:.10g}\t", not math.isfinite(v2)) for v2 in values]
+    texts2 = [f"\t{v2:.10g}\t" for v2 in values]
+    # Each axis value is checked once: the first column whose value is not finite.
+    bad2 = next((j for j, v2 in enumerate(values) if not math.isfinite(v2)), None)
     def column_coords(z):   # coordinate k2 at each column, its other part z's
-        return (map(complex, values, repeat(z.imag)) if comp2 == "re"
-                else map(complex, repeat(z.real), values))
+        return list(map(complex, values, repeat(z.imag)) if comp2 == "re"
+                    else map(complex, repeat(z.real), values))
     # Where the axes name two coordinates, these are built once per plane;
-    # where they name one (Re(a),Im(a)), each cell's from the row's value.
-    plane_coords = list(column_coords(base[k2])) if k1 != k2 else None
+    # where they name one (Re(a),Im(a)), each row's from the row's value.
+    plane_coords = column_coords(base[k2]) if k1 != k2 else None
     lines = [f"{_axis_label(axes[0])}\t{_axis_label(axes[1])}\tcode\tmargin"]
     for i in range(n):
         v1 = lo1 + (hi1 - lo1) * i / (n - 1)
-        text1, bad1 = f"{v1:.10g}", not math.isfinite(v1)
+        text1 = f"{v1:.10g}"
         row = list(base)
         z = row[k1]
         row[k1] = complex(v1, z.imag) if comp1 == "re" else complex(z.real, v1)
-        fibre_base = base_kernel and not bad1 and base_kernel(row[1:], tol)
-        for row[k2], (text2, bad2) in zip(plane_coords or column_coords(row[k2]), cols):
-            x = tuple(row)
-            if bad1 or bad2:
-                checked_point(x, names)
-            code, margin = fibre_cell(x[0], fibre_base, tol) if fibre_base else cell(x, tol)
-            lines.append(f"{text1}{text2}{code}\t{margin:.17g}")
+        inner = plane_coords or column_coords(row[k2])
+        if bad2 is not None or not math.isfinite(v1):   # raises at the first bad cell
+            row[k2] = inner[bad2 if math.isfinite(v1) else 0]
+            checked_point(row, names)
+        columns = [inner if k == k2 else repeat(w) for k, w in enumerate(row)]
+        try:   # an overflow sends the row through the guarded cell
+            if base_kernel:
+                m, radius = base_kernel(row[1:], tol)
+                margins = [m] * n if radius is None else [min(m, radius - abs(a)) for a in inner]
+            else:
+                margins = record.kernel and list(map(record.kernel, *columns))
+        except OverflowError:
+            margins = None
+        if margins is None:
+            lines += [f"{text1}{text2}{code}\t{margin:.17g}" for text2, (code, margin)
+                      in zip(texts2, map(record.cell, zip(*columns), repeat(tol)))]
+        else:   # margin_code's rule, inline
+            lines += [f"{text1}{text2}{'0' if margin > tol else '2' if margin < low else '1'}"
+                      f"\t{margin:.17g}" for text2, margin in zip(texts2, margins)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

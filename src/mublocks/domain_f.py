@@ -44,13 +44,13 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .bidisc import _g2_margin, _g2_roots
+from .bidisc import _g2_roots
 from .errors import PreconditionViolation
 from .matrix2 import (CheckedRecord, Matrix2, _complex_gauss, gram_det_from_coords,
                       operator_norm)
 from .tetrablock import _be
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
-                      classify_point, margin_cell)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, margin_domain)
 
 # Bounding box for random sampling: the closure projects into the closed
 # bidisc/tetrablock/pentablock hulls, so |x|, |a| <= 1, |p| <= 1, |s| <= 2;
@@ -73,10 +73,13 @@ def q_value(pt) -> float:
 
 
 def _f_margin(x: complex, a: complex, p: complex, s: complex) -> float:
-    """The min of the three slacks: the bidisc margin of (s, ax-p) (kernel
-    bidisc._g2_margin), 1 - |p| and Q."""
-    return min(_g2_margin(s, a * x - p), 1.0 - abs(p),
-               gram_det_from_coords(x, a, p, s))
+    """The min of the three slacks, the bidisc margin of (s, q), q = ax - p, 1 - |p|
+    and Q, in one pass that forms q, |s| and |p| once: bitwise min(bidisc._g2_margin(s,
+    q), 1 - |p|, gram_det_from_coords(x, a, p, s)), squares and NaNs alike."""
+    q, n_s, n_p = a * x - p, abs(s), abs(p)
+    return min((1.0 - abs(q) ** 2) - abs(s - s.conjugate() * q), 2.0 - n_s, 1.0 - n_p,
+               1.0 - abs(a) ** 2 - abs(x) ** 2 + n_p ** 2 - n_s ** 2 / 2.0
+               - abs(s * s - 4.0 * q) / 2.0)
 
 
 def f_classify(pt, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -202,8 +205,8 @@ def _shilov_f(x: complex, a: complex, p: complex, s: complex, tol: float) -> boo
             and abs(x) ** 2 + abs(s) ** 2 / 4.0 <= 1.0 + tol)
 
 
-_DOMAIN = Domain(_NAMES, margin_cell(_f_margin), _shilov_f)
-_ORACLE = Domain(_NAMES, margin_cell(_oracle_margin), _shilov_f)
+_DOMAIN = margin_domain(_NAMES, _f_margin, _shilov_f)
+_ORACLE = margin_domain(_NAMES, _oracle_margin, _shilov_f)
 
 
 def _shilov_point_from_omega(omega: complex, x2: float, x3: float, x4: float):

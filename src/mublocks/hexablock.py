@@ -110,7 +110,7 @@ def _hn_margin(a: complex, x1: complex, x2: complex, x3: complex) -> float:
 
 def _hn_cell(x: tuple, tol: float) -> tuple[int, float]:
     """margin_code of the guarded _hn_margin; code 0 reads 1 at a = 0."""
-    try:   # guarded_margin, inlined as in margin_cell
+    try:   # guarded_margin, inlined as in margin_domain
         margin = _hn_margin(*x)
     except OverflowError:
         margin = -math.inf

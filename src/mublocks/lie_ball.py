@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionViolation
 from .optimize import nelder_mead  # unused here; perfbench/tracing.py wraps it
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
-                      classify_point, guarded_margin, margin_cell, raise_if_split)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, guarded_margin, margin_domain, raise_if_split)
 
 _SPHERE_TOL = 1e-12     # | |x|^2 - 1 | allowed of a ShilovParamL4's real unit vector
 _NEWTON_RTOL = 1e-15    # _ball_minimizer stops at a step below this share of lam + 2
@@ -57,18 +57,22 @@ def _coords(z) -> tuple[complex, ...]:
 
 def _moduli(zs) -> tuple[float, float]:  # sum |z_j|^2, |sum z_j^2| of _coords, any n
     norm2 = sq = 0   # one loop of plain +: no generators, and no 3.12 compensated sum()
-    for v in zs:
+    for v in zs:     # _slack_b's only: _lie_ball_margin runs this loop itself
         norm2 += abs(v) ** 2
         sq += v * v
     return norm2, abs(sq)
 
 
 def _lie_ball_margin(*zs: complex) -> float:
-    norm2, bullet = _moduli(zs)
+    norm2 = sq = 0   # _moduli's loop, inline: one call and one tuple less per cell
+    for v in zs:
+        norm2 += abs(v) ** 2
+        sq += v * v
+    bullet = abs(sq)
     return min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
 
 
-_DOMAIN = Domain(_names(4), margin_cell(_lie_ball_margin))   # the CLI's l4: C^4
+_DOMAIN = margin_domain(_names(4), _lie_ball_margin)   # the CLI's l4: C^4
 
 
 def _slack_b(*zs: complex) -> float:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from .errors import PreconditionViolation
 from .matrix2 import Matrix2, gram_det_from_coords
-from .verdict import (DEFAULT_TOL, Domain, MembershipVerdict, checked_point, checked_tol,
-                      classify_point, guarded_margin, margin_cell, raise_if_split)
+from .verdict import (DEFAULT_TOL, MembershipVerdict, checked_point, checked_tol,
+                      classify_point, guarded_margin, margin_domain, raise_if_split)
 
 _EQ_TOL = 1e-12     # x1 x2 = x3 band of criterion (B)'s extra leg
 _PARAM_TOL = 1e-12  # slack of be_point's |x3| = 1 and |x2| <= 1 preconditions
@@ -103,7 +103,7 @@ def _be(x1: complex, x2: complex, x3: complex, tol: float) -> bool:
             and abs(x2) <= 1.0 + tol)
 
 
-_DOMAIN = Domain(_NAMES, margin_cell(_tetra_margin), _be)
+_DOMAIN = margin_domain(_NAMES, _tetra_margin, _be)
 
 
 def be_point(x2: complex, x3: complex) -> tuple[complex, complex, complex]:

@@ -23,17 +23,17 @@ them -- its margin kernel under the overflow guard (a square past the floats
 reads -inf: every domain is bounded) and margin_code, the one threshold rule
 -- then its Shilov kernel on the closure boundary only.  The public dual
 checks and Shilov tests refuse a bad tol through the same checked_tol.
-mublocks slice checks each axis value once and runs the same cell at every
-grid point, building no verdict, and mublocks check runs classify_point on
-the same Domain record.  Each Region carries its code, which is both the
-slice cell code and the exit code of every domain.  The dual checks read
-their margins through guarded_margin.
+mublocks slice checks each axis value once and maps a margin_domain's kernel
+over each row with margin_code's rule inline, else runs the cell per point,
+building no verdict; check runs classify_point on the same record.  Each
+Region carries its code, both the slice cell code and the exit code of
+every domain.  The dual checks read their margins through guarded_margin.
 
 The hexablock and the pentablock are each a Hartogs domain {(a, y) : y in
 the base, |a| < R(y)}, built by fibred_domain: its base kernel gives the
 guarded base margin m and, where m is not below -tol, R; fibre_cell gives
 min(m, R - |a|).  mublocks slice runs the base kernel once per row where its
-inner axis is a.
+inner axis is a, and takes that min inline.
 """
 
 from __future__ import annotations
@@ -145,12 +145,14 @@ def guarded_margin(kernel, *args) -> float:
 class Domain(NamedTuple):
     """A domain as classify_point and mublocks slice read it: its coordinate
     names, its cell (x, tol) -> (code, margin) on checked coordinates, its Shilov
-    kernel (*x, tol) -> bool (None: not known) and its base kernel, None unless
-    the domain is fibred over x[1:] (fibred_domain)."""
+    kernel (*x, tol) -> bool (None: not known), its base kernel over x[1:] (a
+    fibred_domain's, else None) and its margin kernel (*x) -> float, whose guarded
+    margin_code is the cell (a margin_domain's, else None)."""
     names: tuple
     cell: Callable
     shilov: Optional[Callable] = None
     base: Optional[Callable] = None
+    kernel: Optional[Callable] = None
 
 
 def fibred_domain(names: tuple, margin: Callable, radius: Callable,
@@ -185,15 +187,15 @@ def fibre_cell(a: complex, base: tuple, tol: float) -> tuple[int, float]:
     return margin_code(margin, tol), margin
 
 
-def margin_cell(kernel):
-    """The cell of a margin kernel: the guarded kernel(*x) and its margin_code."""
+def margin_domain(names: tuple, kernel: Callable, shilov: Optional[Callable] = None) -> Domain:
+    """The domain of a margin kernel: its cell is margin_code of the guarded kernel(*x)."""
     def cell(x, tol):
         try:   # guarded_margin, inlined: one call less per cell
             margin = kernel(*x)
         except OverflowError:
             margin = -math.inf
         return margin_code(margin, tol), margin
-    return cell
+    return Domain(names, cell, shilov, kernel=kernel)
 
 
 def checked_tol(tol: float) -> float:

@@ -24,7 +24,8 @@ from mublocks.errors import CriteriaDisagree, OptimizerNoConverge, PreconditionV
 from mublocks.hexablock import _fibre_radius, pi_hexa
 from mublocks.lie_ball import lie_ball_classify, transported_lattice
 from mublocks.matrix2 import (Matrix2, _singular_values, contraction_from_rng,
-                              gram_report, operator_norm, unitary_from_rng)
+                              gram_det_from_coords, gram_report, operator_norm,
+                              unitary_from_rng)
 from mublocks.mu import _FEASIBLE_TOL, _dot, _orthonormal
 from mublocks.optimize import nelder_mead
 from mublocks.pentablock import _beta_sup, _penta_radius, penta_classify, penta_dual_check
@@ -683,6 +684,27 @@ def lie_ball_moduli_reference(zs) -> tuple[float, float]:
     """lie_ball._moduli as it was: sum |z_j|^2 and |sum z_j^2| through sum(),
     which Python 3.12 and later compensate for floats."""
     return sum(abs(v) ** 2 for v in zs), abs(sum(v * v for v in zs))
+
+
+def lie_ball_margin_reference(*zs: complex, moduli=lie_ball_moduli_reference) -> float:
+    """lie_ball._lie_ball_margin as it was composed: criterion (A)'s two legs
+    on the moduli of zs, by default those of lie_ball_moduli_reference."""
+    norm2, bullet = moduli(zs)
+    return min(1.0 - norm2, 1.0 - (2.0 * norm2 - bullet * bullet))
+
+
+def f_margin_reference(x: complex, a: complex, p: complex, s: complex) -> float:
+    """domain_f._f_margin as it was composed: the bidisc kernel at (s, ax - p),
+    1 - |p| and the Gram determinant, each forming its own moduli."""
+    return min(_g2_margin(s, a * x - p), 1.0 - abs(p), gram_det_from_coords(x, a, p, s))
+
+
+def kernel_outcome(kernel, *args) -> str:
+    """repr of kernel(*args), or "OverflowError" where a square passes the floats."""
+    try:
+        return repr(kernel(*args))
+    except OverflowError:
+        return "OverflowError"
 
 
 def mixed_scale_coordinate(rng: random.Random) -> complex:

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import mublocks
-from mublocks import cli
+from mublocks import cli, verdict
 from mublocks.bidisc import g2_classify
 from mublocks.cli import main
 from mublocks.domain_f import f_classify
@@ -513,7 +513,7 @@ def test_check_equals_the_public_classifier(domain):
 
 # sha256 of each gallery plane of scripts/render_slices.py (121 x 121), the
 # same on Python 3.10, 3.11 and 3.12: no cell kernel sums through sum(),
-# which 3.12 compensates for floats (lie_ball._moduli adds with plain +)
+# which 3.12 compensates for floats (the Lie-ball kernel adds with plain +)
 _GALLERY_SHA256 = {
     "g2_real": "2601267d586a33bf5f06864ea0778b69c59fa64fcdfd1a0493882bc6b5a796dd",
     "tetra_x1x2_real": "f8679be58148c64476ec05dbc463d639d3347ccdfeb77cabb969db5b6ac03169",
@@ -776,6 +776,98 @@ def test_fibre_plane_runs_the_base_once_per_row(domain, module, kernel, monkeypa
                         fibred_domain(record.names, margin, radius, record.shilov))
     assert run(argv) == want and want[0] == 0
     assert len(calls) == 21
+
+
+def _plain_planes():
+    """Seeded g2, tetra, f and l4 planes: (domain, fixed, axes, range text,
+    grid, tol or None).  The axes are the two parts of one coordinate or parts
+    of two, in either coordinate order, some with the other part of an axis
+    coordinate fixed; a third of the ranges are huge, square past the floats
+    or reach a non-finite axis value."""
+    r = random.Random(3203)
+    planes = []
+    for k in range(64):
+        domain = ("g2", "tetra", "f", "l4")[k % 4]
+        names = cli._COORD_NAMES[domain]
+        nm1 = r.choice(names)
+        if k % 5 == 0:
+            nm2, (c1, c2) = nm1, r.choice((("Re", "Im"), ("Im", "Re")))
+        else:
+            nm2 = r.choice([nm for nm in names if nm != nm1])
+            c1, c2 = r.choice(("Re", "Im")), r.choice(("Re", "Im"))
+        fixed = {nm: complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))
+                 for nm in names if nm not in (nm1, nm2)}
+        if nm1 != nm2 and k % 4 == 1:   # the part of nm1 its axis does not draw
+            fixed[nm1] = complex(0.0, 0.3) if c1 == "Re" else complex(0.3, 0.0)
+        if k % 3 == 1:
+            ranges = r.choice(("-1e308:1e308", "-1e200:1e200", "0:1,-1e160:1e160",
+                               "-1e160:1e160,0:1", "-1.7e308:1.7e308,-1e200:1e200"))
+        else:
+            ranges = ",".join(f"{-r.uniform(0.3, 2.0)!r}:{r.uniform(0.3, 2.0)!r}"
+                              for _ in range(2))
+        planes.append((domain, fixed, f"{c1}({nm1}),{c2}({nm2})", ranges,
+                       r.choice((2, 5, 9)), r.choice((None, "1e-12", "0.05"))))
+    return planes
+
+
+def test_row_path_equals_the_per_point_cell(monkeypatch):
+    """On seeded g2, tetra, f and l4 planes, slices (exit code, stdout and
+    stderr) equal those of the per-point cell, run by taking the margin kernel
+    off the domain record.  Rows whose squares pass the floats (margin -inf)
+    are redone through the cell; non-finite axis values exit 64 before any
+    kernel runs."""
+    exits, seen, overflowed = set(), set(), 0
+    for domain, fixed, axes, ranges, n, tol in _plain_planes():
+        argv = ["slice", domain, "--axes", axes, "--grid", str(n), "--range", ranges]
+        argv += ["--fixed", ",".join(f"{k}={v!r}".replace("j", "i")
+                                     for k, v in fixed.items())] if fixed else []
+        argv += ["--tol", tol] if tol else []
+        record = cli._DOMAIN_RECORDS[domain]
+        calls = []
+
+        def counted(*x):
+            assert all(map(cmath.isfinite, x)), x
+            calls.append(x)
+            return record.kernel(*x)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._DOMAIN_RECORDS, domain, record._replace(kernel=None))
+            want = run(argv)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._DOMAIN_RECORDS, domain, record._replace(kernel=counted))
+            got = run(argv)
+        assert got == want, argv
+        exits.add(got[0])
+        assert bool(calls) == (got[0] == 0), argv
+        seen.update(line.split("\t")[2] for line in got[1].splitlines()[1:])
+        overflowed += "\t-inf\n" in got[1]
+    assert exits == {0, 64}
+    assert seen == {"0", "1", "2"}
+    assert overflowed >= 4
+
+
+@pytest.mark.parametrize("domain", ("g2", "tetra", "f", "l4"))
+def test_plain_plane_maps_the_kernel_once_per_cell(domain, monkeypatch):
+    """The 21x21 gallery plane of a plain domain calls the record's margin
+    kernel 441 times, and neither the record's cell nor verdict.margin_code."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "render_slices.py")
+    tail, = (tail for _, tail in runpy.run_path(script)["SLICES"] if tail[0] == domain)
+    argv = ["slice", *tail, "--grid", "21"]
+    want = run(argv)
+    record, calls = cli._DOMAIN_RECORDS[domain], []
+
+    def counted(*x):
+        calls.append(x)
+        return record.kernel(*x)
+
+    def refuse(*args):
+        raise AssertionError("a plain row ran the per-point cell")
+
+    monkeypatch.setitem(cli._DOMAIN_RECORDS, domain,
+                        record._replace(kernel=counted, cell=refuse))
+    monkeypatch.setattr(verdict, "margin_code", refuse)
+    assert run(argv) == want and want[0] == 0
+    assert len(calls) == 21 * 21
 
 
 def test_cli_and_thm32_run_without_numpy():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mublocks.bidisc import g2_classify
-from mublocks.domain_f import (BallParamF, FRelations, ShilovParamF, f_classify,
+from mublocks.domain_f import (BallParamF, FRelations, ShilovParamF, _f_margin, f_classify,
                                f_classify_matrix_oracle, f_matrix_witness,
                                f_relations, f_rescale_by, f_scale, f_swap,
                                minkowski_gauge, pi_f, q_value,
@@ -21,7 +21,8 @@ from mublocks.matrix2 import Matrix2, contraction_from_rng, operator_norm
 from mublocks.pentablock import penta_classify, penta_dual_check
 from mublocks.tetrablock import tetra_classify
 from mublocks.verdict import Region
-from oracles import minkowski_gauge_bisect
+from oracles import (f_margin_reference, kernel_outcome, minkowski_gauge_bisect,
+                     mixed_scale_coordinate)
 
 finite = st.floats(min_value=-1.5, max_value=1.5,
                    allow_nan=False, allow_infinity=False)
@@ -311,3 +312,20 @@ def test_dimension_check():
         f_classify((1, 2, 3))
     with pytest.raises(PreconditionViolation):
         q_value((1, 2, 3, 4, 5))
+
+
+def test_f_margin_is_the_composed_reference_bitwise():
+    """The one-pass _f_margin is min(_g2_margin(s, ax - p), 1 - |p|, Q) by repr
+    on seeded points of mixed scale with signed zeros, a tenth with p = ax
+    exactly; where a square passes the floats both raise OverflowError."""
+    rng = random.Random(3201)
+    outcomes = []
+    for _ in range(40_000):
+        x, a, s = (mixed_scale_coordinate(rng) for _ in range(3))
+        p = a * x if rng.random() < 0.1 else mixed_scale_coordinate(rng)
+        got = kernel_outcome(_f_margin, x, a, p, s)
+        assert got == kernel_outcome(f_margin_reference, x, a, p, s), (x, a, p, s)
+        outcomes.append(got)
+    assert outcomes.count("OverflowError") > 1_000
+    assert sum(o.startswith("-") for o in outcomes) > 1_000
+    assert sum(o[0].isdigit() and o != "0.0" for o in outcomes) > 1_000

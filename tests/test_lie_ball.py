@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import sys
@@ -16,9 +17,9 @@ from mublocks.lie_ball import (ShilovParamL4, biholo_f, lambda_map,
                                shilov_l4_lattice, shilov_l4_param,
                                transported_lattice)
 from mublocks.verdict import Region
-from oracles import (lie_ball_moduli_reference, lie_ball_region_oracle, lie_norm,
-                     mixed_scale_coordinate, nearest_transport_distance_reference,
-                     transport_distance_nm_oracle)
+from oracles import (kernel_outcome, lie_ball_margin_reference, lie_ball_moduli_reference,
+                     lie_ball_region_oracle, lie_norm, mixed_scale_coordinate,
+                     nearest_transport_distance_reference, transport_distance_nm_oracle)
 
 finite = st.floats(min_value=-1.2, max_value=1.2,
                    allow_nan=False, allow_infinity=False)
@@ -303,3 +304,24 @@ def test_moduli_match_the_sum_reference():
             bound = 4.0 * math.ulp(want[0])
             assert abs(got[0] - want[0]) <= bound and abs(got[1] - want[1]) <= bound, zs
     assert raised > 1_000
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 6))
+def test_lie_ball_margin_is_the_composed_reference_bitwise(n):
+    """_lie_ball_margin, which runs _moduli's loop itself, is criterion (A)'s
+    two legs on the sum() moduli by repr on seeded points of mixed scale with
+    signed zeros; where a square passes the floats both raise OverflowError.
+    Python 3.12 compensates a float sum(), so there the reference reads
+    _moduli, which test_moduli_match_the_sum_reference pins to it."""
+    moduli = lie_ball_moduli_reference if sys.version_info < (3, 12) else lie_ball._moduli
+    reference = functools.partial(lie_ball_margin_reference, moduli=moduli)
+    rng = random.Random(3202 + n)
+    outcomes = []
+    for _ in range(10_000):
+        zs = tuple(mixed_scale_coordinate(rng) for _ in range(n))
+        got = kernel_outcome(lie_ball._lie_ball_margin, *zs)
+        assert got == kernel_outcome(reference, *zs), zs
+        outcomes.append(got)
+    assert outcomes.count("OverflowError") > 1_000
+    assert sum(o.startswith("-") for o in outcomes) > 1_000
+    assert sum(o[0].isdigit() and o != "0.0" for o in outcomes) > 50

@@ -12,8 +12,8 @@ from mublocks.matrix2 import (Matrix2, contraction_from_rng, operator_norm,
 from mublocks.tetrablock import (_tetra_margin, be_point, be_test, pi_tetra, tetra_classify,
                                  tetra_margins)
 from mublocks.verdict import Region
-from oracles import (mixed_scale_coordinate, tetra_classify_delegated, tetra_closure_oracle,
-                     tetra_margin_reference)
+from oracles import (kernel_outcome as _outcome, mixed_scale_coordinate,
+                     tetra_classify_delegated, tetra_closure_oracle, tetra_margin_reference)
 
 finite = st.floats(min_value=-2.0, max_value=2.0,
                    allow_nan=False, allow_infinity=False)
@@ -168,13 +168,6 @@ def test_tiny_tol_answers_with_the_same_margin():
         v = tetra_classify(pt, tol)
         assert v.margin.hex() == margin.hex()
         assert v.region is Region.OUTSIDE
-
-
-def _outcome(kernel, *args) -> str:
-    try:
-        return repr(kernel(*args))
-    except OverflowError:
-        return "OverflowError"
 
 
 def test_tetra_margin_is_the_composed_reference_bitwise():
